@@ -12,7 +12,7 @@ BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat
 BENCH_THRESHOLD ?= 15
 BENCH_COUNT ?= 3
 
-.PHONY: check vet build test race bench bench-smoke bench-json bench-baseline bench-compare cover fuzz-smoke staticcheck loc-guard serving-smoke
+.PHONY: check vet build test race bench bench-smoke bench-json bench-baseline bench-compare bench-exact cover fuzz-smoke staticcheck loc-guard serving-smoke
 
 check: vet staticcheck loc-guard build race cover bench-json serving-smoke fuzz-smoke
 
@@ -124,3 +124,31 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_results.json \
 	  -threshold $(BENCH_THRESHOLD) < bench.out
 	@rm -f bench.out
+
+# bench-exact is the refactor gate: `make bench-exact BASE=<git-ref>`
+# runs the repo benchmark's quick form (all six workloads, both passes,
+# ~12 s per tree) on BASE — checked out as a git worktree under the
+# ignored .bench_build/ — and on this tree, then fails if bench
+# -compare reports that any exact-repeat count moved (perf.flops/msgs/
+# words, solver.rounds/updates, dist.calls_per_solve,
+# dist.words_in_per_solve; two runs of one commit print none). Timings
+# at -quick size are noise, so the compare's own bound verdict is
+# ignored: a change that claims "same behaviour" shows it moved no
+# count, a change that moves one on purpose says so in its PR.
+EXACT_DIR = .bench_build/exact
+bench-exact:
+	@test -n "$(BASE)" || { echo "usage: make bench-exact BASE=<git-ref>" >&2; exit 2; }
+	@set -e; root=$$(pwd); dir=$$root/$(EXACT_DIR); \
+	git worktree remove --force $$dir/base 2>/dev/null || true; \
+	rm -rf $$dir; mkdir -p $$dir; \
+	git worktree add --detach $$dir/base $(BASE) >/dev/null; \
+	trap 'git -C '$$root' worktree remove --force '$$dir'/base' EXIT; \
+	(cd $$dir/base && $(GO) run ./bench -quick -seed 1 -out $$dir/base-out) >/dev/null; \
+	$(GO) run ./bench -quick -seed 1 -out $$dir/head-out >/dev/null; \
+	$(GO) run ./bench -compare $$dir/base-out/result-seed1.json $$dir/head-out/result-seed1.json \
+	  > $$dir/compare.txt || test $$? -eq 1; \
+	cat $$dir/compare.txt; \
+	if grep -q ' moved: ' $$dir/compare.txt; then \
+	  echo "bench-exact: exact-repeat counts moved against $(BASE)" >&2; exit 1; \
+	fi; \
+	echo "bench-exact: no exact-repeat count moved against $(BASE)"

@@ -78,7 +78,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		activeSet    = flag.Bool("activeset", false, "screen to an active working set and ship reduced Gram batches (rcsfista/sfista only)")
 		screenMargin = flag.Float64("screen-margin", 0, "active-set screening safety margin in [0,1) (0: default 0.1)")
 		kktEvery     = flag.Int("kkt-every", 0, "exact KKT scan cadence in rounds under -activeset (0: default; backs off adaptively)")
-		compress     = flag.Bool("compress", false, "ship the Hessian allreduce as float32 with error feedback (rcsfista/sfista only; legacy alias of -compress-tier f32)")
 		compressTier = flag.String("compress-tier", "", "wire tier for every solver collective: off|f32|i8|auto (error-feedback quantized collectives; rcsfista/sfista only)")
 		seed         = flag.Uint64("seed", 42, "random seed")
 		machine      = flag.String("machine", "comet", "cost model: comet|low-latency|high-latency")
@@ -97,8 +96,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *activeSet && *algo != "rcsfista" && *algo != "sfista" {
 		return fmt.Errorf("-activeset applies to rcsfista/sfista only, not %q", *algo)
 	}
-	if (*compress || *compressTier != "") && *algo != "rcsfista" && *algo != "sfista" {
-		return fmt.Errorf("-compress/-compress-tier apply to rcsfista/sfista only, not %q", *algo)
+	if *compressTier != "" && *algo != "rcsfista" && *algo != "sfista" {
+		return fmt.Errorf("-compress-tier applies to rcsfista/sfista only, not %q", *algo)
 	}
 	if *lossName == "" {
 		*lossName = "ls"
@@ -107,8 +106,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if *algo != "rcsfista" {
 			return fmt.Errorf("-loss %s runs on the proximal newton engine; leave -algo at its default", *lossName)
 		}
-		if *activeSet || *pipeline || *compress || *compressTier != "" {
-			return fmt.Errorf("-loss %s does not support -activeset/-pipeline/-compress/-compress-tier", *lossName)
+		if *activeSet || *pipeline || *compressTier != "" {
+			return fmt.Errorf("-loss %s does not support -activeset/-pipeline/-compress-tier", *lossName)
 		}
 	}
 
@@ -390,7 +389,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		opts.ActiveSet = *activeSet
 		opts.ScreenMargin = *screenMargin
 		opts.KKTEvery = *kktEvery
-		opts.CompressPayload = *compress
 		opts.CompressTier = *compressTier
 		if *algo == "sfista" {
 			opts.K, opts.S = 1, 1

@@ -1,9 +1,9 @@
-// Tolerance harness for Options.CompressPayload: with compression off
-// the solver is bit-identical to the recorded goldens (TestGolden
-// covers that — CompressPayload=false is the default in every
-// fixture), and with compression on the float32 error-feedback
-// allreduce must track the uncompressed run to 1e-6 on the iterate and
-// the objective while shipping strictly fewer modeled wire words. The
+// Tolerance harness for Options.CompressTier = "f32": with compression
+// off the solver is bit-identical to the recorded goldens (TestGolden
+// covers that — CompressTier is unset in every fixture), and with
+// compression on the float32 error-feedback allreduce must track the
+// uncompressed run to 1e-6 on the iterate and the objective while
+// shipping strictly fewer modeled wire words. The
 // matrix covers P ∈ {1,4,8} × {dense fill, active set} on both the
 // chan and tcp backends, and pins the compressed runs bit-identical
 // across backends (the solver-level face of the collective conformance
@@ -51,7 +51,9 @@ func (e *goldenEnv) compressOpts(c compressCase, compress bool) solver.Options {
 	o := e.opts()
 	o.PackedHessian = true
 	o.ActiveSet = c.active
-	o.CompressPayload = compress
+	if compress {
+		o.CompressTier = "f32"
+	}
 	return o
 }
 
@@ -68,6 +70,8 @@ func runCompressCase(t *testing.T, backend string, c compressCase, compress bool
 	return res
 }
 
+// The test keeps its historical name (the option it was written for
+// is gone) because the per-PR test floor tracks it by name.
 func TestCompressPayloadTolerance(t *testing.T) {
 	env := goldenSetup(t)
 

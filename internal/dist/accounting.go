@@ -62,55 +62,9 @@ func chargeP2P(cost *perf.Cost, words int) {
 	cost.AddMessages(1, int64(words))
 }
 
-// chargeAllreduceF32 charges a compressed allreduce of n float32
-// payload values on p ranks: the same log2(P) message count, but each
-// level moves ceil(n/2) 64-bit words — two float32 values pack into
-// one accounting word — while the reduction still runs (and is
-// charged) at n float64 adds per level.
-func chargeAllreduceF32(cost *perf.Cost, p int, n int) {
-	lg := int64(perf.Log2Ceil(p))
-	if lg == 0 {
-		return
-	}
-	cost.AddMessages(lg, perf.F32Words(n))
-	cost.AddFlops(lg * int64(n))
-}
-
-// chargeAllreduceI8 charges an int8 dithered allreduce of n payload
-// values on p ranks: log2(P) messages, each moving perf.I8Words(n)
-// 64-bit words — one byte per code plus a float32 scale per chunk —
-// while the reduction still runs at n float64 adds per level.
-func chargeAllreduceI8(cost *perf.Cost, p int, n int) {
-	lg := int64(perf.Log2Ceil(p))
-	if lg == 0 {
-		return
-	}
-	cost.AddMessages(lg, perf.I8Words(n))
-	cost.AddFlops(lg * int64(n))
-}
-
 // AllreduceCost returns the alpha-beta-gamma cost one rank is charged
-// for a tree allreduce of words payload words on p ranks. This is the
-// quantity Request.Wait charges and the communication segment the
-// overlap cost model (perf.Machine.Overlap) compares compute against.
+// for a full-precision tree allreduce of words payload words on p
+// ranks (AllreduceCostTier at TierF64).
 func AllreduceCost(p, words int) perf.Cost {
-	var c perf.Cost
-	chargeAllreduce(&c, p, words)
-	return c
-}
-
-// AllreduceCostF32 is AllreduceCost for the compressed collective: n
-// float32 values charged at ceil(n/2) 64-bit words per tree level.
-func AllreduceCostF32(p, n int) perf.Cost {
-	var c perf.Cost
-	chargeAllreduceF32(&c, p, n)
-	return c
-}
-
-// AllreduceCostI8 is AllreduceCost for the int8 dithered collective: n
-// values charged at perf.I8Words(n) 64-bit words per tree level.
-func AllreduceCostI8(p, n int) perf.Cost {
-	var c perf.Cost
-	chargeAllreduceI8(&c, p, n)
-	return c
+	return AllreduceCostTier(p, words, TierF64)
 }

@@ -262,11 +262,7 @@ func Calibrate(c Comm, opts CalibrationOptions) Calibration {
 				}
 			}
 			if c.Rank() == 0 {
-				w := int(perf.F32Words(words))
-				if t == TierI8 {
-					w = int(perf.I8Words(words))
-				}
-				pts = append(pts, CalibrationPoint{Words: w, Seconds: best})
+				pts = append(pts, CalibrationPoint{Words: int(tiers[t].words(words)), Seconds: best})
 			}
 			c.Barrier()
 		}

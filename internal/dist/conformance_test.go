@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/perf"
@@ -454,4 +455,133 @@ func TestConformanceFaultyComm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tieredPayload is rank's n-value contribution to the tiered
+// conformance table: a NaN carrying payload bits, a negative zero,
+// magnitudes float32 cannot hold and a wide dynamic range within one
+// i8 chunk, so every tier's rounding is actually exercised.
+func tieredPayload(rank, n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = math.Sin(float64(i*7+rank*3)) * math.Pow(10, float64(i%5-2))
+	}
+	s[0] = math.Copysign(0, -1)
+	if rank == 1 {
+		s[1] = math.Float64frombits(0x7ff8_0000_dead_beef)
+	}
+	if n > 2 {
+		s[2] = math.Pi * float64(rank+1)
+	}
+	return s
+}
+
+// TestConformanceTieredAllreduce is the tier table's contract on every
+// backend × tier × {blocking, nonblocking} × P: the shared result is
+// bit-equal to combine over the raw contributions — on every rank, for
+// an odd length spanning two i8 chunks and a length below MinI8Payload
+// — and each rank is charged exactly AllreduceCostTier.
+func TestConformanceTieredAllreduce(t *testing.T) {
+	// target is one fresh P-rank substrate: how to run a program on it
+	// and how to read a rank's accumulated cost afterwards.
+	type target struct {
+		run  func(fn func(c Comm) error) error
+		cost func(r int) perf.Cost
+	}
+	check := func(t *testing.T, p int, fresh func() target) {
+		for tier := range tiers {
+			tier := Tier(tier)
+			for _, nonblocking := range []bool{false, true} {
+				for _, n := range []int{MinI8Payload - 27, 71} {
+					contrib := make([][]float64, p)
+					for r := range contrib {
+						contrib[r] = tieredPayload(r, n)
+					}
+					want := make([]float64, n)
+					combine(want, contrib, tier)
+					name := fmt.Sprintf("P%d/%v/nonblocking=%v/n%d", p, tier, nonblocking, n)
+					tg := fresh()
+					err := tg.run(func(c Comm) error {
+						if err := SupportsTier(c, tier); err != nil {
+							return err
+						}
+						var got []float64
+						if nonblocking {
+							got = IAllreduceSharedTier(c, tieredPayload(c.Rank(), n), tier).Wait()
+						} else {
+							got = AllreduceSharedTier(c, tieredPayload(c.Rank(), n), tier)
+						}
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								return fmt.Errorf("rank %d word %d: got %x, combine gives %x",
+									c.Rank(), i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for r := 0; r < p; r++ {
+						if got, want := tg.cost(r), AllreduceCostTier(p, n, tier); got != want {
+							t.Fatalf("%s: rank %d charged %+v, want %+v", name, r, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		for _, p := range []int{1, 2, 3, 4} {
+			check(t, p, func() target {
+				w := mustWorld(t, b, p)
+				return target{w.Run, w.RankCost}
+			})
+		}
+	})
+	t.Run("self", func(t *testing.T) {
+		check(t, 1, func() target {
+			c := NewSelfComm(unitMachine())
+			return target{
+				run:  func(fn func(c Comm) error) error { return fn(c) },
+				cost: func(int) perf.Cost { return *c.Cost() },
+			}
+		})
+	})
+}
+
+// TestConformanceMixedTierRejected: ranks that enter one shared
+// allreduce at different tiers (multi-process mode takes the tier per
+// OS process) must fail loudly on every backend, blocking and
+// nonblocking, whichever side the hub is on — not return a sum that
+// quietly mixes roundings.
+func TestConformanceMixedTierRejected(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		for _, hub := range []Tier{TierF64, TierI8} {
+			for _, nonblocking := range []bool{false, true} {
+				baseline := runtime.NumGoroutine()
+				w := mustWorld(t, b, 3)
+				err := w.Run(func(c Comm) error {
+					tier := hub
+					if c.Rank() == 2 {
+						tier = TierF64 + TierI8 - hub
+					}
+					local := tieredPayload(c.Rank(), 40)
+					if nonblocking {
+						IAllreduceSharedTier(c, local, tier).Wait()
+					} else {
+						AllreduceSharedTier(c, local, tier)
+					}
+					return nil
+				})
+				if err == nil || !strings.Contains(err.Error(), "tier mismatch") ||
+					!strings.Contains(err.Error(), "rank 2") ||
+					!strings.Contains(err.Error(), "f64") || !strings.Contains(err.Error(), "i8") {
+					t.Fatalf("hub=%v nonblocking=%v: err = %v, want a tier mismatch naming rank 2, f64 and i8",
+						hub, nonblocking, err)
+				}
+				VerifyNoGoroutineLeaks(t, baseline)
+			}
+		}
+	})
 }

@@ -38,6 +38,7 @@ func PayloadChecksum(buf []float64) uint64 {
 // can degrade gracefully via Hessian reuse.
 type FaultyComm struct {
 	Comm
+	tierForwarders
 	plan       *FaultPlan
 	timeoutSec float64
 	round      int
@@ -57,7 +58,32 @@ func NewFaultyComm(inner Comm, plan *FaultPlan, timeoutSec float64) *FaultyComm 
 	if timeoutSec <= 0 {
 		timeoutSec = DefaultRoundTimeoutSec
 	}
-	return &FaultyComm{Comm: inner, plan: plan, timeoutSec: timeoutSec}
+	f := &FaultyComm{Comm: inner, plan: plan, timeoutSec: timeoutSec}
+	f.to = f
+	return f
+}
+
+// FaultyComm embeds the Comm interface, so the tiered collectives of
+// the wrapped communicator are not promoted automatically; these
+// reliable passthroughs (and the forwarders over them) let the solver
+// compose payload compression with fault injection. Fault verdicts
+// apply only through the attempt methods below, mirroring how the
+// promoted AllreduceShared relates to AttemptAllreduceShared.
+func (f *FaultyComm) allreduceSharedTier(local []float64, t Tier) []float64 {
+	return AllreduceSharedTier(f.Comm, local, t)
+}
+
+func (f *FaultyComm) iallreduceSharedTier(local []float64, t Tier) *Request {
+	return IAllreduceSharedTier(f.Comm, local, t)
+}
+
+// SupportsTier reports whether the wrapped communicator can run tiered
+// collectives at tier t. Because the forwarders exist unconditionally,
+// a bare type assertion on a FaultyComm cannot tell whether the
+// wrapped transport is capable; dist.SupportsTier therefore consults
+// this method, which forwards the check to the inner Comm.
+func (f *FaultyComm) SupportsTier(t Tier) error {
+	return SupportsTier(f.Comm, t)
 }
 
 var _ Comm = (*FaultyComm)(nil)
@@ -133,14 +159,7 @@ func (f *FaultyComm) resolveAttempt(v Verdict, round, attempt int, res []float64
 		// timeout before declaring the attempt dead. No rank receives
 		// data, and — because the verdict is shared — no rank enters
 		// the underlying collective, so nobody deadlocks.
-		switch tier {
-		case TierF32:
-			chargeAllreduceF32(cost, f.Size(), words)
-		case TierI8:
-			chargeAllreduceI8(cost, f.Size(), words)
-		default:
-			chargeAllreduce(cost, f.Size(), words)
-		}
+		chargeAllreduceTier(cost, f.Size(), words, tier)
 		cost.AddStall(f.timeoutSec)
 		stall := f.timeoutSec
 		if v.Kind == FaultCrash && f.plan.Crash != nil &&

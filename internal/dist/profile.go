@@ -25,6 +25,11 @@ const (
 	kindCount
 )
 
+// sharedKind returns the profile kind of the shared allreduce with the
+// given base (kindAllreduceShared or kindIAllreduceShared) at tier t:
+// the blocking/nonblocking pairs are laid out in tier order above.
+func sharedKind(base int, t Tier) int { return base + 2*int(t) }
+
 var kindNames = [kindCount]string{
 	"barrier", "allreduce", "allreduce_shared", "iallreduce_shared",
 	"allreduce_shared_f32", "iallreduce_shared_f32",

@@ -6,6 +6,7 @@ import "github.com/hpcgo/rcsfista/internal/perf"
 // collectives are local no-ops with zero communication cost. It lets
 // the distributed solver drivers run sequentially without a World.
 type SelfComm struct {
+	tierForwarders
 	machine perf.Machine
 	cost    perf.Cost
 }
@@ -13,7 +14,9 @@ type SelfComm struct {
 // NewSelfComm returns a single-rank communicator charging against
 // machine (only compute costs ever accrue).
 func NewSelfComm(machine perf.Machine) *SelfComm {
-	return &SelfComm{machine: machine}
+	c := &SelfComm{machine: machine}
+	c.to = c
+	return c
 }
 
 var _ Comm = (*SelfComm)(nil)
@@ -32,52 +35,25 @@ func (c *SelfComm) Allreduce(buf []float64, op Op) {}
 
 // AllreduceShared returns a copy of local.
 func (c *SelfComm) AllreduceShared(local []float64) []float64 {
-	out := make([]float64, len(local))
-	copy(out, local)
-	return out
+	return combineOne(local, TierF64)
 }
 
 // IAllreduceShared returns an already-completed request holding a copy
 // of local: with a single rank there is no communication to overlap.
 func (c *SelfComm) IAllreduceShared(local []float64) *Request {
-	out := make([]float64, len(local))
-	copy(out, local)
-	return completedRequest(out)
+	return completedRequest(combineOne(local, TierF64))
 }
 
-// AllreduceSharedF32 returns local rounded through the compressed
-// wire's float32 precision: a single rank still observes the
-// quantization the collective semantics promise, so P = 1 and P > 1
-// runs of a compressed solve agree on what reaches the iterates.
-func (c *SelfComm) AllreduceSharedF32(local []float64) []float64 {
-	out := make([]float64, len(local))
-	combineF32(out, [][]float64{local})
-	return out
+// allreduceSharedTier returns local after the tier's single-rank
+// combine: a lone rank still observes the quantization the collective
+// semantics promise (combineOne), matching the chan and tcp backends
+// at P = 1 bit for bit.
+func (c *SelfComm) allreduceSharedTier(local []float64, t Tier) []float64 {
+	return combineOne(local, t)
 }
 
-// IAllreduceSharedF32 returns an already-completed compressed request.
-func (c *SelfComm) IAllreduceSharedF32(local []float64) *Request {
-	out := make([]float64, len(local))
-	combineF32(out, [][]float64{local})
-	return completedRequest(out)
-}
-
-// AllreduceSharedI8 returns local quantized through the int8 dithered
-// wire. A single-rank combine is Q(Q(local)) — quantize the lone
-// contribution, then quantize the "sum" — matching what the chan and
-// tcp backends compute at P = 1, so the three backends agree bit for
-// bit at every world size.
-func (c *SelfComm) AllreduceSharedI8(local []float64) []float64 {
-	out := make([]float64, len(local))
-	combineI8(out, [][]float64{local})
-	return out
-}
-
-// IAllreduceSharedI8 returns an already-completed quantized request.
-func (c *SelfComm) IAllreduceSharedI8(local []float64) *Request {
-	out := make([]float64, len(local))
-	combineI8(out, [][]float64{local})
-	return completedRequest(out)
+func (c *SelfComm) iallreduceSharedTier(local []float64, t Tier) *Request {
+	return completedRequest(combineOne(local, t))
 }
 
 // Bcast is a no-op.

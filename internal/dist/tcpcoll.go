@@ -21,13 +21,14 @@ func (c *TCPComm) collSeq() uint32 {
 	return s
 }
 
-// bcastResult sends the hub's combined payload to every other rank.
-func (c *TCPComm) bcastResult(seq uint32, payload []float64) {
+// bcastResult sends the hub's combined payload to every other rank in
+// a result frame of the given kind.
+func (c *TCPComm) bcastResult(seq uint32, kind FrameKind, payload []float64) {
 	for r := 0; r < c.size; r++ {
 		if r == c.rank {
 			continue
 		}
-		c.sendTo(r, Frame{Kind: FrameResult, Rank: uint32(c.rank), Seq: seq, Payload: payload})
+		c.sendTo(r, Frame{Kind: kind, Rank: uint32(c.rank), Seq: seq, Payload: payload})
 	}
 }
 
@@ -40,8 +41,8 @@ func (c *TCPComm) Barrier() {
 	}
 	seq := c.collSeq()
 	if c.rank == 0 {
-		c.waitContribs(seq)
-		c.bcastResult(seq, nil)
+		c.waitContribs(seq, FrameContrib)
+		c.bcastResult(seq, FrameResult, nil)
 	} else {
 		c.sendTo(0, Frame{Kind: FrameContrib, Rank: uint32(c.rank), Seq: seq})
 		c.waitResult(seq)
@@ -60,7 +61,7 @@ func (c *TCPComm) Allreduce(buf []float64, op Op) {
 	}
 	seq := c.collSeq()
 	if c.rank == 0 {
-		set := c.waitContribs(seq)
+		set := c.waitContribs(seq, FrameContrib)
 		res := make([]float64, len(buf))
 		copy(res, buf)
 		for r := 1; r < c.size; r++ {
@@ -70,7 +71,7 @@ func (c *TCPComm) Allreduce(buf []float64, op Op) {
 			}
 			op.combine(res, set.bufs[r])
 		}
-		c.bcastResult(seq, res)
+		c.bcastResult(seq, FrameResult, res)
 		copy(buf, res)
 	} else {
 		c.sendTo(0, Frame{Kind: FrameContrib, Rank: uint32(c.rank), Seq: seq, Payload: buf})
@@ -90,174 +91,75 @@ func (c *TCPComm) Allreduce(buf []float64, op Op) {
 // are bit-identical to the chan backend's shared slice; over TCP each
 // rank necessarily holds its own physical copy.
 func (c *TCPComm) AllreduceShared(local []float64) []float64 {
-	if c.size == 1 {
-		out := make([]float64, len(local))
-		copy(out, local)
-		return out
-	}
-	seq := c.collSeq()
-	var out []float64
-	if c.rank == 0 {
-		set := c.waitContribs(seq)
-		out = make([]float64, len(local))
-		copy(out, local)
-		for r := 1; r < c.size; r++ {
-			if len(set.bufs[r]) != len(local) {
-				panic(fmt.Sprintf("dist: AllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
-					len(local), r, len(set.bufs[r])))
-			}
-			OpSum.combine(out, set.bufs[r])
-		}
-		c.bcastResult(seq, out)
-	} else {
-		c.sendTo(0, Frame{Kind: FrameContrib, Rank: uint32(c.rank), Seq: seq, Payload: local})
-		out = c.waitResult(seq)
-		if len(out) != len(local) {
-			panic(fmt.Sprintf("dist: AllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
-				len(out), c.rank, len(local)))
-		}
-	}
-	c.prof.record(kindAllreduceShared, len(local))
-	chargeAllreduce(&c.cost, c.size, len(local))
-	return out
+	return c.allreduceSharedTier(local, TierF64)
 }
 
-// IAllreduceShared posts the nonblocking sum-allreduce. Contributors
-// ship their payload at post time and overlap compute with the wire
-// transfer; the hub defers combining to Wait (every rank posts in the
-// same program order, so the contributions for this sequence number
-// are unambiguous). Cost is charged at Wait, exactly like the chan
-// backend, and the combine order makes the result bit-identical.
+// IAllreduceShared posts the nonblocking sum-allreduce (postShared).
 func (c *TCPComm) IAllreduceShared(local []float64) *Request {
+	return c.iallreduceSharedTier(local, TierF64)
+}
+
+// allreduceSharedTier is post + Wait: on this backend the blocking and
+// nonblocking collectives are the same statements, so only the profile
+// kind tells them apart.
+func (c *TCPComm) allreduceSharedTier(local []float64, tier Tier) []float64 {
+	return c.postShared(local, tier, kindAllreduceShared).Wait()
+}
+
+func (c *TCPComm) iallreduceSharedTier(local []float64, tier Tier) *Request {
+	return c.postShared(local, tier, kindIAllreduceShared)
+}
+
+// postShared is the shared sum-allreduce at every tier. Contributors
+// ship their RAW payload in the tier's contribution frame at post time
+// and overlap compute with the wire transfer — encoding the frame IS
+// the uplink quantization, so the hub's readLoop decodes exactly
+// round(local). The hub defers combining to Wait (every rank posts in
+// the same program order, so the contributions for this sequence
+// number are unambiguous): it quantizes its own raw contribution in
+// process, adds the decoded contributions in rank order in float64 and
+// broadcasts that raw sum in the tier's result frame — the frame
+// encode is the single downlink quantization, so every remote decodes
+// exactly round(sum), the same value the hub keeps by rounding the sum
+// in process. (Broadcasting a pre-quantized sum instead would
+// re-quantize it on the wire, and the i8 codec is not idempotent.)
+// This is combine with the roundings the codec already applied left
+// out, so the result is bit-identical to the chan backend's. Cost is
+// charged at Wait, exactly like the chan backend.
+func (c *TCPComm) postShared(local []float64, tier Tier, base int) *Request {
 	if c.size == 1 {
-		out := make([]float64, len(local))
-		copy(out, local)
-		return completedRequest(out)
+		return completedRequest(combineOne(local, tier))
 	}
-	seq := c.collSeq()
+	spec, n, seq := &tiers[tier], len(local), c.collSeq()
 	if c.rank != 0 {
-		c.sendTo(0, Frame{Kind: FrameContrib, Rank: uint32(c.rank), Seq: seq, Payload: local})
-		n := len(local)
-		return &Request{wait: func() []float64 {
-			res := c.waitResult(seq)
-			if len(res) != n {
-				panic(fmt.Sprintf("dist: IAllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
-					len(res), c.rank, n))
-			}
-			c.prof.record(kindIAllreduceShared, n)
-			chargeAllreduce(&c.cost, c.size, n)
-			return res
-		}}
+		c.sendTo(0, Frame{Kind: spec.contrib, Rank: uint32(c.rank), Seq: seq, Payload: local})
 	}
 	return &Request{wait: func() []float64 {
-		set := c.waitContribs(seq)
-		res := make([]float64, len(local))
-		copy(res, local)
-		for r := 1; r < c.size; r++ {
-			if len(set.bufs[r]) != len(local) {
-				panic(fmt.Sprintf("dist: IAllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
-					len(local), r, len(set.bufs[r])))
-			}
-			OpSum.combine(res, set.bufs[r])
-		}
-		c.bcastResult(seq, res)
-		c.prof.record(kindIAllreduceShared, len(local))
-		chargeAllreduce(&c.cost, c.size, len(local))
-		return res
-	}}
-}
-
-// AllreduceSharedF32 sums local across ranks over the compressed wire:
-// contributions travel as FrameContribF32 (each float64 rounded to a
-// 32-bit pattern by the codec), the hub sums the rounded values in rank
-// order in float64 — its own contribution rounded through the identical
-// F32Round the codec applies — and the float32-rounded sum returns as
-// FrameResultF32, which re-encodes it exactly. Bit-identical to the
-// chan backend's in-process arithmetic.
-func (c *TCPComm) AllreduceSharedF32(local []float64) []float64 {
-	if c.size == 1 {
-		out := make([]float64, len(local))
-		combineF32(out, [][]float64{local})
-		return out
-	}
-	seq := c.collSeq()
-	var out []float64
-	if c.rank == 0 {
-		out = c.combineContribsF32(seq, local)
-		c.bcastResultF32(seq, out)
-	} else {
-		c.sendTo(0, Frame{Kind: FrameContribF32, Rank: uint32(c.rank), Seq: seq, Payload: local})
-		out = c.waitResult(seq)
-		if len(out) != len(local) {
-			panic(fmt.Sprintf("dist: AllreduceSharedF32 length mismatch: rank 0 has %d, rank %d has %d",
-				len(out), c.rank, len(local)))
-		}
-	}
-	c.prof.record(kindAllreduceSharedF32, len(local))
-	chargeAllreduceF32(&c.cost, c.size, len(local))
-	return out
-}
-
-// IAllreduceSharedF32 posts the compressed allreduce nonblocking:
-// contributors ship their FrameContribF32 at post time, the hub defers
-// combining to Wait, and costs charge at Wait — the same split-phase
-// shape as IAllreduceShared.
-func (c *TCPComm) IAllreduceSharedF32(local []float64) *Request {
-	if c.size == 1 {
-		out := make([]float64, len(local))
-		combineF32(out, [][]float64{local})
-		return completedRequest(out)
-	}
-	seq := c.collSeq()
-	if c.rank != 0 {
-		c.sendTo(0, Frame{Kind: FrameContribF32, Rank: uint32(c.rank), Seq: seq, Payload: local})
-		n := len(local)
-		return &Request{wait: func() []float64 {
-			res := c.waitResult(seq)
+		var res []float64
+		if c.rank != 0 {
+			res = c.waitResult(seq)
 			if len(res) != n {
-				panic(fmt.Sprintf("dist: IAllreduceSharedF32 length mismatch: rank 0 has %d, rank %d has %d",
+				panic(fmt.Sprintf("dist: AllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
 					len(res), c.rank, n))
 			}
-			c.prof.record(kindIAllreduceSharedF32, n)
-			chargeAllreduceF32(&c.cost, c.size, n)
-			return res
-		}}
-	}
-	return &Request{wait: func() []float64 {
-		res := c.combineContribsF32(seq, local)
-		c.bcastResultF32(seq, res)
-		c.prof.record(kindIAllreduceSharedF32, len(local))
-		chargeAllreduceF32(&c.cost, c.size, len(local))
+		} else {
+			set := c.waitContribs(seq, spec.contrib)
+			res = make([]float64, n)
+			spec.round(res, local)
+			for r := 1; r < c.size; r++ {
+				if len(set.bufs[r]) != n {
+					panic(fmt.Sprintf("dist: AllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
+						n, r, len(set.bufs[r])))
+				}
+				OpSum.combine(res, set.bufs[r])
+			}
+			c.bcastResult(seq, spec.result, res)
+			spec.round(res, res)
+		}
+		c.prof.record(sharedKind(base, tier), n)
+		chargeAllreduceTier(&c.cost, c.size, n, tier)
 		return res
 	}}
-}
-
-// combineContribsF32 is the hub half of the compressed allreduce: wait
-// for the P-1 decoded (pre-rounded) remote contributions and run the
-// shared combineF32 arithmetic over [own, remotes...] in rank order.
-func (c *TCPComm) combineContribsF32(seq uint32, local []float64) []float64 {
-	set := c.waitContribs(seq)
-	for r := 1; r < c.size; r++ {
-		if len(set.bufs[r]) != len(local) {
-			panic(fmt.Sprintf("dist: AllreduceSharedF32 length mismatch: rank 0 has %d, rank %d has %d",
-				len(local), r, len(set.bufs[r])))
-		}
-	}
-	set.bufs[c.rank] = local
-	res := make([]float64, len(local))
-	combineF32(res, set.bufs)
-	return res
-}
-
-// bcastResultF32 sends the hub's combined payload to every other rank
-// as a compressed result frame.
-func (c *TCPComm) bcastResultF32(seq uint32, payload []float64) {
-	for r := 0; r < c.size; r++ {
-		if r == c.rank {
-			continue
-		}
-		c.sendTo(r, Frame{Kind: FrameResultF32, Rank: uint32(c.rank), Seq: seq, Payload: payload})
-	}
 }
 
 // Bcast copies root's buf into every rank's buf.
@@ -267,7 +169,7 @@ func (c *TCPComm) Bcast(buf []float64, root int) {
 	}
 	seq := c.collSeq()
 	if c.rank == root {
-		c.bcastResult(seq, buf)
+		c.bcastResult(seq, FrameResult, buf)
 	} else {
 		res := c.waitResult(seq)
 		if len(res) != len(buf) {
@@ -289,7 +191,7 @@ func (c *TCPComm) Reduce(buf []float64, op Op, root int) {
 	}
 	seq := c.collSeq()
 	if c.rank == root {
-		set := c.waitContribs(seq)
+		set := c.waitContribs(seq, FrameContrib)
 		for r := 0; r < c.size; r++ {
 			if r == root {
 				continue
@@ -317,7 +219,7 @@ func (c *TCPComm) Allgather(local []float64) []float64 {
 	seq := c.collSeq()
 	var out []float64
 	if c.rank == 0 {
-		set := c.waitContribs(seq)
+		set := c.waitContribs(seq, FrameContrib)
 		total := len(local)
 		for r := 1; r < c.size; r++ {
 			total += len(set.bufs[r])
@@ -327,7 +229,7 @@ func (c *TCPComm) Allgather(local []float64) []float64 {
 		for r := 1; r < c.size; r++ {
 			out = append(out, set.bufs[r]...)
 		}
-		c.bcastResult(seq, out)
+		c.bcastResult(seq, FrameResult, out)
 	} else {
 		c.sendTo(0, Frame{Kind: FrameContrib, Rank: uint32(c.rank), Seq: seq, Payload: local})
 		out = c.waitResult(seq)

@@ -64,6 +64,7 @@ func (e *TransportError) Unwrap() error { return e.Err }
 // sequence number at its combining hub.
 type contribSet struct {
 	bufs  [][]float64
+	kinds []FrameKind // the frame kind each contribution arrived in
 	need  int
 	got   int
 	ready chan struct{}
@@ -85,6 +86,7 @@ type tcpPeer struct {
 // it through the "tcp" backend (in-process ranks over loopback) or
 // Connect (one rank per OS process).
 type TCPComm struct {
+	tierForwarders
 	rank    int
 	size    int
 	machine perf.Machine
@@ -124,6 +126,7 @@ func newTCPComm(rank, size int, conns []net.Conn, machine perf.Machine, opts TCP
 		p2pq:     make([]chan []float64, size),
 		abort:    make(chan struct{}),
 	}
+	c.to = c
 	for r := 0; r < size; r++ {
 		c.p2pq[r] = make(chan []float64, 64)
 		if r == rank {
@@ -240,10 +243,10 @@ func (c *TCPComm) readLoop(peer int, conn net.Conn) {
 			}
 			return
 		}
-		switch f.Kind {
-		case FrameContrib, FrameContribF32, FrameContribI8:
-			c.addContrib(f.Seq, int(f.Rank), f.Payload)
-		case FrameResult, FrameResultF32, FrameResultI8:
+		switch codec := f.Kind.codec(); f.Kind {
+		case codec.contrib:
+			c.addContrib(f)
+		case codec.result:
 			c.resultCh(f.Seq) <- f.Payload
 		case FrameP2P:
 			select {
@@ -317,17 +320,18 @@ func (c *TCPComm) contribSetFor(seq uint32) *contribSet {
 	defer c.mu.Unlock()
 	set, ok := c.contribs[seq]
 	if !ok {
-		set = &contribSet{bufs: make([][]float64, c.size), need: c.size - 1, ready: make(chan struct{})}
+		set = &contribSet{bufs: make([][]float64, c.size), kinds: make([]FrameKind, c.size),
+			need: c.size - 1, ready: make(chan struct{})}
 		c.contribs[seq] = set
 	}
 	return set
 }
 
-// addContrib records rank's contribution to collective seq.
-func (c *TCPComm) addContrib(seq uint32, rank int, payload []float64) {
-	set := c.contribSetFor(seq)
+// addContrib records contribution frame f for its collective.
+func (c *TCPComm) addContrib(f Frame) {
+	set := c.contribSetFor(f.Seq)
 	c.mu.Lock()
-	set.bufs[rank] = payload
+	set.bufs[f.Rank], set.kinds[f.Rank] = f.Payload, f.Kind
 	set.got++
 	done := set.got == set.need
 	c.mu.Unlock()
@@ -337,8 +341,11 @@ func (c *TCPComm) addContrib(seq uint32, rank int, payload []float64) {
 }
 
 // waitContribs blocks until all P-1 remote contributions for seq have
-// arrived, then removes and returns the set.
-func (c *TCPComm) waitContribs(seq uint32) *contribSet {
+// arrived, then removes and returns the set. Every contribution must
+// have arrived in a frame of kind want: a peer that entered the
+// collective at another tier (multi-process mode takes the tier per OS
+// process) would otherwise be summed into a quietly wrong result.
+func (c *TCPComm) waitContribs(seq uint32, want FrameKind) *contribSet {
 	set := c.contribSetFor(seq)
 	select {
 	case <-set.ready:
@@ -354,6 +361,13 @@ func (c *TCPComm) waitContribs(seq uint32) *contribSet {
 	c.mu.Lock()
 	delete(c.contribs, seq)
 	c.mu.Unlock()
+	for r, k := range set.kinds {
+		if r != c.rank && k != want {
+			panic(&TransportError{Rank: c.rank, Peer: r, Op: "combine", Err: fmt.Errorf(
+				"tier mismatch in collective %d: rank %d runs %s, rank %d sent %s",
+				seq, c.rank, want.codec().name, r, k.codec().name)})
+		}
+	}
 	return set
 }
 

@@ -22,15 +22,98 @@ const (
 	TierI8
 )
 
+// tierSpec is everything the package knows about one wire tier. This
+// table is the only place a tier is told apart from another: combine,
+// the per-backend shared allreduce, the accounting, the frame codec
+// and the fault wrapper all index it. Adding a tier is one entry here
+// plus the wire file holding its round/append/decode functions.
+type tierSpec struct {
+	name string
+	// round writes into dst the value src takes after one trip through
+	// the tier's wire (dst and src may alias); addRounded is the fused
+	// res[i] += round(src)[i]. Both work on whole slices so the f64 and
+	// f32 inner loops stay single-pass with no per-element call.
+	round      func(dst, src []float64)
+	addRounded func(res, src []float64)
+	// words is the accounting footprint (64-bit words per tree level)
+	// of n values; beta the fitted inverse bandwidth under m.
+	words func(n int) int64
+	beta  func(m perf.Machine) float64
+	// Frame codec: the contribution/result kinds that carry the tier,
+	// the body length of n values, and the payload encode/decode.
+	// Encoding IS the quantization: decode(append(x)) == round(x).
+	contrib, result FrameKind
+	payloadBytes    func(n int) int
+	appendPayload   func(dst []byte, vals []float64) []byte
+	decodePayload   func(dst []float64, body []byte)
+	// capable, allreduce and post reach the tier on an arbitrary Comm
+	// through the public capability interfaces below.
+	capable   func(c Comm) bool
+	allreduce func(c Comm, local []float64) []float64
+	post      func(c Comm, local []float64) *Request
+}
+
+var tiers = [...]tierSpec{
+	TierF64: {
+		name:  "f64",
+		round: func(dst, src []float64) { copy(dst, src) },
+		addRounded: func(res, src []float64) {
+			for i, v := range src {
+				res[i] += v
+			}
+		},
+		words:   func(n int) int64 { return int64(n) },
+		beta:    func(m perf.Machine) float64 { return m.Beta },
+		contrib: FrameContrib, result: FrameResult,
+		payloadBytes:  func(n int) int { return 8 * n },
+		appendPayload: appendF64Payload,
+		decodePayload: decodeF64Payload,
+		capable:       func(Comm) bool { return true },
+		allreduce:     Comm.AllreduceShared,
+		post:          Comm.IAllreduceShared,
+	},
+	TierF32: {
+		name: "f32",
+		round: func(dst, src []float64) {
+			for i, v := range src {
+				dst[i] = F32Round(v)
+			}
+		},
+		addRounded: func(res, src []float64) {
+			for i, v := range src {
+				res[i] += F32Round(v)
+			}
+		},
+		words:   perf.F32Words,
+		beta:    perf.Machine.F32Beta,
+		contrib: FrameContribF32, result: FrameResultF32,
+		payloadBytes:  func(n int) int { return 4 * n },
+		appendPayload: appendF32Payload,
+		decodePayload: decodeF32Payload,
+		capable:       func(c Comm) bool { _, ok := c.(F32Allreducer); return ok },
+		allreduce:     func(c Comm, l []float64) []float64 { return c.(F32Allreducer).AllreduceSharedF32(l) },
+		post:          func(c Comm, l []float64) *Request { return c.(F32Allreducer).IAllreduceSharedF32(l) },
+	},
+	TierI8: {
+		name:       "i8",
+		round:      I8RoundSlice,
+		addRounded: func(res, src []float64) { i8RoundInto(res, src, true) },
+		words:      perf.I8Words,
+		beta:       perf.Machine.I8Beta,
+		contrib:    FrameContribI8, result: FrameResultI8,
+		payloadBytes:  i8PayloadLen,
+		appendPayload: appendI8Payload,
+		decodePayload: decodeI8Payload,
+		capable:       func(c Comm) bool { _, ok := c.(I8Allreducer); return ok },
+		allreduce:     func(c Comm, l []float64) []float64 { return c.(I8Allreducer).AllreduceSharedI8(l) },
+		post:          func(c Comm, l []float64) *Request { return c.(I8Allreducer).IAllreduceSharedI8(l) },
+	},
+}
+
 // String returns the CLI spelling of the tier.
 func (t Tier) String() string {
-	switch t {
-	case TierF64:
-		return "f64"
-	case TierF32:
-		return "f32"
-	case TierI8:
-		return "i8"
+	if t >= 0 && int(t) < len(tiers) {
+		return tiers[t].name
 	}
 	return fmt.Sprintf("tier(%d)", int(t))
 }
@@ -39,15 +122,27 @@ func (t Tier) String() string {
 // all select the uncompressed tier; "auto" is a solver-level policy,
 // not a wire tier, and is rejected here.
 func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "", "off", "f64":
+	if s == "" || s == "off" {
 		return TierF64, nil
-	case "f32":
-		return TierF32, nil
-	case "i8":
-		return TierI8, nil
+	}
+	for t := range tiers {
+		if s == tiers[t].name {
+			return Tier(t), nil
+		}
 	}
 	return TierF64, fmt.Errorf("dist: unknown compression tier %q (want off, f32 or i8)", s)
+}
+
+// codec returns the tier entry whose payload encoding frame kind k
+// carries; every kind that is not a tiered contribution or result
+// (hello, p2p, the plain collectives) ships full-precision words.
+func (k FrameKind) codec() *tierSpec {
+	for t := range tiers {
+		if k == tiers[t].contrib || k == tiers[t].result {
+			return &tiers[t]
+		}
+	}
+	return &tiers[TierF64]
 }
 
 // MinI8Payload is the smallest payload (in values) the i8 tier applies
@@ -72,28 +167,65 @@ func EffectiveTier(t Tier, n int) Tier {
 // for f32, I8RoundSlice for i8. dst and src may alias. Callers use it
 // to derive error-feedback residuals locally (resid = z - Round(z)),
 // which is deterministic and identical on every rank.
-func TierRound(dst, src []float64, t Tier) {
-	switch t {
-	case TierF32:
-		for i, v := range src {
-			dst[i] = F32Round(v)
-		}
-	case TierI8:
-		I8RoundSlice(dst, src)
-	default:
-		copy(dst, src)
+func TierRound(dst, src []float64, t Tier) { tiers[t].round(dst, src) }
+
+// combine is the single definition of the shared sum-allreduce
+// arithmetic at every tier. Contributions arrive RAW (unquantized
+// float64): rank 0's is quantized once and copied in (not summed into
+// zeros, which would lose the sign of zero), the remaining
+// contributions are quantized once each and added in rank order in
+// float64, and the sum is quantized once more for the downlink. The i8
+// quantizer is not idempotent, so this once-per-hop discipline is what
+// keeps an in-process hub and a tcp hub — which receives contributions
+// already quantized by the frame codec and broadcasts the raw
+// rank-order sum for the result frame's encode to quantize — bit-
+// identical: decode(encode(x)) == round(x) on both sides of every hop.
+// f32 (idempotent rounding) and f64 (the identity: copy, then
+// res[i] += v) are special cases of the same sequence.
+func combine(res []float64, contrib [][]float64, t Tier) {
+	spec := &tiers[t]
+	spec.round(res, contrib[0])
+	for _, c := range contrib[1:] {
+		spec.addRounded(res, c)
 	}
+	spec.round(res, res)
+}
+
+// combineOne is the single-rank collective: a fresh slice holding
+// combine over the lone contribution. A compressed tier still rounds
+// (twice for i8: the contribution, then the "sum"), so P = 1 and P > 1
+// runs agree on what reaches the iterates on every backend.
+func combineOne(local []float64, t Tier) []float64 {
+	out := make([]float64, len(local))
+	combine(out, [][]float64{local}, t)
+	return out
+}
+
+// contribMismatch returns a non-empty diagnostic unless every rank
+// entered collective op with rank 0's payload length and tier: ranks
+// that disagree on either would otherwise be combined into a quietly
+// wrong sum.
+func contribMismatch(op string, contrib [][]float64, ctier []Tier) string {
+	for r := 1; r < len(contrib); r++ {
+		if len(contrib[r]) != len(contrib[0]) {
+			return fmt.Sprintf("dist: %s length mismatch: rank 0 has %d, rank %d has %d",
+				op, len(contrib[0]), r, len(contrib[r]))
+		}
+		if ctier[r] != ctier[0] {
+			return fmt.Sprintf("dist: %s tier mismatch: rank 0 runs %v, rank %d runs %v",
+				op, ctier[0], r, ctier[r])
+		}
+	}
+	return ""
 }
 
 // F32Allreducer is the optional communicator capability behind the f32
-// compression tier. The semantics are fixed across backends: every
-// rank's contribution is rounded to float32 (F32Round), the rounded
-// contributions are summed in rank order in float64, and the sum is
-// rounded to float32 before it is shared — so the result is
-// bit-identical on every transport, whether or not bytes actually
-// moved. Cost is charged at ceil(n/2) 64-bit words per tree level
-// (AllreduceCostF32). Implemented by the chan, tcp and self backends
-// and delegated by the fault-injecting wrapper.
+// compression tier. The semantics are fixed across backends (combine):
+// every rank's contribution is rounded to float32 (F32Round), the
+// rounded contributions are summed in rank order in float64, and the
+// sum is rounded to float32 before it is shared. Cost is charged at
+// ceil(n/2) 64-bit words per tree level. Implemented by the chan, tcp
+// and self backends and delegated by the fault-injecting wrapper.
 type F32Allreducer interface {
 	// AllreduceSharedF32 is AllreduceShared over the compressed wire.
 	AllreduceSharedF32(local []float64) []float64
@@ -102,18 +234,44 @@ type F32Allreducer interface {
 }
 
 // I8Allreducer is the optional communicator capability behind the int8
-// dithered tier. Contributions are passed RAW (unquantized): the
-// substrate quantizes each contribution exactly once (the codec on the
-// tcp wire, I8RoundSlice in process — the i8 quantizer is not
-// idempotent, so quantization must happen once per hop), sums the
-// quantized contributions in rank order in float64 and quantizes the
-// sum once for the downlink. Cost is charged at perf.I8Words(n) words
-// per tree level (AllreduceCostI8).
+// dithered tier. Contributions are passed RAW (unquantized); the
+// substrate quantizes exactly once per hop (combine). Cost is charged
+// at perf.I8Words(n) words per tree level.
 type I8Allreducer interface {
 	// AllreduceSharedI8 is AllreduceShared over the int8 dithered wire.
 	AllreduceSharedI8(local []float64) []float64
 	// IAllreduceSharedI8 posts the int8 allreduce nonblocking.
 	IAllreduceSharedI8(local []float64) *Request
+}
+
+// tieredComm is what a communicator of this package implements: one
+// tier-parametric shared sum-allreduce and its nonblocking post.
+type tieredComm interface {
+	allreduceSharedTier(local []float64, t Tier) []float64
+	iallreduceSharedTier(local []float64, t Tier) *Request
+}
+
+// tierForwarders gives an embedding communicator the per-tier method
+// set of F32Allreducer and I8Allreducer, written once. The methods
+// only forward into the embedder's tier-parametric implementation; no
+// arithmetic, framing, profiling or accounting lives here. They exist
+// because external decorators (bench's tracedComm) reach the tiers by
+// asserting their inner Comm to the two capability interfaces; once
+// such decorators carry one tiered method, the interfaces and this
+// type can go.
+type tierForwarders struct{ to tieredComm }
+
+func (f tierForwarders) AllreduceSharedF32(l []float64) []float64 {
+	return f.to.allreduceSharedTier(l, TierF32)
+}
+func (f tierForwarders) IAllreduceSharedF32(l []float64) *Request {
+	return f.to.iallreduceSharedTier(l, TierF32)
+}
+func (f tierForwarders) AllreduceSharedI8(l []float64) []float64 {
+	return f.to.allreduceSharedTier(l, TierI8)
+}
+func (f tierForwarders) IAllreduceSharedI8(l []float64) *Request {
+	return f.to.iallreduceSharedTier(l, TierI8)
 }
 
 // SupportsTier reports whether communicator c can run tiered
@@ -126,15 +284,8 @@ func SupportsTier(c Comm, t Tier) error {
 	if d, ok := c.(interface{ SupportsTier(Tier) error }); ok {
 		return d.SupportsTier(t)
 	}
-	switch t {
-	case TierF32:
-		if _, ok := c.(F32Allreducer); !ok {
-			return fmt.Errorf("dist: transport does not implement the f32 compressed collective")
-		}
-	case TierI8:
-		if _, ok := c.(I8Allreducer); !ok {
-			return fmt.Errorf("dist: transport does not implement the i8 compressed collective")
-		}
+	if !tiers[t].capable(c) {
+		return fmt.Errorf("dist: transport does not implement the %v compressed collective", t)
 	}
 	return nil
 }
@@ -143,24 +294,12 @@ func SupportsTier(c Comm, t Tier) error {
 // tier t. The f64 tier is the plain AllreduceShared; the compressed
 // tiers require the matching capability (SupportsTier).
 func AllreduceSharedTier(c Comm, local []float64, t Tier) []float64 {
-	switch t {
-	case TierF32:
-		return c.(F32Allreducer).AllreduceSharedF32(local)
-	case TierI8:
-		return c.(I8Allreducer).AllreduceSharedI8(local)
-	}
-	return c.AllreduceShared(local)
+	return tiers[t].allreduce(c, local)
 }
 
 // IAllreduceSharedTier posts the tier-t shared allreduce nonblocking.
 func IAllreduceSharedTier(c Comm, local []float64, t Tier) *Request {
-	switch t {
-	case TierF32:
-		return c.(F32Allreducer).IAllreduceSharedF32(local)
-	case TierI8:
-		return c.(I8Allreducer).IAllreduceSharedI8(local)
-	}
-	return c.IAllreduceShared(local)
+	return tiers[t].post(c, local)
 }
 
 // AllreduceScalarSumTier sum-reduces one scalar at (the effective
@@ -178,16 +317,30 @@ func AllreduceScalarSumTier(c Comm, x float64, t Tier) float64 {
 	return out[0]
 }
 
-// AllreduceCostTier returns the per-rank tree cost of an n-value
-// allreduce at tier t on p ranks.
-func AllreduceCostTier(p, n int, t Tier) perf.Cost {
-	switch t {
-	case TierF32:
-		return AllreduceCostF32(p, n)
-	case TierI8:
-		return AllreduceCostI8(p, n)
+// chargeAllreduceTier charges one rank's share of a recursive-doubling
+// allreduce of n values at tier t on p ranks: log2(P) messages, each
+// moving the tier's word footprint of n values (two float32 values, or
+// eight int8 codes plus chunk scales, pack into one accounting word),
+// while the reduction still runs — and is charged — at n float64 adds
+// per level. Used by blocking, nonblocking and lost fallible attempts
+// on every backend.
+func chargeAllreduceTier(cost *perf.Cost, p, n int, t Tier) {
+	lg := int64(perf.Log2Ceil(p))
+	if lg == 0 {
+		return
 	}
-	return AllreduceCost(p, n)
+	cost.AddMessages(lg, tiers[t].words(n))
+	cost.AddFlops(lg * int64(n))
+}
+
+// AllreduceCostTier returns the per-rank tree cost of an n-value
+// allreduce at tier t on p ranks. This is the quantity Request.Wait
+// charges and the communication segment the overlap cost model
+// (perf.Machine.Overlap) compares compute against.
+func AllreduceCostTier(p, n int, t Tier) perf.Cost {
+	var c perf.Cost
+	chargeAllreduceTier(&c, p, n, t)
+	return c
 }
 
 // TierSeconds prices the tier-t allreduce of n values on p ranks under
@@ -197,15 +350,5 @@ func AllreduceCostTier(p, n int, t Tier) perf.Cost {
 // holding the same (broadcast) machine computes the same ranking.
 func TierSeconds(m perf.Machine, p, n int, t Tier) float64 {
 	lg := float64(perf.Log2Ceil(p))
-	beta := m.Beta
-	words := float64(n)
-	switch t {
-	case TierF32:
-		beta = m.F32Beta()
-		words = float64(perf.F32Words(n))
-	case TierI8:
-		beta = m.I8Beta()
-		words = float64(perf.I8Words(n))
-	}
-	return lg * (m.Alpha + beta*words)
+	return lg * (m.Alpha + tiers[t].beta(m)*float64(tiers[t].words(n)))
 }

@@ -73,7 +73,7 @@ func TestTierSecondsOrdering(t *testing.T) {
 
 // TestConformanceI8Allreduce: every backend exposes the int8 dithered
 // collective, its results are bit-identical across backends AND to an
-// in-process combineI8 oracle replay, and the cost counters reflect
+// in-process combine oracle replay, and the cost counters reflect
 // the compressed perf.I8Words footprint.
 func TestConformanceI8Allreduce(t *testing.T) {
 	const p = 4
@@ -92,7 +92,7 @@ func TestConformanceI8Allreduce(t *testing.T) {
 		}
 	}
 
-	// Sequential oracle: the exact combineI8 arithmetic over the raw
+	// Sequential oracle: the exact i8 combine arithmetic over the raw
 	// contributions, twice per round (blocking then nonblocking).
 	oracle := func() []float64 {
 		states := make([][]float64, p)
@@ -106,13 +106,13 @@ func TestConformanceI8Allreduce(t *testing.T) {
 				}
 			}
 			res := make([]float64, n)
-			combineI8(res, states)
+			combine(res, states, TierI8)
 			mid := make([][]float64, p)
 			for r := range mid {
 				mid[r] = res
 			}
 			res2 := make([]float64, n)
-			combineI8(res2, mid)
+			combine(res2, mid, TierI8)
 			for r := range states {
 				states[r] = append([]float64(nil), res2...)
 			}

@@ -50,28 +50,6 @@ const (
 	frameKindEnd // one past the last valid kind
 )
 
-// isF32 reports whether k's payload is encoded as 4-byte float32 words.
-func (k FrameKind) isF32() bool {
-	return k == FrameContribF32 || k == FrameResultF32
-}
-
-// isI8 reports whether k's payload is encoded as chunked dithered int8.
-func (k FrameKind) isI8() bool {
-	return k == FrameContribI8 || k == FrameResultI8
-}
-
-// payloadBytes returns the body length in bytes of an n-value payload
-// of kind k.
-func (k FrameKind) payloadBytes(n int) int {
-	switch {
-	case k.isF32():
-		return 4 * n
-	case k.isI8():
-		return i8PayloadLen(n)
-	}
-	return 8 * n
-}
-
 const (
 	wireMagic0  = 'r'
 	wireMagic1  = 'f'
@@ -121,23 +99,24 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	binary.LittleEndian.PutUint32(hdr[8:12], f.Seq)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(f.Payload)))
 	dst = append(dst, hdr[:]...)
-	if f.Kind.isF32() {
-		for _, v := range f.Payload {
-			var w [4]byte
-			binary.LittleEndian.PutUint32(w[:], f32ToWire(v))
-			dst = append(dst, w[:]...)
-		}
-		return dst
-	}
-	if f.Kind.isI8() {
-		return appendI8Payload(dst, f.Payload)
-	}
-	for _, v := range f.Payload {
+	return f.Kind.codec().appendPayload(dst, f.Payload)
+}
+
+// appendF64Payload appends vals as little-endian float64 bit patterns.
+func appendF64Payload(dst []byte, vals []float64) []byte {
+	for _, v := range vals {
 		var w [8]byte
 		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
 		dst = append(dst, w[:]...)
 	}
 	return dst
+}
+
+// decodeF64Payload decodes len(dst) float64 bit patterns from body.
+func decodeF64Payload(dst []float64, body []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
 }
 
 // parseHeader validates a frame header and returns (kind, rank, seq,
@@ -174,25 +153,15 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	total := WireHeaderLen + kind.payloadBytes(nwords)
+	codec := kind.codec()
+	total := WireHeaderLen + codec.payloadBytes(nwords)
 	if len(buf) < total {
 		return Frame{}, 0, io.ErrUnexpectedEOF
 	}
 	f := Frame{Kind: kind, Rank: rank, Seq: seq}
 	if nwords > 0 {
 		f.Payload = make([]float64, nwords)
-		if kind.isI8() {
-			decodeI8Payload(f.Payload, buf[WireHeaderLen:total])
-			return f, total, nil
-		}
-		for i := range f.Payload {
-			if kind.isF32() {
-				f.Payload[i] = f32FromWire(binary.LittleEndian.Uint32(buf[WireHeaderLen+4*i:]))
-				continue
-			}
-			bits := binary.LittleEndian.Uint64(buf[WireHeaderLen+8*i:])
-			f.Payload[i] = math.Float64frombits(bits)
-		}
+		codec.decodePayload(f.Payload, buf[WireHeaderLen:total])
 	}
 	return f, total, nil
 }
@@ -212,7 +181,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	}
 	f := Frame{Kind: kind, Rank: rank, Seq: seq}
 	if nwords > 0 {
-		body := make([]byte, kind.payloadBytes(nwords))
+		codec := kind.codec()
+		body := make([]byte, codec.payloadBytes(nwords))
 		if _, err := io.ReadFull(r, body); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
@@ -220,17 +190,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 			return Frame{}, err
 		}
 		f.Payload = make([]float64, nwords)
-		if kind.isI8() {
-			decodeI8Payload(f.Payload, body)
-			return f, nil
-		}
-		for i := range f.Payload {
-			if kind.isF32() {
-				f.Payload[i] = f32FromWire(binary.LittleEndian.Uint32(body[4*i:]))
-				continue
-			}
-			f.Payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-		}
+		codec.decodePayload(f.Payload, body)
 	}
 	return f, nil
 }

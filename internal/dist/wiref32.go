@@ -1,6 +1,9 @@
 package dist
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Float32 payload conversions for the compressed collective frames.
 // The contract mirrors the full-precision wire: what crosses the wire
@@ -42,4 +45,21 @@ func f32FromWire(bits uint32) float64 {
 // every transport's arithmetic identical to the byte-level codec.
 func F32Round(v float64) float64 {
 	return f32FromWire(f32ToWire(v))
+}
+
+// appendF32Payload appends vals as little-endian float32 bit patterns.
+func appendF32Payload(dst []byte, vals []float64) []byte {
+	for _, v := range vals {
+		var w [4]byte
+		binary.LittleEndian.PutUint32(w[:], f32ToWire(v))
+		dst = append(dst, w[:]...)
+	}
+	return dst
+}
+
+// decodeF32Payload widens len(dst) float32 bit patterns from body.
+func decodeF32Payload(dst []float64, body []byte) {
+	for i := range dst {
+		dst[i] = f32FromWire(binary.LittleEndian.Uint32(body[4*i:]))
+	}
 }

@@ -29,7 +29,7 @@ import (
 // the fuzz target pins. Quantization is NOT idempotent (re-encoding a
 // decoded slice can pick a different scale), so the collectives ship
 // raw float64 contributions and quantize exactly once per hop — see
-// combineI8.
+// combine.
 
 // i8Dither returns the deterministic dither u(i) in [0,1) of global
 // element index i (splitmix64 finalizer over the index).
@@ -81,7 +81,11 @@ func i8Code(v, scale, u float64) int8 {
 // every backend quantizes with, the i8 analogue of F32Round — and the
 // function callers use to derive error-feedback residuals locally
 // (resid = z - I8RoundSlice(z)), identically on every rank.
-func I8RoundSlice(dst, src []float64) {
+func I8RoundSlice(dst, src []float64) { i8RoundInto(dst, src, false) }
+
+// i8RoundInto stores (or, with add set, accumulates) the int8 wire
+// image of src into dst, one chunk scale at a time.
+func i8RoundInto(dst, src []float64, add bool) {
 	if len(dst) != len(src) {
 		panic("dist: I8RoundSlice length mismatch")
 	}
@@ -92,7 +96,12 @@ func I8RoundSlice(dst, src []float64) {
 		}
 		scale := i8ChunkScale(src[base:end])
 		for i := base; i < end; i++ {
-			dst[i] = float64(i8Code(src[i], scale, i8Dither(i))) * scale
+			q := float64(i8Code(src[i], scale, i8Dither(i))) * scale
+			if add {
+				dst[i] += q
+			} else {
+				dst[i] = q
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@ type chanWorld struct {
 
 	bar     *barrier
 	contrib [][]float64 // collective input registration, one slot per rank
+	ctier   []Tier      // tier each rank entered the shared allreduce at
 	shared  []float64   // collective output published by rank 0
 	scratch []float64   // reused reduction buffer for Allreduce
 	lens    []int       // Allgather per-rank lengths
@@ -50,6 +51,7 @@ func newChanWorld(p int, machine perf.Machine) *chanWorld {
 		machine: machine,
 		bar:     newBarrier(p),
 		contrib: make([][]float64, p),
+		ctier:   make([]Tier, p),
 		lens:    make([]int, p),
 		costs:   make([]perf.Cost, p),
 		iar:     make(map[int]*iarRound),
@@ -84,6 +86,7 @@ func (w *chanWorld) Run(fn func(c Comm) error) error {
 				}
 			}()
 			c := &worldComm{w: w, rank: rank}
+			c.to = c
 			if err := fn(c); err != nil {
 				errs[rank] = err
 				w.bar.abort()
@@ -173,6 +176,7 @@ func (w *chanWorld) channel(from, to int) chan []float64 {
 
 // worldComm is the per-rank communicator handle.
 type worldComm struct {
+	tierForwarders
 	w      *chanWorld
 	rank   int
 	iarSeq int // next nonblocking-collective sequence number
@@ -232,44 +236,44 @@ func (c *worldComm) Allreduce(buf []float64, op Op) {
 // freshly allocated, read-only result slice. Communication cost is
 // identical to Allreduce.
 func (c *worldComm) AllreduceShared(local []float64) []float64 {
+	return c.allreduceSharedTier(local, TierF64)
+}
+
+// allreduceSharedTier is the blocking shared sum-allreduce at every
+// tier: no bytes move in process, but the arithmetic is the wire's
+// (combine) and the cost is the tier's footprint.
+func (c *worldComm) allreduceSharedTier(local []float64, tier Tier) []float64 {
 	w := c.w
 	if w.size == 1 {
-		out := make([]float64, len(local))
-		copy(out, local)
-		return out
+		return combineOne(local, tier)
 	}
-	w.contrib[c.rank] = local
+	w.contrib[c.rank], w.ctier[c.rank] = local, tier
 	w.bar.wait()
 	if c.rank == 0 {
-		res := make([]float64, len(local))
-		copy(res, w.contrib[0])
-		for r := 1; r < w.size; r++ {
-			if len(w.contrib[r]) != len(local) {
-				panic(fmt.Sprintf("dist: AllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
-					len(local), r, len(w.contrib[r])))
-			}
-			OpSum.combine(res, w.contrib[r])
+		if msg := contribMismatch("AllreduceShared", w.contrib, w.ctier); msg != "" {
+			panic(msg)
 		}
+		res := make([]float64, len(local))
+		combine(res, w.contrib, tier)
 		w.shared = res
 	}
 	w.bar.wait()
 	out := w.shared
 	w.bar.wait()
-	w.prof.record(kindAllreduceShared, len(local))
-	chargeAllreduce(c.Cost(), w.size, len(local))
+	w.prof.record(sharedKind(kindAllreduceShared, tier), len(local))
+	chargeAllreduceTier(c.Cost(), w.size, len(local), tier)
 	return out
 }
 
 // iarRound is the shared state of one in-flight nonblocking allreduce:
-// the per-rank contributions, the combined result, and a done channel
-// the background combiner closes when the result is published. tier
-// selects the collective arithmetic; every rank posts the same
-// sequence of collectives, so the tier is fixed at creation.
+// the per-rank contributions and the tier each was posted at, the
+// combined result, and a done channel the background combiner closes
+// when the result is published.
 type iarRound struct {
 	contrib [][]float64
+	ctier   []Tier
 	posted  int
 	waited  int
-	tier    Tier
 	res     []float64
 	errMsg  string
 	done    chan struct{}
@@ -277,43 +281,29 @@ type iarRound struct {
 
 // combine reduces the round's contributions in rank order on a fresh
 // slice — the exact arithmetic sequence of the blocking collective at
-// the round's tier (AllreduceShared, AllreduceSharedF32 or
-// AllreduceSharedI8), so the nonblocking result is bit-identical to
-// the blocking one. It runs after every rank has posted, so contrib is
-// read without a lock.
+// the round's tier, so the nonblocking result is bit-identical to the
+// blocking one. It runs after every rank has posted, so contrib is
+// read without a lock; a length or tier disagreement is handed to
+// every waiter instead of a result.
 func (rd *iarRound) combine() {
 	defer close(rd.done)
-	n := len(rd.contrib[0])
-	for r, c := range rd.contrib {
-		if len(c) != n {
-			rd.errMsg = fmt.Sprintf("dist: IAllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
-				n, r, len(c))
-			return
-		}
+	if rd.errMsg = contribMismatch("IAllreduceShared", rd.contrib, rd.ctier); rd.errMsg != "" {
+		return
 	}
-	res := make([]float64, n)
-	switch rd.tier {
-	case TierF32:
-		combineF32(res, rd.contrib)
-	case TierI8:
-		combineI8(res, rd.contrib)
-	default:
-		copy(res, rd.contrib[0])
-		for r := 1; r < len(rd.contrib); r++ {
-			OpSum.combine(res, rd.contrib[r])
-		}
-	}
+	res := make([]float64, len(rd.contrib[0]))
+	combine(res, rd.contrib, rd.ctier[0])
 	rd.res = res
 }
 
 // iarGet returns (creating if needed) the in-flight round with the
 // given sequence number.
-func (w *chanWorld) iarGet(seq int, tier Tier) *iarRound {
+func (w *chanWorld) iarGet(seq int) *iarRound {
 	w.iarMu.Lock()
 	defer w.iarMu.Unlock()
 	rd, ok := w.iar[seq]
 	if !ok {
-		rd = &iarRound{contrib: make([][]float64, w.size), tier: tier, done: make(chan struct{})}
+		rd = &iarRound{contrib: make([][]float64, w.size), ctier: make([]Tier, w.size),
+			done: make(chan struct{})}
 		w.iar[seq] = rd
 	}
 	return rd
@@ -327,31 +317,21 @@ func (w *chanWorld) iarGet(seq int, tier Tier) *iarRound {
 // in post order per rank; every posted request must be waited before
 // the rank's Run function returns.
 func (c *worldComm) IAllreduceShared(local []float64) *Request {
-	return c.iallreduceShared(local, TierF64)
+	return c.iallreduceSharedTier(local, TierF64)
 }
 
-// iallreduceShared is the shared nonblocking post/wait machinery of
-// the full-precision and compressed collectives; the tier picks the
-// arithmetic and the accounting.
-func (c *worldComm) iallreduceShared(local []float64, tier Tier) *Request {
+// iallreduceSharedTier is the nonblocking post/wait machinery at every
+// tier; the tier picks the arithmetic and the accounting.
+func (c *worldComm) iallreduceSharedTier(local []float64, tier Tier) *Request {
 	w := c.w
 	if w.size == 1 {
-		out := make([]float64, len(local))
-		switch tier {
-		case TierF32:
-			combineF32(out, [][]float64{local})
-		case TierI8:
-			combineI8(out, [][]float64{local})
-		default:
-			copy(out, local)
-		}
-		return completedRequest(out)
+		return completedRequest(combineOne(local, tier))
 	}
 	seq := c.iarSeq
 	c.iarSeq++
-	rd := w.iarGet(seq, tier)
+	rd := w.iarGet(seq)
 	w.iarMu.Lock()
-	rd.contrib[c.rank] = local
+	rd.contrib[c.rank], rd.ctier[c.rank] = local, tier
 	rd.posted++
 	ready := rd.posted == w.size
 	w.iarMu.Unlock()
@@ -369,17 +349,8 @@ func (c *worldComm) iallreduceShared(local []float64, tier Tier) *Request {
 		if rd.errMsg != "" {
 			panic(rd.errMsg)
 		}
-		switch tier {
-		case TierF32:
-			w.prof.record(kindIAllreduceSharedF32, n)
-			chargeAllreduceF32(&w.costs[rank], w.size, n)
-		case TierI8:
-			w.prof.record(kindIAllreduceSharedI8, n)
-			chargeAllreduceI8(&w.costs[rank], w.size, n)
-		default:
-			w.prof.record(kindIAllreduceShared, n)
-			chargeAllreduce(&w.costs[rank], w.size, n)
-		}
+		w.prof.record(sharedKind(kindIAllreduceShared, tier), n)
+		chargeAllreduceTier(&w.costs[rank], w.size, n, tier)
 		w.iarMu.Lock()
 		rd.waited++
 		if rd.waited == w.size {

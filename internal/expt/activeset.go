@@ -20,9 +20,10 @@ import (
 // round-boundary exact KKT check keeps the trajectory on the dense
 // optimum (the report panics if the final objectives diverge beyond
 // 1e-10 or the payload fails to shrink below a quarter of dense). A
-// third run stacks Options.CompressPayload on the screened engine: the
-// reduced batch ships as float32 with error feedback, which must halve
-// the remaining batch words and stay within 1e-6 of the dense optimum.
+// third run stacks Options.CompressTier = "f32" on the screened
+// engine: the reduced batch ships as float32 with error feedback, which
+// must halve the remaining batch words and stay within 1e-6 of the
+// dense optimum.
 func ActiveSet(cfg Config) *Report {
 	const p = 8
 	d, m, maxIter := 96, 4000, 1600

@@ -24,9 +24,9 @@ func ActiveSetRoundWords(d, k, a int) int64 {
 }
 
 // ActiveSetRoundWordsF32 is ActiveSetRoundWords with the batched
-// reduced slots shipped as float32 (Options.CompressPayload): the k·slot
-// batch packs two values per 64-bit wire word, ceil(k·slot/2); the
-// bitmap and the exact-gradient check stay full-width.
+// reduced slots shipped as float32 (Options.CompressTier = "f32"): the
+// k·slot batch packs two values per 64-bit wire word, ceil(k·slot/2);
+// the bitmap and the exact-gradient check stay full-width.
 func ActiveSetRoundWordsF32(d, k, a int) int64 {
 	if k < 1 {
 		k = 1

@@ -117,3 +117,29 @@ func TestScenarioIsolatesWarmStarts(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressTierSpellingsShareWarmStarts: "", "off" and "f64" are
+// one option value (solver.CanonicalTier), so requests spelling the
+// uncompressed tier differently must share one λ-path population; a
+// genuinely compressed tier lands near-identical but not bit-identical
+// optima and keeps its own.
+func TestCompressTierSpellingsShareWarmStarts(t *testing.T) {
+	_, ts := newTestServer(t, fastConfig())
+	client := ts.Client()
+
+	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3})
+	if cold.Warm {
+		t.Fatal("first fit reported warm")
+	}
+	for i, tier := range []string{"off", "f64", ""} {
+		fit := doFit(t, client, ts.URL, &serve.FitRequest{
+			Dataset: smallRef(), LambdaRatio: 0.29 - 0.01*float64(i), CompressTier: tier})
+		if !fit.Warm || !fit.PathCacheHit {
+			t.Fatalf("compress_tier %q missed the uncompressed population: %+v", tier, fit)
+		}
+	}
+	f32 := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, CompressTier: "f32"})
+	if f32.Warm || f32.PathCacheHit {
+		t.Fatalf("f32 fit warm-started from an uncompressed entry: %+v", f32)
+	}
+}

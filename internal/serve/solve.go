@@ -209,12 +209,8 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	}
 
 	datasetKey := ds.key
-	tierTag := opts.CompressTier
-	if tierTag == "off" || tierTag == "f64" {
-		tierTag = ""
-	}
 	fp := fingerprint(datasetKey, algo, opts.B, opts.K, opts.S, opts.ActiveSet, opts.Seed,
-		scenario.RegTag(opts.Reg), scenario.LossTag(loss), tierTag)
+		scenario.RegTag(opts.Reg), scenario.LossTag(loss), solver.CanonicalTier(opts.CompressTier))
 	resp := &FitResponse{Lambda: lambda, DatasetCacheHit: dsHit}
 	if req.warm() {
 		if e := s.paths.lookup(fp, lambda); e != nil {

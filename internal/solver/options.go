@@ -189,12 +189,6 @@ type Options struct {
 	// the degradation backstop); explicit values > 1 are incompatible
 	// with Faults. Ignored without ActiveSet.
 	KKTEvery int
-	// CompressPayload is the legacy spelling of CompressTier = "f32":
-	// the batched Hessian allreduce ships as float32 on the wire with
-	// per-rank error-feedback residuals. Kept for compatibility;
-	// withDefaults maps it onto CompressTier when that field is unset,
-	// and the two run the identical tiered path.
-	CompressPayload bool
 	// CompressTier selects the wire precision of the solver's
 	// collectives: "off"/""/"f64" (full precision, the default),
 	// "f32" (error-feedback float32, ~2x fewer words), "i8"
@@ -320,10 +314,6 @@ func (o *Options) Validate() error {
 			return fmt.Errorf("solver: CompressTier %q: want off, f32, i8 or auto", o.CompressTier)
 		}
 	}
-	if o.CompressPayload && o.CompressTier != "" && o.CompressTier != "f32" {
-		return fmt.Errorf("solver: CompressPayload (legacy f32) conflicts with CompressTier %q",
-			o.CompressTier)
-	}
 	if err := o.Faults.Validate(); err != nil {
 		return err
 	}
@@ -384,12 +374,7 @@ func (o Options) withDefaults() Options {
 	if o.ActiveSet && o.ScreenMargin == 0 {
 		o.ScreenMargin = 0.1
 	}
-	if o.CompressPayload && o.CompressTier == "" {
-		o.CompressTier = "f32"
-	}
-	if o.CompressTier == "off" || o.CompressTier == "f64" {
-		o.CompressTier = ""
-	}
+	o.CompressTier = CanonicalTier(o.CompressTier)
 	if o.ActiveSet && o.KKTEvery == 0 {
 		if o.Faults != nil {
 			o.KKTEvery = 1

@@ -107,27 +107,18 @@ func RCSFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Opt
 		Comm:     e.c,
 		Rec:      e.rec,
 		Fill:     e,
-		Exchange: e.exchanger(),
+		Exchange: e.exch,
 		Pass:     pass,
 		Stop:     e,
 		Pipeline: opts.Pipeline,
-		CommCost: dist.AllreduceCost(e.c.Size(), e.BatchLen()),
-	}
-	if e.tiers.on {
-		n := e.BatchLen()
-		spec.CommCost = dist.AllreduceCostTier(e.c.Size(), n, e.tierAt(n))
+		CommCost: e.commCost(e.BatchLen()),
 	}
 	if opts.ActiveSet {
 		// The batch length moves with the working set; price each
 		// overlapped collective at its actual in-flight length (and, under
 		// compression, at the tier the engine picks for it). Left nil on
 		// the dense path so golden modeled costs are untouched.
-		spec.CommCostOf = func(n int) perf.Cost {
-			if e.tiers.on {
-				return dist.AllreduceCostTier(e.c.Size(), n, e.tierAt(n))
-			}
-			return dist.AllreduceCost(e.c.Size(), n)
-		}
+		spec.CommCostOf = e.commCost
 	}
 	err = solvercore.Loop(spec)
 	if err == nil && !e.rec.Converged && e.sinceEval != 0 {
@@ -153,8 +144,8 @@ func SFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Optio
 
 // engine holds the run state of one rank. It plugs into
 // solvercore.Loop as the BatchFiller (stages A and B), the direct-form
-// InnerPass (stage D), and the StopPolicy; stage C is a solvercore
-// Exchanger picked by exchanger(). Bookkeeping lives in rec.
+// InnerPass (stage D), and the StopPolicy; stage C is the exch
+// TieredExchanger. Bookkeeping lives in rec.
 type engine struct {
 	c     dist.Comm
 	local LocalData
@@ -208,10 +199,14 @@ type engine struct {
 	// as is the dynamic-screening state (Options.ActiveSet); nil runs
 	// the dense path bit-identically to the goldens.
 	as *activeState
-	// exch is the one stage-C exchanger instance of the run. It must be
-	// a singleton: a FaultExchanger carries the last-good batch across
-	// rounds, and the re-expansion redo exchange shares it with the Loop.
-	exch solvercore.Exchanger
+	// exch is the one stage-C exchanger instance of the run: the batch
+	// ships at the tier tierAt picks per round (f64 when tiers are off,
+	// where it is a plain allreduce of the untouched batch), through the
+	// retry/degrade/skip machine when a FaultPlan is injected. It must
+	// be a singleton: it carries the last-good batch and the
+	// error-feedback residual across rounds, and the re-expansion redo
+	// exchange shares it with the Loop.
+	exch *solvercore.TieredExchanger
 }
 
 func newEngine(c dist.Comm, local LocalData, opts Options) *engine {
@@ -273,6 +268,14 @@ func newEngine(c dist.Comm, local LocalData, opts Options) *engine {
 	e.rec = solvercore.NewRecorder(name, e.c.Rank(), e.c.Cost(), e.c.Machine())
 	e.rec.Tol = opts.Tol
 	e.rec.FStar = opts.FStar
+	e.exch = &solvercore.TieredExchanger{
+		C:          e.c,
+		TierOf:     e.tierAt,
+		FC:         e.fc,
+		Rec:        e.rec,
+		MaxRetries: opts.MaxRetries,
+		Backoff:    opts.RetryBackoff,
+	}
 	return e
 }
 

@@ -1,9 +1,8 @@
 package solver
 
-// Per-slot stage plumbing for the engine: the stage-C Exchanger
-// selection (plain / compressed / faulty) and the stage-A/B sampled
-// Gram fill of a single batch slot. The round loop and engine state
-// live in rcsfista.go.
+// Per-slot stage plumbing for the engine: the stage-A/B sampled Gram
+// fill of a single batch slot. The round loop and engine state live in
+// rcsfista.go.
 
 import (
 	"github.com/hpcgo/rcsfista/internal/mat"
@@ -11,35 +10,6 @@ import (
 	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
-
-// exchanger picks stage C: the tiered error-feedback path under
-// CompressTier (which handles faults itself, rolling residuals back on
-// lost rounds), the plain allreduce on the reliable uncompressed path,
-// the retry/degrade/skip machine under an uncompressed FaultPlan.
-func (e *engine) exchanger() solvercore.Exchanger {
-	if e.exch == nil {
-		if e.tiers.on {
-			e.exch = &solvercore.TieredExchanger{
-				C:          e.c,
-				TierOf:     e.tierAt,
-				FC:         e.fc,
-				Rec:        e.rec,
-				MaxRetries: e.opts.MaxRetries,
-				Backoff:    e.opts.RetryBackoff,
-			}
-		} else if e.fc == nil {
-			e.exch = solvercore.AllreduceExchanger{C: e.c}
-		} else {
-			e.exch = &solvercore.FaultExchanger{
-				FC:         e.fc,
-				Rec:        e.rec,
-				MaxRetries: e.opts.MaxRetries,
-				Backoff:    e.opts.RetryBackoff,
-			}
-		}
-	}
-	return e.exch
-}
 
 // sampleSlot returns the global sample index set of Hessian slot h.
 // Identical on every rank: a pure function of (seed, h).

@@ -13,7 +13,7 @@ import (
 	"math"
 
 	"github.com/hpcgo/rcsfista/internal/dist"
-	"github.com/hpcgo/rcsfista/internal/solvercore"
+	"github.com/hpcgo/rcsfista/internal/perf"
 )
 
 // autoTighten is the default gradient-map norm below which the auto
@@ -50,23 +50,30 @@ type tierConfig struct {
 	fixed dist.Tier // the fixed tier when !auto
 }
 
-// parseTierConfig maps the (already defaulted and validated)
-// Options.CompressTier spelling to a tierConfig.
+// CanonicalTier returns the canonical spelling of an
+// Options.CompressTier value: "" for every spelling of the
+// uncompressed default ("", "off", "f64"), anything else unchanged.
+// It is the one canonicalizer — withDefaults applies it, and whatever
+// keys on the option (the serving layer's warm-start fingerprint) must
+// key on its result so equivalent requests share one identity.
+func CanonicalTier(s string) string {
+	if t, err := dist.ParseTier(s); err == nil && t == dist.TierF64 {
+		return ""
+	}
+	return s
+}
+
+// parseTierConfig maps an Options.CompressTier spelling to a
+// tierConfig.
 func parseTierConfig(s string) (tierConfig, error) {
-	switch s {
+	switch s = CanonicalTier(s); s {
 	case "":
 		return tierConfig{}, nil
 	case "auto":
 		return tierConfig{on: true, auto: true}, nil
 	}
 	t, err := dist.ParseTier(s)
-	if err != nil {
-		return tierConfig{}, err
-	}
-	if t == dist.TierF64 {
-		return tierConfig{}, nil
-	}
-	return tierConfig{on: true, fixed: t}, nil
+	return tierConfig{on: err == nil, fixed: t}, err
 }
 
 // validateTierSupport checks that the transport implements every
@@ -89,7 +96,7 @@ func validateTierSupport(c dist.Comm, tc tierConfig) error {
 }
 
 // tierAt picks the wire tier for an n-value collective this round. It
-// is the engine's TierOf hook for the stage-C TieredExchanger and is
+// is the TierOf hook of the stage-C TieredExchanger and is
 // consulted directly by the stage-A gradient refresh, the KKT scan and
 // the objective reduction. Every input — the fixed configuration, the
 // allreduced gradient-map norm, the payload length, the Bcast-shared
@@ -139,6 +146,12 @@ func (e *engine) tierAt(n int) dist.Tier {
 	return dist.EffectiveTier(best, n)
 }
 
+// commCost prices the stage-C allreduce of an n-value batch at the
+// tier the engine picks for it.
+func (e *engine) commCost(n int) perf.Cost {
+	return dist.AllreduceCostTier(e.c.Size(), n, e.tierAt(n))
+}
+
 // resetCompressState drops every carried error-feedback residual whose
 // coordinates just changed meaning: the screening engine calls it when
 // the working set changes generation. The stage-C exchanger's residual
@@ -148,12 +161,7 @@ func (e *engine) tierAt(n int) dist.Tier {
 // decisions taken under the new layout. The stage-A gradient stream is
 // full-length and layout-independent — it keys on length alone.
 func (e *engine) resetCompressState() {
-	if !e.tiers.on {
-		return
-	}
-	if te, ok := e.exch.(*solvercore.TieredExchanger); ok {
-		te.ResetResidual()
-	}
+	e.exch.ResetResidual()
 	e.kktEF.Reset()
 }
 

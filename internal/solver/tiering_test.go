@@ -106,24 +106,17 @@ func TestCompressTierOptionValidation(t *testing.T) {
 		t.Errorf("CompressTier=auto rejected: %v", err)
 	}
 	o = base()
-	o.CompressPayload = true
-	o.CompressTier = "i8"
-	if err := o.Validate(); err == nil {
-		t.Error("CompressPayload + CompressTier=i8 conflict validated")
-	}
-	o = base()
-	o.CompressPayload = true
 	o.CompressTier = "f32"
 	if err := o.Validate(); err != nil {
-		t.Errorf("CompressPayload + CompressTier=f32 (same thing) rejected: %v", err)
+		t.Errorf("CompressTier=f32 rejected: %v", err)
 	}
 
-	// withDefaults: the legacy bool maps onto the f32 rung, the two
-	// no-compression spellings normalize to empty.
+	// withDefaults: a compressed rung survives, the no-compression
+	// spellings normalize to empty.
 	o = base()
-	o.CompressPayload = true
+	o.CompressTier = "f32"
 	if d := o.withDefaults(); d.CompressTier != "f32" {
-		t.Errorf("CompressPayload defaulted CompressTier to %q, want f32", d.CompressTier)
+		t.Errorf("CompressTier=f32 defaulted to %q", d.CompressTier)
 	}
 	for _, s := range []string{"off", "f64"} {
 		o = base()

@@ -1,10 +1,6 @@
 package solvercore
 
-import (
-	"fmt"
-
-	"github.com/hpcgo/rcsfista/internal/dist"
-)
+import "github.com/hpcgo/rcsfista/internal/dist"
 
 // Exchanger performs stage C of a round: combining the local batch
 // across ranks. Exchange returns the shared batch, or nil when the
@@ -82,94 +78,4 @@ func (e SegmentedExchanger) Exchange(local []float64) []float64 {
 		off += n
 	}
 	return local
-}
-
-// FaultExchanger is the fallible stage-C path under an injected
-// dist.FaultPlan: it retries lost attempts with exponential backoff
-// and, when the round fails outright, degrades to the last good batch
-// — the solver keeps updating on the stale Hessian instances,
-// dynamically raising the paper's reuse parameter S — or, before any
-// batch has ever arrived, returns nil to skip the round. Every branch
-// is driven by the shared fault verdicts, so all ranks take identical
-// control flow without extra coordination. Stats and events land in
-// Rec.
-type FaultExchanger struct {
-	FC         *dist.FaultyComm
-	Rec        *Recorder
-	MaxRetries int
-	// Backoff is the attempt-1 retry delay; it doubles per attempt.
-	Backoff float64
-
-	lastGood   []float64
-	staleDepth int
-}
-
-// Exchange runs one blocking fallible round.
-func (e *FaultExchanger) Exchange(local []float64) []float64 {
-	return e.resolve(func(a int) ([]float64, bool) {
-		return e.FC.AttemptAllreduceShared(local, a)
-	})
-}
-
-// Post posts attempt 0 nonblocking; its verdict resolves at Resolve,
-// exactly as the blocking AttemptAllreduceShared would have resolved
-// it.
-func (e *FaultExchanger) Post(local []float64) Pending {
-	return Pending{att: e.FC.IAttemptAllreduceShared(local, 0), buf: local}
-}
-
-// Resolve blocks on the posted attempt and runs the same
-// retry/degrade/skip machine as Exchange: attempt 0 resolves the
-// posted collective, retries fall back to blocking attempts — the
-// overlap window has already been spent by then.
-func (e *FaultExchanger) Resolve(p Pending) []float64 {
-	return e.resolve(func(a int) ([]float64, bool) {
-		if a == 0 {
-			return p.att.Wait()
-		}
-		return e.FC.AttemptAllreduceShared(p.buf, a)
-	})
-}
-
-// resolve drives the retry/degrade/skip state machine of one fallible
-// round. attempt(a) performs (or, for a pipelined round's
-// already-posted attempt 0, resolves) attempt number a and reports
-// whether it delivered a batch. Shared by the blocking and pipelined
-// paths so both observe identical stats, events and recovery decisions
-// for identical fault verdicts.
-func (e *FaultExchanger) resolve(attempt func(a int) ([]float64, bool)) []float64 {
-	cost := e.FC.Cost()
-	round := e.FC.Round()
-	for a := 0; a <= e.MaxRetries; a++ {
-		if a > 0 {
-			// Exponential backoff before each retry, charged as waiting.
-			cost.AddStall(e.Backoff * float64(int64(1)<<uint(a-1)))
-			e.Rec.Faults.Retries++
-		}
-		res, ok := attempt(a)
-		if !ok {
-			continue
-		}
-		e.Rec.DrainFaultEvents(e.FC)
-		e.FC.EndRound()
-		if a > 0 {
-			e.Rec.RecordRecovery("retry-ok", round, fmt.Sprintf("attempt %d succeeded", a))
-		}
-		e.lastGood = res
-		e.staleDepth = 0
-		return res
-	}
-	e.Rec.Faults.FailedRounds++
-	e.Rec.DrainFaultEvents(e.FC)
-	e.FC.EndRound()
-	if e.lastGood != nil {
-		e.Rec.Faults.DegradedRounds++
-		e.staleDepth++
-		e.Rec.RecordRecovery("degrade", round,
-			fmt.Sprintf("stale batch reuse x%d (S raised)", e.staleDepth))
-		return e.lastGood
-	}
-	e.Rec.Faults.SkippedRounds++
-	e.Rec.RecordRecovery("skip", round, "no last-good batch yet")
-	return nil
 }

@@ -41,7 +41,7 @@ type Recorder struct {
 	// solvers running with dynamic screening; 0 means dense.
 	Active int
 	// Faults accumulates the retry/degrade/skip statistics charged by a
-	// FaultExchanger.
+	// TieredExchanger under a FaultPlan.
 	Faults FaultStats
 
 	evDrained int

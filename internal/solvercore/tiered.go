@@ -22,35 +22,49 @@ import (
 // zero through the fold: a stream that tightens from i8 to f64 near
 // convergence automatically returns its carried error to the iterates.
 type EFStream struct {
-	resid   []float64
-	scratch []float64
+	resid []float64
+	z     []float64
+}
+
+// idle reports whether a tier-t reduction bypasses the stream: it has
+// never left f64, so there is no residual to fold — and folding
+// anyway would not be free of effect, v + 0.0 flips −0. Bypassing
+// keeps the plain collective's exact arithmetic (and golden
+// bit-identity) and allocates nothing.
+func (s *EFStream) idle(t dist.Tier) bool { return t == dist.TierF64 && s.resid == nil }
+
+// fold returns the raw payload to ship for local at tier t — local
+// plus the carried residual — and replaces the residual with the
+// quantization error the tier's wire will make on it. local is not
+// modified; the returned buffer is owned by the stream. A length
+// change reslices the payload (an active-set layout change), so the
+// carried residual's coordinates are meaningless and the stream resets
+// before folding.
+func (s *EFStream) fold(local []float64, t dist.Tier) []float64 {
+	if len(s.resid) != len(local) {
+		s.resid = make([]float64, len(local))
+		s.z = make([]float64, len(local))
+	}
+	z := s.z
+	for i, v := range local {
+		z[i] = v + s.resid[i]
+	}
+	dist.TierRound(s.resid, z, t) // resid temporarily holds Q(z)
+	for i, q := range s.resid {
+		s.resid[i] = z[i] - q
+	}
+	return z
 }
 
 // Reduce sum-allreduces buf in place at (the effective floor of) tier
-// t with error feedback. A length change reslices the payload (an
-// active-set layout change), so the carried residual's coordinates are
-// meaningless and the stream resets before folding.
+// t with error feedback.
 func (s *EFStream) Reduce(c dist.Comm, buf []float64, t dist.Tier) {
 	t = dist.EffectiveTier(t, len(buf))
-	if t == dist.TierF64 && s.resid == nil {
-		// Never-compressed stream: skip the fold entirely and keep the
-		// plain collective's exact arithmetic (and golden bit-identity).
+	if s.idle(t) {
 		c.Allreduce(buf, dist.OpSum)
 		return
 	}
-	if len(s.resid) != len(buf) {
-		s.resid = make([]float64, len(buf))
-		s.scratch = make([]float64, len(buf))
-	}
-	z := s.scratch
-	for i, v := range buf {
-		z[i] = v + s.resid[i]
-	}
-	dist.TierRound(buf, z, t) // buf temporarily holds Q(z)
-	for i := range s.resid {
-		s.resid[i] = z[i] - buf[i]
-	}
-	copy(buf, dist.AllreduceSharedTier(c, z, t))
+	copy(buf, dist.AllreduceSharedTier(c, s.fold(buf, t), t))
 }
 
 // Reset drops the carried residual (a working-set generation change).
@@ -60,15 +74,23 @@ func (s *EFStream) Reset() {
 	}
 }
 
-// TieredExchanger is the stage-C path behind Options.CompressTier: the
-// batched Hessian allreduce ships through the tier selected per round
-// by TierOf (a fixed tier, or the solver's auto policy), with per-rank
-// error feedback and optional fault injection. It subsumes both
-// CompressedExchanger (fixed f32, no faults — bit-identical results,
-// because the f32 collective rounds raw contributions exactly as the
-// legacy exchanger pre-rounded them) and FaultExchanger (fixed f64
-// under a FaultPlan — the retry/degrade/skip state machine below
-// mirrors it decision for decision).
+// TieredExchanger is the RC-SFISTA engine's stage C: the batched
+// Hessian allreduce ships through the tier selected per round by
+// TierOf (always f64, a fixed tier, or the solver's auto policy), with
+// per-rank error feedback once a round has compressed, and — under an
+// injected dist.FaultPlan (FC != nil) — a fallible path that retries
+// lost attempts with exponential backoff and, when the round fails
+// outright, degrades to the last good batch — the solver keeps
+// updating on the stale Hessian instances, dynamically raising the
+// paper's reuse parameter S — or, before any batch has ever arrived,
+// returns nil to skip the round. Every branch is driven by the shared
+// fault verdicts, so all ranks take identical control flow without
+// extra coordination. Stats and events land in Rec.
+//
+// While the stream has never left f64 the exchanger ships local
+// untouched and allocates nothing (EFStream.idle): the uncompressed
+// solve, with or without faults, is bit-identical to a plain
+// (I)AllreduceShared.
 //
 // Error feedback across faults: the residual update happens at
 // prepare, but a round that ultimately fails (degrade to stale batch,
@@ -85,55 +107,47 @@ type TieredExchanger struct {
 	// TierOf picks the wire tier for an n-value round. It must be
 	// deterministic from allreduced state so all ranks agree.
 	TierOf func(n int) dist.Tier
-	// FC, Rec, MaxRetries, Backoff configure fault handling, exactly
-	// as in FaultExchanger. FC == nil means reliable rounds.
+	// FC, Rec, MaxRetries, Backoff configure fault handling. FC == nil
+	// means reliable rounds.
 	FC         *dist.FaultyComm
 	Rec        *Recorder
 	MaxRetries int
 	// Backoff is the attempt-1 retry delay; it doubles per attempt.
 	Backoff float64
 
-	resid     []float64
-	prevResid []float64
-	z         []float64
-	q         []float64
+	ef   EFStream
+	prev []float64 // the residual before this round's fold
 
 	lastGood   []float64
 	staleDepth int
 }
 
-// prepare folds the carried residual into local, updates the residual
-// (snapshotting the previous one for rollback), and returns the raw
-// folded payload to ship plus the round's effective tier. local is not
-// modified.
+// prepare returns the raw payload to ship for local (local itself on
+// the never-compressed path) plus the round's effective tier, keeping
+// the pre-fold residual for rollback.
 func (e *TieredExchanger) prepare(local []float64) ([]float64, dist.Tier) {
-	n := len(local)
-	tier := dist.EffectiveTier(e.TierOf(n), n)
-	if len(e.resid) != n {
-		e.resid = make([]float64, n)
-		e.prevResid = make([]float64, n)
-		e.z = make([]float64, n)
-		e.q = make([]float64, n)
+	tier := dist.EffectiveTier(e.TierOf(len(local)), len(local))
+	if e.ef.idle(tier) {
+		return local, tier
 	}
-	copy(e.prevResid, e.resid)
-	for i, v := range local {
-		e.z[i] = v + e.resid[i]
+	e.prev = append(e.prev[:0], e.ef.resid...)
+	return e.ef.fold(local, tier), tier
+}
+
+// rollback restores the residual prepare replaced; a fold that reset
+// the stream for a new length rolls back to that reset.
+func (e *TieredExchanger) rollback() {
+	if len(e.prev) != len(e.ef.resid) {
+		e.ef.Reset()
+		return
 	}
-	dist.TierRound(e.q, e.z, tier)
-	for i := range e.resid {
-		e.resid[i] = e.z[i] - e.q[i]
-	}
-	return e.z, tier
+	copy(e.ef.resid, e.prev)
 }
 
 // ResetResidual drops the carried residual. The solver calls it when
 // the active working set changes generation: the packed batch layout
 // changed meaning even if its length happens to match.
-func (e *TieredExchanger) ResetResidual() {
-	for i := range e.resid {
-		e.resid[i] = 0
-	}
-}
+func (e *TieredExchanger) ResetResidual() { e.ef.Reset() }
 
 // Exchange runs one blocking tiered round.
 func (e *TieredExchanger) Exchange(local []float64) []float64 {
@@ -146,9 +160,10 @@ func (e *TieredExchanger) Exchange(local []float64) []float64 {
 	})
 }
 
-// Post prepares and posts the tiered allreduce nonblocking. The
-// prepared buffer is owned by the exchanger and stays untouched until
-// Resolve; the caller's local batch is free immediately.
+// Post prepares and posts the tiered allreduce nonblocking. Under a
+// FaultPlan it posts attempt 0, whose verdict resolves at Resolve
+// exactly as the blocking attempt would have resolved it. A folded
+// payload is owned by the exchanger and stays untouched until Resolve.
 func (e *TieredExchanger) Post(local []float64) Pending {
 	z, tier := e.prepare(local)
 	if e.FC == nil {
@@ -157,9 +172,12 @@ func (e *TieredExchanger) Post(local []float64) Pending {
 	return Pending{att: e.FC.IAttemptAllreduceSharedTier(z, 0, tier), buf: z, tier: tier}
 }
 
-// Resolve blocks on the posted round, running the retry policy under
-// faults. Retries re-ship the already-prepared payload — the residual
-// was updated once at prepare and must not compound per attempt.
+// Resolve blocks on the posted round and, under faults, runs the same
+// retry/degrade/skip machine as Exchange: attempt 0 resolves the
+// posted collective, retries fall back to blocking attempts — the
+// overlap window has already been spent by then. Retries re-ship the
+// already-prepared payload — the residual was updated once at prepare
+// and must not compound per attempt.
 func (e *TieredExchanger) Resolve(p Pending) []float64 {
 	if e.FC == nil {
 		return p.req.Wait()
@@ -173,8 +191,11 @@ func (e *TieredExchanger) Resolve(p Pending) []float64 {
 }
 
 // resolve drives the retry/degrade/skip state machine of one fallible
-// tiered round — FaultExchanger.resolve plus the error-feedback
-// rollback on lost rounds.
+// round. attempt(a) performs (or, for a pipelined round's
+// already-posted attempt 0, resolves) attempt number a and reports
+// whether it delivered a batch. Shared by the blocking and pipelined
+// paths so both observe identical stats, events and recovery decisions
+// for identical fault verdicts.
 func (e *TieredExchanger) resolve(attempt func(a int) ([]float64, bool)) []float64 {
 	cost := e.FC.Cost()
 	round := e.FC.Round()
@@ -199,7 +220,7 @@ func (e *TieredExchanger) resolve(attempt func(a int) ([]float64, bool)) []float
 	}
 	// The round is lost: the prepared contribution never landed, so the
 	// residual update it carried must not survive into the next round.
-	copy(e.resid, e.prevResid)
+	e.rollback()
 	e.Rec.Faults.FailedRounds++
 	e.Rec.DrainFaultEvents(e.FC)
 	e.FC.EndRound()
