@@ -1,8 +1,9 @@
 # Development entry points. `make check` is what CI runs: vet, build,
 # the full test suite under the race detector (the parallel stage-B
 # worker pool in internal/solver must stay race-clean), the coverage
-# ratchet on the fault-critical packages, and a short smoke run of
-# every native fuzz target.
+# ratchet on the fault-critical packages, one iteration of every
+# benchmark, and a short smoke run of every native fuzz target. It
+# writes only ignored files: `git status` is clean afterwards.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -12,9 +13,9 @@ BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat
 BENCH_THRESHOLD ?= 15
 BENCH_COUNT ?= 3
 
-.PHONY: check vet build test race bench bench-smoke bench-json bench-baseline bench-compare bench-exact cover fuzz-smoke staticcheck loc-guard serving-smoke
+.PHONY: check vet build test race bench bench-smoke bench-json bench-baseline bench-compare bench-exact golden-fence cover fuzz-smoke staticcheck loc-guard serving-smoke
 
-check: vet staticcheck loc-guard build race cover bench-json serving-smoke fuzz-smoke
+check: vet staticcheck loc-guard build race cover bench-smoke serving-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -82,16 +83,20 @@ serving-smoke:
 bench:
 	$(GO) test -run NONE -bench . -benchtime=1x .
 
-# One iteration of every dist/solver benchmark: a cheap end-to-end
-# smoke of both round loops (blocking and pipelined) and the
-# nonblocking collectives, without the noise of a timed run.
+# One iteration of every benchmark bench-compare gates (dist, solver
+# and the mat kernels): a cheap end-to-end smoke of both round loops
+# (blocking and pipelined) and the nonblocking collectives, without the
+# noise of a timed run. Writes nothing — this, not bench-json, is what
+# `make check` runs, so a local check never touches the committed
+# BENCH_results.json baseline.
 bench-smoke:
-	$(GO) test -run NONE -bench . -benchtime=1x ./internal/dist ./internal/solver
+	$(GO) test -run NONE -bench . -benchtime=1x $(BENCH_PKGS)
 
-# bench-json is bench-smoke plus the Gram/MulVec kernel benchmarks,
-# converted into the BENCH_results.json artifact (ns/op, allocs and
-# the modeled words metrics) that CI archives per commit. Subsumes
-# bench-smoke in `make check`: a benchmark failure fails the convert.
+# bench-json is bench-smoke converted into the BENCH_results.json
+# artifact (ns/op, allocs and the modeled words metrics) that CI
+# archives per commit. It OVERWRITES the committed best-of-BENCH_COUNT
+# baseline with a single -benchtime=1x run, so it is for CI's artifact
+# step (which never commits) — refresh the baseline with bench-baseline.
 bench-json:
 	$(GO) test -run NONE -bench . -benchtime=1x $(BENCH_PKGS) > bench.out || \
 	  { cat bench.out; rm -f bench.out; exit 1; }
@@ -152,3 +157,12 @@ bench-exact:
 	  echo "bench-exact: exact-repeat counts moved against $(BASE)" >&2; exit 1; \
 	fi; \
 	echo "bench-exact: no exact-repeat count moved against $(BASE)"
+
+# golden-fence is the fixture gate: `make golden-fence BASE=<git-ref>`
+# fails when any record present both in BASE:testdata/golden.json and
+# in the work tree's file differs by a byte. Records may be retired or
+# added (both are listed); a record that survives must not move — so a
+# PR that retires fixtures cannot also regenerate the rest unnoticed.
+golden-fence:
+	@test -n "$(BASE)" || { echo "usage: make golden-fence BASE=<git-ref>" >&2; exit 2; }
+	$(GO) run ./cmd/goldenfence $(BASE)

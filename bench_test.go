@@ -132,26 +132,6 @@ func runModel(b *testing.B, p *data.Problem, o solver.Options, m perf.Machine, p
 	return res.ModelSeconds
 }
 
-// BenchmarkAblationDeltaForm compares the direct updates against the
-// literal Eq. 16-17 postponed-update recurrences (same arithmetic,
-// different round-off and memory traffic).
-func BenchmarkAblationDeltaForm(b *testing.B) {
-	p, o := ablationProblem(b)
-	o.K = 8
-	for _, form := range []string{"direct", "delta"} {
-		b.Run(form, func(b *testing.B) {
-			oo := o
-			oo.UseDeltaForm = form == "delta"
-			for i := 0; i < b.N; i++ {
-				c := dist.NewSelfComm(perf.Comet())
-				if _, err := solver.RCSFISTA(c, solver.Partition(p.X, p.Y, 1, 0), oo); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkKernelSampledGram measures the stage-B kernel: one sampled
 // Gram accumulation at covtype shape.
 func BenchmarkKernelSampledGram(b *testing.B) {
@@ -222,37 +202,28 @@ func BenchmarkKernelAllreduce(b *testing.B) {
 }
 
 // BenchmarkRoundWords measures the engine's actual per-round allreduce
-// volume in both wire formats on the covtype shape (d=54, k=8, P=16):
-// words-per-round drops from k*(d^2+d) = 23760 dense to
-// k*(d(d+1)/2+d) = 12312 packed.
+// volume on the covtype shape (d=54, k=8, P=16): k*(d(d+1)/2+d) = 12312
+// words per round, against the k*(d^2+d) = 23760 a dense-unpacked slot
+// would ship (held as a test reference in internal/solver, not run
+// here).
 func BenchmarkRoundWords(b *testing.B) {
 	p, o := ablationProblem(b)
 	const procs, k = 16, 8
-	for _, packed := range []bool{true, false} {
-		name := "dense"
-		if packed {
-			name = "packed"
+	o.K = k
+	o.MaxIter = 32
+	o.EvalEvery = 32
+	o.VarianceReduced = false
+	var wordsPerRound float64
+	for i := 0; i < b.N; i++ {
+		w := dist.NewWorld(procs, perf.Comet())
+		res, err := solver.SolveDistributed(w, p.X, p.Y, o)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			var wordsPerRound float64
-			for i := 0; i < b.N; i++ {
-				oo := o
-				oo.K = k
-				oo.MaxIter = 32
-				oo.EvalEvery = 32
-				oo.VarianceReduced = false
-				oo.PackedHessian = packed
-				w := dist.NewWorld(procs, perf.Comet())
-				res, err := solver.SolveDistributed(w, p.X, p.Y, oo)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lg := float64(perf.Log2Ceil(procs))
-				wordsPerRound = float64(res.Cost.Words) / float64(res.Rounds) / lg
-			}
-			b.ReportMetric(wordsPerRound, "words/round")
-		})
+		lg := float64(perf.Log2Ceil(procs))
+		wordsPerRound = float64(res.Cost.Words) / float64(res.Rounds) / lg
 	}
+	b.ReportMetric(wordsPerRound, "words/round")
 }
 
 // BenchmarkAblationCABCDBandwidth contrasts the two

@@ -49,7 +49,6 @@ func compressCases() []compressCase {
 
 func (e *goldenEnv) compressOpts(c compressCase, compress bool) solver.Options {
 	o := e.opts()
-	o.PackedHessian = true
 	o.ActiveSet = c.active
 	if compress {
 		o.CompressTier = "f32"

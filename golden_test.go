@@ -4,10 +4,14 @@
 // FinalObj, the cost counters and the full trace as exact float64 bit
 // patterns. Any port that changes a single rounding, a sample draw, a
 // message count or a trace point fails loudly. The matrix covers
-// RC-SFISTA across P ∈ {1,4,8} × {dense,packed} × {blocking,pipelined}
-// × {fault-free,FaultPlan}, the delta-form ablation, both ProxNewtons
-// (sequential and distributed, all loss functions), ProxSVRG, CoCoA
-// and CA-BCD.
+// RC-SFISTA across P ∈ {1,4,8} × {blocking,pipelined} ×
+// {fault-free,FaultPlan}, both ProxNewtons (sequential and
+// distributed, all loss functions), ProxSVRG, CoCoA and CA-BCD. The
+// grid's names keep their `packed=true` segment from when the dense
+// slot was an option (its 12 `packed=false` twins and the 2 delta-form
+// records retired with the options; internal/solver holds both as test
+// references), so the surviving keys — and `make golden-fence` — still
+// match the committed fixture.
 //
 // Regenerate (only when a behavior change is intended and understood):
 //
@@ -251,25 +255,22 @@ func goldenConfigs() []goldenConfig {
 		cfgs = append(cfgs, goldenConfig{name: name, run: run})
 	}
 
-	// RC-SFISTA grid: P × wire format × engine × network.
+	// RC-SFISTA grid: P × engine × network.
 	for _, p := range []int{1, 4, 8} {
-		for _, packed := range []bool{true, false} {
-			for _, pipe := range []bool{true, false} {
-				for _, faulty := range []bool{true, false} {
-					p, packed, pipe, faulty := p, packed, pipe, faulty
-					name := fmt.Sprintf("rcsfista/p%d/packed=%t/pipe=%t/faults=%t", p, packed, pipe, faulty)
-					add(name, func(e *goldenEnv) (*solver.Result, error) {
-						o := e.opts()
-						o.PackedHessian = packed
-						o.Pipeline = pipe
-						if faulty {
-							o.Faults = goldenFaultPlan()
-							o.MaxRetries = 2
-						}
-						w := newGoldenWorld(p)
-						return solver.SolveDistributed(w, e.prob.X, e.prob.Y, o)
-					})
-				}
+		for _, pipe := range []bool{true, false} {
+			for _, faulty := range []bool{true, false} {
+				p, pipe, faulty := p, pipe, faulty
+				name := fmt.Sprintf("rcsfista/p%d/packed=true/pipe=%t/faults=%t", p, pipe, faulty)
+				add(name, func(e *goldenEnv) (*solver.Result, error) {
+					o := e.opts()
+					o.Pipeline = pipe
+					if faulty {
+						o.Faults = goldenFaultPlan()
+						o.MaxRetries = 2
+					}
+					w := newGoldenWorld(p)
+					return solver.SolveDistributed(w, e.prob.X, e.prob.Y, o)
+				})
 			}
 		}
 	}
@@ -319,18 +320,6 @@ func goldenConfigs() []goldenConfig {
 		w := newGoldenWorld(4)
 		return solver.SolveDistributed(w, e.prob.X, e.prob.Y, o)
 	})
-
-	// Delta-form ablation (S = 1 only).
-	for _, p := range []int{1, 4} {
-		p := p
-		add(fmt.Sprintf("rcsfista/delta/p%d", p), func(e *goldenEnv) (*solver.Result, error) {
-			o := e.opts()
-			o.S = 1
-			o.UseDeltaForm = true
-			w := newGoldenWorld(p)
-			return solver.SolveDistributed(w, e.prob.X, e.prob.Y, o)
-		})
-	}
 
 	// SelfComm path and the SFISTA special case.
 	add("rcsfista/selfcomm", func(e *goldenEnv) (*solver.Result, error) {
@@ -753,7 +742,8 @@ func TestGoldenCompressTier(t *testing.T) {
 	// fixture iterate's infinity norm (covtype iterates reach magnitude
 	// ~16 at this budget); the objective band is absolute. Both carry
 	// ~3-10x headroom over the measured worst case across the slice:
-	// f32 peaks at 1.4e-6 absolute on W in the delta-form ablation, the
+	// f32 peaked at 1.4e-6 absolute on W (on the since-retired
+	// delta-form record; the surviving slice sits inside that), the
 	// dithered rungs at ~2 absolute on a 16-magnitude warm-start
 	// iterate and 5e-3 on FinalObj at P=4.
 	tolW, tolObj := 0.15, 0.05
@@ -764,8 +754,7 @@ func TestGoldenCompressTier(t *testing.T) {
 	// Config name -> rank count, for the words assertion.
 	eligible := map[string]int{
 		"rcsfista/vr/p1": 1, "rcsfista/vr/p4": 4, "rcsfista/vr/p8": 8,
-		"rcsfista/w0/p4":    4,
-		"rcsfista/delta/p1": 1, "rcsfista/delta/p4": 4,
+		"rcsfista/w0/p4":                    4,
 		"rcsfista/selfcomm":                 1,
 		"sfista/p4":                         4,
 		"scenario/rcsfista/en/p4":           4,
@@ -775,10 +764,8 @@ func TestGoldenCompressTier(t *testing.T) {
 		"scenario/rcsfista/group/active/p4": 4,
 	}
 	for _, p := range []int{1, 4, 8} {
-		for _, packed := range []bool{true, false} {
-			for _, pipe := range []bool{true, false} {
-				eligible[fmt.Sprintf("rcsfista/p%d/packed=%t/pipe=%t/faults=false", p, packed, pipe)] = p
-			}
+		for _, pipe := range []bool{true, false} {
+			eligible[fmt.Sprintf("rcsfista/p%d/packed=true/pipe=%t/faults=false", p, pipe)] = p
 		}
 	}
 

@@ -9,7 +9,7 @@ import (
 // Seeded property tests for the packed symmetric wire format: the
 // dense<->packed conversions are exact (same bits, no arithmetic), the
 // packed matvec is bit-identical to the dense one (the documented
-// contract that makes PackedHessian a pure wire-format choice), and the
+// contract that makes the packed slot a pure wire-format choice), and the
 // accessor symmetry holds at every index.
 
 func randSym(r *rng.Rng, n int) *SymPacked {

@@ -207,17 +207,13 @@ func (e *engine) initActiveSet() {
 func (e *engine) fillSlotActive(j, base int, buf []float64, layout, pos []int, view *sparse.ActiveView, cost *perf.Cost) {
 	global := e.sampleSlot(base + j)
 	cols := e.local.LocalCols(global)
-	a := len(layout)
-	pl := mat.PackedLen(a)
-	slotLen := pl + e.d
-	slot := buf[j*slotLen : (j+1)*slotLen]
-	h := mat.SymPackedOf(a, slot[:pl])
+	h, r := e.slotView(buf, j, len(layout))
 	if view != nil {
-		sparse.SampledGramPackedView(e.local.X, view, h, slot[pl:], e.local.Y, cols,
+		sparse.SampledGramPackedView(e.local.X, view, h, r, e.local.Y, cols,
 			1/float64(e.mbar), cost)
 		return
 	}
-	sparse.SampledGramPackedRows(e.local.X, h, slot[pl:], e.local.Y, cols,
+	sparse.SampledGramPackedRows(e.local.X, h, r, e.local.Y, cols,
 		layout, pos, e.as.rowScratch[j], e.as.valScratch[j], 1/float64(e.mbar), cost)
 }
 
@@ -383,39 +379,16 @@ func (e *engine) scanGradient() {
 	e.exactGradient(e.as.gExact)
 }
 
-// runActiveRound runs one attempt's k*S reduced updates with the same
-// refresh/checkpoint interleaving as the dense Process.
+// runActiveRound runs one attempt's k*S reduced updates, each followed
+// by the same afterUpdate bookkeeping as the dense Process.
 func (e *engine) runActiveRound(shared []float64, layout []int) bool {
-	opts := e.opts
 	a := len(layout)
-	pl := mat.PackedLen(a)
-	slotLen := pl + e.d
 	e.rec.Active = a
-	for j := 0; j < opts.K; j++ {
-		slot := shared[j*slotLen : (j+1)*slotLen]
-		ha := mat.SymPackedOf(a, slot[:pl])
-		r := slot[pl:]
-		for s := 0; s < opts.S; s++ {
+	for j := 0; j < e.opts.K; j++ {
+		ha, r := e.slotView(shared, j, a)
+		for s := 0; s < e.opts.S; s++ {
 			e.updateActive(ha, r, layout)
-			e.sinceSnap++
-			e.sinceEval++
-			if opts.VarianceReduced && e.sinceSnap >= opts.EpochLen {
-				e.refreshSnapshot()
-				e.sinceSnap = 0
-				if e.gradMapStop {
-					e.checkpoint()
-					e.rec.Converged = true
-					return true
-				}
-			}
-			if e.sinceEval >= opts.EvalEvery {
-				e.sinceEval = 0
-				if e.checkpoint() {
-					e.rec.Converged = true
-					return true
-				}
-			}
-			if e.rec.Iter >= opts.MaxIter {
+			if e.afterUpdate() {
 				return true
 			}
 		}

@@ -276,19 +276,9 @@ func TestActiveSetOptionValidation(t *testing.T) {
 	base.ActiveSet = true
 
 	o := base
-	o.PackedHessian = false
-	if err := o.Validate(); err == nil {
-		t.Fatal("ActiveSet without PackedHessian validated")
-	}
-	o = base
 	o.Lambda = 0
 	if err := o.Validate(); err == nil {
 		t.Fatal("ActiveSet with Lambda=0 validated")
-	}
-	o = base
-	o.UseDeltaForm = true
-	if err := o.Validate(); err == nil {
-		t.Fatal("ActiveSet with UseDeltaForm validated")
 	}
 	o = base
 	o.Reg = prox.L2Squared{Lambda: 1}

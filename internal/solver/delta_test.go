@@ -7,7 +7,9 @@ import (
 )
 
 // deltaPass is the InnerPass implementing the literal postponed-update
-// recurrences of Eqs. 16-17: v is never recomputed from w; instead the
+// recurrences of Eqs. 16-17 — a test-held reference: the production
+// engine runs the direct form only, and the tests plug this pass into
+// engine.run (deltaStages). v is never recomputed from w; instead the
 // increments
 //
 //	Delta-w_n = S_{lambda*gamma}(theta_n) - w_{n-1}
@@ -16,8 +18,10 @@ import (
 // are accumulated onto the round-base vectors. The update sequence is
 // algebraically identical to the direct form and differs only by
 // floating point round-off; TestDeltaFormEquivalence pins the gap.
-// Restricted to S = 1 (enforced by RCSFISTA), matching the paper's
-// presentation of the unrolled recurrences.
+// Restricted to S = 1 (newDeltaPass panics otherwise), matching the
+// paper's presentation of the unrolled recurrences. It keeps its own
+// copy of the post-update interleaving rather than engine.afterUpdate,
+// because it must reset its recurrence state after a snapshot refresh.
 //
 // Note on the momentum schedule: the paper's Algorithm 2 line 3 prints
 // t_n = (1 + sqrt(1 + t_{n-1}^2))/2, which has a bounded fixed point
@@ -36,6 +40,9 @@ type deltaPass struct {
 }
 
 func newDeltaPass(e *engine) *deltaPass {
+	if e.opts.S != 1 {
+		panic("solver: delta-form updates are implemented for S=1 only")
+	}
 	p := &deltaPass{
 		engine: e,
 		vCur:   make([]float64, e.d),
@@ -54,7 +61,7 @@ func (p *deltaPass) Process(shared []float64) bool {
 	opts := e.opts
 	cost := e.c.Cost()
 	for j := 0; j < opts.K; j++ {
-		h, r := e.slotView(shared, j)
+		h, r := e.slotView(shared, j, e.d)
 
 		// Momentum coefficients mu_n and the lookahead mu_{n+1}.
 		tn := (1 + math.Sqrt(1+4*p.t*p.t)) / 2

@@ -337,8 +337,7 @@ func TestGradMapStoppingDeltaForm(t *testing.T) {
 	o.Tol = 0
 	o.GradMapTol = 1e-6
 	o.EpochLen = 40
-	o.UseDeltaForm = true
-	res := selfSolve(t, p, o)
+	res := selfSolveStages(t, p, o, deltaStages)
 	if !res.Converged || res.Iters >= o.MaxIter {
 		t.Fatalf("delta-form gradient-map stop failed: converged=%v iters=%d",
 			res.Converged, res.Iters)

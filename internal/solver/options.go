@@ -102,11 +102,6 @@ type Options struct {
 	EvalEvery int
 	// TraceName overrides the name of the recorded series.
 	TraceName string
-	// UseDeltaForm selects the literal postponed-update recurrences of
-	// Eqs. 16-17 rather than the algebraically identical direct
-	// updates. The two differ only by floating-point round-off; the
-	// option exists for the equivalence ablation.
-	UseDeltaForm bool
 	// Faults optionally injects communication faults into the batched
 	// Hessian allreduce via a dist.FaultyComm wrapper. Nil runs the
 	// reliable network. A non-nil but empty plan is bit-identical to
@@ -139,7 +134,7 @@ type Options struct {
 	// differs: each overlapped round contributes
 	// max(compute, communication) instead of their sum
 	// (perf.Machine.Overlap). Default off, so existing runs are
-	// untouched; incompatible with UseDeltaForm.
+	// untouched.
 	Pipeline bool
 	// ActiveSet enables dynamic l1 screening: each round the ranks agree
 	// (via a d-bit bitmap allreduce) on the working set
@@ -156,10 +151,9 @@ type Options struct {
 	// The rule shown is the l1 instance; the engine is generic over
 	// prox.Screener, so elastic net screens on |grad f_i + λ₂w_i| >
 	// λ₁(1-margin) and group lasso on per-group gradient norms with a
-	// group-granular working set. Requires PackedHessian and a
-	// screenable regularizer; incompatible with UseDeltaForm. Default
-	// off: every existing configuration is bit-identical to its golden
-	// fixture.
+	// group-granular working set. Requires a screenable regularizer.
+	// Default off: every existing configuration is bit-identical to its
+	// golden fixture.
 	ActiveSet bool
 	// ScreenMargin is the safety margin of the screening rule: a zero
 	// coordinate stays screened only while |grad f(w)_i| <=
@@ -208,19 +202,10 @@ type Options struct {
 	// never double-apply feedback. Default off: every existing
 	// configuration is bit-identical to its golden fixture.
 	CompressTier string
-	// PackedHessian selects the packed symmetric wire format for the
-	// batched Hessian allreduce: each slot ships d(d+1)/2 + d words (the
-	// upper triangle of H plus R) instead of the dense d^2 + d. Packed
-	// and dense runs produce bit-identical iterates — the Gram kernels
-	// compute each symmetric element once and the per-element reduction
-	// order is unchanged — so the dense path exists only as the
-	// equivalence ablation. Defaults() turns it on; a zero-valued
-	// Options (which is not runnable anyway) selects the dense format.
-	PackedHessian bool
 }
 
 // Defaults returns options with sensible experiment defaults: k = S = 1,
-// b = 0.1, variance reduction on, packed symmetric Hessian wire format.
+// b = 0.1, variance reduction on.
 func Defaults() Options {
 	return Options{
 		Lambda:          0.1,
@@ -232,7 +217,6 @@ func Defaults() Options {
 		S:               1,
 		VarianceReduced: true,
 		Seed:            42,
-		PackedHessian:   true,
 	}
 }
 
@@ -279,16 +263,7 @@ func (o *Options) Validate() error {
 		return errors.New("solver: GradMapTol requires VarianceReduced " +
 			"(the gradient-mapping stop is checked at snapshot refreshes only)")
 	}
-	if o.Pipeline && o.UseDeltaForm {
-		return errors.New("solver: Pipeline is not implemented for the UseDeltaForm ablation")
-	}
 	if o.ActiveSet {
-		if !o.PackedHessian {
-			return errors.New("solver: ActiveSet requires PackedHessian (the reduced slot is packed)")
-		}
-		if o.UseDeltaForm {
-			return errors.New("solver: ActiveSet is not implemented for the UseDeltaForm ablation")
-		}
 		if o.Reg == nil && o.Lambda <= 0 {
 			return errors.New("solver: ActiveSet requires Lambda > 0 (screening is the l1 KKT rule)")
 		}

@@ -41,50 +41,51 @@ func requireBitIdentical(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestPackedDenseGoldenEquivalence is the tentpole invariant: flipping
-// Options.PackedHessian changes the wire format and nothing else —
-// every iterate, objective and trace point matches the dense run to the
-// last bit, because the Gram kernels compute each symmetric element
-// once and the per-element reduction order is unchanged.
+// TestPackedDenseGoldenEquivalence is the invariant that keeps the
+// dense-unpacked slot out of production: the packed engine and the
+// test-held denseRef differ in wire format and nothing else — every
+// iterate, objective and trace point matches to the last bit, because
+// the Gram kernels compute each symmetric element once and the
+// per-element reduction order is unchanged.
 func TestPackedDenseGoldenEquivalence(t *testing.T) {
 	p, gamma, fstar := testProblem(t, 18, 240, 0.5)
-	run := func(packed, deltaForm bool) *Result {
-		o := baseOpts(p, gamma, fstar)
-		o.Tol = 0
-		o.MaxIter = 160
-		o.K = 4
-		o.EvalEvery = 8
-		o.PackedHessian = packed
-		o.UseDeltaForm = deltaForm
-		return selfSolve(t, p, o)
-	}
-	requireBitIdentical(t, "direct", run(true, false), run(false, false))
-	requireBitIdentical(t, "delta-form", run(true, true), run(false, true))
+	o := baseOpts(p, gamma, fstar)
+	o.Tol = 0
+	o.MaxIter = 160
+	o.K = 4
+	o.EvalEvery = 8
+	requireBitIdentical(t, "self", selfSolve(t, p, o), selfSolveStages(t, p, o, denseStages))
+	o.S = 2
+	o.Pipeline = true
+	requireBitIdentical(t, "self/S=2/pipelined", selfSolve(t, p, o), selfSolveStages(t, p, o, denseStages))
 }
 
 func TestPackedDenseEquivalenceDistributed(t *testing.T) {
 	p, gamma, fstar := testProblem(t, 12, 150, 0.6)
-	run := func(packed bool) *Result {
-		o := baseOpts(p, gamma, fstar)
-		o.Tol = 0
-		o.MaxIter = 90
-		o.K = 3
-		o.S = 1
-		o.EvalEvery = 9
-		o.PackedHessian = packed
-		w := dist.NewWorld(3, perf.Comet())
-		res, err := SolveDistributed(w, p.X, p.Y, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	o := baseOpts(p, gamma, fstar)
+	o.Tol = 0
+	o.MaxIter = 90
+	o.K = 3
+	o.S = 1
+	o.EvalEvery = 9
+	packed, err := SolveDistributed(dist.NewWorld(3, perf.Comet()), p.X, p.Y, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	requireBitIdentical(t, "world-p3", run(true), run(false))
+	dense := worldSolveStages(t, 3, p, o, denseStages)
+	requireBitIdentical(t, "world-p3", packed, dense)
+	if dense.Cost.Words <= packed.Cost.Words {
+		t.Fatalf("reference shipped %d words, packed %d: denseRef is not running the dense format",
+			dense.Cost.Words, packed.Cost.Words)
+	}
 }
 
-// TestPackedRoundWordCount pins the exact communication volume: with
-// the packed format each round allreduces k*(d(d+1)/2 + d) words over
-// ceil(log2 P) tree levels; dense ships k*(d^2 + d).
+// TestPackedRoundWordCount pins the exact communication volume: each
+// round allreduces k*(d(d+1)/2 + d) words over ceil(log2 P) tree
+// levels — from Defaults() and from a bare Options literal alike, so
+// the wire format can never again hang on a field whose zero value
+// means dense (a hand-built Options then shipped k*(d^2 + d) words per
+// round without asking for it).
 func TestPackedRoundWordCount(t *testing.T) {
 	const (
 		d     = 9
@@ -93,47 +94,37 @@ func TestPackedRoundWordCount(t *testing.T) {
 		k     = 3
 	)
 	p := data.Generate(data.GenSpec{D: d, M: m, Density: 0.7, Lambda: 0.05, Seed: 77})
-	run := func(packed bool) *Result {
-		o := Defaults()
-		o.Lambda = p.Lambda
-		o.Gamma = GammaFromLipschitz(SampledLipschitz(p.X, p.Y, 0.2, 4, 77))
-		o.B = 0.2
-		o.K = k
-		o.MaxIter = 30
-		o.Tol = 0
-		o.VarianceReduced = false // isolate the Hessian allreduce
-		o.EvalEvery = 1000
-		o.PackedHessian = packed
-		w := dist.NewWorld(procs, perf.Comet())
-		res, err := SolveDistributed(w, p.X, p.Y, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
+	gamma := GammaFromLipschitz(SampledLipschitz(p.X, p.Y, 0.2, 4, 77))
+	// VarianceReduced stays off in both: isolate the Hessian allreduce.
+	literal := Options{Lambda: p.Lambda, Gamma: gamma, B: 0.2, K: k, MaxIter: 30, EvalEvery: 1000}
+	fromDefaults := Defaults()
+	fromDefaults.Lambda, fromDefaults.Gamma = p.Lambda, gamma
+	fromDefaults.B, fromDefaults.K = 0.2, k
+	fromDefaults.MaxIter, fromDefaults.EvalEvery = 30, 1000
+	fromDefaults.VarianceReduced = false
 
 	lg := int64(perf.Log2Ceil(procs))
-	packed := run(true)
-	rounds := int64(packed.Rounds)
-	if rounds == 0 {
-		t.Fatal("no rounds recorded")
-	}
-	wantPacked := rounds * lg * int64(k*(d*(d+1)/2+d))
-	if packed.Cost.Words != wantPacked {
-		t.Fatalf("packed words = %d, want rounds(%d)*lg(%d)*k(%d)*(d(d+1)/2+d) = %d",
-			packed.Cost.Words, rounds, lg, k, wantPacked)
-	}
-	if wantMsg := rounds * lg; packed.Cost.Messages != wantMsg {
-		t.Fatalf("packed messages = %d, want %d", packed.Cost.Messages, wantMsg)
-	}
-
-	dense := run(false)
-	wantDense := int64(dense.Rounds) * lg * int64(k*(d*d+d))
-	if dense.Cost.Words != wantDense {
-		t.Fatalf("dense words = %d, want %d", dense.Cost.Words, wantDense)
-	}
-	if packed.Cost.Words >= dense.Cost.Words {
-		t.Fatalf("packed did not reduce bandwidth: %d vs %d", packed.Cost.Words, dense.Cost.Words)
+	for _, c := range []struct {
+		name string
+		o    Options
+	}{{"Defaults()", fromDefaults}, {"Options literal", literal}} {
+		name, o := c.name, c.o
+		res, err := SolveDistributed(dist.NewWorld(procs, perf.Comet()), p.X, p.Y, o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rounds := int64(res.Rounds)
+		if rounds == 0 {
+			t.Fatalf("%s: no rounds recorded", name)
+		}
+		want := rounds * lg * int64(k*(d*(d+1)/2+d))
+		if res.Cost.Words != want {
+			t.Fatalf("%s: words = %d, want rounds(%d)*lg(%d)*k(%d)*(d(d+1)/2+d) = %d",
+				name, res.Cost.Words, rounds, lg, k, want)
+		}
+		if wantMsg := rounds * lg; res.Cost.Messages != wantMsg {
+			t.Fatalf("%s: messages = %d, want %d", name, res.Cost.Messages, wantMsg)
+		}
 	}
 }
 
@@ -173,8 +164,8 @@ func TestPackedVarianceReducedWordCount(t *testing.T) {
 func TestMoreRanksThanColumns(t *testing.T) {
 	// 8 ranks, 5 columns: ranks 5..7 own empty blocks and must still
 	// participate in every collective without panicking. Packed vs
-	// dense stays bit-identical at this rank count, and the result
-	// agrees with the sequential run up to allreduce summation-order
+	// the dense reference stays bit-identical at this rank count, and the
+	// result agrees with the sequential run up to allreduce summation-order
 	// round-off (the rank-invariance tolerance used elsewhere).
 	p := data.Generate(data.GenSpec{D: 4, M: 5, Density: 1, Lambda: 0.05, Seed: 79})
 	o := Defaults()
@@ -186,18 +177,11 @@ func TestMoreRanksThanColumns(t *testing.T) {
 	o.Tol = 0
 	o.EvalEvery = 4
 
-	run := func(packed bool) *Result {
-		oo := o
-		oo.PackedHessian = packed
-		w := dist.NewWorld(8, perf.Comet())
-		res, err := SolveDistributed(w, p.X, p.Y, oo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	wide, err := SolveDistributed(dist.NewWorld(8, perf.Comet()), p.X, p.Y, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wide := run(true)
-	requireBitIdentical(t, "ranks>cols packed-vs-dense", wide, run(false))
+	requireBitIdentical(t, "ranks>cols packed-vs-dense", wide, worldSolveStages(t, 8, p, o, denseStages))
 
 	seq := selfSolve(t, p, o)
 	for i := range seq.W {
@@ -234,18 +218,11 @@ func TestFullSampleWithOverlapAndReuse(t *testing.T) {
 			t.Fatalf("non-finite iterate: %v", seq.W)
 		}
 	}
-	run := func(packed bool) *Result {
-		oo := o
-		oo.PackedHessian = packed
-		w := dist.NewWorld(5, perf.Comet())
-		res, err := SolveDistributed(w, p.X, p.Y, oo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	par, err := SolveDistributed(dist.NewWorld(5, perf.Comet()), p.X, p.Y, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	par := run(true)
-	requireBitIdentical(t, "mbar==m packed-vs-dense", par, run(false))
+	requireBitIdentical(t, "mbar==m packed-vs-dense", par, worldSolveStages(t, 5, p, o, denseStages))
 	for i := range seq.W {
 		if math.Abs(par.W[i]-seq.W[i]) > 1e-10 {
 			t.Fatalf("W[%d] = %g (P=5) vs %g (seq)", i, par.W[i], seq.W[i])

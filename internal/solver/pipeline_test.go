@@ -169,18 +169,3 @@ func TestPipelineRepeatedRunsDeterministic(t *testing.T) {
 	}
 	requireBitIdentical(t, "pipeline-repeat", a, b)
 }
-
-// TestPipelineRejectsDeltaForm: the delta-form ablation shares the
-// blocking loop structure; combining it with Pipeline is rejected at
-// validation rather than silently ignored.
-func TestPipelineRejectsDeltaForm(t *testing.T) {
-	p, gamma, _ := testProblem(t, 8, 60, 1.0)
-	o := baseOpts(p, gamma, 0)
-	o.Tol = 0
-	o.Pipeline = true
-	o.UseDeltaForm = true
-	c := dist.NewSelfComm(perf.Comet())
-	if _, err := RCSFISTA(c, Partition(p.X, p.Y, 1, 0), o); err == nil {
-		t.Fatal("Pipeline+UseDeltaForm accepted")
-	}
-}

@@ -202,7 +202,6 @@ func DistProxNewtonContext(ctx context.Context, c dist.Comm, local LocalData, op
 		Seed:            opts.Seed,
 		EvalEvery:       opts.InnerIter,
 		TraceName:       name,
-		PackedHessian:   true,
 	}
 	return RCSFISTAContext(ctx, c, local, inner)
 }

@@ -33,8 +33,8 @@ var Partition = solvercore.Partition
 //	stage A: draw k sample index sets from the shared seed (no comm);
 //	stage B: compute k local partial (H_j, R_j) Gram instances,
 //	         concurrently across slots (disjoint buffer regions);
-//	stage C: ONE allreduce of the batch — k*(d(d+1)/2 + d) words in the
-//	         default packed symmetric format, k*(d^2 + d) dense;
+//	stage C: ONE allreduce of the batch — k*(d(d+1)/2 + d) words, each
+//	         slot the packed upper triangle of H_j followed by R_j;
 //	stage D: k*S local solution updates, S per Hessian instance.
 //
 // SFISTA is the k=1, S=1 special case; deterministic distributed FISTA
@@ -51,38 +51,19 @@ func RCSFISTA(c dist.Comm, local LocalData, opts Options) (*Result, error) {
 // — last checkpointed objective, counters, trace so far — alongside
 // the context's error.
 func RCSFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.UseDeltaForm && opts.S != 1 {
-		return nil, fmt.Errorf("solver: delta-form updates are implemented for S=1 only (got S=%d)", opts.S)
-	}
-	if local.X == nil || local.X.Cols != len(local.Y) {
-		return nil, fmt.Errorf("solver: inconsistent local data")
-	}
-	if gl, ok := opts.Reg.(prox.GroupL2); ok {
-		if err := gl.Check(local.X.Rows); err != nil {
-			return nil, err
-		}
-	}
-	tiers, err := parseTierConfig(opts.CompressTier)
+	e, err := newEngine(c, local, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateTierSupport(c, tiers); err != nil {
-		return nil, err
-	}
+	return e.run(ctx, e, e)
+}
 
-	e := newEngine(c, local, opts)
-	e.tiers = tiers
-	e.gradMapNorm = gradMapNormInit()
-	e.tierBestObj = math.Inf(1)
-	e.tierCap = dist.TierI8
-	var pass solvercore.InnerPass = e
-	if opts.UseDeltaForm {
-		pass = newDeltaPass(e)
-	}
+// run drives the solve on solvercore.Loop with the given stage A/B
+// filler and stage D pass. Production passes the engine itself for
+// both; the dense-slot and Eq. 16-17 delta-form reference
+// implementations held by the tests plug their own in here.
+func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solvercore.InnerPass) (*Result, error) {
+	opts := e.opts
 	if opts.VarianceReduced {
 		e.refreshSnapshot()
 	}
@@ -106,12 +87,12 @@ func RCSFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Opt
 		Ctx:      ctx,
 		Comm:     e.c,
 		Rec:      e.rec,
-		Fill:     e,
+		Fill:     fill,
 		Exchange: e.exch,
 		Pass:     pass,
 		Stop:     e,
 		Pipeline: opts.Pipeline,
-		CommCost: e.commCost(e.BatchLen()),
+		CommCost: e.commCost(fill.BatchLen()),
 	}
 	if opts.ActiveSet {
 		// The batch length moves with the working set; price each
@@ -120,7 +101,7 @@ func RCSFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Opt
 		// the dense path so golden modeled costs are untouched.
 		spec.CommCostOf = e.commCost
 	}
-	err = solvercore.Loop(spec)
+	err := solvercore.Loop(spec)
 	if err == nil && !e.rec.Converged && e.sinceEval != 0 {
 		e.rec.Converged = e.checkpoint()
 	}
@@ -159,13 +140,6 @@ type engine struct {
 	// prox.Screener (Validate guarantees it under ActiveSet).
 	scr prox.Screener
 	src rng.Source
-
-	// Batched Gram wire format: k slots of (hLen Hessian + d R). hLen
-	// is d(d+1)/2 in the default packed symmetric format, d^2 dense.
-	// The buffers themselves belong to the Loop.
-	hLen    int
-	slotLen int
-	packed  bool
 
 	wPrev, wCurr, v, grad, tmp []float64
 	scratch                    []float64 // length mLocal
@@ -209,7 +183,29 @@ type engine struct {
 	exch *solvercore.TieredExchanger
 }
 
-func newEngine(c dist.Comm, local LocalData, opts Options) *engine {
+// newEngine validates one rank's solve inputs — the options (defaults
+// applied), the local block, the wire tiers against what c can carry —
+// and builds its run state.
+func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
+	opts = opts.withDefaults()
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if local.X == nil || local.X.Cols != len(local.Y) {
+		return nil, fmt.Errorf("solver: inconsistent local data")
+	}
+	if gl, ok := opts.Reg.(prox.GroupL2); ok {
+		if err := gl.Check(local.X.Rows); err != nil {
+			return nil, err
+		}
+	}
+	tiers, err := parseTierConfig(opts.CompressTier)
+	if err != nil {
+		return nil, err
+	}
+	if err := validateTierSupport(c, tiers); err != nil {
+		return nil, err
+	}
 	d := local.X.Rows
 	m := local.MGlobal
 	mbar := int(opts.B * float64(m))
@@ -223,19 +219,12 @@ func newEngine(c dist.Comm, local LocalData, opts Options) *engine {
 	if name == "" {
 		name = fmt.Sprintf("rcsfista-k%d-s%d", opts.K, opts.S)
 	}
-	hLen := d * d
-	if opts.PackedHessian {
-		hLen = mat.PackedLen(d)
-	}
 	e := &engine{
 		c: c, local: local, opts: opts,
 		d: d, m: m, mbar: mbar,
 		gamma:   opts.Gamma,
 		reg:     opts.Reg,
 		src:     rng.NewSource(opts.Seed),
-		hLen:    hLen,
-		slotLen: hLen + d,
-		packed:  opts.PackedHessian,
 		wPrev:   make([]float64, d),
 		wCurr:   make([]float64, d),
 		v:       make([]float64, d),
@@ -243,6 +232,11 @@ func newEngine(c dist.Comm, local LocalData, opts Options) *engine {
 		tmp:     make([]float64, d),
 		scratch: make([]float64, local.X.Cols),
 		t:       1,
+
+		tiers:       tiers,
+		gradMapNorm: gradMapNormInit(),
+		tierBestObj: math.Inf(1),
+		tierCap:     dist.TierI8,
 	}
 	if s, ok := opts.Reg.(prox.Screener); ok {
 		e.scr = s
@@ -276,16 +270,17 @@ func newEngine(c dist.Comm, local LocalData, opts Options) *engine {
 		MaxRetries: opts.MaxRetries,
 		Backoff:    opts.RetryBackoff,
 	}
-	return e
+	return e, nil
 }
 
-// BatchLen is the wire length of one k-slot batch. Under ActiveSet it
-// shrinks with the current working set: k * (|A|(|A|+1)/2 + d) words.
+// BatchLen is the wire length of one k-slot batch: k * (a(a+1)/2 + d)
+// words, where a = d, or under ActiveSet the current working set's |A|.
 func (e *engine) BatchLen() int {
+	a := e.d
 	if e.as != nil {
-		return e.opts.K * (mat.PackedLen(len(e.as.act)) + e.d)
+		a = len(e.as.act)
 	}
-	return e.opts.K * e.slotLen
+	return e.opts.K * (mat.PackedLen(a) + e.d)
 }
 
 // Fill computes the local partial (H_j, R_j) instances of slots
@@ -337,15 +332,13 @@ func (e *engine) Fill(buf []float64) perf.Cost {
 	return fill
 }
 
-// slotView interprets slot j of an (allreduced) batch buffer as its
-// Hessian operator and R vector, in whichever wire format the engine is
-// configured for.
-func (e *engine) slotView(batch []float64, j int) (Hessian, []float64) {
-	slot := batch[j*e.slotLen : (j+1)*e.slotLen]
-	if e.packed {
-		return mat.SymPackedOf(e.d, slot[:e.hLen]), slot[e.hLen:]
-	}
-	return mat.DenseOf(e.d, e.d, slot[:e.hLen]), slot[e.hLen:]
+// slotView interprets slot j of a batch buffer laid out on an
+// a-coordinate working set (a = d without screening) as the packed
+// a x a Hessian instance and the full-length R vector that follows it.
+func (e *engine) slotView(batch []float64, j, a int) (*mat.SymPacked, []float64) {
+	pl := mat.PackedLen(a)
+	slot := batch[j*(pl+e.d) : (j+1)*(pl+e.d)]
+	return mat.SymPackedOf(a, slot[:pl]), slot[pl:]
 }
 
 // update performs one solution update (Algorithm 5 lines 9-15 for a
@@ -410,35 +403,44 @@ func (e *engine) Process(shared []float64) bool {
 	if e.as != nil {
 		return e.processActive(shared)
 	}
-	opts := e.opts
-	for j := 0; j < opts.K; j++ {
-		h, r := e.slotView(shared, j)
-		for s := 0; s < opts.S; s++ {
+	for j := 0; j < e.opts.K; j++ {
+		h, r := e.slotView(shared, j, e.d)
+		for s := 0; s < e.opts.S; s++ {
 			e.update(h, r)
-			e.sinceSnap++
-			e.sinceEval++
-			if opts.VarianceReduced && e.sinceSnap >= opts.EpochLen {
-				e.refreshSnapshot()
-				e.sinceSnap = 0
-				if e.gradMapStop {
-					e.checkpoint()
-					e.rec.Converged = true
-					return true
-				}
-			}
-			if e.sinceEval >= opts.EvalEvery {
-				e.sinceEval = 0
-				if e.checkpoint() {
-					e.rec.Converged = true
-					return true
-				}
-			}
-			if e.rec.Iter >= opts.MaxIter {
+			if e.afterUpdate() {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// afterUpdate is the bookkeeping every solution update is followed by,
+// dense or screened: the variance-reduction snapshot refresh (with its
+// gradient-map stop) when the epoch is full, the trace checkpoint when
+// one is due, then the iteration budget. It reports true when the
+// solve must stop.
+func (e *engine) afterUpdate() (stop bool) {
+	opts := &e.opts
+	e.sinceSnap++
+	e.sinceEval++
+	if opts.VarianceReduced && e.sinceSnap >= opts.EpochLen {
+		e.refreshSnapshot()
+		e.sinceSnap = 0
+		if e.gradMapStop {
+			e.checkpoint()
+			e.rec.Converged = true
+			return true
+		}
+	}
+	if e.sinceEval >= opts.EvalEvery {
+		e.sinceEval = 0
+		if e.checkpoint() {
+			e.rec.Converged = true
+			return true
+		}
+	}
+	return e.rec.Iter >= opts.MaxIter
 }
 
 // finish packages the result.

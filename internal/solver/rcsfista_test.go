@@ -140,8 +140,9 @@ func TestRankCountInvariance(t *testing.T) {
 }
 
 func TestDeltaFormEquivalence(t *testing.T) {
-	// Eqs. 16-17 are algebraically identical to the direct updates;
-	// floating point differences must stay at round-off scale.
+	// Eqs. 16-17 are algebraically identical to the direct updates the
+	// engine runs; against the test-held deltaPass, floating point
+	// differences must stay at round-off scale.
 	p, gamma, fstar := testProblem(t, 20, 300, 0.5)
 	o := baseOpts(p, gamma, fstar)
 	o.Tol = 0
@@ -152,9 +153,7 @@ func TestDeltaFormEquivalence(t *testing.T) {
 	// decision can flip.
 	o.MaxIter = 40
 	direct := selfSolve(t, p, o)
-	od := o
-	od.UseDeltaForm = true
-	delta := selfSolve(t, p, od)
+	delta := selfSolveStages(t, p, o, deltaStages)
 	var maxDiff float64
 	for i := range direct.W {
 		maxDiff = math.Max(maxDiff, math.Abs(direct.W[i]-delta.W[i]))
@@ -168,23 +167,10 @@ func TestDeltaFormEquivalence(t *testing.T) {
 	// but both forms must still reach the same objective level.
 	o.MaxIter = 600
 	direct = selfSolve(t, p, o)
-	od.MaxIter = 600
-	delta = selfSolve(t, p, od)
+	delta = selfSolveStages(t, p, o, deltaStages)
 	if re := math.Abs(direct.FinalObj-delta.FinalObj) / direct.FinalObj; re > 1e-2 {
 		t.Fatalf("delta and direct objectives differ by %g relative (%g vs %g)",
 			re, delta.FinalObj, direct.FinalObj)
-	}
-}
-
-func TestDeltaFormRejectsS(t *testing.T) {
-	p, gamma, _ := testProblem(t, 8, 60, 1.0)
-	o := baseOpts(p, gamma, math.NaN())
-	o.Tol = 0 // NaN FStar: the relative-error stop would be rejected
-	o.UseDeltaForm = true
-	o.S = 3
-	c := dist.NewSelfComm(perf.Comet())
-	if _, err := RCSFISTA(c, Partition(p.X, p.Y, 1, 0), o); err == nil {
-		t.Fatal("expected error for delta form with S > 1")
 	}
 }
 

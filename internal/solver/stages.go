@@ -5,7 +5,6 @@ package solver
 // rcsfista.go.
 
 import (
-	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
@@ -32,13 +31,6 @@ func (e *engine) fillSlotAt(j, base int, buf []float64, cost *perf.Cost) {
 	}
 	global := e.sampleSlot(base + j)
 	cols := e.local.LocalCols(global)
-	slot := buf[j*e.slotLen : (j+1)*e.slotLen]
-	scale := 1 / float64(e.mbar)
-	if e.packed {
-		h := mat.SymPackedOf(e.d, slot[:e.hLen])
-		sparse.SampledGramPacked(e.local.X, h, slot[e.hLen:], e.local.Y, cols, scale, cost)
-	} else {
-		h := mat.DenseOf(e.d, e.d, slot[:e.hLen])
-		sparse.SampledGram(e.local.X, h, slot[e.hLen:], e.local.Y, cols, scale, cost)
-	}
+	h, r := e.slotView(buf, j, e.d)
+	sparse.SampledGramPacked(e.local.X, h, r, e.local.Y, cols, 1/float64(e.mbar), cost)
 }
