@@ -37,6 +37,52 @@ func BenchmarkAllreduceShared(b *testing.B) {
 	}
 }
 
+// BenchmarkAllreduceSharedTCP times the f64 shared allreduce over
+// loopback sockets inside one World.Run, so an iteration is one
+// steady-state collective — no mesh set-up, warmed buffers — at a
+// scalar, a vector, the d=54 k=8 Hessian batch and the 4.9 MB batch of
+// the ls_bw_tcp workload. MB/s is payload bytes per rank per second;
+// B/op and allocs/op cover all P ranks of the process.
+func BenchmarkAllreduceSharedTCP(b *testing.B) {
+	tcp, err := LookupBackend("tcp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tcp.Supported(); err != nil {
+		b.Skip(err)
+	}
+	for _, p := range []int{2, 4, 8} {
+		for _, n := range []int{1, 1539, 12312, 619464} {
+			b.Run(fmt.Sprintf("P=%d/n=%d", p, n), func(b *testing.B) {
+				w, err := tcp.NewWorld(p, unitMachine())
+				if err != nil {
+					b.Fatal(err)
+				}
+				local := benchWords(n)
+				b.SetBytes(int64(8 * n))
+				b.ReportAllocs()
+				if err := w.Run(func(c Comm) error {
+					c.AllreduceShared(local)
+					c.Barrier()
+					if c.Rank() == 0 {
+						b.ResetTimer()
+					}
+					for i := 0; i < b.N; i++ {
+						c.AllreduceShared(local)
+					}
+					c.Barrier()
+					if c.Rank() == 0 {
+						b.StopTimer()
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTierRoundWords exercises the per-tier wire rounding kernel
 // and reports the modeled words one rank ships per tree level for a
 // 4096-value allreduce at P=8. The words/round metric is what the

@@ -467,7 +467,7 @@ func tieredPayload(rank, n int) []float64 {
 		s[i] = math.Sin(float64(i*7+rank*3)) * math.Pow(10, float64(i%5-2))
 	}
 	s[0] = math.Copysign(0, -1)
-	if rank == 1 {
+	if rank == 1 && n > 1 {
 		s[1] = math.Float64frombits(0x7ff8_0000_dead_beef)
 	}
 	if n > 2 {

@@ -2,17 +2,19 @@ package dist
 
 import "fmt"
 
-// TCP collectives. Every collective is hub-based: contributors send
-// FrameContrib to the hub (rank 0, or the call's root), the hub
-// combines in ascending rank order starting from its own buffer — the
-// exact arithmetic sequence of the chan backend's reductions — and
-// FrameResult carries the combined payload back. All ranks issue
-// collectives in identical program order (the MPI contract the chan
-// backend already relies on), so a single per-rank sequence counter
-// matches the frames up without any extra synchronization. Costs go
-// through the same shared accounting helpers as the chan backend,
-// which is what keeps the golden fixtures' Cost counters bit-identical
-// across transports.
+// TCP collectives. Every collective in this file is hub-based:
+// contributors send FrameContrib to the hub (rank 0, or the call's
+// root), the hub combines in ascending rank order starting from its own
+// buffer — the exact arithmetic sequence of the chan backend's
+// reductions — and FrameResult carries the combined payload back. The
+// shared sum-allreduce, which moves the Hessian batches, spreads the
+// same rank-order sum over segment owners instead (tcpshared.go). All
+// ranks issue collectives in identical program order (the MPI contract
+// the chan backend already relies on), so a single per-rank sequence
+// counter matches the frames up without any extra synchronization.
+// Costs go through the same shared accounting helpers as the chan
+// backend, which is what keeps the golden fixtures' Cost counters
+// bit-identical across transports.
 
 // collSeq consumes the next collective sequence number.
 func (c *TCPComm) collSeq() uint32 {
@@ -108,58 +110,6 @@ func (c *TCPComm) allreduceSharedTier(local []float64, tier Tier) []float64 {
 
 func (c *TCPComm) iallreduceSharedTier(local []float64, tier Tier) *Request {
 	return c.postShared(local, tier, kindIAllreduceShared)
-}
-
-// postShared is the shared sum-allreduce at every tier. Contributors
-// ship their RAW payload in the tier's contribution frame at post time
-// and overlap compute with the wire transfer — encoding the frame IS
-// the uplink quantization, so the hub's readLoop decodes exactly
-// round(local). The hub defers combining to Wait (every rank posts in
-// the same program order, so the contributions for this sequence
-// number are unambiguous): it quantizes its own raw contribution in
-// process, adds the decoded contributions in rank order in float64 and
-// broadcasts that raw sum in the tier's result frame — the frame
-// encode is the single downlink quantization, so every remote decodes
-// exactly round(sum), the same value the hub keeps by rounding the sum
-// in process. (Broadcasting a pre-quantized sum instead would
-// re-quantize it on the wire, and the i8 codec is not idempotent.)
-// This is combine with the roundings the codec already applied left
-// out, so the result is bit-identical to the chan backend's. Cost is
-// charged at Wait, exactly like the chan backend.
-func (c *TCPComm) postShared(local []float64, tier Tier, base int) *Request {
-	if c.size == 1 {
-		return completedRequest(combineOne(local, tier))
-	}
-	spec, n, seq := &tiers[tier], len(local), c.collSeq()
-	if c.rank != 0 {
-		c.sendTo(0, Frame{Kind: spec.contrib, Rank: uint32(c.rank), Seq: seq, Payload: local})
-	}
-	return &Request{wait: func() []float64 {
-		var res []float64
-		if c.rank != 0 {
-			res = c.waitResult(seq)
-			if len(res) != n {
-				panic(fmt.Sprintf("dist: AllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
-					len(res), c.rank, n))
-			}
-		} else {
-			set := c.waitContribs(seq, spec.contrib)
-			res = make([]float64, n)
-			spec.round(res, local)
-			for r := 1; r < c.size; r++ {
-				if len(set.bufs[r]) != n {
-					panic(fmt.Sprintf("dist: AllreduceShared length mismatch: rank 0 has %d, rank %d has %d",
-						n, r, len(set.bufs[r])))
-				}
-				OpSum.combine(res, set.bufs[r])
-			}
-			c.bcastResult(seq, spec.result, res)
-			spec.round(res, res)
-		}
-		c.prof.record(sharedKind(base, tier), n)
-		chargeAllreduceTier(&c.cost, c.size, n, tier)
-		return res
-	}}
 }
 
 // Bcast copies root's buf into every rank's buf.

@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -61,7 +59,8 @@ func (e *TransportError) Error() string {
 func (e *TransportError) Unwrap() error { return e.Err }
 
 // contribSet collects the P-1 remote contributions of one collective
-// sequence number at its combining hub.
+// sequence number at the rank that combines them: the hub of a rooted
+// collective, or the owner of a shared-allreduce segment.
 type contribSet struct {
 	bufs  [][]float64
 	kinds []FrameKind // the frame kind each contribution arrived in
@@ -76,15 +75,20 @@ type tcpPeer struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	wbuf []byte
+	// nextContrib is the least sequence number the peer's next
+	// contribution frame may carry; only the connection's reader
+	// touches it.
+	nextContrib uint32
 }
 
 // TCPComm is one rank's communicator over a full TCP mesh. Collectives
-// are combined in rank order at a designated hub rank (rank 0, or the
-// call's root), so results are bit-for-bit identical to the in-process
-// channels backend, and every operation charges the same shared
-// accounting helpers — same message counts, same word counts. Create
-// it through the "tcp" backend (in-process ranks over loopback) or
-// Connect (one rank per OS process).
+// are combined in ascending rank order — the shared sum-allreduce
+// segment by segment at each segment's owner (tcpshared.go), the rest
+// at a designated hub rank (rank 0, or the call's root) — so results
+// are bit-for-bit identical to the in-process channels backend, and
+// every operation charges the same shared accounting helpers — same
+// message counts, same word counts. Create it through the "tcp" backend
+// (in-process ranks over loopback) or Connect (one rank per OS process).
 type TCPComm struct {
 	tierForwarders
 	rank    int
@@ -100,7 +104,10 @@ type TCPComm struct {
 	mu       sync.Mutex
 	results  map[uint32]chan []float64
 	contribs map[uint32]*contribSet
-	p2pq     []chan []float64 // per-source FIFO, buffered like the chan backend
+	ops      map[uint32]*sharedOp // posted shared allreduces, until their Wait returns
+	free     [][]float64          // recycled contribution buffers (getBuf/putBuf)
+	evict    int                  // next free slot to overwrite once the list is full
+	p2pq     []chan []float64     // per-source FIFO, buffered like the chan backend
 
 	abort    chan struct{}
 	abortMu  sync.Mutex
@@ -123,6 +130,7 @@ func newTCPComm(rank, size int, conns []net.Conn, machine perf.Machine, opts TCP
 		peers:    make([]*tcpPeer, size),
 		results:  make(map[uint32]chan []float64),
 		contribs: make(map[uint32]*contribSet),
+		ops:      make(map[uint32]*sharedOp),
 		p2pq:     make([]chan []float64, size),
 		abort:    make(chan struct{}),
 	}
@@ -218,55 +226,17 @@ func (c *TCPComm) abortPanic() {
 	panic(v)
 }
 
-// readLoop drains one mesh connection, demultiplexing frames into the
-// result/contribution/point-to-point tables.
-func (c *TCPComm) readLoop(peer int, conn net.Conn) {
-	defer c.wg.Done()
-	br := bufio.NewReaderSize(conn, 1<<16)
-	for {
-		if c.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-		}
-		f, err := ReadFrame(br)
-		if err != nil {
-			if err == io.EOF {
-				// The peer finished its program and closed cleanly
-				// between frames; everything it sent is already
-				// delivered (TCP flushes before FIN). Ranks finish at
-				// different times, so this is the normal shutdown
-				// path, not a failure. A peer that dies mid-frame
-				// surfaces as io.ErrUnexpectedEOF below instead.
-				return
-			}
-			if !c.closed.Load() {
-				c.fail(peer, "read", err)
-			}
-			return
-		}
-		switch codec := f.Kind.codec(); f.Kind {
-		case codec.contrib:
-			c.addContrib(f)
-		case codec.result:
-			c.resultCh(f.Seq) <- f.Payload
-		case FrameP2P:
-			select {
-			case c.p2pq[peer] <- f.Payload:
-			case <-c.abort:
-				return
-			}
-		default:
-			c.fail(peer, "read", fmt.Errorf("unexpected %d frame mid-stream", f.Kind))
-			return
-		}
-	}
-}
-
 // sendTo writes one frame to the peer, serialized per connection.
-func (c *TCPComm) sendTo(rank int, f Frame) {
+func (c *TCPComm) sendTo(rank int, f Frame) { c.sendAt(rank, f, 0) }
+
+// sendAt is sendTo for a payload that is the slice at value offset off
+// of a collective's payload (appendFrameAt). The frame is encoded in
+// one pass into the connection's write buffer, which is kept.
+func (c *TCPComm) sendAt(rank int, f Frame, off int) {
 	p := c.peers[rank]
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	p.wbuf = AppendFrame(p.wbuf[:0], f)
+	p.wbuf = appendFrameAt(p.wbuf[:0], f, off)
 	p.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
 	if _, err := p.conn.Write(p.wbuf); err != nil {
 		c.fail(rank, "write", err)
@@ -314,7 +284,7 @@ func (c *TCPComm) waitResult(seq uint32) []float64 {
 }
 
 // contribSetFor returns (creating if needed) the contribution set of
-// collective seq at this hub.
+// collective seq at this rank.
 func (c *TCPComm) contribSetFor(seq uint32) *contribSet {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -327,11 +297,11 @@ func (c *TCPComm) contribSetFor(seq uint32) *contribSet {
 	return set
 }
 
-// addContrib records contribution frame f for its collective.
-func (c *TCPComm) addContrib(f Frame) {
-	set := c.contribSetFor(f.Seq)
+// addContrib records peer's contribution to collective seq.
+func (c *TCPComm) addContrib(peer int, seq uint32, kind FrameKind, payload []float64) {
+	set := c.contribSetFor(seq)
 	c.mu.Lock()
-	set.bufs[f.Rank], set.kinds[f.Rank] = f.Payload, f.Kind
+	set.bufs[peer], set.kinds[peer] = payload, kind
 	set.got++
 	done := set.got == set.need
 	c.mu.Unlock()
@@ -342,9 +312,7 @@ func (c *TCPComm) addContrib(f Frame) {
 
 // waitContribs blocks until all P-1 remote contributions for seq have
 // arrived, then removes and returns the set. Every contribution must
-// have arrived in a frame of kind want: a peer that entered the
-// collective at another tier (multi-process mode takes the tier per OS
-// process) would otherwise be summed into a quietly wrong result.
+// have arrived in a frame of kind want (tierMismatch).
 func (c *TCPComm) waitContribs(seq uint32, want FrameKind) *contribSet {
 	set := c.contribSetFor(seq)
 	select {
@@ -363,9 +331,7 @@ func (c *TCPComm) waitContribs(seq uint32, want FrameKind) *contribSet {
 	c.mu.Unlock()
 	for r, k := range set.kinds {
 		if r != c.rank && k != want {
-			panic(&TransportError{Rank: c.rank, Peer: r, Op: "combine", Err: fmt.Errorf(
-				"tier mismatch in collective %d: rank %d runs %s, rank %d sent %s",
-				seq, c.rank, want.codec().name, r, k.codec().name)})
+			panic(&TransportError{Rank: c.rank, Peer: r, Op: "combine", Err: tierMismatch(seq, c.rank, want, r, k)})
 		}
 	}
 	return set

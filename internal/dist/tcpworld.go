@@ -11,12 +11,12 @@ import (
 
 // tcpBackend runs worlds over real TCP sockets on loopback: P rank
 // goroutines in this process, connected by a full mesh of localhost
-// connections moving wire frames. Collectives combine in rank order at
-// a hub, so results — and, through the shared accounting helpers, cost
-// counters — are bit-identical to the chan backend. It is the same
-// communicator multi-process runs use (Connect/Launch); the in-process
-// world exists so the whole test and golden suite can exercise the
-// real wire path in one process.
+// connections moving wire frames. Collectives combine in rank order (at
+// a hub, or at each segment's owner), so results — and, through the
+// shared accounting helpers, cost counters — are bit-identical to the
+// chan backend. It is the same communicator multi-process runs use
+// (Connect/Launch); the in-process world exists so the whole test and
+// golden suite can exercise the real wire path in one process.
 type tcpBackend struct{}
 
 func (tcpBackend) Name() string { return "tcp" }
@@ -208,6 +208,12 @@ func (w *tcpWorld) Run(fn func(c Comm) error) error {
 		return err
 	}
 	abortAll := func() {
+		// Every rank learns of the teardown before the first socket
+		// closes, so none reports a sibling's closed connection as a
+		// transport failure that Run would return ahead of the cause.
+		for _, c := range comms {
+			c.closed.Store(true)
+		}
 		for _, c := range comms {
 			c.Abort()
 		}

@@ -11,8 +11,9 @@ import (
 // compression) > i8 (the chunked dithered quantizer of wirei8.go).
 // Every tier's arithmetic is fixed across backends — contributions
 // quantized with the tier's rounding, summed in rank order in float64
-// at the hub, sum quantized once — so results are bit-identical on
-// chan, tcp and self whether or not bytes actually move.
+// (by one in-process combiner, or segment by segment at each segment's
+// owner over tcp), sum quantized once — so results are bit-identical
+// on chan, tcp and self whether or not bytes actually move.
 type Tier int
 
 // Compression tiers, finest first.
@@ -32,9 +33,12 @@ type tierSpec struct {
 	// round writes into dst the value src takes after one trip through
 	// the tier's wire (dst and src may alias); addRounded is the fused
 	// res[i] += round(src)[i]. Both work on whole slices so the f64 and
-	// f32 inner loops stay single-pass with no per-element call.
-	round      func(dst, src []float64)
-	addRounded func(res, src []float64)
+	// f32 inner loops stay single-pass with no per-element call. src is
+	// the slice at value offset off of the collective's payload (0 for
+	// the whole of it): a position-keyed tier (i8) rounds a segment as
+	// that range of the whole payload, given off on a chunk boundary.
+	round      func(dst, src []float64, off int)
+	addRounded func(res, src []float64, off int)
 	// words is the accounting footprint (64-bit words per tree level)
 	// of n values; beta the fitted inverse bandwidth under m.
 	words func(n int) int64
@@ -44,7 +48,7 @@ type tierSpec struct {
 	// Encoding IS the quantization: decode(append(x)) == round(x).
 	contrib, result FrameKind
 	payloadBytes    func(n int) int
-	appendPayload   func(dst []byte, vals []float64) []byte
+	appendPayload   func(dst []byte, vals []float64, off int) []byte
 	decodePayload   func(dst []float64, body []byte)
 	// capable, allreduce and post reach the tier on an arbitrary Comm
 	// through the public capability interfaces below.
@@ -56,8 +60,8 @@ type tierSpec struct {
 var tiers = [...]tierSpec{
 	TierF64: {
 		name:  "f64",
-		round: func(dst, src []float64) { copy(dst, src) },
-		addRounded: func(res, src []float64) {
+		round: func(dst, src []float64, _ int) { copy(dst, src) },
+		addRounded: func(res, src []float64, _ int) {
 			for i, v := range src {
 				res[i] += v
 			}
@@ -74,12 +78,12 @@ var tiers = [...]tierSpec{
 	},
 	TierF32: {
 		name: "f32",
-		round: func(dst, src []float64) {
+		round: func(dst, src []float64, _ int) {
 			for i, v := range src {
 				dst[i] = F32Round(v)
 			}
 		},
-		addRounded: func(res, src []float64) {
+		addRounded: func(res, src []float64, _ int) {
 			for i, v := range src {
 				res[i] += F32Round(v)
 			}
@@ -96,8 +100,8 @@ var tiers = [...]tierSpec{
 	},
 	TierI8: {
 		name:       "i8",
-		round:      I8RoundSlice,
-		addRounded: func(res, src []float64) { i8RoundInto(res, src, true) },
+		round:      func(dst, src []float64, off int) { i8RoundInto(dst, src, off, false) },
+		addRounded: func(res, src []float64, off int) { i8RoundInto(res, src, off, true) },
 		words:      perf.I8Words,
 		beta:       perf.Machine.I8Beta,
 		contrib:    FrameContribI8, result: FrameResultI8,
@@ -167,7 +171,7 @@ func EffectiveTier(t Tier, n int) Tier {
 // for f32, I8RoundSlice for i8. dst and src may alias. Callers use it
 // to derive error-feedback residuals locally (resid = z - Round(z)),
 // which is deterministic and identical on every rank.
-func TierRound(dst, src []float64, t Tier) { tiers[t].round(dst, src) }
+func TierRound(dst, src []float64, t Tier) { tiers[t].round(dst, src, 0) }
 
 // combine is the single definition of the shared sum-allreduce
 // arithmetic at every tier. Contributions arrive RAW (unquantized
@@ -176,19 +180,19 @@ func TierRound(dst, src []float64, t Tier) { tiers[t].round(dst, src) }
 // contributions are quantized once each and added in rank order in
 // float64, and the sum is quantized once more for the downlink. The i8
 // quantizer is not idempotent, so this once-per-hop discipline is what
-// keeps an in-process hub and a tcp hub — which receives contributions
-// already quantized by the frame codec and broadcasts the raw
-// rank-order sum for the result frame's encode to quantize — bit-
+// keeps an in-process combiner and a tcp segment owner — which receives
+// contributions already quantized by the frame codec and sends out the
+// raw rank-order sum for the result frame's encode to quantize — bit-
 // identical: decode(encode(x)) == round(x) on both sides of every hop.
 // f32 (idempotent rounding) and f64 (the identity: copy, then
 // res[i] += v) are special cases of the same sequence.
 func combine(res []float64, contrib [][]float64, t Tier) {
 	spec := &tiers[t]
-	spec.round(res, contrib[0])
+	spec.round(res, contrib[0], 0)
 	for _, c := range contrib[1:] {
-		spec.addRounded(res, c)
+		spec.addRounded(res, c, 0)
 	}
-	spec.round(res, res)
+	spec.round(res, res, 0)
 }
 
 // combineOne is the single-rank collective: a fresh slice holding

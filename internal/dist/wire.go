@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // The TCP transport moves float64 payloads in length-prefixed frames.
@@ -28,7 +29,8 @@ type FrameKind uint8
 
 // Frame kinds. Hello opens a mesh connection and authenticates the
 // dialer's rank; Contrib carries a rank's collective contribution to
-// the combining hub; Result carries the hub's rank-order-combined
+// the rank that combines it (the hub of a rooted collective, the owner
+// of a shared-allreduce segment); Result carries the rank-order-combined
 // result back; P2P carries a Send/Recv message. The F32 variants are
 // the compressed-payload collective frames: the payload ships as
 // 32-bit IEEE-754 words (the header's length field counts those 4-byte
@@ -89,7 +91,13 @@ var (
 // extended slice. It panics when the payload exceeds MaxFrameWords:
 // oversized frames are a programming error on the send side, not a
 // recoverable wire condition.
-func AppendFrame(dst []byte, f Frame) []byte {
+func AppendFrame(dst []byte, f Frame) []byte { return appendFrameAt(dst, f, 0) }
+
+// appendFrameAt is AppendFrame for a payload that is the slice starting
+// at value offset off of a larger collective payload: a position-keyed
+// codec (i8) encodes it to exactly the bytes that range takes in the
+// encoding of the whole, provided off is a multiple of its chunk length.
+func appendFrameAt(dst []byte, f Frame, off int) []byte {
 	if len(f.Payload) > MaxFrameWords {
 		panic(fmt.Sprintf("dist: frame payload %d words exceeds MaxFrameWords", len(f.Payload)))
 	}
@@ -99,15 +107,22 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	binary.LittleEndian.PutUint32(hdr[8:12], f.Seq)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(f.Payload)))
 	dst = append(dst, hdr[:]...)
-	return f.Kind.codec().appendPayload(dst, f.Payload)
+	return f.Kind.codec().appendPayload(dst, f.Payload, off)
+}
+
+// extend grows dst by n bytes in one step and returns the extended
+// slice and the new tail, which the payload encoders fill in place: one
+// capacity check per frame instead of one per word.
+func extend(dst []byte, n int) (all, tail []byte) {
+	all = slices.Grow(dst, n)[:len(dst)+n]
+	return all, all[len(dst):]
 }
 
 // appendF64Payload appends vals as little-endian float64 bit patterns.
-func appendF64Payload(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
-		dst = append(dst, w[:]...)
+func appendF64Payload(dst []byte, vals []float64, _ int) []byte {
+	dst, out := extend(dst, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 	}
 	return dst
 }
@@ -166,31 +181,70 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	return f, total, nil
 }
 
+// frameReader reads frames off one stream through a reusable body
+// scratch, so a long-lived connection allocates per frame only what the
+// caller keeps (the decoded payload), not the bytes it arrived in.
+type frameReader struct {
+	r    io.Reader
+	hdr  [WireHeaderLen]byte
+	body []byte
+}
+
+// header reads and validates the next frame header, returning the
+// frame without its payload and the payload length in values. A clean
+// EOF before any header byte returns io.EOF.
+func (fr *frameReader) header() (Frame, int, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return Frame{}, 0, err
+	}
+	kind, rank, seq, nwords, err := parseHeader(fr.hdr[:])
+	return Frame{Kind: kind, Rank: rank, Seq: seq}, nwords, err
+}
+
+// payload reads the body of a kind frame whose header announced
+// len(dst) payload values and decodes it into dst.
+func (fr *frameReader) payload(kind FrameKind, dst []float64) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	codec := kind.codec()
+	n := codec.payloadBytes(len(dst))
+	if cap(fr.body) < n {
+		fr.body = make([]byte, n)
+	}
+	body := fr.body[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	codec.decodePayload(dst, body)
+	return nil
+}
+
+// fresh reads the body of a kind frame of nwords values into a newly
+// allocated payload the caller may retain.
+func (fr *frameReader) fresh(kind FrameKind, nwords int) ([]float64, error) {
+	if nwords == 0 {
+		return nil, nil
+	}
+	payload := make([]float64, nwords)
+	return payload, fr.payload(kind, payload)
+}
+
 // ReadFrame reads exactly one frame from r. A clean EOF before any
 // header byte returns io.EOF (the peer closed between frames); a
 // truncation inside a frame returns io.ErrUnexpectedEOF. The payload
 // is freshly allocated per frame, so callers may retain it.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [WireHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	fr := frameReader{r: r}
+	f, nwords, err := fr.header()
+	if err == nil {
+		f.Payload, err = fr.fresh(f.Kind, nwords)
 	}
-	kind, rank, seq, nwords, err := parseHeader(hdr[:])
 	if err != nil {
 		return Frame{}, err
-	}
-	f := Frame{Kind: kind, Rank: rank, Seq: seq}
-	if nwords > 0 {
-		codec := kind.codec()
-		body := make([]byte, codec.payloadBytes(nwords))
-		if _, err := io.ReadFull(r, body); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Frame{}, err
-		}
-		f.Payload = make([]float64, nwords)
-		codec.decodePayload(f.Payload, body)
 	}
 	return f, nil
 }

@@ -56,6 +56,45 @@ func checkFrameEqual(t *testing.T, want, got Frame) {
 	}
 }
 
+// TestPayloadEncodersMatchPerWordAppend: the pre-sized single-pass
+// encoders write exactly the bytes of the per-word append loops they
+// replaced — NaN payloads, both zeros, denormals and values float32
+// cannot hold included — after whatever dst already holds, whether or
+// not dst has room.
+func TestPayloadEncodersMatchPerWordAppend(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1.5, math.Pi, 5e-324, -2.2250738585072014e-308, 1e308, 1e-60,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef),
+		math.Float64frombits(0xfff0_0000_0000_0001), math.Float64frombits(0x7ff4_5555_5555_5555),
+	}
+	for i := 0; i < 300; i++ {
+		vals = append(vals, math.Sin(float64(i))*math.Pow(10, float64(i%40-20)))
+	}
+	var want64, want32 []byte
+	for _, v := range vals {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+		want64 = append(want64, w[:]...)
+		binary.LittleEndian.PutUint32(w[:4], f32ToWire(v))
+		want32 = append(want32, w[:4]...)
+	}
+	prefix := []byte("hdr")
+	for _, room := range []int{0, 1 << 16} {
+		for name, tc := range map[string]struct {
+			enc  func(dst []byte, vals []float64, off int) []byte
+			want []byte
+		}{"f64": {appendF64Payload, want64}, "f32": {appendF32Payload, want32}} {
+			got := tc.enc(append(make([]byte, 0, room), prefix...), vals, 0)
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], tc.want) {
+				t.Fatalf("%s with room for %d bytes: encoder and per-word append disagree", name, room)
+			}
+		}
+	}
+	if got := appendF64Payload(prefix, nil, 0); !bytes.Equal(got, prefix) {
+		t.Fatalf("empty payload appended %x", got)
+	}
+}
+
 // TestWireFrameRejectsCorruptHeaders: every corrupt-header class maps
 // to its sentinel error, and truncations map to the io errors.
 func TestWireFrameRejectsCorruptHeaders(t *testing.T) {

@@ -48,11 +48,10 @@ func F32Round(v float64) float64 {
 }
 
 // appendF32Payload appends vals as little-endian float32 bit patterns.
-func appendF32Payload(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		var w [4]byte
-		binary.LittleEndian.PutUint32(w[:], f32ToWire(v))
-		dst = append(dst, w[:]...)
+func appendF32Payload(dst []byte, vals []float64, _ int) []byte {
+	dst, out := extend(dst, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(out[4*i:], f32ToWire(v))
 	}
 	return dst
 }

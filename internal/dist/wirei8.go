@@ -81,11 +81,15 @@ func i8Code(v, scale, u float64) int8 {
 // every backend quantizes with, the i8 analogue of F32Round — and the
 // function callers use to derive error-feedback residuals locally
 // (resid = z - I8RoundSlice(z)), identically on every rank.
-func I8RoundSlice(dst, src []float64) { i8RoundInto(dst, src, false) }
+func I8RoundSlice(dst, src []float64) { i8RoundInto(dst, src, 0, false) }
 
 // i8RoundInto stores (or, with add set, accumulates) the int8 wire
-// image of src into dst, one chunk scale at a time.
-func i8RoundInto(dst, src []float64, add bool) {
+// image of src into dst, one chunk scale at a time. src is the slice at
+// value offset off of the payload being quantized: with off a multiple
+// of perf.I8ChunkLen the chunks and the index-keyed dither are those of
+// the whole payload, so rounding a payload segment by segment gives the
+// values of rounding it whole.
+func i8RoundInto(dst, src []float64, off int, add bool) {
 	if len(dst) != len(src) {
 		panic("dist: I8RoundSlice length mismatch")
 	}
@@ -96,7 +100,7 @@ func i8RoundInto(dst, src []float64, add bool) {
 		}
 		scale := i8ChunkScale(src[base:end])
 		for i := base; i < end; i++ {
-			q := float64(i8Code(src[i], scale, i8Dither(i))) * scale
+			q := float64(i8Code(src[i], scale, i8Dither(off+i))) * scale
 			if add {
 				dst[i] += q
 			} else {
@@ -116,21 +120,23 @@ func i8PayloadLen(n int) int {
 	return n + 4*chunks
 }
 
-// appendI8Payload appends the int8 encoding of vals to dst. The encode
-// IS the quantization: the payload decodes to exactly I8RoundSlice(vals).
-func appendI8Payload(dst []byte, vals []float64) []byte {
+// appendI8Payload appends the int8 encoding of vals, the slice at value
+// offset off of the payload (i8RoundInto), to dst. The encode IS the
+// quantization: the payload decodes to exactly i8RoundInto(vals, off).
+func appendI8Payload(dst []byte, vals []float64, off int) []byte {
+	dst, out := extend(dst, i8PayloadLen(len(vals)))
 	for base := 0; base < len(vals); base += perf.I8ChunkLen {
 		end := base + perf.I8ChunkLen
 		if end > len(vals) {
 			end = len(vals)
 		}
 		scale := i8ChunkScale(vals[base:end])
-		var w [4]byte
-		binary.LittleEndian.PutUint32(w[:], f32ToWire(scale))
-		dst = append(dst, w[:]...)
+		binary.LittleEndian.PutUint32(out, f32ToWire(scale))
+		out = out[4:]
 		for i := base; i < end; i++ {
-			dst = append(dst, byte(i8Code(vals[i], scale, i8Dither(i))))
+			out[i-base] = byte(i8Code(vals[i], scale, i8Dither(off+i)))
 		}
+		out = out[end-base:]
 	}
 	return dst
 }

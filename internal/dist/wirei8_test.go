@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -19,10 +20,55 @@ func i8FromBytes(data []byte) []float64 {
 	return vals
 }
 
+// checkI8Segment asserts the property segment ownership rests on:
+// encoding vals[lo:hi] at value offset lo, for lo on a chunk boundary,
+// yields exactly the bytes that range takes in whole (the encoding of
+// all of vals), and rounding it at that offset — stored or accumulated
+// — yields exactly the values of rounded (I8RoundSlice of all of vals).
+func checkI8Segment(t *testing.T, vals, rounded []float64, whole []byte, lo, hi int) {
+	t.Helper()
+	seg := appendI8Payload(nil, vals[lo:hi], lo)
+	if want := whole[i8PayloadLen(lo) : i8PayloadLen(lo)+i8PayloadLen(hi-lo)]; !bytes.Equal(seg, want) {
+		t.Fatalf("segment [%d,%d) of %d values encodes to\n %x\nbut holds\n %x\nin the whole payload's encoding",
+			lo, hi, len(vals), seg, want)
+	}
+	got, acc := make([]float64, hi-lo), make([]float64, hi-lo)
+	i8RoundInto(got, vals[lo:hi], lo, false)
+	i8RoundInto(acc, vals[lo:hi], lo, true)
+	for i := range got {
+		want := math.Float64bits(rounded[lo+i])
+		// acc started at +0, so it may differ from a stored -0 by sign.
+		if math.Float64bits(got[i]) != want || (acc[i] != got[i] && !(math.IsNaN(acc[i]) && math.IsNaN(got[i]))) {
+			t.Fatalf("segment [%d,%d) value %d rounds to %x (accumulated %x), whole payload gives %x",
+				lo, hi, lo+i, math.Float64bits(got[i]), math.Float64bits(acc[i]), want)
+		}
+	}
+}
+
+// TestI8SegmentsEncodeAsTheWhole: every segment segBounds deals, for
+// payloads with ragged last chunks and granules, is the whole-payload
+// encoding and rounding restricted to its range.
+func TestI8SegmentsEncodeAsTheWhole(t *testing.T) {
+	for _, n := range segGrid {
+		vals := tieredPayload(1, n)
+		rounded := make([]float64, n)
+		I8RoundSlice(rounded, vals)
+		whole := appendI8Payload(nil, vals, 0)
+		for _, p := range []int{1, 2, 3, 8} {
+			for r := 0; r < p; r++ {
+				lo, hi := segBounds(n, p, r)
+				checkI8Segment(t, vals, rounded, whole, lo, hi)
+			}
+		}
+	}
+}
+
 // FuzzI8Codec pins the contract the tiered collectives build on: for
 // ANY payload, encoding an i8 frame and decoding it back yields
 // exactly I8RoundSlice of the payload — the wire and the in-process
-// quantizer are the same function — and both are deterministic.
+// quantizer are the same function — both are deterministic, and a
+// chunk-aligned slice encoded at its offset is that range of the
+// whole (checkI8Segment).
 func FuzzI8Codec(f *testing.F) {
 	f.Add([]byte{})
 	seed := make([]byte, 0, 8*130)
@@ -40,6 +86,7 @@ func FuzzI8Codec(f *testing.F) {
 		sp = append(sp, w[:]...)
 	}
 	f.Add(sp)
+	f.Add(append(append([]byte(nil), seed...), seed...)) // five chunks, the last ragged
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vals := i8FromBytes(data)
 		enc := AppendFrame(nil, Frame{Kind: FrameContribI8, Rank: 1, Seq: 7, Payload: vals})
@@ -59,6 +106,14 @@ func FuzzI8Codec(f *testing.F) {
 					i, math.Float64bits(dec.Payload[i]), math.Float64bits(want[i]),
 					math.Float64bits(vals[i]))
 			}
+		}
+		// Segments: every chunk-aligned split point, and the slice
+		// between the first and the last of them.
+		whole := enc[WireHeaderLen:]
+		for cut := perf.I8ChunkLen; cut < len(vals); cut += perf.I8ChunkLen {
+			checkI8Segment(t, vals, want, whole, 0, cut)
+			checkI8Segment(t, vals, want, whole, cut, len(vals))
+			checkI8Segment(t, vals, want, whole, perf.I8ChunkLen, cut)
 		}
 		// Determinism: a second quantization of the same input is
 		// bit-identical (the dither is a pure function of the index).
