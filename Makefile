@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 90.0
 COVER_PKGS = ./internal/dist ./internal/solver
-BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat
+BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat ./internal/sparse
 BENCH_THRESHOLD ?= 15
 BENCH_COUNT ?= 3
 
@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run NONE -fuzz '^FuzzI8Codec$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run NONE -fuzz '^FuzzPackedCholesky$$' -fuzztime $(FUZZTIME) ./internal/mat
+	$(GO) test -run NONE -fuzz '^FuzzSampledGramPacked$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -run NONE -fuzz '^FuzzReadLIBSVM$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run NONE -fuzz '^FuzzLIBSVMIndices$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run NONE -fuzz '^FuzzParseGroups$$' -fuzztime $(FUZZTIME) ./internal/prox
@@ -83,8 +84,9 @@ serving-smoke:
 bench:
 	$(GO) test -run NONE -bench . -benchtime=1x .
 
-# One iteration of every benchmark bench-compare gates (dist, solver
-# and the mat kernels): a cheap end-to-end smoke of both round loops
+# One iteration of every benchmark bench-compare gates (dist, solver,
+# the mat kernels and the sparse Gram fill on both sides of its
+# dense/sparse selection): a cheap end-to-end smoke of both round loops
 # (blocking and pipelined) and the nonblocking collectives, without the
 # noise of a timed run. Writes nothing — this, not bench-json, is what
 # `make check` runs, so a local check never touches the committed

@@ -181,11 +181,23 @@ func (o *Objective) SampledHessian(h *mat.Dense, w []float64, cols []int, c *per
 // x_j x_j^T is accumulated, costing nz(nz+1) + 2nz + 4 flops per
 // sampled column instead of the dense 2nz^2 + 2nz + 4. Column row
 // indices are strictly increasing, so the q >= p pairs land in the
-// contiguous packed row tails.
+// contiguous packed row tails. A block that stores every entry takes
+// the dense-panel form instead; both leave the same bits and the same
+// bill.
 func (o *Objective) SampledHessianPacked(h *mat.SymPacked, w []float64, cols []int, c *perf.Cost) {
 	if h.N != o.X.Rows {
 		panic("erm: SampledHessianPacked dimension mismatch")
 	}
+	if o.X.Full() {
+		o.sampledHessianPanels(h, w, cols, c)
+		return
+	}
+	o.sampledHessianSweep(h, w, cols, c)
+}
+
+// sampledHessianSweep is the column-at-a-time form of
+// SampledHessianPacked, for any sparsity pattern.
+func (o *Objective) sampledHessianSweep(h *mat.SymPacked, w []float64, cols []int, c *perf.Cost) {
 	scale := 1 / float64(len(cols))
 	var flops int64
 	for _, j := range cols {
@@ -208,6 +220,41 @@ func (o *Objective) SampledHessianPacked(h *mat.SymPacked, w []float64, cols []i
 		flops += int64(len(rows)*(len(rows)+1) + 2*len(rows) + 4)
 	}
 	c.AddFlops(flops)
+}
+
+// sampledHessianPanels is SampledHessianPacked for a block that stores
+// every entry: the columns with non-zero curvature go, a panel at a
+// time and in cols order, through the dense-panel kernel with the
+// curvature as the weight. Same products in the same order as
+// sampledHessianSweep, so the same bits, and the same flops billed.
+func (o *Objective) sampledHessianPanels(h *mat.SymPacked, w []float64, cols []int, c *perf.Cost) {
+	scale := 1 / float64(len(cols))
+	var (
+		idx  [sparse.PanelCols]int
+		curv [sparse.PanelCols]float64
+		n    int
+	)
+	flush := func() {
+		sparse.PanelGramPacked(o.X, h, idx[:n], curv[:n], c)
+		c.AddFlops(int64(n) * int64(2*o.X.Rows+4))
+		n = 0
+	}
+	for _, j := range cols {
+		rows, vals := o.X.Col(j)
+		var z float64
+		for k, r := range rows {
+			z += vals[k] * w[r]
+		}
+		cv := o.Loss.Second(z, o.Y[j]) * scale
+		if cv == 0 {
+			continue
+		}
+		idx[n], curv[n] = j, cv
+		if n++; n == len(idx) {
+			flush()
+		}
+	}
+	flush()
 }
 
 // LipschitzBound returns an upper bound on the gradient Lipschitz

@@ -1,6 +1,11 @@
 package mat
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"github.com/hpcgo/rcsfista/internal/perf"
+)
 
 // BenchmarkSymPackedMulVec times the packed symmetric matvec at the
 // engine's default Hessian size and reports the operator's wire
@@ -46,5 +51,30 @@ func BenchmarkCholeskyPacked(b *testing.B) {
 		if _, err := CholeskyPacked(h, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSymPackedPanelUpdate times the register-tiled packed SYRK at
+// the two dense Gram shapes of the repo benchmark (d = 192 and 392, one
+// 200-column panel — a stage-B slot at b = 0.1) and reports the rate
+// its multiply-adds run at.
+func BenchmarkSymPackedPanelUpdate(b *testing.B) {
+	for _, d := range []int{192, 392} {
+		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
+			const w = 200
+			h := NewSymPacked(d)
+			s, t := make([]float64, d*w), make([]float64, d*w)
+			for i := range t {
+				t[i] = float64(i%7) - 3
+				s[i] = t[i] / w
+			}
+			var c perf.Cost
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.PanelUpdate(s, t, w, &c)
+			}
+			b.ReportMetric(float64(c.Flops)/b.Elapsed().Seconds()/1e9, "gflops")
+		})
 	}
 }

@@ -205,8 +205,7 @@ func (e *engine) initActiveSet() {
 // the |A| x |A| packed principal Gram submatrix followed by the
 // full-length R.
 func (e *engine) fillSlotActive(j, base int, buf []float64, layout, pos []int, view *sparse.ActiveView, cost *perf.Cost) {
-	global := e.sampleSlot(base + j)
-	cols := e.local.LocalCols(global)
+	cols := e.localSlotCols(j, base)
 	h, r := e.slotView(buf, j, len(layout))
 	if view != nil {
 		sparse.SampledGramPackedView(e.local.X, view, h, r, e.local.Y, cols,

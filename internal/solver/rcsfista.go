@@ -147,6 +147,13 @@ type engine struct {
 	hIdx                       int
 	sinceSnap, sinceEval       int
 
+	// Stage-B state kept across rounds: each slot's local sample
+	// indices, each slot's private fill cost, and the worker-pool
+	// semaphore (remade only if GOMAXPROCS moved).
+	slotCols  [][]int
+	fillCosts []perf.Cost
+	fillSem   chan struct{}
+
 	// Variance reduction state.
 	wSnap    []float64
 	fullGrad []float64
@@ -233,6 +240,9 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 		scratch: make([]float64, local.X.Cols),
 		t:       1,
 
+		slotCols:  make([][]int, opts.K),
+		fillCosts: make([]perf.Cost, opts.K),
+
 		tiers:       tiers,
 		gradMapNorm: gradMapNormInit(),
 		tierBestObj: math.Inf(1),
@@ -310,8 +320,12 @@ func (e *engine) Fill(buf []float64) perf.Cost {
 			e.fillSlotAt(j, base, buf, &fill)
 		}
 	} else {
-		costs := make([]perf.Cost, k)
-		sem := make(chan struct{}, workers)
+		costs := e.fillCosts
+		clear(costs)
+		if cap(e.fillSem) != workers {
+			e.fillSem = make(chan struct{}, workers)
+		}
+		sem := e.fillSem
 		var wg sync.WaitGroup
 		for j := 0; j < k; j++ {
 			wg.Add(1)

@@ -18,6 +18,14 @@ func (e *engine) sampleSlot(h int) []int {
 	}.Sample(h)
 }
 
+// localSlotCols returns the local column indices of batch slot j's
+// sample (global Hessian index base+j) in slot j's own index buffer,
+// kept across rounds; concurrent fills of distinct slots do not share it.
+func (e *engine) localSlotCols(j, base int) []int {
+	e.slotCols[j] = e.local.AppendLocalCols(e.slotCols[j][:0], e.sampleSlot(base+j))
+	return e.slotCols[j]
+}
+
 // fillSlotAt computes the local partial (H, R) Gram instance of batch
 // slot j (global Hessian index base+j) into buf, charging flops to
 // cost. Stage A (sampling) is a pure function of (seed, base+j) and
@@ -29,8 +37,7 @@ func (e *engine) fillSlotAt(j, base int, buf []float64, cost *perf.Cost) {
 		e.fillSlotActive(j, base, buf, e.as.act, e.as.pos, &e.as.view, cost)
 		return
 	}
-	global := e.sampleSlot(base + j)
-	cols := e.local.LocalCols(global)
+	cols := e.localSlotCols(j, base)
 	h, r := e.slotView(buf, j, e.d)
 	sparse.SampledGramPacked(e.local.X, h, r, e.local.Y, cols, 1/float64(e.mbar), cost)
 }

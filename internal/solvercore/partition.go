@@ -36,15 +36,20 @@ func Partition(x *sparse.CSC, y []float64, size, rank int) LocalData {
 
 // LocalCols maps a global sample index set to local column indices.
 func (l LocalData) LocalCols(global []int) []int {
+	return l.AppendLocalCols(make([]int, 0, len(global)), global)
+}
+
+// AppendLocalCols is LocalCols appending to dst, for callers that keep
+// the index buffer across rounds.
+func (l LocalData) AppendLocalCols(dst, global []int) []int {
 	lo := l.ColOffset
 	hi := lo + l.X.Cols
-	out := make([]int, 0, len(global))
 	for _, j := range global {
 		if j >= lo && j < hi {
-			out = append(out, j-lo)
+			dst = append(dst, j-lo)
 		}
 	}
-	return out
+	return dst
 }
 
 // FeatureBlock is one worker's feature (row) block — the dual data

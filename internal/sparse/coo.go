@@ -6,6 +6,12 @@
 // products H = (1/mbar) X I I^T X^T and R = (1/mbar) X I I^T y
 // (stage B), and the full-gradient products X (X^T w).
 //
+// The packed sampled Gram has two paths that leave the same bits: a
+// column-at-a-time sweep over each column's sparsity pattern, and, for a
+// block that stores every entry (CSC.Full), a gather of the sampled
+// columns into a dense panel that mat.SymPacked.PanelUpdate applies in
+// register tiles (grampanel.go). Which one runs depends only on Full.
+//
 // A compressed sparse row (CSR) view and a COO builder are provided for
 // construction and I/O. Kernels charge their exact flop counts into an
 // optional *perf.Cost, mirroring package mat.

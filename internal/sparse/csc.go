@@ -26,6 +26,11 @@ func (a *CSC) Density() float64 {
 	return float64(a.Nnz()) / (float64(a.Rows) * float64(a.Cols))
 }
 
+// Full reports whether a stores every entry. Row indices are strictly
+// increasing within a column, so every column of a full block reads
+// rows 0..Rows-1. It selects the dense-panel Gram path (grampanel.go).
+func (a *CSC) Full() bool { return a.Nnz() == a.Rows*a.Cols }
+
 // ColNnz returns the number of non-zeros in column j.
 func (a *CSC) ColNnz(j int) int { return a.ColPtr[j+1] - a.ColPtr[j] }
 

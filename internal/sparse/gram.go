@@ -74,7 +74,23 @@ func SampledGram(a *CSC, h *mat.Dense, r []float64, y []float64, cols []int, sca
 // order per element matches SampledGram exactly, so the packed result
 // equals the dense upper triangle bit for bit.
 // A nil cols accumulates every column (the FullGramPacked path).
+//
+// A block that stores every entry takes the dense-panel path of
+// grampanel.go instead of the column sweep; the two leave the same bits
+// and bill the same flops. The selection sits out here, in a function
+// of its own: tested inside the sweep's function it changed that
+// function's register allocation and slowed the sparse workloads.
 func SampledGramPacked(a *CSC, h *mat.SymPacked, r []float64, y []float64, cols []int, scale float64, c *perf.Cost) {
+	if a.Full() {
+		gramPackedFull(a, h, r, y, cols, scale, c)
+		return
+	}
+	gramPackedSweep(a, h, r, y, cols, scale, c)
+}
+
+// gramPackedSweep is the column-at-a-time form of SampledGramPacked,
+// for any sparsity pattern.
+func gramPackedSweep(a *CSC, h *mat.SymPacked, r []float64, y []float64, cols []int, scale float64, c *perf.Cost) {
 	if h.N != a.Rows || len(r) != a.Rows || len(y) != a.Cols {
 		panic("sparse: SampledGramPacked dimension mismatch")
 	}

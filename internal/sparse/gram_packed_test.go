@@ -111,6 +111,27 @@ func TestSampledGramPackedFlopAccounting(t *testing.T) {
 	if c.Flops >= cd.Flops {
 		t.Fatalf("packed gram not cheaper: %d vs %d", c.Flops, cd.Flops)
 	}
+
+	// A block with every entry stored takes the dense-panel path, which
+	// must bill what the sweep bills for nz = d — goldens and bench-exact
+	// pin Cost — and, once its scratch is warm, allocate nothing.
+	const d, m = 6, 300
+	full, yf := fullCSC(d, m, 3)
+	cols := make([]int, 2*PanelCols+11)
+	for i := range cols {
+		cols[i] = (i * 7) % m
+	}
+	hf, rf := mat.NewSymPacked(d), make([]float64, d)
+	var cf perf.Cost
+	SampledGramPacked(full, hf, rf, yf, cols, 1, &cf)
+	if want := int64(len(cols) * (d*(d+1) + 2*d)); cf.Flops != want {
+		t.Fatalf("dense-panel flops = %d, want %d", cf.Flops, want)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		SampledGramPacked(full, hf, rf, yf, cols, 1, &cf)
+	}); n != 0 {
+		t.Fatalf("dense-panel path allocated %g times per call", n)
+	}
 }
 
 func TestSampledGramPackedDimensionPanics(t *testing.T) {
