@@ -32,7 +32,6 @@ import (
 	"github.com/hpcgo/rcsfista/internal/cocoa"
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
-	"github.com/hpcgo/rcsfista/internal/erm"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/scenario"
 	"github.com/hpcgo/rcsfista/internal/solver"
@@ -77,7 +76,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pipeline     = flag.Bool("pipeline", false, "overlap Gram fill with the in-flight Hessian allreduce (rcsfista/sfista only)")
 		activeSet    = flag.Bool("activeset", false, "screen to an active working set and ship reduced Gram batches (rcsfista/sfista only)")
 		screenMargin = flag.Float64("screen-margin", 0, "active-set screening safety margin in [0,1) (0: default 0.1)")
-		kktEvery     = flag.Int("kkt-every", 0, "exact KKT scan cadence in rounds under -activeset (0: default; backs off adaptively)")
 		compressTier = flag.String("compress-tier", "", "wire tier for every solver collective: off|f32|i8|auto (error-feedback quantized collectives; rcsfista/sfista only)")
 		seed         = flag.Uint64("seed", 42, "random seed")
 		machine      = flag.String("machine", "comet", "cost model: comet|low-latency|high-latency")
@@ -253,20 +251,37 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// Non-least-squares losses run one dedicated branch of the switch;
 	// -loss was validated to only combine with the default algorithm.
+	// -algo logistic is the older spelling of -loss logistic and keeps
+	// its own label.
 	algoLabel := *algo
-	if *lossName != "ls" {
+	switch {
+	case *lossName != "ls":
 		*algo = "loss-pn"
 		algoLabel = "pn-" + *lossName
+	case *algo == "logistic":
+		*algo, *lossName = "loss-pn", "logistic"
+	}
+
+	// runRanks runs one rank's solve on the live communicator (worker
+	// mode) or on every rank of a fresh in-process world.
+	runRanks := func(solve func(c dist.Comm) (*solver.Result, error)) (*solver.Result, error) {
+		if comm != nil {
+			return solveOnComm(comm, solve)
+		}
+		w, err := newWorld(*transport, *procs, mach)
+		if err != nil {
+			return nil, err
+		}
+		return solvercore.RunWorld(w, solve)
 	}
 
 	var res *solver.Result
 	switch *algo {
 	case "loss-pn":
-		// Generalized-loss proximal newton (huber, quantile, logistic
-		// via -loss) with any scenario regularizer; see scenario.go.
+		// Generalized-loss proximal newton (huber, quantile, logistic)
+		// with any scenario regularizer; see scenario.go.
 		pn := &lossPNRun{
-			prob: prob, reg: regOp, comm: comm, transport: *transport,
-			procs: *procs, mach: mach,
+			prob: prob, reg: regOp, runRanks: runRanks,
 			loss:    scenario.LossSpec{Name: *lossName, Delta: *huberDelta, Tau: *quantileTau, Eps: *quantileEps},
 			maxIter: *maxIter, inner: maxInt(1, *s), b: *b, seed: *seed,
 		}
@@ -275,18 +290,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		opts := cocoa.Options{
 			Lambda: prob.Lambda, Rounds: *maxIter, Tol: *tol, FStar: fstar, Seed: *seed,
 		}
-		if comm != nil {
-			xRows := prob.X.ToCSR()
-			res, err = solveOnComm(comm, func(c dist.Comm) (*solver.Result, error) {
-				return cocoa.SolveContext(ctx, c, cocoa.Partition(xRows, prob.Y, c.Size(), c.Rank()), opts)
-			})
-		} else {
-			w, werr := newWorld(*transport, *procs, mach)
-			if werr != nil {
-				return werr
-			}
-			res, err = cocoa.SolveDistributedContext(ctx, w, prob.X, prob.Y, opts)
-		}
+		xRows := prob.X.ToCSR()
+		res, err = runRanks(func(c dist.Comm) (*solver.Result, error) {
+			return cocoa.SolveContext(ctx, c, cocoa.Partition(xRows, prob.Y, c.Size(), c.Rank()), opts)
+		})
 	case "cd":
 		opts := solver.Defaults()
 		opts.Reg = regOp
@@ -329,49 +336,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Tol: *tol, FStar: fstar, Seed: *seed,
 			OuterIter: *maxIter / maxInt(1, *s), InnerIter: maxInt(1, *s), K: *k,
 		}
-		if comm != nil {
-			res, err = solveOnComm(comm, func(c dist.Comm) (*solver.Result, error) {
-				return solver.DistProxNewtonContext(ctx, c, solver.Partition(prob.X, prob.Y, c.Size(), c.Rank()), opts)
-			})
-		} else {
-			w, werr := newWorld(*transport, *procs, mach)
-			if werr != nil {
-				return werr
-			}
-			res, err = solver.SolvePNDistributedContext(ctx, w, prob.X, prob.Y, opts)
-		}
-	case "logistic":
-		// l1-regularized logistic regression via the erm extension.
-		// Labels must be in {-1, +1}; synthetic datasets are converted
-		// by sign.
-		for i, v := range prob.Y {
-			if v >= 0 {
-				prob.Y[i] = 1
-			} else {
-				prob.Y[i] = -1
-			}
-		}
-		solve := func(c dist.Comm) (*solver.Result, error) {
-			local := erm.Partition(prob.X, prob.Y, c.Size(), c.Rank())
-			return erm.DistProxNewtonContext(ctx, c, local, erm.Options{
-				Loss: erm.Logistic{}, Reg: regOp, Lambda: prob.Lambda,
-				OuterIter: *maxIter, InnerIter: maxInt(1, *s), B: *b,
-				LineSearch: true, Seed: *seed,
-			})
-		}
-		if comm != nil {
-			res, err = solveOnComm(comm, solve)
-		} else {
-			w, werr := newWorld(*transport, *procs, mach)
-			if werr != nil {
-				return werr
-			}
-			res, err = solvercore.RunWorld(w, solve)
-		}
-		if res != nil {
-			obj := erm.NewObjective(prob.X, prob.Y, erm.Logistic{})
-			fmt.Fprintf(out, "training accuracy: %.4f\n", obj.Accuracy(res.W))
-		}
+		res, err = runRanks(func(c dist.Comm) (*solver.Result, error) {
+			return solver.DistProxNewtonContext(ctx, c, solver.Partition(prob.X, prob.Y, c.Size(), c.Rank()), opts)
+		})
 	case "rcsfista", "sfista":
 		l := solver.SampledLipschitz(prob.X, prob.Y, *b, 8, *seed)
 		opts := solver.Defaults()
@@ -388,22 +355,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		opts.Pipeline = *pipeline
 		opts.ActiveSet = *activeSet
 		opts.ScreenMargin = *screenMargin
-		opts.KKTEvery = *kktEvery
 		opts.CompressTier = *compressTier
 		if *algo == "sfista" {
 			opts.K, opts.S = 1, 1
 		}
-		if comm != nil {
-			res, err = solveOnComm(comm, func(c dist.Comm) (*solver.Result, error) {
-				return solver.RCSFISTAContext(ctx, c, solver.Partition(prob.X, prob.Y, c.Size(), c.Rank()), opts)
-			})
-		} else {
-			w, werr := newWorld(*transport, *procs, mach)
-			if werr != nil {
-				return werr
-			}
-			res, err = solver.SolveDistributedContext(ctx, w, prob.X, prob.Y, opts)
-		}
+		res, err = runRanks(func(c dist.Comm) (*solver.Result, error) {
+			return solver.RCSFISTAContext(ctx, c, solver.Partition(prob.X, prob.Y, c.Size(), c.Rank()), opts)
+		})
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}

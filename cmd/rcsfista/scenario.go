@@ -11,11 +11,9 @@ import (
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/erm"
-	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/prox"
 	"github.com/hpcgo/rcsfista/internal/scenario"
 	"github.com/hpcgo/rcsfista/internal/solver"
-	"github.com/hpcgo/rcsfista/internal/solvercore"
 )
 
 // buildScenarioReg resolves the regularizer flags against the loaded
@@ -39,21 +37,17 @@ func buildScenarioReg(algo, name string, l2 float64, groupsSpec string, prob *da
 }
 
 // lossPNRun is the flag state the generalized-loss proximal newton
-// branch needs: -loss was validated to only combine with the default
-// algorithm, so this is the whole solve path for huber/quantile (and
-// logistic spelled through -loss).
+// branch needs: the whole solve path for huber/quantile/logistic.
+// runRanks puts a rank function on the run's communicator or world.
 type lossPNRun struct {
-	prob      *data.Problem
-	reg       prox.Operator
-	comm      *dist.TCPComm
-	transport string
-	procs     int
-	mach      perf.Machine
-	loss      scenario.LossSpec
-	maxIter   int
-	inner     int
-	b         float64
-	seed      uint64
+	prob     *data.Problem
+	reg      prox.Operator
+	runRanks func(solve func(c dist.Comm) (*solver.Result, error)) (*solver.Result, error)
+	loss     scenario.LossSpec
+	maxIter  int
+	inner    int
+	b        float64
+	seed     uint64
 }
 
 func (r *lossPNRun) solve(ctx context.Context, out io.Writer) (*solver.Result, error) {
@@ -61,37 +55,22 @@ func (r *lossPNRun) solve(ctx context.Context, out io.Writer) (*solver.Result, e
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := lossFn.(erm.Logistic); ok {
-		// Logistic labels must be in {-1, +1}; convert by sign.
-		for i, v := range r.prob.Y {
-			if v >= 0 {
-				r.prob.Y[i] = 1
-			} else {
-				r.prob.Y[i] = -1
-			}
-		}
+	y := r.prob.Y
+	_, logistic := lossFn.(erm.Logistic)
+	if logistic {
+		y = erm.SignLabels(y)
 	}
 	eopts := erm.Options{
 		Loss: lossFn, Reg: r.reg, Lambda: r.prob.Lambda,
 		OuterIter: r.maxIter, InnerIter: r.inner, B: r.b,
 		LineSearch: true, Seed: r.seed,
 	}
-	solveFn := func(c dist.Comm) (*solver.Result, error) {
-		local := erm.Partition(r.prob.X, r.prob.Y, c.Size(), c.Rank())
+	res, err := r.runRanks(func(c dist.Comm) (*solver.Result, error) {
+		local := erm.Partition(r.prob.X, y, c.Size(), c.Rank())
 		return erm.DistProxNewtonContext(ctx, c, local, eopts)
-	}
-	var res *solver.Result
-	if r.comm != nil {
-		res, err = solveOnComm(r.comm, solveFn)
-	} else {
-		w, werr := newWorld(r.transport, r.procs, r.mach)
-		if werr != nil {
-			return nil, werr
-		}
-		res, err = solvercore.RunWorld(w, solveFn)
-	}
-	if res != nil && lossFn.Name() == "logistic" {
-		obj := erm.NewObjective(r.prob.X, r.prob.Y, lossFn)
+	})
+	if res != nil && logistic {
+		obj := erm.NewObjective(r.prob.X, y, lossFn)
 		fmt.Fprintf(out, "training accuracy: %.4f\n", obj.Accuracy(res.W))
 	}
 	return res, err

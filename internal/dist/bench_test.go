@@ -85,11 +85,11 @@ func BenchmarkAllreduceSharedTCP(b *testing.B) {
 
 // BenchmarkTierRoundWords exercises the per-tier wire rounding kernel
 // and reports the modeled words one rank ships per tree level for a
-// 4096-value allreduce at P=8. The words/round metric is what the
-// bench-compare cross gates order: every rung down the quantized
-// ladder must ship strictly fewer words (f64 > f32 > i8), so a cost
-// model or codec edit that flattens the ladder fails the gate instead
-// of silently voiding the compression claim.
+// 4096-value allreduce at P=8. The ordering of the words/round metric
+// — every rung down the quantized ladder ships strictly fewer words
+// (f64 > f32 > i8) — is held by TestTierSecondsOrdering, so a cost
+// model or codec edit that flattens the ladder fails a test instead of
+// silently voiding the compression claim.
 func BenchmarkTierRoundWords(b *testing.B) {
 	const n = 4096
 	for _, tier := range []Tier{TierF64, TierF32, TierI8} {

@@ -91,6 +91,21 @@ func (Logistic) Second(z, y float64) float64 {
 // CurvatureBound returns 1/4.
 func (Logistic) CurvatureBound() float64 { return 0.25 }
 
+// SignLabels returns a copy of y mapped onto the {-1, +1} labels
+// Logistic expects: +1 where y >= 0, -1 elsewhere. The input — often a
+// shared or cached dataset — is left untouched.
+func SignLabels(y []float64) []float64 {
+	out := make([]float64, len(y))
+	for i, v := range y {
+		if v >= 0 {
+			out[i] = 1
+		} else {
+			out[i] = -1
+		}
+	}
+	return out
+}
+
 // Name returns "logistic".
 func (Logistic) Name() string { return "logistic" }
 

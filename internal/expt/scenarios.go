@@ -143,14 +143,7 @@ func Scenarios(cfg Config) *Report {
 		}
 		y := prob.Y
 		if name == "logistic" {
-			y = make([]float64, len(prob.Y))
-			for i, v := range prob.Y {
-				if v >= 0 {
-					y[i] = 1
-				} else {
-					y[i] = -1
-				}
-			}
+			y = erm.SignLabels(y)
 		}
 		eopts := erm.Options{
 			Loss: loss, Lambda: prob.Lambda,

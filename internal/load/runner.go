@@ -24,7 +24,7 @@ type Outcome struct {
 }
 
 // Report is the JSON artifact of one load run — the service-level
-// record the bench trajectory archives next to BENCH_results.json.
+// record CI archives per commit.
 type Report struct {
 	Config   Config    `json:"config"`
 	N        int       `json:"n"`

@@ -36,11 +36,15 @@ func newPool(workers, queueCap int, stats *Stats) *pool {
 // exactly once on a worker goroutine; the caller is expected to wait
 // on a done channel the job closes over.
 func (p *pool) TrySubmit(job func()) bool {
+	// Count before the send: a worker may receive the job and uncount it
+	// before this goroutine runs again, and the gauge must not dip
+	// below zero.
+	p.stats.queuedFits.Add(1)
 	select {
 	case p.jobs <- job:
-		p.stats.queuedFits.Add(1)
 		return true
 	default:
+		p.stats.queuedFits.Add(-1)
 		return false
 	}
 }

@@ -307,23 +307,34 @@ func waitForStats(t *testing.T, sv *serve.Server, cond func(serve.StatsSnapshot)
 }
 
 // TestAdmissionControl429: with one worker and a one-slot queue, a
-// third concurrent fit must be turned away with 429 immediately while
-// the first two run to their deadlines.
+// third concurrent fit must be turned away with 429 immediately. The
+// two fits holding the window carry the longest deadline the server
+// grants and are released by the test, through their request contexts,
+// once the 429 is in hand — nothing here depends on how long anything
+// takes.
 func TestAdmissionControl429(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Workers = 1
 	cfg.QueueCap = 1
+	cfg.MaxDeadline = time.Minute
 	sv, ts := newTestServer(t, cfg)
 	client := ts.Client()
 
+	ctx, release := context.WithCancel(context.Background())
+	defer release()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, _ := json.Marshal(slowFit(1500))
-			resp, err := client.Post(ts.URL+"/fit", "application/json", bytes.NewReader(body))
-			if err == nil {
+			body, _ := json.Marshal(slowFit(int(cfg.MaxDeadline / time.Millisecond)))
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/fit", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.Header.Set("Content-Type", "application/json")
+			if resp, err := client.Do(req); err == nil {
 				resp.Body.Close()
 			}
 		}()
@@ -338,7 +349,11 @@ func TestAdmissionControl429(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("overflow fit status = %d, want 429 (body %s)", status, raw)
 	}
+	release()
 	wg.Wait()
+	waitForStats(t, sv, func(sn serve.StatsSnapshot) bool {
+		return sn.ActiveFits == 0 && sn.QueuedFits == 0
+	})
 	sn := sv.Stats().Snapshot()
 	if sn.Rejected != 1 {
 		t.Fatalf("rejected counter = %d, want 1", sn.Rejected)

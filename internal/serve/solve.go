@@ -295,14 +295,7 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 func (s *Server) runPNFit(ctx context.Context, world dist.World, req *FitRequest, ds *dataset, loss erm.Loss, opts solver.Options, lambda float64) (*solver.Result, error) {
 	y := ds.prob.Y
 	if _, ok := loss.(erm.Logistic); ok {
-		y = make([]float64, len(ds.prob.Y))
-		for i, v := range ds.prob.Y {
-			if v >= 0 {
-				y[i] = 1
-			} else {
-				y[i] = -1
-			}
-		}
+		y = erm.SignLabels(y)
 	}
 	// The server's MaxIter default is a first-order update budget; a
 	// Newton outer iteration does far more work (and communication) per

@@ -2,38 +2,36 @@ package solver
 
 // Active-set reduced subproblems with dynamic screening (Options.
 // ActiveSet). The l1 KKT conditions say a coordinate can sit at zero in
-// the optimum only while |grad f(w)_i| <= Lambda, so each round the
-// ranks agree on the working set
+// the optimum only while |grad f(w)_i| <= Lambda, so the ranks hold a
+// working set
 //
 //	A = supp(wCurr) u supp(wPrev) [u supp(wSnap)]
 //	    u {i : |grad f(w)_i| > Lambda*(1-ScreenMargin)}
 //
-// and run the whole round — stage-B Gram fill, stage-C allreduce,
+// and run whole rounds — stage-B Gram fill, stage-C allreduce,
 // stage-D updates — on the |A| x |A| principal submatrix: the batch
 // slot shrinks from d(d+1)/2 + d words to |A|(|A|+1)/2 + d (R stays
 // full-length so the exact KKT check reads off the same payload), and
 // the Gram/MulVec flops shrink quadratically with |A|.
 //
-// Screening is safe, not merely heuristic, because of the round-
-// boundary re-expansion protocol: after the round's updates every rank
-// computes the exact full gradient (one d-word allreduce, charged) and
-// checks the screened coordinates against the exact KKT rule
-// |grad f(w)_i| <= Lambda. Any violation aborts the attempt — iterate,
-// momentum and trace state rewind to the round entry — the working set
-// grows by the violators, the same sample slots are refilled under the
-// expanded layout, re-exchanged (an extra charged round), and the round
-// is redone. A strictly grows across redos, so the protocol terminates
-// and the method converges to the same optimum as the dense path.
+// Screening is safe, not merely heuristic, because of the windowed
+// re-expansion protocol (activeset_window.go): an exact KKT scan closes
+// every window of rounds — every rank computes the exact full gradient
+// (one d-word allreduce, charged) and checks the screened coordinates
+// against the exact KKT rule |grad f(w)_i| <= Lambda. Any violation
+// aborts the window — iterate, momentum and trace state rewind to the
+// window entry — the working set grows by the violators, the same
+// sample slots are refilled under the expanded layout, re-exchanged
+// (extra charged rounds), and the window is redone. A strictly grows
+// across redos, so the protocol terminates and the method converges to
+// the same optimum as the dense path.
 //
-// The per-round working-set agreement is a (d+63)/64-word bitmap
-// allreduce: every rank builds an identical bitmap from shared
-// (allreduced) quantities, so OpMax acts as a pure agreement/identity
-// operation on the packed bit patterns, and the collective exists to
-// charge the coordination its honest wire cost — the same reason the
-// cancellation consensus is a collective.
+// The working set itself costs no collective: it is a pure function of
+// allreduced quantities (the exact gradient and the replicated
+// iterates), so every rank derives the identical set locally — the same
+// rationale that lets the shared sample streams skip coordination.
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/hpcgo/rcsfista/internal/mat"
@@ -66,22 +64,18 @@ type activeState struct {
 	// around a speculative fill to decide whether a Refill is needed.
 	gen int
 
-	bits   []uint64
-	bitmap []float64
+	bits []uint64
 	// layoutBits is scratch for the KKT check's layout-membership test.
 	layoutBits []uint64
-	// gExact is the exact full gradient at wCurr, refreshed at every
-	// round boundary by the KKT check.
+	// gExact is the exact full gradient at wCurr, refreshed by every KKT
+	// scan.
 	gExact []float64
 
-	// regOp caches the regularizer restricted to the layout identified
-	// by (regKey, regLen): separable regularizers restrict to
-	// themselves, group regularizers are remapped onto reduced indices
-	// (prox.Screener.Restrict). Layout slices are never mutated after
-	// creation, so the first-element pointer identifies them.
-	regOp  prox.Operator
-	regKey *int
-	regLen int
+	// regOp caches the regularizer restricted to regLayout: separable
+	// regularizers restrict to themselves, group regularizers are
+	// remapped onto reduced indices (prox.Screener.Restrict).
+	regOp     prox.Operator
+	regLayout []int
 
 	fills []fillRec
 	// actGood is the layout of the last successfully exchanged batch —
@@ -106,30 +100,24 @@ type activeState struct {
 	view    sparse.ActiveView
 	viewGen int
 
-	// Round-entry snapshots for the re-expansion rewind. Under the
-	// legacy protocol (KKTEvery = 1) a mark is taken every round; under
-	// the incremental protocol one mark is live per scan window.
+	// Window-entry snapshots for the re-expansion rewind; one mark is
+	// live per scan window.
 	mW, mWPrev, mSnap, mFG []float64
 
-	// Incremental-scan state (KKTEvery > 1): rounds since the last exact
-	// KKT scan, the window mark and the bases of the rounds run since the
-	// last certified scan (the rewind/redo unit), and the iterate-support
+	// Scan-window state: rounds since the last exact KKT scan, the
+	// window mark and the bases of the rounds run since the last
+	// certified scan (the rewind/redo unit), the iterate-support
 	// fingerprint at the last scan — a support change forces an early
-	// scan so the working set never goes stale against the keep rule.
+	// scan so the working set never goes stale against the keep rule —
+	// and the adaptive scan interval (kktBaseGap..kktMaxGap).
 	sinceScan int
 	winMark   activeMark
 	winBases  []int
 	suppBits  []uint64
-	// scanGap is the adaptive scan interval: it starts at KKTEvery and
-	// doubles after every clean cadence scan (no violations, no support
-	// motion) up to 8x KKTEvery, and resets to KKTEvery the moment a scan
-	// finds a violation or was forced by a support change. Steady-state
-	// windows stretch while the certificate is holding; the backstop
-	// tightens itself as soon as the iterate starts moving again.
-	scanGap int
+	scanGap   int
 }
 
-// activeMark is the scalar half of a round-entry snapshot; the vector
+// activeMark is the scalar half of a window-entry snapshot; the vector
 // half lives in the activeState m* buffers (one mark is live at a time).
 type activeMark struct {
 	rec                  solvercore.RecorderMark
@@ -160,8 +148,8 @@ func (e *engine) initActiveSet() {
 		margin:     e.opts.ScreenMargin,
 		pos:        make([]int, d),
 		bits:       make([]uint64, (d+63)/64),
-		bitmap:     make([]float64, (d+63)/64),
 		layoutBits: make([]uint64, (d+63)/64),
+		suppBits:   make([]uint64, (d+63)/64),
 		gExact:     make([]float64, d),
 		wCurrA:     make([]float64, d), wPrevA: make([]float64, d),
 		vA: make([]float64, d), gradA: make([]float64, d),
@@ -171,6 +159,7 @@ func (e *engine) initActiveSet() {
 		posRedo:    make([]int, d),
 		mW:         make([]float64, d), mWPrev: make([]float64, d),
 		viewGen: -1,
+		scanGap: kktBaseGap,
 	}
 	for i := range as.pos {
 		as.pos[i] = -1
@@ -186,10 +175,6 @@ func (e *engine) initActiveSet() {
 		as.mFG = make([]float64, d)
 	}
 	e.as = as
-	if e.opts.KKTEvery > 1 {
-		as.suppBits = make([]uint64, (d+63)/64)
-		as.scanGap = e.opts.KKTEvery
-	}
 	if e.opts.VarianceReduced {
 		copy(as.gExact, e.fullGrad)
 	} else {
@@ -269,8 +254,8 @@ func (e *engine) refillBatch(base int, layout []int) []float64 {
 	return buf
 }
 
-// markActive snapshots the rewindable round-entry state; rewindActive
-// restores it after a redo exchange succeeds. Rounds and Cost are not
+// markActive snapshots the rewindable window-entry state; rewindActive
+// restores it before a window is redone. Rounds and Cost are not
 // rewound — the aborted attempt's work and communication genuinely
 // happened and stay charged.
 func (e *engine) markActive() activeMark {
@@ -301,68 +286,6 @@ func (e *engine) rewindActive(m activeMark) {
 	e.sinceEval = m.sinceEval
 	e.gradMapStop = m.gradMapStop
 	e.rec.Rewind(m.rec)
-}
-
-// processActive is stage D under screening: run the round's k*S reduced
-// updates, then — every round under the legacy KKTEvery = 1 protocol,
-// every KKTEvery rounds (or on support change or stop) under the
-// incremental one — the exact KKT check; on a violation rewind, expand,
-// re-exchange and redo until the working set is KKT-consistent. All
-// branch decisions derive from allreduced quantities and deterministic
-// counters, so every rank issues the identical collective sequence.
-func (e *engine) processActive(shared []float64) bool {
-	as := e.as
-	fr := as.popFill()
-	layout := fr.act
-	if e.rec.Faults.DegradedRounds != as.degSeen {
-		// The exchange degraded to the last good batch, whose wire
-		// layout is the one it was filled under — not this round's.
-		as.degSeen = e.rec.Faults.DegradedRounds
-		layout = as.actGood
-	} else {
-		as.actGood = layout
-	}
-	if e.opts.KKTEvery > 1 {
-		return e.processIncremental(fr.base, shared, layout)
-	}
-	mark := e.markActive()
-	for {
-		stop := e.runActiveRound(shared, layout)
-		e.exactGradient(as.gExact)
-		viol := e.kktViolations(layout)
-		if len(viol) == 0 {
-			if !stop {
-				e.deriveActive()
-			}
-			return stop
-		}
-		// Re-expansion: the screen was too aggressive somewhere. Refill
-		// the same sample slots on the expanded set and redo the round.
-		expanded := unionSorted(layout, viol)
-		redo := e.refillBatch(fr.base, expanded)
-		e.rec.Rounds++
-		sharedRedo := e.exch.Exchange(redo)
-		if sharedRedo == nil || e.rec.Faults.DegradedRounds != as.degSeen {
-			// The redo exchange was lost or degraded to a stale batch in
-			// the old layout — nothing to redo with. Keep the attempt's
-			// iterates (a valid reduced proximal step); the violators
-			// re-enter the working set through the gradient rule.
-			as.degSeen = e.rec.Faults.DegradedRounds
-			e.rec.RecordRecovery("expand-lost", e.rec.Rounds,
-				fmt.Sprintf("redo exchange lost (|A| %d -> %d); keeping attempt", len(layout), len(expanded)))
-			if !stop {
-				e.deriveActive()
-			}
-			return stop
-		}
-		as.actGood = expanded
-		e.rewindActive(mark)
-		e.rec.RecordRecovery("expand", e.rec.Rounds,
-			fmt.Sprintf("KKT violation on %d screened coords: |A| %d -> %d, round redone",
-				len(viol), len(layout), len(expanded)))
-		layout = expanded
-		shared = sharedRedo
-	}
 }
 
 // scanGradient refreshes gExact for a scan. When the round's last
@@ -396,8 +319,7 @@ func (e *engine) runActiveRound(shared []float64, layout []int) bool {
 }
 
 // reducedReg returns the regularizer acting on the gathered
-// layout-indexed subvector, cached per layout (layout slices are never
-// mutated, so the first-element pointer plus length identify one).
+// layout-indexed subvector, cached per layout (sameLayout).
 // Separable regularizers restrict to themselves — the cache is then a
 // pure identity — while GroupL2 is remapped onto reduced indices, which
 // is well-defined because working sets are group-closed.
@@ -406,11 +328,9 @@ func (e *engine) reducedReg(layout []int) prox.Operator {
 		return e.reg
 	}
 	as := e.as
-	if as.regOp != nil && as.regKey == &layout[0] && as.regLen == len(layout) {
-		return as.regOp
+	if as.regOp == nil || !sameLayout(as.regLayout, layout) {
+		as.regOp, as.regLayout = e.scr.Restrict(layout), layout
 	}
-	as.regOp = e.scr.Restrict(layout)
-	as.regKey, as.regLen = &layout[0], len(layout)
 	return as.regOp
 }
 

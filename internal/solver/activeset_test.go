@@ -2,6 +2,8 @@ package solver
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/data"
@@ -105,7 +107,7 @@ func TestActiveSetMatchesDense(t *testing.T) {
 
 // TestActiveSetShipsFewerWords compares like for like: same rank
 // count, same loop, screening on vs off. The reduced slots plus the
-// bitmap and gradient collectives must come out strictly cheaper in
+// scans' exact-gradient collectives must come out strictly cheaper in
 // words on a sparse problem.
 func TestActiveSetShipsFewerWords(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 32, M: 400, Density: 0.2, TrueNnz: 4, Lambda: 0.2, Seed: 3, NoiseStd: 0.01})
@@ -155,7 +157,9 @@ func TestActiveSetShipsFewerWords(t *testing.T) {
 // retry/degrade machinery: a transient drop, a hard drop that degrades
 // to the stale batch (whose wire layout the engine must look up from
 // the fill that produced it), and a straggler. The run must still land
-// on the dense optimum.
+// on the dense optimum, and the pipelined loop — fill records two deep,
+// a speculative fill in hand across every scan — on the blocking run's
+// iterate bit for bit.
 func TestActiveSetFaultPlan(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 20, M: 240, Density: 0.3, TrueNnz: 4, Lambda: 0.15, Seed: 5, NoiseStd: 0.01})
 	l := prox.EstimateLipschitz(p.X, 50, nil, nil)
@@ -166,14 +170,16 @@ func TestActiveSetFaultPlan(t *testing.T) {
 	o.B = 0.3
 	o.EvalEvery = 10
 	const procs = 4
-	dense := func() *Result {
+	solve := func(o Options) *Result {
+		t.Helper()
 		w := dist.NewWorld(procs, perf.Comet())
 		res, err := SolveDistributed(w, p.X, p.Y, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
-	}()
+	}
+	dense := solve(o)
 	ao := o
 	ao.ActiveSet = true
 	ao.Faults = &dist.FaultPlan{
@@ -184,26 +190,28 @@ func TestActiveSetFaultPlan(t *testing.T) {
 			{Round: 6, Kind: dist.FaultStraggler, Rank: 1, DelaySec: 1e-3},
 		},
 	}
-	w := dist.NewWorld(procs, perf.Comet())
-	act, err := SolveDistributed(w, p.X, p.Y, ao)
-	if err != nil {
-		t.Fatal(err)
-	}
+	act := solve(ao)
 	if act.Faults.DegradedRounds == 0 {
 		t.Fatal("fault plan injected no degraded round")
 	}
 	if diff := math.Abs(act.FinalObj - dense.FinalObj); diff > 1e-10 {
 		t.Fatalf("|F_active_faulty - F_dense| = %g > 1e-10", diff)
 	}
+	ao.Pipeline = true
+	piped := solve(ao)
+	requireBitIdentical(t, "pipeline-activeset-faults", act, piped)
+	if piped.Faults != act.Faults {
+		t.Fatalf("fault stats differ: %+v vs %+v", piped.Faults, act.Faults)
+	}
 }
 
-// TestActiveSetRedoTrigger engineers a deterministic KKT re-expansion:
-// two correlated features, coordinate 2 screened at w0 (its gradient
-// sits just inside lambda) but pushed past lambda once coordinate 1
-// grows — the exact round-boundary check must catch it, rewind, expand
-// the working set and redo the round, and the run must still match the
-// dense solve.
-func TestActiveSetRedoTrigger(t *testing.T) {
+// redoTriggerProblem is a 2x2 instance with a deterministic KKT
+// re-expansion: two correlated features, coordinate 2 screened at w0
+// (its gradient sits just inside lambda) but pushed past lambda once
+// coordinate 1 grows. With the returned step 1/lambda_max(Q) the very
+// first round crosses; a smaller Gamma moves the crossing inside a
+// multi-round window.
+func redoTriggerProblem() (*sparse.CSC, []float64, Options) {
 	// Q = (1/m) X X^T = [[1, -0.8], [-0.8, 1]], c = (1/m) X y with
 	// c1 = lambda + delta (active at w0), c2 = lambda - 0.3*delta
 	// (screened at w0). As w1 -> delta/Q11, g2 = Q21 w1 - c2 crosses
@@ -223,7 +231,6 @@ func TestActiveSetRedoTrigger(t *testing.T) {
 	// Solve X y = 2c by forward substitution (X is lower triangular).
 	y1 := 2 * c1 / x10
 	y2 := (2*c2 - x11*y1) / x21
-	Y := []float64{y1, y2}
 
 	o := Defaults()
 	o.Lambda = lambda
@@ -233,6 +240,14 @@ func TestActiveSetRedoTrigger(t *testing.T) {
 	o.VarianceReduced = false
 	o.EvalEvery = 1
 	o.ScreenMargin = 1e-9
+	return X, []float64{y1, y2}, o
+}
+
+// TestActiveSetRedoTrigger runs redoTriggerProblem: the exact scan must
+// catch the violation, rewind, expand the working set and redo the
+// round, and the run must still match the dense solve.
+func TestActiveSetRedoTrigger(t *testing.T) {
+	X, Y, o := redoTriggerProblem()
 
 	c := dist.NewSelfComm(perf.Comet())
 	local := Partition(X, Y, 1, 0)
@@ -296,6 +311,28 @@ func TestActiveSetOptionValidation(t *testing.T) {
 	}
 	if got := o.withDefaults().ScreenMargin; got != 0.1 {
 		t.Fatalf("default ScreenMargin = %g, want 0.1", got)
+	}
+	// One screening protocol: a FaultPlan is accepted next to ActiveSet
+	// and moves no default, and there is no scan-cadence option to set.
+	base.FStar = 1 // NaN, the default, defeats DeepEqual
+	o = base
+	o.Faults = &dist.FaultPlan{DropProb: 0.1}
+	if err := o.Validate(); err != nil {
+		t.Fatalf("ActiveSet + Faults rejected: %v", err)
+	}
+	want := base.withDefaults()
+	want.Faults = o.Faults
+	if got := o.withDefaults(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Faults moved a default under ActiveSet:\n got %+v\nwant %+v", got, want)
+	}
+	typ := reflect.TypeOf(Options{})
+	if typ.NumField() != 24 {
+		t.Fatalf("Options has %d fields, want 24", typ.NumField())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; strings.Contains(name, "KKT") {
+			t.Fatalf("Options.%s: the scan cadence is not an option", name)
+		}
 	}
 }
 

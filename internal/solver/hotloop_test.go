@@ -178,8 +178,8 @@ func BenchmarkFullGramPacked(b *testing.B) {
 }
 
 // BenchmarkSampledGramPackedRows reports the modeled wire payload of
-// the reduced slot next to its runtime, so the bench-json artifact
-// tracks the communication saving alongside the compute cost.
+// the reduced slot next to its runtime: the communication saving
+// alongside the compute cost.
 func BenchmarkSampledGramPackedRows(b *testing.B) {
 	p := gramProblem()
 	d := p.X.Rows

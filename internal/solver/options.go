@@ -136,24 +136,27 @@ type Options struct {
 	// (perf.Machine.Overlap). Default off, so existing runs are
 	// untouched.
 	Pipeline bool
-	// ActiveSet enables dynamic l1 screening: each round the ranks agree
-	// (via a d-bit bitmap allreduce) on the working set
-	// A = supp(w) u {i : |grad f(w)_i| > Lambda*(1-ScreenMargin)},
+	// ActiveSet enables dynamic l1 screening: the ranks hold the working
+	// set A = supp(w) u {i : |grad f(w)_i| > Lambda*(1-ScreenMargin)}
+	// (derived locally — it is a pure function of allreduced state),
 	// fill only the |A| x |A| principal submatrix of the sampled Gram
 	// (plus the full-length R, which keeps the exact KKT check
 	// available), and ship the reduced slot |A|(|A|+1)/2 + d instead of
-	// d(d+1)/2 + d. At every round boundary an exact full-gradient KKT
-	// check re-expands A — redoing the round on the expanded set — when
-	// any screened coordinate violates |grad f(w)_i| <= Lambda, so the
-	// method converges to the same optimum as the dense path (final
-	// objective agrees to solver precision; iterates are not bit-equal
-	// because screened coordinates are frozen at zero mid-round).
-	// The rule shown is the l1 instance; the engine is generic over
-	// prox.Screener, so elastic net screens on |grad f_i + λ₂w_i| >
-	// λ₁(1-margin) and group lasso on per-group gradient norms with a
-	// group-granular working set. Requires a screenable regularizer.
-	// Default off: every existing configuration is bit-identical to its
-	// golden fixture.
+	// d(d+1)/2 + d. Rounds run in windows with A frozen; an exact
+	// full-gradient KKT scan closes each window — on an adaptive cadence
+	// of 4 to 32 rounds, and at once when the iterate support changes,
+	// a lost round hands back a stale batch in an older layout, or the
+	// solve stops — and re-expands A, redoing the window on the expanded
+	// set, when any screened coordinate violates |grad f(w)_i| <=
+	// Lambda, so the method converges to the same optimum as the dense
+	// path (final objective agrees to solver precision; iterates are not
+	// bit-equal because screened coordinates are frozen at zero
+	// mid-window). The rule shown is the l1 instance; the engine is
+	// generic over prox.Screener, so elastic net screens on
+	// |grad f_i + λ₂w_i| > λ₁(1-margin) and group lasso on per-group
+	// gradient norms with a group-granular working set. Requires a
+	// screenable regularizer. Default off: every existing configuration
+	// is bit-identical to its golden fixture.
 	ActiveSet bool
 	// ScreenMargin is the safety margin of the screening rule: a zero
 	// coordinate stays screened only while |grad f(w)_i| <=
@@ -161,28 +164,6 @@ type Options struct {
 	// coordinates and trigger fewer KKT re-expansions. Zero selects the
 	// default 0.1; must lie in [0, 1).
 	ScreenMargin float64
-	// KKTEvery is the cadence (in communication rounds) of the active-set
-	// engine's exact full-gradient KKT scan. 1 is the legacy protocol:
-	// scan + bitmap agreement allreduce every round. Values > 1 run the
-	// incremental protocol: between scans the working set is frozen and
-	// rounds pay zero screening collectives; a scan still fires early
-	// whenever the iterate support changes or the solve stops, and a scan
-	// that finds violations rewinds and redoes every round since the last
-	// certified scan on the expanded set, so the exactness guarantee is
-	// unchanged — only its granularity moves from rounds to scan windows.
-	// When a snapshot refresh landed on the scan boundary its exact full
-	// gradient is reused instead of recomputed, saving the d-word
-	// allreduce; the working set is then derived locally (it is a pure
-	// function of allreduced state, like the shared sample streams), so
-	// the bitmap allreduce disappears too. The cadence is adaptive: a
-	// scan that certifies its window clean (no violations, not forced by
-	// a support change) doubles the gap to the next one, up to
-	// 8*KKTEvery; any violation or support-change-triggered scan resets
-	// the gap to KKTEvery. Zero selects the default: 4 under ActiveSet
-	// on a reliable network, 1 under a FaultPlan (the per-round scan is
-	// the degradation backstop); explicit values > 1 are incompatible
-	// with Faults. Ignored without ActiveSet.
-	KKTEvery int
 	// CompressTier selects the wire precision of the solver's
 	// collectives: "off"/""/"f64" (full precision, the default),
 	// "f32" (error-feedback float32, ~2x fewer words), "i8"
@@ -277,13 +258,6 @@ func (o *Options) Validate() error {
 	if o.ScreenMargin < 0 || o.ScreenMargin >= 1 || math.IsNaN(o.ScreenMargin) {
 		return errors.New("solver: ScreenMargin must lie in [0, 1)")
 	}
-	if o.KKTEvery < 0 {
-		return errors.New("solver: KKTEvery must be non-negative (0 selects the default)")
-	}
-	if o.KKTEvery > 1 && o.Faults != nil {
-		return errors.New("solver: KKTEvery > 1 is incompatible with Faults " +
-			"(the per-round KKT scan is the fault-degradation backstop; use KKTEvery = 1)")
-	}
 	if o.CompressTier != "" && o.CompressTier != "auto" {
 		if _, err := dist.ParseTier(o.CompressTier); err != nil {
 			return fmt.Errorf("solver: CompressTier %q: want off, f32, i8 or auto", o.CompressTier)
@@ -350,13 +324,6 @@ func (o Options) withDefaults() Options {
 		o.ScreenMargin = 0.1
 	}
 	o.CompressTier = CanonicalTier(o.CompressTier)
-	if o.ActiveSet && o.KKTEvery == 0 {
-		if o.Faults != nil {
-			o.KKTEvery = 1
-		} else {
-			o.KKTEvery = 4
-		}
-	}
 	return o
 }
 

@@ -399,7 +399,10 @@ func (e *engine) MoreAfterNext() bool {
 
 // OnSkip caps fault-skipped rounds so a never-healing network still
 // terminates. Under ActiveSet the lost round's fill record is retired
-// so the FIFO stays aligned with the exchanges.
+// so the FIFO stays aligned with the exchanges. A round is skipped only
+// while no batch has ever been delivered (afterwards it degrades), so no
+// scan window is open when the cap fires: the abandoned iterate is the
+// start point.
 func (e *engine) OnSkip() bool {
 	if e.as != nil {
 		e.as.popFill()

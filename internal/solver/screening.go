@@ -1,16 +1,11 @@
 package solver
 
 // Screening-rule side of the active-set engine (see activeset.go for
-// the round protocol): the exact-gradient evaluation, the working-set
-// derivation with its bitmap agreement allreduce, and the round-
-// boundary KKT violation check.
+// the shared state, activeset_window.go for the round protocol): the
+// exact-gradient evaluation, the working-set derivation, and the KKT
+// violation check a scan runs.
 
-import (
-	"math"
-
-	"github.com/hpcgo/rcsfista/internal/dist"
-	"github.com/hpcgo/rcsfista/internal/mat"
-)
+import "github.com/hpcgo/rcsfista/internal/mat"
 
 // exactGradient writes the exact full gradient (1/m)(X X^T w - X y) at
 // wCurr into dst: one local Gram-free pass plus one d-word allreduce,
@@ -39,15 +34,18 @@ func (e *engine) exactGradient(dst []float64) {
 	}
 }
 
-// deriveActive computes the next round's working set from the current
-// (shared) state and agrees on it across ranks with a (d+63)/64-word
-// bitmap allreduce. The iterate supports are included so the reduced
-// FISTA recurrences v = w + mu*(w - wPrev) and H(v - wSnap) reproduce
-// the dense arithmetic restricted to A; the regularizer's gradient rule
-// (prox.Screener.GradScreen — |g_i| > λ(1-margin) for l1, the shifted
-// rule for elastic net, per-group norms for group lasso) admits every
-// coordinate the KKT conditions cannot screen at margin, and
-// CloseSupport keeps the set group-closed under group penalties.
+// deriveActive computes the next window's working set from the current
+// (shared) state. It issues no collective: the set is a pure function
+// of allreduced quantities (gExact and the replicated iterates), so
+// every rank builds the identical one — the same rationale that lets
+// the shared sample streams skip coordination. The iterate supports are
+// included so the reduced FISTA recurrences v = w + mu*(w - wPrev) and
+// H(v - wSnap) reproduce the dense arithmetic restricted to A; the
+// regularizer's gradient rule (prox.Screener.GradScreen — |g_i| >
+// λ(1-margin) for l1, the shifted rule for elastic net, per-group norms
+// for group lasso) admits every coordinate the KKT conditions cannot
+// screen at margin, and CloseSupport keeps the set group-closed under
+// group penalties.
 func (e *engine) deriveActive() {
 	as := e.as
 	d := e.d
@@ -65,24 +63,6 @@ func (e *engine) deriveActive() {
 	}
 	e.scr.GradScreen(as.bits, as.gExact, e.wCurr, as.margin)
 	e.scr.CloseSupport(as.bits)
-	// Working-set agreement. The bitmap is a pure function of allreduced
-	// quantities (gExact and the replicated iterates), so every rank has
-	// already built the identical bit pattern — the same rationale that
-	// lets the shared sample streams skip coordination. The legacy
-	// KKTEvery = 1 protocol still ships it through an OpMax allreduce
-	// (a pure identity on equal patterns: v > dst is false for equal or
-	// NaN bits) to charge the per-round coordination its historical wire
-	// cost; the incremental protocol derives locally and pays nothing,
-	// which is where the screening engine's collective count drops.
-	if e.opts.KKTEvery <= 1 {
-		for w := range as.bits {
-			as.bitmap[w] = math.Float64frombits(as.bits[w])
-		}
-		e.c.Allreduce(as.bitmap, dist.OpMax)
-		for w := range as.bits {
-			as.bits[w] = math.Float64bits(as.bitmap[w])
-		}
-	}
 	n := 0
 	same := true
 	for i := 0; i < d; i++ {

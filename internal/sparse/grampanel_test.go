@@ -227,8 +227,7 @@ func abs(x int) int {
 // (ls_fill_chan's 192 x 2000 block at 200 columns a slot, and a d = 392
 // block whose 400-column slots span two panels) take the panel kernel;
 // the two sparse ones (ls_bw_tcp's mnist block, f = 0.19, and
-// ls_lat_tcp's covtype block, f = 0.22) take the column sweep, whose
-// speed bench-compare holds still.
+// ls_lat_tcp's covtype block, f = 0.22) take the column sweep.
 func BenchmarkSampledGramPacked(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
