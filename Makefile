@@ -93,8 +93,9 @@ bench-smoke:
 
 # bench-exact is the refactor gate: `make bench-exact BASE=<git-ref>`
 # runs the repo benchmark's quick form (all six workloads, both passes,
-# ~12 s per tree) on BASE — checked out as a git worktree under the
-# ignored .bench_build/ — and on this tree, then fails if bench
+# ~12 s per tree) on BASE — its committed files, unpacked with git
+# archive under the ignored .bench_build/, which writes nothing under
+# .git and needs no cleanup trap — and on this tree, then fails if bench
 # -compare reports that any exact-repeat count moved (perf.flops/msgs/
 # words, solver.rounds/updates, dist.calls_per_solve,
 # dist.words_in_per_solve; two runs of one commit print none). Timings
@@ -104,12 +105,11 @@ bench-smoke:
 EXACT_DIR = .bench_build/exact
 bench-exact:
 	@test -n "$(BASE)" || { echo "usage: make bench-exact BASE=<git-ref>" >&2; exit 2; }
-	@set -e; root=$$(pwd); dir=$$root/$(EXACT_DIR); \
-	git worktree remove --force $$dir/base 2>/dev/null || true; \
-	rm -rf $$dir; mkdir -p $$dir; \
-	git worktree add --detach $$dir/base $(BASE) >/dev/null; \
-	trap 'git -C '$$root' worktree remove --force '$$dir'/base' EXIT; \
+	@set -e; dir=$$(pwd)/$(EXACT_DIR); \
+	rm -rf $$dir; mkdir -p $$dir/base; \
+	git archive $(BASE) | tar -x -C $$dir/base; \
 	(cd $$dir/base && $(GO) run ./bench -quick -seed 1 -out $$dir/base-out) >/dev/null; \
+	rm -rf $$dir/base; \
 	$(GO) run ./bench -quick -seed 1 -out $$dir/head-out >/dev/null; \
 	$(GO) run ./bench -compare $$dir/base-out/result-seed1.json $$dir/head-out/result-seed1.json \
 	  > $$dir/compare.txt || test $$? -eq 1; \

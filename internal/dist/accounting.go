@@ -3,8 +3,8 @@ package dist
 import "github.com/hpcgo/rcsfista/internal/perf"
 
 // This file is the single source of truth for per-operation cost
-// bookkeeping. Every backend (chan, tcp) and every wrapper (FaultyComm,
-// AllreduceScalar, the gather/scatter helpers) charges collectives
+// bookkeeping. The collectives shared by every backend (collective.go),
+// each backend's shared allreduce and the FaultyComm wrapper charge
 // through these helpers, so the alpha-beta-gamma counters cannot drift
 // between transports: the conformance suite asserts per-rank cost
 // equality across backends for the whole collective surface.

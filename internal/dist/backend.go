@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/hpcgo/rcsfista/internal/perf"
 )
@@ -43,6 +44,97 @@ type World interface {
 	Profile() []ProfileEntry
 	// ProfileString renders the profile as a small table.
 	ProfileString() string
+}
+
+// worldBase is what every World shares: its shape, the per-rank cost
+// counters, the collective profile and the rank-goroutine runner.
+// Backends embed it and add Run.
+type worldBase struct {
+	size    int
+	machine perf.Machine
+	costs   []perf.Cost
+	prof    profile
+}
+
+func newWorldBase(p int, machine perf.Machine) worldBase {
+	return worldBase{size: p, machine: machine, costs: make([]perf.Cost, p)}
+}
+
+// Size returns the number of ranks.
+func (w *worldBase) Size() int { return w.size }
+
+// Machine returns the world's machine model.
+func (w *worldBase) Machine() perf.Machine { return w.machine }
+
+// RankCost returns the accumulated cost of rank r.
+func (w *worldBase) RankCost(r int) perf.Cost { return w.costs[r] }
+
+// MaxCost returns the component-wise maximum cost over ranks — the
+// bulk-synchronous critical path.
+func (w *worldBase) MaxCost() perf.Cost {
+	var m perf.Cost
+	for _, c := range w.costs {
+		m = m.Max(c)
+	}
+	return m
+}
+
+// TotalCost returns the sum of all rank costs.
+func (w *worldBase) TotalCost() perf.Cost {
+	var t perf.Cost
+	for _, c := range w.costs {
+		t.Add(c)
+	}
+	return t
+}
+
+// ModeledSeconds evaluates the alpha-beta-gamma model on the critical
+// path (max over ranks), the quantity the speedup figures report.
+func (w *worldBase) ModeledSeconds() float64 {
+	return w.machine.Seconds(w.MaxCost())
+}
+
+// ResetCosts clears all per-rank cost counters.
+func (w *worldBase) ResetCosts() { clear(w.costs) }
+
+// Profile returns per-collective usage statistics for all runs of this
+// world.
+func (w *worldBase) Profile() []ProfileEntry { return w.prof.entries() }
+
+// ProfileString renders the profile as a small table.
+func (w *worldBase) ProfileString() string { return w.prof.table() }
+
+// runRanks executes fn(rank) on one goroutine per rank and waits for
+// all of them. The first rank to return an error or panic calls abort,
+// which must release the ranks parked in collectives; those unwind with
+// errAborted, which is swallowed as not a root cause. The error of the
+// lowest failing rank is returned.
+func (w *worldBase) runRanks(fn func(rank int) error, abort func()) error {
+	errs := make([]error, w.size)
+	var wg sync.WaitGroup
+	for r := 0; r < w.size; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			defer func() {
+				if rec := recover(); rec != nil && rec != errAborted {
+					errs[rank] = fmt.Errorf("dist: rank %d panicked: %v", rank, rec)
+					abort()
+				}
+			}()
+			if err := fn(rank); err != nil {
+				errs[rank] = err
+				abort()
+			}
+		}(r)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Backend constructs Worlds over one transport. Backends register at

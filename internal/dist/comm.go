@@ -1,10 +1,12 @@
-// Package dist is the distributed-memory substrate: an in-process,
-// MPI-style message-passing runtime. P ranks execute as P goroutines;
-// collectives (Allreduce, Bcast, Reduce, Allgather, Barrier) and
-// point-to-point Send/Recv are implemented over shared memory with the
-// same data-movement semantics as their MPI counterparts, and every
-// operation charges the alpha-beta model costs of the tree/ring
-// algorithm it stands for into the calling rank's perf.Cost.
+// Package dist is the distributed-memory substrate: an MPI-style
+// message-passing runtime. P ranks execute as P goroutines over shared
+// memory (the chan backend) or over a mesh of loopback sockets (tcp,
+// which is also one rank per OS process under Launch); collectives
+// (Allreduce, Bcast, Reduce, Allgather, Barrier) and point-to-point
+// Send/Recv have the data-movement semantics of their MPI
+// counterparts, and every operation charges the alpha-beta model costs
+// of the tree/ring algorithm it stands for into the calling rank's
+// perf.Cost.
 //
 // This substitutes for the paper's MPI 2.1 deployment on XSEDE Comet
 // (DESIGN.md Section 2): algorithms written against the Comm interface
@@ -13,10 +15,15 @@
 // process. Modeled time comes from perf.Machine; real wall-clock is
 // also observable but reflects the host, not Comet.
 //
-// Reductions are performed in rank order by a single designated rank,
-// so results are bit-for-bit deterministic across runs and independent
-// of goroutine scheduling. (A real MPI allreduce has a fixed reduction
-// tree, so determinism across runs at fixed P is the faithful choice.)
+// Reductions are performed in ascending rank order starting from rank
+// 0's contribution — by every rank that receives the result, each for
+// itself, for the small collectives (collective.go); once per posted
+// round, or once per segment at the segment's owner, for the shared
+// sum-allreduce — so results are bit-for-bit deterministic across runs,
+// identical on every rank and backend, and independent of goroutine
+// scheduling and network arrival order. (A real MPI allreduce has a
+// fixed reduction tree, so determinism across runs at fixed P is the
+// faithful choice.)
 package dist
 
 import (

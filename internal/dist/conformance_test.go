@@ -75,10 +75,10 @@ func TestConformanceRegistry(t *testing.T) {
 
 // TestConformanceCollectives: the full collective surface produces
 // correct values on every backend, at P values covering the golden
-// grid.
+// grid and an odd world, with every rank taking its turn as root.
 func TestConformanceCollectives(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		for _, p := range []int{1, 2, 4, 8} {
+		for _, p := range []int{1, 2, 3, 4, 8} {
 			t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
 				w := mustWorld(t, b, p)
 				err := w.Run(func(c Comm) error {
@@ -109,24 +109,25 @@ func TestConformanceCollectives(t *testing.T) {
 					if got := req1.Wait()[0]; got != pf*(pf-1)/2 {
 						return fmt.Errorf("iallreduce round 1: %g", got)
 					}
-					// Bcast from a non-zero root.
-					root := (p - 1) % p
-					bc := []float64{r + 1}
-					if c.Rank() == root {
-						bc[0] = 42
-					}
-					c.Bcast(bc, root)
-					if bc[0] != 42 {
-						return fmt.Errorf("bcast: %v", bc)
-					}
-					// Reduce to a non-zero root.
-					rd := []float64{r}
-					c.Reduce(rd, OpSum, root)
-					if c.Rank() == root && rd[0] != pf*(pf-1)/2 {
-						return fmt.Errorf("reduce at root: %v", rd)
-					}
-					if c.Rank() != root && rd[0] != r {
-						return fmt.Errorf("reduce clobbered non-root buf: %v", rd)
+					for root := 0; root < p; root++ {
+						// Bcast from every root.
+						bc := []float64{r + 1, -r}
+						if c.Rank() == root {
+							bc = []float64{42, float64(root)}
+						}
+						c.Bcast(bc, root)
+						if bc[0] != 42 || bc[1] != float64(root) {
+							return fmt.Errorf("bcast from %d: %v", root, bc)
+						}
+						// Reduce to every root.
+						rd := []float64{r, 1}
+						c.Reduce(rd, OpSum, root)
+						if c.Rank() == root && (rd[0] != pf*(pf-1)/2 || rd[1] != pf) {
+							return fmt.Errorf("reduce at root %d: %v", root, rd)
+						}
+						if c.Rank() != root && (rd[0] != r || rd[1] != 1) {
+							return fmt.Errorf("reduce to %d clobbered non-root buf: %v", root, rd)
+						}
 					}
 					// Allgather with ragged lengths.
 					local := make([]float64, c.Rank()+1)
@@ -163,14 +164,30 @@ func TestConformanceCollectives(t *testing.T) {
 	})
 }
 
+// cancelling is rank's contribution to a sum that is not associative:
+// 1e16, 1, -1e16, 1, ... by rank. Folded left to right from rank 0 the
+// ones that meet 1e16 are absorbed and the rest survive; any other
+// order or grouping gives other bits.
+func cancelling(rank int) float64 {
+	switch rank % 4 {
+	case 0:
+		return 1e16
+	case 2:
+		return -1e16
+	}
+	return 1
+}
+
 // TestConformanceCrossBackendBitIdentity: the same reduction-heavy
 // program produces bit-identical results AND bit-identical cost
 // counters on every backend — the property that lets one golden
-// fixture set serve as the oracle for all transports.
+// fixture set serve as the oracle for all transports. The in-place
+// Allreduce of cancelling values is also held to the ascending
+// rank-order fold itself, on an odd world and at P = 8.
 func TestConformanceCrossBackendBitIdentity(t *testing.T) {
-	const p = 4
 	const rounds = 6
 	program := func(w World) ([][]float64, []perf.Cost) {
+		p := w.Size()
 		out := make([][]float64, p)
 		err := w.Run(func(c Comm) error {
 			// Ill-conditioned contributions: summation order changes the
@@ -183,7 +200,20 @@ func TestConformanceCrossBackendBitIdentity(t *testing.T) {
 				state[0] += 0.1 * float64(c.Rank()) * state[1]
 				c.Allreduce(state, OpSum)
 			}
-			out[c.Rank()] = state
+			sum := []float64{cancelling(c.Rank()), cancelling(c.Rank() + 1)}
+			c.Allreduce(sum, OpSum)
+			want := []float64{cancelling(0), cancelling(1)}
+			for r := 1; r < p; r++ {
+				want[0] += cancelling(r)
+				want[1] += cancelling(r + 1)
+			}
+			if sum[0] != want[0] || sum[1] != want[1] {
+				return fmt.Errorf("rank %d: allreduce gave %v, the rank-order fold is %v", c.Rank(), sum, want)
+			}
+			root := p - 1
+			c.Reduce(state, OpSum, root)
+			c.Bcast(state, root)
+			out[c.Rank()] = append(state, sum...)
 			return nil
 		})
 		if err != nil {
@@ -201,27 +231,29 @@ func TestConformanceCrossBackendBitIdentity(t *testing.T) {
 		out   [][]float64
 		costs []perf.Cost
 	}
-	var results []result
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		out, costs := program(mustWorld(t, b, p))
-		results = append(results, result{b.Name(), out, costs})
-	})
-	if len(results) < 2 {
-		t.Skip("fewer than two supported backends")
-	}
-	ref := results[0]
-	for _, got := range results[1:] {
-		for r := 0; r < p; r++ {
-			for i := range ref.out[r] {
-				if math.Float64bits(ref.out[r][i]) != math.Float64bits(got.out[r][i]) {
-					t.Fatalf("rank %d word %d: %s=%x %s=%x", r, i,
-						ref.name, math.Float64bits(ref.out[r][i]),
-						got.name, math.Float64bits(got.out[r][i]))
+	for _, p := range []int{3, 4, 8} {
+		var results []result
+		forEachBackend(t, func(t *testing.T, b Backend) {
+			out, costs := program(mustWorld(t, b, p))
+			results = append(results, result{b.Name(), out, costs})
+		})
+		if len(results) < 2 {
+			t.Skip("fewer than two supported backends")
+		}
+		ref := results[0]
+		for _, got := range results[1:] {
+			for r := 0; r < p; r++ {
+				for i := range ref.out[r] {
+					if math.Float64bits(ref.out[r][i]) != math.Float64bits(got.out[r][i]) {
+						t.Fatalf("P=%d rank %d word %d: %s=%x %s=%x", p, r, i,
+							ref.name, math.Float64bits(ref.out[r][i]),
+							got.name, math.Float64bits(got.out[r][i]))
+					}
 				}
-			}
-			if ref.costs[r] != got.costs[r] {
-				t.Fatalf("rank %d cost diverged: %s=%+v %s=%+v", r,
-					ref.name, ref.costs[r], got.name, got.costs[r])
+				if ref.costs[r] != got.costs[r] {
+					t.Fatalf("P=%d rank %d cost diverged: %s=%+v %s=%+v", p, r,
+						ref.name, ref.costs[r], got.name, got.costs[r])
+				}
 			}
 		}
 	}
@@ -416,7 +448,7 @@ func TestConformanceFaultyComm(t *testing.T) {
 		err := w.Run(func(c Comm) error {
 			fc := NewFaultyComm(c, plan, 1.0)
 			for round := 0; round < 4; round++ {
-				res, ok := fc.AttemptAllreduceShared([]float64{float64(c.Rank()), 1}, 0)
+				res, ok := fc.AttemptAllreduceSharedTier([]float64{float64(c.Rank()), 1}, 0, TierF64)
 				var cp []float64
 				if res != nil {
 					cp = append([]float64(nil), res...)

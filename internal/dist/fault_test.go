@@ -118,7 +118,7 @@ func TestFaultyCommZeroPlanIsTransparent(t *testing.T) {
 			buf := []float64{float64(c.Rank()), 2}
 			if wrap {
 				fc := NewFaultyComm(c, &FaultPlan{}, 0)
-				res, ok := fc.AttemptAllreduceShared(buf, 0)
+				res, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
 				if !ok {
 					return fmt.Errorf("zero plan failed a round")
 				}
@@ -167,17 +167,17 @@ func TestFaultyCommDropChargesAndFailsEverywhere(t *testing.T) {
 	err := w.Run(func(c Comm) error {
 		fc := NewFaultyComm(c, plan, 2e-3)
 		buf := make([]float64, 10)
-		res, ok := fc.AttemptAllreduceShared(buf, 0)
+		res, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
 		if ok || res != nil {
 			return fmt.Errorf("rank %d: dropped attempt succeeded", c.Rank())
 		}
 		// Second attempt of the same round: schedule says all attempts.
-		if _, ok := fc.AttemptAllreduceShared(buf, 1); ok {
+		if _, ok := fc.AttemptAllreduceSharedTier(buf, 1, TierF64); ok {
 			return fmt.Errorf("rank %d: retry of hard drop succeeded", c.Rank())
 		}
 		fc.EndRound()
 		// Next round is clean.
-		res, ok = fc.AttemptAllreduceShared(buf, 0)
+		res, ok = fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
 		if !ok || res == nil {
 			return fmt.Errorf("rank %d: clean round failed", c.Rank())
 		}
@@ -210,11 +210,11 @@ func TestFaultyCommCorruptDetectedByAllRanks(t *testing.T) {
 	err := w.Run(func(c Comm) error {
 		fc := NewFaultyComm(c, plan, 0)
 		buf := []float64{1, 2, 3, 4}
-		if _, ok := fc.AttemptAllreduceShared(buf, 0); ok {
+		if _, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64); ok {
 			return fmt.Errorf("rank %d: corrupted attempt not failed", c.Rank())
 		}
 		// The retry goes through and returns the true sum.
-		res, ok := fc.AttemptAllreduceShared(buf, 1)
+		res, ok := fc.AttemptAllreduceSharedTier(buf, 1, TierF64)
 		if !ok {
 			return fmt.Errorf("rank %d: retry failed", c.Rank())
 		}
@@ -241,7 +241,7 @@ func TestFaultyCommCrashOutageAndRestartCost(t *testing.T) {
 		fc := NewFaultyComm(c, plan, 1e-3)
 		buf := []float64{1}
 		for round := 0; round < 3; round++ {
-			res, ok := fc.AttemptAllreduceShared(buf, 0)
+			res, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
 			fc.EndRound()
 			wantOK := round >= 2
 			if ok != wantOK {
@@ -276,7 +276,7 @@ func TestFaultyCommStraggler(t *testing.T) {
 		fc := NewFaultyComm(c, plan, 0)
 		buf := []float64{1, 1}
 		for round := 0; round < 2; round++ {
-			res, ok := fc.AttemptAllreduceShared(buf, 0)
+			res, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
 			fc.EndRound()
 			if !ok || res[0] != float64(p) {
 				return fmt.Errorf("rank %d round %d: straggler must not lose data", c.Rank(), round)
@@ -304,10 +304,10 @@ func TestFaultyCommOnSelfComm(t *testing.T) {
 	fc := NewFaultyComm(NewSelfComm(unitMachine()),
 		&FaultPlan{Schedule: []ScheduledFault{{Round: 0, Kind: FaultDrop, Attempts: 1}}}, 1e-3)
 	buf := []float64{3}
-	if _, ok := fc.AttemptAllreduceShared(buf, 0); ok {
+	if _, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64); ok {
 		t.Fatal("scheduled drop succeeded on SelfComm")
 	}
-	res, ok := fc.AttemptAllreduceShared(buf, 1)
+	res, ok := fc.AttemptAllreduceSharedTier(buf, 1, TierF64)
 	if !ok || res[0] != 3 {
 		t.Fatalf("retry on SelfComm: ok=%v res=%v", ok, res)
 	}

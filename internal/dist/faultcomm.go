@@ -30,7 +30,7 @@ func PayloadChecksum(buf []float64) uint64 {
 }
 
 // FaultyComm wraps a Comm and injects the plan's faults into the
-// round-indexed fallible collective (AttemptAllreduceShared). All other
+// round-indexed fallible collective (AttemptAllreduceSharedTier). All other
 // operations pass through to the wrapped communicator unchanged, so
 // instrumentation collectives (objective evaluation, variance-reduction
 // snapshots) stay reliable — the plan models data-plane loss on the
@@ -68,7 +68,7 @@ func NewFaultyComm(inner Comm, plan *FaultPlan, timeoutSec float64) *FaultyComm 
 // reliable passthroughs (and the forwarders over them) let the solver
 // compose payload compression with fault injection. Fault verdicts
 // apply only through the attempt methods below, mirroring how the
-// promoted AllreduceShared relates to AttemptAllreduceShared.
+// promoted AllreduceShared relates to AttemptAllreduceSharedTier.
 func (f *FaultyComm) allreduceSharedTier(local []float64, t Tier) []float64 {
 	return AllreduceSharedTier(f.Comm, local, t)
 }
@@ -103,43 +103,28 @@ func (f *FaultyComm) Events() []FaultEvent { return f.events }
 // Every rank must call it exactly once per round, after its attempts.
 func (f *FaultyComm) EndRound() { f.round++ }
 
-// AttemptAllreduceShared executes attempt number attempt of the current
-// fallible round. On a clean or merely-straggling attempt it returns
-// (result, true); on a lost attempt (drop, corruption, crash outage) it
-// charges the realistic failure cost — the tree traffic already sent,
-// the timeout spent waiting, the corruption-detection vote — and
-// returns (nil, false) on every rank, so the SPMD retry loops stay in
-// lockstep without any extra coordination.
-func (f *FaultyComm) AttemptAllreduceShared(local []float64, attempt int) ([]float64, bool) {
-	return f.AttemptAllreduceSharedTier(local, attempt, TierF64)
-}
-
-// AttemptAllreduceSharedTier is AttemptAllreduceShared over the tier's
-// wire: the collective (when the verdict lets it run) dispatches at
-// tier, and a lost attempt charges the tree traffic at the tier's
-// compressed footprint — a dropped int8 round wasted int8 words, not
-// float64 words.
+// AttemptAllreduceSharedTier executes attempt number attempt of the
+// current fallible round over the tier's wire: post, then Wait. On a
+// clean or merely-straggling attempt it returns (result, true); on a
+// lost attempt (drop, corruption, crash outage) it charges the realistic
+// failure cost — the tree traffic already sent, at the tier's compressed
+// footprint (a dropped int8 round wasted int8 words, not float64 words),
+// the timeout spent waiting, the corruption-detection vote — and returns
+// (nil, false) on every rank, so the SPMD retry loops stay in lockstep
+// without any extra coordination.
 func (f *FaultyComm) AttemptAllreduceSharedTier(local []float64, attempt int, tier Tier) ([]float64, bool) {
-	v := f.plan.Verdict(f.round, attempt, f.Size())
-	var res []float64
-	switch v.Kind {
-	case FaultNone, FaultStraggler, FaultCorrupt:
-		// The collective itself completes under these verdicts.
-		res = AllreduceSharedTier(f.Comm, local, tier)
-	}
-	return f.resolveAttempt(v, f.round, attempt, res, len(local), tier)
+	return f.IAttemptAllreduceSharedTier(local, attempt, tier).Wait()
 }
 
-// resolveAttempt applies a verdict to a completed (or never-started)
-// collective: it charges the failure costs, records the fault event and
-// returns the attempt outcome. Shared by the blocking
-// AttemptAllreduceShared and the pipelined PendingAttempt.Wait, so both
-// paths observe identical costs and events for identical verdicts. res
-// is the collective's result for verdicts that complete it, nil for
-// drop/crash (where no rank enters the collective). tier is the wire
-// tier the attempt ran (or would have run) at; lost attempts charge
-// the already-sent tree traffic at that tier's footprint.
-func (f *FaultyComm) resolveAttempt(v Verdict, round, attempt int, res []float64, words int, tier Tier) ([]float64, bool) {
+// resolve applies the attempt's verdict to its completed (or
+// never-started) collective: it charges the failure costs, records the
+// fault event and returns the attempt outcome. res is the collective's
+// result for verdicts that complete it, nil for drop/crash (where no
+// rank enters the collective); lost attempts charge the already-sent
+// tree traffic at the footprint of the tier the attempt would have run
+// at.
+func (p *PendingAttempt) resolve(res []float64) ([]float64, bool) {
+	f, v, round, attempt := p.f, p.verdict, p.round, p.attempt
 	cost := f.Cost()
 	switch v.Kind {
 	case FaultNone:
@@ -159,7 +144,7 @@ func (f *FaultyComm) resolveAttempt(v Verdict, round, attempt int, res []float64
 		// timeout before declaring the attempt dead. No rank receives
 		// data, and — because the verdict is shared — no rank enters
 		// the underlying collective, so nobody deadlocks.
-		chargeAllreduceTier(cost, f.Size(), words, tier)
+		chargeAllreduceTier(cost, f.Size(), p.words, p.tier)
 		cost.AddStall(f.timeoutSec)
 		stall := f.timeoutSec
 		if v.Kind == FaultCrash && f.plan.Crash != nil &&
@@ -205,10 +190,10 @@ func (f *FaultyComm) resolveAttempt(v Verdict, round, attempt int, res []float64
 }
 
 // PendingAttempt is an in-flight fallible allreduce attempt posted with
-// IAttemptAllreduceShared. The fault verdict — a pure function of
+// IAttemptAllreduceSharedTier. The fault verdict — a pure function of
 // (seed, round, attempt), identical on every rank — is applied when
-// Wait is called, so pipelined rounds observe exactly the faults,
-// costs and events the blocking AttemptAllreduceShared would produce.
+// Wait is called, so pipelined and blocking rounds observe the same
+// faults, costs and events.
 type PendingAttempt struct {
 	f       *FaultyComm
 	verdict Verdict
@@ -222,19 +207,13 @@ type PendingAttempt struct {
 	ok      bool
 }
 
-// IAttemptAllreduceShared posts attempt number attempt of the current
-// fallible round without blocking. For verdicts under which the
-// collective completes (clean, straggler, corrupt) the payload is
-// posted through the nonblocking substrate; for drop/crash verdicts no
-// rank posts anything — the shared verdict keeps the SPMD ranks in
-// lockstep — and the loss is charged when Wait resolves the attempt.
-func (f *FaultyComm) IAttemptAllreduceShared(local []float64, attempt int) *PendingAttempt {
-	return f.IAttemptAllreduceSharedTier(local, attempt, TierF64)
-}
-
-// IAttemptAllreduceSharedTier posts the tiered fallible attempt
-// nonblocking; Wait resolves it with the tier's arithmetic and the
-// tier's failure accounting.
+// IAttemptAllreduceSharedTier posts attempt number attempt of the
+// current fallible round at tier without blocking. For verdicts under
+// which the collective completes (clean, straggler, corrupt) the
+// payload is posted through the nonblocking substrate; for drop/crash
+// verdicts no rank posts anything — the shared verdict keeps the SPMD
+// ranks in lockstep — and the loss is charged when Wait resolves the
+// attempt with the tier's arithmetic and the tier's failure accounting.
 func (f *FaultyComm) IAttemptAllreduceSharedTier(local []float64, attempt int, tier Tier) *PendingAttempt {
 	v := f.plan.Verdict(f.round, attempt, f.Size())
 	p := &PendingAttempt{f: f, verdict: v, round: f.round, attempt: attempt, words: len(local), tier: tier}
@@ -247,7 +226,7 @@ func (f *FaultyComm) IAttemptAllreduceSharedTier(local []float64, attempt int, t
 
 // Wait resolves the pending attempt: it completes the in-flight
 // collective (when the verdict lets it complete) and applies the
-// verdict exactly as the blocking attempt path does. Idempotent.
+// verdict. Idempotent.
 func (p *PendingAttempt) Wait() ([]float64, bool) {
 	if p.done {
 		return p.res, p.ok
@@ -257,7 +236,7 @@ func (p *PendingAttempt) Wait() ([]float64, bool) {
 	if p.req != nil {
 		res = p.req.Wait()
 	}
-	p.res, p.ok = p.f.resolveAttempt(p.verdict, p.round, p.attempt, res, p.words, p.tier)
+	p.res, p.ok = p.resolve(res)
 	return p.res, p.ok
 }
 

@@ -168,8 +168,8 @@ func TestFailedRunReleasesCollectiveState(t *testing.T) {
 	w := newChanWorld(p, unitMachine())
 	bang := errors.New("bang")
 	err := w.Run(func(c Comm) error {
-		// A successful collective populates contrib/shared/scratch and
-		// lens; a posted-but-unwaited nonblocking round populates iar.
+		// A successful collective populates contrib; a posted-but-unwaited
+		// nonblocking round populates iar.
 		buf := make([]float64, 1024)
 		c.Allreduce(buf, OpSum)
 		c.AllreduceShared(buf)
@@ -189,14 +189,6 @@ func TestFailedRunReleasesCollectiveState(t *testing.T) {
 	for r, s := range w.contrib {
 		if s != nil {
 			t.Fatalf("contrib[%d] still pinned after failed Run", r)
-		}
-	}
-	if w.shared != nil || w.scratch != nil {
-		t.Fatal("shared/scratch still pinned after failed Run")
-	}
-	for r, n := range w.lens {
-		if n != 0 {
-			t.Fatalf("lens[%d] = %d after failed Run", r, n)
 		}
 	}
 	w.iarMu.Lock()
@@ -219,7 +211,7 @@ func TestFailedRunReleasesCollectiveState(t *testing.T) {
 }
 
 // TestPendingAttemptMatchesBlockingAttempt: for every verdict kind the
-// pipelined IAttemptAllreduceShared+Wait path must produce the same
+// pipelined IAttemptAllreduceSharedTier+Wait path must produce the same
 // payload, outcome, cost and event log as the blocking attempt.
 func TestPendingAttemptMatchesBlockingAttempt(t *testing.T) {
 	const p = 4
@@ -251,9 +243,9 @@ func TestPendingAttemptMatchesBlockingAttempt(t *testing.T) {
 				var res []float64
 				var ok bool
 				if pending {
-					res, ok = fc.IAttemptAllreduceShared(local, 0).Wait()
+					res, ok = fc.IAttemptAllreduceSharedTier(local, 0, TierF64).Wait()
 				} else {
-					res, ok = fc.AttemptAllreduceShared(local, 0)
+					res, ok = fc.AttemptAllreduceSharedTier(local, 0, TierF64)
 				}
 				out[c.Rank()] = append(out[c.Rank()], outcome{res: res, ok: ok})
 				fc.EndRound()

@@ -98,10 +98,3 @@ func (p *profile) table() string {
 	}
 	return b.String()
 }
-
-// Profile returns per-collective usage statistics for all runs of this
-// world.
-func (w *chanWorld) Profile() []ProfileEntry { return w.prof.entries() }
-
-// ProfileString renders the profile as a small table.
-func (w *chanWorld) ProfileString() string { return w.prof.table() }

@@ -2,11 +2,13 @@ package dist
 
 import "github.com/hpcgo/rcsfista/internal/perf"
 
-// SelfComm is the single-process communicator: Size() == 1, all
-// collectives are local no-ops with zero communication cost. It lets
-// the distributed solver drivers run sequentially without a World.
+// SelfComm is the single-process communicator: Size() == 1, so every
+// collective takes the P = 1 return of collectives — local no-ops with
+// zero communication cost, the shared allreduce a rounded copy
+// (combineOne). It lets the distributed solver drivers run sequentially
+// without a World.
 type SelfComm struct {
-	tierForwarders
+	collectives
 	machine perf.Machine
 	cost    perf.Cost
 }
@@ -15,7 +17,7 @@ type SelfComm struct {
 // machine (only compute costs ever accrue).
 func NewSelfComm(machine perf.Machine) *SelfComm {
 	c := &SelfComm{machine: machine}
-	c.to = c
+	c.bind(c, nil)
 	return c
 }
 
@@ -27,47 +29,10 @@ func (c *SelfComm) Rank() int { return 0 }
 // Size returns 1.
 func (c *SelfComm) Size() int { return 1 }
 
-// Barrier is a no-op.
-func (c *SelfComm) Barrier() {}
-
-// Allreduce is a no-op: the local buffer already holds the global value.
-func (c *SelfComm) Allreduce(buf []float64, op Op) {}
-
-// AllreduceShared returns a copy of local.
-func (c *SelfComm) AllreduceShared(local []float64) []float64 {
-	return combineOne(local, TierF64)
-}
-
-// IAllreduceShared returns an already-completed request holding a copy
-// of local: with a single rank there is no communication to overlap.
-func (c *SelfComm) IAllreduceShared(local []float64) *Request {
-	return completedRequest(combineOne(local, TierF64))
-}
-
-// allreduceSharedTier returns local after the tier's single-rank
-// combine: a lone rank still observes the quantization the collective
-// semantics promise (combineOne), matching the chan and tcp backends
-// at P = 1 bit for bit.
-func (c *SelfComm) allreduceSharedTier(local []float64, t Tier) []float64 {
-	return combineOne(local, t)
-}
-
-func (c *SelfComm) iallreduceSharedTier(local []float64, t Tier) *Request {
-	return completedRequest(combineOne(local, t))
-}
-
-// Bcast is a no-op.
-func (c *SelfComm) Bcast(buf []float64, root int) {}
-
-// Reduce is a no-op.
-func (c *SelfComm) Reduce(buf []float64, op Op, root int) {}
-
-// Allgather returns a copy of local.
-func (c *SelfComm) Allgather(local []float64) []float64 {
-	out := make([]float64, len(local))
-	copy(out, local)
-	return out
-}
+// The exchanger of a world of one is never reached.
+func (c *SelfComm) exchange([]float64, int, int) [][]float64 { panic("dist: SelfComm has no peers") }
+func (c *SelfComm) release([][]float64)                      {}
+func (c *SelfComm) postShared([]float64, Tier, int) *Request { panic("dist: SelfComm has no peers") }
 
 // Send panics: a single rank has no peer.
 func (c *SelfComm) Send(to int, msg []float64) { panic("dist: SelfComm has no peers") }

@@ -58,14 +58,16 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// contribSet collects the P-1 remote contributions of one collective
-// sequence number at the rank that combines them: the hub of a rooted
-// collective, or the owner of a shared-allreduce segment.
+// contribSet collects the remote contributions of one collective
+// sequence number at a rank that combines them: a receiver of an
+// exchange, or the owner of a shared-allreduce segment. Readers file
+// contributions as they arrive, before or after the rank enters the
+// collective; how many it takes is the waiter's to say (waitContribs).
 type contribSet struct {
 	bufs  [][]float64
-	kinds []FrameKind // the frame kind each contribution arrived in
-	need  int
+	kinds []FrameKind // the frame kind each contribution arrived in, 0 until it has
 	got   int
+	need  int // 0 until the waiter has said
 	ready chan struct{}
 }
 
@@ -84,25 +86,24 @@ type tcpPeer struct {
 // TCPComm is one rank's communicator over a full TCP mesh. Collectives
 // are combined in ascending rank order — the shared sum-allreduce
 // segment by segment at each segment's owner (tcpshared.go), the rest
-// at a designated hub rank (rank 0, or the call's root) — so results
-// are bit-for-bit identical to the in-process channels backend, and
-// every operation charges the same shared accounting helpers — same
-// message counts, same word counts. Create it through the "tcp" backend
+// by every rank that receives, from one contribution frame per sender
+// (exchange; the definitions are collective.go's) — so results are
+// bit-for-bit identical to the in-process channels backend, and every
+// operation charges the same shared accounting helpers — same message
+// counts, same word counts. Create it through the "tcp" backend
 // (in-process ranks over loopback) or Connect (one rank per OS process).
 type TCPComm struct {
-	tierForwarders
+	collectives
 	rank    int
 	size    int
 	machine perf.Machine
 	cost    perf.Cost
 	opts    TCPOptions
-	prof    *profile
 
 	peers []*tcpPeer // by rank; peers[rank] is nil
 	seq   uint32     // next collective sequence number
 
 	mu       sync.Mutex
-	results  map[uint32]chan []float64
 	contribs map[uint32]*contribSet
 	ops      map[uint32]*sharedOp // posted shared allreduces, until their Wait returns
 	free     [][]float64          // recycled contribution buffers (getBuf/putBuf)
@@ -126,15 +127,14 @@ func newTCPComm(rank, size int, conns []net.Conn, machine perf.Machine, opts TCP
 		prof = &profile{}
 	}
 	c := &TCPComm{
-		rank: rank, size: size, machine: machine, opts: opts.withDefaults(), prof: prof,
+		rank: rank, size: size, machine: machine, opts: opts.withDefaults(),
 		peers:    make([]*tcpPeer, size),
-		results:  make(map[uint32]chan []float64),
 		contribs: make(map[uint32]*contribSet),
 		ops:      make(map[uint32]*sharedOp),
 		p2pq:     make([]chan []float64, size),
 		abort:    make(chan struct{}),
 	}
-	c.to = c
+	c.bind(c, prof)
 	for r := 0; r < size; r++ {
 		c.p2pq[r] = make(chan []float64, 64)
 		if r == rank {
@@ -244,54 +244,54 @@ func (c *TCPComm) sendAt(rank int, f Frame, off int) {
 	}
 }
 
-// resultCh returns (creating if needed) the delivery channel for the
-// result of collective seq. Buffered: the reader never blocks on it.
-func (c *TCPComm) resultCh(seq uint32) chan []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch, ok := c.results[seq]
-	if !ok {
-		ch = make(chan []float64, 1)
-		c.results[seq] = ch
-	}
-	return ch
+// collSeq consumes the next collective sequence number. All ranks
+// issue collectives in identical program order, so one per-rank counter
+// matches the frames up without any extra synchronization.
+func (c *TCPComm) collSeq() uint32 {
+	s := c.seq
+	c.seq++
+	return s
 }
 
-// waitResult blocks until the hub's result for collective seq arrives.
-func (c *TCPComm) waitResult(seq uint32) []float64 {
-	ch := c.resultCh(seq)
-	take := func(res []float64) []float64 {
-		c.mu.Lock()
-		delete(c.results, seq)
-		c.mu.Unlock()
-		return res
-	}
-	select {
-	case res := <-ch:
-		return take(res)
-	case <-c.abort:
-		// Delivered data wins over a concurrent abort: a reader
-		// delivers every frame before it can observe the peer's
-		// shutdown EOF, so a result present now completed legitimately.
-		select {
-		case res := <-ch:
-			return take(res)
-		default:
+// exchange sends local in one contribution frame to every rank of dst
+// if this rank is in src, then, if it is in dst, waits for the frames
+// of the other ranks in src. A rank that only sends does not wait.
+func (c *TCPComm) exchange(local []float64, src, dst int) [][]float64 {
+	seq := c.collSeq()
+	if inSet(src, c.rank) {
+		// Start at the next rank up so the P ranks do not all write to
+		// rank 0 first.
+		for i := 1; i < c.size; i++ {
+			if r := (c.rank + i) % c.size; inSet(dst, r) {
+				c.sendTo(r, Frame{Kind: FrameContrib, Rank: uint32(c.rank), Seq: seq, Payload: local})
+			}
 		}
-		c.abortPanic()
+	}
+	if !inSet(dst, c.rank) || src == c.rank {
 		return nil
 	}
+	set := c.waitContribs(seq, FrameContrib, src)
+	set.bufs[c.rank] = local
+	return set.bufs
 }
 
-// contribSetFor returns (creating if needed) the contribution set of
-// collective seq at this rank.
-func (c *TCPComm) contribSetFor(seq uint32) *contribSet {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// release recycles the buffers the peers' contributions were decoded
+// into.
+func (c *TCPComm) release(bufs [][]float64) {
+	for r, b := range bufs {
+		if r != c.rank {
+			c.putBuf(b)
+		}
+	}
+}
+
+// contribSetLocked returns (creating if needed) the contribution set of
+// collective seq at this rank. The caller holds c.mu.
+func (c *TCPComm) contribSetLocked(seq uint32) *contribSet {
 	set, ok := c.contribs[seq]
 	if !ok {
 		set = &contribSet{bufs: make([][]float64, c.size), kinds: make([]FrameKind, c.size),
-			need: c.size - 1, ready: make(chan struct{})}
+			ready: make(chan struct{})}
 		c.contribs[seq] = set
 	}
 	return set
@@ -299,8 +299,8 @@ func (c *TCPComm) contribSetFor(seq uint32) *contribSet {
 
 // addContrib records peer's contribution to collective seq.
 func (c *TCPComm) addContrib(peer int, seq uint32, kind FrameKind, payload []float64) {
-	set := c.contribSetFor(seq)
 	c.mu.Lock()
+	set := c.contribSetLocked(seq)
 	set.bufs[peer], set.kinds[peer] = payload, kind
 	set.got++
 	done := set.got == set.need
@@ -310,27 +310,48 @@ func (c *TCPComm) addContrib(peer int, seq uint32, kind FrameKind, payload []flo
 	}
 }
 
-// waitContribs blocks until all P-1 remote contributions for seq have
-// arrived, then removes and returns the set. Every contribution must
-// have arrived in a frame of kind want (tierMismatch).
-func (c *TCPComm) waitContribs(seq uint32, want FrameKind) *contribSet {
-	set := c.contribSetFor(seq)
-	select {
-	case <-set.ready:
-	case <-c.abort:
-		// As in waitResult: contributions demultiplexed before the
-		// abort fired complete the set legitimately.
+// waitContribs blocks until the contributions of the ranks in src
+// (other than this one) to collective seq have arrived, then removes
+// and returns the set. Each must have arrived in a frame of kind want
+// (tierMismatch), and no other rank may have sent one.
+func (c *TCPComm) waitContribs(seq uint32, want FrameKind, src int) *contribSet {
+	need := 1
+	if src == allRanks {
+		need = c.size - 1
+	}
+	c.mu.Lock()
+	set := c.contribSetLocked(seq)
+	set.need = need
+	have := set.got >= need
+	c.mu.Unlock()
+	if !have {
 		select {
 		case <-set.ready:
-		default:
-			c.abortPanic()
+		case <-c.abort:
+			// Delivered data wins over a concurrent abort: a reader
+			// delivers every frame before it can observe the peer's
+			// shutdown EOF, so contributions demultiplexed before the
+			// abort fired complete the set legitimately.
+			select {
+			case <-set.ready:
+			default:
+				c.abortPanic()
+			}
 		}
 	}
 	c.mu.Lock()
 	delete(c.contribs, seq)
 	c.mu.Unlock()
+	// A stray sender first: it can have stood in for a wanted one in the
+	// count, whose slot the second loop would then blame.
 	for r, k := range set.kinds {
-		if r != c.rank && k != want {
+		if k != 0 && !inSet(src, r) {
+			panic(&TransportError{Rank: c.rank, Peer: r, Op: "combine",
+				Err: fmt.Errorf("contribution to collective %d from a rank that is not one of its senders", seq)})
+		}
+	}
+	for r, k := range set.kinds {
+		if r != c.rank && inSet(src, r) && k != want {
 			panic(&TransportError{Rank: c.rank, Peer: r, Op: "combine", Err: tierMismatch(seq, c.rank, want, r, k)})
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // connection, and the recycled buffers contributions are decoded into.
 
 // readLoop drains one mesh connection, demultiplexing frames into the
-// result/contribution/point-to-point tables.
+// contribution sets, the posted shared allreduces and the point-to-point
+// queues.
 func (c *TCPComm) readLoop(peer int, conn net.Conn) {
 	defer c.wg.Done()
 	fr := frameReader{r: bufio.NewReaderSize(conn, 1<<16)}
@@ -41,12 +42,14 @@ func (c *TCPComm) readLoop(peer int, conn net.Conn) {
 }
 
 // deliver reads the nwords-value body of frame f, whose header fr just
-// returned on the connection to peer, and files it. Nothing a header claims is trusted: the sender must be
-// the connection's peer (its rank selects which contribution slot or
-// result range the payload lands in), and a second contribution or
-// result segment for one collective is refused, so a corrupt or forged
-// frame fails the world with a TransportError instead of indexing out
-// of range or overwriting a delivered result.
+// returned on the connection to peer, and files it. Nothing a header
+// claims is trusted: the sender must be the connection's peer (its rank
+// selects which contribution slot or result range the payload lands
+// in), a second contribution or result segment for one collective is
+// refused, and so is a result for a collective this rank has not
+// posted, so a corrupt, forged or replayed frame fails the world with a
+// TransportError instead of indexing out of range, overwriting a
+// delivered result or parking a payload nobody will free.
 func (c *TCPComm) deliver(fr *frameReader, peer int, f Frame, nwords int) error {
 	if f.Rank != uint32(peer) {
 		return fmt.Errorf("frame claims sender rank %d on the connection to rank %d", f.Rank, peer)
@@ -72,31 +75,19 @@ func (c *TCPComm) deliver(fr *frameReader, peer int, f Frame, nwords int) error 
 		c.mu.Lock()
 		op := c.ops[seq]
 		c.mu.Unlock()
-		if op != nil {
-			seg, err := c.resultSegment(op, peer, seq, kind, nwords)
-			if err == nil {
-				err = fr.payload(kind, seg)
-			}
-			if err != nil {
-				return err
-			}
-			c.segmentDone(op)
-			return nil
-		}
-		// The whole-payload result of a hub collective; only those
-		// can arrive before this rank has entered the collective.
-		if kind != FrameResult {
+		if op == nil {
+			// A result answers this rank's own contribution, which it
+			// sends after posting: nothing legitimate arrives earlier.
 			return fmt.Errorf("%s result for collective %d, which rank %d has not posted", codec.name, seq, c.rank)
 		}
-		payload, err := fr.fresh(kind, nwords)
+		seg, err := c.resultSegment(op, peer, seq, kind, nwords)
+		if err == nil {
+			err = fr.payload(kind, seg)
+		}
 		if err != nil {
 			return err
 		}
-		select {
-		case c.resultCh(seq) <- payload:
-		default:
-			return fmt.Errorf("second result for collective %d", seq)
-		}
+		c.segmentDone(op)
 	case FrameP2P:
 		payload, err := fr.fresh(kind, nwords)
 		if err != nil {

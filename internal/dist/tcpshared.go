@@ -136,9 +136,6 @@ func tierMismatch(seq uint32, rank int, want FrameKind, peer int, got FrameKind)
 // decodes exactly round(slice). Cost is charged at Wait, exactly like
 // the chan backend.
 func (c *TCPComm) postShared(local []float64, tier Tier, base int) *Request {
-	if c.size == 1 {
-		return completedRequest(combineOne(local, tier))
-	}
 	spec, n, seq := &tiers[tier], len(local), c.collSeq()
 	op := c.registerShared(seq, spec, n)
 	// Start at the next rank up so the P ranks do not all write to
@@ -174,7 +171,7 @@ func (c *TCPComm) postShared(local []float64, tier Tier, base int) *Request {
 func (c *TCPComm) waitShared(op *sharedOp, seq uint32, local []float64) {
 	spec, n := op.spec, len(local)
 	if takesContrib(n, c.rank) {
-		set := c.waitContribs(seq, spec.contrib)
+		set := c.waitContribs(seq, spec.contrib, allRanks)
 		lo, hi := segBounds(n, c.size, c.rank)
 		seg, mine := op.res[lo:hi], local[lo:hi]
 		for r := 0; r < c.size; r++ {
@@ -207,7 +204,7 @@ func (c *TCPComm) waitShared(op *sharedOp, seq uint32, local []float64) {
 	select {
 	case <-op.done:
 	case <-c.abort:
-		// Delivered data wins over a concurrent abort (waitResult).
+		// Delivered data wins over a concurrent abort (waitContribs).
 		select {
 		case <-op.done:
 		default:

@@ -12,11 +12,12 @@ import (
 // tcpBackend runs worlds over real TCP sockets on loopback: P rank
 // goroutines in this process, connected by a full mesh of localhost
 // connections moving wire frames. Collectives combine in rank order (at
-// a hub, or at each segment's owner), so results — and, through the
-// shared accounting helpers, cost counters — are bit-identical to the
-// chan backend. It is the same communicator multi-process runs use
-// (Connect/Launch); the in-process world exists so the whole test and
-// golden suite can exercise the real wire path in one process.
+// every receiving rank, or at each segment's owner), so results — and,
+// through the shared accounting helpers, cost counters — are
+// bit-identical to the chan backend. It is the same communicator
+// multi-process runs use (Connect/Launch); the in-process world exists
+// so the whole test and golden suite can exercise the real wire path in
+// one process.
 type tcpBackend struct{}
 
 func (tcpBackend) Name() string { return "tcp" }
@@ -35,7 +36,7 @@ func (tcpBackend) NewWorld(p int, machine perf.Machine) (World, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("dist: world size must be >= 1 (got %d)", p)
 	}
-	return &tcpWorld{size: p, machine: machine, costs: make([]perf.Cost, p)}, nil
+	return &tcpWorld{worldBase: newWorldBase(p, machine)}, nil
 }
 
 // helloDeadline bounds the rank-identification handshake on a freshly
@@ -134,20 +135,11 @@ func tcpMesh(rank, size int, ln net.Listener, addrs []string, opts TCPOptions) (
 // and leak-free. Costs accumulate across runs until ResetCosts,
 // matching the chan world.
 type tcpWorld struct {
-	size    int
-	machine perf.Machine
-	opts    TCPOptions
-	costs   []perf.Cost
-	prof    profile
+	worldBase
+	opts TCPOptions
 }
 
 var _ World = (*tcpWorld)(nil)
-
-// Size returns the number of ranks.
-func (w *tcpWorld) Size() int { return w.size }
-
-// Machine returns the world's machine model.
-func (w *tcpWorld) Machine() perf.Machine { return w.machine }
 
 // connectLocal builds the P×P loopback mesh and returns one
 // communicator per rank.
@@ -199,15 +191,13 @@ func (w *tcpWorld) connectLocal() ([]*TCPComm, error) {
 }
 
 // Run executes fn on every rank concurrently over a fresh loopback
-// mesh and waits for completion. The first non-nil error (or recovered
-// panic) aborts the world: ranks blocked in collectives are released
-// and Run returns the error.
+// mesh and waits for completion (worldBase.runRanks).
 func (w *tcpWorld) Run(fn func(c Comm) error) error {
 	comms, err := w.connectLocal()
 	if err != nil {
 		return err
 	}
-	abortAll := func() {
+	err = w.runRanks(func(rank int) error { return fn(comms[rank]) }, func() {
 		// Every rank learns of the teardown before the first socket
 		// closes, so none reports a sibling's closed connection as a
 		// transport failure that Run would return ahead of the cause.
@@ -217,81 +207,10 @@ func (w *tcpWorld) Run(fn func(c Comm) error) error {
 		for _, c := range comms {
 			c.Abort()
 		}
-	}
-	errs := make([]error, w.size)
-	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					if rec == errAborted {
-						// Released from a collective after another
-						// rank failed; not a root cause.
-						return
-					}
-					errs[rank] = fmt.Errorf("dist: rank %d panicked: %v", rank, rec)
-					abortAll()
-				}
-			}()
-			if err := fn(comms[rank]); err != nil {
-				errs[rank] = err
-				abortAll()
-			}
-		}(r)
-	}
-	wg.Wait()
+	})
 	for r, c := range comms {
 		w.costs[r].Add(c.cost)
 		c.Close()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
-
-// RankCost returns the accumulated cost of rank r.
-func (w *tcpWorld) RankCost(r int) perf.Cost { return w.costs[r] }
-
-// MaxCost returns the component-wise maximum cost over ranks — the
-// bulk-synchronous critical path.
-func (w *tcpWorld) MaxCost() perf.Cost {
-	var m perf.Cost
-	for _, c := range w.costs {
-		m = m.Max(c)
-	}
-	return m
-}
-
-// TotalCost returns the sum of all rank costs.
-func (w *tcpWorld) TotalCost() perf.Cost {
-	var t perf.Cost
-	for _, c := range w.costs {
-		t.Add(c)
-	}
-	return t
-}
-
-// ModeledSeconds evaluates the alpha-beta-gamma model on the critical
-// path (max over ranks).
-func (w *tcpWorld) ModeledSeconds() float64 {
-	return w.machine.Seconds(w.MaxCost())
-}
-
-// ResetCosts clears all per-rank cost counters.
-func (w *tcpWorld) ResetCosts() {
-	for i := range w.costs {
-		w.costs[i] = perf.Cost{}
-	}
-}
-
-// Profile returns per-collective usage statistics for all runs of this
-// world.
-func (w *tcpWorld) Profile() []ProfileEntry { return w.prof.entries() }
-
-// ProfileString renders the profile as a small table.
-func (w *tcpWorld) ProfileString() string { return w.prof.table() }

@@ -29,9 +29,9 @@ type FrameKind uint8
 
 // Frame kinds. Hello opens a mesh connection and authenticates the
 // dialer's rank; Contrib carries a rank's collective contribution to
-// the rank that combines it (the hub of a rooted collective, the owner
-// of a shared-allreduce segment); Result carries the rank-order-combined
-// result back; P2P carries a Send/Recv message. The F32 variants are
+// a rank that combines it (every receiver of an exchange, the owner of
+// a shared-allreduce segment); Result carries an owner's
+// rank-order-combined segment back; P2P carries a Send/Recv message. The F32 variants are
 // the compressed-payload collective frames: the payload ships as
 // 32-bit IEEE-754 words (the header's length field counts those 4-byte
 // words), halving the wire footprint of a Hessian batch. The I8

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"sync"
 
 	"github.com/hpcgo/rcsfista/internal/perf"
@@ -13,21 +12,13 @@ import (
 // (or the "chan" backend), execute with Run, then inspect per-rank
 // costs.
 type chanWorld struct {
-	size    int
-	machine perf.Machine
+	worldBase
 
 	bar     *barrier
-	contrib [][]float64 // collective input registration, one slot per rank
-	ctier   []Tier      // tier each rank entered the shared allreduce at
-	shared  []float64   // collective output published by rank 0
-	scratch []float64   // reused reduction buffer for Allreduce
-	lens    []int       // Allgather per-rank lengths
+	contrib [][]float64 // exchange registration, one slot per rank
 
-	costs []perf.Cost
-	prof  profile
-
-	// In-flight nonblocking allreduce rounds, keyed by per-rank post
-	// order (every rank posts the same sequence, the MPI contract).
+	// In-flight shared allreduce rounds, keyed by per-rank post order
+	// (every rank posts the same sequence, the MPI contract).
 	iarMu sync.Mutex
 	iar   map[int]*iarRound
 
@@ -47,120 +38,40 @@ func NewWorld(p int, machine perf.Machine) World {
 
 func newChanWorld(p int, machine perf.Machine) *chanWorld {
 	return &chanWorld{
-		size:    p,
-		machine: machine,
-		bar:     newBarrier(p),
-		contrib: make([][]float64, p),
-		ctier:   make([]Tier, p),
-		lens:    make([]int, p),
-		costs:   make([]perf.Cost, p),
-		iar:     make(map[int]*iarRound),
-		p2p:     make(map[[2]int]chan []float64),
+		worldBase: newWorldBase(p, machine),
+		bar:       newBarrier(p),
+		contrib:   make([][]float64, p),
+		iar:       make(map[int]*iarRound),
+		p2p:       make(map[[2]int]chan []float64),
 	}
 }
 
-// Size returns the number of ranks.
-func (w *chanWorld) Size() int { return w.size }
-
-// Run executes fn on every rank concurrently and waits for completion.
-// The first non-nil error (or recovered panic) aborts the world: ranks
-// blocked in collectives are released and Run returns the error. A
-// World can be Run multiple times; costs accumulate across runs until
-// ResetCosts.
+// Run executes fn on every rank concurrently and waits for completion
+// (worldBase.runRanks). A World can be Run multiple times; costs
+// accumulate across runs until ResetCosts.
 func (w *chanWorld) Run(fn func(c Comm) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, w.size)
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					if rec == errAborted {
-						// Released from a collective after another
-						// rank failed; not a root cause.
-						return
-					}
-					errs[rank] = fmt.Errorf("dist: rank %d panicked: %v", rank, rec)
-					w.bar.abort()
-				}
-			}()
-			c := &worldComm{w: w, rank: rank}
-			c.to = c
-			if err := fn(c); err != nil {
-				errs[rank] = err
-				w.bar.abort()
-			}
-		}(r)
+	err := w.runRanks(func(rank int) error {
+		c := &worldComm{w: w, rank: rank}
+		c.bind(c, &w.prof)
+		return fn(c)
+	}, w.bar.abort)
+	if err != nil {
+		// Re-arm for the next Run and drop what the failed run left
+		// behind: queued point-to-point messages, and the registered
+		// contributions and posted rounds an abort strands (a k-slot
+		// Hessian batch in RC-SFISTA), which would otherwise stay
+		// pinned in memory and visible to a subsequent Run.
+		w.bar.reset()
+		w.p2pMu.Lock()
+		w.p2p = make(map[[2]int]chan []float64)
+		w.p2pMu.Unlock()
+		clear(w.contrib)
+		w.iarMu.Lock()
+		w.iar = make(map[int]*iarRound)
+		w.iarMu.Unlock()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// Re-arm for the next Run and drop any stale point-to-point
-			// messages the failed run left queued.
-			w.bar.reset()
-			w.p2pMu.Lock()
-			w.p2p = make(map[[2]int]chan []float64)
-			w.p2pMu.Unlock()
-			// Release the collective registration state too: an abort
-			// can strand every rank's last contribution (a k-slot
-			// Hessian batch in RC-SFISTA) in contrib/shared/scratch,
-			// pinning it in memory and leaving stale slices visible to
-			// a subsequent Run.
-			for i := range w.contrib {
-				w.contrib[i] = nil
-			}
-			w.shared = nil
-			w.scratch = nil
-			for i := range w.lens {
-				w.lens[i] = 0
-			}
-			w.iarMu.Lock()
-			w.iar = make(map[int]*iarRound)
-			w.iarMu.Unlock()
-			return err
-		}
-	}
-	return nil
+	return err
 }
-
-// RankCost returns the accumulated cost of rank r.
-func (w *chanWorld) RankCost(r int) perf.Cost { return w.costs[r] }
-
-// MaxCost returns the component-wise maximum cost over ranks — the
-// bulk-synchronous critical path.
-func (w *chanWorld) MaxCost() perf.Cost {
-	var m perf.Cost
-	for _, c := range w.costs {
-		m = m.Max(c)
-	}
-	return m
-}
-
-// TotalCost returns the sum of all rank costs.
-func (w *chanWorld) TotalCost() perf.Cost {
-	var t perf.Cost
-	for _, c := range w.costs {
-		t.Add(c)
-	}
-	return t
-}
-
-// ModeledSeconds evaluates the alpha-beta-gamma model on the critical
-// path (max over ranks), the quantity the speedup figures report.
-func (w *chanWorld) ModeledSeconds() float64 {
-	return w.machine.Seconds(w.MaxCost())
-}
-
-// ResetCosts clears all per-rank cost counters.
-func (w *chanWorld) ResetCosts() {
-	for i := range w.costs {
-		w.costs[i] = perf.Cost{}
-	}
-}
-
-// Machine returns the world's machine model.
-func (w *chanWorld) Machine() perf.Machine { return w.machine }
 
 func (w *chanWorld) channel(from, to int) chan []float64 {
 	key := [2]int{from, to}
@@ -176,10 +87,10 @@ func (w *chanWorld) channel(from, to int) chan []float64 {
 
 // worldComm is the per-rank communicator handle.
 type worldComm struct {
-	tierForwarders
+	collectives
 	w      *chanWorld
 	rank   int
-	iarSeq int // next nonblocking-collective sequence number
+	iarSeq int // next shared-allreduce sequence number
 }
 
 var _ Comm = (*worldComm)(nil)
@@ -189,86 +100,23 @@ func (c *worldComm) Size() int             { return c.w.size }
 func (c *worldComm) Cost() *perf.Cost      { return &c.w.costs[c.rank] }
 func (c *worldComm) Machine() perf.Machine { return c.w.machine }
 
-// Barrier synchronizes all ranks and charges a log2(P)-depth
-// synchronization (1 word per message).
-func (c *worldComm) Barrier() {
-	if c.w.size == 1 {
-		return
-	}
+// exchange registers local and meets the other ranks at the barrier:
+// in shared memory every rank can then read every registration,
+// whatever the pattern asked for.
+func (c *worldComm) exchange(local []float64, _, _ int) [][]float64 {
+	c.w.contrib[c.rank] = local
 	c.w.bar.wait()
-	c.w.prof.record(kindBarrier, 0)
-	chargeBarrier(c.Cost(), c.w.size)
+	return c.w.contrib
 }
 
-// Allreduce combines buf across ranks and leaves the result everywhere.
-// Cost: recursive-doubling — log2(P) messages of len(buf) words plus
-// the reduction flops.
-func (c *worldComm) Allreduce(buf []float64, op Op) {
-	w := c.w
-	if w.size == 1 {
-		return
-	}
-	w.contrib[c.rank] = buf
-	w.bar.wait()
-	if c.rank == 0 {
-		if cap(w.scratch) < len(buf) {
-			w.scratch = make([]float64, len(buf))
-		}
-		res := w.scratch[:len(buf)]
-		copy(res, w.contrib[0])
-		for r := 1; r < w.size; r++ {
-			if len(w.contrib[r]) != len(buf) {
-				panic(fmt.Sprintf("dist: Allreduce length mismatch: rank 0 has %d, rank %d has %d",
-					len(buf), r, len(w.contrib[r])))
-			}
-			op.combine(res, w.contrib[r])
-		}
-		w.shared = res
-	}
-	w.bar.wait()
-	copy(buf, w.shared)
-	w.bar.wait() // all ranks copied before the scratch buffer is reused
-	w.prof.record(kindAllreduce, len(buf))
-	chargeAllreduce(c.Cost(), w.size, len(buf))
-}
+// release is the second barrier: no rank touches its registered buffer
+// again, or registers the next one, before every rank has read.
+func (c *worldComm) release([][]float64) { c.w.bar.wait() }
 
-// AllreduceShared sums local across ranks and hands every rank the same
-// freshly allocated, read-only result slice. Communication cost is
-// identical to Allreduce.
-func (c *worldComm) AllreduceShared(local []float64) []float64 {
-	return c.allreduceSharedTier(local, TierF64)
-}
-
-// allreduceSharedTier is the blocking shared sum-allreduce at every
-// tier: no bytes move in process, but the arithmetic is the wire's
-// (combine) and the cost is the tier's footprint.
-func (c *worldComm) allreduceSharedTier(local []float64, tier Tier) []float64 {
-	w := c.w
-	if w.size == 1 {
-		return combineOne(local, tier)
-	}
-	w.contrib[c.rank], w.ctier[c.rank] = local, tier
-	w.bar.wait()
-	if c.rank == 0 {
-		if msg := contribMismatch("AllreduceShared", w.contrib, w.ctier); msg != "" {
-			panic(msg)
-		}
-		res := make([]float64, len(local))
-		combine(res, w.contrib, tier)
-		w.shared = res
-	}
-	w.bar.wait()
-	out := w.shared
-	w.bar.wait()
-	w.prof.record(sharedKind(kindAllreduceShared, tier), len(local))
-	chargeAllreduceTier(c.Cost(), w.size, len(local), tier)
-	return out
-}
-
-// iarRound is the shared state of one in-flight nonblocking allreduce:
-// the per-rank contributions and the tier each was posted at, the
-// combined result, and a done channel the background combiner closes
-// when the result is published.
+// iarRound is the shared state of one in-flight shared allreduce: the
+// per-rank contributions and the tier each was posted at, the combined
+// result, and a done channel the background combiner closes when the
+// result is published.
 type iarRound struct {
 	contrib [][]float64
 	ctier   []Tier
@@ -280,14 +128,12 @@ type iarRound struct {
 }
 
 // combine reduces the round's contributions in rank order on a fresh
-// slice — the exact arithmetic sequence of the blocking collective at
-// the round's tier, so the nonblocking result is bit-identical to the
-// blocking one. It runs after every rank has posted, so contrib is
-// read without a lock; a length or tier disagreement is handed to
-// every waiter instead of a result.
+// slice at the round's tier. It runs after every rank has posted, so
+// contrib is read without a lock; a length or tier disagreement is
+// handed to every waiter instead of a result.
 func (rd *iarRound) combine() {
 	defer close(rd.done)
-	if rd.errMsg = contribMismatch("IAllreduceShared", rd.contrib, rd.ctier); rd.errMsg != "" {
+	if rd.errMsg = contribMismatch("AllreduceShared", rd.contrib, rd.ctier); rd.errMsg != "" {
 		return
 	}
 	res := make([]float64, len(rd.contrib[0]))
@@ -309,24 +155,14 @@ func (w *chanWorld) iarGet(seq int) *iarRound {
 	return rd
 }
 
-// IAllreduceShared posts the nonblocking sum-allreduce. The last rank
-// to post hands the round to a background combiner goroutine; Wait
-// parks on the round's done channel (or unwinds if the world aborts),
-// charges the same recursive-doubling tree cost AllreduceShared
-// charges, and returns the shared read-only result. Requests resolve
-// in post order per rank; every posted request must be waited before
-// the rank's Run function returns.
-func (c *worldComm) IAllreduceShared(local []float64) *Request {
-	return c.iallreduceSharedTier(local, TierF64)
-}
-
-// iallreduceSharedTier is the nonblocking post/wait machinery at every
-// tier; the tier picks the arithmetic and the accounting.
-func (c *worldComm) iallreduceSharedTier(local []float64, tier Tier) *Request {
+// postShared is the shared sum-allreduce at every tier: no bytes move
+// in process, but the arithmetic is the wire's (combine) and the cost
+// is the tier's footprint. The last rank to post hands the round to a
+// background combiner goroutine; Wait parks on the round's done channel
+// (or unwinds if the world aborts), charges the tree cost and returns
+// the one result slice all ranks share.
+func (c *worldComm) postShared(local []float64, tier Tier, base int) *Request {
 	w := c.w
-	if w.size == 1 {
-		return completedRequest(combineOne(local, tier))
-	}
 	seq := c.iarSeq
 	c.iarSeq++
 	rd := w.iarGet(seq)
@@ -349,7 +185,7 @@ func (c *worldComm) iallreduceSharedTier(local []float64, tier Tier) *Request {
 		if rd.errMsg != "" {
 			panic(rd.errMsg)
 		}
-		w.prof.record(sharedKind(kindIAllreduceShared, tier), n)
+		w.prof.record(sharedKind(base, tier), n)
 		chargeAllreduceTier(&w.costs[rank], w.size, n, tier)
 		w.iarMu.Lock()
 		rd.waited++
@@ -359,84 +195,6 @@ func (c *worldComm) iallreduceSharedTier(local []float64, tier Tier) *Request {
 		w.iarMu.Unlock()
 		return rd.res
 	}}
-}
-
-// Bcast copies root's buffer into every rank's buf. Cost: binomial
-// tree — log2(P) messages of len(buf) words.
-func (c *worldComm) Bcast(buf []float64, root int) {
-	w := c.w
-	if w.size == 1 {
-		return
-	}
-	if c.rank == root {
-		w.shared = buf
-	}
-	w.bar.wait()
-	if c.rank != root {
-		if len(w.shared) != len(buf) {
-			panic("dist: Bcast length mismatch")
-		}
-		copy(buf, w.shared)
-	}
-	w.bar.wait()
-	w.prof.record(kindBcast, len(buf))
-	chargeBcast(c.Cost(), w.size, len(buf))
-}
-
-// Reduce combines buf across ranks into root's buf. Cost: binomial
-// tree — log2(P) messages plus reduction flops.
-func (c *worldComm) Reduce(buf []float64, op Op, root int) {
-	w := c.w
-	if w.size == 1 {
-		return
-	}
-	w.contrib[c.rank] = buf
-	w.bar.wait()
-	if c.rank == root {
-		for r := 0; r < w.size; r++ {
-			if r == root {
-				continue
-			}
-			if len(w.contrib[r]) != len(buf) {
-				panic("dist: Reduce length mismatch")
-			}
-			op.combine(buf, w.contrib[r])
-		}
-	}
-	w.bar.wait()
-	w.prof.record(kindReduce, len(buf))
-	chargeReduce(c.Cost(), w.size, len(buf))
-}
-
-// Allgather concatenates per-rank slices in rank order. Cost: ring —
-// P-1 messages, moving the full concatenation minus the local part.
-func (c *worldComm) Allgather(local []float64) []float64 {
-	w := c.w
-	if w.size == 1 {
-		out := make([]float64, len(local))
-		copy(out, local)
-		return out
-	}
-	w.contrib[c.rank] = local
-	w.lens[c.rank] = len(local)
-	w.bar.wait()
-	if c.rank == 0 {
-		total := 0
-		for _, n := range w.lens {
-			total += n
-		}
-		res := make([]float64, 0, total)
-		for r := 0; r < w.size; r++ {
-			res = append(res, w.contrib[r]...)
-		}
-		w.shared = res
-	}
-	w.bar.wait()
-	out := w.shared
-	w.bar.wait()
-	w.prof.record(kindAllgather, len(local))
-	chargeAllgather(c.Cost(), w.size, len(local), len(out))
-	return out
 }
 
 // Send transmits a copy of msg to rank to (eager, buffered).

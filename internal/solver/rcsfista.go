@@ -264,7 +264,7 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 	}
 	if opts.Faults != nil {
 		// Route everything through the fault-injecting wrapper; only the
-		// round-indexed batch allreduce (AttemptAllreduceShared) is
+		// round-indexed batch allreduce (AttemptAllreduceSharedTier) is
 		// fallible, the rest passes through.
 		e.fc = dist.NewFaultyComm(c, opts.Faults, opts.RoundTimeout)
 		e.c = e.fc
