@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 90.0
 COVER_PKGS = ./internal/dist ./internal/solver
-BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat ./internal/sparse
+BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat ./internal/sparse ./internal/rng
 
 .PHONY: check vet build test race bench bench-smoke bench-exact golden-fence cover fuzz-smoke staticcheck loc-guard serving-smoke
 
@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzReadLIBSVM$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run NONE -fuzz '^FuzzLIBSVMIndices$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run NONE -fuzz '^FuzzParseGroups$$' -fuzztime $(FUZZTIME) ./internal/prox
+	$(GO) test -run NONE -fuzz '^FuzzSampleWithoutReplacement$$' -fuzztime $(FUZZTIME) ./internal/rng
 
 # serving-smoke is the service-level acceptance gate: loadgen drives an
 # in-process server through the canonical 64-request lambda-path sweep
@@ -83,11 +84,12 @@ bench:
 	$(GO) test -run NONE -bench . -benchtime=1x .
 
 # One iteration of every per-package benchmark (dist, solver, the mat
-# kernels and the sparse Gram fill on both sides of its dense/sparse
-# selection): a cheap end-to-end smoke of both round loops (blocking
-# and pipelined) and the nonblocking collectives. Nothing gates on the
-# timings — the benchmarks are tools that report `gflops` and words
-# next to the code they measure; timing claims are made on bench/.
+# kernels, the sparse Gram fill on both sides of its dense/sparse
+# selection, and the shared sample draw): a cheap end-to-end smoke of
+# both round loops (blocking and pipelined) and the nonblocking
+# collectives. Nothing gates on the timings — the benchmarks are tools
+# that report `gflops`, `ns/draw` and words next to the code they
+# measure; timing claims are made on bench/.
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime=1x $(BENCH_PKGS)
 

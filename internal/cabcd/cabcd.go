@@ -123,7 +123,6 @@ func SolveContext(ctx context.Context, c dist.Comm, local solver.LocalData, opts
 		sampler: solvercore.StreamSampler{
 			Src: rng.NewSource(opts.Seed), Epoch: 5, N: d, Draw: s * bs,
 		},
-		blocks: make([]int, s*bs),
 	}
 	for i := range e.res {
 		e.res[i] = -local.Y[i]
@@ -177,7 +176,7 @@ func (e *engine) Fill(payload []float64) perf.Cost {
 	cost := e.rec.Cost
 	round := e.rec.Rounds + 1
 	sb, m := e.sb, e.m
-	copy(e.blocks, e.sampler.Sample(round))
+	e.blocks = e.sampler.AppendSample(e.blocks[:0], round)
 
 	mat.Zero(payload)
 	gram := payload[:sb*sb]

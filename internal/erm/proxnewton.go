@@ -161,6 +161,9 @@ func DistProxNewtonContext(ctx context.Context, c dist.Comm, local LocalData, op
 		*cost = saved
 		return f + opts.Reg.Value(w, nil)
 	}
+	// The outer iteration's global sample and its owned columns, kept
+	// across iterations.
+	var draw, localCols []int
 
 	return solvercore.RunProxNewton(ctx, solvercore.PNSpec{
 		Comm:       c,
@@ -178,7 +181,8 @@ func DistProxNewtonContext(ctx context.Context, c dist.Comm, local LocalData, op
 		// 1/len(cols); rescale so the global sum is (1/mbar) * sum over
 		// the whole sample set.
 		FillHessian: func(h *mat.SymPacked, w []float64, outer int, c *perf.Cost) {
-			localCols := local.LocalCols(sampler.Sample(outer))
+			draw = sampler.AppendSample(draw[:0], outer)
+			localCols = local.AppendLocalCols(localCols[:0], draw)
 			if len(localCols) > 0 {
 				localObj.SampledHessianPacked(h, w, localCols, c)
 				mat.Scal(float64(len(localCols))/float64(mbar), h.Data, c)

@@ -7,9 +7,20 @@
 // (seed, epoch, iteration). Package rng achieves this by deriving an
 // independent xoshiro256** stream from the tuple via SplitMix64 mixing,
 // the initialization recommended by the xoshiro authors.
+//
+// Every rank draws the whole shared set each round although it keeps
+// only its own columns, so the draw sits on the critical path of every
+// round. AppendSample runs its partial Fisher-Yates on a dense position
+// table reused between calls and into a caller-kept buffer: after the
+// first call a draw of k indices from [0, n) is O(k) and allocates
+// nothing. The table holds n words; a sync.Pool keeps one per
+// concurrent drawer.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 func splitMix64(state *uint64) uint64 {
@@ -28,16 +39,23 @@ type Rng struct {
 
 // New returns a generator seeded from a single 64-bit seed.
 func New(seed uint64) *Rng {
-	r := &Rng{}
+	// Small enough to inline, so a generator that does not outlive its
+	// caller stays off the heap.
+	return &Rng{s: seedState(seed)}
+}
+
+// seedState expands seed into a xoshiro state by SplitMix64.
+func seedState(seed uint64) [4]uint64 {
+	var s [4]uint64
 	st := seed
-	for i := range r.s {
-		r.s[i] = splitMix64(&st)
+	for i := range s {
+		s[i] = splitMix64(&st)
 	}
 	// xoshiro must not start from the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
+	return s
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -70,25 +88,11 @@ func (r *Rng) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += aLo * bHi
-	hi = aHi*bHi + w2 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // NormFloat64 returns a standard normal variate using the Marsaglia
@@ -136,14 +140,20 @@ type Source struct {
 // NewSource returns a stream-splittable source for seed.
 func NewSource(seed uint64) Source { return Source{seed: seed} }
 
-// Stream returns the generator for iteration iter of epoch.
+// Stream returns the generator for iteration iter of epoch. Like New it
+// inlines, so a per-round stream need not reach the heap.
 func (s Source) Stream(epoch, iter int) *Rng {
+	return &Rng{s: s.streamState(epoch, iter)}
+}
+
+// streamState is the xoshiro state of stream (epoch, iter).
+func (s Source) streamState(epoch, iter int) [4]uint64 {
 	st := s.seed
 	mixed := splitMix64(&st)
 	st = mixed ^ (uint64(epoch)+0x632be59bd9b4e019)*0xff51afd7ed558ccd
 	mixed = splitMix64(&st)
 	st = mixed ^ (uint64(iter)+0x9e3779b97f4a7c15)*0xc4ceb9fe1a85ec53
-	return New(splitMix64(&st))
+	return seedState(splitMix64(&st))
 }
 
 // Seed returns the base seed of the source.

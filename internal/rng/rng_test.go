@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +81,65 @@ func TestIntnUniformity(t *testing.T) {
 	for b, c := range counts {
 		if math.Abs(float64(c)-n/buckets) > 500 {
 			t.Fatalf("bucket %d: %d draws, want ~%d", b, c, n/buckets)
+		}
+	}
+}
+
+// mul64 is the portable four-multiply 128-bit product Intn used before
+// math/bits.Mul64: the reference the intrinsic must match bit for bit.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	aLo, aHi := a&mask32, a>>32
+	bLo, bHi := b&mask32, b>>32
+	t := aHi*bLo + (aLo*bLo)>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += aLo * bHi
+	hi = aHi*bHi + w2 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// refIntn is Intn over mul64.
+func refIntn(r *Rng, n int) int {
+	bound := uint64(n)
+	for {
+		hi, lo := mul64(r.Uint64(), bound)
+		if lo >= bound || lo >= (-bound)%bound {
+			return int(hi)
+		}
+	}
+}
+
+func TestMul64MatchesReference(t *testing.T) {
+	edges := []uint64{0, 1, 1<<32 - 1, 1 << 32, 1 << 63, math.MaxUint64}
+	check := func(a, b uint64) {
+		h, l := bits.Mul64(a, b)
+		if rh, rl := mul64(a, b); h != rh || l != rl {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), reference (%#x, %#x)", a, b, h, l, rh, rl)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := New(20)
+	for i := 0; i < 1_000_000; i++ {
+		check(r.Uint64(), r.Uint64())
+	}
+}
+
+func TestIntnMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1<<32 + 1, math.MaxInt} {
+		a, b := New(uint64(n)), New(uint64(n))
+		for i := 0; i < 10000; i++ {
+			if x, y := a.Intn(n), refIntn(b, n); x != y {
+				t.Fatalf("Intn(%d) draw %d = %d, reference %d", n, i, x, y)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("Intn(%d) consumed a different number of values than the reference", n)
 		}
 	}
 }

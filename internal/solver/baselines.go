@@ -100,6 +100,7 @@ type svrgEngine struct {
 
 	d, m, mbar, hLen int
 	sampler          solvercore.StreamSampler
+	cols             []int // the round's sample, kept across rounds
 
 	w, wSnap, fullGrad, grad, tmp []float64
 	sinceSnap, sinceEval          int
@@ -112,11 +113,11 @@ func (e *svrgEngine) BatchLen() int { return e.hLen + e.d }
 // estimator as SFISTA) into buf.
 func (e *svrgEngine) Fill(buf []float64) perf.Cost {
 	n := e.rec.Rounds + 1
-	cols := e.sampler.Sample(n)
+	e.cols = e.sampler.AppendSample(e.cols[:0], n)
 	h := mat.SymPackedOf(e.d, buf[:e.hLen])
 	h.Zero()
 	mat.Zero(buf[e.hLen:])
-	sparse.SampledGramPacked(e.x, h, buf[e.hLen:], e.y, cols, 1/float64(e.mbar), e.rec.Cost)
+	sparse.SampledGramPacked(e.x, h, buf[e.hLen:], e.y, e.cols, 1/float64(e.mbar), e.rec.Cost)
 	return perf.Cost{}
 }
 

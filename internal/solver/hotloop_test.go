@@ -84,6 +84,29 @@ func TestSampledGramPackedRowsAllocationFreeWithScratch(t *testing.T) {
 	}
 }
 
+// TestEngineFillAllocationFreeWhenWarm pins stages A and B of a k = 1
+// round: the shared draw and the local column map land in the slot's
+// kept buffers, both for a sampled round and for the b = 1 full set.
+func TestEngineFillAllocationFreeWhenWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	p := data.Generate(data.GenSpec{D: 24, M: 400, Density: 0.3, Lambda: 0.1, Seed: 7})
+	for _, b := range []float64{0.1, 1} {
+		o := Defaults()
+		o.Lambda, o.Gamma, o.K, o.B = p.Lambda, 0.1, 1, b
+		e, err := newEngine(dist.NewSelfComm(perf.Comet()), Partition(p.X, p.Y, 1, 0), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, e.BatchLen())
+		e.Fill(buf) // warm the slot buffers
+		if n := testing.AllocsPerRun(20, func() { e.Fill(buf) }); n != 0 {
+			t.Fatalf("warm engine.Fill at b=%g allocated %g times per round", b, n)
+		}
+	}
+}
+
 // TestCDInnerFlopAccountingRankDeficient pins the fast-path accounting:
 // a coordinate whose diagonal is non-positive is skipped for free; the
 // 6-flop closed-form charge lands only on computed coordinates, and

@@ -100,6 +100,7 @@ func ProxNewtonContext(ctx context.Context, x *sparse.CSC, y []float64, opts PNO
 	rec.Tol, rec.FStar = opts.Tol, opts.FStar
 
 	r := make([]float64, d) // sampled R, discarded (exact gradient used)
+	var cols []int          // the outer iteration's sample, kept across iterations
 	return solvercore.RunProxNewton(ctx, solvercore.PNSpec{
 		Rec:            rec,
 		D:              d,
@@ -114,7 +115,7 @@ func ProxNewtonContext(ctx context.Context, x *sparse.CSC, y []float64, opts PNO
 		// Line 3: H_n from a fresh uniform subsample.
 		FillHessian: func(h *mat.SymPacked, w []float64, outer int, c *perf.Cost) {
 			mat.Zero(r)
-			cols := sampler.Sample(outer)
+			cols = sampler.AppendSample(cols[:0], outer)
 			sparse.SampledGramPacked(x, h, r, y, cols, 1/float64(mbar), c)
 		},
 		// Line 4 anchor: the exact gradient.

@@ -1,0 +1,7 @@
+//go:build race
+
+package solver
+
+// raceEnabled reports a -race build, under which sync.Pool drops Put
+// items at random and allocation counts through a pool are not exact.
+const raceEnabled = true

@@ -139,7 +139,8 @@ type engine struct {
 	// scr is reg's screening side; non-nil whenever reg implements
 	// prox.Screener (Validate guarantees it under ActiveSet).
 	scr prox.Screener
-	src rng.Source
+	// sampler draws Hessian slot h's global sample set (stage A).
+	sampler solvercore.StreamSampler
 
 	wPrev, wCurr, v, grad, tmp []float64
 	scratch                    []float64 // length mLocal
@@ -147,9 +148,11 @@ type engine struct {
 	hIdx                       int
 	sinceSnap, sinceEval       int
 
-	// Stage-B state kept across rounds: each slot's local sample
-	// indices, each slot's private fill cost, and the worker-pool
-	// semaphore (remade only if GOMAXPROCS moved).
+	// Stage-A/B state kept across rounds: each slot's global sample
+	// draw and its local indices, each slot's private fill cost, and the
+	// worker-pool semaphore (remade only if GOMAXPROCS moved). Slots fill
+	// concurrently, so each owns its buffers.
+	slotDraw  [][]int
 	slotCols  [][]int
 	fillCosts []perf.Cost
 	fillSem   chan struct{}
@@ -229,9 +232,11 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 	e := &engine{
 		c: c, local: local, opts: opts,
 		d: d, m: m, mbar: mbar,
-		gamma:   opts.Gamma,
-		reg:     opts.Reg,
-		src:     rng.NewSource(opts.Seed),
+		gamma: opts.Gamma,
+		reg:   opts.Reg,
+		sampler: solvercore.StreamSampler{
+			Src: rng.NewSource(opts.Seed), Epoch: 1, N: m, Draw: mbar, FullWhenSaturated: true,
+		},
 		wPrev:   make([]float64, d),
 		wCurr:   make([]float64, d),
 		v:       make([]float64, d),
@@ -240,6 +245,7 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 		scratch: make([]float64, local.X.Cols),
 		t:       1,
 
+		slotDraw:  make([][]int, opts.K),
 		slotCols:  make([][]int, opts.K),
 		fillCosts: make([]perf.Cost, opts.K),
 
@@ -349,10 +355,13 @@ func (e *engine) Fill(buf []float64) perf.Cost {
 // slotView interprets slot j of a batch buffer laid out on an
 // a-coordinate working set (a = d without screening) as the packed
 // a x a Hessian instance and the full-length R vector that follows it.
+// The view is built in place, not by mat.SymPackedOf, so slotView
+// inlines and a stage-B fill's view, which its kernel does not retain,
+// stays off the heap.
 func (e *engine) slotView(batch []float64, j, a int) (*mat.SymPacked, []float64) {
 	pl := mat.PackedLen(a)
 	slot := batch[j*(pl+e.d) : (j+1)*(pl+e.d)]
-	return mat.SymPackedOf(a, slot[:pl]), slot[pl:]
+	return &mat.SymPacked{N: a, Data: slot[:pl]}, slot[pl:]
 }
 
 // update performs one solution update (Algorithm 5 lines 9-15 for a

@@ -41,7 +41,7 @@ func (r denseRef) Fill(buf []float64) perf.Cost {
 	mat.Zero(buf)
 	var fill perf.Cost
 	for j := 0; j < e.opts.K; j++ {
-		cols := e.local.LocalCols(e.sampleSlot(e.hIdx + j))
+		cols := e.local.LocalCols(e.sampler.AppendSample(nil, e.hIdx+j))
 		h, rv := r.slot(buf, j)
 		sparse.SampledGram(e.local.X, h, rv, e.local.Y, cols, 1/float64(e.mbar), &fill)
 	}

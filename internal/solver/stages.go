@@ -6,23 +6,17 @@ package solver
 
 import (
 	"github.com/hpcgo/rcsfista/internal/perf"
-	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
-// sampleSlot returns the global sample index set of Hessian slot h.
-// Identical on every rank: a pure function of (seed, h).
-func (e *engine) sampleSlot(h int) []int {
-	return solvercore.StreamSampler{
-		Src: e.src, Epoch: 1, N: e.m, Draw: e.mbar, FullWhenSaturated: true,
-	}.Sample(h)
-}
-
-// localSlotCols returns the local column indices of batch slot j's
-// sample (global Hessian index base+j) in slot j's own index buffer,
-// kept across rounds; concurrent fills of distinct slots do not share it.
+// localSlotCols draws the global sample set of batch slot j (Hessian
+// index base+j, identical on every rank: a pure function of (seed,
+// base+j)) and returns its local column indices. Both land in slot j's
+// own buffers, kept across rounds; concurrent fills of distinct slots
+// do not share them.
 func (e *engine) localSlotCols(j, base int) []int {
-	e.slotCols[j] = e.local.AppendLocalCols(e.slotCols[j][:0], e.sampleSlot(base+j))
+	e.slotDraw[j] = e.sampler.AppendSample(e.slotDraw[j][:0], base+j)
+	e.slotCols[j] = e.local.AppendLocalCols(e.slotCols[j][:0], e.slotDraw[j])
 	return e.slotCols[j]
 }
 

@@ -2,8 +2,8 @@
 // repository. The paper's Algorithm 1 is one loop — sample, form the
 // local (H, R) batch, allreduce, run inner passes on the shared batch,
 // checkpoint — and Loop owns exactly that skeleton, parameterized by
-// small interfaces: Sampler (the zero-communication shared index
-// draw), BatchFiller (stage A+B local compute), Exchanger (stage C:
+// small interfaces: BatchFiller (stage A+B local compute, drawing the
+// shared index set with a StreamSampler), Exchanger (stage C:
 // blocking, nonblocking/pipelined, and faulty communication with the
 // retry/backoff/degradation policy), InnerPass (stage D updates), and
 // StopPolicy. A Recorder merges the perf.Cost, trace, and fault-event

@@ -2,17 +2,11 @@ package solvercore
 
 import "github.com/hpcgo/rcsfista/internal/rng"
 
-// Sampler draws the shared index set of one round (or Hessian slot).
-// Implementations must be pure functions of their construction
-// parameters and the round counter: every rank holding the same
-// Sampler must produce identical sets with zero communication.
-type Sampler interface {
-	// Sample returns the global index set for round (or slot) h.
-	Sample(h int) []int
-}
-
 // StreamSampler draws Draw distinct indices from [0, N) using stream
 // (Epoch, h) of Src — the shared sampling scheme of every solver here.
+// The set of round (or Hessian slot) h is a pure function of the
+// construction parameters and h, so every rank holding the same
+// StreamSampler draws the identical set with zero communication.
 // When FullWhenSaturated is set and Draw >= N it short-circuits to the
 // identity set without consuming the stream, matching the RC-SFISTA
 // engine; the distributed erm ProxNewton historically always consumed
@@ -24,14 +18,15 @@ type StreamSampler struct {
 	FullWhenSaturated bool
 }
 
-// Sample returns the index set of round h.
-func (s StreamSampler) Sample(h int) []int {
+// AppendSample appends the index set of round h to dst and returns the
+// extended slice. Callers keep dst across rounds, so a warm draw
+// allocates nothing.
+func (s StreamSampler) AppendSample(dst []int, h int) []int {
 	if s.FullWhenSaturated && s.Draw >= s.N {
-		idx := make([]int, s.N)
-		for i := range idx {
-			idx[i] = i
+		for i := 0; i < s.N; i++ {
+			dst = append(dst, i)
 		}
-		return idx
+		return dst
 	}
-	return s.Src.Stream(s.Epoch, h).SampleWithoutReplacement(s.N, s.Draw)
+	return s.Src.Stream(s.Epoch, h).AppendSample(dst, s.N, s.Draw)
 }
