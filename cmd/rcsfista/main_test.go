@@ -147,9 +147,11 @@ func TestCLIWorkerFlags(t *testing.T) {
 }
 
 func TestCLIAutoTune(t *testing.T) {
+	// abalone at N=200, P=8 on Comet: the Eq. 24 model picks the
+	// largest k on the grid with S=8.
 	out := runCLI(t, fastArgs("-k", "0", "-procs", "8")...)
-	if !strings.Contains(out, "auto-tuned k=") {
-		t.Fatalf("missing auto-tune line:\n%s", out)
+	if !strings.Contains(out, "auto-tuned k=128 S=8 ") {
+		t.Fatalf("auto-tune pick moved:\n%s", out)
 	}
 }
 

@@ -23,14 +23,6 @@ func chargeTree(cost *perf.Cost, p int, words int64, reduceFlops bool) {
 	}
 }
 
-// chargeAllreduce charges one rank's share of a recursive-doubling
-// allreduce of words payload words on p ranks: log2(P) messages plus
-// the reduction flops. Used by blocking and nonblocking allreduce on
-// every backend.
-func chargeAllreduce(cost *perf.Cost, p int, words int) {
-	chargeTree(cost, p, int64(words), true)
-}
-
 // chargeBarrier charges a log2(P)-depth synchronization (1 word per
 // message, no reduction flops).
 func chargeBarrier(cost *perf.Cost, p int) {

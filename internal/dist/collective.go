@@ -105,7 +105,7 @@ func (c *collectives) Allreduce(buf []float64, op Op) {
 	c.on.release(bufs)
 	copy(buf, res)
 	c.prof.record(kindAllreduce, len(buf))
-	chargeAllreduce(c.on.Cost(), p, len(buf))
+	chargeAllreduceTier(c.on.Cost(), p, len(buf), TierF64)
 }
 
 // Bcast copies root's buf into every rank's buf. Cost: binomial tree —

@@ -144,7 +144,7 @@ func completedRequest(res []float64) *Request {
 
 // AllreduceScalar is a convenience wrapper reducing a single value. It
 // routes through the backend's Allreduce, so the cost bookkeeping is
-// the shared chargeAllreduce helper on every transport.
+// the shared chargeAllreduceTier helper (at TierF64) on every transport.
 func AllreduceScalar(c Comm, x float64, op Op) float64 {
 	buf := [1]float64{x}
 	c.Allreduce(buf[:], op)

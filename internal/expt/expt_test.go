@@ -4,6 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/hpcgo/rcsfista/internal/data"
+	"github.com/hpcgo/rcsfista/internal/dist"
+	"github.com/hpcgo/rcsfista/internal/perf"
+	"github.com/hpcgo/rcsfista/internal/prox"
+	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
 // The experiment drivers are exercised end-to-end by the root
@@ -139,8 +145,57 @@ func TestTable1LatencyClaim(t *testing.T) {
 		t.Skip("short mode")
 	}
 	rep := Table1(DefaultConfig())
-	if !strings.Contains(rep.Text, "latency counters match closed form exactly: true") {
-		t.Fatalf("Table 1 latency mismatch:\n%s", rep.Text)
+	if !strings.Contains(rep.Text, "latency and bandwidth counters match closed form exactly: true") {
+		t.Fatalf("Table 1 latency/bandwidth mismatch:\n%s", rep.Text)
+	}
+}
+
+// TestClosedFormMatchesEngine is the fence between the Table 1 closed
+// forms and the engine's charges: on the golden problem shape in Table
+// 1's configuration, RCSFISTACost must equal Result.Cost exactly on
+// messages and words at every (P, k), and SFISTACost must equal the
+// k = 1 run (SFISTA) on both and every k's words (k does not change
+// bandwidth). Flops are big-O; with the tree allreduce's reduction
+// flops added — one add per received word, so exactly the charged W —
+// they stay inside the band below.
+func TestClosedFormMatchesEngine(t *testing.T) {
+	const n = 64
+	const fLo, fHi = 1.0, 2.5
+	prob, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := solver.Defaults()
+	o.Lambda = prob.Lambda
+	o.Gamma = solver.GammaFromLipschitz(prox.EstimateLipschitz(prob.X, 50, nil, nil))
+	o.B = 0.1
+	for _, p := range []int{1, 2, 4, 8} {
+		sf := perf.SFISTACost(perf.AlgoParams{N: n, P: p, D: prob.X.Rows,
+			MBar: int(o.B * float64(prob.X.Cols)), Fill: prob.Density()})
+		var sfista perf.Cost
+		for _, k := range []int{1, 4, 8} {
+			w, err := dist.NewWorldOn("chan", p, perf.Comet())
+			if err != nil {
+				t.Fatal(err)
+			}
+			meas, form := table1Costs(w, prob, o, n, k)
+			if meas.Messages != form.Messages || meas.Words != form.Words {
+				t.Errorf("P=%d k=%d: engine L=%d W=%d, RCSFISTACost L=%d W=%d",
+					p, k, meas.Messages, meas.Words, form.Messages, form.Words)
+			}
+			if k == 1 {
+				sfista = meas
+			}
+			if sf.Messages != sfista.Messages || sf.Words != meas.Words {
+				t.Errorf("P=%d k=%d: SFISTACost L=%d W=%d, engine k=1 L=%d, k=%d W=%d",
+					p, k, sf.Messages, sf.Words, sfista.Messages, k, meas.Words)
+			}
+			ratio := float64(meas.Flops) / float64(form.Flops+form.Words)
+			t.Logf("P=%d k=%d: F meas %d, form %d + reduction %d, ratio %.3f", p, k, meas.Flops, form.Flops, form.Words, ratio)
+			if ratio < fLo || ratio > fHi {
+				t.Errorf("P=%d k=%d: flop ratio %.3f outside [%g, %g]", p, k, ratio, fLo, fHi)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package perf
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Cost accumulates the three components of the alpha-beta-gamma model
 // for one processor — flops executed, messages sent and words moved —
@@ -91,17 +88,6 @@ func (c Cost) Sub(other Cost) Cost {
 	}
 }
 
-// Plus returns the sum of two costs without mutating either.
-func (c Cost) Plus(other Cost) Cost {
-	return Cost{
-		Flops:      c.Flops + other.Flops,
-		Messages:   c.Messages + other.Messages,
-		Words:      c.Words + other.Words,
-		StallSec:   c.StallSec + other.StallSec,
-		OverlapSec: c.OverlapSec + other.OverlapSec,
-	}
-}
-
 // Max returns the component-wise maximum of two costs. In a bulk
 // synchronous run the critical path is the maximum over processors.
 func (c Cost) Max(other Cost) Cost {
@@ -140,32 +126,4 @@ func (c Cost) String() string {
 		s += fmt.Sprintf(" overlap=%.3gs", c.OverlapSec)
 	}
 	return s
-}
-
-// Tracker is a concurrency-safe cost accumulator, used when several
-// goroutines charge into a single aggregate (e.g. a whole World).
-type Tracker struct {
-	mu   sync.Mutex
-	cost Cost
-}
-
-// Charge adds c to the tracked total.
-func (t *Tracker) Charge(c Cost) {
-	t.mu.Lock()
-	t.cost.Add(c)
-	t.mu.Unlock()
-}
-
-// Total returns a snapshot of the accumulated cost.
-func (t *Tracker) Total() Cost {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cost
-}
-
-// Reset clears the tracked total.
-func (t *Tracker) Reset() {
-	t.mu.Lock()
-	t.cost = Cost{}
-	t.mu.Unlock()
 }

@@ -34,8 +34,8 @@ func ExampleMachine_Seconds() {
 }
 
 // ExampleRCSFISTACost shows the Table 1 latency reduction: k divides
-// the message count, the word count — d(d+1)/2 packed words per
-// Hessian — is unchanged.
+// the message count, the word count — d(d+1)/2 packed Hessian words
+// plus the d-word R per iteration — is unchanged.
 func ExampleRCSFISTACost() {
 	base := perf.AlgoParams{N: 128, P: 64, D: 54, MBar: 600, Fill: 0.22, K: 1, S: 1}
 	over := base
@@ -45,6 +45,6 @@ func ExampleRCSFISTACost() {
 	fmt.Printf("k=1: L=%d W=%d\n", c1.Messages, c1.Words)
 	fmt.Printf("k=8: L=%d W=%d\n", c8.Messages, c8.Words)
 	// Output:
-	// k=1: L=768 W=1140480
-	// k=8: L=96 W=1140480
+	// k=1: L=768 W=1181952
+	// k=8: L=96 W=1181952
 }

@@ -28,108 +28,63 @@ type AlgoParams struct {
 	K int
 	// S is the Hessian-reuse inner loop parameter (RC-SFISTA only).
 	S int
-	// FinalSupport is the converged support size the active-set
-	// screening engine is expected to settle on (0 when screening is
-	// not modeled); it anchors the SupportTrajectory floor that
-	// Recommend uses to report ActiveSetSpeedup.
-	FinalSupport int
 }
 
+// The closed forms below are the only route to a P the engine cannot
+// run (the paper's P = 256/512), so their latency and bandwidth terms
+// are exactly what the engine charges at every P it can run (for k
+// dividing N): internal/expt's TestClosedFormMatchesEngine holds them
+// to Result.Cost. Each iteration ships one slot of d(d+1)/2 + d words —
+// its Hessian as a packed symmetric upper triangle plus the d-word R —
+// and the k slots of a round travel in one log P-deep tree allreduce.
+// Flops stay big-O (constants 1): Gram construction touches the same
+// d(d+1)/2 entries the wire carries, scaled by the sampled fill.
+
 // packedLen returns d(d+1)/2, the word count of a Hessian shipped in
-// the engine's packed symmetric wire format. Gram construction touches
-// the same d(d+1)/2 entries, so the flop term uses it too.
+// the engine's packed symmetric wire format.
 func packedLen(d int) float64 { return float64(d) * float64(d+1) / 2 }
 
-// SFISTACost evaluates the Table 1 row for SFISTA: latency O(N log P),
-// flops O(N d(d+1)/2 mbar f / P) and bandwidth O(N d(d+1)/2 log P) —
-// the Hessians are symmetric, built and shipped as packed upper
-// triangles. Constants are taken as 1, matching the paper's big-O
-// book-keeping.
+// gramFlops returns the Table 1 flop term of N sampled Gram fills split
+// over P ranks: N d(d+1)/2 mbar f / P.
+func gramFlops(p AlgoParams) float64 {
+	return float64(p.N) * packedLen(p.D) * float64(p.MBar) * p.Fill / float64(p.P)
+}
+
+// SFISTACost evaluates the Table 1 row for SFISTA (RC-SFISTA at
+// k = S = 1): latency N log P, bandwidth N (d(d+1)/2 + d) log P and
+// flops N d(d+1)/2 mbar f / P.
 func SFISTACost(p AlgoParams) Cost {
-	lg := float64(Log2Ceil(p.P))
-	n := float64(p.N)
-	dpk := packedLen(p.D)
+	lg := int64(Log2Ceil(p.P))
 	return Cost{
-		Messages: int64(n * lg),
-		Flops:    int64(n * dpk * float64(p.MBar) * p.Fill / float64(p.P)),
-		Words:    int64(n * dpk * lg),
+		Messages: int64(p.N) * lg,
+		Flops:    int64(gramFlops(p)),
+		Words:    int64(p.N) * int64(packedLen(p.D)+float64(p.D)) * lg,
 	}
 }
 
 // RCSFISTACost evaluates the Table 1 row for RC-SFISTA: latency is
-// reduced by the factor k, bandwidth is unchanged, and the Hessian-reuse
-// loop adds S*d^2 flops (the reused Hessian-vector products run over
-// the full operator; packing halves storage and bandwidth, not matvec
-// work).
+// reduced by the factor k, bandwidth is unchanged, and the
+// Hessian-reuse loop adds S*d^2 flops (the reused Hessian-vector
+// products run over the full operator; packing halves storage and
+// bandwidth, not matvec work). L and W are the engine's charges when k
+// divides N; otherwise the engine's short last round still ships a
+// full k-slot batch, which N log P / k and N slots do not count.
 func RCSFISTACost(p AlgoParams) Cost {
-	k := p.K
-	if k < 1 {
-		k = 1
-	}
-	s := p.S
-	if s < 1 {
-		s = 1
-	}
-	lg := float64(Log2Ceil(p.P))
-	n := float64(p.N)
-	d2 := float64(p.D) * float64(p.D)
-	dpk := packedLen(p.D)
-	return Cost{
-		Messages: int64(math.Ceil(n * lg / float64(k))),
-		Flops:    int64(n*dpk*float64(p.MBar)*p.Fill/float64(p.P) + float64(s)*d2),
-		Words:    int64(n * dpk * lg),
-	}
+	k := max(p.K, 1)
+	s := max(p.S, 1)
+	c := SFISTACost(p)
+	c.Messages = int64(math.Ceil(float64(p.N) * float64(Log2Ceil(p.P)) / float64(k)))
+	c.Flops = int64(gramFlops(p) + float64(s)*float64(p.D)*float64(p.D))
+	return c
 }
 
 // Runtime evaluates Eq. 24, the total modeled runtime of RC-SFISTA,
-// with the d^2 Gram/bandwidth factors tightened to the packed d(d+1)/2:
+// with the d^2 Gram/bandwidth factors tightened to what the engine
+// ships:
 //
-//	T = gamma*(N d(d+1)/2 mbar f / P + S d^2) + alpha*(N log P / k) + beta*(N d(d+1)/2 log P)
+//	T = gamma*(N d(d+1)/2 mbar f / P + S d^2) + alpha*(N log P / k) + beta*(N (d(d+1)/2 + d) log P)
 func Runtime(m Machine, p AlgoParams) float64 {
 	return m.Seconds(RCSFISTACost(p))
-}
-
-// RCSFISTARoundCosts splits one RC-SFISTA round (k inner iterations)
-// into its local-compute segment — the k Gram fills of stage B, the
-// part a pipelined engine can run under an in-flight collective — and
-// its communication segment, the stage C allreduce of the k-Hessian
-// batch (one tree collective: log P messages moving k d(d+1)/2 log P
-// words; Table 1 counts no reduction flops). Summed over the N/k
-// rounds these recover the RCSFISTACost totals, except the S d^2
-// reuse-loop flops of stage D, which overlap with neither segment.
-func RCSFISTARoundCosts(p AlgoParams) (compute, comm Cost) {
-	k := p.K
-	if k < 1 {
-		k = 1
-	}
-	lg := float64(Log2Ceil(p.P))
-	dpk := packedLen(p.D)
-	compute.Flops = int64(float64(k) * dpk * float64(p.MBar) * p.Fill / float64(p.P))
-	comm.Messages = int64(lg)
-	comm.Words = int64(float64(k) * dpk * lg)
-	return compute, comm
-}
-
-// PipelinedRuntime evaluates the Table-1/Eq. 24 runtime with round
-// pipelining: while round r's batch allreduce is in flight, round r+1's
-// Gram fill runs locally, so each of the N/k - 1 interior rounds hides
-// min(compute, comm) seconds and the overlapped segment contributes
-// max(compute, comm) instead of the sum. The first round has nothing to
-// overlap with (its fill happens before the first post), hence the -1.
-// Never larger than Runtime; equal when either segment is zero (P = 1)
-// or there is a single round.
-func PipelinedRuntime(m Machine, p AlgoParams) float64 {
-	k := p.K
-	if k < 1 {
-		k = 1
-	}
-	rounds := (p.N + k - 1) / k
-	if rounds < 1 {
-		rounds = 1
-	}
-	compute, comm := RCSFISTARoundCosts(p)
-	hidden := float64(rounds-1) * m.Overlap(compute, comm)
-	return Runtime(m, p) - hidden
 }
 
 // Bounds groups the theoretical upper bounds of Section 4.2 for a given

@@ -2,7 +2,6 @@ package perf
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -76,7 +75,9 @@ func TestCostStallAccounting(t *testing.T) {
 
 	m := Machine{Name: "unit", Alpha: 2, Beta: 3, Gamma: 5}
 	base := Cost{Flops: 1, Messages: 1, Words: 1}
-	if diff := m.Seconds(base.Plus(Cost{StallSec: 0.75})) - m.Seconds(base); diff != 0.75 {
+	stalled := base
+	stalled.AddStall(0.75)
+	if diff := m.Seconds(stalled) - m.Seconds(base); diff != 0.75 {
 		t.Fatalf("stall did not add linearly to modeled time: %g", diff)
 	}
 	mx := (Cost{StallSec: 1}).Max(Cost{StallSec: 2, Flops: 1})
@@ -96,7 +97,8 @@ func TestCostPlusMaxProperties(t *testing.T) {
 	f := func(a, b [3]int32) bool {
 		x := Cost{Flops: int64(a[0]), Messages: int64(a[1]), Words: int64(a[2])}
 		y := Cost{Flops: int64(b[0]), Messages: int64(b[1]), Words: int64(b[2])}
-		p := x.Plus(y)
+		p := x
+		p.Add(y)
 		if p.Flops != x.Flops+y.Flops || p.Words != x.Words+y.Words {
 			return false
 		}
@@ -107,29 +109,6 @@ func TestCostPlusMaxProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTrackerConcurrent(t *testing.T) {
-	var tr Tracker
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				tr.Charge(Cost{Flops: 1, Messages: 2, Words: 3})
-			}
-		}()
-	}
-	wg.Wait()
-	got := tr.Total()
-	if got.Flops != 3200 || got.Messages != 6400 || got.Words != 9600 {
-		t.Fatalf("Tracker total = %+v", got)
-	}
-	tr.Reset()
-	if tr.Total() != (Cost{}) {
-		t.Fatal("Reset did not clear")
 	}
 }
 

@@ -10,17 +10,6 @@ type Recommendation struct {
 	S int
 	// PredictedSpeedup is the Eq. 24 modeled speedup over k = S = 1.
 	PredictedSpeedup float64
-	// PipelinedSpeedup is the modeled speedup over the same k = S = 1
-	// baseline when the chosen configuration additionally pipelines
-	// rounds (PipelinedRuntime): stage-C communication overlapped with
-	// the next round's Gram fill. At least PredictedSpeedup.
-	PipelinedSpeedup float64
-	// ActiveSetSpeedup is the modeled speedup of the chosen
-	// configuration with screening enabled over the same configuration
-	// dense, assuming the working set decays geometrically from D to
-	// AlgoParams.FinalSupport (SupportTrajectory). Zero when
-	// FinalSupport is unset — screening was not modeled.
-	ActiveSetSpeedup float64
 }
 
 // Recommend derives a practical (k, S) from the Section 4.2 bounds and
@@ -48,7 +37,6 @@ func Recommend(m Machine, p AlgoParams) Recommendation {
 	}
 	bounds := ParameterBounds(m, base)
 	best := Recommendation{K: 1, S: 1, PredictedSpeedup: 1}
-	bestEff := base
 	for k := 1; k <= maxK; k *= 2 {
 		for s := 1; s <= 32; s *= 2 {
 			// Respect the Eq. 27 trade-off where it binds.
@@ -68,21 +56,8 @@ func Recommend(m Machine, p AlgoParams) Recommendation {
 			t := Runtime(m, eff)
 			if sp := t1 / t; sp > best.PredictedSpeedup {
 				best = Recommendation{K: k, S: s, PredictedSpeedup: sp}
-				bestEff = eff
 			}
 		}
-	}
-	best.PipelinedSpeedup = t1 / PipelinedRuntime(m, bestEff)
-	if p.FinalSupport > 0 {
-		rounds := (bestEff.N + best.K - 1) / best.K
-		traj := SupportTrajectory(p.D, p.FinalSupport, rounds)
-		dense := make([]int, rounds)
-		for i := range dense {
-			dense[i] = p.D
-		}
-		best.ActiveSetSpeedup = Speedup(
-			ActiveSetRuntime(m, bestEff, dense),
-			ActiveSetRuntime(m, bestEff, traj))
 	}
 	return best
 }

@@ -2,10 +2,10 @@ package perf
 
 // Wire accounting of compressed collective payloads, in the 64-bit
 // words the alpha-beta model counts. These are the single source of
-// truth for the per-tier payload footprints: the dist accounting
-// helpers (chargeAllreduceF32/I8) and the active-set round-cost model
-// (ActiveSetRoundWordsF32/I8) both derive their word counts here, so
-// the modeled costs and the experiment tables cannot drift apart.
+// truth for the per-tier payload footprints: the dist tier table
+// (chargeAllreduceTier, TierSeconds) and the wire codec's chunk layout
+// both derive from here, so the charged words cannot drift from what a
+// frame carries.
 
 // I8ChunkLen is the chunk length of the int8 dithered codec: each chunk
 // of up to 64 values shares one float32 max-abs scale. The dist wire
