@@ -102,7 +102,7 @@ func (p *deltaPass) Process(shared []float64) bool {
 		if opts.VarianceReduced && e.sinceSnap >= opts.EpochLen {
 			e.refreshSnapshot() // resets e.t; delta state below
 			if e.gradMapStop {
-				e.checkpoint()
+				e.checkpoint(true)
 				e.rec.Converged = true
 				return true
 			}
@@ -113,7 +113,7 @@ func (p *deltaPass) Process(shared []float64) bool {
 		}
 		if e.sinceEval >= opts.EvalEvery {
 			e.sinceEval = 0
-			if e.checkpoint() {
+			if e.checkpoint(e.rec.Iter >= opts.MaxIter) {
 				e.rec.Converged = true
 				return true
 			}

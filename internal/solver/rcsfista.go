@@ -75,14 +75,14 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 		// starts in the serving layer nearly free. Cold starts (W0 ==
 		// nil) never take this path; the gradient mapping is a shared
 		// pure function of allreduced state, so all ranks exit together.
-		e.checkpoint()
+		e.checkpoint(true)
 		e.rec.Converged = true
 		return e.finish(), nil
 	}
 	if opts.ActiveSet {
 		e.initActiveSet()
 	}
-	e.checkpoint()
+	e.checkpoint(false)
 	spec := solvercore.Spec{
 		Ctx:      ctx,
 		Comm:     e.c,
@@ -103,7 +103,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 	}
 	err := solvercore.Loop(spec)
 	if err == nil && !e.rec.Converged && e.sinceEval != 0 {
-		e.rec.Converged = e.checkpoint()
+		e.rec.Converged = e.checkpoint(true)
 	}
 	return e.finish(), err
 }
@@ -179,6 +179,8 @@ type engine struct {
 	tierBestObj float64
 	tierStall   int
 	tierCap     dist.Tier
+	// gram is the resident least-squares objective (rcsfista_eval.go).
+	gram gramObjective
 
 	// as is the dynamic-screening state (Options.ActiveSet); nil runs
 	// the dense path bit-identically to the goldens.
@@ -256,6 +258,9 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 	}
 	if s, ok := opts.Reg.(prox.Screener); ok {
 		e.scr = s
+	}
+	if !tiers.on && !opts.ActiveSet {
+		e.gram.at = gramFillAt(d)
 	}
 	if opts.W0 != nil {
 		if len(opts.W0) != d {
@@ -454,14 +459,14 @@ func (e *engine) afterUpdate() (stop bool) {
 		e.refreshSnapshot()
 		e.sinceSnap = 0
 		if e.gradMapStop {
-			e.checkpoint()
+			e.checkpoint(true)
 			e.rec.Converged = true
 			return true
 		}
 	}
 	if e.sinceEval >= opts.EvalEvery {
 		e.sinceEval = 0
-		if e.checkpoint() {
+		if e.checkpoint(e.rec.Iter >= opts.MaxIter) {
 			e.rec.Converged = true
 			return true
 		}
