@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/hpcgo/rcsfista/internal/perf"
 )
@@ -103,10 +104,19 @@ type LaunchSpec struct {
 	Stdout, Stderr io.Writer
 }
 
+// launchGrace is how long an interrupted worker has to finish its
+// round, report its partial result and exit before Launch kills it.
+const launchGrace = 10 * time.Second
+
 // Launch spawns spec.P worker processes, each holding one rank of a
 // TCP world, hands them the rank roster through the environment
 // (EnvRank, EnvPeers), and waits for all of them. The first failure
-// cancels the remaining workers. Cancelling ctx kills the workers.
+// kills the remaining workers at once. Cancelling ctx interrupts them
+// instead (os.Interrupt), so the ranks can agree on the cancellation
+// and each return through its own context — an interrupted solve still
+// reports its partial result — and kills only those still running
+// launchGrace later. A worker that exits 0 has succeeded, interrupted
+// or not.
 func Launch(ctx context.Context, spec LaunchSpec) error {
 	if spec.P < 1 {
 		return fmt.Errorf("dist: launch needs at least 1 rank (got %d)", spec.P)
@@ -124,8 +134,6 @@ func Launch(ctx context.Context, spec LaunchSpec) error {
 		return err
 	}
 	roster := strings.Join(addrs, ",")
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	// One writer is shared by P commands, each copying its child's
 	// pipe from its own goroutine; serialize them or concurrent
 	// ReadFrom/Write calls corrupt the sink (bytes.Buffer.ReadFrom
@@ -139,8 +147,17 @@ func Launch(ctx context.Context, spec LaunchSpec) error {
 		stderr = &lockedWriter{mu: &errMu, w: spec.Stderr}
 	}
 	cmds := make([]*exec.Cmd, spec.P)
+	killAll := func() {
+		for _, cmd := range cmds {
+			if cmd != nil {
+				cmd.Process.Kill() // an exited worker reports ErrProcessDone
+			}
+		}
+	}
 	for r := 0; r < spec.P; r++ {
 		cmd := exec.CommandContext(ctx, bin, spec.Args...)
+		cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
+		cmd.WaitDelay = launchGrace
 		cmd.Env = append(os.Environ(),
 			fmt.Sprintf("%s=%d", EnvRank, r),
 			fmt.Sprintf("%s=%s", EnvPeers, roster))
@@ -148,7 +165,7 @@ func Launch(ctx context.Context, spec LaunchSpec) error {
 		cmd.Stdout = stdout
 		cmd.Stderr = stderr
 		if err := cmd.Start(); err != nil {
-			cancel()
+			killAll()
 			for _, started := range cmds[:r] {
 				started.Wait()
 			}
@@ -156,7 +173,7 @@ func Launch(ctx context.Context, spec LaunchSpec) error {
 		}
 		cmds[r] = cmd
 	}
-	// Wait on every rank concurrently: a failing rank must cancel the
+	// Wait on every rank concurrently: a failing rank must kill the
 	// survivors even while a hung rank is still running.
 	type exit struct {
 		rank int
@@ -165,7 +182,13 @@ func Launch(ctx context.Context, spec LaunchSpec) error {
 	exits := make(chan exit, spec.P)
 	for r, cmd := range cmds {
 		go func(rank int, cmd *exec.Cmd) {
-			exits <- exit{rank, cmd.Wait()}
+			err := cmd.Wait()
+			if cmd.ProcessState != nil && cmd.ProcessState.Success() {
+				// Wait reports the interrupt even when the worker honored
+				// it and exited cleanly.
+				err = nil
+			}
+			exits <- exit{rank, err}
 		}(r, cmd)
 	}
 	var firstErr error
@@ -173,7 +196,7 @@ func Launch(ctx context.Context, spec LaunchSpec) error {
 		e := <-exits
 		if e.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("dist: rank %d: %w", e.rank, e.err)
-			cancel() // take the surviving ranks down with the failure
+			killAll() // the survivors would block on the dead rank's links
 		}
 	}
 	return firstErr

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,6 +30,9 @@ func TestMain(m *testing.M) {
 // the mesh, run a few collectives whose results rank 0 prints, fail
 // deliberately when asked to, and report the cross-rank max cost.
 func launchWorkerMain(rank int, peers []string) int {
+	if os.Getenv("DIST_TEST_INTERRUPT") != "" {
+		return interruptWorkerMain(rank, peers)
+	}
 	c, err := Connect(rank, peers, perf.Comet(), TCPOptions{DialTimeout: 30 * time.Second})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rank %d connect: %v\n", rank, err)
@@ -66,6 +71,94 @@ func launchWorkerMain(rank int, peers []string) int {
 		}
 	}()
 	return status
+}
+
+// interruptWorkerMain is one rank that runs until its own context is
+// interrupted: it announces that it is ready, waits for the signal a
+// cancelled Launch sends, then still completes a collective with its
+// peers and reports — the path an interrupted multi-process solve takes
+// to print its partial result.
+func interruptWorkerMain(rank int, peers []string) int {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	c, err := Connect(rank, peers, perf.Comet(), TCPOptions{DialTimeout: 30 * time.Second})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rank %d connect: %v\n", rank, err)
+		return 1
+	}
+	defer c.Close()
+	fmt.Println("ready")
+	<-ctx.Done()
+	sum := AllreduceScalar(c, 1, OpSum)
+	fmt.Printf("rank %d interrupted: sum=%g\n", rank, sum)
+	return 0
+}
+
+// readyWriter collects worker output and closes ready once want
+// workers have printed their ready line.
+type readyWriter struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	want  int
+	ready chan struct{}
+}
+
+func (w *readyWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n, err := w.buf.Write(p)
+	if strings.Count(w.buf.String(), "ready\n") == w.want && w.want > 0 {
+		w.want = 0
+		close(w.ready)
+	}
+	return n, err
+}
+
+// TestLaunchInterruptsBeforeKill: cancelling Launch's context
+// interrupts the workers instead of killing them, so every rank leaves
+// through its own context — still able to run collectives with its
+// peers — and exits cleanly, well inside the kill grace period; Launch
+// then reports success.
+func TestLaunchInterruptsBeforeKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skipf("cannot resolve test binary: %v", err)
+	}
+	const p = 3
+	out := &readyWriter{want: p, ready: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		select {
+		case <-out.ready:
+		case <-time.After(60 * time.Second):
+		}
+		cancel()
+	}()
+	start := time.Now()
+	err = Launch(ctx, LaunchSpec{
+		P:      p,
+		Bin:    exe,
+		Env:    []string{"DIST_TEST_INTERRUPT=1"},
+		Stdout: out,
+		Stderr: os.Stderr,
+	})
+	elapsed := time.Since(start)
+	got := out.buf.String()
+	if err != nil {
+		t.Fatalf("launch: %v\noutput: %s", err, got)
+	}
+	for r := 0; r < p; r++ {
+		if line := fmt.Sprintf("rank %d interrupted: sum=%d\n", r, p); !strings.Contains(got, line) {
+			t.Fatalf("missing %q: rank %d did not leave through its own context\noutput: %s", line, r, got)
+		}
+	}
+	if elapsed >= launchGrace {
+		t.Fatalf("workers took %v, past the %v kill grace", elapsed, launchGrace)
+	}
 }
 
 // TestLaunchMultiProcess: Launch spawns one OS process per rank (this

@@ -18,7 +18,7 @@
 // busy and the queue is full, POST /fit returns 429 immediately
 // instead of building an unbounded backlog. Each admitted request
 // carries a deadline; the context is threaded through
-// solvercore.Loop's round-boundary cancellation consensus, so an
+// the cancellation vote solvercore.Loop takes in every round, so an
 // expired deadline (or a disconnected client) stops the solve at the
 // next round and still yields a well-formed partial result.
 package serve

@@ -94,7 +94,7 @@ func (e *engine) activeView() *sparse.ActiveView {
 // window with the round's k*S reduced updates, and certify the window
 // when a scan is due. A non-scan round pays zero screening collectives,
 // so the active path's per-round collective count is the dense engine's
-// (the cancellation consensus plus the batch itself). A scan fires on
+// (the batch itself, which carries the cancellation vote). A scan fires on
 // the adaptive cadence, on any iterate-support change, on a stale
 // batch, and on stop. All branch decisions derive from allreduced
 // quantities, shared fault verdicts and deterministic counters, so
@@ -155,8 +155,10 @@ func (e *engine) certifyWindow(layout []int, stop, trig bool) bool {
 			// window's or an earlier expansion's, a subset of expanded
 			// either way, so the rescan still looks outside everything
 			// the redo touched. (It cannot be skipped: a window holds a
-			// processed round, so a last good batch exists.)
-			sharedRedo := e.exch.Exchange(redo)
+			// processed round, so a last good batch exists.) It carries no
+			// cancellation vote: the ranks already agreed to run the round
+			// it redoes.
+			sharedRedo := e.exch.Redo(redo)
 			used := e.batchLayout(expanded)
 			if stop = e.runActiveRound(sharedRedo, used); stop {
 				break

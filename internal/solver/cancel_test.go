@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -10,7 +11,9 @@ import (
 
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
+	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
+	"github.com/hpcgo/rcsfista/internal/solvercore"
 )
 
 func cancelOpts(p *data.Problem) Options {
@@ -68,30 +71,210 @@ func TestCancelExpiredContext(t *testing.T) {
 // TestCancelMidSolve: cancelling a long-running distributed solve from
 // outside must stop all ranks promptly with a well-formed partial
 // result and no leaked goroutines — for both the blocking and the
-// pipelined round loop.
+// pipelined round loop, over in-process channels and real sockets.
 func TestCancelMidSolve(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 12, M: 300, Density: 1, Lambda: 0.1, Seed: 52})
-	for _, pipeline := range []bool{false, true} {
-		opts := cancelOpts(p)
-		opts.Pipeline = pipeline
-		baseline := runtime.NumGoroutine()
+	for _, backend := range []string{"chan", "tcp"} {
+		for _, pipeline := range []bool{false, true} {
+			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
+			opts := cancelOpts(p)
+			opts.Pipeline = pipeline
+			baseline := runtime.NumGoroutine()
 
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(20 * time.Millisecond)
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(20 * time.Millisecond)
+				cancel()
+			}()
+			w, err := dist.NewWorldOn(backend, 4, perf.Comet())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := SolveDistributedContext(ctx, w, p.X, p.Y, opts)
 			cancel()
-		}()
-		w := dist.NewWorld(4, perf.Comet())
-		res, err := SolveDistributedContext(ctx, w, p.X, p.Y, opts)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("pipeline=%v: err = %v, want Canceled", pipeline, err)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want Canceled", name, err)
+			}
+			requireWellFormedPartial(t, res, p.X.Rows)
+			if res.Iters >= opts.MaxIter {
+				t.Fatalf("%s: cancellation did not shorten the run", name)
+			}
+			dist.VerifyNoGoroutineLeaks(t, baseline)
 		}
-		requireWellFormedPartial(t, res, p.X.Rows)
-		if res.Iters >= opts.MaxIter {
-			t.Fatalf("pipeline=%v: cancellation did not shorten the run", pipeline)
+	}
+}
+
+// rankRun is one rank's outcome of a solve.
+type rankRun struct {
+	res *Result
+	err error
+}
+
+// solvePerRank runs RCSFISTAContext on every rank of a procs-rank world
+// on backend, rank r under ctxOf(r), and returns each rank's outcome.
+func solvePerRank(t *testing.T, backend string, procs int, p *data.Problem, o Options,
+	ctxOf func(rank int) context.Context) []rankRun {
+	t.Helper()
+	w, err := dist.NewWorldOn(backend, procs, perf.Comet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]rankRun, procs)
+	_, err = solvercore.RunWorld(w, func(c dist.Comm) (*Result, error) {
+		res, err := RCSFISTAContext(ctxOf(c.Rank()), c, Partition(p.X, p.Y, c.Size(), c.Rank()), o)
+		runs[c.Rank()] = rankRun{res, err}
+		return res, err
+	})
+	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatal(err)
+	}
+	return runs
+}
+
+// lastRankExpires gives rank procs−1 alone a context that expires at
+// its (n+1)-th poll, i.e. in round n+1; the other ranks never cancel.
+func lastRankExpires(procs int, n int64) func(rank int) context.Context {
+	return func(rank int) context.Context {
+		if rank == procs-1 {
+			return expireAfter(n, context.DeadlineExceeded)
 		}
-		dist.VerifyNoGoroutineLeaks(t, baseline)
+		return context.Background()
+	}
+}
+
+// requireLastRankCancel checks the per-rank contract when only the last
+// rank's context expired, in round n+1: every rank leaves at that
+// round — the one whose trailer carried the flag — the expiring rank
+// with its own DeadlineExceeded, the others with Canceled, each with a
+// full-size iterate (rank 0, which keeps the trace, with a well-formed
+// partial result).
+func requireLastRankCancel(t *testing.T, name string, runs []rankRun, n, d int) {
+	t.Helper()
+	for r, run := range runs {
+		want := context.Canceled
+		if r == len(runs)-1 {
+			want = context.DeadlineExceeded
+		}
+		if !errors.Is(run.err, want) {
+			t.Fatalf("%s rank %d: err = %v, want %v", name, r, run.err, want)
+		}
+		if r == 0 {
+			requireWellFormedPartial(t, run.res, d)
+		} else if run.res == nil || len(run.res.W) != d {
+			t.Fatalf("%s rank %d: no full-size partial iterate", name, r)
+		}
+		if run.res.Rounds != n+1 {
+			t.Fatalf("%s rank %d: left at round %d, want %d, the round that carried the vote", name, r, run.res.Rounds, n+1)
+		}
+	}
+}
+
+// TestCancelOneRank: only rank P−1 observes its context expire. Its
+// flag rides the next round's batch, so every rank leaves at that same
+// round — blocking and pipelined, over chan and tcp — without a leaked
+// goroutine.
+func TestCancelOneRank(t *testing.T) {
+	p := data.Generate(data.GenSpec{D: 12, M: 300, Density: 1, Lambda: 0.1, Seed: 55})
+	const procs, n = 4, 7
+	for _, backend := range []string{"chan", "tcp"} {
+		for _, pipeline := range []bool{false, true} {
+			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
+			o := cancelOpts(p)
+			o.Pipeline = pipeline
+			baseline := runtime.NumGoroutine()
+			runs := solvePerRank(t, backend, procs, p, o, lastRankExpires(procs, n))
+			requireLastRankCancel(t, name, runs, n, p.X.Rows)
+			dist.VerifyNoGoroutineLeaks(t, baseline)
+		}
+	}
+}
+
+// TestCancelVoteUnderTiers: at every compressed tier a lone rank's flag
+// of 1 survives the quantized sum, even though the batch's last i8
+// chunk holds values ≥ 1e6 whose scale would round a 1 to 0: the
+// trailer opens a chunk of its own.
+func TestCancelVoteUnderTiers(t *testing.T) {
+	p := data.Generate(data.GenSpec{D: 12, M: 300, Density: 1, Lambda: 0.1, Seed: 56})
+	for i := range p.Y {
+		p.Y[i] *= 1e8
+	}
+	// The precondition: the batch's last i8 chunk (the last slot's R) is
+	// large.
+	e, err := newEngine(dist.NewSelfComm(perf.Comet()), Partition(p.X, p.Y, 1, 0), cancelOpts(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, e.BatchLen())
+	e.Fill(buf)
+	if top := mat.NrmInf(buf[(len(buf)-1)/perf.I8ChunkLen*perf.I8ChunkLen:]); top < 1e6 {
+		t.Fatalf("last i8 chunk of the batch peaks at %g, want ≥ 1e6", top)
+	}
+	const procs, n = 4, 5
+	for _, tier := range []string{"f32", "i8", "auto"} {
+		for _, backend := range []string{"chan", "tcp"} {
+			name := fmt.Sprintf("%s/%s", tier, backend)
+			o := cancelOpts(p)
+			o.CompressTier = tier
+			baseline := runtime.NumGoroutine()
+			runs := solvePerRank(t, backend, procs, p, o, lastRankExpires(procs, n))
+			requireLastRankCancel(t, name, runs, n, p.X.Rows)
+			dist.VerifyNoGoroutineLeaks(t, baseline)
+		}
+	}
+}
+
+// roundCtx is a context whose Err reports DeadlineExceeded once the
+// solve has counted at rounds: a cancellation tied to the solve's
+// progress, not to the clock or to how often it is polled.
+type roundCtx struct {
+	context.Context
+	rounds *int
+	at     int
+}
+
+func (c roundCtx) Err() error {
+	if *c.rounds >= c.at {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestCancelDegradedForever: a FaultPlan delivers the first rounds and
+// then drops every attempt of every round (a crash outage that never
+// ends), so the solve degrades to the last good batch forever and no
+// round carries a fresh vote. The standalone consensus such rounds fall
+// back on must still land rank P−1's cancellation within one round.
+func TestCancelDegradedForever(t *testing.T) {
+	p := data.Generate(data.GenSpec{D: 10, M: 200, Density: 1, Lambda: 0.1, Seed: 57})
+	const procs, crashAt, at = 4, 3, 9
+	for _, backend := range []string{"chan", "tcp"} {
+		for _, pipeline := range []bool{false, true} {
+			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
+			o := cancelOpts(p)
+			o.Pipeline = pipeline
+			o.MaxRetries = 1
+			o.Faults = &dist.FaultPlan{Seed: 5, Crash: &dist.Crash{Rank: 1, Round: crashAt, Outage: 1 << 30}}
+			baseline := runtime.NumGoroutine()
+			res, _, err := engineWorld(t, backend, procs, p, o, nil, func(e *engine) (*Result, error) {
+				var ctx context.Context = context.Background()
+				if e.c.Rank() == procs-1 {
+					ctx = roundCtx{Context: ctx, rounds: &e.rec.Rounds, at: at}
+				}
+				return e.run(ctx, e, e)
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want Canceled", name, err)
+			}
+			requireWellFormedPartial(t, res, p.X.Rows)
+			if res.Rounds < at || res.Rounds > at+1 {
+				t.Fatalf("%s: cancelled after round %d, left at round %d", name, at, res.Rounds)
+			}
+			if res.Faults.DegradedRounds != res.Rounds-crashAt {
+				t.Fatalf("%s: %d degraded rounds of %d, want every round from %d on", name,
+					res.Faults.DegradedRounds, res.Rounds, crashAt+1)
+			}
+			dist.VerifyNoGoroutineLeaks(t, baseline)
+		}
 	}
 }
 

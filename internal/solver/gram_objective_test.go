@@ -154,7 +154,10 @@ func TestGramObjectiveMatchesDataPass(t *testing.T) {
 	}
 }
 
-// fillCounter counts the collectives of one Gram fill's length.
+// fillCounter counts the Gram fills among the shared allreduces. At
+// k = 1 the stage-C batch with its vote trailer is as long as a fill;
+// its last word is the cancel flag, 0 in these uncancelled runs, where
+// a fill's is the rank's Σy²/2m > 0.
 type fillCounter struct {
 	dist.Comm
 	words int
@@ -162,7 +165,7 @@ type fillCounter struct {
 }
 
 func (c *fillCounter) AllreduceShared(local []float64) []float64 {
-	if len(local) == c.words {
+	if len(local) == c.words && local[len(local)-1] != 0 {
 		c.fills++
 	}
 	return c.Comm.AllreduceShared(local)
@@ -408,23 +411,27 @@ func TestGramObjectiveAllocationFree(t *testing.T) {
 	}
 }
 
-// cancelAfter is a context whose Err reports Canceled from its n-th call
-// on. The round loop polls Err once per rank per round, so the solve
-// stops at a round fixed by n, not by the clock.
+// cancelAfter is a context whose Err reports err (Canceled unless
+// set otherwise) from its n-th call on. The round loop polls Err once
+// per rank per delivered round, for the flag the round's exchange
+// carries, so the solve stops at a round fixed by n, not by the clock.
 type cancelAfter struct {
 	context.Context
 	left atomic.Int64
+	err  error
 }
 
-func newCancelAfter(n int64) *cancelAfter {
-	c := &cancelAfter{Context: context.Background()}
+func newCancelAfter(n int64) *cancelAfter { return expireAfter(n, context.Canceled) }
+
+func expireAfter(n int64, err error) *cancelAfter {
+	c := &cancelAfter{Context: context.Background(), err: err}
 	c.left.Store(n)
 	return c
 }
 
 func (c *cancelAfter) Err() error {
 	if c.left.Add(-1) < 0 {
-		return context.Canceled
+		return c.err
 	}
 	return nil
 }

@@ -13,11 +13,11 @@ import (
 // over ranks, on the world's machine model). World costs are reset
 // first, so the modeled time covers exactly this solve.
 //
-// Cancellation is handled without aborting the world: the checkCancel
-// consensus guarantees every rank returns the same context error at
-// the same round, so the ranks are joined cleanly — aborting would
-// release slower ranks from the consensus collective itself and lose
-// their partial results. Rank 0's partial result is returned together
+// Cancellation is handled without aborting the world: the vote every
+// round carries guarantees every rank returns a context error at the
+// same round, so the ranks are joined cleanly — aborting would release
+// slower ranks from the round's collective itself and lose their
+// partial results. Rank 0's partial result is returned together
 // with the context error. Non-context errors abort the world as
 // before.
 func RunWorld(w dist.World, solve func(c dist.Comm) (*Result, error)) (*Result, error) {

@@ -8,12 +8,12 @@
 // retry/backoff/degradation policy), InnerPass (stage D updates), and
 // StopPolicy. A Recorder merges the perf.Cost, trace, and fault-event
 // bookkeeping all solvers previously duplicated, and a
-// context.Context threads cancellation through every round boundary.
+// context.Context threads cancellation through every round.
 //
-// Ports onto Loop are bit-identical to the engines they replace:
-// identical collective sequences (checkCancel rolls its consensus cost
-// back), identical flop accounting, identical trace points. Golden
-// fixtures in the repository root pin this guarantee.
+// A round is one collective: the cancellation vote rides the stage-C
+// batch as a trailer word, billed to no one, so flop, message and word
+// accounting is the paper's and the engines' exactly. Golden fixtures
+// in the repository root pin iterates and costs bit for bit.
 package solvercore
 
 import (
@@ -77,11 +77,12 @@ type StopPolicy interface {
 
 // Spec wires one solve onto Loop.
 type Spec struct {
-	// Ctx is checked at every round boundary; nil means background.
+	// Ctx is voted on in every round; nil means background.
 	Ctx context.Context
 	// Comm is the communicator, or nil for sequential solvers. It is
-	// used only for the cancellation consensus (and its cost
-	// rollback); all data movement goes through Exchange.
+	// used only for the standalone cancellation consensus on rounds that
+	// delivered no vote, and for pipelined overlap accounting; all data
+	// movement, the vote included, goes through Exchange.
 	Comm dist.Comm
 	// Rec receives the round counter (Loop advances Rec.Rounds once
 	// per exchange, lost rounds included).
@@ -102,11 +103,12 @@ type Spec struct {
 	CommCostOf func(batchLen int) perf.Cost
 }
 
-// Loop runs the round loop to completion or cancellation. On
-// cancellation it returns the context's error with the Recorder (and
-// the solver state behind Fill/Pass) in a consistent partial state: no
-// collective is left in flight, and Finish still yields a well-formed
-// Result.
+// Loop runs the round loop to completion or cancellation. Every
+// round's exchange carries each rank's cancellation flag; when the
+// summed vote is positive every rank returns the context's error at
+// that round, before Process, with the Recorder (and the solver state
+// behind Fill/Pass) in a consistent partial state: no collective is
+// left in flight, and Finish still yields a well-formed Result.
 func Loop(spec Spec) error {
 	if spec.Pipeline {
 		return runPipelined(spec)
@@ -115,26 +117,55 @@ func Loop(spec Spec) error {
 }
 
 // resize returns buf re-sliced to length n, reusing its backing array
-// when capacity allows. Fillers zero or overwrite their buffer, so
-// stale contents from a previous (possibly longer) round never leak.
+// when capacity allows, with room left for the vote trailer. Fillers
+// zero or overwrite their buffer, so stale contents from a previous
+// (possibly longer) round never leak.
 func resize(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+	if cap(buf) < n+trailerCap {
+		return make([]float64, n, n+trailerCap)
 	}
 	return buf[:n]
+}
+
+// cancelled is this rank's vote: whether its context is done.
+func cancelled(ctx context.Context) bool { return ctx != nil && ctx.Err() != nil }
+
+// settle turns a round's vote into the Loop's verdict: a cancel vote
+// ends the solve; a round that delivered no vote runs the standalone
+// consensus instead. Every rank gets the same vote (or the same
+// delivery verdict), so all ranks take the same branch.
+func settle(ctx context.Context, c dist.Comm, v Vote) error {
+	switch v {
+	case VoteCancel:
+		return cancelErr(ctx)
+	case VoteMissing:
+		return checkCancel(ctx, c)
+	}
+	return nil
+}
+
+// cancelErr is the error a rank returns on a cancel vote: its own
+// context's, or context.Canceled when another rank voted.
+func cancelErr(ctx context.Context) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return context.Canceled
 }
 
 // runBlocking is the fill → exchange → process round loop.
 func runBlocking(spec Spec) error {
 	var buf []float64
 	for !spec.Stop.Done() {
-		if err := checkCancel(spec.Ctx, spec.Comm); err != nil {
-			return err
-		}
 		buf = resize(buf, spec.Fill.BatchLen())
 		spec.Fill.Fill(buf)
-		shared := spec.Exchange.Exchange(buf)
+		shared, vote := spec.Exchange.Exchange(buf, cancelled(spec.Ctx))
 		spec.Rec.Rounds++
+		if err := settle(spec.Ctx, spec.Comm, vote); err != nil {
+			return err
+		}
 		if shared == nil {
 			if spec.Pass.OnSkip() {
 				return nil
@@ -156,7 +187,10 @@ func runBlocking(spec Spec) error {
 // modeled cost differs: each overlapped round charges
 // Machine.Overlap(fill, CommCost) as hidden time. A speculative fill
 // wasted by a convergence stop is charged but never used — the price
-// of pipelining, matched by real MPI_Iallreduce codes.
+// of pipelining, matched by real MPI_Iallreduce codes. The vote is
+// taken when a batch is posted, not when it is filled, and read when it
+// resolves, before anything else is posted: a cancelled loop never
+// leaves a collective in flight.
 func runPipelined(spec Spec) error {
 	aex, ok := spec.Exchange.(AsyncExchanger)
 	if !ok {
@@ -166,20 +200,15 @@ func runPipelined(spec Spec) error {
 	buf := resize(nil, spec.Fill.BatchLen())
 	var next []float64
 	spec.Fill.Fill(buf)
-	// The cancel check sits before every Post so a cancelled loop never
-	// leaves a collective in flight.
-	if err := checkCancel(spec.Ctx, spec.Comm); err != nil {
-		return err
-	}
-	p := aex.Post(buf)
+	p := aex.Post(buf, cancelled(spec.Ctx))
 	for {
 		// Will another round follow this one on the normal path? If
 		// so, fill it now, under the in-flight collective. On a
 		// fault-skip the prediction errs short and the fill happens
-		// non-overlapped below; on a convergence stop it errs long and
-		// the fill is wasted. The slot counter advances per round
-		// regardless of outcome, so the sample sequence is unaffected
-		// either way.
+		// non-overlapped below; on a convergence stop or a cancel vote it
+		// errs long and the fill is wasted. The slot counter advances per
+		// round regardless of outcome, so the sample sequence is
+		// unaffected either way.
 		speculated := spec.Stop.MoreAfterNext()
 		var fillCost perf.Cost
 		genAtFill := 0
@@ -190,7 +219,7 @@ func runPipelined(spec Spec) error {
 			next = resize(next, spec.Fill.BatchLen())
 			fillCost = spec.Fill.Fill(next)
 		}
-		shared := aex.Resolve(p)
+		shared, vote := aex.Resolve(p)
 		spec.Rec.Rounds++
 		if speculated {
 			c := spec.Comm
@@ -199,6 +228,9 @@ func runPipelined(spec Spec) error {
 				cc = spec.CommCostOf(len(buf))
 			}
 			c.Cost().AddOverlap(c.Machine().Overlap(fillCost, cc))
+		}
+		if err := settle(spec.Ctx, spec.Comm, vote); err != nil {
+			return err
 		}
 		if shared == nil {
 			if spec.Pass.OnSkip() {
@@ -222,27 +254,24 @@ func runPipelined(spec Spec) error {
 			next = resize(next, spec.Fill.BatchLen())
 			rf.Refill(next)
 		}
-		if err := checkCancel(spec.Ctx, spec.Comm); err != nil {
-			return err
-		}
 		buf, next = next, buf
-		p = aex.Post(buf)
+		p = aex.Post(buf, cancelled(spec.Ctx))
 	}
 }
 
-// checkCancel implements cooperative SPMD cancellation: every rank
-// computes a local cancelled flag and the ranks agree by an OpMax
-// allreduce, so all ranks leave the loop at the same round even when
-// only some observed the cancellation — a rank returning alone would
-// deadlock the others in the next collective. The consensus cost is
-// rolled back so cancellable runs price identically to the golden
-// engines.
+// checkCancel is the standalone cancellation consensus, run only on a
+// round whose exchange delivered no vote (a degraded or skipped
+// fallible round). Every rank computes its local flag and the ranks
+// agree by an OpMax allreduce, so all ranks leave the loop at the same
+// round even when only some observed the cancellation — a rank
+// returning alone would deadlock the others in the next collective.
+// Whether it runs depends only on the shared delivery verdict, never on
+// a rank-local fact such as a nil context, so every rank enters it
+// together. Like the trailer it stands in for, the consensus is
+// control: its cost is rolled back.
 func checkCancel(ctx context.Context, c dist.Comm) error {
-	if ctx == nil {
-		return nil
-	}
 	flag := 0.0
-	if ctx.Err() != nil {
+	if cancelled(ctx) {
 		flag = 1
 	}
 	if c != nil && c.Size() > 1 {
@@ -251,11 +280,7 @@ func checkCancel(ctx context.Context, c dist.Comm) error {
 		*c.Cost() = saved
 	}
 	if flag != 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Another rank observed the cancellation first.
-		return context.Canceled
+		return cancelErr(ctx)
 	}
 	return nil
 }

@@ -21,8 +21,8 @@ import (
 // policy, step-norm stop — are the closure hooks and flags below, so
 // both remain bit-identical to their pre-refactor implementations.
 type PNSpec struct {
-	// Comm is the communicator for the cancellation consensus, nil for
-	// sequential solves. Data movement goes through Exchange.
+	// Comm is the communicator (Spec.Comm), nil for sequential solves.
+	// Data movement and the cancellation vote go through Exchange.
 	Comm dist.Comm
 	// Rec carries cost, counters, trace, Tol/FStar.
 	Rec *Recorder

@@ -39,11 +39,11 @@ func (s *EFStream) idle(t dist.Tier) bool { return t == dist.TierF64 && s.resid 
 // modified; the returned buffer is owned by the stream. A length
 // change reslices the payload (an active-set layout change), so the
 // carried residual's coordinates are meaningless and the stream resets
-// before folding.
+// before folding. The returned buffer has room for a vote trailer.
 func (s *EFStream) fold(local []float64, t dist.Tier) []float64 {
 	if len(s.resid) != len(local) {
 		s.resid = make([]float64, len(local))
-		s.z = make([]float64, len(local))
+		s.z = make([]float64, len(local), len(local)+trailerCap)
 	}
 	z := s.z
 	for i, v := range local {
@@ -90,7 +90,8 @@ func (s *EFStream) Reset() {
 // While the stream has never left f64 the exchanger ships local
 // untouched and allocates nothing (EFStream.idle): the uncompressed
 // solve, with or without faults, is bit-identical to a plain
-// (I)AllreduceShared.
+// (I)AllreduceShared. The vote trailer rides behind the payload at
+// every tier (voteAt); a flag of 0 moves no payload bit.
 //
 // Error feedback across faults: the residual update happens at
 // prepare, but a round that ultimately fails (degrade to stale batch,
@@ -122,16 +123,22 @@ type TieredExchanger struct {
 	staleDepth int
 }
 
-// prepare returns the raw payload to ship for local (local itself on
-// the never-compressed path) plus the round's effective tier, keeping
-// the pre-fold residual for rollback.
-func (e *TieredExchanger) prepare(local []float64) ([]float64, dist.Tier) {
+// prepare returns the wire image to ship for local — local itself on
+// the never-compressed path, else the folded payload — followed by the
+// vote trailer when vote is set, plus the round's effective tier,
+// keeping the pre-fold residual for rollback. The tier is chosen for
+// the payload length: the trailer never moves a tier decision.
+func (e *TieredExchanger) prepare(local []float64, vote, cancel bool) ([]float64, dist.Tier) {
 	tier := dist.EffectiveTier(e.TierOf(len(local)), len(local))
-	if e.ef.idle(tier) {
-		return local, tier
+	wire := local
+	if !e.ef.idle(tier) {
+		e.prev = append(e.prev[:0], e.ef.resid...)
+		wire = e.ef.fold(local, tier)
 	}
-	e.prev = append(e.prev[:0], e.ef.resid...)
-	return e.ef.fold(local, tier), tier
+	if vote {
+		wire = appendVote(wire, cancel, tier)
+	}
+	return wire, tier
 }
 
 // rollback restores the residual prepare replaced; a fold that reset
@@ -149,14 +156,29 @@ func (e *TieredExchanger) rollback() {
 // changed meaning even if its length happens to match.
 func (e *TieredExchanger) ResetResidual() { e.ef.Reset() }
 
-// Exchange runs one blocking tiered round.
-func (e *TieredExchanger) Exchange(local []float64) []float64 {
-	z, tier := e.prepare(local)
+// Exchange runs one blocking tiered round carrying this rank's vote.
+func (e *TieredExchanger) Exchange(local []float64, cancel bool) ([]float64, Vote) {
+	return e.exchange(local, true, cancel)
+}
+
+// Redo runs one blocking tiered round outside the Loop — the active-set
+// engine's window redo — with no vote trailer: the ranks already agreed
+// to run the round it redoes.
+func (e *TieredExchanger) Redo(local []float64) []float64 {
+	shared, _ := e.exchange(local, false, false)
+	return shared
+}
+
+func (e *TieredExchanger) exchange(local []float64, vote, cancel bool) ([]float64, Vote) {
+	n := len(local)
+	wire, tier := e.prepare(local, vote, cancel)
 	if e.FC == nil {
-		return dist.AllreduceSharedTier(e.C, z, tier)
+		shared := dist.AllreduceSharedTier(e.C, wire, tier)
+		refundVote(e.C, n, len(wire), tier)
+		return readVote(shared, n, tier)
 	}
-	return e.resolve(func(a int) ([]float64, bool) {
-		return e.FC.AttemptAllreduceSharedTier(z, a, tier)
+	return e.resolve(n, len(wire), tier, func(a int) ([]float64, bool) {
+		return e.FC.AttemptAllreduceSharedTier(wire, a, tier)
 	})
 }
 
@@ -164,25 +186,30 @@ func (e *TieredExchanger) Exchange(local []float64) []float64 {
 // FaultPlan it posts attempt 0, whose verdict resolves at Resolve
 // exactly as the blocking attempt would have resolved it. A folded
 // payload is owned by the exchanger and stays untouched until Resolve.
-func (e *TieredExchanger) Post(local []float64) Pending {
-	z, tier := e.prepare(local)
+func (e *TieredExchanger) Post(local []float64, cancel bool) Pending {
+	wire, tier := e.prepare(local, true, cancel)
+	p := Pending{buf: wire, n: len(local), tier: tier}
 	if e.FC == nil {
-		return Pending{req: dist.IAllreduceSharedTier(e.C, z, tier), buf: z, tier: tier}
+		p.req = dist.IAllreduceSharedTier(e.C, wire, tier)
+	} else {
+		p.att = e.FC.IAttemptAllreduceSharedTier(wire, 0, tier)
 	}
-	return Pending{att: e.FC.IAttemptAllreduceSharedTier(z, 0, tier), buf: z, tier: tier}
+	return p
 }
 
 // Resolve blocks on the posted round and, under faults, runs the same
 // retry/degrade/skip machine as Exchange: attempt 0 resolves the
 // posted collective, retries fall back to blocking attempts — the
 // overlap window has already been spent by then. Retries re-ship the
-// already-prepared payload — the residual was updated once at prepare
-// and must not compound per attempt.
-func (e *TieredExchanger) Resolve(p Pending) []float64 {
+// already-prepared wire image — the residual was updated once at
+// prepare and must not compound per attempt.
+func (e *TieredExchanger) Resolve(p Pending) ([]float64, Vote) {
 	if e.FC == nil {
-		return p.req.Wait()
+		shared := p.req.Wait()
+		refundVote(e.C, p.n, len(p.buf), p.tier)
+		return readVote(shared, p.n, p.tier)
 	}
-	return e.resolve(func(a int) ([]float64, bool) {
+	return e.resolve(p.n, len(p.buf), p.tier, func(a int) ([]float64, bool) {
 		if a == 0 {
 			return p.att.Wait()
 		}
@@ -191,12 +218,15 @@ func (e *TieredExchanger) Resolve(p Pending) []float64 {
 }
 
 // resolve drives the retry/degrade/skip state machine of one fallible
-// round. attempt(a) performs (or, for a pipelined round's
-// already-posted attempt 0, resolves) attempt number a and reports
-// whether it delivered a batch. Shared by the blocking and pipelined
-// paths so both observe identical stats, events and recovery decisions
-// for identical fault verdicts.
-func (e *TieredExchanger) resolve(attempt func(a int) ([]float64, bool)) []float64 {
+// round whose n-value payload ships as a wire-value image at tier.
+// attempt(a) performs (or, for a pipelined round's already-posted
+// attempt 0, resolves) attempt number a and reports whether it
+// delivered a batch; every attempt, lost or not, is refunded its
+// trailer. Only a delivered batch carries a vote: a degraded or skipped
+// round returns VoteMissing. Shared by the blocking and pipelined paths
+// so both observe identical stats, events and recovery decisions for
+// identical fault verdicts.
+func (e *TieredExchanger) resolve(n, wire int, tier dist.Tier, attempt func(a int) ([]float64, bool)) ([]float64, Vote) {
 	cost := e.FC.Cost()
 	round := e.FC.Round()
 	for a := 0; a <= e.MaxRetries; a++ {
@@ -206,6 +236,7 @@ func (e *TieredExchanger) resolve(attempt func(a int) ([]float64, bool)) []float
 			e.Rec.Faults.Retries++
 		}
 		res, ok := attempt(a)
+		refundVote(e.C, n, wire, tier)
 		if !ok {
 			continue
 		}
@@ -214,9 +245,10 @@ func (e *TieredExchanger) resolve(attempt func(a int) ([]float64, bool)) []float
 		if a > 0 {
 			e.Rec.RecordRecovery("retry-ok", round, fmt.Sprintf("attempt %d succeeded", a))
 		}
-		e.lastGood = res
+		shared, vote := readVote(res, n, tier)
+		e.lastGood = shared
 		e.staleDepth = 0
-		return res
+		return shared, vote
 	}
 	// The round is lost: the prepared contribution never landed, so the
 	// residual update it carried must not survive into the next round.
@@ -229,9 +261,9 @@ func (e *TieredExchanger) resolve(attempt func(a int) ([]float64, bool)) []float
 		e.staleDepth++
 		e.Rec.RecordRecovery("degrade", round,
 			fmt.Sprintf("stale batch reuse x%d (S raised)", e.staleDepth))
-		return e.lastGood
+		return e.lastGood, VoteMissing
 	}
 	e.Rec.Faults.SkippedRounds++
 	e.Rec.RecordRecovery("skip", round, "no last-good batch yet")
-	return nil
+	return nil, VoteMissing
 }
