@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 )
 
@@ -53,6 +54,10 @@ func (b *barrier) wait() {
 		b.phase++
 		b.cond.Broadcast()
 		b.mu.Unlock()
+		// Broadcast put a released rank in this P's run-next slot, which
+		// idle Ps seldom steal: without the yield it would wait for this
+		// goroutine to block, and a solve's ranks would take turns on one P.
+		runtime.Gosched()
 		return
 	}
 	for b.phase == phase && !b.aborted {

@@ -18,67 +18,50 @@ func benchWords(words int) []float64 {
 	return local
 }
 
-func BenchmarkAllreduceShared(b *testing.B) {
-	for _, p := range []int{4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			local := benchWords(4096)
-			for i := 0; i < b.N; i++ {
-				w := NewWorld(p, unitMachine())
-				if err := w.Run(func(c Comm) error {
-					for r := 0; r < 8; r++ {
-						c.AllreduceShared(local)
-					}
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAllreduceSharedTCP times the f64 shared allreduce over
-// loopback sockets inside one World.Run, so an iteration is one
-// steady-state collective — no mesh set-up, warmed buffers — at a
-// scalar, a vector, the d=54 k=8 Hessian batch and the 4.9 MB batch of
-// the ls_bw_tcp workload. MB/s is payload bytes per rank per second;
+// BenchmarkAllreduceShared times the f64 shared allreduce on every
+// backend inside one World.Run, so an iteration is one steady-state
+// collective — no world or mesh set-up, warmed buffers — at a scalar, a
+// vector, the d=54 k=8 Hessian batch, ls_fill_chan's batch and the
+// 4.9 MB batch of ls_bw_tcp. MB/s is payload bytes per rank per second;
 // B/op and allocs/op cover all P ranks of the process.
-func BenchmarkAllreduceSharedTCP(b *testing.B) {
-	tcp, err := LookupBackend("tcp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := tcp.Supported(); err != nil {
-		b.Skip(err)
-	}
-	for _, p := range []int{2, 4, 8} {
-		for _, n := range []int{1, 1539, 12312, 619464} {
-			b.Run(fmt.Sprintf("P=%d/n=%d", p, n), func(b *testing.B) {
-				w, err := tcp.NewWorld(p, unitMachine())
-				if err != nil {
-					b.Fatal(err)
-				}
-				local := benchWords(n)
-				b.SetBytes(int64(8 * n))
-				b.ReportAllocs()
-				if err := w.Run(func(c Comm) error {
-					c.AllreduceShared(local)
-					c.Barrier()
-					if c.Rank() == 0 {
-						b.ResetTimer()
+func BenchmarkAllreduceShared(b *testing.B) {
+	for _, name := range Backends() {
+		be, err := LookupBackend(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range []int{2, 4, 8} {
+			for _, n := range []int{1, 1539, 12312, 149760, 619464} {
+				b.Run(fmt.Sprintf("%s/P=%d/n=%d", name, p, n), func(b *testing.B) {
+					if err := be.Supported(); err != nil {
+						b.Skip(err)
 					}
-					for i := 0; i < b.N; i++ {
+					w, err := be.NewWorld(p, unitMachine())
+					if err != nil {
+						b.Fatal(err)
+					}
+					local := benchWords(n)
+					b.SetBytes(int64(8 * n))
+					b.ReportAllocs()
+					if err := w.Run(func(c Comm) error {
 						c.AllreduceShared(local)
+						c.Barrier()
+						if c.Rank() == 0 {
+							b.ResetTimer()
+						}
+						for i := 0; i < b.N; i++ {
+							c.AllreduceShared(local)
+						}
+						c.Barrier()
+						if c.Rank() == 0 {
+							b.StopTimer()
+						}
+						return nil
+					}); err != nil {
+						b.Fatal(err)
 					}
-					c.Barrier()
-					if c.Rank() == 0 {
-						b.StopTimer()
-					}
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -7,10 +7,11 @@ import (
 )
 
 // The collectives of Comm, written once for every backend. A backend
-// supplies one data-movement primitive, exchange; everything a caller
-// can observe — who combines what in which order, the P = 1 return, the
-// length-mismatch panic, the profile entry and the cost charge — is
-// here. Three patterns cover the five small collectives: all→all
+// supplies the data movement — exchange, and the transport half of the
+// shared allreduce (postShared); everything a caller can observe — who
+// combines what in which order, the P = 1 return, the length and tier
+// checks, the profile entry and the cost charge — is here. Three
+// patterns cover the five small collectives: all→all
 // (Barrier, Allreduce, Allgather), root→all (Bcast) and all→root
 // (Reduce). Every rank that receives combines locally, in ascending
 // rank order starting from rank 0's contribution (from its own buffer
@@ -41,10 +42,12 @@ type exchanger interface {
 	// release hands back what exchange returned. Every rank calls it
 	// once per exchange, and may touch local again only afterwards.
 	release(bufs [][]float64)
-	// postShared posts the shared sum-allreduce of local at tier t,
-	// recording it under profile kind base + tier at Wait. Never called
-	// at Size() == 1.
-	postShared(local []float64, t Tier, base int) *Request
+	// postShared posts the shared sum-allreduce of local at tier t and
+	// returns what Wait runs to complete it: move the contributions to
+	// the segment owners, have each owner call reduceSegment, and
+	// gather the owned sums into the result. Never called at
+	// Size() == 1.
+	postShared(local []float64, t Tier) func() []float64
 }
 
 // collectives gives an embedding communicator the collective half of
@@ -182,8 +185,8 @@ func (c *collectives) AllreduceShared(local []float64) []float64 {
 
 // IAllreduceShared posts the nonblocking sum-allreduce. Wait charges
 // the same recursive-doubling tree cost AllreduceShared charges and
-// returns the same bits. Requests resolve in post order per rank; every
-// posted request must be waited before the rank's Run function returns.
+// returns the same bits. Every rank waits its requests in the same
+// order among its collectives; one never waited is dropped with its Run.
 func (c *collectives) IAllreduceShared(local []float64) *Request {
 	return c.iallreduceSharedTier(local, TierF64)
 }
@@ -199,12 +202,122 @@ func (c *collectives) iallreduceSharedTier(local []float64, t Tier) *Request {
 	return c.post(local, t, kindIAllreduceShared)
 }
 
-// post is the shared allreduce at every tier. A lone rank still
-// observes the quantization the collective promises (combineOne), so
-// P = 1 and P > 1 agree on what reaches the iterates.
+// post is the shared allreduce at every tier, recorded under profile
+// kind base + tier and charged at Wait. A lone rank still observes the
+// quantization the collective promises (combineOne), so P = 1 and
+// P > 1 agree on what reaches the iterates.
 func (c *collectives) post(local []float64, t Tier, base int) *Request {
-	if c.on.Size() == 1 {
+	p := c.on.Size()
+	if p == 1 {
 		return completedRequest(combineOne(local, t))
 	}
-	return c.on.postShared(local, t, base)
+	wait := c.on.postShared(local, t)
+	return &Request{wait: func() []float64 {
+		res := wait()
+		c.prof.record(sharedKind(base, t), len(local))
+		chargeAllreduceTier(c.on.Cost(), p, len(local), t)
+		return res
+	}}
+}
+
+// The shared sum-allreduce is a segment-owner reduce-scatter +
+// allgather on every backend: segBounds deals the payload out in rank
+// order, each owner folds every rank's slice of its segment
+// (reduceSegment), and every rank returns the owned sums side by side.
+// A backend only moves the data (tcpshared.go, world.go).
+
+// segGranule is the unit segments are dealt in, in values. Boundaries
+// on multiples of it are i8 chunk boundaries (it is a multiple of
+// perf.I8ChunkLen), so a segment quantizes exactly as that range of the
+// whole payload; and a payload of at most one granule — every scalar
+// and vector collective — has rank 0 as its single owner and costs the
+// two messages per rank a hub would.
+const segGranule = 4096
+
+// segBounds returns the segment [lo, hi) of an n-value payload that
+// rank r of p owns: the ceil(n/segGranule) granules are dealt out in
+// rank order, contiguously, the first (granules mod p) ranks taking one
+// more than the rest, and the last granule is cut at n. Ranks beyond
+// the granule count own nothing (lo == hi).
+func segBounds(n, p, r int) (lo, hi int) {
+	g := (n + segGranule - 1) / segGranule
+	base, rem := g/p, g%p
+	lo = (r*base + min(r, rem)) * segGranule
+	hi = lo + base*segGranule
+	if r < rem {
+		hi += segGranule
+	}
+	return min(lo, n), min(hi, n)
+}
+
+// segOwner reports whether rank r publishes a result segment of an
+// n-value payload: it owns values, or it is rank 0, which answers for
+// an empty payload so that a zero-length collective still synchronizes.
+func segOwner(n, p, r int) bool {
+	lo, hi := segBounds(n, p, r)
+	return r == 0 || lo < hi
+}
+
+// takesContrib reports whether rank r, holding an n-value payload,
+// receives and checks the other ranks' slices of its segment. From one
+// granule up that is every rank, an empty slice for a rank that owns
+// nothing: each rank then sees every peer's view of its own segment, so
+// ranks that disagree on n (or on the tier) are found out by whichever
+// of them owns a range the two views cut differently — without the
+// slices to non-owners, a rank that owns values only in its own view
+// would wait for contributions no peer will ever send. Below one
+// granule rank 0 sees every contribution whole, which is the same
+// check.
+func takesContrib(n, r int) bool { return n >= segGranule || r == 0 }
+
+// reduceSegment is combine restricted to the segment of res that rank
+// owns, on every backend. contrib[q] is rank q's contribution, entered
+// at tier specs[q]: a whole RAW payload for this rank, and for the
+// others too when raw is set (chan); otherwise rank q's slice of the
+// segment as the frame decode delivered it, already round(slice) (tcp).
+// A tier or a segment length that differs from this rank's panics with
+// a diagnostic naming both ranks. Contributions are taken in ascending
+// rank order, a RAW one quantized here — copied in for rank 0 (not
+// summed into zeros, which would lose the sign of zero), added
+// otherwise. An owner hands publish the RAW sum before quantizing it
+// once more in place: a tcp result frame's encode is that downlink
+// quantization, and the i8 codec is not idempotent. All of it at the
+// segment's offset, so i8 chunk scales and dither are the whole
+// payload's.
+func reduceSegment(res []float64, rank int, contrib [][]float64, specs []*tierSpec, raw bool, publish func(seg []float64, lo int)) {
+	p, spec, n := len(contrib), specs[rank], len(contrib[rank])
+	lo, hi := segBounds(n, p, rank)
+	owned := hi - lo
+	// Cut res at its own bounds, which are this rank's whenever the
+	// payload lengths agree: chan's result is rank 0's slice, and a
+	// rank dissenting on the length must not index past it.
+	lo, hi = segBounds(len(res), p, rank)
+	seg := res[lo:hi]
+	for q, x := range contrib {
+		whole := raw || q == rank
+		if whole {
+			xlo, xhi := segBounds(len(x), p, rank)
+			x = x[xlo:xhi]
+		}
+		switch {
+		case specs[q] != spec:
+			panic(fmt.Sprintf("dist: AllreduceShared tier mismatch: rank %d runs %s, rank %d runs %s",
+				rank, spec.name, q, specs[q].name))
+		case len(x) != owned:
+			panic(fmt.Sprintf("dist: AllreduceShared length mismatch: rank %d has %d values and owns %d of them, rank %d sent %d",
+				rank, n, owned, q, len(x)))
+		case whole && q == 0:
+			spec.round(seg, x, lo)
+		case whole:
+			spec.addRounded(seg, x, lo)
+		case q == 0:
+			copy(seg, x)
+		default:
+			OpSum.combine(seg, x)
+		}
+	}
+	if publish != nil && segOwner(len(res), p, rank) {
+		publish(seg, lo)
+	}
+	spec.round(seg, seg, lo)
 }

@@ -17,13 +17,12 @@
 //
 // Reductions are performed in ascending rank order starting from rank
 // 0's contribution — by every rank that receives the result, each for
-// itself, for the small collectives (collective.go); once per posted
-// round, or once per segment at the segment's owner, for the shared
-// sum-allreduce — so results are bit-for-bit deterministic across runs,
-// identical on every rank and backend, and independent of goroutine
-// scheduling and network arrival order. (A real MPI allreduce has a
-// fixed reduction tree, so determinism across runs at fixed P is the
-// faithful choice.)
+// itself, for the small collectives; once per segment at the segment's
+// owner for the shared sum-allreduce (both in collective.go) — so
+// results are bit-for-bit deterministic across runs, identical on every
+// rank and backend, and independent of goroutine scheduling and network
+// arrival order. (A real MPI allreduce has a fixed reduction tree, so
+// determinism across runs at fixed P is the faithful choice.)
 package dist
 
 import (
@@ -90,7 +89,9 @@ type Comm interface {
 	// shared read-only slice AllreduceShared would — bit-identical,
 	// because the reduction runs in rank order either way. The
 	// communication cost is charged at Wait. Every rank must post
-	// nonblocking collectives in the same order, and local must stay
+	// nonblocking collectives in the same order and Wait them in the
+	// same order among its other collectives — a backend may make no
+	// progress before Wait, and chan makes none — and local must stay
 	// unmodified until Wait returns.
 	IAllreduceShared(local []float64) *Request
 	// Bcast copies root's buf into every rank's buf.

@@ -585,18 +585,18 @@ func TestConformanceTieredAllreduce(t *testing.T) {
 // TestConformanceMixedTierRejected: ranks that enter one shared
 // allreduce at different tiers (multi-process mode takes the tier per
 // OS process) must fail loudly on every backend, blocking and
-// nonblocking, whichever side the hub is on — not return a sum that
-// quietly mixes roundings.
+// nonblocking, whichever tier the owner (rank 0, for this one-granule
+// payload) runs — not return a sum that quietly mixes roundings.
 func TestConformanceMixedTierRejected(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		for _, hub := range []Tier{TierF64, TierI8} {
+		for _, owner := range []Tier{TierF64, TierI8} {
 			for _, nonblocking := range []bool{false, true} {
 				baseline := runtime.NumGoroutine()
 				w := mustWorld(t, b, 3)
 				err := w.Run(func(c Comm) error {
-					tier := hub
+					tier := owner
 					if c.Rank() == 2 {
-						tier = TierF64 + TierI8 - hub
+						tier = TierF64 + TierI8 - owner
 					}
 					local := tieredPayload(c.Rank(), 40)
 					if nonblocking {
@@ -609,8 +609,8 @@ func TestConformanceMixedTierRejected(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), "tier mismatch") ||
 					!strings.Contains(err.Error(), "rank 2") ||
 					!strings.Contains(err.Error(), "f64") || !strings.Contains(err.Error(), "i8") {
-					t.Fatalf("hub=%v nonblocking=%v: err = %v, want a tier mismatch naming rank 2, f64 and i8",
-						hub, nonblocking, err)
+					t.Fatalf("owner=%v nonblocking=%v: err = %v, want a tier mismatch naming rank 2, f64 and i8",
+						owner, nonblocking, err)
 				}
 				VerifyNoGoroutineLeaks(t, baseline)
 			}

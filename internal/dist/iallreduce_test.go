@@ -97,13 +97,49 @@ func TestIAllreduceSharedMultipleInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All in-flight state must be drained once every rank has waited.
-	w.iarMu.Lock()
-	pending := len(w.iar)
-	w.iarMu.Unlock()
-	if pending != 0 {
-		t.Fatalf("%d nonblocking rounds still registered after Run", pending)
+	if err := pinnedAfterRun(w); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// pinnedAfterRun reports what a finished Run left registered on w — a
+// contribution or the shared result slice, each possibly a k-slot
+// Hessian batch — whether the Run succeeded or failed.
+func pinnedAfterRun(w *chanWorld) error {
+	for r, s := range w.contrib {
+		if s != nil {
+			return fmt.Errorf("contrib[%d] still pinned after Run", r)
+		}
+	}
+	if w.result != nil {
+		return errors.New("shared allreduce result still pinned after Run")
+	}
+	return nil
+}
+
+// TestUnwaitedPostDoesNotLeakIntoNextRun: a shared allreduce posted and
+// never waited in one Run must leave nothing behind for the next Run's
+// collectives to be matched up with — each Run starts from a clean
+// world on every backend.
+func TestUnwaitedPostDoesNotLeakIntoNextRun(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		const p = 2
+		w := mustWorld(t, b, p)
+		if err := w.Run(func(c Comm) error {
+			c.IAllreduceShared([]float64{1})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(func(c Comm) error {
+			if got := c.AllreduceShared([]float64{10})[0]; got != 10*p {
+				return fmt.Errorf("rank %d: sum = %g, want %d", c.Rank(), got, 10*p)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestIAllreduceSharedAbortReleasesWaiters: a rank failing while others
@@ -168,8 +204,8 @@ func TestFailedRunReleasesCollectiveState(t *testing.T) {
 	w := newChanWorld(p, unitMachine())
 	bang := errors.New("bang")
 	err := w.Run(func(c Comm) error {
-		// A successful collective populates contrib; a posted-but-unwaited
-		// nonblocking round populates iar.
+		// Successful collectives register contributions and a shared
+		// result; a posted-but-unwaited allreduce must register nothing.
 		buf := make([]float64, 1024)
 		c.Allreduce(buf, OpSum)
 		c.AllreduceShared(buf)
@@ -186,16 +222,8 @@ func TestFailedRunReleasesCollectiveState(t *testing.T) {
 	if !errors.Is(err, bang) {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}
-	for r, s := range w.contrib {
-		if s != nil {
-			t.Fatalf("contrib[%d] still pinned after failed Run", r)
-		}
-	}
-	w.iarMu.Lock()
-	pending := len(w.iar)
-	w.iarMu.Unlock()
-	if pending != 0 {
-		t.Fatalf("%d nonblocking rounds still registered after failed Run", pending)
+	if err := pinnedAfterRun(w); err != nil {
+		t.Fatal(err)
 	}
 
 	// The world must stay usable for a subsequent clean Run.
@@ -206,6 +234,9 @@ func TestFailedRunReleasesCollectiveState(t *testing.T) {
 		}
 		return nil
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pinnedAfterRun(w); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -30,9 +30,9 @@ func (c *SelfComm) Rank() int { return 0 }
 func (c *SelfComm) Size() int { return 1 }
 
 // The exchanger of a world of one is never reached.
-func (c *SelfComm) exchange([]float64, int, int) [][]float64 { panic("dist: SelfComm has no peers") }
-func (c *SelfComm) release([][]float64)                      {}
-func (c *SelfComm) postShared([]float64, Tier, int) *Request { panic("dist: SelfComm has no peers") }
+func (c *SelfComm) exchange([]float64, int, int) [][]float64    { panic("dist: SelfComm has no peers") }
+func (c *SelfComm) release([][]float64)                         {}
+func (c *SelfComm) postShared([]float64, Tier) func() []float64 { panic("dist: SelfComm has no peers") }
 
 // Send panics: a single rank has no peer.
 func (c *SelfComm) Send(to int, msg []float64) { panic("dist: SelfComm has no peers") }

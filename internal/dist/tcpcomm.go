@@ -65,7 +65,7 @@ func (e *TransportError) Unwrap() error { return e.Err }
 // collective; how many it takes is the waiter's to say (waitContribs).
 type contribSet struct {
 	bufs  [][]float64
-	kinds []FrameKind // the frame kind each contribution arrived in, 0 until it has
+	specs []*tierSpec // the tier each contribution arrived at, nil until it has
 	got   int
 	need  int // 0 until the waiter has said
 	ready chan struct{}
@@ -83,15 +83,15 @@ type tcpPeer struct {
 	nextContrib uint32
 }
 
-// TCPComm is one rank's communicator over a full TCP mesh. Collectives
-// are combined in ascending rank order — the shared sum-allreduce
-// segment by segment at each segment's owner (tcpshared.go), the rest
-// by every rank that receives, from one contribution frame per sender
-// (exchange; the definitions are collective.go's) — so results are
-// bit-for-bit identical to the in-process channels backend, and every
-// operation charges the same shared accounting helpers — same message
-// counts, same word counts. Create it through the "tcp" backend
-// (in-process ranks over loopback) or Connect (one rank per OS process).
+// TCPComm is one rank's communicator over a full TCP mesh. It runs the
+// collectives collective.go defines — the shared sum-allreduce segment
+// by segment at each segment's owner (its frames are tcpshared.go's),
+// the rest combined by every rank that receives, from one contribution
+// frame per sender (exchange) — so results are bit-for-bit identical to
+// the in-process channels backend, and every operation charges the
+// same shared accounting helpers — same message counts, same word
+// counts. Create it through the "tcp" backend (in-process ranks over
+// loopback) or Connect (one rank per OS process).
 type TCPComm struct {
 	collectives
 	rank    int
@@ -270,7 +270,12 @@ func (c *TCPComm) exchange(local []float64, src, dst int) [][]float64 {
 	if !inSet(dst, c.rank) || src == c.rank {
 		return nil
 	}
-	set := c.waitContribs(seq, FrameContrib, src)
+	set := c.waitContribs(seq, src)
+	for r, s := range set.specs {
+		if s != nil && s != &tiers[TierF64] {
+			panic(&TransportError{Rank: c.rank, Peer: r, Op: "combine", Err: tierMismatch(seq, c.rank, FrameContrib, r, s.contrib)})
+		}
+	}
 	set.bufs[c.rank] = local
 	return set.bufs
 }
@@ -290,18 +295,19 @@ func (c *TCPComm) release(bufs [][]float64) {
 func (c *TCPComm) contribSetLocked(seq uint32) *contribSet {
 	set, ok := c.contribs[seq]
 	if !ok {
-		set = &contribSet{bufs: make([][]float64, c.size), kinds: make([]FrameKind, c.size),
+		set = &contribSet{bufs: make([][]float64, c.size), specs: make([]*tierSpec, c.size),
 			ready: make(chan struct{})}
 		c.contribs[seq] = set
 	}
 	return set
 }
 
-// addContrib records peer's contribution to collective seq.
-func (c *TCPComm) addContrib(peer int, seq uint32, kind FrameKind, payload []float64) {
+// addContrib records peer's contribution to collective seq, which
+// arrived at the tier of spec.
+func (c *TCPComm) addContrib(peer int, seq uint32, spec *tierSpec, payload []float64) {
 	c.mu.Lock()
 	set := c.contribSetLocked(seq)
-	set.bufs[peer], set.kinds[peer] = payload, kind
+	set.bufs[peer], set.specs[peer] = payload, spec
 	set.got++
 	done := set.got == set.need
 	c.mu.Unlock()
@@ -312,9 +318,9 @@ func (c *TCPComm) addContrib(peer int, seq uint32, kind FrameKind, payload []flo
 
 // waitContribs blocks until the contributions of the ranks in src
 // (other than this one) to collective seq have arrived, then removes
-// and returns the set. Each must have arrived in a frame of kind want
-// (tierMismatch), and no other rank may have sent one.
-func (c *TCPComm) waitContribs(seq uint32, want FrameKind, src int) *contribSet {
+// and returns the set. No other rank may have sent one; the tier each
+// arrived at is the caller's to check.
+func (c *TCPComm) waitContribs(seq uint32, src int) *contribSet {
 	need := 1
 	if src == allRanks {
 		need = c.size - 1
@@ -342,17 +348,10 @@ func (c *TCPComm) waitContribs(seq uint32, want FrameKind, src int) *contribSet 
 	c.mu.Lock()
 	delete(c.contribs, seq)
 	c.mu.Unlock()
-	// A stray sender first: it can have stood in for a wanted one in the
-	// count, whose slot the second loop would then blame.
-	for r, k := range set.kinds {
-		if k != 0 && !inSet(src, r) {
+	for r, s := range set.specs {
+		if s != nil && !inSet(src, r) {
 			panic(&TransportError{Rank: c.rank, Peer: r, Op: "combine",
 				Err: fmt.Errorf("contribution to collective %d from a rank that is not one of its senders", seq)})
-		}
-	}
-	for r, k := range set.kinds {
-		if r != c.rank && inSet(src, r) && k != want {
-			panic(&TransportError{Rank: c.rank, Peer: r, Op: "combine", Err: tierMismatch(seq, c.rank, want, r, k)})
 		}
 	}
 	return set

@@ -70,7 +70,7 @@ func (c *TCPComm) deliver(fr *frameReader, peer int, f Frame, nwords int) error 
 		if err := fr.payload(kind, payload); err != nil {
 			return err
 		}
-		c.addContrib(peer, seq, kind, payload)
+		c.addContrib(peer, seq, codec, payload)
 	case codec.result:
 		c.mu.Lock()
 		op := c.ops[seq]

@@ -135,11 +135,11 @@ func TestSegmentedAllreduceMatchesCombine(t *testing.T) {
 	})
 }
 
-// runBounded runs fn on a fresh 3-rank tcp world and fails the test if
-// the world has not unwound within the bound.
-func runBounded(t *testing.T, what string, fn func(c Comm) error) error {
+// runBounded runs fn on a fresh 3-rank world of backend b and fails the
+// test if the world has not unwound within the bound.
+func runBounded(t *testing.T, b Backend, what string, fn func(c Comm) error) error {
 	t.Helper()
-	w := mustWorld(t, mustBackend(t, "tcp"), 3)
+	w := mustWorld(t, b, 3)
 	done := make(chan error, 1)
 	go func() { done <- w.Run(fn) }()
 	select {
@@ -152,13 +152,18 @@ func runBounded(t *testing.T, what string, fn func(c Comm) error) error {
 	}
 }
 
-// TestSegmentedMismatchUnwinds: with segment ownership no rank sees a
+// TestSegmentedMismatchUnwinds: with segment ownership no rank checks a
 // peer's whole payload, so ranks that disagree on its length — by one
 // value across a granule boundary, by a granule, by the number of
-// owners — or on the tier must still all unwind with a diagnostic:
+// owners — or on the tier must still all unwind with a diagnostic
+// naming the dissenting rank (and both tiers): on every backend,
 // whichever rank dissents, blocking or posted, in bounded time, leaking
 // no goroutine.
 func TestSegmentedMismatchUnwinds(t *testing.T) {
+	forEachBackend(t, testSegmentedMismatchUnwinds)
+}
+
+func testSegmentedMismatchUnwinds(t *testing.T, b Backend) {
 	lengths := [][2]int{ // {the two agreeing ranks, the dissenter}
 		{40, 41}, {4095, 4096}, {4096, 4097}, {4097, 4096}, {8192, 8193}, {8193, 8192},
 		{4096, 8192}, {8192, 4096}, {4096, 12289}, {12289, 40}, {50001, 50000},
@@ -175,7 +180,7 @@ func TestSegmentedMismatchUnwinds(t *testing.T) {
 			for _, ln := range lengths {
 				what := fmt.Sprintf("posted=%v dissenter=%d lengths=%v", posted, dissenter, ln)
 				baseline := runtime.NumGoroutine()
-				err := runBounded(t, what, func(c Comm) error {
+				err := runBounded(t, b, what, func(c Comm) error {
 					n := ln[0]
 					if c.Rank() == dissenter {
 						n = ln[1]
@@ -183,15 +188,16 @@ func TestSegmentedMismatchUnwinds(t *testing.T) {
 					run(c, tieredPayload(c.Rank(), n), TierF64)
 					return nil
 				})
-				if err == nil || !strings.Contains(err.Error(), "length mismatch") {
-					t.Fatalf("%s: err = %v, want a length mismatch", what, err)
+				if err == nil || !strings.Contains(err.Error(), "length mismatch") ||
+					!strings.Contains(err.Error(), fmt.Sprintf("rank %d", dissenter)) {
+					t.Fatalf("%s: err = %v, want a length mismatch naming rank %d", what, err, dissenter)
 				}
 				VerifyNoGoroutineLeaks(t, baseline)
 			}
 			for _, n := range []int{40, 4097, 12289} {
 				what := fmt.Sprintf("posted=%v dissenter=%d n=%d tiers", posted, dissenter, n)
 				baseline := runtime.NumGoroutine()
-				err := runBounded(t, what, func(c Comm) error {
+				err := runBounded(t, b, what, func(c Comm) error {
 					tier := TierF32
 					if c.Rank() == dissenter {
 						tier = TierI8
@@ -200,8 +206,9 @@ func TestSegmentedMismatchUnwinds(t *testing.T) {
 					return nil
 				})
 				if err == nil || !strings.Contains(err.Error(), "tier mismatch") ||
+					!strings.Contains(err.Error(), fmt.Sprintf("rank %d", dissenter)) ||
 					!strings.Contains(err.Error(), "f32") || !strings.Contains(err.Error(), "i8") {
-					t.Fatalf("%s: err = %v, want a tier mismatch naming f32 and i8", what, err)
+					t.Fatalf("%s: err = %v, want a tier mismatch naming rank %d, f32 and i8", what, err, dissenter)
 				}
 				VerifyNoGoroutineLeaks(t, baseline)
 			}
@@ -337,49 +344,59 @@ func TestReaderRejectsForgedFrames(t *testing.T) {
 	}
 }
 
-// TestSharedAllreduceSteadyStateAllocs bounds what one f64 shared
-// allreduce allocates per rank once buffers have warmed up: the result
-// slice the caller keeps plus a small constant (request, op and
-// contribution bookkeeping) — no per-call frame, body or contribution
-// buffers.
+// TestSharedAllreduceSteadyStateAllocs bounds what one shared
+// allreduce allocates per world once buffers have warmed up, at every
+// tier: the result slices the ranks keep — one per rank over tcp, the
+// one slice all ranks share on chan — plus a small constant per rank
+// (request, op and contribution bookkeeping). No per-call frame, body,
+// contribution or rounding scratch buffer.
 func TestSharedAllreduceSteadyStateAllocs(t *testing.T) {
 	const (
 		p, n, rounds = 2, 12312, 50
-		slack        = 2048 // bytes per call per rank beyond the result
+		slack        = 2048 // bytes per call per rank beyond the results
 	)
-	local := benchWords(n)
-	var perCall float64
-	err := mustWorld(t, mustBackend(t, "tcp"), p).Run(func(c Comm) error {
-		for i := 0; i < 5; i++ {
-			c.AllreduceShared(local)
-		}
-		c.Barrier()
-		var before, after runtime.MemStats
-		if c.Rank() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		c.Barrier()
-		for i := 0; i < rounds; i++ {
-			c.AllreduceShared(local)
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			runtime.ReadMemStats(&after)
-			perCall = float64(after.TotalAlloc-before.TotalAlloc) / (rounds * p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// TotalAlloc counts a large slice at the allocator's 8 KiB page
 	// granularity.
 	result := (8*n + 8191) / 8192 * 8192
-	if limit := float64(result + slack); perCall > limit {
-		t.Fatalf("steady state allocates %.0f bytes per allreduce per rank, want at most %.0f (result %d + %d)",
-			perCall, limit, result, slack)
-	}
-	t.Logf("%.0f bytes per allreduce per rank (result slice %d)", perCall, result)
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		results := p // one physical copy per rank
+		if b.Name() == "chan" {
+			results = 1
+		}
+		for tier := range tiers {
+			tier := Tier(tier)
+			local := benchWords(n)
+			var perCall float64
+			err := mustWorld(t, b, p).Run(func(c Comm) error {
+				for i := 0; i < 5; i++ {
+					AllreduceSharedTier(c, local, tier)
+				}
+				c.Barrier()
+				var before, after runtime.MemStats
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				c.Barrier()
+				for i := 0; i < rounds; i++ {
+					AllreduceSharedTier(c, local, tier)
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+					perCall = float64(after.TotalAlloc-before.TotalAlloc) / rounds
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if limit := float64(results*result + p*slack); perCall > limit {
+				t.Fatalf("%v: steady state allocates %.0f bytes per allreduce per world, want at most %.0f (%d results of %d + %d per rank)",
+					tier, perCall, limit, results, result, slack)
+			}
+			t.Logf("%v: %.0f bytes per allreduce per world (%d results of %d)", tier, perCall, results, result)
+		}
+	})
 }
 
 // TestSmallAllreduceSteadyStateAllocs bounds what one in-place Allreduce

@@ -11,8 +11,9 @@ import (
 
 // tcpBackend runs worlds over real TCP sockets on loopback: P rank
 // goroutines in this process, connected by a full mesh of localhost
-// connections moving wire frames. Collectives combine in rank order (at
-// every receiving rank, or at each segment's owner), so results — and,
+// connections moving wire frames. Collectives run the schedules of
+// collective.go, combining in rank order (at every receiving rank, or
+// at each segment's owner), so results — and,
 // through the shared accounting helpers, cost counters — are
 // bit-identical to the chan backend. It is the same communicator
 // multi-process runs use (Connect/Launch); the in-process world exists

@@ -11,9 +11,9 @@ import (
 // compression) > i8 (the chunked dithered quantizer of wirei8.go).
 // Every tier's arithmetic is fixed across backends — contributions
 // quantized with the tier's rounding, summed in rank order in float64
-// (by one in-process combiner, or segment by segment at each segment's
-// owner over tcp), sum quantized once — so results are bit-identical
-// on chan, tcp and self whether or not bytes actually move.
+// segment by segment at each segment's owner (reduceSegment), sum
+// quantized once — so results are bit-identical on chan, tcp and self
+// whether or not bytes actually move.
 type Tier int
 
 // Compression tiers, finest first.
@@ -173,14 +173,16 @@ func EffectiveTier(t Tier, n int) Tier {
 // which is deterministic and identical on every rank.
 func TierRound(dst, src []float64, t Tier) { tiers[t].round(dst, src, 0) }
 
-// combine is the single definition of the shared sum-allreduce
-// arithmetic at every tier. Contributions arrive RAW (unquantized
-// float64): rank 0's is quantized once and copied in (not summed into
-// zeros, which would lose the sign of zero), the remaining
-// contributions are quantized once each and added in rank order in
-// float64, and the sum is quantized once more for the downlink. The i8
-// quantizer is not idempotent, so this once-per-hop discipline is what
-// keeps an in-process combiner and a tcp segment owner — which receives
+// combine is the shared sum-allreduce arithmetic at every tier over
+// whole payloads: the single-rank collective and the reference every
+// backend's segment-by-segment result (reduceSegment) is held to.
+// Contributions arrive RAW (unquantized float64): rank 0's is quantized
+// once and copied in (not summed into zeros, which would lose the sign
+// of zero), the remaining contributions are quantized once each and
+// added in rank order in float64, and the sum is quantized once more
+// for the downlink. The i8 quantizer is not idempotent, so this
+// once-per-hop discipline is what keeps a chan owner, which quantizes
+// the raw payloads itself, and a tcp owner — which receives
 // contributions already quantized by the frame codec and sends out the
 // raw rank-order sum for the result frame's encode to quantize — bit-
 // identical: decode(encode(x)) == round(x) on both sides of every hop.
@@ -203,24 +205,6 @@ func combineOne(local []float64, t Tier) []float64 {
 	out := make([]float64, len(local))
 	combine(out, [][]float64{local}, t)
 	return out
-}
-
-// contribMismatch returns a non-empty diagnostic unless every rank
-// entered collective op with rank 0's payload length and tier: ranks
-// that disagree on either would otherwise be combined into a quietly
-// wrong sum.
-func contribMismatch(op string, contrib [][]float64, ctier []Tier) string {
-	for r := 1; r < len(contrib); r++ {
-		if len(contrib[r]) != len(contrib[0]) {
-			return fmt.Sprintf("dist: %s length mismatch: rank 0 has %d, rank %d has %d",
-				op, len(contrib[0]), r, len(contrib[r]))
-		}
-		if ctier[r] != ctier[0] {
-			return fmt.Sprintf("dist: %s tier mismatch: rank 0 runs %v, rank %d runs %v",
-				op, ctier[0], r, ctier[r])
-		}
-	}
-	return ""
 }
 
 // F32Allreducer is the optional communicator capability behind the f32

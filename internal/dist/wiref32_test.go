@@ -64,7 +64,7 @@ func TestF32Round(t *testing.T) {
 
 // TestWireFrameF32RoundTrip: compressed frames ship 4-byte words, and
 // a payload of float32-representable values survives encode/decode
-// bit-exactly — what the hub's pre-rounded results rely on.
+// bit-exactly: the f32 wire rounding is idempotent, unlike i8's.
 func TestWireFrameF32RoundTrip(t *testing.T) {
 	vals := []float64{1.5, -0.25, 1e20, math.Copysign(0, -1), math.Inf(1), math.NaN()}
 	quant := make([]float64, len(vals))

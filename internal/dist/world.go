@@ -16,11 +16,8 @@ type chanWorld struct {
 
 	bar     *barrier
 	contrib [][]float64 // exchange registration, one slot per rank
-
-	// In-flight shared allreduce rounds, keyed by per-rank post order
-	// (every rank posts the same sequence, the MPI contract).
-	iarMu sync.Mutex
-	iar   map[int]*iarRound
+	specs   []*tierSpec // the tier each rank entered the shared allreduce at
+	result  []float64   // the shared allreduce's result, registered by rank 0
 
 	p2pMu sync.Mutex
 	p2p   map[[2]int]chan []float64
@@ -41,7 +38,7 @@ func newChanWorld(p int, machine perf.Machine) *chanWorld {
 		worldBase: newWorldBase(p, machine),
 		bar:       newBarrier(p),
 		contrib:   make([][]float64, p),
-		iar:       make(map[int]*iarRound),
+		specs:     make([]*tierSpec, p),
 		p2p:       make(map[[2]int]chan []float64),
 	}
 }
@@ -55,20 +52,17 @@ func (w *chanWorld) Run(fn func(c Comm) error) error {
 		c.bind(c, &w.prof)
 		return fn(c)
 	}, w.bar.abort)
+	// The last registrations (a k-slot Hessian batch and its shared
+	// result in RC-SFISTA) would otherwise stay pinned in memory.
+	clear(w.contrib)
+	w.result = nil
 	if err != nil {
-		// Re-arm for the next Run and drop what the failed run left
-		// behind: queued point-to-point messages, and the registered
-		// contributions and posted rounds an abort strands (a k-slot
-		// Hessian batch in RC-SFISTA), which would otherwise stay
-		// pinned in memory and visible to a subsequent Run.
+		// Re-arm for the next Run and drop the point-to-point messages
+		// the failed run left queued, which a subsequent Run would see.
 		w.bar.reset()
 		w.p2pMu.Lock()
 		w.p2p = make(map[[2]int]chan []float64)
 		w.p2pMu.Unlock()
-		clear(w.contrib)
-		w.iarMu.Lock()
-		w.iar = make(map[int]*iarRound)
-		w.iarMu.Unlock()
 	}
 	return err
 }
@@ -88,9 +82,8 @@ func (w *chanWorld) channel(from, to int) chan []float64 {
 // worldComm is the per-rank communicator handle.
 type worldComm struct {
 	collectives
-	w      *chanWorld
-	rank   int
-	iarSeq int // next shared-allreduce sequence number
+	w    *chanWorld
+	rank int
 }
 
 var _ Comm = (*worldComm)(nil)
@@ -113,88 +106,27 @@ func (c *worldComm) exchange(local []float64, _, _ int) [][]float64 {
 // again, or registers the next one, before every rank has read.
 func (c *worldComm) release([][]float64) { c.w.bar.wait() }
 
-// iarRound is the shared state of one in-flight shared allreduce: the
-// per-rank contributions and the tier each was posted at, the combined
-// result, and a done channel the background combiner closes when the
-// result is published.
-type iarRound struct {
-	contrib [][]float64
-	ctier   []Tier
-	posted  int
-	waited  int
-	res     []float64
-	errMsg  string
-	done    chan struct{}
-}
-
-// combine reduces the round's contributions in rank order on a fresh
-// slice at the round's tier. It runs after every rank has posted, so
-// contrib is read without a lock; a length or tier disagreement is
-// handed to every waiter instead of a result.
-func (rd *iarRound) combine() {
-	defer close(rd.done)
-	if rd.errMsg = contribMismatch("AllreduceShared", rd.contrib, rd.ctier); rd.errMsg != "" {
-		return
-	}
-	res := make([]float64, len(rd.contrib[0]))
-	combine(res, rd.contrib, rd.ctier[0])
-	rd.res = res
-}
-
-// iarGet returns (creating if needed) the in-flight round with the
-// given sequence number.
-func (w *chanWorld) iarGet(seq int) *iarRound {
-	w.iarMu.Lock()
-	defer w.iarMu.Unlock()
-	rd, ok := w.iar[seq]
-	if !ok {
-		rd = &iarRound{contrib: make([][]float64, w.size), ctier: make([]Tier, w.size),
-			done: make(chan struct{})}
-		w.iar[seq] = rd
-	}
-	return rd
-}
-
-// postShared is the shared sum-allreduce at every tier: no bytes move
-// in process, but the arithmetic is the wire's (combine) and the cost
-// is the tier's footprint. The last rank to post hands the round to a
-// background combiner goroutine; Wait parks on the round's done channel
-// (or unwinds if the world aborts), charges the tree cost and returns
-// the one result slice all ranks share.
-func (c *worldComm) postShared(local []float64, tier Tier, base int) *Request {
-	w := c.w
-	seq := c.iarSeq
-	c.iarSeq++
-	rd := w.iarGet(seq)
-	w.iarMu.Lock()
-	rd.contrib[c.rank], rd.ctier[c.rank] = local, tier
-	rd.posted++
-	ready := rd.posted == w.size
-	w.iarMu.Unlock()
-	if ready {
-		go rd.combine()
-	}
-	rank := c.rank
-	n := len(local)
-	return &Request{wait: func() []float64 {
-		select {
-		case <-rd.done:
-		case <-w.bar.aborting():
-			panic(errAborted)
+// postShared does nothing at post: in shared memory a posted collective
+// makes no progress before its Wait, which the MPI contract allows. At
+// Wait each rank registers its RAW payload and tier, and rank 0 the one
+// result slice all ranks return; after the barrier every owner folds
+// its segment of the raw payloads straight into that slice
+// (reduceSegment), and the second barrier publishes the result.
+func (c *worldComm) postShared(local []float64, t Tier) func() []float64 {
+	return func() []float64 {
+		w := c.w
+		w.specs[c.rank] = &tiers[t]
+		if c.rank == 0 {
+			w.result = make([]float64, len(local))
 		}
-		if rd.errMsg != "" {
-			panic(rd.errMsg)
+		contrib := c.exchange(local, allRanks, allRanks)
+		res := w.result
+		if takesContrib(len(local), c.rank) {
+			reduceSegment(res, c.rank, contrib, w.specs, true, nil)
 		}
-		w.prof.record(sharedKind(base, tier), n)
-		chargeAllreduceTier(&w.costs[rank], w.size, n, tier)
-		w.iarMu.Lock()
-		rd.waited++
-		if rd.waited == w.size {
-			delete(w.iar, seq)
-		}
-		w.iarMu.Unlock()
-		return rd.res
-	}}
+		c.release(contrib)
+		return res
+	}
 }
 
 // Send transmits a copy of msg to rank to (eager, buffered).

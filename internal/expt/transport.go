@@ -144,9 +144,9 @@ func Transport(cfg Config) *Report {
 		text.WriteByte('\n')
 	}
 	text.WriteString("Every backend reproduces the same float64 bit patterns because every sum is\n" +
-		"taken in ascending rank order — at the hub, or segment by segment at each\n" +
-		"segment's owner — regardless of arrival order; only the measured alpha/beta\n" +
-		"differ — that is the transport's whole effect.\n")
+		"taken in ascending rank order — by every receiving rank, or segment by\n" +
+		"segment at each segment's owner — regardless of arrival order; only the\n" +
+		"measured alpha/beta differ — that is the transport's whole effect.\n")
 
 	return &Report{
 		ID:     "transport",
