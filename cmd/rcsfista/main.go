@@ -383,11 +383,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\nalgorithm %s on P=%d over %s (%s):\n", algoLabel, p, tname, mach)
 	fmt.Fprintf(out, "  updates: %d, communication rounds: %d, converged: %v\n", res.Iters, res.Rounds, res.Converged)
-	fmt.Fprintf(out, "  F(w) = %.8g", res.FinalObj)
-	if !math.IsNaN(res.FinalRelErr) {
-		fmt.Fprintf(out, ", relerr = %.3g", res.FinalRelErr)
-	}
-	fmt.Fprintln(out)
+	printObjective(out, res)
 	fmt.Fprintf(out, "  cost: %v\n", res.Cost)
 	fmt.Fprintf(out, "  modeled time: %.6gs, wall time: %.3gs\n", res.ModelSeconds, res.WallSeconds)
 	nz := 0
@@ -409,6 +405,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprint(out, trace.PlotRelErr("convergence", []*trace.Series{res.Trace}, trace.ByIter, 64, 14))
 	}
 	return nil
+}
+
+// printObjective prints F(w), its relative error when F* is known, and
+// the gradient-mapping norm at w when the solve measured one (a
+// GradMapTol stop on exact collectives; see solver.Result.GradMap).
+func printObjective(out io.Writer, res *solver.Result) {
+	fmt.Fprintf(out, "  F(w) = %.8g", res.FinalObj)
+	if !math.IsNaN(res.FinalRelErr) {
+		fmt.Fprintf(out, ", relerr = %.3g", res.FinalRelErr)
+	}
+	fmt.Fprintln(out)
+	if !math.IsNaN(res.GradMap) {
+		fmt.Fprintf(out, "  gradient-mapping norm at w: %.3g\n", res.GradMap)
+	}
 }
 
 func maxInt(a, b int) int {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -202,6 +203,25 @@ func TestCLITrainSavePredict(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-predict", dir + "/missing.json"}, &buf); err == nil {
 		t.Fatal("missing model accepted")
+	}
+}
+
+// TestCLIPrintsGradMap pins the certificate line: printed under F(w)
+// when the solve measured a gradient-mapping norm at w, absent when it
+// did not — as in every CLI solve, none of which sets GradMapTol.
+func TestCLIPrintsGradMap(t *testing.T) {
+	var out bytes.Buffer
+	printObjective(&out, &solver.Result{FinalObj: 0.25, FinalRelErr: math.NaN(), GradMap: 1.2345e-5})
+	if want := "  F(w) = 0.25\n  gradient-mapping norm at w: 1.23e-05\n"; out.String() != want {
+		t.Fatalf("printed %q, want %q", out.String(), want)
+	}
+	out.Reset()
+	printObjective(&out, &solver.Result{FinalObj: 0.25, FinalRelErr: 0.5, GradMap: math.NaN()})
+	if want := "  F(w) = 0.25, relerr = 0.5\n"; out.String() != want {
+		t.Fatalf("printed %q, want %q", out.String(), want)
+	}
+	if s := runCLI(t, fastArgs("-procs", "2")...); strings.Contains(s, "gradient-mapping") {
+		t.Fatalf("a solve without GradMapTol printed a norm:\n%s", s)
 	}
 }
 

@@ -563,6 +563,12 @@ func TestGoldenBitIdentity(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
 		got[cfg.name] = snapshot(res)
+		// The record leaves GradMap out; only the one configuration that
+		// can end on the GradMapTol stop may carry a norm.
+		if certified := cfg.name == "rcsfista/vr/gradmap/p4" && res.Converged; certified != !math.IsNaN(res.GradMap) ||
+			res.GradMap > 1e-4 {
+			t.Errorf("%s: GradMap = %g with converged=%t", cfg.name, res.GradMap, res.Converged)
+		}
 	}
 
 	if *updateGolden {

@@ -158,9 +158,11 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 		Headers: []string{"lambda/lambda_max", "cold rounds", "warm rounds", "saved", "warm from"},
 	}
 	var totalCold, totalWarm, strict int
+	warmFits := make([]*serve.FitResponse, points)
 	for i, r := range ratios {
-		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen}
+		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen, ReturnW: true}
 		warm := servingFit(ts.URL, req)
+		warmFits[i] = warm
 		if !warm.Converged {
 			panic(fmt.Sprintf("expt: serving: warm fit at ratio %.3g did not converge", r))
 		}
@@ -202,6 +204,24 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 	tbl.AddRow("total (warm-started)", fmt.Sprintf("%d", totalCold), fmt.Sprintf("%d", totalWarm),
 		fmt.Sprintf("%.0f%%", 100*(1-float64(totalWarm)/float64(totalCold))),
 		fmt.Sprintf("strict at %d/%d", strict, points-1))
+
+	// Every point the sweep published is now certified in the cache: a
+	// repeat must be answered without a world — no round, no elapsed time —
+	// and carry the publishing fit's w and objective bit for bit.
+	for i, r := range ratios {
+		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen, ReturnW: true}
+		again, pub := servingFit(ts.URL, req), warmFits[i]
+		if again.Rounds != 0 || again.ElapsedMS != 0 || !again.PathCacheHit {
+			panic(fmt.Sprintf("expt: serving: re-request at ratio %.3g was not a certified hit: %d rounds, %g ms",
+				r, again.Rounds, again.ElapsedMS))
+		}
+		if bits(again.Objective) != bits(pub.Objective) || !sameBits(again.W, pub.W) {
+			panic(fmt.Sprintf("expt: serving: re-request at ratio %.3g returned objective %.17g, published %.17g (or another w)",
+				r, again.Objective, pub.Objective))
+		}
+	}
+	tbl.AddRow("re-request (certified, no world)", "-", "0", "100%",
+		fmt.Sprintf("%d/%d bit-equal", points, points))
 	return tbl
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/serve"
@@ -220,8 +221,13 @@ func TestRunClosedLoopAgainstServer(t *testing.T) {
 	if rep.ServerStats == nil || rep.ServerStats.Fits != 12 {
 		t.Fatalf("server stats not collected: %+v", rep.ServerStats)
 	}
-	if rep.Summary() == "" {
-		t.Fatal("empty summary")
+	// A repeat pass re-requests published path points at the same P and
+	// tolerance: those are answered from the cache without a solve.
+	if rep.ServerStats.CertifiedHits == 0 {
+		t.Fatalf("no certified hits in two repeat passes: %+v", rep.ServerStats)
+	}
+	if !strings.Contains(rep.Summary(), "certified hits") {
+		t.Fatalf("summary omits the certified hits:\n%s", rep.Summary())
 	}
 }
 

@@ -249,6 +249,10 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "  rounds: warm mean %.1f vs cold mean %.1f\n",
 			r.MeanWarmRounds, r.MeanColdRounds)
 	}
+	if sn := r.ServerStats; sn != nil {
+		fmt.Fprintf(&b, "  certified hits (answered without a solve): %d of %d warm fits\n",
+			sn.CertifiedHits, sn.WarmFits)
+	}
 	return b.String()
 }
 

@@ -14,6 +14,13 @@
 //     stopping a sufficiently close warm start finishes in zero
 //     communication rounds (see solver.Options.W0).
 //
+// Each path entry also keeps the certificate its solve stopped on — the
+// gradient-mapping norm at w (solver.Result.GradMap) — and the world
+// size it was measured on. A repeat at the entry's exact lambda, on the
+// same world size, whose GradMapTol the stored norm meets is a certified
+// hit: it is answered from the entry without building a world or reading
+// the data, bit for bit what the zero-round solve would return.
+//
 // Admission control is a queue with a hard cap: when every worker is
 // busy and the queue is full, POST /fit returns 429 immediately
 // instead of building an unbounded backlog. Each admitted request
@@ -117,7 +124,11 @@ type FitRequest struct {
 	CompressTier string `json:"compress_tier,omitempty"`
 	// Procs is the world size the solve runs on; zero selects the
 	// server default. The iterates are invariant to Procs (shared
-	// sample streams), which is why the lambda-path cache can ignore it.
+	// sample streams), which is why warm starts ignore it: an entry
+	// published at any P warm-starts a fit at any other. Their last bits
+	// are not — the allreduced sums group by partition — so a certified
+	// hit, which returns the stored answer instead of solving, needs the
+	// entry's own P.
 	Procs int `json:"procs,omitempty"`
 	// Seed drives the sampling streams (default 42).
 	Seed uint64 `json:"seed,omitempty"`
@@ -170,7 +181,8 @@ type FitResponse struct {
 	PathCacheHit    bool `json:"path_cache_hit"`
 
 	// ElapsedMS is wall-clock solve time; ModelSeconds the
-	// alpha-beta-gamma modeled time on the server's machine model.
+	// alpha-beta-gamma modeled time on the server's machine model. Both
+	// are 0 on a certified hit, which runs no solve (Rounds is 0 too).
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	ModelSeconds float64 `json:"model_seconds"`
 

@@ -121,8 +121,11 @@ func inlineKey(libsvm string, features int) string {
 // warm-start an l1 least-squares fit, their optima differ). Procs is
 // deliberately absent — the iterates are invariant to the world size
 // (shared sample streams), so a solution computed at P=1 warm-starts a
-// P=8 fit. The primary penalty lambda is also absent: the path cache
-// indexes it separately, that is the whole point of warm starts.
+// P=8 fit. (Not bit for bit: the allreduced sums group by partition, so
+// a certified hit, which skips the solve, also needs the entry's P —
+// see pathEntry.certifies.) The primary penalty lambda is also absent:
+// the path cache indexes it separately, that is the whole point of
+// warm starts.
 func fingerprint(datasetKey, solverName string, b float64, k, s int, activeSet bool, seed uint64, regTag, lossTag, tierTag string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s|%s|b%g|k%d|s%d|as%t|seed%d|reg:%s|loss:%s",
@@ -137,14 +140,28 @@ func fingerprint(datasetKey, solverName string, b float64, k, s int, activeSet b
 	return sb.String()
 }
 
-// pathEntry is one cached point of a regularization path.
+// pathEntry is one cached point of a regularization path. Entries are
+// immutable once published: a hit may hand w to a model without a copy.
 type pathEntry struct {
 	lambda    float64
 	bucket    int
 	w         []float64
 	objective float64
-	rounds    int
 	nnz       int
+	// gradMap is the publishing solve's gradient-mapping norm at w
+	// (solver.Result.GradMap, NaN when it measured none) and procs the
+	// world size it was measured on.
+	gradMap float64
+	procs   int
+}
+
+// certifies reports whether the entry answers a fit at lambda, to
+// tolerance tol, on procs ranks without a solve: the zero-round solve
+// warm-started at w would compute this very norm — same fingerprint,
+// same lambda bits, same partition — and return w and objective
+// unchanged. A NaN norm certifies nothing.
+func (e *pathEntry) certifies(lambda, tol float64, procs int) bool {
+	return e.lambda == lambda && tol > 0 && e.gradMap <= tol && e.procs == procs
 }
 
 // pathBucketsPerDecade quantizes lambda for cache keying: entries

@@ -171,8 +171,9 @@ func fitLoss(req *FitRequest) (erm.Loss, bool, error) {
 
 // runFit executes one admitted fit request end to end: dataset
 // resolution, warm-start lookup, the distributed solve under the
-// request context, and cache publication. It never returns a nil
-// response without an error.
+// request context, and cache publication — or, when the lookup's entry
+// certifies the request, the cached answer with no solve at all. It
+// never returns a nil response without an error.
 func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, error) {
 	ds, dsHit, err := s.resolveDataset(req.Dataset, req.LIBSVM, req.Features)
 	if err != nil {
@@ -214,6 +215,9 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	resp := &FitResponse{Lambda: lambda, DatasetCacheHit: dsHit}
 	if req.warm() {
 		if e := s.paths.lookup(fp, lambda); e != nil {
+			if e.certifies(lambda, opts.GradMapTol, procs) {
+				return s.certifiedHit(resp, e, req.ReturnW, algo, datasetKey), nil
+			}
 			opts.W0 = e.w
 			resp.Warm = true
 			resp.PathCacheHit = true
@@ -281,11 +285,31 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 			lambda:    lambda,
 			w:         mat.Clone(res.W),
 			objective: res.FinalObj,
-			rounds:    res.Rounds,
 			nnz:       resp.Nnz,
+			gradMap:   res.GradMap,
+			procs:     procs,
 		})
 	}
 	return resp, nil
+}
+
+// certifiedHit answers a fit from a path entry that certifies it: the
+// reply the zero-round solve would give, bit for bit, without building
+// a world or touching the data. Only the timings differ — no solve ran,
+// so ElapsedMS and ModelSeconds are 0. The model aliases the entry's
+// immutable w, and nothing is re-published.
+func (s *Server) certifiedHit(resp *FitResponse, e *pathEntry, returnW bool, algo, datasetKey string) *FitResponse {
+	resp.Objective, resp.Nnz, resp.Converged = e.objective, e.nnz, true
+	resp.Warm, resp.PathCacheHit, resp.WarmFromLambda = true, true, e.lambda
+	s.stats.warmFits.Add(1)
+	s.stats.certifiedHits.Add(1)
+	resp.ModelID = s.models.add(&solver.Model{
+		W: e.w, Lambda: e.lambda, Algorithm: algo, Dataset: datasetKey, Objective: e.objective,
+	})
+	if returnW {
+		resp.W = e.w
+	}
+	return resp
 }
 
 // runPNFit runs a non-least-squares fit on the erm Proximal Newton

@@ -24,11 +24,12 @@ type Stats struct {
 	pathMisses       atomic.Int64
 	pathEvictions    atomic.Int64
 
-	warmFits    atomic.Int64
-	coldFits    atomic.Int64
-	warmRounds  atomic.Int64
-	coldRounds  atomic.Int64
-	partialFits atomic.Int64
+	warmFits      atomic.Int64
+	coldFits      atomic.Int64
+	warmRounds    atomic.Int64
+	coldRounds    atomic.Int64
+	partialFits   atomic.Int64
+	certifiedHits atomic.Int64
 }
 
 // StatsSnapshot is the JSON shape of GET /stats.
@@ -64,6 +65,11 @@ type StatsSnapshot struct {
 	WarmRounds  int64 `json:"warm_rounds"`
 	ColdRounds  int64 `json:"cold_rounds"`
 	PartialFits int64 `json:"partial_fits"`
+	// CertifiedHits counts warm fits answered from the lambda-path cache
+	// without a solve: an exact-lambda entry whose stored gradient-mapping
+	// norm meets the request's tolerance on the same world size. Each is
+	// also a warm fit with zero rounds.
+	CertifiedHits int64 `json:"certified_hits"`
 }
 
 // Snapshot reads the current counter values.
@@ -90,6 +96,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		WarmRounds:  s.warmRounds.Load(),
 		ColdRounds:  s.coldRounds.Load(),
 		PartialFits: s.partialFits.Load(),
+
+		CertifiedHits: s.certifiedHits.Load(),
 	}
 }
 

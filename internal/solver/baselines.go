@@ -221,7 +221,7 @@ func CoordinateDescent(x *sparse.CSC, y []float64, opts Options) (*Result, error
 	if name == "" {
 		name = "cd"
 	}
-	out := &Result{Trace: &trace.Series{Name: name}, FinalRelErr: math.NaN()}
+	out := &Result{Trace: &trace.Series{Name: name}, FinalRelErr: math.NaN(), GradMap: math.NaN()}
 	record := func(sweep int) bool {
 		f := obj.F(w, nil)
 		re := relErr(f, opts.FStar)

@@ -73,7 +73,7 @@ func accelSolve(x *sparse.CSC, y []float64, opts Options, accelerate bool) (*Res
 			name = "ista"
 		}
 	}
-	res := &Result{Trace: &trace.Series{Name: name}, FinalRelErr: math.NaN()}
+	res := &Result{Trace: &trace.Series{Name: name}, FinalRelErr: math.NaN(), GradMap: math.NaN()}
 
 	record := func(iter int) bool {
 		f := obj.F(wCurr, nil) // instrumentation: not charged

@@ -91,7 +91,12 @@ type Options struct {
 	// GradMapTol set, a warm start that already satisfies the
 	// gradient-mapping stop returns before the first communication
 	// round (zero rounds) — the fast path the serving layer's
-	// lambda-path cache relies on for neighboring-lambda solves.
+	// lambda-path cache relies on for neighboring-lambda solves. That
+	// exit's W, FinalObj and GradMap are pure functions of (W0, the data
+	// partition, Lambda, Gamma, Reg): warm-started at a result's own W on
+	// the same P, it hands back that result's W, FinalObj and GradMap bit
+	// for bit, which is why the serving layer can answer such a repeat
+	// from its cache without solving.
 	W0 []float64
 	// Seed drives the shared sampling streams.
 	Seed uint64

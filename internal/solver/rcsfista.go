@@ -79,6 +79,10 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 		e.rec.Converged = true
 		return e.finish(), nil
 	}
+	// A cold start's verdict at w = 0 is not a stop: the first refresh in
+	// the loop decides afresh, so gradMapStop holds only right after a
+	// refresh whose own norm met GradMapTol, at the W the solve returns.
+	e.gradMapStop = false
 	if opts.ActiveSet {
 		e.initActiveSet()
 	}
@@ -474,7 +478,14 @@ func (e *engine) afterUpdate() (stop bool) {
 	return e.rec.Iter >= opts.MaxIter
 }
 
-// finish packages the result.
+// finish packages the result. GradMap is the norm the GradMapTol stop
+// read at W: set only when that stop ended the solve — gradMapStop
+// survives an active-set redo only if the redo stopped again — and the
+// snapshot gradient behind it crossed the wire unquantized.
 func (e *engine) finish() *Result {
-	return e.rec.Finish(mat.Clone(e.wCurr))
+	res := e.rec.Finish(mat.Clone(e.wCurr))
+	if e.gradMapStop && !e.tiers.on {
+		res.GradMap = e.gradMapNorm
+	}
+	return res
 }

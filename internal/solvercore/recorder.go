@@ -160,6 +160,7 @@ func (r *Recorder) Finish(w []float64) *Result {
 		Converged:    r.Converged,
 		FinalObj:     r.FinalObj,
 		FinalRelErr:  r.FinalRelErr,
+		GradMap:      math.NaN(),
 		Cost:         *r.Cost,
 		ModelSeconds: r.Machine.Seconds(*r.Cost),
 		WallSeconds:  time.Since(r.Start).Seconds(),

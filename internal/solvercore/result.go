@@ -23,6 +23,14 @@ type Result struct {
 	// FinalObj is F(W); FinalRelErr is |F(W)-F*|/|F*| (NaN when F* is
 	// unknown).
 	FinalObj, FinalRelErr float64
+	// GradMap is the proximal gradient-mapping norm
+	// ||W - prox_gamma(W - gamma grad f(W))|| / gamma at W, taken from the
+	// exact full gradient the solve computed there. It is the certificate
+	// behind the GradMapTol stop, so RC-SFISTA sets it only when that stop
+	// ended the solve on full-precision collectives; it is NaN whenever
+	// the solve did not measure it at W (MaxIter or Tol exits, partial
+	// results, any CompressTier, and every other engine).
+	GradMap float64
 	// Cost is the per-rank critical-path cost (max over ranks for
 	// distributed runs) of the algorithm, excluding instrumentation.
 	Cost perf.Cost
