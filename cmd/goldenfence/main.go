@@ -12,8 +12,10 @@
 // `git show <base-ref>:<path>`. Under each CHANGED record the fence
 // names what moved: every JSON path whose value differs, as
 // `Points[11].Obj: 3fc256facb4075d1 → 3fc256facb4075d3`, at most
-// maxMovedPerRecord of them, so a deliberate regeneration can be
-// audited from the output alone.
+// maxMovedPerRecord of them, and a last line sums the regeneration up:
+// how many records changed, how many of them only under Points[] (trace
+// objectives, which no result reads), and which moved a result field —
+// so a deliberate regeneration can be audited from the output alone.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"os"
 	"os/exec"
 	"sort"
+	"strings"
 )
 
 // maxMovedPerRecord caps the moved paths printed under one CHANGED
@@ -79,6 +82,7 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "golden-fence: %d surviving records differ from %s\n", len(d.changed), ref)
+		fmt.Fprintln(os.Stderr, d.summary())
 		os.Exit(1)
 	}
 	fmt.Printf("golden-fence: every surviving record is byte-identical to %s\n", ref)
@@ -128,6 +132,36 @@ func compare(base, head []byte) (fenceDiff, error) {
 	sort.Strings(d.added)
 	sort.Strings(d.changed)
 	return d, nil
+}
+
+// summary is the one-line audit of a regeneration: N records changed,
+// M of them only under Points[], and the records whose result fields
+// moved. A record that moved no value (re-encoded) counts as neither.
+func (d fenceDiff) summary() string {
+	pointsOnly := 0
+	var results []string
+	for _, k := range d.changed {
+		trace, other := 0, 0
+		for _, m := range d.moved[k] {
+			if strings.HasPrefix(m, "Points[") {
+				trace++
+			} else {
+				other++
+			}
+		}
+		switch {
+		case other > 0:
+			results = append(results, k)
+		case trace > 0:
+			pointsOnly++
+		}
+	}
+	s := fmt.Sprintf("golden-fence: %d records changed, %d of them only under Points[]; result fields moved in %d",
+		len(d.changed), pointsOnly, len(results))
+	if len(results) > 0 {
+		s += ": " + strings.Join(results, ", ")
+	}
+	return s
 }
 
 // movedPaths lists every JSON path at which two encodings of one record

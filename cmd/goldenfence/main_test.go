@@ -67,6 +67,36 @@ func TestMovedPathsTraceObj(t *testing.T) {
 	}
 }
 
+// The summary line counts trace-only records apart from the records
+// whose result fields moved, and names the latter.
+func TestSummary(t *testing.T) {
+	base := []byte(`{
+ "trace": {"W": ["3ff0"], "Points": [{"Obj": "3fd0"}, {"Obj": "3fc1"}]},
+ "iter":  {"W": ["3ff0"], "Points": [{"Obj": "3fd0"}]},
+ "cost":  {"W": ["3ff0"], "Cost": {"Flops": 9}},
+ "same":  {"W": ["3ff0"]},
+ "fmt":   {"W": ["3ff0"]}
+}`)
+	head := []byte(`{
+ "trace": {"W": ["3ff0"], "Points": [{"Obj": "3fd0"}, {"Obj": "3fc2"}]},
+ "iter":  {"W": ["3ff1"], "Points": [{"Obj": "3fd1"}]},
+ "cost":  {"W": ["3ff0"], "Cost": {"Flops": 8}},
+ "same":  {"W": ["3ff0"]},
+ "fmt":   {"W":["3ff0"]}
+}`)
+	d, err := compare(base, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "golden-fence: 4 records changed, 1 of them only under Points[]; result fields moved in 2: cost, iter"
+	if got := d.summary(); got != want {
+		t.Fatalf("summary = %q, want %q", got, want)
+	}
+	if got := (fenceDiff{}).summary(); got != "golden-fence: 0 records changed, 0 of them only under Points[]; result fields moved in 0" {
+		t.Fatalf("empty summary = %q", got)
+	}
+}
+
 // A record whose iterate moved names every moved coordinate, alongside
 // counters, nested objects, length changes and keys present on one side.
 func TestMovedPathsIterate(t *testing.T) {

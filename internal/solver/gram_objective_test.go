@@ -13,13 +13,14 @@ import (
 	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
+	"github.com/hpcgo/rcsfista/internal/prox"
 	"github.com/hpcgo/rcsfista/internal/rng"
 	"github.com/hpcgo/rcsfista/internal/solvercore"
 )
 
-// The resident Gram objective (rcsfista_eval.go): its value against the
-// data pass it replaces, when it engages, and that engaging it moves
-// nothing but interior trace objectives.
+// The resident Gram (rcsfista_eval.go): its objective and snapshot
+// gradient against the data passes they replace, when it engages, and
+// that which reader engages it first moves nothing.
 
 // gramShape is one problem shape the resident objective must be exact
 // on: the golden fixtures' instance and the four ls_* benchmark
@@ -87,6 +88,66 @@ func runEngines(ctx context.Context, t *testing.T, backend string, procs int, p 
 	})
 }
 
+// fillIter is the first update count at which e's resident Gram is
+// ready: S·⌈m/m̄⌉, where stage B has sampled m columns.
+func fillIter(e *engine) int { return e.opts.S * ((e.m + e.mbar - 1) / e.mbar) }
+
+// makeReady advances e's update count to its fill point, so the Gram
+// readers engage on a solve that has not run.
+func makeReady(e *engine) { e.rec.Iter = fillIter(e) }
+
+// passCounter counts, on one rank, the resident Gram's fills and the
+// data passes its readers replace. A fill is a shared allreduce of
+// PackedLen(d)+d+1 words whose last word, the rank's Σy²/2m, is nonzero;
+// at k = 1 the stage-C batch with its vote trailer is as long, but its
+// last word is the cancel flag, 0 in an uncancelled run. An objective
+// pass is a one-word sum, a snapshot pass a d-word one.
+type passCounter struct {
+	dist.Comm
+	d                  int
+	fills, objs, snaps int
+}
+
+func (c *passCounter) AllreduceShared(local []float64) []float64 {
+	if len(local) == mat.PackedLen(c.d)+c.d+1 && local[len(local)-1] != 0 {
+		c.fills++
+	}
+	return c.Comm.AllreduceShared(local)
+}
+
+func (c *passCounter) Allreduce(buf []float64, op dist.Op) {
+	if op == dist.OpSum {
+		switch len(buf) {
+		case 1:
+			c.objs++
+		case c.d:
+			c.snaps++
+		}
+	}
+	c.Comm.Allreduce(buf, op)
+}
+
+// counting returns an engineWorld wrap that puts a passCounter on
+// every rank, and the counters by rank.
+func counting(procs, d int) (func(dist.Comm) dist.Comm, []*passCounter) {
+	counters := make([]*passCounter, procs)
+	return func(c dist.Comm) dist.Comm {
+		pc := &passCounter{Comm: c, d: d}
+		counters[c.Rank()] = pc
+		return pc
+	}, counters
+}
+
+// countedRun is runEngines with a passCounter on every rank.
+func countedRun(ctx context.Context, t *testing.T, backend string, procs int, p *data.Problem, o Options) (*Result, []*engine, []*passCounter, error) {
+	t.Helper()
+	wrap, counters := counting(procs, p.X.Rows)
+	res, engines, err := engineWorld(t, backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
+		return e.run(ctx, e, e)
+	})
+	return res, engines, counters, err
+}
+
 // TestGramObjectiveMatchesDataPass holds the Gram objective to the data
 // pass: |F_gram − F_data| ≤ 1e-12·(c + |F|) at the origin, near the
 // optimum, and at a dense perturbation of it, on every shape, at
@@ -115,8 +176,9 @@ func TestGramObjectiveMatchesDataPass(t *testing.T) {
 				gram := make([][]float64, procs)
 				dataF := make([]float64, len(points))
 				var c float64
-				_, _, err := engineWorld(t, backend, procs, p, gramOpts(p), nil, func(e *engine) (*Result, error) {
-					e.fillGram()
+				wrap, counters := counting(procs, p.X.Rows)
+				_, _, err := engineWorld(t, backend, procs, p, gramOpts(p), wrap, func(e *engine) (*Result, error) {
+					makeReady(e)
 					vals := make([]float64, len(points))
 					for i, w := range points {
 						copy(e.wCurr, w)
@@ -126,8 +188,8 @@ func TestGramObjectiveMatchesDataPass(t *testing.T) {
 						}
 					}
 					gram[e.c.Rank()] = vals
-					if e.gram.evals != len(points) {
-						return nil, fmt.Errorf("rank %d took %d data passes, want %d", e.c.Rank(), e.gram.evals, len(points))
+					if pc := counters[e.c.Rank()]; pc.fills != 1 || pc.objs != len(points) {
+						return nil, fmt.Errorf("rank %d: %d fills and %d data passes, want 1 and %d", e.c.Rank(), pc.fills, pc.objs, len(points))
 					}
 					return e.finish(), nil
 				})
@@ -154,107 +216,94 @@ func TestGramObjectiveMatchesDataPass(t *testing.T) {
 	}
 }
 
-// fillCounter counts the Gram fills among the shared allreduces. At
-// k = 1 the stage-C batch with its vote trailer is as long as a fill;
-// its last word is the cancel flag, 0 in these uncancelled runs, where
-// a fill's is the rank's Σy²/2m > 0.
-type fillCounter struct {
-	dist.Comm
-	words int
-	fills int
-}
-
-func (c *fillCounter) AllreduceShared(local []float64) []float64 {
-	if len(local) == c.words && local[len(local)-1] != 0 {
-		c.fills++
-	}
-	return c.Comm.AllreduceShared(local)
-}
-
 // TestGramObjectiveEngagement pins when the triple is filled: exactly
-// once, at evaluation ⌈(d+3)/2⌉, on f64 dense-slot runs (blocking,
-// pipelined, SFISTA), after which only final checkpoints take a data
-// pass; never under a CompressTier, under ActiveSet, or on a W0
+// once, at update S·⌈m/m̄⌉, on f64 dense-slot runs (blocking, pipelined,
+// SFISTA, plain) and auto on one rank, after which only final
+// checkpoints take an objective data pass and no snapshot takes one;
+// never under a CompressTier on P > 1, under ActiveSet, or on a W0
 // zero-round solve.
 func TestGramObjectiveEngagement(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.X.Rows
-	at := gramFillAt(d)
-	if at != (d+3+1)/2 {
-		t.Fatalf("gramFillAt(%d) = %d, want ⌈(d+3)/2⌉", d, at)
-	}
-
 	for _, tc := range []struct {
-		name string
-		edit func(o *Options)
+		name  string
+		procs int
+		edit  func(o *Options)
 	}{
-		{"rcsfista", func(o *Options) {}},
-		{"pipelined", func(o *Options) { o.Pipeline = true; o.K = 2; o.S = 2; o.EvalEvery = 1 }},
-		{"sfista", func(o *Options) { o.K, o.S = 1, 1 }},
-		{"plain", func(o *Options) { o.VarianceReduced = false }},
+		{"rcsfista", 4, func(o *Options) {}},
+		{"pipelined", 4, func(o *Options) { o.Pipeline = true; o.K = 2; o.S = 2; o.EvalEvery = 1 }},
+		{"sfista", 4, func(o *Options) { o.K, o.S = 1, 1 }},
+		{"plain", 4, func(o *Options) { o.VarianceReduced = false }},
 	} {
 		o := gramOpts(p)
 		tc.edit(&o)
-		counters := make([]*fillCounter, 4)
-		wrap := func(c dist.Comm) dist.Comm {
-			fc := &fillCounter{Comm: c, words: mat.PackedLen(d) + d + 1}
-			counters[c.Rank()] = fc
-			return fc
-		}
-		_, engines, err := engineWorld(t, "chan", 4, p, o, wrap, func(e *engine) (*Result, error) {
-			return e.run(context.Background(), e, e)
-		})
+		_, engines, counters, err := countedRun(context.Background(), t, "chan", tc.procs, p, o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for rank, e := range engines {
-			if counters[rank].fills != 1 || e.gram.h == nil {
-				t.Errorf("%s rank %d: %d fills, want 1", tc.name, rank, counters[rank].fills)
+			pc := counters[rank]
+			if pc.fills != 1 || e.gram.h == nil {
+				t.Errorf("%s rank %d: %d fills, want 1", tc.name, rank, pc.fills)
 			}
-			// at−1 data passes, the fill at evaluation at, then Gram values
-			// up to the final checkpoint's data pass.
-			if e.gram.evals != at {
-				t.Errorf("%s rank %d: %d data passes, want %d", tc.name, rank, e.gram.evals, at)
+			// One objective pass per update before the fill point (the
+			// initial checkpoint included), then only the final checkpoint's.
+			if want := fillIter(e) + 1; pc.objs != want {
+				t.Errorf("%s rank %d: %d objective passes, want %d", tc.name, rank, pc.objs, want)
+			}
+			// The fill point precedes the first refresh in the loop, so only
+			// the initial snapshot at w = 0 reads the data.
+			want := 0
+			if o.VarianceReduced {
+				want = 1
+			}
+			if fillIter(e) > o.EpochLen || pc.snaps != want {
+				t.Errorf("%s rank %d: %d snapshot passes (fill at update %d, epoch %d), want %d",
+					tc.name, rank, pc.snaps, fillIter(e), o.EpochLen, want)
 			}
 		}
 	}
 
-	never := []struct {
-		name string
-		edit func(o *Options)
-	}{
-		{"f32", func(o *Options) { o.CompressTier = "f32" }},
-		{"i8", func(o *Options) { o.CompressTier = "i8" }},
-		{"auto", func(o *Options) { o.CompressTier = "auto" }},
-		{"activeset", func(o *Options) { o.ActiveSet = true }},
+	// Under ActiveSet every evaluation takes its data pass (screening
+	// redoes some windows).
+	o := gramOpts(p)
+	o.ActiveSet = true
+	res, engines, counters, err := countedRun(context.Background(), t, "chan", 4, p, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range never {
-		o := gramOpts(p)
-		tc.edit(&o)
-		res, engines, err := runEngines(context.Background(), t, "chan", 4, p, o)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	for rank, e := range engines {
+		if n := counters[rank].objs; e.gram.h != nil || n < res.Iters+1 {
+			t.Errorf("activeset rank %d: filled=%t, %d data passes for %d updates, want no fill and every evaluation",
+				rank, e.gram.h != nil, n, res.Iters)
 		}
-		for rank, e := range engines {
-			if e.gram.h != nil {
-				t.Errorf("%s rank %d: resident Gram filled", tc.name, rank)
+	}
+	// Auto prices every rung at zero on one rank and stays on f64, so it
+	// reads the Gram there; every other tier setting quantizes and never
+	// fills.
+	for _, tier := range []string{"f32", "i8", "auto"} {
+		for _, procs := range []int{1, 4} {
+			o := gramOpts(p)
+			o.CompressTier = tier
+			_, engines, err := runEngines(context.Background(), t, "chan", procs, p, o)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// One pass per evaluation; screening redoes some windows.
-			if e.gram.evals < res.Iters+1 {
-				t.Errorf("%s rank %d: %d data passes for %d updates, want every evaluation", tc.name, rank, e.gram.evals, res.Iters)
+			want := tier == "auto" && procs == 1
+			if e := engines[0]; (e.gram.h != nil) != want || e.gram.billed != want {
+				t.Errorf("%s/p%d: filled=%t billed=%t, want %t", tier, procs, e.gram.h != nil, e.gram.billed, want)
 			}
 		}
 	}
 
 	// A warm start at the optimum returns before its first round: one
-	// evaluation, through the data.
-	o := gramOpts(p)
+	// snapshot and one evaluation, both through the data.
+	o = gramOpts(p)
 	o.W0, _ = Reference(p.X, p.Y, p.Lambda, 2000)
 	o.GradMapTol = 1e-3
-	res, engines, err := runEngines(context.Background(), t, "chan", 4, p, o)
+	res, engines, counters, err = countedRun(context.Background(), t, "chan", 4, p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +311,9 @@ func TestGramObjectiveEngagement(t *testing.T) {
 		t.Fatalf("warm start ran %d rounds, want the zero-round path", res.Rounds)
 	}
 	for rank, e := range engines {
-		if e.gram.h != nil || e.gram.evals != 1 {
-			t.Errorf("W0 rank %d: filled=%t after %d data passes, want no fill and 1 pass", rank, e.gram.h != nil, e.gram.evals)
+		if pc := counters[rank]; e.gram.h != nil || pc.objs != 1 || pc.snaps != 1 {
+			t.Errorf("W0 rank %d: filled=%t after %d objective and %d snapshot passes, want no fill and 1 of each",
+				rank, e.gram.h != nil, pc.objs, pc.snaps)
 		}
 	}
 }
@@ -293,10 +343,13 @@ func sameRun(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-// TestGramObjectiveMovesNothing: a run evaluating after every update
-// (Gram engaged) and the same run evaluating only at the end (never
-// engaged) agree bit for bit on W, Iters, Rounds, Cost and FinalObj —
-// under MaxIter, the gradient-map stop, pipelining and SFISTA.
+// TestGramObjectiveMovesNothing: runs evaluating after every update or
+// every 7th (their objectives fill the Gram) and the same run evaluating
+// only at the end agree bit for bit on W, Iters, Rounds, Cost and
+// FinalObj — under MaxIter, the gradient-map stop, pipelining, SFISTA
+// and without variance reduction. With it the first snapshot past the
+// fill point fills the Gram in the end-only run, and whichever reader
+// filled it the bill lands once, at that snapshot.
 func TestGramObjectiveMovesNothing(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -325,19 +378,24 @@ func TestGramObjectiveMovesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if engaged := engines[0].gram.h != nil; engaged != (evalEvery == 1) {
-				t.Fatalf("%s EvalEvery=%d: Gram engaged = %t", tc.name, o.EvalEvery, engaged)
+			e := engines[0]
+			if engaged := e.gram.h != nil; engaged != (evalEvery != 0 || o.VarianceReduced) || e.gram.billed != o.VarianceReduced {
+				t.Fatalf("%s EvalEvery=%d: Gram engaged = %t, billed = %t", tc.name, o.EvalEvery, engaged, e.gram.billed)
 			}
 			return res
 		}
-		sameRun(t, tc.name, run(1), run(0))
+		ref := run(0)
+		sameRun(t, tc.name+"/eval=1", run(1), ref)
+		sameRun(t, tc.name+"/eval=7", run(7), ref)
 	}
 }
 
 // TestGramObjectiveTolStop: a Tol stop reached on Gram-evaluated
 // checkpoints stops where the data passes alone stop it, with the same
 // recorded objective; only interior trace objectives move, by at most
-// 1e-12 relative.
+// 1e-12 relative. The solve is full-batch FISTA (b = 1, no variance
+// reduction), so the objective is the only Gram reader and switching
+// the path off changes nothing else.
 func TestGramObjectiveTolStop(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -345,25 +403,30 @@ func TestGramObjectiveTolStop(t *testing.T) {
 	}
 	_, fstar := Reference(p.X, p.Y, p.Lambda, 4000)
 	o := gramOpts(p)
+	o.B = 1
+	o.VarianceReduced = false
 	o.MaxIter = 5000
 	o.FStar = fstar
 	o.Tol = 1e-4
-	run := func(gram bool) *Result {
+	run := func(gram bool) (*Result, int) {
+		var at int
 		res, _, err := engineWorld(t, "chan", 4, p, o, nil, func(e *engine) (*Result, error) {
-			if !gram {
-				e.gram.at = 0
+			e.gram.on = gram
+			if e.c.Rank() == 0 {
+				at = fillIter(e)
 			}
 			return e.run(context.Background(), e, e)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, at
 	}
-	withGram, dataOnly := run(true), run(false)
-	if !dataOnly.Converged || dataOnly.Iters <= gramFillAt(p.X.Rows) {
-		t.Fatalf("reference run stopped at %d updates (converged %t): the Tol stop must land after the fill",
-			dataOnly.Iters, dataOnly.Converged)
+	withGram, _ := run(true)
+	dataOnly, at := run(false)
+	if !dataOnly.Converged || dataOnly.Iters <= at {
+		t.Fatalf("reference run stopped at %d updates (converged %t): the Tol stop must land after the fill at %d",
+			dataOnly.Iters, dataOnly.Converged, at)
 	}
 	sameRun(t, "tol", withGram, dataOnly)
 	a, b := withGram.Trace.Points, dataOnly.Trace.Points
@@ -375,10 +438,17 @@ func TestGramObjectiveTolStop(t *testing.T) {
 		math.Float64bits(x.RelErr) != math.Float64bits(y.RelErr) || x.ModelSec != y.ModelSec {
 		t.Errorf("stopping point %+v differs from the data pass's %+v", x, y)
 	}
+	moved := 0
 	for i := range a {
 		if d := math.Abs(a[i].Obj - b[i].Obj); !(d <= 1e-12*math.Abs(b[i].Obj)) {
 			t.Errorf("point %d: Gram objective %.17g vs data %.17g", i, a[i].Obj, b[i].Obj)
 		}
+		if a[i].Obj != b[i].Obj {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("no interior objective came from the Gram")
 	}
 }
 
@@ -392,10 +462,12 @@ func TestGramObjectiveAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(dist.NewSelfComm(perf.Comet()), Partition(p.X, p.Y, 1, 0), gramOpts(p))
+	pc := &passCounter{Comm: dist.NewSelfComm(perf.Comet()), d: p.X.Rows}
+	e, err := newEngine(pc, Partition(p.X, p.Y, 1, 0), gramOpts(p))
 	if err != nil {
 		t.Fatal(err)
 	}
+	makeReady(e)
 	e.fillGram()
 	for i := range e.wCurr {
 		if i%3 == 0 {
@@ -406,8 +478,11 @@ func TestGramObjectiveAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { e.evaluate(false) }); n != 0 {
 		t.Fatalf("warm Gram evaluation allocated %g times per call", n)
 	}
-	if e.gram.evals != 0 {
-		t.Fatalf("Gram evaluations took %d data passes", e.gram.evals)
+	if n := testing.AllocsPerRun(100, e.refreshSnapshot); n != 0 {
+		t.Fatalf("warm Gram snapshot allocated %g times per call", n)
+	}
+	if pc.objs != 0 || pc.snaps != 0 {
+		t.Fatalf("Gram readers took %d objective and %d snapshot data passes", pc.objs, pc.snaps)
 	}
 }
 
@@ -437,8 +512,8 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestGramObjectiveCancelAfterFill: a solve cancelled after the fill
-// returns a well-formed partial Result, leaks no goroutine and leaves
-// every rank holding its triple.
+// and a Gram-sourced snapshot returns a well-formed partial Result,
+// leaks no goroutine and leaves every rank holding its billed triple.
 func TestGramObjectiveCancelAfterFill(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -452,19 +527,22 @@ func TestGramObjectiveCancelAfterFill(t *testing.T) {
 			o.MaxIter = 100000
 			o.Pipeline = pipeline
 			baseline := runtime.NumGoroutine()
-			res, engines, err := runEngines(newCancelAfter(procs*rounds), t, backend, procs, p, o)
+			res, engines, counters, err := countedRun(newCancelAfter(procs*rounds), t, backend, procs, p, o)
 			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: err = %v, want Canceled", name, err)
 			}
 			requireWellFormedPartial(t, res, p.X.Rows)
-			if res.Iters >= o.MaxIter || res.Iters < gramFillAt(p.X.Rows) {
-				t.Fatalf("%s: cancelled after %d updates, want past the fill and short of MaxIter", name, res.Iters)
+			if at := fillIter(engines[0]); res.Iters >= o.MaxIter || res.Iters < o.EpochLen || at >= o.EpochLen {
+				t.Fatalf("%s: cancelled after %d updates, want past the fill at %d and a Gram snapshot at %d, short of MaxIter",
+					name, res.Iters, at, o.EpochLen)
 			}
-			// Cancelled mid-run, so no final data pass followed the fill.
+			// Cancelled mid-run, so no final data pass followed the fill, and
+			// only the initial snapshot read the data.
 			for rank, e := range engines {
-				if e.gram.h == nil || e.gram.evals != gramFillAt(p.X.Rows)-1 {
-					t.Errorf("%s rank %d: filled=%t after %d data passes", name, rank, e.gram.h != nil, e.gram.evals)
+				if pc := counters[rank]; e.gram.h == nil || !e.gram.billed || pc.objs != fillIter(e) || pc.snaps != 1 {
+					t.Errorf("%s rank %d: filled=%t billed=%t after %d objective and %d snapshot passes",
+						name, rank, e.gram.h != nil, e.gram.billed, pc.objs, pc.snaps)
 				}
 			}
 			dist.VerifyNoGoroutineLeaks(t, baseline)
@@ -472,10 +550,11 @@ func TestGramObjectiveCancelAfterFill(t *testing.T) {
 	}
 }
 
-// TestGramObjectiveUnderFaults: the fill is a pass-through collective,
-// so a FaultPlan run with drops, corruption and a crash engages the
-// Gram in lockstep and lands on the same iterate as the run that never
-// engages it.
+// TestGramObjectiveUnderFaults: the fill is a pass-through collective
+// and its point counts processed updates, so a FaultPlan run with drops,
+// corruption and a crash engages the Gram in lockstep, and the run whose
+// objectives fill it lands on the same iterate, cost and rounds as the
+// run whose snapshots do.
 func TestGramObjectiveUnderFaults(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -492,30 +571,162 @@ func TestGramObjectiveUnderFaults(t *testing.T) {
 		}
 	}
 	for _, pipeline := range []bool{false, true} {
-		run := func(evalEvery int) (*Result, []*engine) {
+		run := func(evalEvery int) (*Result, []*engine, []*passCounter) {
 			o := gramOpts(p)
 			o.MaxIter = 120
 			o.Faults = plan()
 			o.MaxRetries = 2
 			o.Pipeline = pipeline
 			o.EvalEvery = evalEvery
-			res, engines, err := runEngines(context.Background(), t, "chan", 4, p, o)
+			res, engines, counters, err := countedRun(context.Background(), t, "chan", 4, p, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, engines
+			return res, engines, counters
 		}
 		name := fmt.Sprintf("pipeline=%t", pipeline)
-		res, engines := run(1)
-		ref, _ := run(120)
+		res, engines, counters := run(1)
+		ref, _, _ := run(120)
 		if res.Faults.FailedRounds == 0 || res.Faults.Retries == 0 {
 			t.Fatalf("%s: the plan injected nothing: %+v", name, res.Faults)
 		}
 		for rank, e := range engines {
-			if e.gram.h == nil || e.gram.evals != gramFillAt(p.X.Rows) {
-				t.Errorf("%s rank %d: filled=%t after %d data passes", name, rank, e.gram.h != nil, e.gram.evals)
+			if pc := counters[rank]; e.gram.h == nil || pc.fills != 1 || pc.objs != fillIter(e)+1 || pc.snaps != 1 {
+				t.Errorf("%s rank %d: %d fills after %d objective and %d snapshot passes", name, rank, pc.fills, pc.objs, pc.snaps)
 			}
 		}
 		sameRun(t, name, res, ref)
+	}
+}
+
+// TestGramSnapshotMatchesDataPass holds the Gram-sourced snapshot to the
+// data pass it replaces, at the origin, near the optimum and at a dense
+// perturbation of it, on every shape, at P ∈ {1, 2, 4} over both
+// transports: the gradient within 1e-12·‖∇f‖∞, every rank on the same
+// bits, and the gradient-map norm within gramMapSlack/100 of itself —
+// the tolerance at which that snapshot sits on the stop — so the
+// near-tol band re-takes every snapshot the two sources could decide
+// differently.
+func TestGramSnapshotMatchesDataPass(t *testing.T) {
+	var worstGrad, worstNorm float64
+	for _, s := range gramShapes {
+		if s.big && raceEnabled {
+			continue
+		}
+		p, err := data.LoadWith(s.dataset, s.m, s.d, s.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wRef, _ := Reference(p.X, p.Y, p.Lambda, 200)
+		noisy := mat.Clone(wRef)
+		r := rng.New(s.seed)
+		for i := range noisy {
+			noisy[i] += 0.1 * (r.Float64() - 0.5)
+		}
+		points := [][]float64{make([]float64, p.X.Rows), wRef, noisy}
+		for _, backend := range []string{"chan", "tcp"} {
+			for _, procs := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%s/%s/p%d", s.name, backend, procs)
+				gramGrads := make([][][]float64, procs)
+				dataGrads := make([][]float64, len(points))
+				gramNorms, dataNorms := make([]float64, len(points)), make([]float64, len(points))
+				_, _, err := engineWorld(t, backend, procs, p, gramOpts(p), nil, func(e *engine) (*Result, error) {
+					makeReady(e)
+					for i, w := range points {
+						copy(e.wSnap, w)
+						e.gramGrad()
+						e.gradMap()
+						gramGrads[e.c.Rank()] = append(gramGrads[e.c.Rank()], mat.Clone(e.fullGrad))
+						gn := e.gradMapNorm
+						e.dataGrad()
+						e.gradMap()
+						if e.c.Rank() == 0 {
+							dataGrads[i], gramNorms[i], dataNorms[i] = mat.Clone(e.fullGrad), gn, e.gradMapNorm
+						}
+					}
+					return e.finish(), nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i, dg := range dataGrads {
+					gg := gramGrads[0][i]
+					var diff float64
+					for j := range dg {
+						diff = math.Max(diff, math.Abs(gg[j]-dg[j]))
+					}
+					relGrad := diff / mat.NrmInf(dg)
+					relNorm := math.Abs(gramNorms[i]-dataNorms[i]) / dataNorms[i]
+					worstGrad, worstNorm = math.Max(worstGrad, relGrad), math.Max(worstNorm, relNorm)
+					if !(relGrad <= 1e-12) {
+						t.Errorf("%s point %d: max |Δ∇f| = %.3g·‖∇f‖∞ > 1e-12", name, i, relGrad)
+					}
+					if !(100*relNorm <= gramMapSlack) {
+						t.Errorf("%s point %d: gradient-map norm %.17g from the Gram, %.17g from the data: |Δ| = %.3g·norm, over gramMapSlack/100",
+							name, i, gramNorms[i], dataNorms[i], relNorm)
+					}
+					for rank := 1; rank < procs; rank++ {
+						for j := range gg {
+							if math.Float64bits(gramGrads[rank][i][j]) != math.Float64bits(gg[j]) {
+								t.Fatalf("%s point %d: rank %d ∇f[%d] %.17g != rank 0's %.17g", name, i, rank, j, gramGrads[rank][i][j], gg[j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst max |Δ∇f|/‖∇f‖∞ = %.2g, worst |Δnorm|/norm = %.2g (gramMapSlack %g)", worstGrad, worstNorm, gramMapSlack)
+}
+
+// TestGramSnapshotCertifiedStop: a GradMapTol stop that lands after the
+// fill, its earlier snapshots read from the Gram, is decided by a data
+// pass: exactly two snapshots took one (w = 0 and the stop), the
+// reported GradMap is bit for bit the data-pass norm at W, and the norm
+// recomputed outside the solver from the data is within the tolerance.
+func TestGramSnapshotCertifiedStop(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"chan", "tcp"} {
+		for _, procs := range []int{1, 4} {
+			name := fmt.Sprintf("%s/p%d", backend, procs)
+			o := gramOpts(p)
+			o.MaxIter, o.GradMapTol, o.EvalEvery = 4000, 1e-4, 1000
+			res, engines, counters, err := countedRun(context.Background(), t, backend, procs, p, o)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			refreshes := 1 + res.Iters/o.EpochLen
+			if !res.Converged || !(res.GradMap <= o.GradMapTol) || res.Iters <= fillIter(engines[0]) || refreshes < 4 {
+				t.Fatalf("%s: converged=%t GradMap=%g after %d updates, want the stop several Gram snapshots past the fill",
+					name, res.Converged, res.GradMap, res.Iters)
+			}
+			for rank, pc := range counters {
+				if pc.snaps != 2 || !engines[rank].gram.billed {
+					t.Errorf("%s rank %d: %d of %d snapshots through the data, want 2", name, rank, pc.snaps, refreshes)
+				}
+			}
+			norms := make([]float64, procs)
+			_, _, err = engineWorld(t, backend, procs, p, o, nil, func(e *engine) (*Result, error) {
+				copy(e.wSnap, res.W)
+				e.dataGrad()
+				e.gradMap()
+				norms[e.c.Rank()] = e.gradMapNorm
+				return e.finish(), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank, n := range norms {
+				if math.Float64bits(n) != math.Float64bits(res.GradMap) {
+					t.Errorf("%s rank %d: data-pass norm at W %.17g, reported %.17g", name, rank, n, res.GradMap)
+				}
+			}
+			if out := outsideGradMap(p, prox.L1{Lambda: o.Lambda}, res.W, o.Gamma); !(out <= o.GradMapTol) {
+				t.Errorf("%s: outside gradient-map norm %.17g > GradMapTol %g", name, out, o.GradMapTol)
+			}
+		}
 	}
 }

@@ -129,8 +129,11 @@ func TestPackedRoundWordCount(t *testing.T) {
 }
 
 func TestPackedVarianceReducedWordCount(t *testing.T) {
-	// With VR on, each snapshot refresh adds one d-word gradient
-	// allreduce on top of the per-round Hessian batch.
+	// With VR on, each snapshot refresh before the resident Gram is ready
+	// adds one d-word gradient allreduce on top of the per-round Hessian
+	// batch. Stage B has sampled m columns after m/m̄ = 4 updates, so the
+	// refreshes at updates 10 and 20 read the Gram: they cost no words,
+	// and the fill they share costs PackedLen(d)+d+1 words once.
 	const (
 		d     = 6
 		procs = 4
@@ -153,9 +156,9 @@ func TestPackedVarianceReducedWordCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg := int64(perf.Log2Ceil(procs))
-	// Refreshes: one up front plus one per full epoch.
-	refreshes := int64(1 + iters/o.EpochLen)
-	want := int64(res.Rounds)*lg*int64(k*(d*(d+1)/2+d)) + refreshes*lg*int64(d)
+	// Refreshes: one up front through the data, then one per full epoch
+	// from the Gram.
+	want := int64(res.Rounds)*lg*int64(k*(d*(d+1)/2+d)) + lg*int64(d) + lg*int64(d*(d+1)/2+d+1)
 	if res.Cost.Words != want {
 		t.Fatalf("VR words = %d, want %d", res.Cost.Words, want)
 	}

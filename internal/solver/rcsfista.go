@@ -183,8 +183,9 @@ type engine struct {
 	tierBestObj float64
 	tierStall   int
 	tierCap     dist.Tier
-	// gram is the resident least-squares objective (rcsfista_eval.go).
-	gram gramObjective
+	// gram is the resident least-squares triple the objective and the
+	// snapshot read (rcsfista_eval.go).
+	gram residentGram
 
 	// as is the dynamic-screening state (Options.ActiveSet); nil runs
 	// the dense path bit-identically to the goldens.
@@ -263,9 +264,7 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 	if s, ok := opts.Reg.(prox.Screener); ok {
 		e.scr = s
 	}
-	if !tiers.on && !opts.ActiveSet {
-		e.gram.at = gramFillAt(d)
-	}
+	e.gram.on = !opts.ActiveSet && (!tiers.on || tiers.auto && c.Size() == 1)
 	if opts.W0 != nil {
 		if len(opts.W0) != d {
 			panic("solver: W0 length mismatch")

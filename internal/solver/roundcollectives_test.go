@@ -102,11 +102,12 @@ func (c *CallCounter) Allgather(local []float64) []float64 {
 // TestOneCollectivePerRound pins the round at exactly one collective
 // once the resident Gram answers the objective: at P = 2 over chan and
 // tcp, f64, k = 1, a checkpoint after every update and no snapshot
-// refreshes, every round after the one that fills the Gram issues its
-// stage-C batch — payload plus vote trailer — and nothing else, up to
-// the last round, whose final checkpoint takes its data pass. Before
-// the fill a round adds only its data-pass objective. No round polls
-// cancellation with a collective of its own.
+// refreshes, every round after the one that fills the Gram — round
+// ⌈m/m̄⌉, once stage B has sampled m columns — issues its stage-C batch
+// (payload plus vote trailer) and nothing else, up to the last round,
+// whose final checkpoint takes its data pass. Before the fill a round
+// adds only its data-pass objective. No round polls cancellation with a
+// collective of its own.
 func TestOneCollectivePerRound(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -115,7 +116,6 @@ func TestOneCollectivePerRound(t *testing.T) {
 	o := gramOpts(p)
 	o.K, o.S = 1, 1
 	o.VarianceReduced = false
-	at := gramFillAt(p.X.Rows)
 	for _, backend := range []string{"chan", "tcp"} {
 		const procs = 2
 		counters := make([]*CallCounter, procs)
@@ -125,16 +125,20 @@ func TestOneCollectivePerRound(t *testing.T) {
 			return cc
 		}
 		ctx, cancel := context.WithCancel(context.Background())
+		var at int // the round whose objective fills the Gram
 		res, _, err := engineWorld(t, backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
 			counters[e.c.Rank()].Round = func() int { return e.rec.Rounds }
+			if e.c.Rank() == 0 {
+				at = fillIter(e)
+			}
 			return e.run(ctx, e, e)
 		})
 		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rounds != o.MaxIter || res.Rounds <= at {
-			t.Fatalf("%s: %d rounds, want MaxIter %d, past the fill at round %d", backend, res.Rounds, o.MaxIter, at-1)
+		if res.Rounds != o.MaxIter || res.Rounds <= at+1 {
+			t.Fatalf("%s: %d rounds, want MaxIter %d, past the fill at round %d", backend, res.Rounds, o.MaxIter, at)
 		}
 		for rank, cc := range counters {
 			name := fmt.Sprintf("%s rank %d", backend, rank)
@@ -148,8 +152,8 @@ func TestOneCollectivePerRound(t *testing.T) {
 				perRound[call.Round]++
 			}
 			for r, n := range perRound {
-				want := 2 // an objective data pass (or, at r = at−1, the fill) and the next batch
-				if r >= at {
+				want := 2 // an objective data pass (or, at r = at, the fill) and the next batch
+				if r > at {
 					want = 1 // the next batch; after the last round, the final data pass
 				}
 				if n != want {
