@@ -11,9 +11,9 @@ COVER_FLOOR ?= 90.0
 COVER_PKGS = ./internal/dist ./internal/solver
 BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat ./internal/sparse ./internal/rng
 
-.PHONY: check vet build test race bench bench-smoke bench-exact golden-fence cover fuzz-smoke staticcheck loc-guard serving-smoke
+.PHONY: check vet build test race bench bench-smoke bench-exact golden-fence cover fuzz-smoke staticcheck loc-guard loc serving-smoke
 
-check: vet staticcheck loc-guard build race cover bench-smoke serving-smoke fuzz-smoke
+check: vet staticcheck loc-guard loc build race cover bench-smoke serving-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -39,6 +39,16 @@ loc-guard:
 	  echo "loc-guard: files over 500 lines:" >&2; echo "$$bad" >&2; exit 1; \
 	fi; \
 	echo "loc-guard: all non-test Go files within 500 lines"
+
+# Source-size report: non-test Go lines per package directory, then
+# their total outside bench/ — the figures ROADMAP.md and CHANGES.md
+# quote. Informational; loc-guard is the gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' -not -path './.bench_build/*' \
+	  -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } \
+	  END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2 | \
+	awk '{ print } $$2 !~ /^\.\/bench(\/|$$)/ { t += $$1 } END { printf "%7d  total outside bench/\n", t }'
 
 build:
 	$(GO) build ./...

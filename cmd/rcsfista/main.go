@@ -97,6 +97,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *compressTier != "" && *algo != "rcsfista" && *algo != "sfista" {
 		return fmt.Errorf("-compress-tier applies to rcsfista/sfista only, not %q", *algo)
 	}
+	if *pipeline && *algo != "rcsfista" && *algo != "sfista" {
+		return fmt.Errorf("-pipeline applies to rcsfista/sfista only, not %q", *algo)
+	}
 	if *lossName == "" {
 		*lossName = "ls"
 	}
@@ -155,9 +158,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *procs < 1 {
 		return fmt.Errorf("-procs must be >= 1 (got %d)", *procs)
-	}
-	if *pipeline && *algo != "rcsfista" && *algo != "sfista" {
-		return fmt.Errorf("-pipeline applies to rcsfista/sfista only (got -algo %s)", *algo)
 	}
 	d, m := prob.Dim()
 	fmt.Fprintf(out, "problem %s: d=%d features, m=%d samples, nnz=%d (f=%.3f), lambda=%g\n",

@@ -95,6 +95,12 @@ func TestCLIPipeline(t *testing.T) {
 	if err := run(context.Background(), []string{"-algo", "fista", "-pipeline", "-tol", "0"}, &out); err == nil {
 		t.Fatal("-pipeline with -algo fista accepted")
 	}
+	// Checked with the other rcsfista-only flags, before any world is
+	// launched or dataset loaded: the dataset named here does not exist.
+	err := run(context.Background(), []string{"-algo", "pn", "-pipeline", "-dataset", "nosuch"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-pipeline") {
+		t.Fatalf("-algo pn -pipeline -dataset nosuch: got %v, want the -pipeline error", err)
+	}
 }
 
 // TestCLIMultiProcessTCP: -transport tcp spawns one OS process per

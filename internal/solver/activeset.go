@@ -65,11 +65,10 @@ type activeState struct {
 	gen int
 
 	bits []uint64
-	// layoutBits is scratch for the KKT check's layout-membership test.
+	// layoutBits is scratch for the KKT check's layout-membership test
+	// inLayout, made once so a scan allocates nothing.
 	layoutBits []uint64
-	// gExact is the exact full gradient at wCurr, refreshed by every KKT
-	// scan.
-	gExact []float64
+	inLayout   func(int) bool
 
 	// regOp caches the regularizer restricted to regLayout: separable
 	// regularizers restrict to themselves, group regularizers are
@@ -138,10 +137,8 @@ func (as *activeState) popFill() fillRec {
 }
 
 // initActiveSet builds the screening state and derives the initial
-// working set at w0. Called after the variance-reduction snapshot, so
-// the exact gradient is reused from the snapshot when available (it is
-// exact at w0 because wSnap = w0) and costs one extra d-word allreduce
-// otherwise.
+// working set from the exact state at w0: the variance-reduction
+// snapshot's when it ran, one d-word allreduce otherwise.
 func (e *engine) initActiveSet() {
 	d, k := e.d, e.opts.K
 	as := &activeState{
@@ -150,7 +147,6 @@ func (e *engine) initActiveSet() {
 		bits:       make([]uint64, (d+63)/64),
 		layoutBits: make([]uint64, (d+63)/64),
 		suppBits:   make([]uint64, (d+63)/64),
-		gExact:     make([]float64, d),
 		wCurrA:     make([]float64, d), wPrevA: make([]float64, d),
 		vA: make([]float64, d), gradA: make([]float64, d),
 		tmpA: make([]float64, d), rA: make([]float64, d),
@@ -161,6 +157,7 @@ func (e *engine) initActiveSet() {
 		viewGen: -1,
 		scanGap: kktBaseGap,
 	}
+	as.inLayout = func(i int) bool { return as.layoutBits[i>>6]&(1<<uint(i&63)) != 0 }
 	for i := range as.pos {
 		as.pos[i] = -1
 	}
@@ -175,12 +172,7 @@ func (e *engine) initActiveSet() {
 		as.mFG = make([]float64, d)
 	}
 	e.as = as
-	if e.opts.VarianceReduced {
-		copy(as.gExact, e.fullGrad)
-	} else {
-		e.exactGradient(as.gExact)
-	}
-	e.deriveActive()
+	e.deriveActive(e.exact(&e.kktEF, false))
 	as.snapSupport(e.wCurr)
 	as.actGood = as.act
 	e.rec.Active = len(as.act)
@@ -286,19 +278,7 @@ func (e *engine) rewindActive(m activeMark) {
 	e.sinceEval = m.sinceEval
 	e.gradMapStop = m.gradMapStop
 	e.rec.Rewind(m.rec)
-}
-
-// scanGradient refreshes gExact for a scan. When the round's last
-// update landed on a variance-reduction snapshot refresh, fullGrad is
-// the exact gradient at wCurr computed by the identical arithmetic —
-// reuse it and save the d-word allreduce; otherwise pay the exact
-// evaluation.
-func (e *engine) scanGradient() {
-	if e.opts.VarianceReduced && e.sinceSnap == 0 {
-		copy(e.as.gExact, e.fullGrad)
-		return
-	}
-	e.exactGradient(e.as.gExact)
+	e.wVer++
 }
 
 // runActiveRound runs one attempt's k*S reduced updates, each followed
@@ -377,4 +357,5 @@ func (e *engine) updateActive(h Hessian, r []float64, layout []int) {
 	reg.Apply(wc, wc, e.gamma, cost)
 	mat.Scatter(e.wCurr, wc, layout)
 	e.rec.Iter++
+	e.wVer++
 }

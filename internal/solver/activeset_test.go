@@ -8,6 +8,7 @@ import (
 
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
+	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/prox"
 	"github.com/hpcgo/rcsfista/internal/sparse"
@@ -282,6 +283,52 @@ func TestActiveSetRedoTrigger(t *testing.T) {
 	if act.Rounds <= expands {
 		t.Fatalf("rounds %d do not include the %d redo exchanges", act.Rounds, expands)
 	}
+}
+
+// TestActiveSetRewindRetakesExactState: in the redo configuration, the
+// exact state taken after a window's update must not answer for the
+// iterate rewindActive restores. After the rewind the KKT gradient and
+// the data-pass objective are bit for bit the ones taken at that
+// iterate before the update.
+func TestActiveSetRewindRetakesExactState(t *testing.T) {
+	X, Y, o := redoTriggerProblem()
+	o.ActiveSet = true
+	e, err := newEngine(dist.NewSelfComm(perf.Comet()), Partition(X, Y, 1, 0), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.initActiveSet()
+	mark := e.markActive()
+	g0 := mat.Clone(e.exact(&e.kktEF, false))
+	f0 := e.evaluate(true)
+	buf := make([]float64, e.BatchLen())
+	e.Fill(buf)
+	fr := e.as.popFill()
+	h, r := e.slotView(buf, 0, len(fr.act))
+	e.updateActive(h, r, fr.act)
+	if g1 := e.exact(&e.kktEF, false); sameBits(g1, g0) || e.evaluate(true) == f0 {
+		t.Fatal("the update moved neither ∇f nor F")
+	}
+	e.rewindActive(mark)
+	if g := e.exact(&e.kktEF, false); !sameBits(g, g0) {
+		t.Errorf("∇f after the rewind %v, want %v, the state at the restored iterate", g, g0)
+	}
+	if f := e.evaluate(true); math.Float64bits(f) != math.Float64bits(f0) {
+		t.Errorf("F after the rewind %.17g, want %.17g", f, f0)
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestActiveSetOptionValidation pins the configuration surface.

@@ -135,8 +135,7 @@ func (e *engine) certifyWindow(layout []int, stop, trig bool) bool {
 	as := e.as
 	clean := !trig
 	for {
-		e.scanGradient()
-		viol := e.kktViolations(layout)
+		viol := e.kktViolations(layout, e.exact(&e.kktEF, false))
 		if len(viol) == 0 {
 			break
 		}
@@ -177,7 +176,7 @@ func (e *engine) certifyWindow(layout []int, stop, trig bool) bool {
 	as.winBases = as.winBases[:0]
 	as.snapSupport(e.wCurr)
 	if !stop {
-		e.deriveActive()
+		e.deriveActive(e.exact(&e.kktEF, false))
 	}
 	return stop
 }

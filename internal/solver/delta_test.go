@@ -96,6 +96,7 @@ func (p *deltaPass) Process(shared []float64) bool {
 		copy(e.wPrev, e.wCurr)
 		copy(e.wCurr, p.wNew)
 		e.rec.Iter++
+		e.wVer++
 		e.sinceSnap++
 		e.sinceEval++
 

@@ -182,6 +182,7 @@ func TestGramObjectiveMatchesDataPass(t *testing.T) {
 					vals := make([]float64, len(points))
 					for i, w := range points {
 						copy(e.wCurr, w)
+						e.wVer++
 						vals[i] = e.evaluate(false)
 						if f := e.evaluate(true); e.c.Rank() == 0 {
 							dataF[i], c = f, e.gram.c
@@ -452,8 +453,9 @@ func TestGramObjectiveTolStop(t *testing.T) {
 	}
 }
 
-// TestGramObjectiveAllocationFree pins the warm Gram evaluation at zero
-// allocations.
+// TestGramObjectiveAllocationFree pins the warm exact-state readers at
+// zero allocations: the Gram evaluation and snapshot, a take from the
+// f64 data source, and an active-set KKT scan.
 func TestGramObjectiveAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
@@ -478,11 +480,32 @@ func TestGramObjectiveAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { e.evaluate(false) }); n != 0 {
 		t.Fatalf("warm Gram evaluation allocated %g times per call", n)
 	}
-	if n := testing.AllocsPerRun(100, e.refreshSnapshot); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { e.wVer++; e.refreshSnapshot() }); n != 0 {
 		t.Fatalf("warm Gram snapshot allocated %g times per call", n)
 	}
 	if pc.objs != 0 || pc.snaps != 0 {
 		t.Fatalf("Gram readers took %d objective and %d snapshot data passes", pc.objs, pc.snaps)
+	}
+	data := func() { e.takeExact(false, &e.gradEF, true) }
+	data()
+	if n := testing.AllocsPerRun(100, data); n != 0 {
+		t.Fatalf("warm data-source take allocated %g times per call", n)
+	}
+	o := gramOpts(p)
+	o.ActiveSet = true
+	ea, err := newEngine(dist.NewSelfComm(perf.Comet()), Partition(p.X, p.Y, 1, 0), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(ea.wCurr, e.wCurr)
+	ea.initActiveSet()
+	scan := func() {
+		ea.wVer++
+		ea.certifyWindow(ea.as.act, false, false)
+	}
+	scan()
+	if n := testing.AllocsPerRun(100, scan); n != 0 {
+		t.Fatalf("warm KKT scan allocated %g times per call", n)
 	}
 }
 
@@ -633,15 +656,13 @@ func TestGramSnapshotMatchesDataPass(t *testing.T) {
 				_, _, err := engineWorld(t, backend, procs, p, gramOpts(p), nil, func(e *engine) (*Result, error) {
 					makeReady(e)
 					for i, w := range points {
-						copy(e.wSnap, w)
-						e.gramGrad()
-						e.gradMap()
-						gramGrads[e.c.Rank()] = append(gramGrads[e.c.Rank()], mat.Clone(e.fullGrad))
-						gn := e.gradMapNorm
-						e.dataGrad()
-						e.gradMap()
+						copy(e.wCurr, w)
+						e.takeExact(true, &e.gradEF, true)
+						gramGrads[e.c.Rank()] = append(gramGrads[e.c.Rank()], mat.Clone(e.ex.grad))
+						gn := e.ex.norm
+						e.takeExact(false, &e.gradEF, true)
 						if e.c.Rank() == 0 {
-							dataGrads[i], gramNorms[i], dataNorms[i] = mat.Clone(e.fullGrad), gn, e.gradMapNorm
+							dataGrads[i], gramNorms[i], dataNorms[i] = mat.Clone(e.ex.grad), gn, e.ex.norm
 						}
 					}
 					return e.finish(), nil
@@ -710,10 +731,9 @@ func TestGramSnapshotCertifiedStop(t *testing.T) {
 			}
 			norms := make([]float64, procs)
 			_, _, err = engineWorld(t, backend, procs, p, o, nil, func(e *engine) (*Result, error) {
-				copy(e.wSnap, res.W)
-				e.dataGrad()
-				e.gradMap()
-				norms[e.c.Rank()] = e.gradMapNorm
+				copy(e.wCurr, res.W)
+				e.takeExact(false, &e.gradEF, true)
+				norms[e.c.Rank()] = e.ex.norm
 				return e.finish(), nil
 			})
 			if err != nil {

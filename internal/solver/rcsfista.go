@@ -151,6 +151,12 @@ type engine struct {
 	t                          float64
 	hIdx                       int
 	sinceSnap, sinceEval       int
+	// wVer versions wCurr: every write to it (update, updateActive,
+	// rewindActive) bumps it, and ex, the memoised exact state, is keyed
+	// on it (rcsfista_eval.go). Not rec.Iter: a rewind returns to an
+	// Iter whose iterate then differs.
+	wVer int
+	ex   exactState
 
 	// Stage-A/B state kept across rounds: each slot's global sample
 	// draw and its local indices, each slot's private fill cost, and the
@@ -170,13 +176,12 @@ type engine struct {
 
 	// Tiered compression state (Options.CompressTier, see tiering.go).
 	// gradEF/kktEF are the per-site error-feedback residual streams of
-	// the stage-A gradient refresh and the KKT full-gradient scan;
-	// gradMapNorm is the auto policy's tightening signal, derived from
-	// allreduced state so all ranks agree.
-	tiers       tierConfig
-	gradMapNorm float64
-	gradEF      solvercore.EFStream
-	kktEF       solvercore.EFStream
+	// the stage-A gradient refresh and the KKT full-gradient scan, the
+	// streams an exact take reduces on. The auto policy's tightening
+	// signal is ex.norm, derived from allreduced state so all ranks agree.
+	tiers  tierConfig
+	gradEF solvercore.EFStream
+	kktEF  solvercore.EFStream
 	// Objective-stagnation ratchet of the auto policy (tierProgress):
 	// best evaluated objective, evaluations since it improved, and the
 	// monotone cap on the loosest selectable rung.
@@ -256,8 +261,8 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 		slotCols:  make([][]int, opts.K),
 		fillCosts: make([]perf.Cost, opts.K),
 
+		ex:          exactState{ver: -1, resid: -1, grad: make([]float64, d), norm: math.Inf(1)},
 		tiers:       tiers,
-		gradMapNorm: gradMapNormInit(),
 		tierBestObj: math.Inf(1),
 		tierCap:     dist.TierI8,
 	}
@@ -401,6 +406,7 @@ func (e *engine) update(h Hessian, r []float64) {
 	mat.AddScaled(e.wCurr, e.v, -e.gamma, e.grad, cost)
 	e.reg.Apply(e.wCurr, e.wCurr, e.gamma, cost)
 	e.rec.Iter++
+	e.wVer++
 }
 
 // Done gates round starts: the iteration budget is spent.
@@ -484,7 +490,7 @@ func (e *engine) afterUpdate() (stop bool) {
 func (e *engine) finish() *Result {
 	res := e.rec.Finish(mat.Clone(e.wCurr))
 	if e.gradMapStop && !e.tiers.on {
-		res.GradMap = e.gradMapNorm
+		res.GradMap = e.ex.norm
 	}
 	return res
 }

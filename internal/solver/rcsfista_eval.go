@@ -1,11 +1,14 @@
 package solver
 
-// The engine's stage-A snapshot refresh and the instrumentation-side
-// objective evaluation, split from rcsfista.go (which keeps the round
-// loop, the update kernel and the solvercore hooks). Both read the
-// resident least-squares Gram once stage B has sampled as many columns
-// as its fill touches; before that a snapshot runs one collective,
-// routed through the tier policy, and so does an objective.
+// The engine's exact state — ∇f, the gradient-map norm and the local
+// residual at the current iterate, memoised per iterate version — and
+// two of its readers: the stage-A snapshot refresh and the
+// instrumentation-side objective evaluation (the KKT scan reads it in
+// activeset_window.go). Split from rcsfista.go, which keeps the round
+// loop, the update kernel and the solvercore hooks. Once stage B has
+// sampled as many columns as its fill touches, the state and the
+// objective read the resident least-squares Gram; before that each
+// takes one collective, routed through the tier policy.
 
 import (
 	"math"
@@ -13,84 +16,101 @@ import (
 	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
+	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
 // refreshSnapshot re-centers the variance-reduction estimator at the
 // current iterate: w-hat = w, full gradient (Eq. 9 last term), momentum
-// restart (Algorithm 3 epoch boundary). The gradient comes from the
-// resident Gram once it is ready, else from one distributed data pass.
-// A Gram-sourced gradient-map norm within gramMapSlack of GradMapTol is
-// re-taken through the data, so every stop, and Result.GradMap, is the
-// data pass's.
+// restart (Algorithm 3 epoch boundary). The gradient is the exact
+// state's; its gradient-map norm decides the GradMapTol stop, so it is
+// charged when that tolerance is set.
 func (e *engine) refreshSnapshot() {
 	copy(e.wSnap, e.wCurr)
-	fromGram := e.gramReady()
-	if fromGram {
-		e.gramGrad()
-	} else {
-		e.dataGrad()
-	}
-	// Reference-free stopping: the exact gradient is in hand, so the
-	// proximal gradient mapping norm comes for free (O(d) flops). The
-	// auto tier policy reads the same norm as its tightening signal, so
-	// it is also computed when auto compression is on — uncharged in
-	// that case, since policy bookkeeping is not part of the algorithm.
-	if tol := e.opts.GradMapTol; tol > 0 || e.tiers.auto {
-		e.gradMap()
-		if fromGram && tol > 0 && e.gradMapNorm <= tol*(1+gramMapSlack) {
-			e.dataGrad()
-			e.gradMap()
-		}
-		if tol > 0 && e.gradMapNorm <= tol {
-			e.gradMapStop = true
-		}
+	copy(e.fullGrad, e.exact(&e.gradEF, true))
+	if tol := e.opts.GradMapTol; tol > 0 && e.ex.norm <= tol {
+		e.gradMapStop = true
 	}
 	// Momentum restart.
 	e.t = 1
 	copy(e.wPrev, e.wCurr)
 }
 
-// dataGrad sets fullGrad = (1/m)(X Xᵀŵ − X y) by one pass over the
-// local columns and one d-word allreduce at the tier policy's pick.
-func (e *engine) dataGrad() {
-	cost := e.c.Cost()
-	e.local.X.MulVecT(e.scratch, e.wSnap, cost)
-	mat.Axpy(-1, e.local.Y, e.scratch, cost)
-	mat.Zero(e.fullGrad)
-	e.local.X.MulVec(e.fullGrad, e.scratch, cost)
-	mat.Scal(1/float64(e.m), e.fullGrad, cost)
-	e.gradEF.Reduce(e.c, e.fullGrad, e.tierAt(len(e.fullGrad)))
+// exactState is the exact state of the iterate at one version: ∇f, the
+// proximal gradient-map norm, and — when it came from the data — the
+// local residual Xᵀw − y left in engine.scratch.
+type exactState struct {
+	// ver is the iterate version grad and norm describe; resid the
+	// version whose residual scratch holds. -1: none yet.
+	ver, resid int
+	grad       []float64
+	// norm is ‖w − prox_γg(w − γ∇f)‖/γ, O(d) flops: the GradMapTol stop,
+	// Result.GradMap and the auto tier policy's tightening signal, +Inf
+	// before the first take (no signal yet: the policy stays loose).
+	norm float64
 }
 
-// gramGrad sets fullGrad = Gŵ − r from the resident triple: 2d² + d
-// flops and no collective. The first call bills the fill to the rank,
-// filling the triple first if no objective has.
-func (e *engine) gramGrad() {
-	g := &e.gram
-	cost := e.c.Cost()
-	if g.h == nil {
-		e.fillGram()
+// exact returns ∇f at wCurr, with its gradient-map norm in ex.norm,
+// memoised per iterate version (wVer): a VR snapshot, a KKT scan and the
+// initial screen at one iterate share one take. A take reads the
+// resident Gram once it is ready (no collective), else one data pass and
+// one d-word allreduce on the caller's error-feedback stream ef at the
+// tier policy's pick, both charged. stop says the caller decides the
+// GradMapTol stop on the norm: only then is the norm charged (elsewhere
+// it is uncharged bookkeeping), and only then is a Gram norm in the band
+// nearStop names re-taken through the data.
+func (e *engine) exact(ef *solvercore.EFStream, stop bool) []float64 {
+	if e.ex.ver != e.wVer {
+		gram := e.gramReady()
+		e.takeExact(gram, ef, stop)
+		if gram && stop && e.nearStop(math.NaN(), e.ex.norm) {
+			e.takeExact(false, ef, stop)
+		}
+		e.ex.ver = e.wVer
 	}
-	if !g.billed {
-		cost.Add(g.bill)
-		g.billed = true
-	}
-	g.h.MulVec(e.fullGrad, e.wSnap, cost)
-	mat.Axpy(-1, g.r, e.fullGrad, cost)
+	return e.ex.grad
 }
 
-// gradMap sets gradMapNorm = ‖ŵ − prox_γg(ŵ − γ∇f)‖/γ from fullGrad,
-// charged only when GradMapTol asks for it.
-func (e *engine) gradMap() {
-	cost := e.c.Cost()
-	if e.opts.GradMapTol <= 0 {
+// takeExact computes the exact state of wCurr from one source: the
+// resident triple, ∇f = Gw − r at 2d² + d flops, the first take billing
+// the fill (filling it if no objective has); or the data, ∇f = X(Xᵀw −
+// y)/m reduced on ef.
+func (e *engine) takeExact(gram bool, ef *solvercore.EFStream, stop bool) {
+	cost, g := e.c.Cost(), e.ex.grad
+	if gram {
+		rg := &e.gram
+		if rg.h == nil {
+			e.fillGram()
+		}
+		if !rg.billed {
+			cost.Add(rg.bill)
+			rg.billed = true
+		}
+		rg.h.MulVec(g, e.wCurr, cost)
+		mat.Axpy(-1, rg.r, g, cost)
+	} else {
+		e.residual(cost)
+		mat.Zero(g)
+		e.local.X.MulVec(g, e.scratch, cost)
+		mat.Scal(1/float64(e.m), g, cost)
+		ef.Reduce(e.c, g, e.tierAt(len(g)))
+	}
+	if !stop || e.opts.GradMapTol <= 0 {
 		cost = nil
 	}
-	mat.AddScaled(e.tmp, e.wSnap, -e.gamma, e.fullGrad, cost)
+	mat.AddScaled(e.tmp, e.wCurr, -e.gamma, g, cost)
 	e.reg.Apply(e.tmp, e.tmp, e.gamma, cost)
-	mat.Sub(e.tmp, e.wSnap, e.tmp, cost)
-	e.gradMapNorm = mat.Nrm2(e.tmp, cost) / e.gamma
+	mat.Sub(e.tmp, e.wCurr, e.tmp, cost)
+	e.ex.norm = mat.Nrm2(e.tmp, cost) / e.gamma
+}
+
+// residual leaves this rank's Xᵀw − y at wCurr in scratch. It is local
+// and exact under every tier, so a data-pass objective at the same
+// iterate version reads it instead of taking its own pass.
+func (e *engine) residual(cost *perf.Cost) {
+	e.local.X.MulVecT(e.scratch, e.wCurr, cost)
+	mat.Axpy(-1, e.local.Y, e.scratch, cost)
+	e.ex.resid = e.wVer
 }
 
 // gramSlack is the relative band, in units of c + |F|, inside which a
@@ -115,7 +135,7 @@ const gramMapSlack = 1e-6
 // F(w) = ½wᵀGw − rᵀw + c + g(w) and ∇f(w) = Gw − r, with G = XXᵀ/m,
 // r = Xy/m and c = ‖y‖²/2m — the paper's H_n and R_n at b = 1 (Eq. 18)
 // plus one scalar. Once every rank holds the same triple, an objective
-// or a snapshot gradient costs O(d²) flops, allocates nothing and sends
+// or an exact gradient costs O(d²) flops, allocates nothing and sends
 // nothing, where a data pass costs ≥ 2·nnz_local flops and an
 // allreduce.
 //
@@ -123,8 +143,8 @@ const gramMapSlack = 1e-6
 // flops, then one f64 AllreduceShared of PackedLen(d)+d+1 words) waits
 // until stage B has sampled as many columns as it touches (gramReady),
 // so it never costs more than the Hessian sampling already spent. Its
-// bill goes to the rank once, at the first snapshot that reads the
-// triple, whether that snapshot or an earlier objective filled it: W,
+// bill goes to the rank once, at the first exact take that reads the
+// triple, whether that take or an earlier objective filled it: W,
 // Cost and Rounds do not depend on the trace cadence.
 type residentGram struct {
 	// on gates the path: off under ActiveSet, whose |A|-sized slots G
@@ -137,7 +157,7 @@ type residentGram struct {
 	h *mat.SymPacked
 	r []float64
 	c float64
-	// bill is the fill's cost; billed is set once a snapshot charged it.
+	// bill is the fill's cost; billed is set once an exact take charged it.
 	bill   perf.Cost
 	billed bool
 }
@@ -177,7 +197,7 @@ func (g *residentGram) loss(w []float64) float64 {
 
 // fillGram builds the replicated triple from this rank's block and one
 // allreduce. Its flops and words are rolled back into g.bill, which the
-// first snapshot that reads the triple charges (gramGrad).
+// first exact take that reads the triple charges (takeExact).
 func (e *engine) fillGram() {
 	cost := e.c.Cost()
 	saved := *cost
@@ -198,14 +218,17 @@ func (e *engine) fillGram() {
 	*cost = saved
 }
 
-// nearTol reports whether the Gram value f lies within gramSlack of
-// the relative-error stop, where only a data pass may decide it.
-func (e *engine) nearTol(f float64) bool {
-	tol, fs := e.rec.Tol, e.rec.FStar
-	if !(tol > 0) || math.IsNaN(fs) {
-		return false
+// nearStop is the one source rule: a Gram-sourced objective f within
+// gramSlack of the relative-error stop, or a Gram-sourced gradient-map
+// norm within gramMapSlack of GradMapTol, sits where only a data pass may
+// decide the stop, so its reader re-takes it through the data. Pass NaN
+// for the value a reader does not hold.
+func (e *engine) nearStop(f, norm float64) bool {
+	if tol := e.opts.GradMapTol; tol > 0 && norm <= tol*(1+gramMapSlack) {
+		return true
 	}
-	return math.Abs(f-fs) <= tol*math.Abs(fs)+gramSlack*(e.gram.c+math.Abs(f))
+	tol, fs := e.rec.Tol, e.rec.FStar
+	return tol > 0 && math.Abs(f-fs) <= tol*math.Abs(fs)+gramSlack*(e.gram.c+math.Abs(f))
 }
 
 // evaluate computes the global objective F(wCurr) as instrumentation:
@@ -215,23 +238,25 @@ func (e *engine) nearTol(f float64) bool {
 // filling it if no snapshot has yet. A final checkpoint — one after
 // which the solve ends — always takes the data pass, and so does a Gram
 // value at the Tol threshold, so Result.FinalObj and every stop are the
-// data pass's exactly.
+// data pass's exactly. The data pass reads the residual an exact take
+// left at this iterate, if one did.
 func (e *engine) evaluate(final bool) float64 {
 	g := &e.gram
 	if !final && e.gramReady() {
 		if g.h == nil {
 			e.fillGram()
 		}
-		if f := g.loss(e.wCurr) + e.reg.Value(e.wCurr, nil); !e.nearTol(f) {
+		if f := g.loss(e.wCurr) + e.reg.Value(e.wCurr, nil); !e.nearStop(f, math.NaN()) {
 			return f
 		}
 	}
 	cost := e.c.Cost()
 	saved := *cost
-	e.local.X.MulVecT(e.scratch, e.wCurr, nil)
+	if e.ex.resid != e.wVer {
+		e.residual(nil)
+	}
 	var loss float64
-	for i, t := range e.scratch {
-		res := t - e.local.Y[i]
+	for _, res := range e.scratch {
 		loss += res * res
 	}
 	loss = dist.AllreduceScalarSumTier(e.c, loss, e.tierAt(1))

@@ -163,3 +163,62 @@ func TestOneCollectivePerRound(t *testing.T) {
 		}
 	}
 }
+
+// scanProbe is the engine's InnerPass that counts the rounds ending in
+// an exact KKT scan.
+type scanProbe struct {
+	*engine
+	scans int
+}
+
+func (p *scanProbe) Process(shared []float64) bool {
+	stop := p.engine.Process(shared)
+	if p.as.sinceScan == 0 {
+		p.scans++
+	}
+	return stop
+}
+
+// TestScanOnSnapshotIterateTakesNoCollective pins the exact-state memo
+// on a VR + ActiveSet f64 solve at P = 2 over chan and tcp. With one
+// snapshot refresh per round (EpochLen = k·S), the initial screen and
+// every KKT scan land on a snapshot iterate and read its exact state:
+// the d-word collectives are exactly the snapshots', one at w0 and one
+// per round, redo rounds included.
+func TestScanOnSnapshotIterateTakesNoCollective(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := gramOpts(p)
+	o.ActiveSet = true
+	o.K, o.S, o.EpochLen = 2, 1, 2
+	for _, backend := range []string{"chan", "tcp"} {
+		const procs = 2
+		counters := make([]*CallCounter, procs)
+		probes := make([]*scanProbe, procs)
+		wrap := func(c dist.Comm) dist.Comm {
+			cc := &CallCounter{Comm: c}
+			counters[c.Rank()] = cc
+			return cc
+		}
+		res, _, err := engineWorld(t, backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
+			probe := &scanProbe{engine: e}
+			probes[e.c.Rank()] = probe
+			return e.run(context.Background(), e, probe)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, cc := range counters {
+			name := fmt.Sprintf("%s rank %d", backend, rank)
+			if probes[rank].scans == 0 {
+				t.Fatalf("%s: no KKT scan ran in %d rounds", name, res.Rounds)
+			}
+			if n, want := cc.Count("allreduce/sum", p.X.Rows), 1+res.Rounds; n != want {
+				t.Errorf("%s: %d d-word collectives over %d rounds and %d scans, want %d (the snapshots')",
+					name, n, res.Rounds, probes[rank].scans, want)
+			}
+		}
+	}
+}

@@ -2,41 +2,12 @@ package solver
 
 // Screening-rule side of the active-set engine (see activeset.go for
 // the shared state, activeset_window.go for the round protocol): the
-// exact-gradient evaluation, the working-set derivation, and the KKT
-// violation check a scan runs.
-
-import "github.com/hpcgo/rcsfista/internal/mat"
-
-// exactGradient writes the exact full gradient (1/m)(X X^T w - X y) at
-// wCurr into dst: one local Gram-free pass plus one d-word allreduce,
-// both charged — the screening correctness check is part of the
-// algorithm, not instrumentation.
-func (e *engine) exactGradient(dst []float64) {
-	cost := e.c.Cost()
-	e.local.X.MulVecT(e.scratch, e.wCurr, cost)
-	mat.Axpy(-1, e.local.Y, e.scratch, cost)
-	mat.Zero(dst)
-	e.local.X.MulVec(dst, e.scratch, cost)
-	mat.Scal(1/float64(e.m), dst, cost)
-	e.kktEF.Reduce(e.c, dst, e.tierAt(len(dst)))
-	if e.tiers.auto {
-		// The exact gradient doubles as the auto tier policy's
-		// tightening signal: non-variance-reduced active-set runs never
-		// take the snapshot pass, so this is their only source of the
-		// proximal gradient-map norm. Pure function of allreduced state,
-		// and control-plane only — uncharged, like evaluate's
-		// instrumentation, so the policy's bookkeeping cannot eat the
-		// modeled time its tier choices save.
-		mat.AddScaled(e.tmp, e.wCurr, -e.gamma, dst, nil)
-		e.reg.Apply(e.tmp, e.tmp, e.gamma, nil)
-		mat.Sub(e.tmp, e.wCurr, e.tmp, nil)
-		e.gradMapNorm = mat.Nrm2(e.tmp, nil) / e.gamma
-	}
-}
+// working-set derivation and the KKT violation check a scan runs, both
+// on the exact gradient g at wCurr (engine.exact).
 
 // deriveActive computes the next window's working set from the current
 // (shared) state. It issues no collective: the set is a pure function
-// of allreduced quantities (gExact and the replicated iterates), so
+// of allreduced quantities (g and the replicated iterates), so
 // every rank builds the identical one — the same rationale that lets
 // the shared sample streams skip coordination. The iterate supports are
 // included so the reduced FISTA recurrences v = w + mu*(w - wPrev) and
@@ -46,7 +17,7 @@ func (e *engine) exactGradient(dst []float64) {
 // for group lasso) admits every coordinate the KKT conditions cannot
 // screen at margin, and CloseSupport keeps the set group-closed under
 // group penalties.
-func (e *engine) deriveActive() {
+func (e *engine) deriveActive(g []float64) {
 	as := e.as
 	d := e.d
 	for w := range as.bits {
@@ -61,7 +32,7 @@ func (e *engine) deriveActive() {
 			as.bits[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	e.scr.GradScreen(as.bits, as.gExact, e.wCurr, as.margin)
+	e.scr.GradScreen(as.bits, g, e.wCurr, as.margin)
 	e.scr.CloseSupport(as.bits)
 	n := 0
 	same := true
@@ -97,11 +68,11 @@ func (e *engine) deriveActive() {
 }
 
 // kktViolations returns the screened coordinates whose exact KKT
-// condition (prox.Screener.Violations — |gExact_i| > Lambda for l1,
+// condition (prox.Screener.Violations — |g_i| > Lambda for l1,
 // the regularizer-specific rule otherwise) fails at wCurr. layout is
 // sorted; membership goes through a scratch bitset so the check stays
 // O(d) regardless of the regularizer's access pattern.
-func (e *engine) kktViolations(layout []int) []int {
+func (e *engine) kktViolations(layout []int, g []float64) []int {
 	as := e.as
 	for w := range as.layoutBits {
 		as.layoutBits[w] = 0
@@ -109,9 +80,7 @@ func (e *engine) kktViolations(layout []int) []int {
 	for _, i := range layout {
 		as.layoutBits[i>>6] |= 1 << uint(i&63)
 	}
-	return e.scr.Violations(as.gExact, e.wCurr, func(i int) bool {
-		return as.layoutBits[i>>6]&(1<<uint(i&63)) != 0
-	})
+	return e.scr.Violations(g, e.wCurr, as.inLayout)
 }
 
 // unionSorted merges two sorted, disjoint-or-not index sets.

@@ -121,9 +121,9 @@ func (e *engine) tierAt(n int) dist.Tier {
 		tighten = 100 * e.opts.GradMapTol
 	}
 	loosest := dist.TierF32
-	if !(e.gradMapNorm <= tighten) { // +Inf (no signal yet) stays loose
+	if !(e.ex.norm <= tighten) { // +Inf (no signal yet) stays loose
 		loosest = dist.TierI8
-	} else if e.opts.GradMapTol > 0 && e.gradMapNorm <= 10*e.opts.GradMapTol {
+	} else if e.opts.GradMapTol > 0 && e.ex.norm <= 10*e.opts.GradMapTol {
 		loosest = dist.TierF64
 	}
 	if loosest > e.tierCap { // objective-stagnation ratchet (tierProgress)
@@ -164,11 +164,6 @@ func (e *engine) resetCompressState() {
 	e.exch.ResetResidual()
 	e.kktEF.Reset()
 }
-
-// gradMapNormInit is the pre-signal value of the auto policy's
-// tightening input: no exact gradient has been reduced yet, so the
-// policy stays on the loosest permitted rung.
-func gradMapNormInit() float64 { return math.Inf(1) }
 
 // tierProgress feeds one evaluated objective (identical on every rank:
 // the loss is allreduced, the regularizer evaluates the replicated

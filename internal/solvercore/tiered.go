@@ -11,7 +11,9 @@ import (
 // gradient refresh, the KKT full-gradient scan) owns its own stream:
 // residuals are a running carry of that site's quantization error, and
 // mixing sites would inject one reduction's error into an unrelated
-// payload.
+// payload. A site that reuses another's reduction of the same vector
+// (a scan landing on a snapshot iterate) reduces nothing and leaves
+// its own stream untouched.
 //
 // Reduce folds the carried residual into the payload, derives the new
 // residual locally (resid = z - TierRound(z), deterministic and
