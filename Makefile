@@ -96,8 +96,9 @@ bench:
 # One iteration of every per-package benchmark (dist, solver, the mat
 # kernels, the sparse Gram fill on both sides of its dense/sparse
 # selection, and the shared sample draw): a cheap end-to-end smoke of
-# both round loops (blocking and pipelined) and the nonblocking
-# collectives. Nothing gates on the timings — the benchmarks are tools
+# both round loops (the solver benchmarks pick each one through the
+# engine's loop argument, since no option selects it) and the
+# nonblocking collectives. Nothing gates on the timings — the benchmarks are tools
 # that report `gflops`, `ns/draw` and words next to the code they
 # measure; timing claims are made on bench/.
 bench-smoke:

@@ -73,7 +73,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		quantileEps  = flag.Float64("quantile-eps", 0, "quantile smoothing width for -loss quantile (0: default 0.5)")
 		maxIter      = flag.Int("maxiter", 2000, "maximum updates")
 		tol          = flag.Float64("tol", 1e-2, "relative objective error tolerance (0: run to maxiter)")
-		pipeline     = flag.Bool("pipeline", false, "overlap Gram fill with the in-flight Hessian allreduce (rcsfista/sfista only)")
 		activeSet    = flag.Bool("activeset", false, "screen to an active working set and ship reduced Gram batches (rcsfista/sfista only)")
 		screenMargin = flag.Float64("screen-margin", 0, "active-set screening safety margin in [0,1) (0: default 0.1)")
 		compressTier = flag.String("compress-tier", "", "wire tier for every solver collective: off|f32|i8|auto (error-feedback quantized collectives; rcsfista/sfista only)")
@@ -97,9 +96,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *compressTier != "" && *algo != "rcsfista" && *algo != "sfista" {
 		return fmt.Errorf("-compress-tier applies to rcsfista/sfista only, not %q", *algo)
 	}
-	if *pipeline && *algo != "rcsfista" && *algo != "sfista" {
-		return fmt.Errorf("-pipeline applies to rcsfista/sfista only, not %q", *algo)
-	}
 	if *lossName == "" {
 		*lossName = "ls"
 	}
@@ -107,8 +103,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if *algo != "rcsfista" {
 			return fmt.Errorf("-loss %s runs on the proximal newton engine; leave -algo at its default", *lossName)
 		}
-		if *activeSet || *pipeline || *compressTier != "" {
-			return fmt.Errorf("-loss %s does not support -activeset/-pipeline/-compress-tier", *lossName)
+		if *activeSet || *compressTier != "" {
+			return fmt.Errorf("-loss %s does not support -activeset/-compress-tier", *lossName)
 		}
 	}
 
@@ -352,7 +348,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		opts.K = *k
 		opts.S = *s
 		opts.Seed = *seed
-		opts.Pipeline = *pipeline
 		opts.ActiveSet = *activeSet
 		opts.ScreenMargin = *screenMargin
 		opts.CompressTier = *compressTier

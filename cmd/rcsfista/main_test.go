@@ -72,37 +72,6 @@ func TestCLILogistic(t *testing.T) {
 	}
 }
 
-func TestCLIPipeline(t *testing.T) {
-	args := fastArgs("-procs", "4", "-k", "4", "-tol", "0")
-	blocking := runCLI(t, args...)
-	pipelined := runCLI(t, append(args, "-pipeline")...)
-	if !strings.Contains(pipelined, "algorithm rcsfista on P=4") {
-		t.Fatalf("missing summary:\n%s", pipelined)
-	}
-	// Same fixed budget, same seed: the objective line must match
-	// bit for bit — pipelining moves modeled time only.
-	want := "F(w) = "
-	i, j := strings.Index(blocking, want), strings.Index(pipelined, want)
-	if i < 0 || j < 0 {
-		t.Fatalf("objective line missing:\n%s", pipelined)
-	}
-	lineOf := func(s string, at int) string { return s[at : at+strings.IndexByte(s[at:], '\n')] }
-	if lineOf(blocking, i) != lineOf(pipelined, j) {
-		t.Fatalf("objectives diverged:\n%s\nvs\n%s", lineOf(blocking, i), lineOf(pipelined, j))
-	}
-
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-algo", "fista", "-pipeline", "-tol", "0"}, &out); err == nil {
-		t.Fatal("-pipeline with -algo fista accepted")
-	}
-	// Checked with the other rcsfista-only flags, before any world is
-	// launched or dataset loaded: the dataset named here does not exist.
-	err := run(context.Background(), []string{"-algo", "pn", "-pipeline", "-dataset", "nosuch"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-pipeline") {
-		t.Fatalf("-algo pn -pipeline -dataset nosuch: got %v, want the -pipeline error", err)
-	}
-}
-
 // TestCLIMultiProcessTCP: -transport tcp spawns one OS process per
 // rank over real localhost sockets, and the solve lands on the same
 // objective bits as the in-process chan backend with the same seed.
@@ -195,6 +164,18 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-badflag"}, &out); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	// The rcsfista-only flags are checked before any world is launched
+	// or dataset loaded: the dataset named here does not exist.
+	for _, f := range [][]string{{"-activeset"}, {"-compress-tier", "f32"}} {
+		err := run(context.Background(), append([]string{"-algo", "pn", "-dataset", "nosuch"}, f...), &out)
+		if err == nil || !strings.Contains(err.Error(), f[0]) {
+			t.Fatalf("-algo pn %v -dataset nosuch: got %v, want the %s error", f, err, f[0])
+		}
+	}
+	err := run(context.Background(), []string{"-loss", "logistic", "-activeset", "-dataset", "nosuch"}, &out)
+	if err == nil || err.Error() != "-loss logistic does not support -activeset/-compress-tier" {
+		t.Fatalf("-loss logistic -activeset: got %v", err)
 	}
 }
 

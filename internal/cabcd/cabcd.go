@@ -173,7 +173,6 @@ func (e *engine) BatchLen() int { return e.sb*e.sb + e.sb }
 // computes the local partials: cross-Gram (1/m) X_B,loc X_B,loc^T over
 // the local samples, and gradient g_B = (1/m) X_B,loc res_loc.
 func (e *engine) Fill(payload []float64) perf.Cost {
-	cost := e.rec.Cost
 	round := e.rec.Rounds + 1
 	sb, m := e.sb, e.m
 	e.blocks = e.sampler.AppendSample(e.blocks[:0], round)
@@ -201,8 +200,7 @@ func (e *engine) Fill(payload []float64) perf.Cost {
 			flops += int64(2 * (len(colsA) + len(colsB)))
 		}
 	}
-	cost.AddFlops(flops)
-	return perf.Cost{}
+	return perf.Cost{Flops: flops}
 }
 
 // Process runs stage D on the combined payload: s exact block solves
@@ -290,9 +288,6 @@ func (e *engine) OnSkip() bool { return true }
 
 // Done gates on the round budget.
 func (e *engine) Done() bool { return e.rec.Rounds >= e.opts.MaxRounds }
-
-// MoreAfterNext is never consulted: CA-BCD does not pipeline.
-func (e *engine) MoreAfterNext() bool { return e.rec.Rounds+1 < e.opts.MaxRounds }
 
 // sparseRowDot computes the dot product of two sparse rows given as
 // sorted (index, value) pairs.

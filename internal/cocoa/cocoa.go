@@ -190,7 +190,7 @@ func (e *cocoaEngine) BatchLen() int { return e.m }
 // Workers with no local coordinates still participate in the
 // collectives but have no subproblem to solve.
 func (e *cocoaEngine) Fill(buf []float64) perf.Cost {
-	cost := e.rec.Cost
+	var cost perf.Cost
 	// grad f(v), fixed for the round's subproblem.
 	for i := range e.gradV {
 		e.gradV[i] = (e.v[i] - e.local.Y[i]) / float64(e.m)
@@ -226,7 +226,7 @@ func (e *cocoaEngine) Fill(buf []float64) perf.Cost {
 		}
 		cost.AddFlops(int64(6*len(cols) + 12))
 	}
-	return perf.Cost{}
+	return cost
 }
 
 // Process applies the aggregated prediction change and checkpoints.
@@ -267,9 +267,6 @@ func (e *cocoaEngine) OnSkip() bool { return true }
 
 // Done gates on the round budget.
 func (e *cocoaEngine) Done() bool { return e.rec.Rounds >= e.opts.Rounds }
-
-// MoreAfterNext is never consulted: ProxCoCoA does not pipeline.
-func (e *cocoaEngine) MoreAfterNext() bool { return e.rec.Rounds+1 < e.opts.Rounds }
 
 // SolveDistributed partitions x by features across the world and runs
 // ProxCoCoA on all ranks, returning rank 0's result with world-level

@@ -228,15 +228,13 @@ func MaxCostAcross(c Comm, local perf.Cost) perf.Cost {
 		float64(local.Messages),
 		float64(local.Words),
 		local.StallSec,
-		local.OverlapSec,
 	}
 	c.Allreduce(buf, OpMax)
 	*c.Cost() = snapshot
 	return perf.Cost{
-		Flops:      int64(buf[0]),
-		Messages:   int64(buf[1]),
-		Words:      int64(buf[2]),
-		StallSec:   buf[3],
-		OverlapSec: buf[4],
+		Flops:    int64(buf[0]),
+		Messages: int64(buf[1]),
+		Words:    int64(buf[2]),
+		StallSec: buf[3],
 	}
 }

@@ -322,9 +322,7 @@ func chargeAllreduceTier(cost *perf.Cost, p, n int, t Tier) {
 }
 
 // AllreduceCostTier returns the per-rank tree cost of an n-value
-// allreduce at tier t on p ranks. This is the quantity Request.Wait
-// charges and the communication segment the overlap cost model
-// (perf.Machine.Overlap) compares compute against.
+// allreduce at tier t on p ranks: the quantity Request.Wait charges.
 func AllreduceCostTier(p, n int, t Tier) perf.Cost {
 	var c perf.Cost
 	chargeAllreduceTier(&c, p, n, t)

@@ -18,7 +18,7 @@ import (
 
 func TestIDsResolve(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 19 {
+	if len(ids) != 18 {
 		t.Fatalf("%d experiment ids", len(ids))
 	}
 	for _, id := range ids {
@@ -26,7 +26,7 @@ func TestIDsResolve(t *testing.T) {
 			t.Fatalf("id %q does not resolve", id)
 		}
 	}
-	if ByID("nope") != nil {
+	if ByID("nope") != nil || ByID("pipeline") != nil {
 		t.Fatal("unknown id resolved")
 	}
 }

@@ -93,7 +93,6 @@ func All(cfg Config) []*Report {
 		Scaling(cfg),
 		Machines(cfg),
 		FaultSweep(cfg),
-		Pipeline(cfg),
 		ActiveSet(cfg),
 		Transport(cfg),
 		Serving(cfg),
@@ -118,7 +117,6 @@ func ByID(id string) func(Config) *Report {
 		"scaling":   Scaling,
 		"machines":  Machines,
 		"faults":    FaultSweep,
-		"pipeline":  Pipeline,
 		"activeset": ActiveSet,
 		"transport": Transport,
 		"serving":   Serving,
@@ -131,7 +129,7 @@ func ByID(id string) func(Config) *Report {
 func IDs() []string {
 	return []string{"table1", "table2", "bounds", "figure2a", "figure2b",
 		"figure3", "figure4", "figure5", "figure6", "table3", "figure7",
-		"scaling", "machines", "faults", "pipeline", "activeset", "transport", "serving", "scenarios"}
+		"scaling", "machines", "faults", "activeset", "transport", "serving", "scenarios"}
 }
 
 var _ = trace.ByModelTime // keep trace linked for plot axes used above

@@ -20,13 +20,6 @@ type Cost struct {
 	// time (Machine.Seconds) additively, outside the alpha-beta-gamma
 	// terms. Zero on fault-free runs.
 	StallSec float64
-	// OverlapSec is modeled time hidden by compute/communication
-	// overlap: when a nonblocking collective is in flight while the
-	// rank computes, the hidden segment contributes
-	// max(compute, comm) = compute + comm - min(compute, comm)
-	// to the modeled time instead of the sum. The min term accumulates
-	// here and Machine.Seconds subtracts it. Zero on blocking runs.
-	OverlapSec float64
 }
 
 // AddFlops charges n floating point operations. Safe to call on a nil
@@ -56,15 +49,6 @@ func (c *Cost) AddStall(sec float64) {
 	c.StallSec += sec
 }
 
-// AddOverlap charges sec seconds of modeled time hidden by overlapping
-// compute with an in-flight collective. Safe on a nil receiver.
-func (c *Cost) AddOverlap(sec float64) {
-	if c == nil {
-		return
-	}
-	c.OverlapSec += sec
-}
-
 // Add accumulates other into c.
 func (c *Cost) Add(other Cost) {
 	if c == nil {
@@ -74,17 +58,15 @@ func (c *Cost) Add(other Cost) {
 	c.Messages += other.Messages
 	c.Words += other.Words
 	c.StallSec += other.StallSec
-	c.OverlapSec += other.OverlapSec
 }
 
 // Sub returns c minus other, used to isolate the cost of a region.
 func (c Cost) Sub(other Cost) Cost {
 	return Cost{
-		Flops:      c.Flops - other.Flops,
-		Messages:   c.Messages - other.Messages,
-		Words:      c.Words - other.Words,
-		StallSec:   c.StallSec - other.StallSec,
-		OverlapSec: c.OverlapSec - other.OverlapSec,
+		Flops:    c.Flops - other.Flops,
+		Messages: c.Messages - other.Messages,
+		Words:    c.Words - other.Words,
+		StallSec: c.StallSec - other.StallSec,
 	}
 }
 
@@ -104,26 +86,15 @@ func (c Cost) Max(other Cost) Cost {
 	if other.StallSec > out.StallSec {
 		out.StallSec = other.StallSec
 	}
-	// Taking the per-component max of OverlapSec alongside the work
-	// components is an approximation: hidden time on the slowest rank
-	// is what the critical path should subtract, and in our SPMD runs
-	// ranks post near-identical overlap, so the max is that value.
-	if other.OverlapSec > out.OverlapSec {
-		out.OverlapSec = other.OverlapSec
-	}
 	return out
 }
 
-// String implements fmt.Stringer. The stall and overlap terms are
-// printed only when present, so blocking fault-free costs render
-// exactly as before.
+// String implements fmt.Stringer. The stall term is printed only when
+// present, so fault-free costs render as F, L and W alone.
 func (c Cost) String() string {
 	s := fmt.Sprintf("F=%d L=%d W=%d", c.Flops, c.Messages, c.Words)
 	if c.StallSec != 0 {
 		s += fmt.Sprintf(" stall=%.3gs", c.StallSec)
-	}
-	if c.OverlapSec != 0 {
-		s += fmt.Sprintf(" overlap=%.3gs", c.OverlapSec)
 	}
 	return s
 }

@@ -77,26 +77,11 @@ func HighLatency() Machine {
 
 // Seconds evaluates the model (Eq. 7) for an accumulated cost. Injected
 // stall time (fault timeouts, straggler waits) adds directly: it is
-// already in seconds and independent of the machine parameters. Hidden
-// overlap time (compute running under an in-flight nonblocking
-// collective, see Overlap) subtracts, turning each overlapped segment's
-// contribution from compute + comm into max(compute, comm). The result
-// is clamped at the stall floor so pathological overlap accounting can
-// never drive modeled time negative.
+// already in seconds and independent of the machine parameters. The
+// model has no overlap term: a round costs the same whichever loop ran
+// it.
 func (m Machine) Seconds(c Cost) float64 {
-	t := m.Gamma*float64(c.Flops) + m.Alpha*float64(c.Messages) + m.Beta*float64(c.Words) + c.StallSec - c.OverlapSec
-	return math.Max(t, c.StallSec)
-}
-
-// Overlap returns the modeled seconds hidden when the compute segment
-// runs while the comm segment is in flight: min(Seconds(compute),
-// Seconds(comm)). Charging the returned value via Cost.AddOverlap after
-// accumulating both segments normally makes the pair contribute
-// max(compute, comm) to Seconds instead of their sum — the pipelined
-// round time of a nonblocking collective fully overlapped with local
-// Gram computation.
-func (m Machine) Overlap(compute, comm Cost) float64 {
-	return math.Min(m.Seconds(compute), m.Seconds(comm))
+	return m.Gamma*float64(c.Flops) + m.Alpha*float64(c.Messages) + m.Beta*float64(c.Words) + c.StallSec
 }
 
 // String implements fmt.Stringer.

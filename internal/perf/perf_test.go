@@ -93,6 +93,22 @@ func TestCostStallAccounting(t *testing.T) {
 	}
 }
 
+// TestSecondsNeverBelowStallFloor: the model has no negative term, so a
+// cost's modeled time is at least its stall, exactly the stall when
+// nothing else was charged, and a fault-free cost prints without one.
+func TestSecondsNeverBelowStallFloor(t *testing.T) {
+	m := Comet()
+	if got := m.Seconds(Cost{StallSec: 2}); got != 2 {
+		t.Fatalf("stall-only Seconds = %g, want 2", got)
+	}
+	if got := m.Seconds(Cost{Flops: 1000, Messages: 3, Words: 40, StallSec: 2}); got <= 2 {
+		t.Fatalf("Seconds = %g, want above the 2s stall floor", got)
+	}
+	if s := (Cost{Flops: 1}).String(); s != "F=1 L=0 W=0" {
+		t.Fatalf("fault-free costs must render without a stall: %q", s)
+	}
+}
+
 func TestCostPlusMaxProperties(t *testing.T) {
 	f := func(a, b [3]int32) bool {
 		x := Cost{Flops: int64(a[0]), Messages: int64(a[1]), Words: int64(a[2])}

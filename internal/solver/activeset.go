@@ -41,12 +41,10 @@ import (
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
-// fillRec labels one filled-but-not-yet-processed batch with the state
-// its wire layout depends on: the Hessian base index its sample slots
-// were drawn at, and the working set it was filled under. A FIFO of
-// these records keeps the blocking loop (depth 1) and the pipelined
-// loop (depth 2: the in-flight batch plus the speculative one) honest
-// about which layout each resolved batch must be interpreted in.
+// fillRec labels the batch in flight with the state its wire layout
+// depends on: the Hessian base index its sample slots were drawn at,
+// and the working set it was filled under. The engine runs blocking
+// under ActiveSet, so one batch is in flight at a time.
 type fillRec struct {
 	base int
 	act  []int
@@ -60,8 +58,7 @@ type activeState struct {
 	// mutated after creation, so fillRec and actGood may alias them.
 	act []int
 	pos []int
-	// gen counts working-set changes; the pipelined Loop compares it
-	// around a speculative fill to decide whether a Refill is needed.
+	// gen counts working-set changes; the row-filtered view trails it.
 	gen int
 
 	bits []uint64
@@ -76,7 +73,7 @@ type activeState struct {
 	regOp     prox.Operator
 	regLayout []int
 
-	fills []fillRec
+	filled fillRec
 	// actGood is the layout of the last successfully exchanged batch —
 	// the layout a degraded (stale) batch must be interpreted in.
 	actGood []int
@@ -123,17 +120,6 @@ type activeMark struct {
 	t                    float64
 	sinceSnap, sinceEval int
 	gradMapStop          bool
-}
-
-func (as *activeState) pushFill(base int) {
-	as.fills = append(as.fills, fillRec{base: base, act: as.act})
-}
-
-func (as *activeState) popFill() fillRec {
-	fr := as.fills[0]
-	n := copy(as.fills, as.fills[1:])
-	as.fills = as.fills[:n]
-	return fr
 }
 
 // initActiveSet builds the screening state and derives the initial
@@ -191,33 +177,6 @@ func (e *engine) fillSlotActive(j, base int, buf []float64, layout, pos []int, v
 	}
 	sparse.SampledGramPackedRows(e.local.X, h, r, e.local.Y, cols,
 		layout, pos, e.as.rowScratch[j], e.as.valScratch[j], 1/float64(e.mbar), cost)
-}
-
-// Generation reports the working-set generation for the pipelined
-// Loop's speculative-fill invalidation check; the dense path never
-// changes layout.
-func (e *engine) Generation() int {
-	if e.as == nil {
-		return 0
-	}
-	return e.as.gen
-}
-
-// Refill rebuilds the most recently filled batch — same sample slots —
-// under the current working set, after a round's KKT verdict moved the
-// layout underneath a speculative fill.
-func (e *engine) Refill(buf []float64) perf.Cost {
-	as := e.as
-	fr := &as.fills[len(as.fills)-1]
-	fr.act = as.act
-	var fill perf.Cost
-	mat.Zero(buf)
-	view := e.activeView()
-	for j := 0; j < e.opts.K; j++ {
-		e.fillSlotActive(j, fr.base, buf, as.act, as.pos, view, &fill)
-	}
-	e.c.Cost().Add(fill)
-	return fill
 }
 
 // refillBatch refills the k sample slots at base under an expanded

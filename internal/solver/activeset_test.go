@@ -39,8 +39,7 @@ func sameSupport(a, b []int) bool {
 }
 
 // TestActiveSetMatchesDense is the correctness property of the
-// screening engine: across rank counts, blocking/pipelined loops and
-// both gradient estimators, the active-set run must land on the same
+// screening engine: across rank counts and both gradient estimators, the active-set run must land on the same
 // optimum as the dense run — final objective within 1e-10 and the
 // identical support — while shipping strictly fewer words.
 func TestActiveSetMatchesDense(t *testing.T) {
@@ -88,19 +87,14 @@ func TestActiveSetMatchesDense(t *testing.T) {
 			t.Fatalf("degenerate dense support %d/24 (VR=%v)", len(dsupp), vr)
 		}
 		for _, procs := range []int{1, 4, 8} {
-			for _, pipeline := range []bool{false, true} {
-				ao := o
-				ao.ActiveSet = true
-				ao.Pipeline = pipeline
-				act := solve(procs, ao)
-				if diff := math.Abs(act.FinalObj - dense.FinalObj); diff > 1e-10 {
-					t.Fatalf("P=%d pipeline=%v VR=%v: |F_active - F_dense| = %g > 1e-10",
-						procs, pipeline, vr, diff)
-				}
-				if !sameSupport(support(act.W), dsupp) {
-					t.Fatalf("P=%d pipeline=%v VR=%v: support %v != dense %v",
-						procs, pipeline, vr, support(act.W), dsupp)
-				}
+			ao := o
+			ao.ActiveSet = true
+			act := solve(procs, ao)
+			if diff := math.Abs(act.FinalObj - dense.FinalObj); diff > 1e-10 {
+				t.Fatalf("P=%d VR=%v: |F_active - F_dense| = %g > 1e-10", procs, vr, diff)
+			}
+			if !sameSupport(support(act.W), dsupp) {
+				t.Fatalf("P=%d VR=%v: support %v != dense %v", procs, vr, support(act.W), dsupp)
 			}
 		}
 	}
@@ -158,9 +152,7 @@ func TestActiveSetShipsFewerWords(t *testing.T) {
 // retry/degrade machinery: a transient drop, a hard drop that degrades
 // to the stale batch (whose wire layout the engine must look up from
 // the fill that produced it), and a straggler. The run must still land
-// on the dense optimum, and the pipelined loop — fill records two deep,
-// a speculative fill in hand across every scan — on the blocking run's
-// iterate bit for bit.
+// on the dense optimum.
 func TestActiveSetFaultPlan(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 20, M: 240, Density: 0.3, TrueNnz: 4, Lambda: 0.15, Seed: 5, NoiseStd: 0.01})
 	l := prox.EstimateLipschitz(p.X, 50, nil, nil)
@@ -197,12 +189,6 @@ func TestActiveSetFaultPlan(t *testing.T) {
 	}
 	if diff := math.Abs(act.FinalObj - dense.FinalObj); diff > 1e-10 {
 		t.Fatalf("|F_active_faulty - F_dense| = %g > 1e-10", diff)
-	}
-	ao.Pipeline = true
-	piped := solve(ao)
-	requireBitIdentical(t, "pipeline-activeset-faults", act, piped)
-	if piped.Faults != act.Faults {
-		t.Fatalf("fault stats differ: %+v vs %+v", piped.Faults, act.Faults)
 	}
 }
 
@@ -303,7 +289,7 @@ func TestActiveSetRewindRetakesExactState(t *testing.T) {
 	f0 := e.evaluate(true)
 	buf := make([]float64, e.BatchLen())
 	e.Fill(buf)
-	fr := e.as.popFill()
+	fr := e.as.filled
 	h, r := e.slotView(buf, 0, len(fr.act))
 	e.updateActive(h, r, fr.act)
 	if g1 := e.exact(&e.kktEF, false); sameBits(g1, g0) || e.evaluate(true) == f0 {

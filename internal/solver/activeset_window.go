@@ -101,7 +101,7 @@ func (e *engine) activeView() *sparse.ActiveView {
 // every rank issues the identical collective sequence.
 func (e *engine) processActive(shared []float64) bool {
 	as := e.as
-	fr := as.popFill()
+	fr := as.filled
 	layout := e.batchLayout(fr.act)
 	if len(as.winBases) == 0 {
 		as.winMark = e.markActive()

@@ -117,8 +117,9 @@ func (e *svrgEngine) Fill(buf []float64) perf.Cost {
 	h := mat.SymPackedOf(e.d, buf[:e.hLen])
 	h.Zero()
 	mat.Zero(buf[e.hLen:])
-	sparse.SampledGramPacked(e.x, h, buf[e.hLen:], e.y, e.cols, 1/float64(e.mbar), e.rec.Cost)
-	return perf.Cost{}
+	var cost perf.Cost
+	sparse.SampledGramPacked(e.x, h, buf[e.hLen:], e.y, e.cols, 1/float64(e.mbar), &cost)
+	return cost
 }
 
 // refresh re-centers the variance-reduction snapshot.
@@ -164,9 +165,6 @@ func (e *svrgEngine) OnSkip() bool { return true }
 
 // Done gates on the iteration budget.
 func (e *svrgEngine) Done() bool { return e.rec.Rounds >= e.opts.MaxIter }
-
-// MoreAfterNext is never consulted: ProxSVRG does not pipeline.
-func (e *svrgEngine) MoreAfterNext() bool { return e.rec.Rounds+1 < e.opts.MaxIter }
 
 // CoordinateDescent runs GLMNET-style cyclic coordinate descent for
 // the LASSO (Friedman, Hastie & Tibshirani 2010 — the paper's

@@ -13,7 +13,6 @@ import (
 	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
-	"github.com/hpcgo/rcsfista/internal/solvercore"
 )
 
 func cancelOpts(p *data.Problem) Options {
@@ -78,7 +77,6 @@ func TestCancelMidSolve(t *testing.T) {
 		for _, pipeline := range []bool{false, true} {
 			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
 			opts := cancelOpts(p)
-			opts.Pipeline = pipeline
 			baseline := runtime.NumGoroutine()
 
 			ctx, cancel := context.WithCancel(context.Background())
@@ -86,11 +84,9 @@ func TestCancelMidSolve(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 				cancel()
 			}()
-			w, err := dist.NewWorldOn(backend, 4, perf.Comet())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := SolveDistributedContext(ctx, w, p.X, p.Y, opts)
+			res, _, err := engineWorld(t, backend, 4, p, opts, nil, func(e *engine) (*Result, error) {
+				return e.run(ctx, e, e, pipeline)
+			})
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: err = %v, want Canceled", name, err)
@@ -110,19 +106,16 @@ type rankRun struct {
 	err error
 }
 
-// solvePerRank runs RCSFISTAContext on every rank of a procs-rank world
-// on backend, rank r under ctxOf(r), and returns each rank's outcome.
-func solvePerRank(t *testing.T, backend string, procs int, p *data.Problem, o Options,
+// solvePerRank runs the engine on the blocking or the pipelined round
+// loop on every rank of a procs-rank world on backend, rank r under
+// ctxOf(r), and returns each rank's outcome.
+func solvePerRank(t *testing.T, backend string, procs int, p *data.Problem, o Options, pipelined bool,
 	ctxOf func(rank int) context.Context) []rankRun {
 	t.Helper()
-	w, err := dist.NewWorldOn(backend, procs, perf.Comet())
-	if err != nil {
-		t.Fatal(err)
-	}
 	runs := make([]rankRun, procs)
-	_, err = solvercore.RunWorld(w, func(c dist.Comm) (*Result, error) {
-		res, err := RCSFISTAContext(ctxOf(c.Rank()), c, Partition(p.X, p.Y, c.Size(), c.Rank()), o)
-		runs[c.Rank()] = rankRun{res, err}
+	_, _, err := engineWorld(t, backend, procs, p, o, nil, func(e *engine) (*Result, error) {
+		res, err := e.run(ctxOf(e.c.Rank()), e, e, pipelined)
+		runs[e.c.Rank()] = rankRun{res, err}
 		return res, err
 	})
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
@@ -180,9 +173,8 @@ func TestCancelOneRank(t *testing.T) {
 		for _, pipeline := range []bool{false, true} {
 			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
 			o := cancelOpts(p)
-			o.Pipeline = pipeline
 			baseline := runtime.NumGoroutine()
-			runs := solvePerRank(t, backend, procs, p, o, lastRankExpires(procs, n))
+			runs := solvePerRank(t, backend, procs, p, o, pipeline, lastRankExpires(procs, n))
 			requireLastRankCancel(t, name, runs, n, p.X.Rows)
 			dist.VerifyNoGoroutineLeaks(t, baseline)
 		}
@@ -216,7 +208,7 @@ func TestCancelVoteUnderTiers(t *testing.T) {
 			o := cancelOpts(p)
 			o.CompressTier = tier
 			baseline := runtime.NumGoroutine()
-			runs := solvePerRank(t, backend, procs, p, o, lastRankExpires(procs, n))
+			runs := solvePerRank(t, backend, procs, p, o, true, lastRankExpires(procs, n))
 			requireLastRankCancel(t, name, runs, n, p.X.Rows)
 			dist.VerifyNoGoroutineLeaks(t, baseline)
 		}
@@ -251,7 +243,6 @@ func TestCancelDegradedForever(t *testing.T) {
 		for _, pipeline := range []bool{false, true} {
 			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
 			o := cancelOpts(p)
-			o.Pipeline = pipeline
 			o.MaxRetries = 1
 			o.Faults = &dist.FaultPlan{Seed: 5, Crash: &dist.Crash{Rank: 1, Round: crashAt, Outage: 1 << 30}}
 			baseline := runtime.NumGoroutine()
@@ -260,7 +251,7 @@ func TestCancelDegradedForever(t *testing.T) {
 				if e.c.Rank() == procs-1 {
 					ctx = roundCtx{Context: ctx, rounds: &e.rec.Rounds, at: at}
 				}
-				return e.run(ctx, e, e)
+				return e.run(ctx, e, e, pipeline)
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: err = %v, want Canceled", name, err)

@@ -61,7 +61,7 @@ func TestGradMapMatchesOutside(t *testing.T) {
 	}{
 		{"vr", func(o *Options) { o.K = 2 }},
 		{"dense/b1", func(o *Options) { o.B = 1 }},
-		{"pipelined/s2", func(o *Options) { o.K, o.S, o.Pipeline = 4, 2, true }},
+		{"s2", func(o *Options) { o.K, o.S = 4, 2 }},
 		{"activeset", func(o *Options) { o.ActiveSet = true }},
 	} {
 		o := gramOpts(p)

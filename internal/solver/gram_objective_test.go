@@ -80,11 +80,12 @@ func engineWorld(t *testing.T, backend string, procs int, p *data.Problem, o Opt
 	return res, engines, err
 }
 
-// runEngines is engineWorld running the production solve.
-func runEngines(ctx context.Context, t *testing.T, backend string, procs int, p *data.Problem, o Options) (*Result, []*engine, error) {
+// runEngines is engineWorld running the production stages on the
+// blocking or the pipelined round loop.
+func runEngines(ctx context.Context, t *testing.T, backend string, procs int, p *data.Problem, o Options, pipelined bool) (*Result, []*engine, error) {
 	t.Helper()
 	return engineWorld(t, backend, procs, p, o, nil, func(e *engine) (*Result, error) {
-		return e.run(ctx, e, e)
+		return e.run(ctx, e, e, pipelined)
 	})
 }
 
@@ -139,11 +140,11 @@ func counting(procs, d int) (func(dist.Comm) dist.Comm, []*passCounter) {
 }
 
 // countedRun is runEngines with a passCounter on every rank.
-func countedRun(ctx context.Context, t *testing.T, backend string, procs int, p *data.Problem, o Options) (*Result, []*engine, []*passCounter, error) {
+func countedRun(ctx context.Context, t *testing.T, backend string, procs int, p *data.Problem, o Options, pipelined bool) (*Result, []*engine, []*passCounter, error) {
 	t.Helper()
 	wrap, counters := counting(procs, p.X.Rows)
 	res, engines, err := engineWorld(t, backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
-		return e.run(ctx, e, e)
+		return e.run(ctx, e, e, pipelined)
 	})
 	return res, engines, counters, err
 }
@@ -229,18 +230,19 @@ func TestGramObjectiveEngagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		procs int
-		edit  func(o *Options)
+		name      string
+		procs     int
+		pipelined bool
+		edit      func(o *Options)
 	}{
-		{"rcsfista", 4, func(o *Options) {}},
-		{"pipelined", 4, func(o *Options) { o.Pipeline = true; o.K = 2; o.S = 2; o.EvalEvery = 1 }},
-		{"sfista", 4, func(o *Options) { o.K, o.S = 1, 1 }},
-		{"plain", 4, func(o *Options) { o.VarianceReduced = false }},
+		{"rcsfista", 4, false, func(o *Options) {}},
+		{"pipelined", 4, true, func(o *Options) { o.K = 2; o.S = 2; o.EvalEvery = 1 }},
+		{"sfista", 4, false, func(o *Options) { o.K, o.S = 1, 1 }},
+		{"plain", 4, false, func(o *Options) { o.VarianceReduced = false }},
 	} {
 		o := gramOpts(p)
 		tc.edit(&o)
-		_, engines, counters, err := countedRun(context.Background(), t, "chan", tc.procs, p, o)
+		_, engines, counters, err := countedRun(context.Background(), t, "chan", tc.procs, p, o, tc.pipelined)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -271,7 +273,7 @@ func TestGramObjectiveEngagement(t *testing.T) {
 	// redoes some windows).
 	o := gramOpts(p)
 	o.ActiveSet = true
-	res, engines, counters, err := countedRun(context.Background(), t, "chan", 4, p, o)
+	res, engines, counters, err := countedRun(context.Background(), t, "chan", 4, p, o, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +290,7 @@ func TestGramObjectiveEngagement(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			o := gramOpts(p)
 			o.CompressTier = tier
-			_, engines, err := runEngines(context.Background(), t, "chan", procs, p, o)
+			_, engines, err := runEngines(context.Background(), t, "chan", procs, p, o, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +306,7 @@ func TestGramObjectiveEngagement(t *testing.T) {
 	o = gramOpts(p)
 	o.W0, _ = Reference(p.X, p.Y, p.Lambda, 2000)
 	o.GradMapTol = 1e-3
-	res, engines, counters, err = countedRun(context.Background(), t, "chan", 4, p, o)
+	res, engines, counters, err = countedRun(context.Background(), t, "chan", 4, p, o, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,16 +359,17 @@ func TestGramObjectiveMovesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		procs int
-		edit  func(o *Options)
+		name      string
+		procs     int
+		pipelined bool
+		edit      func(o *Options)
 	}{
-		{"maxiter/p1", 1, func(o *Options) {}},
-		{"maxiter/p4", 4, func(o *Options) {}},
-		{"gradmap/p4", 4, func(o *Options) { o.GradMapTol = 1e-4; o.MaxIter = 2000 }},
-		{"pipelined/p4", 4, func(o *Options) { o.Pipeline = true; o.K = 4; o.S = 2 }},
-		{"sfista/p2", 2, func(o *Options) { o.K, o.S = 1, 1 }},
-		{"plain/p4", 4, func(o *Options) { o.VarianceReduced = false; o.K = 2 }},
+		{"maxiter/p1", 1, false, func(o *Options) {}},
+		{"maxiter/p4", 4, false, func(o *Options) {}},
+		{"gradmap/p4", 4, false, func(o *Options) { o.GradMapTol = 1e-4; o.MaxIter = 2000 }},
+		{"pipelined/p4", 4, true, func(o *Options) { o.K = 4; o.S = 2 }},
+		{"sfista/p2", 2, false, func(o *Options) { o.K, o.S = 1, 1 }},
+		{"plain/p4", 4, false, func(o *Options) { o.VarianceReduced = false; o.K = 2 }},
 	} {
 		run := func(evalEvery int) *Result {
 			o := gramOpts(p)
@@ -375,7 +378,7 @@ func TestGramObjectiveMovesNothing(t *testing.T) {
 			if evalEvery == 0 {
 				o.EvalEvery = o.MaxIter
 			}
-			res, engines, err := runEngines(context.Background(), t, "chan", tc.procs, p, o)
+			res, engines, err := runEngines(context.Background(), t, "chan", tc.procs, p, o, tc.pipelined)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -416,7 +419,7 @@ func TestGramObjectiveTolStop(t *testing.T) {
 			if e.c.Rank() == 0 {
 				at = fillIter(e)
 			}
-			return e.run(context.Background(), e, e)
+			return e.run(context.Background(), e, e, false)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -548,9 +551,8 @@ func TestGramObjectiveCancelAfterFill(t *testing.T) {
 			o := gramOpts(p)
 			o.K, o.S = 1, 1
 			o.MaxIter = 100000
-			o.Pipeline = pipeline
 			baseline := runtime.NumGoroutine()
-			res, engines, counters, err := countedRun(newCancelAfter(procs*rounds), t, backend, procs, p, o)
+			res, engines, counters, err := countedRun(newCancelAfter(procs*rounds), t, backend, procs, p, o, pipeline)
 			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: err = %v, want Canceled", name, err)
@@ -599,9 +601,8 @@ func TestGramObjectiveUnderFaults(t *testing.T) {
 			o.MaxIter = 120
 			o.Faults = plan()
 			o.MaxRetries = 2
-			o.Pipeline = pipeline
 			o.EvalEvery = evalEvery
-			res, engines, counters, err := countedRun(context.Background(), t, "chan", 4, p, o)
+			res, engines, counters, err := countedRun(context.Background(), t, "chan", 4, p, o, pipeline)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -715,7 +716,7 @@ func TestGramSnapshotCertifiedStop(t *testing.T) {
 			name := fmt.Sprintf("%s/p%d", backend, procs)
 			o := gramOpts(p)
 			o.MaxIter, o.GradMapTol, o.EvalEvery = 4000, 1e-4, 1000
-			res, engines, counters, err := countedRun(context.Background(), t, backend, procs, p, o)
+			res, engines, counters, err := countedRun(context.Background(), t, backend, procs, p, o, false)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

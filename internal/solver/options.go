@@ -128,18 +128,12 @@ type Options struct {
 	// each attempt (RetryBackoff * 2^(a-1)); 0 selects RoundTimeout/4.
 	// Only meaningful with Faults.
 	RetryBackoff float64
-	// Pipeline enables nonblocking pipelined rounds: the batched
-	// Hessian allreduce of round r is posted with
-	// dist.Comm.IAllreduceShared and, while it is in flight, round
-	// r+1's local Gram batch is filled into a second buffer; the
-	// solver then waits on the collective before running the postponed
-	// updates. The iterates are bit-identical to the blocking engine —
-	// the sample sequence is a pure function of (Seed, instance index)
-	// and the reduction order is unchanged — only the modeled cost
-	// differs: each overlapped round contributes
-	// max(compute, communication) instead of their sum
-	// (perf.Machine.Overlap). Default off, so existing runs are
-	// untouched.
+	// Pipeline selects nothing: the engine picks its round loop itself,
+	// blocking under ActiveSet and pipelined (round r+1's batch filled
+	// while round r's allreduce is in flight) otherwise, and both loops
+	// give the same iterates, costs and trace.
+	//
+	// Deprecated: ignored.
 	Pipeline bool
 	// ActiveSet enables dynamic l1 screening: the ranks hold the working
 	// set A = supp(w) u {i : |grad f(w)_i| > Lambda*(1-ScreenMargin)}

@@ -56,8 +56,7 @@ func TestPackedDenseGoldenEquivalence(t *testing.T) {
 	o.EvalEvery = 8
 	requireBitIdentical(t, "self", selfSolve(t, p, o), selfSolveStages(t, p, o, denseStages))
 	o.S = 2
-	o.Pipeline = true
-	requireBitIdentical(t, "self/S=2/pipelined", selfSolve(t, p, o), selfSolveStages(t, p, o, denseStages))
+	requireBitIdentical(t, "self/S=2", selfSolve(t, p, o), selfSolveStages(t, p, o, denseStages))
 }
 
 func TestPackedDenseEquivalenceDistributed(t *testing.T) {

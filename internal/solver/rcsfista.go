@@ -55,15 +55,21 @@ func RCSFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	return e.run(ctx, e, e)
+	return e.run(ctx, e, e, !e.opts.ActiveSet)
 }
 
-// run drives the solve on solvercore.Loop with the given stage A/B
-// filler and stage D pass. Production passes the engine itself for
-// both; the dense-slot and Eq. 16-17 delta-form reference
-// implementations held by the tests plug their own in here.
-func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solvercore.InnerPass) (*Result, error) {
+// run drives the solve with the given stage A/B filler and stage D
+// pass on solvercore.PipelinedLoop when pipelined, else on the blocking
+// solvercore.Loop. Production passes the engine for both stages and
+// runs screening blocking — a KKT scan can move the working set a
+// speculative fill was laid out on — and everything else pipelined;
+// both loops charge and record identically, so the choice moves wall
+// time only. Tests plug reference stages in here and run both loops.
+func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solvercore.InnerPass, pipelined bool) (*Result, error) {
 	opts := e.opts
+	if pipelined && opts.ActiveSet {
+		panic("solver: the pipelined loop cannot run under ActiveSet")
+	}
 	if opts.VarianceReduced {
 		e.refreshSnapshot()
 	}
@@ -87,7 +93,11 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 		e.initActiveSet()
 	}
 	e.checkpoint(false)
-	spec := solvercore.Spec{
+	loop := solvercore.Loop
+	if pipelined {
+		loop = solvercore.PipelinedLoop
+	}
+	err := loop(solvercore.Spec{
 		Ctx:      ctx,
 		Comm:     e.c,
 		Rec:      e.rec,
@@ -95,17 +105,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 		Exchange: e.exch,
 		Pass:     pass,
 		Stop:     e,
-		Pipeline: opts.Pipeline,
-		CommCost: e.commCost(fill.BatchLen()),
-	}
-	if opts.ActiveSet {
-		// The batch length moves with the working set; price each
-		// overlapped collective at its actual in-flight length (and, under
-		// compression, at the tier the engine picks for it). Left nil on
-		// the dense path so golden modeled costs are untouched.
-		spec.CommCostOf = e.commCost
-	}
-	err := solvercore.Loop(spec)
+	})
 	if err == nil && !e.rec.Converged && e.sinceEval != 0 {
 		e.rec.Converged = e.checkpoint(true)
 	}
@@ -113,7 +113,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 }
 
 // SFISTA runs the k=1, S=1 stochastic variance-reduced algorithm
-// (Algorithms 3/4) — RC-SFISTA without overlap or reuse.
+// (Algorithms 3/4) — RC-SFISTA without iteration-overlapping or reuse.
 func SFISTA(c dist.Comm, local LocalData, opts Options) (*Result, error) {
 	return SFISTAContext(context.Background(), c, local, opts)
 }
@@ -127,9 +127,9 @@ func SFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Optio
 	return RCSFISTAContext(ctx, c, local, opts)
 }
 
-// engine holds the run state of one rank. It plugs into
-// solvercore.Loop as the BatchFiller (stages A and B), the direct-form
-// InnerPass (stage D), and the StopPolicy; stage C is the exch
+// engine holds the run state of one rank. It plugs into the solvercore
+// loops as the BatchFiller (stages A and B), the direct-form InnerPass
+// (stage D), the StopPolicy and the Speculator; stage C is the exch
 // TieredExchanger. Bookkeeping lives in rec.
 type engine struct {
 	c     dist.Comm
@@ -313,19 +313,19 @@ func (e *engine) BatchLen() int {
 }
 
 // Fill computes the local partial (H_j, R_j) instances of slots
-// hIdx..hIdx+k-1 (stages A and B) into buf and advances hIdx. The k
-// slots are computed by a bounded worker pool; each worker charges a
-// private perf.Cost that is merged in slot order after the join, so
-// accounting is deterministic regardless of scheduling. The merged
-// fill cost is charged to the rank and also returned, so the pipelined
-// Loop can compare the segment against the in-flight collective for
-// overlap accounting. Pure local compute: no collectives, safe to run
-// while a nonblocking allreduce is in flight.
+// hIdx..hIdx+k-1 (stages A and B) into buf, advances hIdx and returns
+// the fill's cost for the Loop to charge. The k slots are computed by a
+// bounded worker pool; each worker charges a private perf.Cost that is
+// merged in slot order after the join, so accounting is deterministic
+// regardless of scheduling. Pure local compute on state Process never
+// writes (hIdx, the sampler, the data — and under ActiveSet, which runs
+// blocking, the working set), so the pipelined loop may run it under
+// the in-flight collective, before the previous batch is processed.
 func (e *engine) Fill(buf []float64) perf.Cost {
 	k := e.opts.K
 	base := e.hIdx
 	if e.as != nil {
-		e.as.pushFill(base)
+		e.as.filled = fillRec{base: base, act: e.as.act}
 		e.activeView()
 	}
 	mat.Zero(buf)
@@ -361,7 +361,6 @@ func (e *engine) Fill(buf []float64) perf.Cost {
 		}
 	}
 	e.hIdx += k
-	e.c.Cost().Add(fill)
 	return fill
 }
 
@@ -412,31 +411,35 @@ func (e *engine) update(h Hessian, r []float64) {
 // Done gates round starts: the iteration budget is spent.
 func (e *engine) Done() bool { return e.rec.Iter >= e.opts.MaxIter }
 
-// MoreAfterNext predicts whether another round follows the in-flight
-// one on the normal path — whether a speculative fill can overlap it.
-// On a fault-skip the prediction errs short (Iter does not advance);
-// on a convergence stop it errs long and the fill is wasted.
+// MoreAfterNext reports that the in-flight round cannot stop the solve,
+// so the pipelined loop may fill the next batch under it: none of its
+// k·S updates reaches MaxIter, holds a checkpoint that can meet Tol, or
+// holds a variance-reduction snapshot that can meet GradMapTol. A
+// speculative fill is then never discarded at a stop; a round that
+// could have stopped and did not only fills after it resolves.
 func (e *engine) MoreAfterNext() bool {
-	return e.rec.Iter+e.opts.K*e.opts.S < e.opts.MaxIter
+	o, n := &e.opts, e.opts.K*e.opts.S
+	if e.rec.Iter+n >= o.MaxIter {
+		return false
+	}
+	if e.rec.Tol > 0 && !math.IsNaN(e.rec.FStar) && e.sinceEval+n >= o.EvalEvery {
+		return false
+	}
+	return !(o.VarianceReduced && o.GradMapTol > 0 && e.sinceSnap+n >= o.EpochLen)
 }
 
 // OnSkip caps fault-skipped rounds so a never-healing network still
-// terminates. Under ActiveSet the lost round's fill record is retired
-// so the FIFO stays aligned with the exchanges. A round is skipped only
-// while no batch has ever been delivered (afterwards it degrades), so no
-// scan window is open when the cap fires: the abandoned iterate is the
-// start point.
+// terminates. A round is skipped only while no batch has ever been
+// delivered (afterwards it degrades), so no scan window is open when
+// the cap fires: the abandoned iterate is the start point.
 func (e *engine) OnSkip() bool {
-	if e.as != nil {
-		e.as.popFill()
-	}
 	return e.rec.Faults.SkippedRounds > e.opts.MaxIter
 }
 
 // Process runs stage D on one allreduced batch: k*S solution updates
 // with variance-reduction refreshes and trace checkpoints interleaved.
 // It reports true when the outer loop must stop (convergence or
-// MaxIter). Shared verbatim by the blocking and pipelined Loop, so
+// MaxIter). Shared verbatim by the blocking and pipelined loops, so
 // their update sequences are identical statement for statement — the
 // foundation of the bit-identity guarantee.
 func (e *engine) Process(shared []float64) bool {

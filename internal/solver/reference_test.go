@@ -46,7 +46,6 @@ func (r denseRef) Fill(buf []float64) perf.Cost {
 		sparse.SampledGram(e.local.X, h, rv, e.local.Y, cols, 1/float64(e.mbar), &fill)
 	}
 	e.hIdx += e.opts.K
-	e.c.Cost().Add(fill)
 	return fill
 }
 
@@ -86,7 +85,7 @@ func runStages(c dist.Comm, local LocalData, o Options, st stages) (*Result, err
 		return nil, err
 	}
 	fill, pass := st(e)
-	return e.run(context.Background(), fill, pass)
+	return e.run(context.Background(), fill, pass, !e.opts.ActiveSet)
 }
 
 // selfSolveStages is selfSolve with the stages chosen by st.

@@ -101,7 +101,8 @@ func (c *CallCounter) Allgather(local []float64) []float64 {
 
 // TestOneCollectivePerRound pins the round at exactly one collective
 // once the resident Gram answers the objective: at P = 2 over chan and
-// tcp, f64, k = 1, a checkpoint after every update and no snapshot
+// tcp, on both round loops (a pipelined round's batch is posted where a
+// blocking round exchanges it), f64, k = 1, a checkpoint after every update and no snapshot
 // refreshes, every round after the one that fills the Gram — round
 // ⌈m/m̄⌉, once stage B has sampled m columns — issues its stage-C batch
 // (payload plus vote trailer) and nothing else, up to the last round,
@@ -116,7 +117,11 @@ func TestOneCollectivePerRound(t *testing.T) {
 	o := gramOpts(p)
 	o.K, o.S = 1, 1
 	o.VarianceReduced = false
-	for _, backend := range []string{"chan", "tcp"} {
+	for _, leg := range []struct {
+		backend   string
+		pipelined bool
+	}{{"chan", false}, {"chan", true}, {"tcp", false}, {"tcp", true}} {
+		backend := fmt.Sprintf("%s/pipelined=%t", leg.backend, leg.pipelined)
 		const procs = 2
 		counters := make([]*CallCounter, procs)
 		wrap := func(c dist.Comm) dist.Comm {
@@ -126,12 +131,12 @@ func TestOneCollectivePerRound(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		var at int // the round whose objective fills the Gram
-		res, _, err := engineWorld(t, backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
+		res, _, err := engineWorld(t, leg.backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
 			counters[e.c.Rank()].Round = func() int { return e.rec.Rounds }
 			if e.c.Rank() == 0 {
 				at = fillIter(e)
 			}
-			return e.run(ctx, e, e)
+			return e.run(ctx, e, e, leg.pipelined)
 		})
 		cancel()
 		if err != nil {
@@ -205,7 +210,7 @@ func TestScanOnSnapshotIterateTakesNoCollective(t *testing.T) {
 		res, _, err := engineWorld(t, backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
 			probe := &scanProbe{engine: e}
 			probes[e.c.Rank()] = probe
-			return e.run(context.Background(), e, probe)
+			return e.run(context.Background(), e, probe, false)
 		})
 		if err != nil {
 			t.Fatal(err)

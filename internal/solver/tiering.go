@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"github.com/hpcgo/rcsfista/internal/dist"
-	"github.com/hpcgo/rcsfista/internal/perf"
 )
 
 // autoTighten is the default gradient-map norm below which the auto
@@ -144,12 +143,6 @@ func (e *engine) tierAt(n int) dist.Tier {
 		}
 	}
 	return dist.EffectiveTier(best, n)
-}
-
-// commCost prices the stage-C allreduce of an n-value batch at the
-// tier the engine picks for it.
-func (e *engine) commCost(n int) perf.Cost {
-	return dist.AllreduceCostTier(e.c.Size(), n, e.tierAt(n))
 }
 
 // resetCompressState drops every carried error-feedback residual whose

@@ -6,7 +6,8 @@
 // shared index set with a StreamSampler), Exchanger (stage C:
 // blocking, nonblocking/pipelined, and faulty communication with the
 // retry/backoff/degradation policy), InnerPass (stage D updates), and
-// StopPolicy. A Recorder merges the perf.Cost, trace, and fault-event
+// StopPolicy. PipelinedLoop is the same skeleton with stage C posted
+// nonblocking; both charge and record identically. A Recorder merges the perf.Cost, trace, and fault-event
 // bookkeeping all solvers previously duplicated, and a
 // context.Context threads cancellation through every round.
 //
@@ -25,11 +26,12 @@ import (
 )
 
 // BatchFiller computes the rank's local batch contribution (stages A
-// and B) into a caller-owned buffer. Fill must charge its own compute
-// to the run's cost and also return it, so a pipelined Loop can
-// compare the fill segment against the in-flight collective for
-// overlap accounting. Fill must be pure local compute — no collectives
-// — so it is safe to run while a nonblocking allreduce is in flight.
+// and B) into a caller-owned buffer. Fill returns its compute cost and
+// charges nothing: the Loop charges it when the batch goes to stage C,
+// so a batch the pipelined loop fills early is billed at the same point
+// of the cost stream as a blocking round's. Fill must be pure local
+// compute — no collectives — so it is safe to run while a nonblocking
+// allreduce is in flight.
 type BatchFiller interface {
 	// BatchLen is the buffer length Fill expects. It is re-queried at
 	// every round boundary, so a filler whose wire layout shrinks or
@@ -39,19 +41,6 @@ type BatchFiller interface {
 	BatchLen() int
 	// Fill writes the local batch into buf and returns its cost.
 	Fill(buf []float64) perf.Cost
-}
-
-// Refiller is an optional BatchFiller extension for fillers whose wire
-// layout can change between rounds. Generation identifies the current
-// layout; when a pipelined Loop finds that Process invalidated the
-// layout a speculative fill used (the generation moved), it calls
-// Refill to rebuild the same logical batch — same sample slots — under
-// the new layout before posting it. The wasted speculative fill keeps
-// its overlap credit (it genuinely ran under the in-flight collective);
-// the refill is charged un-overlapped.
-type Refiller interface {
-	Generation() int
-	Refill(buf []float64) perf.Cost
 }
 
 // InnerPass consumes one shared (allreduced) batch. Process performs
@@ -65,13 +54,19 @@ type InnerPass interface {
 	OnSkip() bool
 }
 
-// StopPolicy decides the loop boundaries. Done gates round starts;
-// MoreAfterNext predicts — before a pipelined round resolves — whether
-// another round will follow it on the normal path, i.e. whether a
-// speculative fill of the next batch can be overlapped with the
-// in-flight collective.
+// StopPolicy gates round starts: Done reports that no further round
+// may begin.
 type StopPolicy interface {
 	Done() bool
+}
+
+// Speculator is the StopPolicy side of the pipelined loop. MoreAfterNext
+// reports, before the in-flight round resolves, that the round cannot
+// stop the solve — so the next batch can be filled under the in-flight
+// collective and is never thrown away at a stop. It must return false
+// whenever the round can stop; a false that turns out wrong only
+// delays the next fill until after the round resolves.
+type Speculator interface {
 	MoreAfterNext() bool
 }
 
@@ -81,39 +76,103 @@ type Spec struct {
 	Ctx context.Context
 	// Comm is the communicator, or nil for sequential solvers. It is
 	// used only for the standalone cancellation consensus on rounds that
-	// delivered no vote, and for pipelined overlap accounting; all data
-	// movement, the vote included, goes through Exchange.
+	// delivered no vote; all data movement, the vote included, goes
+	// through Exchange.
 	Comm dist.Comm
 	// Rec receives the round counter (Loop advances Rec.Rounds once
-	// per exchange, lost rounds included).
+	// per exchange, lost rounds included) and each batch's fill cost.
 	Rec      *Recorder
 	Fill     BatchFiller
 	Exchange Exchanger
 	Pass     InnerPass
 	Stop     StopPolicy
-	// Pipeline selects the nonblocking split-phase loop; Exchange must
-	// then implement AsyncExchanger. CommCost is the modeled segment
-	// of one stage-C collective — what the speculative fill hides in.
-	Pipeline bool
-	CommCost perf.Cost
-	// CommCostOf, when set, supersedes CommCost with a cost derived
-	// from the in-flight batch's actual length — required when the wire
-	// layout varies between rounds (active-set engines). Nil keeps the
-	// fixed CommCost, bit-for-bit.
-	CommCostOf func(batchLen int) perf.Cost
 }
 
-// Loop runs the round loop to completion or cancellation. Every
-// round's exchange carries each rank's cancellation flag; when the
-// summed vote is positive every rank returns the context's error at
-// that round, before Process, with the Recorder (and the solver state
-// behind Fill/Pass) in a consistent partial state: no collective is
-// left in flight, and Finish still yields a well-formed Result.
+// Loop runs the blocking round loop — fill, exchange, process — to
+// completion or cancellation. Every round's exchange carries each
+// rank's cancellation flag; when the summed vote is positive every rank
+// returns the context's error at that round, before Process, with the
+// Recorder (and the solver state behind Fill/Pass) in a consistent
+// partial state: no collective is left in flight, and Finish still
+// yields a well-formed Result.
 func Loop(spec Spec) error {
-	if spec.Pipeline {
-		return runPipelined(spec)
+	var buf []float64
+	for !spec.Stop.Done() {
+		buf = resize(buf, spec.Fill.BatchLen())
+		spec.Rec.Cost.Add(spec.Fill.Fill(buf))
+		shared, vote := spec.Exchange.Exchange(buf, cancelled(spec.Ctx))
+		spec.Rec.Rounds++
+		if err := settle(spec.Ctx, spec.Comm, vote); err != nil {
+			return err
+		}
+		if shared == nil {
+			if spec.Pass.OnSkip() {
+				return nil
+			}
+			continue
+		}
+		if spec.Pass.Process(shared) {
+			return nil
+		}
 	}
-	return runBlocking(spec)
+	return nil
+}
+
+// PipelinedLoop is Loop split in phases, with Loop's cancellation
+// contract: round r's exchange is posted nonblocking and, while it is
+// in flight, round r+1's batch is filled into the second buffer — when
+// the Speculator says round r cannot stop; otherwise after round r
+// resolves. Sampling is a pure function of the slot counter and a fill
+// reads nothing Process writes, so the update stream is Loop's bit for
+// bit, and because each fill is charged when its batch is posted, so
+// are Cost, the modeled time and every trace point. The vote is taken
+// when a batch is posted and read when it resolves, before anything
+// else is posted: a cancelled loop never leaves a collective in flight.
+// Exchange must be an AsyncExchanger and Stop a Speculator, and Fill
+// must not depend on state Process changes.
+func PipelinedLoop(spec Spec) error {
+	aex, ok := spec.Exchange.(AsyncExchanger)
+	sp, ok2 := spec.Stop.(Speculator)
+	if !ok || !ok2 {
+		return errors.New("solvercore: PipelinedLoop needs an AsyncExchanger and a Speculator")
+	}
+	if spec.Stop.Done() {
+		return nil
+	}
+	buf := resize(nil, spec.Fill.BatchLen())
+	var next []float64
+	spec.Rec.Cost.Add(spec.Fill.Fill(buf))
+	p := aex.Post(buf, cancelled(spec.Ctx))
+	for {
+		var fill perf.Cost
+		speculated := sp.MoreAfterNext()
+		if speculated {
+			next = resize(next, spec.Fill.BatchLen())
+			fill = spec.Fill.Fill(next)
+		}
+		shared, vote := aex.Resolve(p)
+		spec.Rec.Rounds++
+		if err := settle(spec.Ctx, spec.Comm, vote); err != nil {
+			return err
+		}
+		if shared == nil {
+			if spec.Pass.OnSkip() {
+				return nil
+			}
+		} else if spec.Pass.Process(shared) {
+			return nil
+		}
+		if spec.Stop.Done() {
+			return nil
+		}
+		if !speculated {
+			next = resize(next, spec.Fill.BatchLen())
+			fill = spec.Fill.Fill(next)
+		}
+		spec.Rec.Cost.Add(fill)
+		buf, next = next, buf
+		p = aex.Post(buf, cancelled(spec.Ctx))
+	}
 }
 
 // resize returns buf re-sliced to length n, reusing its backing array
@@ -153,110 +212,6 @@ func cancelErr(ctx context.Context) error {
 		}
 	}
 	return context.Canceled
-}
-
-// runBlocking is the fill → exchange → process round loop.
-func runBlocking(spec Spec) error {
-	var buf []float64
-	for !spec.Stop.Done() {
-		buf = resize(buf, spec.Fill.BatchLen())
-		spec.Fill.Fill(buf)
-		shared, vote := spec.Exchange.Exchange(buf, cancelled(spec.Ctx))
-		spec.Rec.Rounds++
-		if err := settle(spec.Ctx, spec.Comm, vote); err != nil {
-			return err
-		}
-		if shared == nil {
-			if spec.Pass.OnSkip() {
-				return nil
-			}
-			continue
-		}
-		if spec.Pass.Process(shared) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// runPipelined is the split-phase variant: round r's exchange is
-// posted nonblocking and, while it is in flight, round r+1's batch is
-// speculatively filled into the second buffer. The update stream is
-// bit-identical to runBlocking — sampling is a pure function of the
-// slot counter, so filling early changes no sample set — only the
-// modeled cost differs: each overlapped round charges
-// Machine.Overlap(fill, CommCost) as hidden time. A speculative fill
-// wasted by a convergence stop is charged but never used — the price
-// of pipelining, matched by real MPI_Iallreduce codes. The vote is
-// taken when a batch is posted, not when it is filled, and read when it
-// resolves, before anything else is posted: a cancelled loop never
-// leaves a collective in flight.
-func runPipelined(spec Spec) error {
-	aex, ok := spec.Exchange.(AsyncExchanger)
-	if !ok {
-		return errors.New("solvercore: Pipeline requires an AsyncExchanger")
-	}
-	rf, _ := spec.Fill.(Refiller)
-	buf := resize(nil, spec.Fill.BatchLen())
-	var next []float64
-	spec.Fill.Fill(buf)
-	p := aex.Post(buf, cancelled(spec.Ctx))
-	for {
-		// Will another round follow this one on the normal path? If
-		// so, fill it now, under the in-flight collective. On a
-		// fault-skip the prediction errs short and the fill happens
-		// non-overlapped below; on a convergence stop or a cancel vote it
-		// errs long and the fill is wasted. The slot counter advances per
-		// round regardless of outcome, so the sample sequence is
-		// unaffected either way.
-		speculated := spec.Stop.MoreAfterNext()
-		var fillCost perf.Cost
-		genAtFill := 0
-		if speculated {
-			if rf != nil {
-				genAtFill = rf.Generation()
-			}
-			next = resize(next, spec.Fill.BatchLen())
-			fillCost = spec.Fill.Fill(next)
-		}
-		shared, vote := aex.Resolve(p)
-		spec.Rec.Rounds++
-		if speculated {
-			c := spec.Comm
-			cc := spec.CommCost
-			if spec.CommCostOf != nil {
-				cc = spec.CommCostOf(len(buf))
-			}
-			c.Cost().AddOverlap(c.Machine().Overlap(fillCost, cc))
-		}
-		if err := settle(spec.Ctx, spec.Comm, vote); err != nil {
-			return err
-		}
-		if shared == nil {
-			if spec.Pass.OnSkip() {
-				return nil
-			}
-		} else if spec.Pass.Process(shared) {
-			return nil
-		}
-		if spec.Stop.Done() {
-			return nil
-		}
-		if !speculated {
-			next = resize(next, spec.Fill.BatchLen())
-			spec.Fill.Fill(next)
-		} else if rf != nil && rf.Generation() != genAtFill {
-			// Process invalidated the wire layout the speculative fill
-			// used (the active set moved): rebuild the same logical
-			// batch under the new layout. The speculation's overlap
-			// credit stands — that work really ran under the in-flight
-			// collective — and the refill is charged un-overlapped.
-			next = resize(next, spec.Fill.BatchLen())
-			rf.Refill(next)
-		}
-		buf, next = next, buf
-		p = aex.Post(buf, cancelled(spec.Ctx))
-	}
 }
 
 // checkCancel is the standalone cancellation consensus, run only on a

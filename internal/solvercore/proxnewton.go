@@ -114,17 +114,16 @@ type pnEngine struct {
 func (e *pnEngine) BatchLen() int { return e.spec.D + e.hLen }
 
 // Fill computes the round's local payload: sampled Hessian partial and
-// exact-gradient partial at the current iterate. The fill cost is
-// charged through the hooks; the return value is only used for
-// pipelined overlap accounting, which PN does not use.
+// exact-gradient partial at the current iterate, returning what the
+// hooks charged.
 func (e *pnEngine) Fill(buf []float64) perf.Cost {
-	cost := e.rec.Cost
+	var cost perf.Cost
 	outer := e.rec.Rounds + 1
 	h := mat.SymPackedOf(e.spec.D, buf[e.spec.D:])
 	h.Zero()
-	e.spec.FillHessian(h, e.w, outer, cost)
-	e.spec.FillGradient(buf[:e.spec.D], e.w, cost)
-	return perf.Cost{}
+	e.spec.FillHessian(h, e.w, outer, &cost)
+	e.spec.FillGradient(buf[:e.spec.D], e.w, &cost)
+	return cost
 }
 
 // Process consumes the combined payload: subproblem solve, damped
@@ -203,6 +202,3 @@ func (e *pnEngine) OnSkip() bool { return true }
 
 // Done gates round starts on the outer iteration budget.
 func (e *pnEngine) Done() bool { return e.rec.Rounds >= e.spec.OuterIter }
-
-// MoreAfterNext is never consulted: PN does not pipeline.
-func (e *pnEngine) MoreAfterNext() bool { return false }
