@@ -14,17 +14,46 @@ import (
 )
 
 // dataset is one prepared problem: the loaded instance, its
-// lambda_max, and the sampled-Lipschitz step sizes per sampling rate.
-// Preparing these is the expensive part of a fit against fresh data —
-// the Lipschitz estimate runs power iterations over the Gram spectrum
-// — so the dataset cache is what makes repeat traffic cheap.
+// lambda_max, the sampled-Lipschitz step sizes per sampling rate, and
+// the recorded batch streams of its least-squares fits. Preparing the
+// first three is the expensive part of a fit against fresh data — the
+// Lipschitz estimate runs power iterations over the Gram spectrum — and
+// the streams spare a repeat fit its Hessian batches, so the dataset
+// cache is what makes repeat traffic cheap.
 type dataset struct {
 	key       string
 	prob      *data.Problem
 	lambdaMax float64
 
-	mu     sync.Mutex
-	gammaB map[float64]float64
+	mu      sync.Mutex
+	gammaB  map[float64]float64
+	streams map[streamKey]*solver.BatchStream
+	// budget caps the streams together at the bytes of X and y.
+	budget *solver.StreamBudget
+}
+
+// streamKey names one batch stream of a dataset: the world size, the
+// sampling seed and rate, and the batching k. Everything else a fit
+// varies — lambda, the regularizer, S, the epoch, the tolerances, a
+// warm start — leaves the batches alone, so those fits share a stream.
+type streamKey struct {
+	procs int
+	seed  uint64
+	b     float64
+	k     int
+}
+
+// stream returns the dataset's batch stream for key, creating it empty.
+// Which fits may replay or record it is the solver's decision.
+func (ds *dataset) stream(key streamKey) *solver.BatchStream {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	s, ok := ds.streams[key]
+	if !ok {
+		s = solver.NewBatchStream(ds.budget)
+		ds.streams[key] = s
+	}
+	return s
 }
 
 // gammaFor returns the stable step size for sampling rate b, cached
@@ -54,10 +83,12 @@ func newDataset(key string, p *data.Problem) *dataset {
 		}
 	}
 	lmax /= float64(p.X.Cols)
-	return &dataset{key: key, prob: p, lambdaMax: lmax, gammaB: map[float64]float64{}}
+	return &dataset{key: key, prob: p, lambdaMax: lmax, gammaB: map[float64]float64{},
+		streams: map[streamKey]*solver.BatchStream{}, budget: solver.NewStreamBudget(solver.DataBytes(p.X, p.Y))}
 }
 
-// datasetCache is a keyed LRU of prepared datasets.
+// datasetCache is a keyed LRU of prepared datasets. Evicting a dataset
+// drops its batch streams with it.
 type datasetCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -73,7 +104,9 @@ func newDatasetCache(cap int, stats *Stats) *datasetCache {
 // get returns the cached dataset for key, loading it with load on a
 // miss. The load runs outside the lock so a slow generation does not
 // block hits on other keys; two concurrent first requests for the same
-// key may both load (both count as misses, last insert wins).
+// key may both load (both count as misses), but the first insert wins
+// and the loser adopts it, so every caller shares one *dataset — one
+// gamma cache and one set of batch streams.
 func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dataset, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -105,6 +138,18 @@ func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dat
 		c.stats.datasetEvictions.Add(1)
 	}
 	return ds, false, nil
+}
+
+// streamBytes reports the bytes the resident datasets' batch streams
+// hold.
+func (c *datasetCache) streamBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		n += el.Value.(*dataset).budget.Used()
+	}
+	return n
 }
 
 // inlineKey derives a stable cache key for inline LIBSVM payloads:

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/data"
@@ -53,6 +54,75 @@ func TestDatasetCacheLoadError(t *testing.T) {
 		return data.LoadWith("abalone", 60, 8, 1)
 	}); err != nil || hit {
 		t.Fatalf("retry after failure: hit=%v err=%v", hit, err)
+	}
+}
+
+// TestDatasetCacheConcurrentFirstGet: concurrent first requests for one
+// key all load — each waits in its loader until every one has entered —
+// yet all end on the first inserted *dataset, so they share one gamma
+// cache and one set of batch streams.
+func TestDatasetCacheConcurrentFirstGet(t *testing.T) {
+	var stats Stats
+	c := newDatasetCache(2, &stats)
+	const n = 4
+	var entered sync.WaitGroup
+	entered.Add(n)
+	load := func() (*data.Problem, error) {
+		entered.Done()
+		entered.Wait()
+		return data.LoadWith("abalone", 60, 8, 1)
+	}
+	got := make([]*dataset, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ds, _, err := c.get("k", load)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = ds
+		}(i)
+	}
+	wg.Wait()
+	again, hit, _ := c.get("k", load)
+	for i, ds := range got {
+		if ds != again {
+			t.Fatalf("caller %d holds another *dataset than the cache", i)
+		}
+	}
+	if !hit || stats.Snapshot().DatasetMisses != n {
+		t.Fatalf("hit %t, %d misses, want a hit after %d misses", hit, stats.Snapshot().DatasetMisses, n)
+	}
+}
+
+// TestDatasetStreamsKeyed: one stream per (procs, seed, b, k), shared
+// by every lookup of that key and by no other, all on the dataset's one
+// budget of its X and y bytes.
+func TestDatasetStreamsKeyed(t *testing.T) {
+	p, err := data.LoadWith("abalone", 60, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := newDataset("k", p)
+	key := streamKey{procs: 2, seed: 42, b: 0.1, k: 1}
+	s := ds.stream(key)
+	if ds.stream(key) != s {
+		t.Fatal("one key, two streams")
+	}
+	for _, other := range []streamKey{
+		{procs: 1, seed: 42, b: 0.1, k: 1},
+		{procs: 2, seed: 43, b: 0.1, k: 1},
+		{procs: 2, seed: 42, b: 0.2, k: 1},
+		{procs: 2, seed: 42, b: 0.1, k: 2},
+	} {
+		if ds.stream(other) == s {
+			t.Fatalf("%+v shares %+v's stream", other, key)
+		}
+	}
+	if ds.budget.Used() != 0 || len(ds.streams) != 5 {
+		t.Fatalf("%d streams holding %d bytes", len(ds.streams), ds.budget.Used())
 	}
 }
 

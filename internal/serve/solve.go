@@ -171,9 +171,10 @@ func fitLoss(req *FitRequest) (erm.Loss, bool, error) {
 
 // runFit executes one admitted fit request end to end: dataset
 // resolution, warm-start lookup, the distributed solve under the
-// request context, and cache publication — or, when the lookup's entry
-// certifies the request, the cached answer with no solve at all. It
-// never returns a nil response without an error.
+// request context — replaying and extending the dataset's batch stream
+// for its (procs, seed, b, k) — and cache publication; or, when the
+// lookup's entry certifies the request, the cached answer with no solve
+// at all. It never returns a nil response without an error.
 func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, error) {
 	ds, dsHit, err := s.resolveDataset(req.Dataset, req.LIBSVM, req.Features)
 	if err != nil {
@@ -235,7 +236,8 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	if pnLoss {
 		res, serr = s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
 	} else {
-		res, serr = solver.SolveDistributedContext(ctx, world, ds.prob.X, ds.prob.Y, opts)
+		stream := ds.stream(streamKey{procs: procs, seed: opts.Seed, b: opts.B, k: opts.K})
+		res, serr = solver.SolveDistributedStream(ctx, world, ds.prob.X, ds.prob.Y, opts, stream)
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if serr != nil {
@@ -255,6 +257,9 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	resp.Rounds = res.Rounds
 	resp.Converged = res.Converged
 	resp.ModelSeconds = res.ModelSeconds
+	resp.ReplayedRounds = res.Replayed
+	s.stats.streamReplayed.Add(int64(res.Replayed))
+	s.stats.streamRecorded.Add(int64(res.Recorded))
 	for _, v := range res.W {
 		if v != 0 {
 			resp.Nnz++

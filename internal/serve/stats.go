@@ -30,6 +30,12 @@ type Stats struct {
 	coldRounds    atomic.Int64
 	partialFits   atomic.Int64
 	certifiedHits atomic.Int64
+
+	streamReplayed atomic.Int64
+	streamRecorded atomic.Int64
+	// streamBytes reads the bytes the resident batch streams hold; nil
+	// reads 0.
+	streamBytes func() int64
 }
 
 // StatsSnapshot is the JSON shape of GET /stats.
@@ -46,7 +52,7 @@ type StatsSnapshot struct {
 	ActiveFits int64 `json:"active_fits"`
 	QueuedFits int64 `json:"queued_fits"`
 
-	// Dataset (Gram/step-size) cache counters.
+	// Dataset (problem, step-size and batch-stream) cache counters.
 	DatasetHits      int64 `json:"dataset_hits"`
 	DatasetMisses    int64 `json:"dataset_misses"`
 	DatasetEvictions int64 `json:"dataset_evictions"`
@@ -70,10 +76,21 @@ type StatsSnapshot struct {
 	// norm meets the request's tolerance on the same world size. Each is
 	// also a warm fit with zero rounds.
 	CertifiedHits int64 `json:"certified_hits"`
+	// Batch-stream replay: rounds whose Hessian batch a fit took from
+	// its dataset's recorded stream, rounds fits appended to one, and
+	// the bytes the resident datasets' streams hold now (capped per
+	// dataset at the bytes of its X and y).
+	StreamRoundsReplayed int64 `json:"stream_rounds_replayed"`
+	StreamRoundsRecorded int64 `json:"stream_rounds_recorded"`
+	StreamBytes          int64 `json:"stream_bytes"`
 }
 
 // Snapshot reads the current counter values.
 func (s *Stats) Snapshot() StatsSnapshot {
+	var streamBytes int64
+	if s.streamBytes != nil {
+		streamBytes = s.streamBytes()
+	}
 	return StatsSnapshot{
 		Fits:        s.fits.Load(),
 		Predicts:    s.predicts.Load(),
@@ -98,6 +115,10 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		PartialFits: s.partialFits.Load(),
 
 		CertifiedHits: s.certifiedHits.Load(),
+
+		StreamRoundsReplayed: s.streamReplayed.Load(),
+		StreamRoundsRecorded: s.streamRecorded.Load(),
+		StreamBytes:          streamBytes,
 	}
 }
 

@@ -23,10 +23,7 @@ func SolveDistributed(w dist.World, x *sparse.CSC, y []float64, opts Options) (*
 // every rank returns a well-formed partial result; rank 0's partial
 // result is returned together with the context's error.
 func SolveDistributedContext(ctx context.Context, w dist.World, x *sparse.CSC, y []float64, opts Options) (*Result, error) {
-	return solvercore.RunWorld(w, func(c dist.Comm) (*Result, error) {
-		local := Partition(x, y, c.Size(), c.Rank())
-		return RCSFISTAContext(ctx, c, local, opts)
-	})
+	return SolveDistributedStream(ctx, w, x, y, opts, nil)
 }
 
 // SolvePNDistributed is SolveDistributed for the distributed Proximal

@@ -51,11 +51,7 @@ func RCSFISTA(c dist.Comm, local LocalData, opts Options) (*Result, error) {
 // — last checkpointed objective, counters, trace so far — alongside
 // the context's error.
 func RCSFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Options) (*Result, error) {
-	e, err := newEngine(c, local, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.run(ctx, e, e, !e.opts.ActiveSet)
+	return rcsfista(ctx, c, local, opts, nil)
 }
 
 // run drives the solve with the given stage A/B filler and stage D
@@ -102,7 +98,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 		Comm:     e.c,
 		Rec:      e.rec,
 		Fill:     fill,
-		Exchange: e.exch,
+		Exchange: e.stageC(),
 		Pass:     pass,
 		Stop:     e,
 	})
@@ -203,6 +199,9 @@ type engine struct {
 	// error-feedback residual across rounds, and the re-expansion redo
 	// exchange shares it with the Loop.
 	exch *solvercore.TieredExchanger
+	// rp replays a recorded batch stream ahead of exch (replay.go); nil
+	// runs every round live.
+	rp *replayer
 }
 
 // newEngine validates one rank's solve inputs — the options (defaults
@@ -230,13 +229,7 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 	}
 	d := local.X.Rows
 	m := local.MGlobal
-	mbar := int(opts.B * float64(m))
-	if mbar < 1 {
-		mbar = 1
-	}
-	if mbar > m {
-		mbar = m
-	}
+	mbar := sampleSize(opts.B, m)
 	name := opts.TraceName
 	if name == "" {
 		name = fmt.Sprintf("rcsfista-k%d-s%d", opts.K, opts.S)
@@ -317,12 +310,18 @@ func (e *engine) BatchLen() int {
 // the fill's cost for the Loop to charge. The k slots are computed by a
 // bounded worker pool; each worker charges a private perf.Cost that is
 // merged in slot order after the join, so accounting is deterministic
-// regardless of scheduling. Pure local compute on state Process never
-// writes (hIdx, the sampler, the data — and under ActiveSet, which runs
-// blocking, the working set), so the pipelined loop may run it under
-// the in-flight collective, before the previous batch is processed.
+// regardless of scheduling. A batch a replayed stream covers is not
+// computed: Fill only advances hIdx and costs nothing. Pure local
+// compute on state Process never writes (hIdx, the sampler, the data —
+// and under ActiveSet, which runs blocking, the working set), so the
+// pipelined loop may run it under the in-flight collective, before the
+// previous batch is processed.
 func (e *engine) Fill(buf []float64) perf.Cost {
 	k := e.opts.K
+	if e.rp.covers(e.hIdx, k) {
+		e.hIdx += k
+		return perf.Cost{}
+	}
 	base := e.hIdx
 	if e.as != nil {
 		e.as.filled = fillRec{base: base, act: e.as.act}
@@ -492,6 +491,7 @@ func (e *engine) afterUpdate() (stop bool) {
 // snapshot gradient behind it crossed the wire unquantized.
 func (e *engine) finish() *Result {
 	res := e.rec.Finish(mat.Clone(e.wCurr))
+	e.rp.report(res)
 	if e.gradMapStop && !e.tiers.on {
 		res.GradMap = e.ex.norm
 	}

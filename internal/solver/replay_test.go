@@ -1,0 +1,286 @@
+package solver
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"github.com/hpcgo/rcsfista/internal/data"
+	"github.com/hpcgo/rcsfista/internal/dist"
+	"github.com/hpcgo/rcsfista/internal/perf"
+	"github.com/hpcgo/rcsfista/internal/prox"
+)
+
+// newStream returns a stream with room for every test solve.
+func newStream() *BatchStream { return NewBatchStream(NewStreamBudget(1 << 40)) }
+
+// streamSolve solves o on a procs-rank world over backend replaying and
+// extending s, on the blocking or the pipelined loop as asked; ctxOf,
+// when set, gives each rank its context. It returns the engines too.
+func streamSolve(t *testing.T, backend string, procs int, p *data.Problem, o Options, s *BatchStream,
+	pipelined bool, ctxOf func(e *engine) context.Context) (*Result, []*engine, error) {
+	t.Helper()
+	pre, err := s.open(p.X, procs, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return engineWorld(t, backend, procs, p, o, nil, func(e *engine) (*Result, error) {
+		ctx := context.Background()
+		if ctxOf != nil {
+			ctx = ctxOf(e)
+		}
+		e.replayFrom(pre)
+		return e.run(ctx, e, e, pipelined)
+	})
+}
+
+// requireReplayed fails unless a stream-taking solve equals the
+// stream-less one bit for bit in everything but work: W, FinalObj,
+// Iters, Rounds, Converged, GradMap and every trace point's objective.
+func requireReplayed(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	requireBitIdentical(t, label, got, want)
+	if got.Converged != want.Converged || math.Float64bits(got.GradMap) != math.Float64bits(want.GradMap) {
+		t.Fatalf("%s: converged/GradMap %t %g vs %t %g", label, got.Converged, got.GradMap, want.Converged, want.GradMap)
+	}
+}
+
+// TestReplayEquivalence runs one stream through a sequence of solves
+// that replay it fully, partly, and extend it — MaxIter, GradMapTol and
+// Tol stops, and l1, elastic-net and group fits sharing the stream —
+// and holds each to a stream-less solve bit for bit, at P ∈ {1, 2, 4}
+// on chan and P = 2 over tcp, on both round loops. Replayed rounds
+// bill nothing, so a replayed solve's Cost is below the fresh one's.
+func TestReplayEquivalence(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fstar := Reference(p.X, p.Y, p.Lambda, 4000)
+	groups, err := prox.ParseGroups("size:4", p.X.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		edit func(o *Options)
+	}{
+		{"maxiter", func(o *Options) { o.K, o.MaxIter, o.GradMapTol = 2, 40, 0 }},
+		{"maxiter/again", func(o *Options) { o.K, o.MaxIter, o.GradMapTol = 2, 40, 0 }},
+		{"gradmap", func(o *Options) { o.K, o.GradMapTol, o.MaxIter = 2, 1e-4, 4000 }},
+		{"tol", func(o *Options) { o.K, o.EvalEvery, o.FStar, o.Tol, o.MaxIter = 2, 5, fstar, 1e-3, 4000 }},
+		{"en", func(o *Options) {
+			o.K, o.GradMapTol, o.MaxIter = 2, 1e-4, 4000
+			o.Reg = prox.ElasticNet{Lambda1: p.Lambda, Lambda2: 0.05}
+		}},
+		{"group/s2", func(o *Options) {
+			o.K, o.S, o.GradMapTol, o.MaxIter = 2, 2, 1e-4, 6000
+			o.Reg = prox.GroupL2{Lambda: p.Lambda, Groups: groups}
+		}},
+	}
+	for _, leg := range []struct {
+		backend string
+		procs   int
+	}{{"chan", 1}, {"chan", 2}, {"chan", 4}, {"tcp", 2}} {
+		for _, pipelined := range []bool{false, true} {
+			s := newStream()
+			var partial, extended bool
+			for _, st := range steps {
+				name := fmt.Sprintf("%s/p%d/pipe=%t/%s", leg.backend, leg.procs, pipelined, st.name)
+				o := gramOpts(p)
+				st.edit(&o)
+				want, err := loopSolve(context.Background(), t, leg.backend, leg.procs, p, o, pipelined)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held := len(s.rounds)
+				got, _, err := streamSolve(t, leg.backend, leg.procs, p, o, s, pipelined, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				requireReplayed(t, name, got, want)
+				if wantRep := min(held, got.Rounds); got.Replayed != wantRep || got.Recorded != got.Rounds-wantRep {
+					t.Fatalf("%s: replayed %d recorded %d of %d rounds from a %d-round stream",
+						name, got.Replayed, got.Recorded, got.Rounds, held)
+				}
+				if len(s.rounds) != max(held, got.Rounds) {
+					t.Fatalf("%s: stream holds %d rounds, want %d", name, len(s.rounds), max(held, got.Rounds))
+				}
+				if got.Replayed > 0 && got.Cost.Flops >= want.Cost.Flops {
+					t.Fatalf("%s: a replayed solve billed %d flops, the fresh one %d", name, got.Cost.Flops, want.Cost.Flops)
+				}
+				partial = partial || got.Replayed > 0 && got.Recorded > 0
+				extended = extended || held > 0 && got.Recorded > 0
+			}
+			if !partial || !extended {
+				t.Fatalf("%s/p%d: no step replayed a partial prefix and extended the stream", leg.backend, leg.procs)
+			}
+		}
+	}
+}
+
+// TestReplayProduction drives SolveDistributedStream, the engine's own
+// loop choice: a second solve replays every round of the first.
+func TestReplayProduction(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := gramOpts(p)
+	o.K, o.GradMapTol, o.MaxIter = 2, 1e-4, 4000
+	want, err := SolveDistributed(dist.NewWorld(2, perf.Comet()), p.X, p.Y, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStream()
+	for i := 0; i < 2; i++ {
+		got, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireReplayed(t, fmt.Sprintf("solve %d", i), got, want)
+		if got.Replayed != i*want.Rounds {
+			t.Fatalf("solve %d replayed %d of %d rounds", i, got.Replayed, want.Rounds)
+		}
+	}
+}
+
+// TestReplayCancel expires rank P−1's context in the middle of a
+// replayed prefix: the standalone consensus a replayed round falls back
+// on ends every rank at the same round with a well-formed partial, on
+// both loops, and no goroutine is left behind.
+func TestReplayCancel(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const procs, at = 4, 9
+	o := gramOpts(p)
+	o.K, o.MaxIter, o.GradMapTol = 2, 60, 0
+	s := newStream()
+	if _, _, err := streamSolve(t, "chan", procs, p, o, s, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	o.MaxIter = 100000
+	for _, pipelined := range []bool{false, true} {
+		baseline := runtime.NumGoroutine()
+		res, engines, err := streamSolve(t, "chan", procs, p, o, s, pipelined, func(e *engine) context.Context {
+			if e.c.Rank() == procs-1 {
+				return roundCtx{Context: context.Background(), rounds: &e.rec.Rounds, at: at}
+			}
+			return context.Background()
+		})
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("pipelined=%t: err = %v", pipelined, err)
+		}
+		requireWellFormedPartial(t, res, p.X.Rows)
+		if res.Rounds != at || res.Replayed != at || res.Recorded != 0 {
+			t.Fatalf("pipelined=%t: stopped at round %d, replayed %d, recorded %d; want round %d, all replayed",
+				pipelined, res.Rounds, res.Replayed, res.Recorded, at)
+		}
+		for _, e := range engines {
+			if e.rec.Rounds != res.Rounds || e.rec.Iter != res.Iters {
+				t.Fatalf("pipelined=%t: rank %d left at round %d iter %d, rank 0 at %d/%d",
+					pipelined, e.c.Rank(), e.rec.Rounds, e.rec.Iter, res.Rounds, res.Iters)
+			}
+		}
+		dist.VerifyNoGoroutineLeaks(t, baseline)
+	}
+}
+
+// TestReplayIdentity: a stream is stamped with the (d, m, P, seed, m̄,
+// k) of the first solve that opens it; any other identity errors before
+// a world runs, while λ, the regularizer, S, the epoch and the
+// tolerances share it.
+func TestReplayIdentity(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := gramOpts(p)
+	o.K, o.MaxIter = 2, 20
+	s := newStream()
+	if _, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s); err != nil {
+		t.Fatal(err)
+	}
+	other, err := data.LoadWith("covtype", 240, 20, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		procs int
+		prob  *data.Problem
+		edit  func(o *Options)
+	}{
+		"procs": {4, p, func(*Options) {}},
+		"seed":  {2, p, func(o *Options) { o.Seed++ }},
+		"k":     {2, p, func(o *Options) { o.K = 1 }},
+		"b":     {2, p, func(o *Options) { o.B = 0.5 }},
+		"d":     {2, other, func(*Options) {}},
+	} {
+		oc := o
+		c.edit(&oc)
+		res, err := SolveDistributedStream(context.Background(), dist.NewWorld(c.procs, perf.Comet()), c.prob.X, c.prob.Y, oc, s)
+		if err == nil || res != nil {
+			t.Fatalf("%s: a mismatching solve ran: res %v err %v", name, res, err)
+		}
+	}
+	o.Lambda, o.S, o.EpochLen, o.GradMapTol = 2*o.Lambda, 3, 12, 1e-3
+	o.Reg = prox.ElasticNet{Lambda1: o.Lambda, Lambda2: 0.1}
+	res, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s)
+	if err != nil || res.Replayed == 0 {
+		t.Fatalf("a solve of the same identity did not replay: %v, %+v", err, res)
+	}
+}
+
+// TestReplayIneligible: a screened, a compressed (f32, i8, auto) and a
+// fault-injected solve neither read nor write a stream — not even its
+// stamp — and equal their stream-less solves in everything, Cost
+// included.
+func TestReplayIneligible(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := gramOpts(p)
+	base.K, base.MaxIter, base.GradMapTol = 2, 40, 0
+	recorded := newStream()
+	if _, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, base, recorded); err != nil {
+		t.Fatal(err)
+	}
+	held := len(recorded.rounds)
+	for name, edit := range map[string]func(o *Options){
+		"activeset": func(o *Options) { o.ActiveSet = true },
+		"f32":       func(o *Options) { o.CompressTier = "f32" },
+		"i8":        func(o *Options) { o.CompressTier = "i8" },
+		"auto":      func(o *Options) { o.CompressTier = "auto" },
+		"faults": func(o *Options) {
+			o.Faults = &dist.FaultPlan{Seed: 3, Schedule: []dist.ScheduledFault{{Round: 2, Kind: dist.FaultDrop}}}
+		},
+	} {
+		o := base
+		edit(&o)
+		want, err := SolveDistributed(dist.NewWorld(2, perf.Comet()), p.X, p.Y, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := newStream()
+		for _, s := range []*BatchStream{recorded, fresh} {
+			got, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			requireSameResult(t, name, got, want)
+			if got.Replayed != 0 || got.Recorded != 0 {
+				t.Fatalf("%s: replayed %d, recorded %d", name, got.Replayed, got.Recorded)
+			}
+		}
+		if len(recorded.rounds) != held || len(fresh.rounds) != 0 || fresh.id != (streamID{}) {
+			t.Fatalf("%s: the stream moved: %d rounds (held %d), fresh %d rounds, stamp %+v",
+				name, len(recorded.rounds), held, len(fresh.rounds), fresh.id)
+		}
+	}
+}

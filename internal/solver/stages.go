@@ -35,3 +35,9 @@ func (e *engine) fillSlotAt(j, base int, buf []float64, cost *perf.Cost) {
 	h, r := e.slotView(buf, j, e.d)
 	sparse.SampledGramPacked(e.local.X, h, r, e.local.Y, cols, 1/float64(e.mbar), cost)
 }
+
+// sampleSize is m̄ = ⌊b·m⌋ clamped to [1, m], the per-instance sample
+// count of a rate-b solve on m samples.
+func sampleSize(b float64, m int) int {
+	return min(max(int(b*float64(m)), 1), m)
+}

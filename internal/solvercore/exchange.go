@@ -37,8 +37,9 @@ type Vote int
 
 const (
 	// VoteMissing: the round delivered no fresh batch — a fallible round
-	// degraded to the last good batch, or skipped — so it carried no
-	// vote. Loop falls back to the standalone consensus (checkCancel).
+	// degraded to the last good batch, or skipped, or a round replayed
+	// from a recorded stream — so it carried no vote. Loop falls back to
+	// the standalone consensus (checkCancel).
 	VoteMissing Vote = iota
 	// VoteContinue: every rank's flag was 0.
 	VoteContinue

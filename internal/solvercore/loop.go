@@ -13,7 +13,10 @@
 //
 // A round is one collective: the cancellation vote rides the stage-C
 // batch as a trailer word, billed to no one, so flop, message and word
-// accounting is the paper's and the engines' exactly. Golden fixtures
+// accounting is the paper's and the engines' exactly. A round whose
+// exchange ships no fresh batch — degraded or skipped under faults, or
+// replayed from a recorded batch stream — carries no vote and takes
+// the standalone consensus instead, also unbilled. Golden fixtures
 // in the repository root pin iterates and costs bit for bit.
 package solvercore
 
@@ -216,7 +219,7 @@ func cancelErr(ctx context.Context) error {
 
 // checkCancel is the standalone cancellation consensus, run only on a
 // round whose exchange delivered no vote (a degraded or skipped
-// fallible round). Every rank computes its local flag and the ranks
+// fallible round, or one replayed from a recorded batch stream). Every rank computes its local flag and the ranks
 // agree by an OpMax allreduce, so all ranks leave the loop at the same
 // round even when only some observed the cancellation — a rank
 // returning alone would deadlock the others in the next collective.

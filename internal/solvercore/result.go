@@ -42,6 +42,11 @@ type Result struct {
 	// Faults summarizes the injected-fault resilience activity; the
 	// zero value means the run saw no faults (or ran without a plan).
 	Faults FaultStats
+	// Replayed counts the rounds whose shared batch came from a recorded
+	// batch stream — no fill, no exchange, nothing billed — and Recorded
+	// the rounds this solve appended to one (solver.BatchStream). Both
+	// are 0 for a solve without a stream.
+	Replayed, Recorded int
 }
 
 // FaultStats counts the solver's resilience activity under an injected
