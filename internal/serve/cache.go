@@ -15,11 +15,12 @@ import (
 
 // dataset is one prepared problem: the loaded instance, its
 // lambda_max, the sampled-Lipschitz step sizes per sampling rate, and
-// the recorded batch streams of its least-squares fits. Preparing the
-// first three is the expensive part of a fit against fresh data — the
-// Lipschitz estimate runs power iterations over the Gram spectrum — and
-// the streams spare a repeat fit its Hessian batches, so the dataset
-// cache is what makes repeat traffic cheap.
+// the resident state of its least-squares fits — the Gram triple per
+// world size and the recorded batch streams. Preparing the first three
+// is the expensive part of a fit against fresh data — the Lipschitz
+// estimate runs power iterations over the Gram spectrum — and the
+// resident state spares a repeat fit its Gram fill and its Hessian
+// batches, so the dataset cache is what makes repeat traffic cheap.
 type dataset struct {
 	key       string
 	prob      *data.Problem
@@ -27,8 +28,10 @@ type dataset struct {
 
 	mu      sync.Mutex
 	gammaB  map[float64]float64
+	grams   map[int]*solver.Gram // by procs
 	streams map[streamKey]*solver.BatchStream
-	// budget caps the streams together at the bytes of X and y.
+	// budget caps the triples and streams together at the bytes of X
+	// and y.
 	budget *solver.StreamBudget
 }
 
@@ -43,29 +46,56 @@ type streamKey struct {
 	k     int
 }
 
-// stream returns the dataset's batch stream for key, creating it empty.
-// Which fits may replay or record it is the solver's decision.
-func (ds *dataset) stream(key streamKey) *solver.BatchStream {
+// resident returns the dataset's resident handle for key: the Gram of
+// its world size and its batch stream, each created empty on first
+// use. Which fits may read, fill or record them is the solver's
+// decision.
+func (ds *dataset) resident(key streamKey) *solver.Resident {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	g, ok := ds.grams[key.procs]
+	if !ok {
+		g = solver.NewGram(ds.budget)
+		ds.grams[key.procs] = g
+	}
 	s, ok := ds.streams[key]
 	if !ok {
 		s = solver.NewBatchStream(ds.budget)
 		ds.streams[key] = s
 	}
-	return s
+	return &solver.Resident{Gram: g, Stream: s}
+}
+
+// gramBytes reports the bytes the dataset's kept triples hold.
+func (ds *dataset) gramBytes() int64 {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	var n int64
+	for _, g := range ds.grams {
+		n += g.Bytes()
+	}
+	return n
 }
 
 // gammaFor returns the stable step size for sampling rate b, cached
-// per b (the serving analogue of expt's per-instance gamma cache).
+// per b (the serving analogue of expt's per-instance gamma cache). The
+// estimate runs outside the lock, so fits at other rates, and the
+// resident lookups of every fit, do not wait on it; two first fits at
+// one rate may both estimate — the same bits — and the first insert
+// wins.
 func (ds *dataset) gammaFor(b float64) float64 {
 	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if g, ok := ds.gammaB[b]; ok {
+	g, ok := ds.gammaB[b]
+	ds.mu.Unlock()
+	if ok {
 		return g
 	}
-	l := solver.SampledLipschitz(ds.prob.X, ds.prob.Y, b, 8, 777)
-	g := solver.GammaFromLipschitz(l)
+	g = solver.GammaFromLipschitz(solver.SampledLipschitz(ds.prob.X, ds.prob.Y, b, 8, 777))
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if won, ok := ds.gammaB[b]; ok {
+		return won
+	}
 	ds.gammaB[b] = g
 	return g
 }
@@ -84,11 +114,12 @@ func newDataset(key string, p *data.Problem) *dataset {
 	}
 	lmax /= float64(p.X.Cols)
 	return &dataset{key: key, prob: p, lambdaMax: lmax, gammaB: map[float64]float64{},
-		streams: map[streamKey]*solver.BatchStream{}, budget: solver.NewStreamBudget(solver.DataBytes(p.X, p.Y))}
+		grams: map[int]*solver.Gram{}, streams: map[streamKey]*solver.BatchStream{},
+		budget: solver.NewStreamBudget(solver.DataBytes(p.X, p.Y))}
 }
 
 // datasetCache is a keyed LRU of prepared datasets. Evicting a dataset
-// drops its batch streams with it.
+// drops its triples and batch streams with it.
 type datasetCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -106,7 +137,7 @@ func newDatasetCache(cap int, stats *Stats) *datasetCache {
 // block hits on other keys; two concurrent first requests for the same
 // key may both load (both count as misses), but the first insert wins
 // and the loser adopts it, so every caller shares one *dataset — one
-// gamma cache and one set of batch streams.
+// gamma cache, one triple per world size and one set of batch streams.
 func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dataset, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -140,16 +171,19 @@ func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dat
 	return ds, false, nil
 }
 
-// streamBytes reports the bytes the resident datasets' batch streams
-// hold.
-func (c *datasetCache) streamBytes() int64 {
+// residentBytes reports the bytes the resident datasets' batch streams
+// and kept triples hold. A triple's bytes are reserved before it is
+// kept, so reading the triples first never counts one as stream.
+func (c *datasetCache) residentBytes() (stream, gram int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var n int64
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		n += el.Value.(*dataset).budget.Used()
+		ds := el.Value.(*dataset)
+		g := ds.gramBytes()
+		stream += ds.budget.Used() - g
+		gram += g
 	}
-	return n
+	return stream, gram
 }
 
 // inlineKey derives a stable cache key for inline LIBSVM payloads:

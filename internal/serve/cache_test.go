@@ -97,9 +97,9 @@ func TestDatasetCacheConcurrentFirstGet(t *testing.T) {
 	}
 }
 
-// TestDatasetStreamsKeyed: one stream per (procs, seed, b, k), shared
-// by every lookup of that key and by no other, all on the dataset's one
-// budget of its X and y bytes.
+// TestDatasetStreamsKeyed: one stream per (procs, seed, b, k) and one
+// Gram per procs, shared by every lookup of that key and by no other,
+// all on the dataset's one budget of its X and y bytes.
 func TestDatasetStreamsKeyed(t *testing.T) {
 	p, err := data.LoadWith("abalone", 60, 8, 1)
 	if err != nil {
@@ -107,9 +107,9 @@ func TestDatasetStreamsKeyed(t *testing.T) {
 	}
 	ds := newDataset("k", p)
 	key := streamKey{procs: 2, seed: 42, b: 0.1, k: 1}
-	s := ds.stream(key)
-	if ds.stream(key) != s {
-		t.Fatal("one key, two streams")
+	r := ds.resident(key)
+	if again := ds.resident(key); again.Stream != r.Stream || again.Gram != r.Gram {
+		t.Fatal("one key, two streams or two Grams")
 	}
 	for _, other := range []streamKey{
 		{procs: 1, seed: 42, b: 0.1, k: 1},
@@ -117,12 +117,56 @@ func TestDatasetStreamsKeyed(t *testing.T) {
 		{procs: 2, seed: 42, b: 0.2, k: 1},
 		{procs: 2, seed: 42, b: 0.1, k: 2},
 	} {
-		if ds.stream(other) == s {
+		o := ds.resident(other)
+		if o.Stream == r.Stream {
 			t.Fatalf("%+v shares %+v's stream", other, key)
 		}
+		if (o.Gram == r.Gram) != (other.procs == key.procs) {
+			t.Fatalf("%+v and %+v: one Gram per procs, got shared=%t", other, key, o.Gram == r.Gram)
+		}
 	}
-	if ds.budget.Used() != 0 || len(ds.streams) != 5 {
-		t.Fatalf("%d streams holding %d bytes", len(ds.streams), ds.budget.Used())
+	if ds.budget.Used() != 0 || len(ds.streams) != 5 || len(ds.grams) != 2 {
+		t.Fatalf("%d streams and %d Grams holding %d bytes", len(ds.streams), len(ds.grams), ds.budget.Used())
+	}
+}
+
+// TestGammaForConcurrent: fits at two sampling rates estimate their
+// step sizes at once while others look up the resident state (run it
+// under -race). Each rate's step is the estimate a lone call makes,
+// and every caller of a rate gets the one cached value.
+func TestGammaForConcurrent(t *testing.T) {
+	p, err := data.LoadWith("abalone", 400, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := []float64{0.1, 0.25}
+	want := map[float64]float64{}
+	for _, b := range rates {
+		want[b] = newDataset("ref", p).gammaFor(b)
+	}
+	ds := newDataset("k", p)
+	const callers = 4
+	got := make([]float64, callers*len(rates))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = ds.gammaFor(rates[i%len(rates)])
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			ds.resident(streamKey{procs: 1 + i%2, seed: 42, b: rates[i%len(rates)], k: 1})
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if b := rates[i%len(rates)]; g != want[b] {
+			t.Fatalf("caller %d: gamma(%g) = %.17g, a lone estimate gives %.17g", i, b, g, want[b])
+		}
+	}
+	if len(ds.gammaB) != len(rates) {
+		t.Fatalf("%d cached steps for %d rates", len(ds.gammaB), len(rates))
 	}
 }
 

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -51,7 +52,9 @@ func certifiedReq() *serve.FitRequest {
 
 // directZeroRound runs, outside the server, the solve a repeat of req
 // would have run before certified hits: the server's options for
-// smallRef at lambda, warm-started at w on procs ranks.
+// smallRef at lambda, warm-started at w (cold when nil) on procs ranks,
+// handed a fresh solver.Resident{} as every served fit is handed its
+// dataset's — the triple read from round 0, no stream.
 func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solver.Result {
 	t.Helper()
 	ref := smallRef()
@@ -69,7 +72,7 @@ func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solv
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solver.SolveDistributed(world, p.X, p.Y, o)
+	res, err := solver.SolveDistributedStream(context.Background(), world, p.X, p.Y, o, &solver.Resident{})
 	if err != nil {
 		t.Fatal(err)
 	}

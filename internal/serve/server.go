@@ -26,7 +26,7 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg}
 	s.pool = newPool(cfg.Workers, cfg.QueueCap, &s.stats)
 	s.datasets = newDatasetCache(cfg.DatasetCap, &s.stats)
-	s.stats.streamBytes = s.datasets.streamBytes
+	s.stats.residentBytes = s.datasets.residentBytes
 	s.paths = newPathCache(cfg.PathCap, &s.stats)
 	s.models = newModelStore(cfg.ModelCap)
 	return s

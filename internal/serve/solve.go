@@ -171,10 +171,12 @@ func fitLoss(req *FitRequest) (erm.Loss, bool, error) {
 
 // runFit executes one admitted fit request end to end: dataset
 // resolution, warm-start lookup, the distributed solve under the
-// request context — replaying and extending the dataset's batch stream
-// for its (procs, seed, b, k) — and cache publication; or, when the
-// lookup's entry certifies the request, the cached answer with no solve
-// at all. It never returns a nil response without an error.
+// request context — on the dataset's resident state: the Gram triple
+// of its procs, read from round 0, and the batch stream of its
+// (procs, seed, b, k), replayed and extended — and cache publication;
+// or, when the lookup's entry certifies the request, the cached answer
+// with no solve at all. It never returns a nil response without an
+// error.
 func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, error) {
 	ds, dsHit, err := s.resolveDataset(req.Dataset, req.LIBSVM, req.Features)
 	if err != nil {
@@ -236,8 +238,8 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	if pnLoss {
 		res, serr = s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
 	} else {
-		stream := ds.stream(streamKey{procs: procs, seed: opts.Seed, b: opts.B, k: opts.K})
-		res, serr = solver.SolveDistributedStream(ctx, world, ds.prob.X, ds.prob.Y, opts, stream)
+		r := ds.resident(streamKey{procs: procs, seed: opts.Seed, b: opts.B, k: opts.K})
+		res, serr = solver.SolveDistributedStream(ctx, world, ds.prob.X, ds.prob.Y, opts, r)
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if serr != nil {
@@ -260,6 +262,9 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	resp.ReplayedRounds = res.Replayed
 	s.stats.streamReplayed.Add(int64(res.Replayed))
 	s.stats.streamRecorded.Add(int64(res.Recorded))
+	if res.GramFilled {
+		s.stats.gramFills.Add(1)
+	}
 	for _, v := range res.W {
 		if v != 0 {
 			resp.Nnz++

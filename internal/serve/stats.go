@@ -33,9 +33,10 @@ type Stats struct {
 
 	streamReplayed atomic.Int64
 	streamRecorded atomic.Int64
-	// streamBytes reads the bytes the resident batch streams hold; nil
-	// reads 0.
-	streamBytes func() int64
+	gramFills      atomic.Int64
+	// residentBytes reads the bytes the resident batch streams and
+	// Gram triples hold; nil reads 0.
+	residentBytes func() (stream, gram int64)
 }
 
 // StatsSnapshot is the JSON shape of GET /stats.
@@ -52,7 +53,8 @@ type StatsSnapshot struct {
 	ActiveFits int64 `json:"active_fits"`
 	QueuedFits int64 `json:"queued_fits"`
 
-	// Dataset (problem, step-size and batch-stream) cache counters.
+	// Dataset cache counters. An entry holds the problem, its step
+	// sizes, its Gram triple per world size and its batch streams.
 	DatasetHits      int64 `json:"dataset_hits"`
 	DatasetMisses    int64 `json:"dataset_misses"`
 	DatasetEvictions int64 `json:"dataset_evictions"`
@@ -83,13 +85,19 @@ type StatsSnapshot struct {
 	StreamRoundsReplayed int64 `json:"stream_rounds_replayed"`
 	StreamRoundsRecorded int64 `json:"stream_rounds_recorded"`
 	StreamBytes          int64 `json:"stream_bytes"`
+	// Resident Gram: the bytes the resident datasets' least-squares
+	// triples hold now (one per dataset and world size, drawn from the
+	// same budget as the streams), and the fits that filled one — a
+	// steady grid fills once per (dataset, procs).
+	GramBytes int64 `json:"gram_bytes"`
+	GramFills int64 `json:"gram_fills"`
 }
 
 // Snapshot reads the current counter values.
 func (s *Stats) Snapshot() StatsSnapshot {
-	var streamBytes int64
-	if s.streamBytes != nil {
-		streamBytes = s.streamBytes()
+	var streamBytes, gramBytes int64
+	if s.residentBytes != nil {
+		streamBytes, gramBytes = s.residentBytes()
 	}
 	return StatsSnapshot{
 		Fits:        s.fits.Load(),
@@ -119,6 +127,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		StreamRoundsReplayed: s.streamReplayed.Load(),
 		StreamRoundsRecorded: s.streamRecorded.Load(),
 		StreamBytes:          streamBytes,
+		GramBytes:            gramBytes,
+		GramFills:            s.gramFills.Load(),
 	}
 }
 

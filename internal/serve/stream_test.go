@@ -55,6 +55,13 @@ func roundBytes() int64 {
 	return 8 * int64(mat.PackedLen(d)+d)
 }
 
+// tripleBytes is the size of smallRef's kept least-squares triple: the
+// packed G, r and c.
+func tripleBytes() int64 {
+	d := smallRef().Features
+	return 8 * int64(mat.PackedLen(d)+d+1)
+}
+
 // TestReplayedReplyIsTheColdOne: a warm=false fit on a dataset whose
 // stream a fit at another lambda recorded replays it, and its reply is
 // the stream-less server's byte for byte apart from the fields that
@@ -132,8 +139,9 @@ func TestStreamKeys(t *testing.T) {
 }
 
 // TestStreamBudgetKeepsPrefix: a fit longer than the dataset's budget
-// leaves a prefix no larger than the bytes of X and y; a repeat replays
-// that prefix, runs the rest live, and answers bit for bit as before.
+// keeps its triple, filled before round 0, and a prefix that fits in
+// the rest of the bytes of X and y; a repeat replays that prefix, runs
+// the rest live, and answers bit for bit as before.
 func TestStreamBudgetKeepsPrefix(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
@@ -142,10 +150,11 @@ func TestStreamBudgetKeepsPrefix(t *testing.T) {
 	req.GradMapTol, req.MaxIter = -1, int(2*budget/per)
 	first := doFit(t, client, ts.URL, req)
 	sn := getStats(t, client, ts.URL)
-	held := budget / per
-	if sn.StreamRoundsRecorded != held || sn.StreamBytes != held*per || first.Rounds <= int(held) {
-		t.Fatalf("a %d-round fit recorded %d rounds (%d bytes) under a %d-byte budget, want %d rounds",
-			first.Rounds, sn.StreamRoundsRecorded, sn.StreamBytes, budget, held)
+	held := (budget - tripleBytes()) / per
+	if sn.StreamRoundsRecorded != held || sn.StreamBytes != held*per || first.Rounds <= int(held) ||
+		sn.GramBytes != tripleBytes() || sn.GramFills != 1 {
+		t.Fatalf("a %d-round fit recorded %d rounds (%d bytes) and kept %d triple bytes (%d fills) under a %d-byte budget, want %d rounds and one %d-byte triple",
+			first.Rounds, sn.StreamRoundsRecorded, sn.StreamBytes, sn.GramBytes, sn.GramFills, budget, held, tripleBytes())
 	}
 	again := doFit(t, client, ts.URL, req)
 	if again.ReplayedRounds != int(held) || again.Rounds != first.Rounds || again.Iters != first.Iters ||
@@ -153,8 +162,8 @@ func TestStreamBudgetKeepsPrefix(t *testing.T) {
 		t.Fatalf("repeat replayed %d rounds: %d rounds, objective %.17g; first %d rounds, objective %.17g (or w differs)",
 			again.ReplayedRounds, again.Rounds, again.Objective, first.Rounds, first.Objective)
 	}
-	if sn := getStats(t, client, ts.URL); sn.StreamBytes != held*per || sn.StreamRoundsReplayed != held {
-		t.Fatalf("after the repeat: %d bytes, %d rounds replayed", sn.StreamBytes, sn.StreamRoundsReplayed)
+	if sn := getStats(t, client, ts.URL); sn.StreamBytes != held*per || sn.StreamRoundsReplayed != held || sn.GramFills != 1 {
+		t.Fatalf("after the repeat: %d bytes, %d rounds replayed, %d fills", sn.StreamBytes, sn.StreamRoundsReplayed, sn.GramFills)
 	}
 }
 
@@ -184,9 +193,10 @@ func TestStreamsLeaveWithTheDataset(t *testing.T) {
 }
 
 // TestStreamGridConcurrent: two workers fit one lambda grid at once,
-// in opposite orders, racing to record and replay one stream (the CI
-// serving job runs it under -race). Every reply equals a stream-less
-// solve bit for bit, and every recorded round is held exactly once.
+// in opposite orders, racing to record and replay one stream and to
+// fill one triple (the CI serving job runs it under -race). Every reply
+// equals a stream-less solve handed a fresh Resident{} bit for bit,
+// every recorded round is held exactly once, and one triple is kept.
 func TestStreamGridConcurrent(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Workers, cfg.QueueCap = 2, 8
@@ -243,7 +253,97 @@ func TestStreamGridConcurrent(t *testing.T) {
 		most = max(most, want.Rounds)
 	}
 	sn := getStats(t, client, ts.URL)
-	if held := min(int64(most), smallBytes(t)/roundBytes()); sn.StreamRoundsRecorded != held || sn.StreamBytes != held*roundBytes() {
-		t.Fatalf("recorded %d rounds in %d bytes, want each of %d rounds once", sn.StreamRoundsRecorded, sn.StreamBytes, held)
+	held := min(int64(most), (smallBytes(t)-tripleBytes())/roundBytes())
+	if sn.StreamRoundsRecorded != held || sn.StreamBytes != held*roundBytes() || sn.GramBytes != tripleBytes() {
+		t.Fatalf("recorded %d rounds in %d bytes and kept %d triple bytes, want each of %d rounds once and one triple",
+			sn.StreamRoundsRecorded, sn.StreamBytes, sn.GramBytes, held)
+	}
+}
+
+// history matches the reply fields that report the server's history
+// rather than the fit: the model id, which counts its fits, and the
+// dataset cache outcome.
+var history = regexp.MustCompile(`"(model_id|dataset_cache_hit)": [^,\n]*`)
+
+// TestResidentTriplePure: a reply is a pure function of (dataset,
+// request, procs), never of the state of the dataset's triple. One
+// cold request is the second fit on three servers: one where a fit at
+// another lambda kept the triple (cached), one where this fit fills and
+// keeps it (fresh), and one where a long fit on another world size
+// starved the budget, so this fit fills a triple it cannot keep. The
+// three replies are byte-equal apart from the work fields. Two first
+// fits racing on a fresh dataset keep exactly one triple and answer
+// alike, and like the other three apart from the history fields.
+func TestResidentTriplePure(t *testing.T) {
+	req := coldReq(0.2)
+	second := func(first *serve.FitRequest) ([]byte, serve.StatsSnapshot) {
+		_, ts := newTestServer(t, fastConfig())
+		doFit(t, ts.Client(), ts.URL, first)
+		raw := fitRaw(t, ts.Client(), ts.URL, req)
+		return workFields.ReplaceAll(raw, nil), getStats(t, ts.Client(), ts.URL)
+	}
+	elsewhere := func(maxIter int) *serve.FitRequest {
+		r := coldReq(0.3)
+		r.Procs, r.MaxIter, r.GradMapTol = 1, maxIter, -1
+		return r
+	}
+	cached, snC := second(coldReq(0.3))
+	fresh, snF := second(elsewhere(10))
+	starved, snS := second(elsewhere(int(2 * smallBytes(t) / roundBytes())))
+	for _, c := range []struct {
+		name         string
+		sn           serve.StatsSnapshot
+		fills, kept  int64
+		replayedSome bool
+	}{
+		{"cached", snC, 1, 1, true},
+		{"fresh", snF, 2, 2, false},
+		{"starved", snS, 2, 1, false},
+	} {
+		if c.sn.GramFills != c.fills || c.sn.GramBytes != c.kept*tripleBytes() || (c.sn.StreamRoundsReplayed > 0) != c.replayedSome {
+			t.Fatalf("%s: %d fills, %d triple bytes, %d rounds replayed; want %d fills and %d triples kept",
+				c.name, c.sn.GramFills, c.sn.GramBytes, c.sn.StreamRoundsReplayed, c.fills, c.kept)
+		}
+	}
+	if string(cached) != string(fresh) || string(fresh) != string(starved) {
+		t.Fatalf("replies differ:\ncached %s\nfresh %s\nstarved %s", cached, fresh, starved)
+	}
+
+	_, ts := newTestServer(t, fastConfig())
+	client := ts.Client()
+	body, _ := json.Marshal(req)
+	raced := make([][]byte, 2)
+	errs := make(chan error, len(raced))
+	var wg sync.WaitGroup
+	for i := range raced {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := client.Post(ts.URL+"/fit", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("racer %d: status %d, %v: %s", i, resp.StatusCode, err, buf.Bytes())
+				return
+			}
+			raced[i] = history.ReplaceAll(workFields.ReplaceAll(buf.Bytes(), nil), nil)
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if want := history.ReplaceAll(cached, nil); string(raced[0]) != string(raced[1]) || string(raced[0]) != string(want) {
+		t.Fatalf("racing first fits answered\n%s\nand\n%s\nwant\n%s", raced[0], raced[1], want)
+	}
+	sn := getStats(t, client, ts.URL)
+	if sn.GramBytes != tripleBytes() || sn.GramFills < 1 || sn.GramFills > 2 || sn.StreamBytes != sn.StreamRoundsRecorded*roundBytes() {
+		t.Fatalf("racing first fits: %d fills, %d triple bytes, %d stream bytes for %d rounds; want one triple kept",
+			sn.GramFills, sn.GramBytes, sn.StreamBytes, sn.StreamRoundsRecorded)
 	}
 }

@@ -623,9 +623,53 @@ func TestGramObjectiveUnderFaults(t *testing.T) {
 	}
 }
 
+// roundIterates is the engine's stage D, keeping on rank 0 a copy of
+// the iterate each round leaves.
+type roundIterates struct {
+	*engine
+	ws [][]float64
+}
+
+func (r *roundIterates) Process(shared []float64) bool {
+	stop := r.engine.Process(shared)
+	if r.c.Rank() == 0 {
+		r.ws = append(r.ws, mat.Clone(r.wCurr))
+	}
+	return stop
+}
+
+// servedIterates returns the iterates of rounds 0–10 of a solve handed
+// a resident handle on gramOpts (P = 2, chan), w = 0 first: every one
+// is an iterate such a solve reads the Gram at, the first ⌈m/m̄⌉ of
+// them ones a solve without a handle takes through the data.
+func servedIterates(t *testing.T, p *data.Problem) [][]float64 {
+	o := gramOpts(p)
+	o.MaxIter = 10 * o.K * o.S
+	v, err := (&Resident{}).open(p.X, 2, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rank0 *roundIterates
+	if _, _, err := engineWorld(t, "chan", 2, p, o, nil, func(e *engine) (*Result, error) {
+		e.reside(v)
+		pass := &roundIterates{engine: e}
+		if e.c.Rank() == 0 {
+			rank0 = pass
+		}
+		return e.run(context.Background(), e, pass, false)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rank0.ws) != 10 {
+		t.Fatalf("%d rounds, want 10", len(rank0.ws))
+	}
+	return append([][]float64{make([]float64, p.X.Rows)}, rank0.ws...)
+}
+
 // TestGramSnapshotMatchesDataPass holds the Gram-sourced snapshot to the
-// data pass it replaces, at the origin, near the optimum and at a dense
-// perturbation of it, on every shape, at P ∈ {1, 2, 4} over both
+// data pass it replaces, at the origin, near the optimum, at a dense
+// perturbation of it and at the iterates of rounds 0–10 of a served
+// solve (servedIterates), on every shape, at P ∈ {1, 2, 4} over both
 // transports: the gradient within 1e-12·‖∇f‖∞, every rank on the same
 // bits, and the gradient-map norm within gramMapSlack/100 of itself —
 // the tolerance at which that snapshot sits on the stop — so the
@@ -647,7 +691,7 @@ func TestGramSnapshotMatchesDataPass(t *testing.T) {
 		for i := range noisy {
 			noisy[i] += 0.1 * (r.Float64() - 0.5)
 		}
-		points := [][]float64{make([]float64, p.X.Rows), wRef, noisy}
+		points := append([][]float64{wRef, noisy}, servedIterates(t, p)...)
 		for _, backend := range []string{"chan", "tcp"} {
 			for _, procs := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s/%s/p%d", s.name, backend, procs)

@@ -492,6 +492,7 @@ func (e *engine) afterUpdate() (stop bool) {
 func (e *engine) finish() *Result {
 	res := e.rec.Finish(mat.Clone(e.wCurr))
 	e.rp.report(res)
+	res.GramFilled = e.gram.filled
 	if e.gradMapStop && !e.tiers.on {
 		res.GradMap = e.ex.norm
 	}

@@ -5,10 +5,11 @@ package solver
 // two of its readers: the stage-A snapshot refresh and the
 // instrumentation-side objective evaluation (the KKT scan reads it in
 // activeset_window.go). Split from rcsfista.go, which keeps the round
-// loop, the update kernel and the solvercore hooks. Once stage B has
-// sampled as many columns as its fill touches, the state and the
-// objective read the resident least-squares Gram; before that each
-// takes one collective, routed through the tier policy.
+// loop, the update kernel and the solvercore hooks. Once the resident
+// least-squares Gram is ready — from round 0 under a resident handle,
+// else once stage B has sampled as many columns as its fill touches —
+// the state and the objective read it; before that each takes one
+// collective, routed through the tier policy.
 
 import (
 	"math"
@@ -139,36 +140,51 @@ const gramMapSlack = 1e-6
 // nothing, where a data pass costs ≥ 2·nnz_local flops and an
 // allreduce.
 //
-// The fill (FullGramPacked over the local block, ≤ (d+3)·nnz_local
-// flops, then one f64 AllreduceShared of PackedLen(d)+d+1 words) waits
-// until stage B has sampled as many columns as it touches (gramReady),
-// so it never costs more than the Hessian sampling already spent. Its
-// bill goes to the rank once, at the first exact take that reads the
-// triple, whether that take or an earlier objective filled it: W,
-// Cost and Rounds do not depend on the trace cadence.
+// The fill is FullGramPacked over the local block, ≤ (d+3)·nnz_local
+// flops, then one f64 AllreduceShared of PackedLen(d)+d+1 words. A
+// solve handed a resident handle (resident.go) holds the triple before
+// round 0: a kept one, or one it fills then and bills at once. Any
+// other solve defers the fill until stage B has sampled as many
+// columns as it touches (gramReady), so the fill never costs more than
+// the Hessian sampling already spent — ski rental for a solve that
+// keeps nothing. Its bill then goes to the rank once, at the first
+// exact take that reads the triple, whether that take or an earlier
+// objective filled it: W, Cost and Rounds do not depend on the trace
+// cadence.
 type residentGram struct {
 	// on gates the path: off under ActiveSet, whose |A|-sized slots G
 	// may outgrow, and under any CompressTier — where the snapshot
 	// gradient crosses the wire quantized and the auto ratchet reads the
 	// objective — except auto on one rank, which never leaves f64.
 	on bool
-	// h, r, c are the replicated triple, nil h until filled. They view
-	// the fill's shared allreduce result, which nothing else writes.
+	// h, r, c are the replicated triple, nil h until held. They view
+	// the fill's shared allreduce result or a kept triple, which
+	// nothing writes.
 	h *mat.SymPacked
 	r []float64
 	c float64
-	// bill is the fill's cost; billed is set once an exact take charged it.
-	bill   perf.Cost
-	billed bool
+	// bill is the fill's cost; billed is set once it is charged (or,
+	// for a kept triple, owed by no one). filled says this solve filled.
+	bill           perf.Cost
+	billed, filled bool
+}
+
+// view points the d-dimensional triple at tri: the packed G, then r,
+// then c.
+func (g *residentGram) view(tri []float64, d int) {
+	pl := mat.PackedLen(d)
+	g.h = &mat.SymPacked{N: d, Data: tri[:pl]}
+	g.r, g.c = tri[pl:pl+d], tri[pl+d]
 }
 
 // gramReady reports whether the resident triple answers: the path is
-// on and stage B has sampled (Iter/S)·m̄ ≥ m columns. Both sides are
-// pure functions of the options and the processed updates, identical
-// on every rank and on the blocking and pipelined loops, so the ranks
-// fill in lockstep with no extra collective.
+// on, and the triple is held (from round 0 under a resident handle) or
+// stage B has sampled (Iter/S)·m̄ ≥ m columns. All of it is a pure
+// function of the options, the handle's view and the processed
+// updates, identical on every rank and on the blocking and pipelined
+// loops, so the ranks fill in lockstep with no extra collective.
 func (e *engine) gramReady() bool {
-	return e.gram.on && (e.rec.Iter/e.opts.S)*e.mbar >= e.m
+	return e.gram.on && (e.gram.h != nil || (e.rec.Iter/e.opts.S)*e.mbar >= e.m)
 }
 
 // loss returns ½wᵀGw − rᵀw + c. Row i of the packed triangle carries
@@ -196,9 +212,10 @@ func (g *residentGram) loss(w []float64) float64 {
 }
 
 // fillGram builds the replicated triple from this rank's block and one
-// allreduce. Its flops and words are rolled back into g.bill, which the
-// first exact take that reads the triple charges (takeExact).
-func (e *engine) fillGram() {
+// allreduce, and returns it. Its flops and words are rolled back into
+// g.bill, which the first exact take that reads the triple charges
+// (takeExact), or reside at once.
+func (e *engine) fillGram() []float64 {
 	cost := e.c.Cost()
 	saved := *cost
 	g := &e.gram
@@ -212,10 +229,10 @@ func (e *engine) fillGram() {
 	}
 	local[pl+d] = yy * scale / 2
 	shared := e.c.AllreduceShared(local)
-	g.h = &mat.SymPacked{N: d, Data: shared[:pl]}
-	g.r, g.c = shared[pl:pl+d], shared[pl+d]
-	g.bill = cost.Sub(saved)
+	g.view(shared, d)
+	g.bill, g.filled = cost.Sub(saved), true
 	*cost = saved
+	return shared
 }
 
 // nearStop is the one source rule: a Gram-sourced objective f within

@@ -11,13 +11,11 @@ package solver
 // the stream lacks, extending it.
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 
-	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
@@ -80,11 +78,13 @@ func NewBatchStream(budget *StreamBudget) *BatchStream {
 	return &BatchStream{budget: budget}
 }
 
-// replayable is the one rule for which solves may use a stream: not
-// under ActiveSet, whose slots are laid out on the working set; not
-// under a CompressTier, whose error feedback and auto ratchet make the
-// shared batch depend on the solve's own history; and not under a
-// FaultPlan, whose lost rounds shift and reuse batches.
+// replayable is the one rule for which solves may use a resident
+// handle (Resident), its stream and its Gram alike: not under
+// ActiveSet, whose slots are laid out on the working set and which
+// keeps no resident Gram; not under a CompressTier, whose error
+// feedback and auto ratchet make the shared batch depend on the solve's
+// own history; and not under a FaultPlan, whose lost rounds shift and
+// reuse batches.
 func replayable(o *Options) bool {
 	t, err := parseTierConfig(o.CompressTier)
 	return !o.ActiveSet && err == nil && !t.on && o.Faults == nil
@@ -98,19 +98,13 @@ type streamPrefix struct {
 	rounds [][]float64
 }
 
-// open checks a p-rank solve of opts on (x, ·) against the stream and
-// returns the prefix it replays: nil, recording nothing, when the solve
-// is not replayable (or invalid, left to newEngine to report); an
-// error when the stream was recorded under another identity.
-func (s *BatchStream) open(x *sparse.CSC, p int, opts Options) (*streamPrefix, error) {
+// open stamps s with id, the identity of the solve opening it, and
+// returns the prefix that solve replays; an error when s was recorded
+// under another identity. Nil-safe: no stream replays nothing.
+func (s *BatchStream) open(id streamID) (*streamPrefix, error) {
 	if s == nil {
 		return nil, nil
 	}
-	o := opts.withDefaults()
-	if o.Validate() != nil || !replayable(&o) {
-		return nil, nil
-	}
-	id := streamID{d: x.Rows, m: x.Cols, p: p, mbar: sampleSize(o.B, x.Cols), k: o.K, seed: o.Seed}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.id == (streamID{}) {
@@ -213,44 +207,4 @@ func (r *replayer) report(res *Result) {
 	if r != nil {
 		res.Replayed, res.Recorded = r.replayed, r.recorded
 	}
-}
-
-// rcsfista builds one rank's engine and runs it, replaying pre when it
-// is non-nil.
-func rcsfista(ctx context.Context, c dist.Comm, local LocalData, opts Options, pre *streamPrefix) (*Result, error) {
-	e, err := newEngine(c, local, opts)
-	if err != nil {
-		return nil, err
-	}
-	e.replayFrom(pre)
-	return e.run(ctx, e, e, !e.opts.ActiveSet)
-}
-
-// replayFrom puts the engine's stage C behind a replayer of pre; a nil
-// pre leaves every round live.
-func (e *engine) replayFrom(pre *streamPrefix) {
-	if pre != nil {
-		e.rp = &replayer{streamPrefix: pre, inner: e.exch, rank0: e.c.Rank() == 0}
-	}
-}
-
-// SolveDistributedStream is SolveDistributedContext replaying and
-// extending s, the batch stream of (x, y) on this world size: rounds
-// the stream holds run no fill and no exchange and bill nothing, the
-// rest run live, rank 0 appending them. The result equals the
-// stream-less solve's bit for bit in W, the objective, the counters,
-// the stop and every trace objective; Cost, ModelSeconds and trace
-// timing count the work done, and Result.Replayed and Recorded say
-// what the stream gave and took. A solve the engine does not replay
-// (see replayable) ignores s; one whose identity differs from the one
-// s was stamped with errors before its first round. A nil s is
-// SolveDistributedContext.
-func SolveDistributedStream(ctx context.Context, w dist.World, x *sparse.CSC, y []float64, opts Options, s *BatchStream) (*Result, error) {
-	pre, err := s.open(x, w.Size(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return solvercore.RunWorld(w, func(c dist.Comm) (*Result, error) {
-		return rcsfista(ctx, c, Partition(x, y, c.Size(), c.Rank()), opts, pre)
-	})
 }

@@ -17,13 +17,22 @@ import (
 // newStream returns a stream with room for every test solve.
 func newStream() *BatchStream { return NewBatchStream(NewStreamBudget(1 << 40)) }
 
-// streamSolve solves o on a procs-rank world over backend replaying and
-// extending s, on the blocking or the pipelined loop as asked; ctxOf,
-// when set, gives each rank its context. It returns the engines too.
-func streamSolve(t *testing.T, backend string, procs int, p *data.Problem, o Options, s *BatchStream,
+// newResident returns a handle whose Gram and stream have room for
+// every test solve.
+func newResident() *Resident {
+	b := NewStreamBudget(1 << 40)
+	return &Resident{Gram: NewGram(b), Stream: NewBatchStream(b)}
+}
+
+// streamSolve solves o on a procs-rank world over backend on the
+// resident handle r, on the blocking or the pipelined loop as asked;
+// ctxOf, when set, gives each rank its context. It returns the engines
+// too. A fresh &Resident{} is the stream-less reference every replay is
+// held to: it fills the triple before round 0 and keeps nothing.
+func streamSolve(t *testing.T, backend string, procs int, p *data.Problem, o Options, r *Resident,
 	pipelined bool, ctxOf func(e *engine) context.Context) (*Result, []*engine, error) {
 	t.Helper()
-	pre, err := s.open(p.X, procs, o)
+	v, err := r.open(p.X, procs, o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -32,7 +41,7 @@ func streamSolve(t *testing.T, backend string, procs int, p *data.Problem, o Opt
 		if ctxOf != nil {
 			ctx = ctxOf(e)
 		}
-		e.replayFrom(pre)
+		e.reside(v)
 		return e.run(ctx, e, e, pipelined)
 	})
 }
@@ -48,12 +57,14 @@ func requireReplayed(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestReplayEquivalence runs one stream through a sequence of solves
-// that replay it fully, partly, and extend it — MaxIter, GradMapTol and
-// Tol stops, and l1, elastic-net and group fits sharing the stream —
-// and holds each to a stream-less solve bit for bit, at P ∈ {1, 2, 4}
-// on chan and P = 2 over tcp, on both round loops. Replayed rounds
-// bill nothing, so a replayed solve's Cost is below the fresh one's.
+// TestReplayEquivalence runs one handle through a sequence of solves
+// that replay its stream fully, partly, and extend it — MaxIter,
+// GradMapTol and Tol stops, and l1, elastic-net and group fits sharing
+// the stream and the triple the first of them kept — and holds each to
+// a stream-less solve handed a fresh Resident{} bit for bit, at
+// P ∈ {1, 2, 4} on chan and P = 2 over tcp, on both round loops.
+// Replayed rounds and a kept triple bill nothing, so a replayed solve's
+// Cost is below the fresh one's.
 func TestReplayEquivalence(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -86,22 +97,26 @@ func TestReplayEquivalence(t *testing.T) {
 		procs   int
 	}{{"chan", 1}, {"chan", 2}, {"chan", 4}, {"tcp", 2}} {
 		for _, pipelined := range []bool{false, true} {
-			s := newStream()
+			r := newResident()
+			s := r.Stream
 			var partial, extended bool
-			for _, st := range steps {
+			for i, st := range steps {
 				name := fmt.Sprintf("%s/p%d/pipe=%t/%s", leg.backend, leg.procs, pipelined, st.name)
 				o := gramOpts(p)
 				st.edit(&o)
-				want, err := loopSolve(context.Background(), t, leg.backend, leg.procs, p, o, pipelined)
+				want, _, err := streamSolve(t, leg.backend, leg.procs, p, o, &Resident{}, pipelined, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				held := len(s.rounds)
-				got, _, err := streamSolve(t, leg.backend, leg.procs, p, o, s, pipelined, nil)
+				got, _, err := streamSolve(t, leg.backend, leg.procs, p, o, r, pipelined, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				requireReplayed(t, name, got, want)
+				if !want.GramFilled || got.GramFilled != (i == 0) {
+					t.Fatalf("%s: filled the triple %t (reference %t); only the first solve on a handle fills", name, got.GramFilled, want.GramFilled)
+				}
 				if wantRep := min(held, got.Rounds); got.Replayed != wantRep || got.Recorded != got.Rounds-wantRep {
 					t.Fatalf("%s: replayed %d recorded %d of %d rounds from a %d-round stream",
 						name, got.Replayed, got.Recorded, got.Rounds, held)
@@ -123,7 +138,8 @@ func TestReplayEquivalence(t *testing.T) {
 }
 
 // TestReplayProduction drives SolveDistributedStream, the engine's own
-// loop choice: a second solve replays every round of the first.
+// loop choice: a second solve replays every round of the first and
+// reads the triple it kept.
 func TestReplayProduction(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -131,19 +147,19 @@ func TestReplayProduction(t *testing.T) {
 	}
 	o := gramOpts(p)
 	o.K, o.GradMapTol, o.MaxIter = 2, 1e-4, 4000
-	want, err := SolveDistributed(dist.NewWorld(2, perf.Comet()), p.X, p.Y, o)
+	want, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, &Resident{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newStream()
+	r := newResident()
 	for i := 0; i < 2; i++ {
-		got, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s)
+		got, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireReplayed(t, fmt.Sprintf("solve %d", i), got, want)
-		if got.Replayed != i*want.Rounds {
-			t.Fatalf("solve %d replayed %d of %d rounds", i, got.Replayed, want.Rounds)
+		if got.Replayed != i*want.Rounds || got.GramFilled != (i == 0) {
+			t.Fatalf("solve %d replayed %d of %d rounds, filled the triple %t", i, got.Replayed, want.Rounds, got.GramFilled)
 		}
 	}
 }
@@ -160,7 +176,7 @@ func TestReplayCancel(t *testing.T) {
 	const procs, at = 4, 9
 	o := gramOpts(p)
 	o.K, o.MaxIter, o.GradMapTol = 2, 60, 0
-	s := newStream()
+	s := newResident()
 	if _, _, err := streamSolve(t, "chan", procs, p, o, s, true, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +208,10 @@ func TestReplayCancel(t *testing.T) {
 }
 
 // TestReplayIdentity: a stream is stamped with the (d, m, P, seed, m̄,
-// k) of the first solve that opens it; any other identity errors before
-// a world runs, while λ, the regularizer, S, the epoch and the
-// tolerances share it.
+// k) of the first solve that opens it and a Gram with its (d, m, P);
+// any other identity errors before a world runs, while λ, the
+// regularizer, S, the epoch and the tolerances share both — and the
+// seed, b and k share the Gram.
 func TestReplayIdentity(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -202,7 +219,7 @@ func TestReplayIdentity(t *testing.T) {
 	}
 	o := gramOpts(p)
 	o.K, o.MaxIter = 2, 20
-	s := newStream()
+	s := newResident()
 	if _, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s); err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +244,10 @@ func TestReplayIdentity(t *testing.T) {
 		if err == nil || res != nil {
 			t.Fatalf("%s: a mismatching solve ran: res %v err %v", name, res, err)
 		}
+		res, err = SolveDistributedStream(context.Background(), dist.NewWorld(c.procs, perf.Comet()), c.prob.X, c.prob.Y, oc, &Resident{Gram: s.Gram})
+		if shared := c.procs == 2 && c.prob == p; shared != (err == nil) || shared && res.GramFilled {
+			t.Fatalf("%s: a Gram-only solve: err %v, res %v; want it to read the kept triple exactly when (d, m, P) match", name, err, res)
+		}
 	}
 	o.Lambda, o.S, o.EpochLen, o.GradMapTol = 2*o.Lambda, 3, 12, 1e-3
 	o.Reg = prox.ElasticNet{Lambda1: o.Lambda, Lambda2: 0.1}
@@ -237,9 +258,9 @@ func TestReplayIdentity(t *testing.T) {
 }
 
 // TestReplayIneligible: a screened, a compressed (f32, i8, auto) and a
-// fault-injected solve neither read nor write a stream — not even its
-// stamp — and equal their stream-less solves in everything, Cost
-// included.
+// fault-injected solve neither read nor write a resident handle — not
+// its stream, not its Gram, not even their stamps — and equal their
+// handle-less solves in everything, Cost included.
 func TestReplayIneligible(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -247,11 +268,11 @@ func TestReplayIneligible(t *testing.T) {
 	}
 	base := gramOpts(p)
 	base.K, base.MaxIter, base.GradMapTol = 2, 40, 0
-	recorded := newStream()
+	recorded := newResident()
 	if _, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, base, recorded); err != nil {
 		t.Fatal(err)
 	}
-	held := len(recorded.rounds)
+	held, kept := len(recorded.Stream.rounds), recorded.Gram.Bytes()
 	for name, edit := range map[string]func(o *Options){
 		"activeset": func(o *Options) { o.ActiveSet = true },
 		"f32":       func(o *Options) { o.CompressTier = "f32" },
@@ -267,20 +288,25 @@ func TestReplayIneligible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := newStream()
-		for _, s := range []*BatchStream{recorded, fresh} {
-			got, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s)
+		fresh := newResident()
+		for _, r := range []*Resident{recorded, fresh} {
+			got, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, r)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			requireSameResult(t, name, got, want)
-			if got.Replayed != 0 || got.Recorded != 0 {
-				t.Fatalf("%s: replayed %d, recorded %d", name, got.Replayed, got.Recorded)
+			if got.Replayed != 0 || got.Recorded != 0 || got.GramFilled != want.GramFilled {
+				t.Fatalf("%s: replayed %d, recorded %d, filled the triple %t (handle-less %t)",
+					name, got.Replayed, got.Recorded, got.GramFilled, want.GramFilled)
 			}
 		}
-		if len(recorded.rounds) != held || len(fresh.rounds) != 0 || fresh.id != (streamID{}) {
+		if len(recorded.Stream.rounds) != held || len(fresh.Stream.rounds) != 0 || fresh.Stream.id != (streamID{}) {
 			t.Fatalf("%s: the stream moved: %d rounds (held %d), fresh %d rounds, stamp %+v",
-				name, len(recorded.rounds), held, len(fresh.rounds), fresh.id)
+				name, len(recorded.Stream.rounds), held, len(fresh.Stream.rounds), fresh.Stream.id)
+		}
+		if recorded.Gram.Bytes() != kept || fresh.Gram.Bytes() != 0 || fresh.Gram.id != (gramID{}) {
+			t.Fatalf("%s: the Gram moved: %d bytes (kept %d), fresh %d bytes, stamp %+v",
+				name, recorded.Gram.Bytes(), kept, fresh.Gram.Bytes(), fresh.Gram.id)
 		}
 	}
 }

@@ -47,6 +47,10 @@ type Result struct {
 	// the rounds this solve appended to one (solver.BatchStream). Both
 	// are 0 for a solve without a stream.
 	Replayed, Recorded int
+	// GramFilled reports that the solve filled the least-squares triple
+	// (an RC-SFISTA resident Gram) itself; false when it read a kept one
+	// (solver.Resident) or never engaged one.
+	GramFilled bool
 }
 
 // FaultStats counts the solver's resilience activity under an injected
