@@ -6,19 +6,19 @@
 //   - a dataset cache (LRU) holding the loaded problem plus its
 //     sampled-Lipschitz step sizes, so repeated fits against the same
 //     data skip the Gram-spectrum power iterations;
-//   - per dataset, its resident least-squares state: one Gram triple
-//     (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m) per procs, and the reduced
-//     batch streams keyed by (procs, seed, b, k) — the allreduced
-//     Hessian batch of every round a fit ran. Neither depends on
-//     lambda, the regularizer or the iterate. Every least-squares fit
-//     is handed both (solver.SolveDistributedStream): it reads the
-//     triple from round 0, the first fit filling it before its first
-//     round, and replays the recorded rounds without a fill or an
-//     allreduce. Its reply is bit for bit that of the same solve on a
-//     fresh server — warm=false still means a cold solve; only
-//     ElapsedMS, ModelSeconds and ReplayedRounds, which count work
-//     done, tell the difference. Triples and streams together hold at
-//     most the bytes of the dataset's X and y and leave with it;
+//   - per dataset, one solver.Resident per procs: its least-squares
+//     triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m) and its reduced batch
+//     streams — the allreduced Hessian batch of every round a fit ran,
+//     keyed inside by the solver. Neither depends on lambda, the
+//     regularizer or the iterate. Every least-squares fit is handed it
+//     (solver.SolveDistributedStream): it reads the triple from round
+//     0, the first fit filling it before its first round, and replays
+//     the recorded rounds without a fill or an allreduce. Its reply is
+//     bit for bit that of the CLI solve at the same procs — warm=false
+//     still means a cold solve; only ElapsedMS, ModelSeconds and
+//     ReplayedRounds, which count work done, tell the difference.
+//     Triples and streams together hold at most the bytes of the
+//     dataset's X and y and leave with it;
 //   - a lambda-path cache keyed by (dataset, solver fingerprint,
 //     lambda bucket) holding the final iterate and support of previous
 //     solves, so a fit at a neighboring lambda warm-starts from the
@@ -203,7 +203,8 @@ type FitResponse struct {
 	// ReplayedRounds counts the Rounds whose Hessian batch came from the
 	// dataset's recorded batch stream instead of a fill and an
 	// allreduce. Everything else in the reply is what the same fit on a
-	// fresh server — no stream, no kept triple — returns, bit for bit.
+	// fresh server — no stream, no kept triple — returns, bit for bit,
+	// and what the CLI solve at the same procs returns.
 	ReplayedRounds int `json:"replayed_rounds"`
 
 	// W is the coefficient vector, present only with ReturnW.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -97,36 +98,50 @@ func TestDatasetCacheConcurrentFirstGet(t *testing.T) {
 	}
 }
 
-// TestDatasetStreamsKeyed: one stream per (procs, seed, b, k) and one
-// Gram per procs, shared by every lookup of that key and by no other,
-// all on the dataset's one budget of its X and y bytes.
-func TestDatasetStreamsKeyed(t *testing.T) {
+// TestDatasetResidentPerProcs: one resident state per procs, shared by
+// every lookup of that world size and by no other, all on the
+// dataset's one budget of its X and y bytes. Which stream of it a fit
+// replays is the solver's key (TestReplayIdentity, TestStreamKeys).
+func TestDatasetResidentPerProcs(t *testing.T) {
 	p, err := data.LoadWith("abalone", 60, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := newDataset("k", p)
-	key := streamKey{procs: 2, seed: 42, b: 0.1, k: 1}
-	r := ds.resident(key)
-	if again := ds.resident(key); again.Stream != r.Stream || again.Gram != r.Gram {
-		t.Fatal("one key, two streams or two Grams")
+	r := ds.resident(2)
+	if ds.resident(2) != r || ds.resident(1) == r {
+		t.Fatal("want one resident state per procs")
 	}
-	for _, other := range []streamKey{
-		{procs: 1, seed: 42, b: 0.1, k: 1},
-		{procs: 2, seed: 43, b: 0.1, k: 1},
-		{procs: 2, seed: 42, b: 0.2, k: 1},
-		{procs: 2, seed: 42, b: 0.1, k: 2},
-	} {
-		o := ds.resident(other)
-		if o.Stream == r.Stream {
-			t.Fatalf("%+v shares %+v's stream", other, key)
-		}
-		if (o.Gram == r.Gram) != (other.procs == key.procs) {
-			t.Fatalf("%+v and %+v: one Gram per procs, got shared=%t", other, key, o.Gram == r.Gram)
+	if ds.budget.Used() != 0 || len(ds.residents) != 2 {
+		t.Fatalf("%d residents holding %d bytes", len(ds.residents), ds.budget.Used())
+	}
+}
+
+// TestResidentBytesAttributed: after a cold grid on two world sizes,
+// whose triples and streams draw on the dataset's one budget, /stats
+// reports as stream bytes exactly the recorded rounds' bytes, and
+// stream plus triple bytes are everything the budget holds.
+func TestResidentBytesAttributed(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 1, Procs: 2, MaxIter: 4000})
+	defer s.Close()
+	off := false
+	ref := &DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7}
+	for _, procs := range []int{1, 2} {
+		for _, ratio := range []float64{0.4, 0.3, 0.2} {
+			req := &FitRequest{Dataset: ref, LambdaRatio: ratio, Warm: &off, Procs: procs}
+			if _, err := s.runFit(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if ds.budget.Used() != 0 || len(ds.streams) != 5 || len(ds.grams) != 2 {
-		t.Fatalf("%d streams and %d Grams holding %d bytes", len(ds.streams), len(ds.grams), ds.budget.Used())
+	sn := s.stats.Snapshot()
+	d := int64(ref.Features)
+	round, triple := 8*(d*(d+1)/2+d), 8*(d*(d+1)/2+d+1)
+	ds := s.datasets.order.Front().Value.(*dataset)
+	if sn.StreamRoundsRecorded == 0 || sn.StreamBytes != sn.StreamRoundsRecorded*round ||
+		sn.GramBytes == 0 || sn.GramBytes%triple != 0 || sn.StreamBytes+sn.GramBytes != ds.budget.Used() {
+		t.Fatalf("%d stream bytes for %d recorded rounds of %d bytes, %d triple bytes, budget holds %d",
+			sn.StreamBytes, sn.StreamRoundsRecorded, round, sn.GramBytes, ds.budget.Used())
 	}
 }
 
@@ -156,7 +171,7 @@ func TestGammaForConcurrent(t *testing.T) {
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			ds.resident(streamKey{procs: 1 + i%2, seed: 42, b: rates[i%len(rates)], k: 1})
+			ds.resident(1 + i%2)
 		}(i)
 	}
 	wg.Wait()

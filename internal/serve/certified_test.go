@@ -52,9 +52,9 @@ func certifiedReq() *serve.FitRequest {
 
 // directZeroRound runs, outside the server, the solve a repeat of req
 // would have run before certified hits: the server's options for
-// smallRef at lambda, warm-started at w (cold when nil) on procs ranks,
-// handed a fresh solver.Resident{} as every served fit is handed its
-// dataset's — the triple read from round 0, no stream.
+// smallRef at lambda, warm-started at w (cold when nil) on procs ranks:
+// SolveDistributedContext, which every served fit equals bit for bit
+// whatever its dataset's resident state holds.
 func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solver.Result {
 	t.Helper()
 	ref := smallRef()
@@ -72,7 +72,7 @@ func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solv
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solver.SolveDistributedStream(context.Background(), world, p.X, p.Y, o, &solver.Resident{})
+	res, err := solver.SolveDistributedContext(context.Background(), world, p.X, p.Y, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,9 +171,9 @@ func fitLoss(req *FitRequest) (erm.Loss, bool, error) {
 
 // runFit executes one admitted fit request end to end: dataset
 // resolution, warm-start lookup, the distributed solve under the
-// request context — on the dataset's resident state: the Gram triple
-// of its procs, read from round 0, and the batch stream of its
-// (procs, seed, b, k), replayed and extended — and cache publication;
+// request context — on the dataset's resident state of its procs: the
+// triple read from round 0 and the batch stream of its sampling setup,
+// replayed and extended — and cache publication;
 // or, when the lookup's entry certifies the request, the cached answer
 // with no solve at all. It never returns a nil response without an
 // error.
@@ -238,8 +238,7 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	if pnLoss {
 		res, serr = s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
 	} else {
-		r := ds.resident(streamKey{procs: procs, seed: opts.Seed, b: opts.B, k: opts.K})
-		res, serr = solver.SolveDistributedStream(ctx, world, ds.prob.X, ds.prob.Y, opts, r)
+		res, serr = solver.SolveDistributedStream(ctx, world, ds.prob.X, ds.prob.Y, opts, ds.resident(procs))
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if serr != nil {

@@ -54,7 +54,8 @@ type StatsSnapshot struct {
 	QueuedFits int64 `json:"queued_fits"`
 
 	// Dataset cache counters. An entry holds the problem, its step
-	// sizes, its Gram triple per world size and its batch streams.
+	// sizes and its resident state (triple and batch streams) per world
+	// size.
 	DatasetHits      int64 `json:"dataset_hits"`
 	DatasetMisses    int64 `json:"dataset_misses"`
 	DatasetEvictions int64 `json:"dataset_evictions"`

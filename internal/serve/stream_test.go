@@ -195,8 +195,8 @@ func TestStreamsLeaveWithTheDataset(t *testing.T) {
 // TestStreamGridConcurrent: two workers fit one lambda grid at once,
 // in opposite orders, racing to record and replay one stream and to
 // fill one triple (the CI serving job runs it under -race). Every reply
-// equals a stream-less solve handed a fresh Resident{} bit for bit,
-// every recorded round is held exactly once, and one triple is kept.
+// equals the handle-less solve bit for bit, every recorded round is
+// held exactly once, and one triple is kept.
 func TestStreamGridConcurrent(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Workers, cfg.QueueCap = 2, 8

@@ -33,7 +33,7 @@ func ExampleSolveDistributed() {
 	fmt.Printf("messages per rank=%d\n", res.Cost.Messages)
 	// Output:
 	// updates=64 rounds=8
-	// messages per rank=20
+	// messages per rank=18
 }
 
 // ExampleRCSFISTA shows the single-process path via SelfComm: the same

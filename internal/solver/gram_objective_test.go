@@ -19,8 +19,9 @@ import (
 )
 
 // The resident Gram (rcsfista_eval.go): its objective and snapshot
-// gradient against the data passes they replace, when it engages, and
-// that which reader engages it first moves nothing.
+// gradient against the data passes they replace, that every solve the
+// path is on for holds it from round 0, and that reading it moves
+// nothing the data passes decide.
 
 // gramShape is one problem shape the resident objective must be exact
 // on: the golden fixtures' instance and the four ls_* benchmark
@@ -42,7 +43,7 @@ var gramShapes = []gramShape{
 }
 
 // gramOpts is an f64 dense-slot configuration that evaluates after
-// every update, so the resident Gram engages early.
+// every update, so every update's objective reads the resident Gram.
 func gramOpts(p *data.Problem) Options {
 	o := Defaults()
 	o.Lambda = p.Lambda
@@ -88,14 +89,6 @@ func runEngines(ctx context.Context, t *testing.T, backend string, procs int, p 
 		return e.run(ctx, e, e, pipelined)
 	})
 }
-
-// fillIter is the first update count at which e's resident Gram is
-// ready: S·⌈m/m̄⌉, where stage B has sampled m columns.
-func fillIter(e *engine) int { return e.opts.S * ((e.m + e.mbar - 1) / e.mbar) }
-
-// makeReady advances e's update count to its fill point, so the Gram
-// readers engage on a solve that has not run.
-func makeReady(e *engine) { e.rec.Iter = fillIter(e) }
 
 // passCounter counts, on one rank, the resident Gram's fills and the
 // data passes its readers replace. A fill is a shared allreduce of
@@ -179,7 +172,7 @@ func TestGramObjectiveMatchesDataPass(t *testing.T) {
 				var c float64
 				wrap, counters := counting(procs, p.X.Rows)
 				_, _, err := engineWorld(t, backend, procs, p, gramOpts(p), wrap, func(e *engine) (*Result, error) {
-					makeReady(e)
+					e.fillGram()
 					vals := make([]float64, len(points))
 					for i, w := range points {
 						copy(e.wCurr, w)
@@ -219,11 +212,10 @@ func TestGramObjectiveMatchesDataPass(t *testing.T) {
 }
 
 // TestGramObjectiveEngagement pins when the triple is filled: exactly
-// once, at update S·⌈m/m̄⌉, on f64 dense-slot runs (blocking, pipelined,
-// SFISTA, plain) and auto on one rank, after which only final
-// checkpoints take an objective data pass and no snapshot takes one;
-// never under a CompressTier on P > 1, under ActiveSet, or on a W0
-// zero-round solve.
+// once, before round 0, on f64 dense-slot runs (blocking, pipelined,
+// SFISTA, plain) and auto on one rank, after which only the final
+// checkpoint takes an objective data pass and no snapshot takes one;
+// never under a CompressTier on P > 1 or under ActiveSet.
 func TestGramObjectiveEngagement(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -247,24 +239,9 @@ func TestGramObjectiveEngagement(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for rank, e := range engines {
-			pc := counters[rank]
-			if pc.fills != 1 || e.gram.h == nil {
-				t.Errorf("%s rank %d: %d fills, want 1", tc.name, rank, pc.fills)
-			}
-			// One objective pass per update before the fill point (the
-			// initial checkpoint included), then only the final checkpoint's.
-			if want := fillIter(e) + 1; pc.objs != want {
-				t.Errorf("%s rank %d: %d objective passes, want %d", tc.name, rank, pc.objs, want)
-			}
-			// The fill point precedes the first refresh in the loop, so only
-			// the initial snapshot at w = 0 reads the data.
-			want := 0
-			if o.VarianceReduced {
-				want = 1
-			}
-			if fillIter(e) > o.EpochLen || pc.snaps != want {
-				t.Errorf("%s rank %d: %d snapshot passes (fill at update %d, epoch %d), want %d",
-					tc.name, rank, pc.snaps, fillIter(e), o.EpochLen, want)
+			if pc := counters[rank]; pc.fills != 1 || !e.gram.filled || pc.objs != 1 || pc.snaps != 0 {
+				t.Errorf("%s rank %d: %d fills, %d objective and %d snapshot passes; want 1 fill and only the final objective's",
+					tc.name, rank, pc.fills, pc.objs, pc.snaps)
 			}
 		}
 	}
@@ -295,14 +272,16 @@ func TestGramObjectiveEngagement(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := tier == "auto" && procs == 1
-			if e := engines[0]; (e.gram.h != nil) != want || e.gram.billed != want {
-				t.Errorf("%s/p%d: filled=%t billed=%t, want %t", tier, procs, e.gram.h != nil, e.gram.billed, want)
+			if e := engines[0]; (e.gram.h != nil) != want || e.gram.filled != want {
+				t.Errorf("%s/p%d: held=%t filled=%t, want %t", tier, procs, e.gram.h != nil, e.gram.filled, want)
 			}
 		}
 	}
 
-	// A warm start at the optimum returns before its first round: one
-	// snapshot and one evaluation, both through the data.
+	// A warm start at the optimum returns before its first round having
+	// filled the triple: its snapshot's Gram norm sits at the stop, so
+	// the data re-takes it, and its one evaluation is final — one of each
+	// through the data.
 	o = gramOpts(p)
 	o.W0, _ = Reference(p.X, p.Y, p.Lambda, 2000)
 	o.GradMapTol = 1e-3
@@ -314,9 +293,9 @@ func TestGramObjectiveEngagement(t *testing.T) {
 		t.Fatalf("warm start ran %d rounds, want the zero-round path", res.Rounds)
 	}
 	for rank, e := range engines {
-		if pc := counters[rank]; e.gram.h != nil || pc.objs != 1 || pc.snaps != 1 {
-			t.Errorf("W0 rank %d: filled=%t after %d objective and %d snapshot passes, want no fill and 1 of each",
-				rank, e.gram.h != nil, pc.objs, pc.snaps)
+		if pc := counters[rank]; pc.fills != 1 || !e.gram.filled || pc.objs != 1 || pc.snaps != 1 {
+			t.Errorf("W0 rank %d: %d fills, %d objective and %d snapshot passes, want 1 of each",
+				rank, pc.fills, pc.objs, pc.snaps)
 		}
 	}
 }
@@ -347,12 +326,12 @@ func sameRun(t *testing.T, name string, a, b *Result) {
 }
 
 // TestGramObjectiveMovesNothing: runs evaluating after every update or
-// every 7th (their objectives fill the Gram) and the same run evaluating
-// only at the end agree bit for bit on W, Iters, Rounds, Cost and
-// FinalObj — under MaxIter, the gradient-map stop, pipelining, SFISTA
-// and without variance reduction. With it the first snapshot past the
-// fill point fills the Gram in the end-only run, and whichever reader
-// filled it the bill lands once, at that snapshot.
+// every 7th and the same run evaluating only at the end agree bit for
+// bit on W, Iters, Rounds, Cost and FinalObj — under MaxIter, the
+// gradient-map stop, pipelining, SFISTA and without variance
+// reduction. Every one fills the triple before round 0; without
+// variance reduction only the objectives read it, so its fill is
+// rolled back and a run with the path off costs the same.
 func TestGramObjectiveMovesNothing(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -371,26 +350,32 @@ func TestGramObjectiveMovesNothing(t *testing.T) {
 		{"sfista/p2", 2, false, func(o *Options) { o.K, o.S = 1, 1 }},
 		{"plain/p4", 4, false, func(o *Options) { o.VarianceReduced = false; o.K = 2 }},
 	} {
-		run := func(evalEvery int) *Result {
-			o := gramOpts(p)
-			tc.edit(&o)
+		o := gramOpts(p)
+		tc.edit(&o)
+		run := func(evalEvery int, gram bool) *Result {
+			o := o
 			o.EvalEvery = evalEvery
 			if evalEvery == 0 {
 				o.EvalEvery = o.MaxIter
 			}
-			res, engines, err := runEngines(context.Background(), t, "chan", tc.procs, p, o, tc.pipelined)
+			res, engines, err := engineWorld(t, "chan", tc.procs, p, o, nil, func(e *engine) (*Result, error) {
+				e.gram.on = gram
+				return e.run(context.Background(), e, e, tc.pipelined)
+			})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			e := engines[0]
-			if engaged := e.gram.h != nil; engaged != (evalEvery != 0 || o.VarianceReduced) || e.gram.billed != o.VarianceReduced {
-				t.Fatalf("%s EvalEvery=%d: Gram engaged = %t, billed = %t", tc.name, o.EvalEvery, engaged, e.gram.billed)
+			if e := engines[0]; e.gram.filled != gram {
+				t.Fatalf("%s EvalEvery=%d: filled the triple %t", tc.name, o.EvalEvery, e.gram.filled)
 			}
 			return res
 		}
-		ref := run(0)
-		sameRun(t, tc.name+"/eval=1", run(1), ref)
-		sameRun(t, tc.name+"/eval=7", run(7), ref)
+		ref := run(0, true)
+		sameRun(t, tc.name+"/eval=1", run(1, true), ref)
+		sameRun(t, tc.name+"/eval=7", run(7, true), ref)
+		if !o.VarianceReduced {
+			sameRun(t, tc.name+"/off", run(1, false), ref)
+		}
 	}
 }
 
@@ -412,25 +397,19 @@ func TestGramObjectiveTolStop(t *testing.T) {
 	o.MaxIter = 5000
 	o.FStar = fstar
 	o.Tol = 1e-4
-	run := func(gram bool) (*Result, int) {
-		var at int
+	run := func(gram bool) *Result {
 		res, _, err := engineWorld(t, "chan", 4, p, o, nil, func(e *engine) (*Result, error) {
 			e.gram.on = gram
-			if e.c.Rank() == 0 {
-				at = fillIter(e)
-			}
 			return e.run(context.Background(), e, e, false)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, at
+		return res
 	}
-	withGram, _ := run(true)
-	dataOnly, at := run(false)
-	if !dataOnly.Converged || dataOnly.Iters <= at {
-		t.Fatalf("reference run stopped at %d updates (converged %t): the Tol stop must land after the fill at %d",
-			dataOnly.Iters, dataOnly.Converged, at)
+	withGram, dataOnly := run(true), run(false)
+	if !dataOnly.Converged {
+		t.Fatalf("reference run stopped at %d updates without converging", dataOnly.Iters)
 	}
 	sameRun(t, "tol", withGram, dataOnly)
 	a, b := withGram.Trace.Points, dataOnly.Trace.Points
@@ -472,7 +451,6 @@ func TestGramObjectiveAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	makeReady(e)
 	e.fillGram()
 	for i := range e.wCurr {
 		if i%3 == 0 {
@@ -539,7 +517,8 @@ func (c *cancelAfter) Err() error {
 
 // TestGramObjectiveCancelAfterFill: a solve cancelled after the fill
 // and a Gram-sourced snapshot returns a well-formed partial Result,
-// leaks no goroutine and leaves every rank holding its billed triple.
+// leaks no goroutine and leaves every rank holding its triple, no
+// objective or snapshot having taken a data pass.
 func TestGramObjectiveCancelAfterFill(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -558,16 +537,15 @@ func TestGramObjectiveCancelAfterFill(t *testing.T) {
 				t.Fatalf("%s: err = %v, want Canceled", name, err)
 			}
 			requireWellFormedPartial(t, res, p.X.Rows)
-			if at := fillIter(engines[0]); res.Iters >= o.MaxIter || res.Iters < o.EpochLen || at >= o.EpochLen {
-				t.Fatalf("%s: cancelled after %d updates, want past the fill at %d and a Gram snapshot at %d, short of MaxIter",
-					name, res.Iters, at, o.EpochLen)
+			if res.Iters >= o.MaxIter || res.Iters < o.EpochLen {
+				t.Fatalf("%s: cancelled after %d updates, want past a Gram snapshot at %d, short of MaxIter",
+					name, res.Iters, o.EpochLen)
 			}
-			// Cancelled mid-run, so no final data pass followed the fill, and
-			// only the initial snapshot read the data.
+			// Cancelled mid-run, so no final data pass followed.
 			for rank, e := range engines {
-				if pc := counters[rank]; e.gram.h == nil || !e.gram.billed || pc.objs != fillIter(e) || pc.snaps != 1 {
-					t.Errorf("%s rank %d: filled=%t billed=%t after %d objective and %d snapshot passes",
-						name, rank, e.gram.h != nil, e.gram.billed, pc.objs, pc.snaps)
+				if pc := counters[rank]; !e.gram.filled || pc.objs != 0 || pc.snaps != 0 {
+					t.Errorf("%s rank %d: filled=%t after %d objective and %d snapshot passes",
+						name, rank, e.gram.filled, pc.objs, pc.snaps)
 				}
 			}
 			dist.VerifyNoGoroutineLeaks(t, baseline)
@@ -576,10 +554,10 @@ func TestGramObjectiveCancelAfterFill(t *testing.T) {
 }
 
 // TestGramObjectiveUnderFaults: the fill is a pass-through collective
-// and its point counts processed updates, so a FaultPlan run with drops,
-// corruption and a crash engages the Gram in lockstep, and the run whose
-// objectives fill it lands on the same iterate, cost and rounds as the
-// run whose snapshots do.
+// before round 0, so a FaultPlan run with drops, corruption and a crash
+// holds the triple on every rank in lockstep, and evaluating after
+// every update or only at the end lands on the same iterate, cost and
+// rounds.
 func TestGramObjectiveUnderFaults(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -615,7 +593,7 @@ func TestGramObjectiveUnderFaults(t *testing.T) {
 			t.Fatalf("%s: the plan injected nothing: %+v", name, res.Faults)
 		}
 		for rank, e := range engines {
-			if pc := counters[rank]; e.gram.h == nil || pc.fills != 1 || pc.objs != fillIter(e)+1 || pc.snaps != 1 {
+			if pc := counters[rank]; e.gram.h == nil || pc.fills != 1 || pc.objs != 1 || pc.snaps != 0 {
 				t.Errorf("%s rank %d: %d fills after %d objective and %d snapshot passes", name, rank, pc.fills, pc.objs, pc.snaps)
 			}
 		}
@@ -638,20 +616,14 @@ func (r *roundIterates) Process(shared []float64) bool {
 	return stop
 }
 
-// servedIterates returns the iterates of rounds 0–10 of a solve handed
-// a resident handle on gramOpts (P = 2, chan), w = 0 first: every one
-// is an iterate such a solve reads the Gram at, the first ⌈m/m̄⌉ of
-// them ones a solve without a handle takes through the data.
+// servedIterates returns the iterates of rounds 0–10 of a solve on
+// gramOpts (P = 2, chan), w = 0 first: every one is an iterate the
+// solve reads the Gram at.
 func servedIterates(t *testing.T, p *data.Problem) [][]float64 {
 	o := gramOpts(p)
 	o.MaxIter = 10 * o.K * o.S
-	v, err := (&Resident{}).open(p.X, 2, o)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rank0 *roundIterates
 	if _, _, err := engineWorld(t, "chan", 2, p, o, nil, func(e *engine) (*Result, error) {
-		e.reside(v)
 		pass := &roundIterates{engine: e}
 		if e.c.Rank() == 0 {
 			rank0 = pass
@@ -668,8 +640,8 @@ func servedIterates(t *testing.T, p *data.Problem) [][]float64 {
 
 // TestGramSnapshotMatchesDataPass holds the Gram-sourced snapshot to the
 // data pass it replaces, at the origin, near the optimum, at a dense
-// perturbation of it and at the iterates of rounds 0–10 of a served
-// solve (servedIterates), on every shape, at P ∈ {1, 2, 4} over both
+// perturbation of it and at the iterates of rounds 0–10 of a solve
+// (servedIterates), on every shape, at P ∈ {1, 2, 4} over both
 // transports: the gradient within 1e-12·‖∇f‖∞, every rank on the same
 // bits, and the gradient-map norm within gramMapSlack/100 of itself —
 // the tolerance at which that snapshot sits on the stop — so the
@@ -699,7 +671,7 @@ func TestGramSnapshotMatchesDataPass(t *testing.T) {
 				dataGrads := make([][]float64, len(points))
 				gramNorms, dataNorms := make([]float64, len(points)), make([]float64, len(points))
 				_, _, err := engineWorld(t, backend, procs, p, gramOpts(p), nil, func(e *engine) (*Result, error) {
-					makeReady(e)
+					e.fillGram()
 					for i, w := range points {
 						copy(e.wCurr, w)
 						e.takeExact(true, &e.gradEF, true)
@@ -745,11 +717,11 @@ func TestGramSnapshotMatchesDataPass(t *testing.T) {
 	t.Logf("worst max |Δ∇f|/‖∇f‖∞ = %.2g, worst |Δnorm|/norm = %.2g (gramMapSlack %g)", worstGrad, worstNorm, gramMapSlack)
 }
 
-// TestGramSnapshotCertifiedStop: a GradMapTol stop that lands after the
-// fill, its earlier snapshots read from the Gram, is decided by a data
-// pass: exactly two snapshots took one (w = 0 and the stop), the
-// reported GradMap is bit for bit the data-pass norm at W, and the norm
-// recomputed outside the solver from the data is within the tolerance.
+// TestGramSnapshotCertifiedStop: a GradMapTol stop whose earlier
+// snapshots, w = 0 among them, read the Gram is decided by a data pass:
+// exactly one snapshot took one (the stop), the reported GradMap is bit
+// for bit the data-pass norm at W, and the norm recomputed outside the
+// solver from the data is within the tolerance.
 func TestGramSnapshotCertifiedStop(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -760,18 +732,18 @@ func TestGramSnapshotCertifiedStop(t *testing.T) {
 			name := fmt.Sprintf("%s/p%d", backend, procs)
 			o := gramOpts(p)
 			o.MaxIter, o.GradMapTol, o.EvalEvery = 4000, 1e-4, 1000
-			res, engines, counters, err := countedRun(context.Background(), t, backend, procs, p, o, false)
+			res, _, counters, err := countedRun(context.Background(), t, backend, procs, p, o, false)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			refreshes := 1 + res.Iters/o.EpochLen
-			if !res.Converged || !(res.GradMap <= o.GradMapTol) || res.Iters <= fillIter(engines[0]) || refreshes < 4 {
-				t.Fatalf("%s: converged=%t GradMap=%g after %d updates, want the stop several Gram snapshots past the fill",
+			if !res.Converged || !(res.GradMap <= o.GradMapTol) || refreshes < 4 {
+				t.Fatalf("%s: converged=%t GradMap=%g after %d updates, want the stop several Gram snapshots in",
 					name, res.Converged, res.GradMap, res.Iters)
 			}
 			for rank, pc := range counters {
-				if pc.snaps != 2 || !engines[rank].gram.billed {
-					t.Errorf("%s rank %d: %d of %d snapshots through the data, want 2", name, rank, pc.snaps, refreshes)
+				if pc.fills != 1 || pc.snaps != 1 {
+					t.Errorf("%s rank %d: %d fills, %d of %d snapshots through the data, want 1 and 1", name, rank, pc.fills, pc.snaps, refreshes)
 				}
 			}
 			norms := make([]float64, procs)

@@ -128,11 +128,10 @@ func TestPackedRoundWordCount(t *testing.T) {
 }
 
 func TestPackedVarianceReducedWordCount(t *testing.T) {
-	// With VR on, each snapshot refresh before the resident Gram is ready
-	// adds one d-word gradient allreduce on top of the per-round Hessian
-	// batch. Stage B has sampled m columns after m/m̄ = 4 updates, so the
-	// refreshes at updates 10 and 20 read the Gram: they cost no words,
-	// and the fill they share costs PackedLen(d)+d+1 words once.
+	// With VR on, the solve fills the resident Gram before round 0 and
+	// bills its PackedLen(d)+d+1 words once; every snapshot refresh — at
+	// w = 0 and at updates 10 and 20 — reads it and costs no words on top
+	// of the per-round Hessian batch.
 	const (
 		d     = 6
 		procs = 4
@@ -155,9 +154,7 @@ func TestPackedVarianceReducedWordCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg := int64(perf.Log2Ceil(procs))
-	// Refreshes: one up front through the data, then one per full epoch
-	// from the Gram.
-	want := int64(res.Rounds)*lg*int64(k*(d*(d+1)/2+d)) + lg*int64(d) + lg*int64(d*(d+1)/2+d+1)
+	want := int64(res.Rounds)*lg*int64(k*(d*(d+1)/2+d)) + lg*int64(d*(d+1)/2+d+1)
 	if res.Cost.Words != want {
 		t.Fatalf("VR words = %d, want %d", res.Cost.Words, want)
 	}

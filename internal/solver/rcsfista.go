@@ -66,9 +66,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 	if pipelined && opts.ActiveSet {
 		panic("solver: the pipelined loop cannot run under ActiveSet")
 	}
-	if opts.VarianceReduced {
-		e.refreshSnapshot()
-	}
+	e.start()
 	if opts.W0 != nil && e.gradMapStop {
 		// Warm-start fast path: the initial snapshot refresh evaluated
 		// the exact gradient mapping at W0 and it already satisfies

@@ -5,11 +5,10 @@ package solver
 // two of its readers: the stage-A snapshot refresh and the
 // instrumentation-side objective evaluation (the KKT scan reads it in
 // activeset_window.go). Split from rcsfista.go, which keeps the round
-// loop, the update kernel and the solvercore hooks. Once the resident
-// least-squares Gram is ready — from round 0 under a resident handle,
-// else once stage B has sampled as many columns as its fill touches —
-// the state and the objective read it; before that each takes one
-// collective, routed through the tier policy.
+// loop, the update kernel and the solvercore hooks. A solve the
+// resident least-squares Gram is on for holds it from round 0, and the
+// state and the objective read it; any other takes one collective for
+// each, routed through the tier policy.
 
 import (
 	"math"
@@ -20,6 +19,18 @@ import (
 	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
+
+// start readies the solve before round 0: the resident triple held
+// when its path is on (kept by a resident handle, else filled now),
+// then under variance reduction the first snapshot.
+func (e *engine) start() {
+	if e.gram.on && e.gram.h == nil {
+		e.fillGram()
+	}
+	if e.opts.VarianceReduced {
+		e.refreshSnapshot()
+	}
+}
 
 // refreshSnapshot re-centers the variance-reduction estimator at the
 // current iterate: w-hat = w, full gradient (Eq. 9 last term), momentum
@@ -54,15 +65,15 @@ type exactState struct {
 // exact returns ∇f at wCurr, with its gradient-map norm in ex.norm,
 // memoised per iterate version (wVer): a VR snapshot, a KKT scan and the
 // initial screen at one iterate share one take. A take reads the
-// resident Gram once it is ready (no collective), else one data pass and
-// one d-word allreduce on the caller's error-feedback stream ef at the
-// tier policy's pick, both charged. stop says the caller decides the
+// resident Gram when the solve holds it (no collective), else one data
+// pass and one d-word allreduce on the caller's error-feedback stream ef
+// at the tier policy's pick, both charged. stop says the caller decides the
 // GradMapTol stop on the norm: only then is the norm charged (elsewhere
 // it is uncharged bookkeeping), and only then is a Gram norm in the band
 // nearStop names re-taken through the data.
 func (e *engine) exact(ef *solvercore.EFStream, stop bool) []float64 {
 	if e.ex.ver != e.wVer {
-		gram := e.gramReady()
+		gram := e.gram.h != nil
 		e.takeExact(gram, ef, stop)
 		if gram && stop && e.nearStop(math.NaN(), e.ex.norm) {
 			e.takeExact(false, ef, stop)
@@ -73,20 +84,12 @@ func (e *engine) exact(ef *solvercore.EFStream, stop bool) []float64 {
 }
 
 // takeExact computes the exact state of wCurr from one source: the
-// resident triple, ∇f = Gw − r at 2d² + d flops, the first take billing
-// the fill (filling it if no objective has); or the data, ∇f = X(Xᵀw −
-// y)/m reduced on ef.
+// resident triple, ∇f = Gw − r at 2d² + d flops; or the data, ∇f =
+// X(Xᵀw − y)/m reduced on ef.
 func (e *engine) takeExact(gram bool, ef *solvercore.EFStream, stop bool) {
 	cost, g := e.c.Cost(), e.ex.grad
 	if gram {
 		rg := &e.gram
-		if rg.h == nil {
-			e.fillGram()
-		}
-		if !rg.billed {
-			cost.Add(rg.bill)
-			rg.billed = true
-		}
 		rg.h.MulVec(g, e.wCurr, cost)
 		mat.Axpy(-1, rg.r, g, cost)
 	} else {
@@ -141,16 +144,13 @@ const gramMapSlack = 1e-6
 // allreduce.
 //
 // The fill is FullGramPacked over the local block, ≤ (d+3)·nnz_local
-// flops, then one f64 AllreduceShared of PackedLen(d)+d+1 words. A
-// solve handed a resident handle (resident.go) holds the triple before
-// round 0: a kept one, or one it fills then and bills at once. Any
-// other solve defers the fill until stage B has sampled as many
-// columns as it touches (gramReady), so the fill never costs more than
-// the Hessian sampling already spent — ski rental for a solve that
-// keeps nothing. Its bill then goes to the rank once, at the first
-// exact take that reads the triple, whether that take or an earlier
-// objective filled it: W, Cost and Rounds do not depend on the trace
-// cadence.
+// flops, then one f64 AllreduceShared of PackedLen(d)+d+1 words. Every
+// solve the path is on for holds the triple before round 0 (start): a
+// resident handle's kept one (resident.go), billed nothing, or one it
+// fills then. The fill is billed when the algorithm reads the triple —
+// under variance reduction, whose snapshots take ∇f from it — and
+// otherwise rolled back like any instrumentation, so W, Cost and
+// Rounds do not depend on the trace cadence.
 type residentGram struct {
 	// on gates the path: off under ActiveSet, whose |A|-sized slots G
 	// may outgrow, and under any CompressTier — where the snapshot
@@ -163,10 +163,10 @@ type residentGram struct {
 	h *mat.SymPacked
 	r []float64
 	c float64
-	// bill is the fill's cost; billed is set once it is charged (or,
-	// for a kept triple, owed by no one). filled says this solve filled.
-	bill           perf.Cost
-	billed, filled bool
+	// filled says this solve filled the triple; to is the resident
+	// handle rank 0 offers a fill to (nil: none).
+	filled bool
+	to     *Resident
 }
 
 // view points the d-dimensional triple at tri: the packed G, then r,
@@ -175,16 +175,6 @@ func (g *residentGram) view(tri []float64, d int) {
 	pl := mat.PackedLen(d)
 	g.h = &mat.SymPacked{N: d, Data: tri[:pl]}
 	g.r, g.c = tri[pl:pl+d], tri[pl+d]
-}
-
-// gramReady reports whether the resident triple answers: the path is
-// on, and the triple is held (from round 0 under a resident handle) or
-// stage B has sampled (Iter/S)·m̄ ≥ m columns. All of it is a pure
-// function of the options, the handle's view and the processed
-// updates, identical on every rank and on the blocking and pipelined
-// loops, so the ranks fill in lockstep with no extra collective.
-func (e *engine) gramReady() bool {
-	return e.gram.on && (e.gram.h != nil || (e.rec.Iter/e.opts.S)*e.mbar >= e.m)
 }
 
 // loss returns ½wᵀGw − rᵀw + c. Row i of the packed triangle carries
@@ -212,10 +202,9 @@ func (g *residentGram) loss(w []float64) float64 {
 }
 
 // fillGram builds the replicated triple from this rank's block and one
-// allreduce, and returns it. Its flops and words are rolled back into
-// g.bill, which the first exact take that reads the triple charges
-// (takeExact), or reside at once.
-func (e *engine) fillGram() []float64 {
+// allreduce, billed under variance reduction and rolled back otherwise
+// (see residentGram), and offers it to the resident handle on rank 0.
+func (e *engine) fillGram() {
 	cost := e.c.Cost()
 	saved := *cost
 	g := &e.gram
@@ -230,9 +219,13 @@ func (e *engine) fillGram() []float64 {
 	local[pl+d] = yy * scale / 2
 	shared := e.c.AllreduceShared(local)
 	g.view(shared, d)
-	g.bill, g.filled = cost.Sub(saved), true
-	*cost = saved
-	return shared
+	g.filled = true
+	if !e.opts.VarianceReduced {
+		*cost = saved
+	}
+	if e.c.Rank() == 0 {
+		g.to.keep(shared)
+	}
 }
 
 // nearStop is the one source rule: a Gram-sourced objective f within
@@ -251,18 +244,15 @@ func (e *engine) nearStop(f, norm float64) bool {
 // evaluate computes the global objective F(wCurr) as instrumentation:
 // the communication and flops are rolled back so cost accounting
 // reflects only the algorithm (Section 5.1 measures error offline).
-// Once the resident Gram is ready every interior evaluation reads it,
-// filling it if no snapshot has yet. A final checkpoint — one after
-// which the solve ends — always takes the data pass, and so does a Gram
-// value at the Tol threshold, so Result.FinalObj and every stop are the
-// data pass's exactly. The data pass reads the residual an exact take
+// When the solve holds the resident Gram every interior evaluation
+// reads it. A final checkpoint — one after which the solve ends —
+// always takes the data pass, and so does a Gram value at the Tol
+// threshold, so Result.FinalObj and every stop are the data pass's
+// exactly. The data pass reads the residual an exact take
 // left at this iterate, if one did.
 func (e *engine) evaluate(final bool) float64 {
 	g := &e.gram
-	if !final && e.gramReady() {
-		if g.h == nil {
-			e.fillGram()
-		}
+	if !final && g.h != nil {
 		if f := g.loss(e.wCurr) + e.reg.Value(e.wCurr, nil); !e.nearStop(f, math.NaN()) {
 			return f
 		}

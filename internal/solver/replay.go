@@ -4,44 +4,36 @@ package solver
 // the data, the world size and the seeded sample stream — not on w, λ,
 // the regularizer or any tolerance — so the allreduced k-slot batch of
 // round r is the same bits in every solve that shares (d, m, P, seed,
-// m̄, k). A BatchStream records those batches once; a later solve on
-// the same data replays the recorded prefix, skipping stage B (Fill
-// only advances the slot counter) and stage C (the exchanger wrapper
-// hands back the recorded batch), and runs live from the first round
-// the stream lacks, extending it.
+// m̄, k). A Resident (resident.go) records those batches once per
+// (seed, m̄, k); a later solve on the same data replays the recorded
+// prefix, skipping stage B (Fill only advances the slot counter) and
+// stage C (the exchanger wrapper hands back the recorded batch), and
+// runs live from the first round the stream lacks, extending it.
 
 import (
-	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
-// BatchStream is the recorded reduced batch stream of one (data, P,
-// seed, m̄, k): the shared batch of round 0, 1, 2, … as Process reads
-// it. Rounds are immutable once appended, so concurrent solves replay
-// one stream without copies. The zero value is not usable; see
-// NewBatchStream.
-type BatchStream struct {
-	mu     sync.Mutex
-	id     streamID
-	rounds [][]float64
-	budget *StreamBudget
+// batchStream is the recorded reduced batch stream of one (seed, m̄,
+// k) on its Resident's (data, P): the shared batch of round 0, 1, 2, …
+// as Process reads it, guarded by the Resident's lock.
+type batchStream struct{ rounds [][]float64 }
+
+// streamKey names one batch stream of a Resident. Everything else a
+// solve varies — λ, the regularizer, S, the epoch, the tolerances, a
+// warm start — leaves the batches alone, so those solves share it.
+type streamKey struct {
+	seed    uint64
+	mbar, k int
 }
 
-// streamID is the identity a stream is stamped with by the first solve
-// that opens it. The zero value marks an unstamped stream.
-type streamID struct {
-	d, m, p, mbar, k int
-	seed             uint64
-}
-
-// StreamBudget caps the bytes a family of streams holds together. A
+// StreamBudget caps the bytes a family of Residents holds together. A
 // stream whose next round does not fit stops growing and keeps its
-// prefix.
+// prefix; a triple that does not fit is not kept.
 type StreamBudget struct {
 	limit int64
 	used  atomic.Int64
@@ -51,12 +43,13 @@ type StreamBudget struct {
 func NewStreamBudget(limit int64) *StreamBudget { return &StreamBudget{limit: limit} }
 
 // DataBytes is the in-memory size of a problem's X and y: the budget
-// under which its streams never cost more memory than the data itself.
+// under which its resident state never costs more memory than the data
+// itself.
 func DataBytes(x *sparse.CSC, y []float64) int64 {
 	return 8 * int64(len(x.ColPtr)+len(x.RowIdx)+len(x.Val)+len(y))
 }
 
-// Used reports the bytes the budget's streams hold.
+// Used reports the bytes the budget's holders keep.
 func (b *StreamBudget) Used() int64 { return b.used.Load() }
 
 // reserve takes n bytes from the budget, or reports false and takes
@@ -73,13 +66,8 @@ func (b *StreamBudget) reserve(n int64) bool {
 	}
 }
 
-// NewBatchStream returns an empty stream drawing on budget.
-func NewBatchStream(budget *StreamBudget) *BatchStream {
-	return &BatchStream{budget: budget}
-}
-
 // replayable is the one rule for which solves may use a resident
-// handle (Resident), its stream and its Gram alike: not under
+// handle (Resident), its streams and its triple alike: not under
 // ActiveSet, whose slots are laid out on the working set and which
 // keeps no resident Gram; not under a CompressTier, whose error
 // feedback and auto ratchet make the shared batch depend on the solve's
@@ -90,41 +78,19 @@ func replayable(o *Options) bool {
 	return !o.ActiveSet && err == nil && !t.on && o.Faults == nil
 }
 
-// streamPrefix is one solve's view of its stream: the prefix every
-// rank replays, read once before the world runs so all ranks take the
-// same branch in every round.
-type streamPrefix struct {
-	s      *BatchStream
-	rounds [][]float64
-}
-
-// open stamps s with id, the identity of the solve opening it, and
-// returns the prefix that solve replays; an error when s was recorded
-// under another identity. Nil-safe: no stream replays nothing.
-func (s *BatchStream) open(id streamID) (*streamPrefix, error) {
-	if s == nil {
-		return nil, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.id == (streamID{}) {
-		s.id = id
-	} else if s.id != id {
-		return nil, fmt.Errorf("solver: batch stream recorded under %+v, solve needs %+v", s.id, id)
-	}
-	return &streamPrefix{s: s, rounds: s.rounds[:len(s.rounds):len(s.rounds)]}, nil
-}
-
-// record appends a copy of round r's shared batch when the stream holds
-// exactly r rounds and the budget has room. Every writer's round r is
-// the same bits, so racing solves are harmless.
-func (s *BatchStream) record(r int, batch []float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.rounds) != r || !s.budget.reserve(8*int64(len(batch))) {
+// record appends a copy of round n's shared batch to the view's stream
+// when it holds exactly n rounds and the budget has room. Every
+// writer's round n is the same bits, so racing solves are harmless.
+func (v *residentView) record(n int, batch []float64) bool {
+	r, s := v.r, v.s
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	bytes := 8 * int64(len(batch))
+	if len(s.rounds) != n || !r.budget.reserve(bytes) {
 		return false
 	}
 	s.rounds = append(s.rounds, slices.Clone(batch))
+	r.streamBytes += bytes
 	return true
 }
 
@@ -134,7 +100,7 @@ func (s *BatchStream) record(r int, batch []float64) bool {
 // and Post/Resolve strictly alternate per round on both loops, so one
 // counter names the round in flight.
 type replayer struct {
-	*streamPrefix
+	*residentView
 	inner              *solvercore.TieredExchanger
 	rank0              bool
 	round              int
@@ -157,7 +123,7 @@ func (r *replayer) replay() ([]float64, solvercore.Vote) {
 // keep records a live round's shared batch on rank 0 and advances the
 // counter.
 func (r *replayer) keep(shared []float64, v solvercore.Vote) ([]float64, solvercore.Vote) {
-	if r.rank0 && shared != nil && r.s.record(r.round, shared) {
+	if r.rank0 && shared != nil && r.record(r.round, shared) {
 		r.recorded++
 	}
 	r.round++

@@ -14,21 +14,25 @@ import (
 	"github.com/hpcgo/rcsfista/internal/prox"
 )
 
-// newStream returns a stream with room for every test solve.
-func newStream() *BatchStream { return NewBatchStream(NewStreamBudget(1 << 40)) }
+// newResident returns a handle with room for every test solve.
+func newResident() *Resident { return NewResident(NewStreamBudget(1 << 40)) }
 
-// newResident returns a handle whose Gram and stream have room for
-// every test solve.
-func newResident() *Resident {
-	b := NewStreamBudget(1 << 40)
-	return &Resident{Gram: NewGram(b), Stream: NewBatchStream(b)}
+// heldRounds is the number of rounds r's streams hold.
+func heldRounds(r *Resident) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, s := range r.streams {
+		n += len(s.rounds)
+	}
+	return n
 }
 
 // streamSolve solves o on a procs-rank world over backend on the
 // resident handle r, on the blocking or the pipelined loop as asked;
 // ctxOf, when set, gives each rank its context. It returns the engines
-// too. A fresh &Resident{} is the stream-less reference every replay is
-// held to: it fills the triple before round 0 and keeps nothing.
+// too. A nil r is the stream-less reference every replay is held to:
+// it fills the triple before round 0 and keeps nothing.
 func streamSolve(t *testing.T, backend string, procs int, p *data.Problem, o Options, r *Resident,
 	pipelined bool, ctxOf func(e *engine) context.Context) (*Result, []*engine, error) {
 	t.Helper()
@@ -61,7 +65,7 @@ func requireReplayed(t *testing.T, label string, got, want *Result) {
 // that replay its stream fully, partly, and extend it — MaxIter,
 // GradMapTol and Tol stops, and l1, elastic-net and group fits sharing
 // the stream and the triple the first of them kept — and holds each to
-// a stream-less solve handed a fresh Resident{} bit for bit, at
+// the handle-less solve bit for bit, at
 // P ∈ {1, 2, 4} on chan and P = 2 over tcp, on both round loops.
 // Replayed rounds and a kept triple bill nothing, so a replayed solve's
 // Cost is below the fresh one's.
@@ -98,17 +102,16 @@ func TestReplayEquivalence(t *testing.T) {
 	}{{"chan", 1}, {"chan", 2}, {"chan", 4}, {"tcp", 2}} {
 		for _, pipelined := range []bool{false, true} {
 			r := newResident()
-			s := r.Stream
 			var partial, extended bool
 			for i, st := range steps {
 				name := fmt.Sprintf("%s/p%d/pipe=%t/%s", leg.backend, leg.procs, pipelined, st.name)
 				o := gramOpts(p)
 				st.edit(&o)
-				want, _, err := streamSolve(t, leg.backend, leg.procs, p, o, &Resident{}, pipelined, nil)
+				want, _, err := streamSolve(t, leg.backend, leg.procs, p, o, nil, pipelined, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				held := len(s.rounds)
+				held := heldRounds(r)
 				got, _, err := streamSolve(t, leg.backend, leg.procs, p, o, r, pipelined, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -121,8 +124,8 @@ func TestReplayEquivalence(t *testing.T) {
 					t.Fatalf("%s: replayed %d recorded %d of %d rounds from a %d-round stream",
 						name, got.Replayed, got.Recorded, got.Rounds, held)
 				}
-				if len(s.rounds) != max(held, got.Rounds) {
-					t.Fatalf("%s: stream holds %d rounds, want %d", name, len(s.rounds), max(held, got.Rounds))
+				if n := heldRounds(r); n != max(held, got.Rounds) {
+					t.Fatalf("%s: stream holds %d rounds, want %d", name, n, max(held, got.Rounds))
 				}
 				if got.Replayed > 0 && got.Cost.Flops >= want.Cost.Flops {
 					t.Fatalf("%s: a replayed solve billed %d flops, the fresh one %d", name, got.Cost.Flops, want.Cost.Flops)
@@ -147,7 +150,7 @@ func TestReplayProduction(t *testing.T) {
 	}
 	o := gramOpts(p)
 	o.K, o.GradMapTol, o.MaxIter = 2, 1e-4, 4000
-	want, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, &Resident{})
+	want, err := SolveDistributedContext(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +210,11 @@ func TestReplayCancel(t *testing.T) {
 	}
 }
 
-// TestReplayIdentity: a stream is stamped with the (d, m, P, seed, m̄,
-// k) of the first solve that opens it and a Gram with its (d, m, P);
-// any other identity errors before a world runs, while λ, the
-// regularizer, S, the epoch and the tolerances share both — and the
-// seed, b and k share the Gram.
+// TestReplayIdentity: a Resident is stamped with the (d, m, P) of the
+// first solve that opens it, and a solve of any other errors before a
+// world runs; the seed, b and k pick another of its streams — nothing
+// to replay, the kept triple read — while λ, the regularizer, S, the
+// epoch and the tolerances share the stream too.
 func TestReplayIdentity(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -219,39 +222,42 @@ func TestReplayIdentity(t *testing.T) {
 	}
 	o := gramOpts(p)
 	o.K, o.MaxIter = 2, 20
-	s := newResident()
-	if _, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s); err != nil {
+	r := newResident()
+	solve := func(procs int, prob *data.Problem, o Options) (*Result, error) {
+		return SolveDistributedStream(context.Background(), dist.NewWorld(procs, perf.Comet()), prob.X, prob.Y, o, r)
+	}
+	if _, err := solve(2, p, o); err != nil {
 		t.Fatal(err)
 	}
 	other, err := data.LoadWith("covtype", 240, 20, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]struct {
-		procs int
-		prob  *data.Problem
-		edit  func(o *Options)
-	}{
-		"procs": {4, p, func(*Options) {}},
-		"seed":  {2, p, func(o *Options) { o.Seed++ }},
-		"k":     {2, p, func(o *Options) { o.K = 1 }},
-		"b":     {2, p, func(o *Options) { o.B = 0.5 }},
-		"d":     {2, other, func(*Options) {}},
-	} {
-		oc := o
-		c.edit(&oc)
-		res, err := SolveDistributedStream(context.Background(), dist.NewWorld(c.procs, perf.Comet()), c.prob.X, c.prob.Y, oc, s)
-		if err == nil || res != nil {
+	for name, procs := range map[string]int{"procs": 4, "d": 2} {
+		prob := p
+		if name == "d" {
+			prob = other
+		}
+		if res, err := solve(procs, prob, o); err == nil || res != nil {
 			t.Fatalf("%s: a mismatching solve ran: res %v err %v", name, res, err)
 		}
-		res, err = SolveDistributedStream(context.Background(), dist.NewWorld(c.procs, perf.Comet()), c.prob.X, c.prob.Y, oc, &Resident{Gram: s.Gram})
-		if shared := c.procs == 2 && c.prob == p; shared != (err == nil) || shared && res.GramFilled {
-			t.Fatalf("%s: a Gram-only solve: err %v, res %v; want it to read the kept triple exactly when (d, m, P) match", name, err, res)
+	}
+	for name, edit := range map[string]func(o *Options){
+		"seed": func(o *Options) { o.Seed++ },
+		"k":    func(o *Options) { o.K = 1 },
+		"b":    func(o *Options) { o.B = 0.5 },
+	} {
+		oc := o
+		edit(&oc)
+		res, err := solve(2, p, oc)
+		if err != nil || res.Replayed != 0 || res.Recorded != res.Rounds || res.GramFilled {
+			t.Fatalf("%s: err %v, replayed %d, recorded %d of %d rounds, filled %t; want a new stream on the kept triple",
+				name, err, res.Replayed, res.Recorded, res.Rounds, res.GramFilled)
 		}
 	}
 	o.Lambda, o.S, o.EpochLen, o.GradMapTol = 2*o.Lambda, 3, 12, 1e-3
 	o.Reg = prox.ElasticNet{Lambda1: o.Lambda, Lambda2: 0.1}
-	res, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, s)
+	res, err := solve(2, p, o)
 	if err != nil || res.Replayed == 0 {
 		t.Fatalf("a solve of the same identity did not replay: %v, %+v", err, res)
 	}
@@ -259,7 +265,7 @@ func TestReplayIdentity(t *testing.T) {
 
 // TestReplayIneligible: a screened, a compressed (f32, i8, auto) and a
 // fault-injected solve neither read nor write a resident handle — not
-// its stream, not its Gram, not even their stamps — and equal their
+// its streams, not its triple, not even its stamp — and equal their
 // handle-less solves in everything, Cost included.
 func TestReplayIneligible(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
@@ -272,7 +278,7 @@ func TestReplayIneligible(t *testing.T) {
 	if _, err := SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, base, recorded); err != nil {
 		t.Fatal(err)
 	}
-	held, kept := len(recorded.Stream.rounds), recorded.Gram.Bytes()
+	held, kept := recorded.Bytes()
 	for name, edit := range map[string]func(o *Options){
 		"activeset": func(o *Options) { o.ActiveSet = true },
 		"f32":       func(o *Options) { o.CompressTier = "f32" },
@@ -300,13 +306,12 @@ func TestReplayIneligible(t *testing.T) {
 					name, got.Replayed, got.Recorded, got.GramFilled, want.GramFilled)
 			}
 		}
-		if len(recorded.Stream.rounds) != held || len(fresh.Stream.rounds) != 0 || fresh.Stream.id != (streamID{}) {
-			t.Fatalf("%s: the stream moved: %d rounds (held %d), fresh %d rounds, stamp %+v",
-				name, len(recorded.Stream.rounds), held, len(fresh.Stream.rounds), fresh.Stream.id)
+		if s, g := recorded.Bytes(); s != held || g != kept {
+			t.Fatalf("%s: the recorded handle moved: %d stream and %d triple bytes, held %d and %d", name, s, g, held, kept)
 		}
-		if recorded.Gram.Bytes() != kept || fresh.Gram.Bytes() != 0 || fresh.Gram.id != (gramID{}) {
-			t.Fatalf("%s: the Gram moved: %d bytes (kept %d), fresh %d bytes, stamp %+v",
-				name, recorded.Gram.Bytes(), kept, fresh.Gram.Bytes(), fresh.Gram.id)
+		if s, g := fresh.Bytes(); s != 0 || g != 0 || len(fresh.streams) != 0 || fresh.id != (residentID{}) {
+			t.Fatalf("%s: the fresh handle moved: %d stream and %d triple bytes, %d streams, stamp %+v",
+				name, s, g, len(fresh.streams), fresh.id)
 		}
 	}
 }

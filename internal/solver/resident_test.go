@@ -15,9 +15,9 @@ import (
 // TestResidentRacingFirstSolves: solves racing on one fresh handle —
 // a server's first fits on a dataset — each fill the triple or read the
 // one kept, exactly one is kept and charged to the budget, and every
-// result equals the solve handed a fresh Resident{} bit for bit. A
-// handle whose budget cannot hold the triple fills it every time,
-// keeps nothing, and answers alike.
+// result equals the handle-less solve bit for bit. A handle whose
+// budget cannot hold the triple fills it every time, keeps nothing,
+// and answers alike.
 func TestResidentRacingFirstSolves(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -28,7 +28,7 @@ func TestResidentRacingFirstSolves(t *testing.T) {
 	solve := func(r *Resident) (*Result, error) {
 		return SolveDistributedStream(context.Background(), dist.NewWorld(2, perf.Comet()), p.X, p.Y, o, r)
 	}
-	want, err := solve(&Resident{})
+	want, err := solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestResidentRacingFirstSolves(t *testing.T) {
 	triple, round := 8*int64(mat.PackedLen(d)+d+1), 8*int64(o.K*(mat.PackedLen(d)+d))
 
 	budget := NewStreamBudget(1 << 40)
-	r := &Resident{Gram: NewGram(budget), Stream: NewBatchStream(budget)}
+	r := NewResident(budget)
 	got := make([]*Result, 4)
 	errs := make([]error, len(got))
 	var wg sync.WaitGroup
@@ -58,21 +58,22 @@ func TestResidentRacingFirstSolves(t *testing.T) {
 			fills++
 		}
 	}
-	held := int64(len(r.Stream.rounds))
-	if fills < 1 || r.Gram.Bytes() != triple || budget.Used() != triple+held*round || held != int64(want.Rounds) {
-		t.Fatalf("%d fills, %d triple bytes, %d budget bytes for %d rounds; want one %d-byte triple and %d rounds",
-			fills, r.Gram.Bytes(), budget.Used(), held, triple, want.Rounds)
+	held := int64(heldRounds(r))
+	stream, gram := r.Bytes()
+	if fills < 1 || gram != triple || stream != held*round || budget.Used() != triple+held*round || held != int64(want.Rounds) {
+		t.Fatalf("%d fills, %d triple and %d stream bytes, %d budget bytes for %d rounds; want one %d-byte triple and %d rounds",
+			fills, gram, stream, budget.Used(), held, triple, want.Rounds)
 	}
 
-	starved := &Resident{Gram: NewGram(NewStreamBudget(triple - 1))}
+	starved := NewResident(NewStreamBudget(triple - 1))
 	for i := 0; i < 2; i++ {
 		res, err := solve(starved)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireReplayed(t, fmt.Sprintf("starved %d", i), res, want)
-		if !res.GramFilled || starved.Gram.Bytes() != 0 {
-			t.Fatalf("starved %d: filled %t, kept %d bytes", i, res.GramFilled, starved.Gram.Bytes())
+		if _, gram := starved.Bytes(); !res.GramFilled || gram != 0 {
+			t.Fatalf("starved %d: filled %t, kept %d bytes", i, res.GramFilled, gram)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
+	"github.com/hpcgo/rcsfista/internal/mat"
 )
 
 // CallCounter is a dist.Comm that logs every collective one rank
@@ -99,16 +100,15 @@ func (c *CallCounter) Allgather(local []float64) []float64 {
 	return c.Comm.Allgather(local)
 }
 
-// TestOneCollectivePerRound pins the round at exactly one collective
-// once the resident Gram answers the objective: at P = 2 over chan and
-// tcp, on both round loops (a pipelined round's batch is posted where a
-// blocking round exchanges it), f64, k = 1, a checkpoint after every update and no snapshot
-// refreshes, every round after the one that fills the Gram — round
-// ⌈m/m̄⌉, once stage B has sampled m columns — issues its stage-C batch
-// (payload plus vote trailer) and nothing else, up to the last round,
-// whose final checkpoint takes its data pass. Before the fill a round
-// adds only its data-pass objective. No round polls cancellation with a
-// collective of its own.
+// TestOneCollectivePerRound pins the round at exactly one collective:
+// at P = 2 over chan and tcp, on both round loops (a pipelined round's
+// batch is posted where a blocking round exchanges it), f64, k = 1, a
+// checkpoint after every update and no snapshot refreshes, the solve's
+// first collective is the resident Gram's fill, the only one beside the
+// batches, before round 0; every round then issues its stage-C batch
+// (payload plus vote trailer) and nothing else, its objective read from
+// the Gram, up to the last round, whose final checkpoint takes its data
+// pass. No round polls cancellation with a collective of its own.
 func TestOneCollectivePerRound(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -130,36 +130,36 @@ func TestOneCollectivePerRound(t *testing.T) {
 			return cc
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		var at int // the round whose objective fills the Gram
 		res, _, err := engineWorld(t, leg.backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
 			counters[e.c.Rank()].Round = func() int { return e.rec.Rounds }
-			if e.c.Rank() == 0 {
-				at = fillIter(e)
-			}
 			return e.run(ctx, e, e, leg.pipelined)
 		})
 		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rounds != o.MaxIter || res.Rounds <= at+1 {
-			t.Fatalf("%s: %d rounds, want MaxIter %d, past the fill at round %d", backend, res.Rounds, o.MaxIter, at)
+		if res.Rounds != o.MaxIter {
+			t.Fatalf("%s: %d rounds, want MaxIter %d", backend, res.Rounds, o.MaxIter)
 		}
+		fill := Call{"allreduce_shared", mat.PackedLen(p.X.Rows) + p.X.Rows + 1, 0}
 		for rank, cc := range counters {
 			name := fmt.Sprintf("%s rank %d", backend, rank)
 			if n := cc.Count("allreduce/max", -1); n != 0 {
 				t.Errorf("%s: %d standalone OpMax collectives, want none", name, n)
 			}
-			// Calls stamped r ran after round r's exchange: round r's
-			// objective (the initial one at r = 0) and round r+1's batch.
+			if cc.Log[0] != fill {
+				t.Errorf("%s: first collective %+v, want the fill %+v", name, cc.Log[0], fill)
+			}
+			// Calls stamped r ran after round r's exchange: round r+1's
+			// batch, after the fill at r = 0.
 			perRound := make([]int, res.Rounds+1)
 			for _, call := range cc.Log {
 				perRound[call.Round]++
 			}
 			for r, n := range perRound {
-				want := 2 // an objective data pass (or, at r = at, the fill) and the next batch
-				if r > at {
-					want = 1 // the next batch; after the last round, the final data pass
+				want := 1 // the next batch; after the last round, the final data pass
+				if r == 0 {
+					want = 2 // the fill and the first batch
 				}
 				if n != want {
 					t.Errorf("%s: %d collectives after round %d, want %d", name, n, r, want)

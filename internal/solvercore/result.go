@@ -44,8 +44,8 @@ type Result struct {
 	Faults FaultStats
 	// Replayed counts the rounds whose shared batch came from a recorded
 	// batch stream — no fill, no exchange, nothing billed — and Recorded
-	// the rounds this solve appended to one (solver.BatchStream). Both
-	// are 0 for a solve without a stream.
+	// the rounds this solve appended to one (solver.Resident). Both are
+	// 0 for a solve without a stream.
 	Replayed, Recorded int
 	// GramFilled reports that the solve filled the least-squares triple
 	// (an RC-SFISTA resident Gram) itself; false when it read a kept one

@@ -2,6 +2,7 @@ package rcsfista_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,18 +10,14 @@ import (
 	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
-// residentBand is the relative band a served solve — handed a resident
-// handle, so its triple is read from round 0 — keeps to the CLI solve,
-// which fills it only once stage B has sampled m columns: W (in units
-// of ‖W‖∞) and FinalObj. The two differ only in interior Gram-sourced
-// objectives and snapshots, which agree with the data passes at the
-// rounding level, and every stop is a data-pass decision in both.
-const residentBand = 1e-12
-
-// TestResidentMatchesCLI holds a handle solve against the CLI solve on
-// every golden least-squares shape a handle applies to (no faults, no
-// screening, no wire tier): W and FinalObj within residentBand, the
-// same Rounds, Iters and stop.
+// TestResidentMatchesCLI holds a served solve to the CLI solve bit for
+// bit on every golden least-squares shape a handle applies to (no
+// faults, no screening, no wire tier), over the transport the golden
+// suite runs on: SolveDistributedStream handed no handle, a fresh one,
+// the same one again — its triple kept and its stream recorded — and
+// one whose budget holds nothing equals SolveDistributedContext in W,
+// FinalObj, GradMap, every trace objective, Rounds, Iters and the
+// stop. Only the work a handle spares may differ.
 func TestResidentMatchesCLI(t *testing.T) {
 	e := goldenSetup(t)
 	groups, err := prox.ParseGroups("size:4", e.prob.X.Rows)
@@ -42,6 +39,7 @@ func TestResidentMatchesCLI(t *testing.T) {
 			o.GradMapTol, o.MaxIter = 1e-4, 120
 			return o
 		}},
+		shape{"sfista", 4, func() solver.Options { o := e.vrOpts(); o.K, o.S = 1, 1; return o }},
 		shape{"tol", 4, func() solver.Options {
 			o := e.opts()
 			o.Tol, o.FStar, o.MaxIter = 0.3, e.fstar, 120
@@ -60,31 +58,58 @@ func TestResidentMatchesCLI(t *testing.T) {
 			return o
 		}},
 	)
-	var worstW, worstF float64
 	for _, s := range shapes {
-		cli, err := solver.SolveDistributed(newGoldenWorld(s.p), e.prob.X, e.prob.Y, s.opts())
+		cli, err := solver.SolveDistributedContext(context.Background(), newGoldenWorld(s.p), e.prob.X, e.prob.Y, s.opts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		served, err := solver.SolveDistributedStream(context.Background(), newGoldenWorld(s.p), e.prob.X, e.prob.Y, s.opts(), &solver.Resident{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !served.GramFilled {
-			t.Fatalf("%s/p%d: the handle solve did not fill its triple", s.name, s.p)
-		}
-		var dw, wmax float64
-		for i, w := range cli.W {
-			dw = math.Max(dw, math.Abs(served.W[i]-w))
-			wmax = math.Max(wmax, math.Abs(w))
-		}
-		relW, relF := dw/wmax, math.Abs(served.FinalObj-cli.FinalObj)/math.Abs(cli.FinalObj)
-		worstW, worstF = math.Max(worstW, relW), math.Max(worstF, relF)
-		if !(relW <= residentBand) || !(relF <= residentBand) || served.Rounds != cli.Rounds ||
-			served.Iters != cli.Iters || served.Converged != cli.Converged {
-			t.Errorf("%s/p%d: served vs CLI: |ΔW|/‖W‖∞ = %.3g, |ΔF|/|F| = %.3g, rounds %d vs %d, iters %d vs %d, converged %t vs %t",
-				s.name, s.p, relW, relF, served.Rounds, cli.Rounds, served.Iters, cli.Iters, served.Converged, cli.Converged)
+		kept := solver.NewResident(solver.NewStreamBudget(1 << 40))
+		for _, h := range []struct {
+			state  string
+			r      *solver.Resident
+			filled bool
+		}{
+			{"nil", nil, true},
+			{"fresh", kept, true},
+			{"kept", kept, false},
+			{"starved", solver.NewResident(solver.NewStreamBudget(0)), true},
+		} {
+			name := fmt.Sprintf("%s/p%d/%s", s.name, s.p, h.state)
+			served, err := solver.SolveDistributedStream(context.Background(), newGoldenWorld(s.p), e.prob.X, e.prob.Y, s.opts(), h.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served.GramFilled != h.filled || (h.state == "kept") != (served.Replayed == served.Rounds && served.Rounds > 0) {
+				t.Fatalf("%s: filled the triple %t, replayed %d of %d rounds", name, served.GramFilled, served.Replayed, served.Rounds)
+			}
+			requireServedIsCLI(t, name, served, cli)
 		}
 	}
-	t.Logf("worst |ΔW|/‖W‖∞ = %.2g, worst |ΔF|/|F| = %.2g (band %g)", worstW, worstF, residentBand)
+}
+
+// requireServedIsCLI fails unless got equals want bit for bit in
+// everything a resident handle must not move.
+func requireServedIsCLI(t *testing.T, name string, got, want *solver.Result) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if got.Rounds != want.Rounds || got.Iters != want.Iters || got.Converged != want.Converged ||
+		!same(got.FinalObj, want.FinalObj) || !same(got.GradMap, want.GradMap) {
+		t.Fatalf("%s: rounds %d iters %d converged %t F %.17g GradMap %g; CLI %d %d %t %.17g %g", name,
+			got.Rounds, got.Iters, got.Converged, got.FinalObj, got.GradMap,
+			want.Rounds, want.Iters, want.Converged, want.FinalObj, want.GradMap)
+	}
+	for i := range want.W {
+		if !same(got.W[i], want.W[i]) {
+			t.Fatalf("%s: W[%d] %.17g, CLI %.17g", name, i, got.W[i], want.W[i])
+		}
+	}
+	a, b := got.Trace.Points, want.Trace.Points
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d trace points, CLI %d", name, len(a), len(b))
+	}
+	for i := range b {
+		if a[i].Iter != b[i].Iter || !same(a[i].Obj, b[i].Obj) {
+			t.Fatalf("%s: trace point %d at update %d, F %.17g; CLI at %d, %.17g", name, i, a[i].Iter, a[i].Obj, b[i].Iter, b[i].Obj)
+		}
+	}
 }
