@@ -8,27 +8,31 @@ import (
 )
 
 // BenchmarkSymPackedMulVec times the packed symmetric matvec at the
-// engine's default Hessian size and reports the operator's wire
-// footprint (the words one packed Hessian slot occupies on the
-// network) next to the runtime.
+// inner-pass Hessian sizes of the repo benchmark (d = 54 covtype,
+// 192 and 392 the dense Gram shapes) and reports the operator's wire
+// footprint (the words one packed Hessian slot occupies on the network)
+// next to the runtime.
 func BenchmarkSymPackedMulVec(b *testing.B) {
-	const d = 96
-	h := NewSymPacked(d)
-	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			h.Set(i, j, 1/float64(i+j+1))
-		}
-	}
-	x := make([]float64, d)
-	y := make([]float64, d)
-	for i := range x {
-		x[i] = float64(i%5) - 2
-	}
-	b.ReportAllocs()
-	b.ReportMetric(float64(PackedLen(d)), "words/op")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.MulVec(y, x, nil)
+	for _, d := range []int{54, 192, 392} {
+		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
+			h := NewSymPacked(d)
+			for i := 0; i < d; i++ {
+				for j := i; j < d; j++ {
+					h.Set(i, j, 1/float64(i+j+1))
+				}
+			}
+			x := make([]float64, d)
+			y := make([]float64, d)
+			for i := range x {
+				x[i] = float64(i%5) - 2
+			}
+			b.ReportAllocs()
+			b.ReportMetric(float64(PackedLen(d)), "words/op")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.MulVec(y, x, nil)
+			}
+		})
 	}
 }
 

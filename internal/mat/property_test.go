@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/rng"
@@ -58,6 +59,40 @@ func TestSymPackedMulVecBitIdenticalProperty(t *testing.T) {
 			if yp[i] != yd[i] {
 				t.Fatalf("n=%d: y[%d] = %v (packed) vs %v (dense): not bit-identical",
 					n, i, yp[i], yd[i])
+			}
+		}
+	}
+}
+
+// TestSymPackedMulVecReferenceOrder holds MulVec to the textbook
+// row-by-row sum — y[i] = 0 + A(i,0)x[0] + A(i,1)x[1] + … in ascending
+// j, every add rounded — bit for bit at every n in 0..70: below the
+// four-row block, and every n mod 4 of the remainder rows after it.
+// Entries span twelve orders of magnitude, so any other association
+// shows.
+func TestSymPackedMulVecReferenceOrder(t *testing.T) {
+	r := rng.New(54)
+	for n := 0; n <= 70; n++ {
+		a := randSym(r, n)
+		for i := range a.Data {
+			a.Data[i] *= math.Pow(10, float64(r.Intn(13)-6))
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = r.NormFloat64() * math.Pow(10, float64(r.Intn(7)-3))
+		}
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = math.NaN() // MulVec overwrites
+		}
+		a.MulVec(y, x, nil)
+		for i := 0; i < n; i++ {
+			s := 0.0
+			for j := 0; j < n; j++ {
+				s += a.At(i, j) * x[j]
+			}
+			if math.Float64bits(y[i]) != math.Float64bits(s) {
+				t.Fatalf("n=%d: y[%d] = %v, reference order gives %v", n, i, y[i], s)
 			}
 		}
 	}

@@ -92,19 +92,70 @@ func (a *SymPacked) Clone() *SymPacked {
 // The kernel is a single unit-stride sweep of the packed triangle: each
 // stored element (i, j) is loaded once and contributes to both y[i] and
 // y[j], instead of the naive per-row form whose j < i half walks column
-// i with a shrinking stride and reads every element twice. The
-// contributions to each y[i] still land in ascending-j order — row
-// tails are consumed i = 0..n-1 and each row's tail left to right — so
-// the summation association matches Dense.MulVec exactly and a packed
-// matrix and its dense expansion produce bit-identical products.
+// i with a shrinking stride and reads every element twice. Rows go four
+// at a time, so four independent y[i] add chains run side by side
+// instead of one latency-bound chain; each y[j] they scatter to takes
+// the four rows' contributions in ascending row order. The
+// contributions to each y[i] therefore still land in ascending-j order
+// — the j < i ones scattered by earlier rows, then row i's tail left to
+// right — so the summation association matches Dense.MulVec exactly and
+// a packed matrix and its dense expansion produce bit-identical
+// products.
 func (a *SymPacked) MulVec(y, x []float64, c *perf.Cost) {
 	n := a.N
 	if len(x) != n || len(y) != n {
 		panic("mat: SymPacked MulVec dimension mismatch")
 	}
 	Zero(y)
-	base := 0
-	for i := 0; i < n; i++ {
+	base, i := 0, 0
+	for ; i+4 <= n; i += 4 {
+		l := n - i
+		t0 := a.Data[base : base+l]
+		t1 := a.Data[base+l : base+2*l-1]
+		t2 := a.Data[base+2*l-1 : base+3*l-3]
+		t3 := a.Data[base+3*l-3 : base+4*l-6]
+		base += 4*l - 6
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		// The 4x4 diagonal block, each y[i+q] in ascending-j order: row i
+		// scatters to i+1..i+3 before row i+1's own terms, and so on.
+		y0 := y[i] + t0[0]*x0
+		y1 := y[i+1] + t0[1]*x0
+		y2 := y[i+2] + t0[2]*x0
+		y3 := y[i+3] + t0[3]*x0
+		y0 += t0[1] * x1
+		y0 += t0[2] * x2
+		y0 += t0[3] * x3
+		y1 += t1[0] * x1
+		y2 += t1[1] * x1
+		y3 += t1[2] * x1
+		y1 += t1[1] * x2
+		y1 += t1[2] * x3
+		y2 += t2[0] * x2
+		y3 += t2[1] * x2
+		y2 += t2[1] * x3
+		y3 += t3[0] * x3
+		// Columns past the block: four gather chains, one scatter each.
+		// Every slice is cut to len(xs), so the loop has no bounds checks.
+		xs := x[i+4:]
+		m := len(xs)
+		ys := y[i+4:][:m]
+		t0, t1, t2, t3 = t0[4:][:m], t1[3:][:m], t2[2:][:m], t3[1:][:m]
+		for j, xj := range xs {
+			v0, v1, v2, v3 := t0[j], t1[j], t2[j], t3[j]
+			y0 += v0 * xj
+			y1 += v1 * xj
+			y2 += v2 * xj
+			y3 += v3 * xj
+			yj := ys[j]
+			yj += v0 * x0
+			yj += v1 * x1
+			yj += v2 * x2
+			yj += v3 * x3
+			ys[j] = yj
+		}
+		y[i], y[i+1], y[i+2], y[i+3] = y0, y1, y2, y3
+	}
+	for ; i < n; i++ {
 		tail := a.Data[base : base+n-i]
 		base += n - i
 		xi := x[i]

@@ -247,7 +247,9 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 			return nil, &httpError{status: 500, msg: "solve: " + serr.Error()}
 		}
 		// Deadline/cancel: the round-boundary consensus left a
-		// well-formed partial result on every rank.
+		// well-formed partial result on every rank. Replayed rounds
+		// vote once per variance-reduction epoch, so a deadline inside
+		// a replayed prefix lands at most one epoch late.
 		resp.Partial = true
 		resp.Error = serr.Error()
 		s.stats.deadlines.Add(1)

@@ -9,6 +9,8 @@ package solver
 // prefix, skipping stage B (Fill only advances the slot counter) and
 // stage C (the exchanger wrapper hands back the recorded batch), and
 // runs live from the first round the stream lacks, extending it.
+// Replayed rounds take the standalone cancellation consensus once per
+// variance-reduction epoch, not once per round (see replayer.replay).
 
 import (
 	"slices"
@@ -98,26 +100,38 @@ func (v *residentView) record(n int, batch []float64) bool {
 // recorded batch for rounds inside the prefix and runs the engine's
 // exchanger for the rest, rank 0 recording each live batch. Exchange
 // and Post/Resolve strictly alternate per round on both loops, so one
-// counter names the round in flight.
+// counter names the round in flight. perRound is the k·S updates a
+// round makes and epoch the EpochLen of a variance-reduction epoch.
 type replayer struct {
 	*residentView
 	inner              *solvercore.TieredExchanger
 	rank0              bool
 	round              int
 	replayed, recorded int
+	perRound, epoch    int
 }
 
 // replay returns the recorded batch of the round in flight and advances
-// the counter, or nil when the round runs live. A replayed round
-// carries no vote: VoteMissing sends the Loop to its standalone
-// consensus, so a deadline still stops every rank at one round.
+// the counter, or nil when the round runs live. A replayed round ships
+// nothing, so it carries no trailer vote. Only the replayed round n
+// whose updates close an epoch — ⌊n·k·S/EpochLen⌋ grows at n — says
+// VoteMissing and sends the Loop to its standalone consensus; every
+// other says VoteContinue and synchronizes nothing. Every rank computes
+// the same rule from the same values, so a deadline still stops every
+// rank at one round, at most one epoch of replayed rounds after it
+// expired. The first live round's trailer votes as every live round's
+// does.
 func (r *replayer) replay() ([]float64, solvercore.Vote) {
 	if r.round >= len(r.rounds) {
 		return nil, solvercore.VoteMissing
 	}
 	r.round++
 	r.replayed++
-	return r.rounds[r.round-1], solvercore.VoteMissing
+	v := solvercore.VoteContinue
+	if r.round*r.perRound/r.epoch > (r.round-1)*r.perRound/r.epoch {
+		v = solvercore.VoteMissing
+	}
+	return r.rounds[r.round-1], v
 }
 
 // keep records a live round's shared batch on rank 0 and advances the

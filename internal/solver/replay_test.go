@@ -167,10 +167,28 @@ func TestReplayProduction(t *testing.T) {
 	}
 }
 
-// TestReplayCancel expires rank P−1's context in the middle of a
-// replayed prefix: the standalone consensus a replayed round falls back
-// on ends every rank at the same round with a well-formed partial, on
-// both loops, and no goroutine is left behind.
+// epochRounds returns the 1-based replayed rounds, from first through
+// last, that close a variance-reduction epoch of o — those whose
+// updates carry ⌊r·k·S/EpochLen⌋ past a multiple — the rounds that
+// take the standalone cancellation consensus.
+func epochRounds(o Options, first, last int) []int {
+	o = o.withDefaults()
+	kS, n := o.K*o.S, o.EpochLen
+	var rs []int
+	for r := first; r <= last; r++ {
+		if r*kS/n > (r-1)*kS/n {
+			rs = append(rs, r)
+		}
+	}
+	return rs
+}
+
+// TestReplayCancel expires rank P−1's context at round 9, in the
+// middle of a replayed prefix. Replayed rounds synchronize only where
+// their updates close a variance-reduction epoch, so every rank stops
+// at the first epoch-closing round ≥ 9 — k = 2, S = 1, EpochLen = 8:
+// round 12 — with a well-formed partial, on both loops, and no
+// goroutine is left behind.
 func TestReplayCancel(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -183,6 +201,12 @@ func TestReplayCancel(t *testing.T) {
 	if _, _, err := streamSolve(t, "chan", procs, p, o, s, true, nil); err != nil {
 		t.Fatal(err)
 	}
+	prefix := heldRounds(s)
+	votes := epochRounds(o, at, prefix)
+	if len(votes) == 0 || votes[0] == at {
+		t.Fatalf("no epoch-closing round in (%d, %d]: votes %v", at, prefix, votes)
+	}
+	stop := votes[0]
 	o.MaxIter = 100000
 	for _, pipelined := range []bool{false, true} {
 		baseline := runtime.NumGoroutine()
@@ -196,9 +220,9 @@ func TestReplayCancel(t *testing.T) {
 			t.Fatalf("pipelined=%t: err = %v", pipelined, err)
 		}
 		requireWellFormedPartial(t, res, p.X.Rows)
-		if res.Rounds != at || res.Replayed != at || res.Recorded != 0 {
+		if res.Rounds != stop || res.Replayed != stop || res.Recorded != 0 {
 			t.Fatalf("pipelined=%t: stopped at round %d, replayed %d, recorded %d; want round %d, all replayed",
-				pipelined, res.Rounds, res.Replayed, res.Recorded, at)
+				pipelined, res.Rounds, res.Replayed, res.Recorded, stop)
 		}
 		for _, e := range engines {
 			if e.rec.Rounds != res.Rounds || e.rec.Iter != res.Iters {
@@ -207,6 +231,84 @@ func TestReplayCancel(t *testing.T) {
 			}
 		}
 		dist.VerifyNoGoroutineLeaks(t, baseline)
+	}
+}
+
+// TestReplayConsensusCount counts what a fully replayed solve sends: of
+// its R rounds only the ⌊R·k·S/EpochLen⌋ that close a variance-reduction
+// epoch take the standalone OpMax consensus (k·S ≤ EpochLen here, so
+// no round closes two epochs), where a consensus on every replayed
+// round makes R. Both equal the stream-less solve bit for bit, and the
+// consensus, control like the trailer, leaves Cost as it was. Chan and
+// tcp at P = 2, both loops, an epoch k·S divides and one it does not.
+func TestReplayConsensusCount(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const procs = 2
+	for _, shape := range []struct{ k, s, epoch int }{{2, 2, 12}, {2, 1, 5}} {
+		o := gramOpts(p)
+		o.K, o.S, o.EpochLen, o.MaxIter, o.GradMapTol = shape.k, shape.s, shape.epoch, 120, 0
+		for _, backend := range []string{"chan", "tcp"} {
+			for _, pipelined := range []bool{false, true} {
+				name := fmt.Sprintf("k%d/s%d/n%d/%s/pipe=%t", shape.k, shape.s, shape.epoch, backend, pipelined)
+				want, _, err := streamSolve(t, backend, procs, p, o, nil, pipelined, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := newResident()
+				if _, _, err := streamSolve(t, backend, procs, p, o, r, pipelined, nil); err != nil {
+					t.Fatal(err)
+				}
+				rounds := want.Rounds
+				consensus := rounds * shape.k * shape.s / shape.epoch
+				if n := len(epochRounds(o, 1, rounds)); n != consensus {
+					t.Fatalf("%s: %d epoch-closing rounds of %d, want ⌊R·k·S/EpochLen⌋ = %d", name, n, rounds, consensus)
+				}
+				var costs [2]perf.Cost
+				for i, everyRound := range []bool{false, true} {
+					v, err := r.open(p.X, procs, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					counters := make([]*CallCounter, procs)
+					wrap := func(c dist.Comm) dist.Comm {
+						cc := &CallCounter{Comm: c}
+						counters[c.Rank()] = cc
+						return cc
+					}
+					got, _, err := engineWorld(t, backend, procs, p, o, wrap, func(e *engine) (*Result, error) {
+						e.reside(v)
+						if everyRound {
+							e.rp.perRound, e.rp.epoch = 1, 1
+						}
+						return e.run(context.Background(), e, e, pipelined)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s/everyRound=%t", name, everyRound)
+					requireReplayed(t, label, got, want)
+					if got.Replayed != rounds {
+						t.Fatalf("%s: replayed %d of %d rounds", label, got.Replayed, rounds)
+					}
+					wantN := consensus
+					if everyRound {
+						wantN = rounds
+					}
+					for rank, cc := range counters {
+						if n := cc.Count("allreduce/max", 1); n != wantN {
+							t.Errorf("%s rank %d: %d standalone consensus allreduces, want %d", label, rank, n, wantN)
+						}
+					}
+					costs[i] = got.Cost
+				}
+				if costs[0] != costs[1] {
+					t.Fatalf("%s: Cost %+v with the epoch consensus, %+v with one every round", name, costs[0], costs[1])
+				}
+			}
+		}
 	}
 }
 

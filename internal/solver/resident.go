@@ -121,7 +121,8 @@ func (e *engine) reside(v *residentView) {
 		e.gram.view(v.tri, e.d)
 	}
 	e.gram.to = v.r
-	e.rp = &replayer{residentView: v, inner: e.exch, rank0: e.c.Rank() == 0}
+	e.rp = &replayer{residentView: v, inner: e.exch, rank0: e.c.Rank() == 0,
+		perRound: e.opts.K * e.opts.S, epoch: e.opts.EpochLen}
 }
 
 // rcsfista builds one rank's engine and runs it on v, the solve's view
