@@ -221,7 +221,8 @@ func goldenFaultPlan() *dist.FaultPlan {
 		Schedule: []dist.ScheduledFault{
 			{Round: 2, Kind: dist.FaultDrop, Attempts: 0}, // hard failure: forces degradation
 		},
-		Crash: &dist.Crash{Rank: 1, Round: 4, Outage: 2, RestartSec: 2e-3},
+		Crash:      &dist.Crash{Rank: 1, Round: 4, Outage: 2, RestartSec: 2e-3},
+		MaxRetries: 2,
 	}
 }
 
@@ -268,7 +269,6 @@ func goldenConfigs() []goldenConfig {
 				o := e.opts()
 				if faulty {
 					o.Faults = goldenFaultPlan()
-					o.MaxRetries = 2
 				}
 				w := newGoldenWorld(p)
 				return solver.SolveDistributed(w, e.prob.X, e.prob.Y, o)
@@ -280,9 +280,9 @@ func goldenConfigs() []goldenConfig {
 	// ever arrived, so there is no last-good Hessian to degrade to.
 	add("rcsfista/skip/p4", func(e *goldenEnv) (*solver.Result, error) {
 		o := e.opts()
-		o.MaxRetries = 1
 		o.Faults = &dist.FaultPlan{
-			Seed: 13,
+			Seed:       13,
+			MaxRetries: 1,
 			Schedule: []dist.ScheduledFault{
 				{Round: 0, Kind: dist.FaultDrop, Attempts: 0},
 				{Round: 1, Kind: dist.FaultDrop, Attempts: 0},

@@ -3,11 +3,12 @@ package dist
 import "github.com/hpcgo/rcsfista/internal/perf"
 
 // This file is the single source of truth for per-operation cost
-// bookkeeping. The collectives shared by every backend (collective.go),
-// each backend's shared allreduce and the FaultyComm wrapper charge
-// through these helpers, so the alpha-beta-gamma counters cannot drift
-// between transports: the conformance suite asserts per-rank cost
-// equality across backends for the whole collective surface.
+// bookkeeping. The collectives shared by every backend (collective.go)
+// and each backend's shared allreduce charge through these helpers, and
+// the stage-C exchanger prices a lost attempt with AllreduceCostTier,
+// so the alpha-beta-gamma counters cannot drift between transports:
+// the conformance suite asserts per-rank cost equality across backends
+// for the whole collective surface.
 
 // chargeTree charges the cost of a log2(P)-depth tree collective moving
 // words payload words at each of the lg levels, with optional reduction

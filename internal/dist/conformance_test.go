@@ -423,72 +423,6 @@ func TestConformanceLeakFree(t *testing.T) {
 	})
 }
 
-// TestConformanceFaultyComm: the PR 2 fault-injection wrapper is
-// transport-agnostic — the same fault plan yields the same attempt
-// outcomes and the same cost counters on every backend.
-func TestConformanceFaultyComm(t *testing.T) {
-	const p = 4
-	plan := &FaultPlan{
-		Seed: 7,
-		Schedule: []ScheduledFault{
-			{Round: 1, Kind: FaultDrop, Attempts: 1},
-			{Round: 2, Kind: FaultStraggler, Rank: 1, DelaySec: 1.5},
-		},
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	type obs struct {
-		res  []float64
-		ok   bool
-		cost perf.Cost
-	}
-	program := func(w World) [][]obs {
-		out := make([][]obs, p)
-		err := w.Run(func(c Comm) error {
-			fc := NewFaultyComm(c, plan, 1.0)
-			for round := 0; round < 4; round++ {
-				res, ok := fc.AttemptAllreduceSharedTier([]float64{float64(c.Rank()), 1}, 0, TierF64)
-				var cp []float64
-				if res != nil {
-					cp = append([]float64(nil), res...)
-				}
-				out[c.Rank()] = append(out[c.Rank()], obs{res: cp, ok: ok, cost: perf.Cost(*c.Cost())})
-				fc.EndRound()
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	var results [][][]obs
-	var names []string
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		results = append(results, program(mustWorld(t, b, p)))
-		names = append(names, b.Name())
-	})
-	if len(results) < 2 {
-		t.Skip("fewer than two supported backends")
-	}
-	for bi := 1; bi < len(results); bi++ {
-		for r := 0; r < p; r++ {
-			for round := range results[0][r] {
-				a, z := results[0][r][round], results[bi][r][round]
-				if a.ok != z.ok || len(a.res) != len(z.res) || a.cost != z.cost {
-					t.Fatalf("rank %d round %d: %s=%+v %s=%+v", r, round, names[0], a, names[bi], z)
-				}
-				for i := range a.res {
-					if math.Float64bits(a.res[i]) != math.Float64bits(z.res[i]) {
-						t.Fatalf("rank %d round %d word %d differs across backends", r, round, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 // tieredPayload is rank's n-value contribution to the tiered
 // conformance table: a NaN carrying payload bits, a negative zero,
 // magnitudes float32 cannot hold and a wide dynamic range within one

@@ -10,8 +10,9 @@ import (
 // Fault injection for the simulated network. A FaultPlan is a
 // deterministic, seeded schedule of communication faults — straggler
 // delays, dropped (timed-out) allreduce rounds, corrupted payload
-// words, and a rank crash with an outage window — that a FaultyComm
-// injects into the round-indexed batched allreduce of RC-SFISTA.
+// words, and a rank crash with an outage window — that the stage-C
+// exchanger (solvercore.TieredExchanger) injects into the round-indexed
+// batched allreduce of RC-SFISTA, the one place that also handles them.
 //
 // The central design constraint mirrors the paper's zero-communication
 // sampling consensus (Sections 5.2/5.5): every rank must agree on the
@@ -112,9 +113,10 @@ type Crash struct {
 	RestartSec float64
 }
 
-// FaultPlan is a deterministic, seeded fault schedule. The zero value
-// injects nothing: wrapping a Comm with an empty plan is bit-identical
-// (iterates, costs, traces) to not wrapping it at all.
+// FaultPlan is a deterministic, seeded fault schedule, plus the retry
+// policy a lost round is handled with. The zero value injects nothing:
+// a solve under an empty plan is bit-identical (iterates, costs,
+// traces) to one without a plan. A plan is read-only once in use.
 //
 // Probabilistic knobs are evaluated per (round, attempt) from Seed via
 // the same splittable stream construction the solvers use for sample
@@ -146,12 +148,31 @@ type FaultPlan struct {
 	Schedule []ScheduledFault
 	// Crash optionally schedules a rank failure with an outage window.
 	Crash *Crash
+
+	// TimeoutSec is the modeled wait before a rank declares an attempt
+	// lost; 0 selects DefaultRoundTimeoutSec.
+	TimeoutSec float64
+	// MaxRetries is the number of extra attempts after a lost one
+	// before the round fails; 0 selects 1, negative disables retries.
+	MaxRetries int
+	// BackoffSec is the modeled wait before retry attempt 1, doubled
+	// per further attempt; 0 selects a quarter of the timeout.
+	BackoffSec float64
 }
 
 // DefaultStragglerDelaySec is the straggler wait used when the plan
 // does not set one: half a millisecond, a few hundred allreduce
 // latencies on the Comet model.
 const DefaultStragglerDelaySec = 5e-4
+
+// DefaultRoundTimeoutSec is the declared-lost timeout used when the
+// plan does not set one: one millisecond, three orders of magnitude
+// above the Comet allreduce latency.
+const DefaultRoundTimeoutSec = 1e-3
+
+// badSeconds reports whether v is not a usable duration: negative,
+// infinite or NaN.
+func badSeconds(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
 
 // Validate checks plan consistency.
 func (p *FaultPlan) Validate() error {
@@ -166,8 +187,13 @@ func (p *FaultPlan) Validate() error {
 			return fmt.Errorf("dist: FaultPlan.%s = %g out of [0,1]", pr.name, pr.v)
 		}
 	}
-	if p.StragglerDelaySec < 0 || math.IsNaN(p.StragglerDelaySec) {
-		return fmt.Errorf("dist: FaultPlan.StragglerDelaySec = %g negative", p.StragglerDelaySec)
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{{"StragglerDelaySec", p.StragglerDelaySec}, {"TimeoutSec", p.TimeoutSec}, {"BackoffSec", p.BackoffSec}} {
+		if badSeconds(d.v) {
+			return fmt.Errorf("dist: FaultPlan.%s = %g not a finite non-negative duration", d.name, d.v)
+		}
 	}
 	if p.CorruptWords < 0 {
 		return fmt.Errorf("dist: FaultPlan.CorruptWords = %d negative", p.CorruptWords)
@@ -181,12 +207,12 @@ func (p *FaultPlan) Validate() error {
 		if s.Round < 0 {
 			return fmt.Errorf("dist: Schedule[%d] round %d negative", i, s.Round)
 		}
-		if s.DelaySec < 0 || math.IsNaN(s.DelaySec) {
-			return fmt.Errorf("dist: Schedule[%d] delay %g negative", i, s.DelaySec)
+		if badSeconds(s.DelaySec) {
+			return fmt.Errorf("dist: Schedule[%d] delay %g not a finite non-negative duration", i, s.DelaySec)
 		}
 	}
 	if c := p.Crash; c != nil {
-		if c.Round < 0 || c.RestartSec < 0 || math.IsNaN(c.RestartSec) {
+		if c.Round < 0 || badSeconds(c.RestartSec) {
 			return fmt.Errorf("dist: Crash round/restart invalid (%d, %g)", c.Round, c.RestartSec)
 		}
 	}
@@ -209,24 +235,45 @@ type Verdict struct {
 	// Rank is the victim rank, or -1.
 	Rank int
 	// StallSec is the extra waiting the fault injects (straggler delay;
-	// timeouts are charged separately by the communicator).
+	// timeouts are charged separately by the exchanger).
 	StallSec float64
 	// Words is the corrupted word count (corrupt verdicts only).
 	Words int
 }
 
-func (p *FaultPlan) stragglerDelay() float64 {
-	if p.StragglerDelaySec > 0 {
-		return p.StragglerDelaySec
+// orDefault returns v when it is set (positive), else def: how a
+// plan's zero values select their defaults.
+func orDefault[T int | float64](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return DefaultStragglerDelaySec
+	return def
 }
 
-func (p *FaultPlan) corruptWords() int {
-	if p.CorruptWords > 0 {
-		return p.CorruptWords
+func (p *FaultPlan) stragglerDelay() float64 {
+	return orDefault(p.StragglerDelaySec, DefaultStragglerDelaySec)
+}
+
+func (p *FaultPlan) corruptWords() int { return orDefault(p.CorruptWords, 1) }
+
+// Timeout returns the per-attempt timeout: TimeoutSec, or
+// DefaultRoundTimeoutSec when unset.
+func (p *FaultPlan) Timeout() float64 { return orDefault(p.TimeoutSec, DefaultRoundTimeoutSec) }
+
+// Retries returns the number of extra attempts a round gets after a
+// lost one: MaxRetries, where 0 selects 1 and negative none.
+func (p *FaultPlan) Retries() int {
+	if p.MaxRetries == 0 {
+		return 1
 	}
-	return 1
+	return max(p.MaxRetries, 0)
+}
+
+// Backoff returns the modeled wait before retry attempt a >= 1:
+// BackoffSec (a quarter of the timeout when unset), doubled per
+// attempt after the first.
+func (p *FaultPlan) Backoff(a int) float64 {
+	return orDefault(p.BackoffSec, p.Timeout()/4) * float64(int64(1)<<uint(a-1))
 }
 
 // foldRank maps an arbitrary rank spec into [0, size).
@@ -270,17 +317,11 @@ func (p *FaultPlan) Verdict(round, attempt, size int) Verdict {
 		case FaultDrop:
 			return Verdict{Kind: FaultDrop, Failed: true, Rank: -1}
 		case FaultCorrupt:
-			w := s.Words
-			if w <= 0 {
-				w = p.corruptWords()
-			}
-			return Verdict{Kind: FaultCorrupt, Failed: true, Rank: foldRank(s.Rank, size), Words: w}
+			return Verdict{Kind: FaultCorrupt, Failed: true, Rank: foldRank(s.Rank, size),
+				Words: orDefault(s.Words, p.corruptWords())}
 		case FaultStraggler:
-			d := s.DelaySec
-			if d <= 0 {
-				d = p.stragglerDelay()
-			}
-			return Verdict{Kind: FaultStraggler, Rank: foldRank(s.Rank, size), StallSec: d}
+			return Verdict{Kind: FaultStraggler, Rank: foldRank(s.Rank, size),
+				StallSec: orDefault(s.DelaySec, p.stragglerDelay())}
 		}
 	}
 	if p.DropProb == 0 && p.CorruptProb == 0 && p.StragglerProb == 0 {
@@ -303,4 +344,37 @@ func (p *FaultPlan) Verdict(round, attempt, size int) Verdict {
 		return Verdict{Kind: FaultStraggler, Rank: victim, StallSec: p.stragglerDelay()}
 	}
 	return none
+}
+
+// PayloadChecksum is the FNV-1a hash of the payload bit patterns, the
+// integrity check a corrupted batch is detected with.
+func PayloadChecksum(buf []float64) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, v := range buf {
+		bits := math.Float64bits(v)
+		for s := 0; s < 64; s += 8 {
+			h ^= (bits >> s) & 0xff
+			h *= prime64
+		}
+	}
+	return h
+}
+
+// Corrupt flips one random bit in each of words distinct-ish positions
+// of buf, deterministically in (Seed, round, attempt): the damage a
+// corrupt verdict does to its victim's copy of the batch.
+func (p *FaultPlan) Corrupt(buf []float64, round, attempt, words int) {
+	if len(buf) == 0 {
+		return
+	}
+	r := rng.NewSource(p.Seed^0xbadc0ffee).Stream(round, attempt)
+	for i := 0; i < words; i++ {
+		pos := r.Intn(len(buf))
+		bit := uint(r.Intn(64))
+		buf[pos] = math.Float64frombits(math.Float64bits(buf[pos]) ^ (1 << bit))
+	}
 }

@@ -1,11 +1,8 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"testing"
-
-	"github.com/hpcgo/rcsfista/internal/perf"
 )
 
 func TestFaultPlanVerdictDeterministic(t *testing.T) {
@@ -106,214 +103,45 @@ func TestFaultPlanValidateRejectsBadValues(t *testing.T) {
 	}
 }
 
-// TestFaultyCommZeroPlanIsTransparent pins the acceptance requirement
-// that an empty plan is indistinguishable from no wrapper: identical
-// results and bit-identical costs.
-func TestFaultyCommZeroPlanIsTransparent(t *testing.T) {
-	const p = 4
-	run := func(wrap bool) ([]float64, []perf.Cost) {
-		w := NewWorld(p, unitMachine())
-		var out []float64
-		err := w.Run(func(c Comm) error {
-			buf := []float64{float64(c.Rank()), 2}
-			if wrap {
-				fc := NewFaultyComm(c, &FaultPlan{}, 0)
-				res, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
-				if !ok {
-					return fmt.Errorf("zero plan failed a round")
-				}
-				fc.EndRound()
-				if len(fc.Events()) != 0 {
-					return fmt.Errorf("zero plan recorded events")
-				}
-				if c.Rank() == 0 {
-					out = res
-				}
-				return nil
-			}
-			res := c.AllreduceShared(buf)
-			if c.Rank() == 0 {
-				out = res
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		costs := make([]perf.Cost, p)
-		for r := 0; r < p; r++ {
-			costs[r] = w.RankCost(r)
-		}
-		return out, costs
-	}
-	plainRes, plainCosts := run(false)
-	wrapRes, wrapCosts := run(true)
-	for i := range plainRes {
-		if plainRes[i] != wrapRes[i] {
-			t.Fatalf("results differ at %d: %v vs %v", i, plainRes[i], wrapRes[i])
-		}
-	}
-	for r := range plainCosts {
-		if plainCosts[r] != wrapCosts[r] {
-			t.Fatalf("rank %d cost differs: %v vs %v", r, plainCosts[r], wrapCosts[r])
+// TestFaultPlanValidateRejectsNonFiniteSeconds: every duration of a
+// plan is a finite, non-negative number of seconds. An infinite one
+// would make a solve's modeled time infinite.
+func TestFaultPlanValidateRejectsNonFiniteSeconds(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		plan FaultPlan
+	}{
+		{"StragglerDelaySec", FaultPlan{StragglerProb: 0.5, StragglerDelaySec: inf}},
+		{"Schedule.DelaySec", FaultPlan{Schedule: []ScheduledFault{{Kind: FaultStraggler, DelaySec: inf}}}},
+		{"Crash.RestartSec", FaultPlan{Crash: &Crash{RestartSec: inf}}},
+		{"TimeoutSec", FaultPlan{TimeoutSec: inf}},
+		{"BackoffSec", FaultPlan{BackoffSec: inf}},
+		{"TimeoutSec/-Inf", FaultPlan{TimeoutSec: -inf}},
+		{"BackoffSec/NaN", FaultPlan{BackoffSec: math.NaN()}},
+		{"TimeoutSec/negative", FaultPlan{TimeoutSec: -1e-3}},
+	} {
+		if err := tc.plan.Validate(); err == nil {
+			t.Errorf("%s: plan %+v accepted", tc.name, tc.plan)
 		}
 	}
 }
 
-func TestFaultyCommDropChargesAndFailsEverywhere(t *testing.T) {
-	const p = 4
-	plan := &FaultPlan{Schedule: []ScheduledFault{{Round: 0, Kind: FaultDrop}}}
-	w := NewWorld(p, unitMachine())
-	err := w.Run(func(c Comm) error {
-		fc := NewFaultyComm(c, plan, 2e-3)
-		buf := make([]float64, 10)
-		res, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
-		if ok || res != nil {
-			return fmt.Errorf("rank %d: dropped attempt succeeded", c.Rank())
-		}
-		// Second attempt of the same round: schedule says all attempts.
-		if _, ok := fc.AttemptAllreduceSharedTier(buf, 1, TierF64); ok {
-			return fmt.Errorf("rank %d: retry of hard drop succeeded", c.Rank())
-		}
-		fc.EndRound()
-		// Next round is clean.
-		res, ok = fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
-		if !ok || res == nil {
-			return fmt.Errorf("rank %d: clean round failed", c.Rank())
-		}
-		fc.EndRound()
-		if got := len(fc.Events()); got != 2 {
-			return fmt.Errorf("rank %d: %d events, want 2", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestFaultPlanRetryPolicyDefaults pins how the zero values of the
+// retry policy resolve: a 1 ms timeout, one retry, a quarter-timeout
+// backoff doubling per attempt.
+func TestFaultPlanRetryPolicyDefaults(t *testing.T) {
+	var p FaultPlan
+	if p.Timeout() != DefaultRoundTimeoutSec || p.Retries() != 1 || p.Backoff(1) != DefaultRoundTimeoutSec/4 {
+		t.Fatalf("zero plan: timeout %g, retries %d, backoff %g", p.Timeout(), p.Retries(), p.Backoff(1))
 	}
-	// Each failed attempt charges the full reduction-tree traffic plus
-	// the timeout stall; the clean round charges one more tree.
-	lg := int64(perf.Log2Ceil(p))
-	want := perf.Cost{Messages: 3 * lg, Words: 3 * lg * 10, Flops: 3 * lg * 10, StallSec: 2 * 2e-3}
-	for r := 0; r < p; r++ {
-		if got := w.RankCost(r); got != want {
-			t.Fatalf("rank %d cost = %v, want %v", r, got, want)
-		}
+	p = FaultPlan{TimeoutSec: 8, MaxRetries: -1}
+	if p.Retries() != 0 || p.Backoff(3) != 8 {
+		t.Fatalf("set timeout: retries %d, backoff(3) %g", p.Retries(), p.Backoff(3))
 	}
-}
-
-func TestFaultyCommCorruptDetectedByAllRanks(t *testing.T) {
-	const p = 4
-	plan := &FaultPlan{Seed: 5, Schedule: []ScheduledFault{
-		{Round: 0, Kind: FaultCorrupt, Rank: 2, Attempts: 1, Words: 3},
-	}}
-	w := NewWorld(p, unitMachine())
-	err := w.Run(func(c Comm) error {
-		fc := NewFaultyComm(c, plan, 0)
-		buf := []float64{1, 2, 3, 4}
-		if _, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64); ok {
-			return fmt.Errorf("rank %d: corrupted attempt not failed", c.Rank())
-		}
-		// The retry goes through and returns the true sum.
-		res, ok := fc.AttemptAllreduceSharedTier(buf, 1, TierF64)
-		if !ok {
-			return fmt.Errorf("rank %d: retry failed", c.Rank())
-		}
-		if res[0] != float64(p) || res[3] != float64(4*p) {
-			return fmt.Errorf("rank %d: wrong retry payload %v", c.Rank(), res)
-		}
-		fc.EndRound()
-		evs := fc.Events()
-		if len(evs) != 1 || evs[0].Kind != FaultCorrupt || evs[0].Rank != 2 || !evs[0].Failed {
-			return fmt.Errorf("rank %d: events %+v", c.Rank(), evs)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFaultyCommCrashOutageAndRestartCost(t *testing.T) {
-	const p = 4
-	plan := &FaultPlan{Crash: &Crash{Rank: 1, Round: 0, Outage: 2, RestartSec: 0.25}}
-	w := NewWorld(p, unitMachine())
-	err := w.Run(func(c Comm) error {
-		fc := NewFaultyComm(c, plan, 1e-3)
-		buf := []float64{1}
-		for round := 0; round < 3; round++ {
-			res, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
-			fc.EndRound()
-			wantOK := round >= 2
-			if ok != wantOK {
-				return fmt.Errorf("rank %d round %d: ok=%v", c.Rank(), round, ok)
-			}
-			if ok && res[0] != float64(p) {
-				return fmt.Errorf("rank %d: recovered round sum %v", c.Rank(), res)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The crashed rank pays the restart once on top of the two timeouts.
-	base := w.RankCost(0).StallSec
-	if base != 2*1e-3 {
-		t.Fatalf("survivor stall = %g, want 2ms", base)
-	}
-	if got := w.RankCost(1).StallSec; got != base+0.25 {
-		t.Fatalf("crashed rank stall = %g, want %g", got, base+0.25)
-	}
-}
-
-func TestFaultyCommStraggler(t *testing.T) {
-	const p = 2
-	plan := &FaultPlan{Schedule: []ScheduledFault{
-		{Round: 1, Kind: FaultStraggler, Rank: 0, DelaySec: 0.125},
-	}}
-	w := NewWorld(p, unitMachine())
-	err := w.Run(func(c Comm) error {
-		fc := NewFaultyComm(c, plan, 0)
-		buf := []float64{1, 1}
-		for round := 0; round < 2; round++ {
-			res, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64)
-			fc.EndRound()
-			if !ok || res[0] != float64(p) {
-				return fmt.Errorf("rank %d round %d: straggler must not lose data", c.Rank(), round)
-			}
-		}
-		evs := fc.Events()
-		if len(evs) != 1 || evs[0].Kind != FaultStraggler || evs[0].Failed {
-			return fmt.Errorf("rank %d: events %+v", c.Rank(), evs)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < p; r++ {
-		if got := w.RankCost(r).StallSec; got != 0.125 {
-			t.Fatalf("rank %d stall = %g, want 0.125 (everyone waits)", r, got)
-		}
-	}
-}
-
-func TestFaultyCommOnSelfComm(t *testing.T) {
-	// A single-rank world: drops still fail (the solver's degradation
-	// path is exercisable sequentially), clean rounds still no-op.
-	fc := NewFaultyComm(NewSelfComm(unitMachine()),
-		&FaultPlan{Schedule: []ScheduledFault{{Round: 0, Kind: FaultDrop, Attempts: 1}}}, 1e-3)
-	buf := []float64{3}
-	if _, ok := fc.AttemptAllreduceSharedTier(buf, 0, TierF64); ok {
-		t.Fatal("scheduled drop succeeded on SelfComm")
-	}
-	res, ok := fc.AttemptAllreduceSharedTier(buf, 1, TierF64)
-	if !ok || res[0] != 3 {
-		t.Fatalf("retry on SelfComm: ok=%v res=%v", ok, res)
-	}
-	fc.EndRound()
-	if fc.Cost().StallSec != 1e-3 {
-		t.Fatalf("timeout not charged: %v", fc.Cost())
+	p = FaultPlan{MaxRetries: 3, BackoffSec: 0.5}
+	if p.Retries() != 3 || p.Backoff(1) != 0.5 || p.Backoff(2) != 1 {
+		t.Fatalf("set backoff: retries %d, backoff %g, %g", p.Retries(), p.Backoff(1), p.Backoff(2))
 	}
 }
 
@@ -335,7 +163,7 @@ func TestPayloadChecksum(t *testing.T) {
 func TestCorruptPayloadDeterministic(t *testing.T) {
 	mk := func() []float64 {
 		b := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-		corruptPayload(b, 77, 3, 1, 2)
+		(&FaultPlan{Seed: 77}).Corrupt(b, 3, 1, 2)
 		return b
 	}
 	a, b := mk(), mk()

@@ -8,13 +8,14 @@ import (
 // FuzzFaultPlan hammers the zero-communication fault consensus: for any
 // plan parameters, Verdict must be a total, pure function — identical on
 // re-evaluation (that is what keeps SPMD ranks agreeing without
-// messages), with the victim rank in range and non-negative stall.
+// messages), with the victim rank in range and non-negative stall —
+// and every delay a plan accepts stays a finite stall.
 func FuzzFaultPlan(f *testing.F) {
-	f.Add(uint64(1), 0.1, 0.1, 0.1, 3, 0, 8)
-	f.Add(uint64(42), 0.9, 0.0, 0.5, 0, 2, 2)
-	f.Add(uint64(0), 0.0, 1.0, 0.0, 17, 1, 1)
-	f.Add(uint64(7), 0.33, 0.33, 0.33, 5, 3, 16)
-	f.Fuzz(func(t *testing.T, seed uint64, dropP, corruptP, straggleP float64, round, attempt, size int) {
+	f.Add(uint64(1), 0.1, 0.1, 0.1, 3, 0, 8, 0.0)
+	f.Add(uint64(42), 0.9, 0.0, 0.5, 0, 2, 2, 2.5)
+	f.Add(uint64(0), 0.0, 1.0, 0.0, 17, 1, 1, math.Inf(1))
+	f.Add(uint64(7), 0.33, 0.33, 0.33, 5, 3, 16, 1e300)
+	f.Fuzz(func(t *testing.T, seed uint64, dropP, corruptP, straggleP float64, round, attempt, size int, delay float64) {
 		clamp := func(p float64) float64 {
 			if math.IsNaN(p) || p < 0 {
 				return 0
@@ -67,6 +68,28 @@ func FuzzFaultPlan(f *testing.F) {
 		case FaultDrop, FaultCrash, FaultCorrupt:
 			if !v.Failed {
 				t.Fatalf("%v not marked failed: %+v", v.Kind, v)
+			}
+		}
+
+		// The same plan with every duration set to delay, and a
+		// straggler scheduled on this round: if it validates, every
+		// stall it can charge is finite.
+		timed := *plan
+		timed.StragglerDelaySec, timed.TimeoutSec, timed.BackoffSec = delay, delay, delay
+		timed.Schedule = []ScheduledFault{{Round: round, Kind: FaultStraggler, Attempts: 1, DelaySec: delay}}
+		timed.Crash = &Crash{Round: round + 1, RestartSec: delay}
+		if timed.Validate() != nil {
+			return
+		}
+		probabilistic := timed
+		probabilistic.Schedule, probabilistic.Crash = nil, nil
+		for _, sec := range []float64{
+			timed.Verdict(round, 0, size).StallSec,
+			probabilistic.Verdict(round, 0, size).StallSec,
+			timed.Timeout(), timed.Backoff(1), timed.Crash.RestartSec,
+		} {
+			if sec < 0 || math.IsNaN(sec) || math.IsInf(sec, 0) {
+				t.Fatalf("accepted plan %+v stalls %g", timed, sec)
 			}
 		}
 	})

@@ -240,86 +240,3 @@ func TestFailedRunReleasesCollectiveState(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPendingAttemptMatchesBlockingAttempt: for every verdict kind the
-// pipelined IAttemptAllreduceSharedTier+Wait path must produce the same
-// payload, outcome, cost and event log as the blocking attempt.
-func TestPendingAttemptMatchesBlockingAttempt(t *testing.T) {
-	const p = 4
-	plan := &FaultPlan{
-		Seed: 5,
-		Schedule: []ScheduledFault{
-			{Round: 1, Kind: FaultDrop, Attempts: 1},
-			{Round: 2, Kind: FaultStraggler, Rank: 1, DelaySec: 2.5},
-			{Round: 3, Kind: FaultCorrupt, Rank: 2, Words: 3},
-		},
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 5
-
-	type outcome struct {
-		res []float64
-		ok  bool
-	}
-	run := func(pending bool) ([][]outcome, World, []FaultEvent) {
-		w := NewWorld(p, unitMachine())
-		out := make([][]outcome, p)
-		var events []FaultEvent
-		err := w.Run(func(c Comm) error {
-			fc := NewFaultyComm(c, plan, 1.0)
-			for r := 0; r < rounds; r++ {
-				local := []float64{float64(c.Rank()), float64(r), 1, -1, 0.5}
-				var res []float64
-				var ok bool
-				if pending {
-					res, ok = fc.IAttemptAllreduceSharedTier(local, 0, TierF64).Wait()
-				} else {
-					res, ok = fc.AttemptAllreduceSharedTier(local, 0, TierF64)
-				}
-				out[c.Rank()] = append(out[c.Rank()], outcome{res: res, ok: ok})
-				fc.EndRound()
-			}
-			if c.Rank() == 0 {
-				events = fc.Events()
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, w, events
-	}
-
-	ob, wb, eb := run(false)
-	op, wp, ep := run(true)
-	for r := 0; r < p; r++ {
-		for round := 0; round < rounds; round++ {
-			b, q := ob[r][round], op[r][round]
-			if b.ok != q.ok || len(b.res) != len(q.res) {
-				t.Fatalf("rank %d round %d: blocking (ok=%v) vs pending (ok=%v)", r, round, b.ok, q.ok)
-			}
-			for i := range b.res {
-				if b.res[i] != q.res[i] {
-					t.Fatalf("rank %d round %d word %d: %v vs %v", r, round, i, b.res[i], q.res[i])
-				}
-			}
-		}
-		if wb.RankCost(r) != wp.RankCost(r) {
-			t.Fatalf("rank %d cost: blocking %v vs pending %v", r, wb.RankCost(r), wp.RankCost(r))
-		}
-	}
-	if len(eb) != len(ep) {
-		t.Fatalf("event logs differ: %d vs %d", len(eb), len(ep))
-	}
-	for i := range eb {
-		if eb[i] != ep[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, eb[i], ep[i])
-		}
-	}
-	// Sanity: the schedule actually exercised failure and success paths.
-	if ob[0][1].ok || !ob[0][0].ok || !ob[0][2].ok {
-		t.Fatalf("schedule not exercised as intended: %+v", ob[0])
-	}
-}

@@ -44,19 +44,27 @@ func LaunchEnv() (rank int, peers []string, ok bool) {
 }
 
 // ReserveAddrs picks p distinct loopback addresses by binding ephemeral
-// listeners and immediately releasing them. The window between release
-// and the worker re-binding is the usual ephemeral-port race; on a
-// machine that is not churning through ports it is negligible, and a
-// collision surfaces as a clean rendezvous error rather than a hang.
+// listeners and releasing them once all p are bound: holding every
+// listener until the roster is complete keeps the kernel from handing
+// one freed port out twice. The window between release and the worker
+// re-binding is the usual ephemeral-port race; on a machine that is not
+// churning through ports it is negligible, and a collision surfaces as
+// a clean rendezvous error rather than a hang.
 func ReserveAddrs(p int) ([]string, error) {
 	addrs := make([]string, p)
+	lns := make([]net.Listener, 0, p)
+	defer func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}()
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("dist: reserve rank %d address: %w", i, err)
 		}
+		lns = append(lns, ln)
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs, nil
 }

@@ -25,8 +25,8 @@ const (
 
 // tierSpec is everything the package knows about one wire tier. This
 // table is the only place a tier is told apart from another: combine,
-// the per-backend shared allreduce, the accounting, the frame codec
-// and the fault wrapper all index it. Adding a tier is one entry here
+// the per-backend shared allreduce, the accounting and the frame codec
+// all index it. Adding a tier is one entry here
 // plus the wire file holding its round/append/decode functions.
 type tierSpec struct {
 	name string
@@ -213,7 +213,7 @@ func combineOne(local []float64, t Tier) []float64 {
 // rounded contributions are summed in rank order in float64, and the
 // sum is rounded to float32 before it is shared. Cost is charged at
 // ceil(n/2) 64-bit words per tree level. Implemented by the chan, tcp
-// and self backends and delegated by the fault-injecting wrapper.
+// and self backends.
 type F32Allreducer interface {
 	// AllreduceSharedF32 is AllreduceShared over the compressed wire.
 	AllreduceSharedF32(local []float64) []float64
@@ -264,10 +264,10 @@ func (f tierForwarders) IAllreduceSharedI8(l []float64) *Request {
 
 // SupportsTier reports whether communicator c can run tiered
 // collectives at tier t, returning a descriptive error when it cannot.
-// Wrappers whose capability depends on what they wrap (FaultyComm)
-// expose their own SupportsTier method, consulted first: their tiered
-// methods exist unconditionally, so a bare type assertion on the
-// wrapper would claim capability the inner transport may lack.
+// A decorator whose capability depends on what it wraps (bench's
+// tracedComm) exposes its own SupportsTier method, consulted first: its
+// tiered methods exist unconditionally, so a bare type assertion on it
+// would claim capability the inner transport may lack.
 func SupportsTier(c Comm, t Tier) error {
 	if d, ok := c.(interface{ SupportsTier(Tier) error }); ok {
 		return d.SupportsTier(t)
@@ -310,8 +310,8 @@ func AllreduceScalarSumTier(c Comm, x float64, t Tier) float64 {
 // moving the tier's word footprint of n values (two float32 values, or
 // eight int8 codes plus chunk scales, pack into one accounting word),
 // while the reduction still runs — and is charged — at n float64 adds
-// per level. Used by blocking, nonblocking and lost fallible attempts
-// on every backend.
+// per level. Used by blocking and nonblocking allreduces on every
+// backend, and through AllreduceCostTier by lost stage-C attempts.
 func chargeAllreduceTier(cost *perf.Cost, p, n int, t Tier) {
 	lg := int64(perf.Log2Ceil(p))
 	if lg == 0 {

@@ -212,80 +212,6 @@ func TestSelfCommI8MatchesP1World(t *testing.T) {
 	})
 }
 
-// TestFaultyCommTierAttempts: the tiered fallible attempt surface —
-// clean rounds produce the tier's collective result; dropped rounds
-// charge the TIER's compressed tree traffic (not f64 words); the
-// nonblocking pending path matches the blocking one; and capability
-// reflection sees through the wrapper.
-func TestFaultyCommTierAttempts(t *testing.T) {
-	const p = 4
-	const n = 128
-	plan := &FaultPlan{
-		Seed: 11,
-		Schedule: []ScheduledFault{
-			{Round: 1, Kind: FaultDrop, Attempts: 1},
-		},
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	w := mustWorld(t, mustBackend(t, "chan"), p)
-	err := w.Run(func(c Comm) error {
-		fc := NewFaultyComm(c, plan, 1.0)
-		if err := SupportsTier(fc, TierI8); err != nil {
-			return fmt.Errorf("wrapper hides i8 capability: %v", err)
-		}
-		local := make([]float64, n)
-		for i := range local {
-			local[i] = float64(i%13) * float64(c.Rank()+1)
-		}
-
-		// Round 0: clean. Blocking and nonblocking agree bitwise.
-		before := *c.Cost()
-		res, ok := fc.AttemptAllreduceSharedTier(local, 0, TierI8)
-		if !ok || res == nil {
-			return fmt.Errorf("clean i8 attempt failed")
-		}
-		cleanWords := c.Cost().Words - before.Words
-		lg := int64(perf.Log2Ceil(p))
-		if want := lg * perf.I8Words(n); cleanWords != want {
-			return fmt.Errorf("clean attempt charged %d words, want %d", cleanWords, want)
-		}
-		pend := fc.IAttemptAllreduceSharedTier(local, 1, TierI8)
-		res2, ok2 := pend.Wait()
-		if !ok2 {
-			return fmt.Errorf("nonblocking clean attempt failed")
-		}
-		for i := range res {
-			if math.Float64bits(res[i]) != math.Float64bits(res2[i]) {
-				return fmt.Errorf("blocking/nonblocking i8 attempts diverge at %d", i)
-			}
-		}
-		fc.EndRound()
-
-		// Round 1: the drop. The attempt fails on every rank and the
-		// wasted tree traffic charges at the i8 footprint.
-		before = *c.Cost()
-		res, ok = fc.AttemptAllreduceSharedTier(local, 0, TierI8)
-		if ok || res != nil {
-			return fmt.Errorf("dropped round returned a result")
-		}
-		dropWords := c.Cost().Words - before.Words
-		if want := lg * perf.I8Words(n); dropWords != want {
-			return fmt.Errorf("dropped attempt charged %d words, want i8 footprint %d", dropWords, want)
-		}
-		// Retry succeeds.
-		if _, ok := fc.AttemptAllreduceSharedTier(local, 1, TierI8); !ok {
-			return fmt.Errorf("retry after drop failed")
-		}
-		fc.EndRound()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func mustBackend(t *testing.T, name string) Backend {
 	t.Helper()
 	b, err := LookupBackend(name)

@@ -359,8 +359,8 @@ func TestActiveSetOptionValidation(t *testing.T) {
 		t.Fatalf("Faults moved a default under ActiveSet:\n got %+v\nwant %+v", got, want)
 	}
 	typ := reflect.TypeOf(Options{})
-	if typ.NumField() != 24 {
-		t.Fatalf("Options has %d fields, want 24", typ.NumField())
+	if typ.NumField() != 21 {
+		t.Fatalf("Options has %d fields, want 21", typ.NumField())
 	}
 	for i := 0; i < typ.NumField(); i++ {
 		if name := typ.Field(i).Name; strings.Contains(name, "KKT") {

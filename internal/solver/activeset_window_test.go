@@ -195,11 +195,10 @@ func TestActiveSetSkipCap(t *testing.T) {
 	o := baseOpts(p, gamma, fstar)
 	o.Tol = 0
 	o.MaxIter = 15
-	o.MaxRetries = -1
 	o.ActiveSet = true
 	o.W0 = make([]float64, 8)
 	o.W0[2], o.W0[5] = 0.25, -0.5
-	o.Faults = &dist.FaultPlan{DropProb: 1}
+	o.Faults = &dist.FaultPlan{DropProb: 1, MaxRetries: -1}
 	res := selfSolve(t, p, o)
 	if res.Iters != 0 || res.Faults.SkippedRounds != o.MaxIter+1 || res.Faults.DegradedRounds != 0 {
 		t.Fatalf("blackout from round 0: %d updates, %+v", res.Iters, res.Faults)

@@ -243,8 +243,7 @@ func TestCancelDegradedForever(t *testing.T) {
 		for _, pipeline := range []bool{false, true} {
 			name := fmt.Sprintf("%s/pipeline=%t", backend, pipeline)
 			o := cancelOpts(p)
-			o.MaxRetries = 1
-			o.Faults = &dist.FaultPlan{Seed: 5, Crash: &dist.Crash{Rank: 1, Round: crashAt, Outage: 1 << 30}}
+			o.Faults = &dist.FaultPlan{Seed: 5, Crash: &dist.Crash{Rank: 1, Round: crashAt, Outage: 1 << 30}, MaxRetries: 1}
 			baseline := runtime.NumGoroutine()
 			res, _, err := engineWorld(t, backend, procs, p, o, nil, func(e *engine) (*Result, error) {
 				var ctx context.Context = context.Background()
@@ -279,8 +278,7 @@ func TestCancelDuringBlackout(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 10, M: 200, Density: 1, Lambda: 0.1, Seed: 53})
 	opts := cancelOpts(p)
 	opts.MaxIter = 100000
-	opts.Faults = &dist.FaultPlan{DropProb: 1, Seed: 7} // nothing ever gets through
-	opts.MaxRetries = 2
+	opts.Faults = &dist.FaultPlan{DropProb: 1, Seed: 7, MaxRetries: 2} // nothing ever gets through
 	baseline := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)

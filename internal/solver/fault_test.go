@@ -259,8 +259,7 @@ func TestFaultTotalBlackoutTerminates(t *testing.T) {
 	o := baseOpts(p, gamma, fstar)
 	o.Tol = 0
 	o.MaxIter = 15
-	o.MaxRetries = -1 // no retries: fail fast
-	o.Faults = &dist.FaultPlan{DropProb: 1}
+	o.Faults = &dist.FaultPlan{DropProb: 1, MaxRetries: -1} // no retries: fail fast
 	res := selfSolve(t, p, o)
 	if res.Iters != 0 {
 		t.Fatalf("updates happened during a total blackout: %d", res.Iters)
@@ -312,9 +311,8 @@ func TestFaultOptionsValidation(t *testing.T) {
 	if _, err := RCSFISTA(c, Partition(p.X, p.Y, 1, 0), o); err == nil {
 		t.Fatal("invalid FaultPlan accepted")
 	}
-	o = baseOpts(p, gamma, fstar)
-	o.RoundTimeout = -1
+	o.Faults = &dist.FaultPlan{TimeoutSec: math.Inf(1)}
 	if _, err := RCSFISTA(c, Partition(p.X, p.Y, 1, 0), o); err == nil {
-		t.Fatal("negative RoundTimeout accepted")
+		t.Fatal("infinite TimeoutSec accepted")
 	}
 }

@@ -571,6 +571,7 @@ func TestGramObjectiveUnderFaults(t *testing.T) {
 			StragglerProb: 0.2,
 			Schedule:      []dist.ScheduledFault{{Round: 2, Kind: dist.FaultDrop, Attempts: 0}},
 			Crash:         &dist.Crash{Rank: 1, Round: 4, Outage: 2, RestartSec: 2e-3},
+			MaxRetries:    2,
 		}
 	}
 	for _, pipeline := range []bool{false, true} {
@@ -578,7 +579,6 @@ func TestGramObjectiveUnderFaults(t *testing.T) {
 			o := gramOpts(p)
 			o.MaxIter = 120
 			o.Faults = plan()
-			o.MaxRetries = 2
 			o.EvalEvery = evalEvery
 			res, engines, counters, err := countedRun(context.Background(), t, "chan", 4, p, o, pipeline)
 			if err != nil {

@@ -108,26 +108,15 @@ type Options struct {
 	// TraceName overrides the name of the recorded series.
 	TraceName string
 	// Faults optionally injects communication faults into the batched
-	// Hessian allreduce via a dist.FaultyComm wrapper. Nil runs the
-	// reliable network. A non-nil but empty plan is bit-identical to
-	// nil: same iterates, costs and trace. When faults are enabled the
-	// solver retries lost rounds (MaxRetries, RetryBackoff) and, when a
-	// round fails outright, degrades to extra reuse passes on the last
-	// successfully allreduced batch — dynamically raising the paper's
-	// Hessian-reuse parameter S instead of stalling the whole SPMD run.
+	// Hessian allreduce, where the stage-C exchanger handles them. Nil
+	// runs the reliable network. A non-nil but empty plan is
+	// bit-identical to nil: same iterates, costs and trace. When faults
+	// are enabled the solver retries lost rounds (the plan's TimeoutSec,
+	// MaxRetries and BackoffSec) and, when a round fails outright,
+	// degrades to extra reuse passes on the last successfully
+	// allreduced batch — dynamically raising the paper's Hessian-reuse
+	// parameter S instead of stalling the whole SPMD run.
 	Faults *dist.FaultPlan
-	// RoundTimeout is the modeled seconds a rank waits before declaring
-	// an allreduce attempt lost; 0 selects dist.DefaultRoundTimeoutSec.
-	// Only meaningful with Faults.
-	RoundTimeout float64
-	// MaxRetries is the number of extra attempts after a failed
-	// allreduce before the solver gives up on the round and degrades;
-	// 0 selects 1. Negative disables retries (first failure degrades).
-	MaxRetries int
-	// RetryBackoff is the modeled wait before retry attempt a, doubled
-	// each attempt (RetryBackoff * 2^(a-1)); 0 selects RoundTimeout/4.
-	// Only meaningful with Faults.
-	RetryBackoff float64
 	// Pipeline selects nothing: the engine picks its round loop itself,
 	// blocking under ActiveSet and pipelined (round r+1's batch filled
 	// while round r's allreduce is in flight) otherwise, and both loops
@@ -223,12 +212,6 @@ func (o *Options) Validate() error {
 	if o.EpochLen < 0 || o.EvalEvery < 0 {
 		return errors.New("solver: EpochLen and EvalEvery must be non-negative")
 	}
-	if o.RoundTimeout < 0 || math.IsNaN(o.RoundTimeout) {
-		return errors.New("solver: RoundTimeout must be non-negative")
-	}
-	if o.RetryBackoff < 0 || math.IsNaN(o.RetryBackoff) {
-		return errors.New("solver: RetryBackoff must be non-negative")
-	}
 	if o.Tol > 0 && (math.IsNaN(o.FStar) || o.FStar == 0) {
 		// Without a reference optimum the relative-error stop
 		// |F(w)-F*|/|F*| <= Tol can never fire and the solve silently
@@ -306,18 +289,6 @@ func (o Options) withDefaults() Options {
 		// A zero F* is almost surely an unset field rather than a true
 		// zero optimum; treat as unknown.
 		o.FStar = math.NaN()
-	}
-	if o.RoundTimeout == 0 {
-		o.RoundTimeout = dist.DefaultRoundTimeoutSec
-	}
-	switch {
-	case o.MaxRetries == 0:
-		o.MaxRetries = 1
-	case o.MaxRetries < 0:
-		o.MaxRetries = 0
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = o.RoundTimeout / 4
 	}
 	if o.ActiveSet && o.ScreenMargin == 0 {
 		o.ScreenMargin = 0.1

@@ -107,8 +107,8 @@ func TestLoopEquivalence(t *testing.T) {
 		{"tol", func(o *Options) { o.K, o.EvalEvery, o.FStar, o.Tol, o.MaxIter = 2, 5, fstar, 1e-3, 4000 },
 			false, func(res *Result) bool { return res.Converged && math.IsNaN(res.GradMap) }},
 		{"faults", func(o *Options) {
-			o.K, o.EvalEvery, o.MaxIter, o.MaxRetries = 2, 8, 80, 2
-			o.Faults = &dist.FaultPlan{Seed: 17, Schedule: []dist.ScheduledFault{
+			o.K, o.EvalEvery, o.MaxIter = 2, 8, 80
+			o.Faults = &dist.FaultPlan{Seed: 17, MaxRetries: 2, Schedule: []dist.ScheduledFault{
 				{Round: 0, Kind: dist.FaultDrop},              // no batch yet: skip
 				{Round: 2, Kind: dist.FaultDrop, Attempts: 1}, // transient: retry succeeds
 				{Round: 4, Kind: dist.FaultDrop},              // hard: degrade to the stale batch

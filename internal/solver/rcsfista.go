@@ -165,7 +165,6 @@ type engine struct {
 	wSnap    []float64
 	fullGrad []float64
 
-	fc          *dist.FaultyComm
 	gradMapStop bool
 
 	// Tiered compression state (Options.CompressTier, see tiering.go).
@@ -272,24 +271,10 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 		e.wSnap = make([]float64, d)
 		e.fullGrad = make([]float64, d)
 	}
-	if opts.Faults != nil {
-		// Route everything through the fault-injecting wrapper; only the
-		// round-indexed batch allreduce (AttemptAllreduceSharedTier) is
-		// fallible, the rest passes through.
-		e.fc = dist.NewFaultyComm(c, opts.Faults, opts.RoundTimeout)
-		e.c = e.fc
-	}
-	e.rec = solvercore.NewRecorder(name, e.c.Rank(), e.c.Cost(), e.c.Machine())
+	e.rec = solvercore.NewRecorder(name, c.Rank(), c.Cost(), c.Machine())
 	e.rec.Tol = opts.Tol
 	e.rec.FStar = opts.FStar
-	e.exch = &solvercore.TieredExchanger{
-		C:          e.c,
-		TierOf:     e.tierAt,
-		FC:         e.fc,
-		Rec:        e.rec,
-		MaxRetries: opts.MaxRetries,
-		Backoff:    opts.RetryBackoff,
-	}
+	e.exch = &solvercore.TieredExchanger{C: c, TierOf: e.tierAt, Faults: opts.Faults, Rec: e.rec}
 	return e, nil
 }
 

@@ -51,18 +51,19 @@ const (
 	VoteCancel
 )
 
-// Pending is one posted, not-yet-resolved exchange. Exactly one of
-// req/att is set: req on the reliable path, att under a FaultPlan.
+// Pending is one posted, not-yet-resolved exchange. req is the
+// in-flight collective, nil when a fault verdict lost the attempt in
+// transit; verdict is the posted attempt's verdict under a FaultPlan.
 // buf is the posted wire image (payload, then the vote trailer) and n
 // its payload length; tier records the wire tier a TieredExchanger
 // posted at, so retries re-ship at the same tier the round was
 // prepared for.
 type Pending struct {
-	req  *dist.Request
-	att  *dist.PendingAttempt
-	buf  []float64
-	n    int
-	tier dist.Tier
+	req     *dist.Request
+	verdict dist.Verdict
+	buf     []float64
+	n       int
+	tier    dist.Tier
 }
 
 // trailerCap is the most words the vote trailer adds to a payload: up

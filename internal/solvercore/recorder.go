@@ -43,8 +43,6 @@ type Recorder struct {
 	// Faults accumulates the retry/degrade/skip statistics charged by a
 	// TieredExchanger under a FaultPlan.
 	Faults FaultStats
-
-	evDrained int
 }
 
 // NewRecorder returns a Recorder for one rank's solve with the
@@ -124,20 +122,17 @@ func (r *Recorder) Checkpoint(f float64) bool {
 	return r.CheckpointAt(r.Iter, r.Rounds, f)
 }
 
-// DrainFaultEvents copies communicator fault events recorded since the
-// last drain into rank 0's trace. The event log is identical on every
-// rank (shared verdicts), so recording on rank 0 loses nothing.
-func (r *Recorder) DrainFaultEvents(fc *dist.FaultyComm) {
-	evs := fc.Events()
-	if r.Rank == 0 {
-		for _, ev := range evs[r.evDrained:] {
-			r.Series.AppendEvent(trace.Event{
-				Round: ev.Round, Iter: r.Iter, Kind: ev.Kind.String(),
-				Rank: ev.Rank, Attempt: ev.Attempt, StallSec: ev.StallSec,
-			})
-		}
+// RecordFault logs one injected fault in rank 0's trace. The verdicts
+// are shared, so every rank sees the same events and recording on rank
+// 0 loses nothing.
+func (r *Recorder) RecordFault(ev dist.FaultEvent) {
+	if r.Rank != 0 {
+		return
 	}
-	r.evDrained = len(evs)
+	r.Series.AppendEvent(trace.Event{
+		Round: ev.Round, Iter: r.Iter, Kind: ev.Kind.String(),
+		Rank: ev.Rank, Attempt: ev.Attempt, StallSec: ev.StallSec,
+	})
 }
 
 // RecordRecovery logs the solver's per-round recovery decision.

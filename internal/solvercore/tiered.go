@@ -2,6 +2,7 @@ package solvercore
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hpcgo/rcsfista/internal/dist"
 )
@@ -80,14 +81,16 @@ func (s *EFStream) Reset() {
 // Hessian allreduce ships through the tier selected per round by
 // TierOf (always f64, a fixed tier, or the solver's auto policy), with
 // per-rank error feedback once a round has compressed, and — under an
-// injected dist.FaultPlan (FC != nil) — a fallible path that retries
-// lost attempts with exponential backoff and, when the round fails
-// outright, degrades to the last good batch — the solver keeps
+// injected dist.FaultPlan (Faults != nil) — a fallible path that
+// retries lost attempts with exponential backoff and, when the round
+// fails outright, degrades to the last good batch — the solver keeps
 // updating on the stale Hessian instances, dynamically raising the
 // paper's reuse parameter S — or, before any batch has ever arrived,
-// returns nil to skip the round. Every branch is driven by the shared
-// fault verdicts, so all ranks take identical control flow without
-// extra coordination. Stats and events land in Rec.
+// returns nil to skip the round. The exchanger is the plan's one
+// consumer: it asks the plan for each attempt's verdict, a pure
+// function of (seed, round, attempt) identical on every rank, so all
+// ranks take identical control flow without extra coordination. Stats
+// and events land in Rec.
 //
 // While the stream has never left f64 the exchanger ships local
 // untouched and allocates nothing (EFStream.idle): the uncompressed
@@ -104,25 +107,24 @@ func (s *EFStream) Reset() {
 // same round reuse the identical prepared payload, so a retry that
 // eventually succeeds keeps the (single) residual update.
 type TieredExchanger struct {
-	// C is the communicator for reliable rounds; when FC is non-nil
-	// the fallible attempt surface is used instead.
+	// C is the communicator every round runs on.
 	C dist.Comm
 	// TierOf picks the wire tier for an n-value round. It must be
 	// deterministic from allreduced state so all ranks agree.
 	TierOf func(n int) dist.Tier
-	// FC, Rec, MaxRetries, Backoff configure fault handling. FC == nil
-	// means reliable rounds.
-	FC         *dist.FaultyComm
-	Rec        *Recorder
-	MaxRetries int
-	// Backoff is the attempt-1 retry delay; it doubles per attempt.
-	Backoff float64
+	// Faults, when non-nil, makes every round fallible: the plan's
+	// verdicts decide each attempt and its retry policy handles the
+	// losses. Rec receives the fault statistics and, on rank 0, the
+	// events; it is required under Faults.
+	Faults *dist.FaultPlan
+	Rec    *Recorder
 
 	ef   EFStream
 	prev []float64 // the residual before this round's fold
 
 	lastGood   []float64
 	staleDepth int
+	round      int // fallible rounds closed so far
 }
 
 // prepare returns the wire image to ship for local — local itself on
@@ -174,14 +176,12 @@ func (e *TieredExchanger) Redo(local []float64) []float64 {
 func (e *TieredExchanger) exchange(local []float64, vote, cancel bool) ([]float64, Vote) {
 	n := len(local)
 	wire, tier := e.prepare(local, vote, cancel)
-	if e.FC == nil {
+	if e.Faults == nil {
 		shared := dist.AllreduceSharedTier(e.C, wire, tier)
 		refundVote(e.C, n, len(wire), tier)
 		return readVote(shared, n, tier)
 	}
-	return e.resolve(n, len(wire), tier, func(a int) ([]float64, bool) {
-		return e.FC.AttemptAllreduceSharedTier(wire, a, tier)
-	})
+	return e.resolve(e.post(Pending{buf: wire, n: n, tier: tier}, 0))
 }
 
 // Post prepares and posts the tiered allreduce nonblocking. Under a
@@ -191,12 +191,11 @@ func (e *TieredExchanger) exchange(local []float64, vote, cancel bool) ([]float6
 func (e *TieredExchanger) Post(local []float64, cancel bool) Pending {
 	wire, tier := e.prepare(local, true, cancel)
 	p := Pending{buf: wire, n: len(local), tier: tier}
-	if e.FC == nil {
+	if e.Faults == nil {
 		p.req = dist.IAllreduceSharedTier(e.C, wire, tier)
-	} else {
-		p.att = e.FC.IAttemptAllreduceSharedTier(wire, 0, tier)
+		return p
 	}
-	return p
+	return e.post(p, 0)
 }
 
 // Resolve blocks on the posted round and, under faults, runs the same
@@ -206,48 +205,53 @@ func (e *TieredExchanger) Post(local []float64, cancel bool) Pending {
 // already-prepared wire image — the residual was updated once at
 // prepare and must not compound per attempt.
 func (e *TieredExchanger) Resolve(p Pending) ([]float64, Vote) {
-	if e.FC == nil {
+	if e.Faults == nil {
 		shared := p.req.Wait()
 		refundVote(e.C, p.n, len(p.buf), p.tier)
 		return readVote(shared, p.n, p.tier)
 	}
-	return e.resolve(p.n, len(p.buf), p.tier, func(a int) ([]float64, bool) {
-		if a == 0 {
-			return p.att.Wait()
-		}
-		return e.FC.AttemptAllreduceSharedTier(p.buf, a, p.tier)
-	})
+	return e.resolve(p)
+}
+
+// post asks the plan for the verdict of attempt a of the current
+// fallible round and posts p's wire image unless the verdict loses it
+// in transit: under a drop or a crash no rank posts anything, so
+// nobody deadlocks. A blocking attempt posts and waits too, so blocking
+// and pipelined rounds issue the same collectives.
+func (e *TieredExchanger) post(p Pending, a int) Pending {
+	p.verdict = e.Faults.Verdict(e.round, a, e.C.Size())
+	p.req = nil
+	if k := p.verdict.Kind; k != dist.FaultDrop && k != dist.FaultCrash {
+		p.req = dist.IAllreduceSharedTier(e.C, p.buf, p.tier)
+	}
+	return p
 }
 
 // resolve drives the retry/degrade/skip state machine of one fallible
-// round whose n-value payload ships as a wire-value image at tier.
-// attempt(a) performs (or, for a pipelined round's already-posted
-// attempt 0, resolves) attempt number a and reports whether it
-// delivered a batch; every attempt, lost or not, is refunded its
-// trailer. Only a delivered batch carries a vote: a degraded or skipped
-// round returns VoteMissing. Shared by the blocking and pipelined paths
-// so both observe identical stats, events and recovery decisions for
-// identical fault verdicts.
-func (e *TieredExchanger) resolve(n, wire int, tier dist.Tier, attempt func(a int) ([]float64, bool)) ([]float64, Vote) {
-	cost := e.FC.Cost()
-	round := e.FC.Round()
-	for a := 0; a <= e.MaxRetries; a++ {
+// round from its posted attempt 0. Every attempt, lost or not, is
+// refunded its trailer. Only a delivered batch carries a vote: a
+// degraded or skipped round returns VoteMissing. Shared by the blocking
+// and pipelined paths so both observe identical stats, events and
+// recovery decisions for identical fault verdicts.
+func (e *TieredExchanger) resolve(p Pending) ([]float64, Vote) {
+	round := e.round
+	for a := 0; a <= e.Faults.Retries(); a++ {
 		if a > 0 {
 			// Exponential backoff before each retry, charged as waiting.
-			cost.AddStall(e.Backoff * float64(int64(1)<<uint(a-1)))
+			e.C.Cost().AddStall(e.Faults.Backoff(a))
 			e.Rec.Faults.Retries++
+			p = e.post(p, a)
 		}
-		res, ok := attempt(a)
-		refundVote(e.C, n, wire, tier)
+		res, ok := e.settle(p, a)
+		refundVote(e.C, p.n, len(p.buf), p.tier)
 		if !ok {
 			continue
 		}
-		e.Rec.DrainFaultEvents(e.FC)
-		e.FC.EndRound()
+		e.round++
 		if a > 0 {
 			e.Rec.RecordRecovery("retry-ok", round, fmt.Sprintf("attempt %d succeeded", a))
 		}
-		shared, vote := readVote(res, n, tier)
+		shared, vote := readVote(res, p.n, p.tier)
 		e.lastGood = shared
 		e.staleDepth = 0
 		return shared, vote
@@ -256,8 +260,7 @@ func (e *TieredExchanger) resolve(n, wire int, tier dist.Tier, attempt func(a in
 	// residual update it carried must not survive into the next round.
 	e.rollback()
 	e.Rec.Faults.FailedRounds++
-	e.Rec.DrainFaultEvents(e.FC)
-	e.FC.EndRound()
+	e.round++
 	if e.lastGood != nil {
 		e.Rec.Faults.DegradedRounds++
 		e.staleDepth++
@@ -268,4 +271,73 @@ func (e *TieredExchanger) resolve(n, wire int, tier dist.Tier, attempt func(a in
 	e.Rec.Faults.SkippedRounds++
 	e.Rec.RecordRecovery("skip", round, "no last-good batch yet")
 	return nil, VoteMissing
+}
+
+// settle completes posted attempt a and applies its verdict: it
+// charges the failure costs, logs the fault event and returns the
+// shared wire image, or false when the attempt is lost on every rank.
+func (e *TieredExchanger) settle(p Pending, a int) ([]float64, bool) {
+	var res []float64
+	if p.req != nil {
+		res = p.req.Wait()
+	}
+	v, cost, round := p.verdict, e.C.Cost(), e.round
+	event := dist.FaultEvent{Round: round, Attempt: a, Kind: v.Kind, Rank: v.Rank}
+	switch v.Kind {
+	case dist.FaultNone:
+		return res, true
+
+	case dist.FaultStraggler:
+		// The collective completes, but everyone waits on the lagging
+		// rank at the synchronization point.
+		cost.AddStall(v.StallSec)
+		event.StallSec = v.StallSec
+		e.Rec.RecordFault(event)
+		return res, true
+
+	case dist.FaultDrop, dist.FaultCrash:
+		// The payload is lost in transit (or a peer is down): ranks
+		// still paid the reduction-tree traffic at the tier's
+		// footprint, then wait out the timeout before declaring the
+		// attempt dead. No rank received data.
+		cost.Add(dist.AllreduceCostTier(e.C.Size(), len(p.buf), p.tier))
+		event.StallSec = e.Faults.Timeout()
+		cost.AddStall(event.StallSec)
+		if c := e.Faults.Crash; v.Kind == dist.FaultCrash && round == c.Round && a == 0 && e.C.Rank() == v.Rank {
+			// One-time restart cost for the replacement rank.
+			cost.AddStall(c.RestartSec)
+			event.StallSec += c.RestartSec
+		}
+		event.Failed = true
+		e.Rec.RecordFault(event)
+		return nil, false
+
+	case dist.FaultCorrupt:
+		// The collective completes but the victim receives flipped
+		// bits. Detection is checksum + a one-word agreement vote (a
+		// real collective, charged at its real cost), after which every
+		// rank discards the attempt.
+		sum := dist.PayloadChecksum(res)
+		payload := res
+		var bad float64
+		if e.C.Rank() == v.Rank && len(res) > 0 {
+			payload = slices.Clone(res)
+			e.Faults.Corrupt(payload, round, a, v.Words)
+			if dist.PayloadChecksum(payload) != sum {
+				bad = 1
+			}
+		}
+		vote := [1]float64{bad}
+		e.C.Allreduce(vote[:], dist.OpMax)
+		if vote[0] != 0 {
+			event.Failed = true
+			e.Rec.RecordFault(event)
+			return nil, false
+		}
+		// Checksum collision (astronomically rare): the corruption goes
+		// undetected and propagates, exactly as a real silent error
+		// would. Control flow stays in lockstep — the vote is shared.
+		return payload, true
+	}
+	panic(fmt.Sprintf("solvercore: unhandled fault verdict %v", v.Kind))
 }

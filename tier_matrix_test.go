@@ -79,7 +79,6 @@ func tierMatrixOpts(t *testing.T, active bool, reg string) solver.Options {
 		o.Reg = prox.GroupL2{Lambda: prob.Lambda, Groups: groups}
 	}
 	o.Faults = goldenFaultPlan()
-	o.MaxRetries = 2
 	return o
 }
 
@@ -165,7 +164,6 @@ func TestTierAutoRobustness(t *testing.T) {
 				}
 				if faulty {
 					o.Faults = goldenFaultPlan()
-					o.MaxRetries = 2
 				}
 				run := func(tier string) *solver.Result {
 					oo := o
