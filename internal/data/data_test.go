@@ -385,6 +385,35 @@ func TestLIBSVMErrors(t *testing.T) {
 	}
 }
 
+// TestLIBSVMRejectsNonFinite: strconv.ParseFloat reads "nan", "inf" and
+// "infinity" (any case, any sign) without error; the parser refuses
+// each as a label or a feature value with an error naming its line, and
+// Validate refuses a problem built around it.
+func TestLIBSVMRejectsNonFinite(t *testing.T) {
+	for _, bad := range []string{"nan", "NaN", "inf", "-Inf", "+infinity", "Infinity"} {
+		for _, c := range []string{bad + " 1:1", "1 1:" + bad, "1 1:1 2:" + bad} {
+			in := "1 1:1\n# comment\n" + c + "\n"
+			_, err := ReadLIBSVM(strings.NewReader(in), 0)
+			if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("%q: err = %v, want a line-3 non-finite error", c, err)
+			}
+		}
+	}
+	p := Generate(GenSpec{D: 4, M: 6, Density: 1, Seed: 3})
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p.Y[2] = math.NaN()
+	if err := p.Validate(); err == nil {
+		t.Fatal("NaN label validated")
+	}
+	p.Y[2] = 0
+	p.X.Val[1] = math.Inf(-1)
+	if err := p.Validate(); err == nil {
+		t.Fatal("-Inf matrix entry validated")
+	}
+}
+
 func TestLIBSVMFileIO(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/test.svm"

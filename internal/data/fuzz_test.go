@@ -3,6 +3,7 @@ package data
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -25,6 +26,9 @@ func FuzzReadLIBSVM(f *testing.F) {
 		"1 2:1 1:2\n",
 		"1 1:1e308 2:-1e308\n",
 		"1 1:nan\n",
+		"nan 1:1\n",
+		"1 1:-Inf 2:1\n",
+		"Infinity 1:1\n",
 		strings.Repeat("1 1:1\n", 100),
 		"1 1:1 # trailing\n\n\n2 2:2\n",
 		"-0.5 10:3.25\n",
@@ -47,6 +51,13 @@ func FuzzReadLIBSVM(f *testing.F) {
 		}
 		if verr := p.Validate(); verr != nil {
 			t.Fatalf("parser accepted invalid problem: %v", verr)
+		}
+		// Every accepted problem is finite: "nan", "inf" and "infinity"
+		// parse as floats but must be refused with their line.
+		for _, v := range append(append([]float64(nil), p.Y...), p.X.Val...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("parser accepted a non-finite value %g", v)
+			}
 		}
 		// Structural invariants of the CSC result.
 		if len(p.X.ColPtr) != p.X.Cols+1 {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -11,12 +12,17 @@ import (
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
+// finite reports whether v is neither NaN nor an infinity, which
+// strconv.ParseFloat accepts as "nan", "inf" and "infinity".
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // ReadLIBSVM parses LIBSVM/SVMlight format from r: one sample per line,
 // "label idx:val idx:val ...", with 1-based feature indices. Lines
 // starting with '#' and blank lines are skipped; a trailing inline
 // comment after '#' is ignored. The result is the paper's d x m
 // orientation (features x samples). If features > 0 it fixes d;
-// otherwise d is the maximum index seen.
+// otherwise d is the maximum index seen. A non-finite label or feature
+// value is an error naming its line.
 func ReadLIBSVM(r io.Reader, features int) (*Problem, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
@@ -43,6 +49,9 @@ func ReadLIBSVM(r io.Reader, features int) (*Problem, error) {
 		if err != nil {
 			return nil, fmt.Errorf("data: line %d: bad label %q: %v", lineNo, fields[0], err)
 		}
+		if !finite(label) {
+			return nil, fmt.Errorf("data: line %d: non-finite label %q", lineNo, fields[0])
+		}
 		var c col
 		prev := 0
 		for _, f := range fields[1:] {
@@ -61,6 +70,9 @@ func ReadLIBSVM(r io.Reader, features int) (*Problem, error) {
 			val, err := strconv.ParseFloat(f[colon+1:], 64)
 			if err != nil {
 				return nil, fmt.Errorf("data: line %d: bad feature value %q: %v", lineNo, f[colon+1:], err)
+			}
+			if !finite(val) {
+				return nil, fmt.Errorf("data: line %d: non-finite feature value %q", lineNo, f[colon+1:])
 			}
 			if idx > maxFeat {
 				maxFeat = idx

@@ -42,7 +42,9 @@ func (p *Problem) Dim() (d, m int) { return p.X.Rows, p.X.Cols }
 // Density returns the non-zero fill f of the data matrix.
 func (p *Problem) Density() float64 { return p.X.Density() }
 
-// Validate performs structural sanity checks.
+// Validate performs structural sanity checks and refuses a non-finite
+// label or matrix entry, which would poison every Gram, gradient and
+// objective computed from the problem.
 func (p *Problem) Validate() error {
 	if p.X == nil {
 		return fmt.Errorf("data: problem %q has nil matrix", p.Name)
@@ -52,6 +54,16 @@ func (p *Problem) Validate() error {
 	}
 	if p.Lambda < 0 {
 		return fmt.Errorf("data: problem %q has negative lambda", p.Name)
+	}
+	for j, v := range p.Y {
+		if !finite(v) {
+			return fmt.Errorf("data: problem %q has non-finite label %g at sample %d", p.Name, v, j)
+		}
+	}
+	for k, v := range p.X.Val {
+		if !finite(v) {
+			return fmt.Errorf("data: problem %q has non-finite matrix entry %g (stored value %d)", p.Name, v, k)
+		}
 	}
 	return nil
 }

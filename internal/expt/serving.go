@@ -24,15 +24,19 @@ import (
 //     workload) against an in-process server: reports latency
 //     percentiles, throughput and the lambda-path cache hit rate, and
 //     asserts the hit rate clears 50% — the serving acceptance bar.
-//  2. A controlled warm-vs-cold comparison on one regularization path:
+//  2. A controlled warm-vs-cold comparison on one regularization path
+//     at b = 0.1 (RC-SFISTA on a world, the family that has rounds):
 //     every path point is solved cold (warm start disabled, nothing
 //     stored) and then warm along a descending sweep, asserting each
 //     warm solve spends strictly fewer communication rounds than its
 //     cold twin — warm starts must buy communication, not just wall
 //     clock.
-//  3. A cold lambda grid on one server (servingColdGrid): per point the
-//     rounds and the rounds replayed from the dataset's batch stream,
-//     each fit bit-equal to its stream-less twin.
+//  3. A cold lambda grid on one server (servingColdGrid), once with the
+//     sampling left to the server (answered from the dataset's triple,
+//     no world) and once at b = 0.1 (RC-SFISTA on a world): per point
+//     the path, the iterations, the rounds and the rounds replayed from
+//     the dataset's batch stream, each fit bit-equal to its fresh-server
+//     twin.
 func Serving(cfg Config) *Report {
 	requests, procs, maxIter := 64, 2, 4000
 	dsRef := serve.DatasetRef{Name: "covtype", Samples: 2000, Features: 54, Seed: 42}
@@ -106,6 +110,9 @@ func Serving(cfg Config) *Report {
 	loadTbl.AddRow("lambda-path cache", fmt.Sprintf("%d hits / %d lookups (%.0f%%)",
 		rep.PathHits, rep.PathHits+rep.PathMisses, 100*rep.PathHitRate))
 	loadTbl.AddRow("mean rounds warm vs cold", fmt.Sprintf("%.1f vs %.1f", rep.MeanWarmRounds, rep.MeanColdRounds))
+	if sn := rep.ServerStats; sn != nil {
+		loadTbl.AddRow("answered from the triple / cache", fmt.Sprintf("%d / %d of %d fits", sn.TripleFits, sn.CertifiedHits, sn.Fits))
+	}
 
 	// Phase 2: warm-vs-cold rounds on a fresh server (clean caches).
 	warmTbl := servingWarmVsCold(cfg, dsRef, procs, maxIter, transport)
@@ -141,7 +148,10 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 	// EpochLen 5 gives the GradMapTol stop finer granularity than the
 	// server default, so round counts resolve the warm-start saving at
 	// every path point instead of snapping to the same epoch boundary.
+	// The pinned sampling rate runs every fit on a world: a fit that
+	// leaves it unset is answered from the triple in zero rounds.
 	const epochLen = 5
+	const sampledB = 0.1
 	const points = 16
 	ratios := make([]float64, points)
 	for i := range ratios {
@@ -152,7 +162,7 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 	off := false
 	cold := make([]*serve.FitResponse, points)
 	for i, r := range ratios {
-		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen, Warm: &off, NoStore: true}
+		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen, Warm: &off, NoStore: true, B: sampledB}
 		cold[i] = servingFit(ts.URL, req)
 		if !cold[i].Converged || cold[i].Warm {
 			panic(fmt.Sprintf("expt: serving: cold fit at ratio %.3g: converged=%v warm=%v",
@@ -161,13 +171,13 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 	}
 
 	tbl := &trace.Table{
-		Title:   fmt.Sprintf("Serving: warm-start round savings along one lambda path (P=%d, %d points)", procs, points),
+		Title:   fmt.Sprintf("Serving: warm-start round savings along one lambda path (P=%d, %d points, b=%g)", procs, points, sampledB),
 		Headers: []string{"lambda/lambda_max", "cold rounds", "warm rounds", "saved", "warm from"},
 	}
 	var totalCold, totalWarm, strict int
 	warmFits := make([]*serve.FitResponse, points)
 	for i, r := range ratios {
-		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen, ReturnW: true}
+		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen, ReturnW: true, B: sampledB}
 		warm := servingFit(ts.URL, req)
 		warmFits[i] = warm
 		if !warm.Converged {
@@ -216,7 +226,7 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 	// repeat must be answered without a world — no round, no elapsed time —
 	// and carry the publishing fit's w and objective bit for bit.
 	for i, r := range ratios {
-		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen, ReturnW: true}
+		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, EpochLen: epochLen, ReturnW: true, B: sampledB}
 		again, pub := servingFit(ts.URL, req), warmFits[i]
 		if again.Rounds != 0 || again.ElapsedMS != 0 || !again.PathCacheHit {
 			panic(fmt.Sprintf("expt: serving: re-request at ratio %.3g was not a certified hit: %d rounds, %g ms",

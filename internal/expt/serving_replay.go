@@ -11,14 +11,18 @@ import (
 )
 
 // servingColdGrid fits one lambda grid cold (warm=false) against one
-// server, out of path order, the way a grid search arrives. The first
-// fit fills the dataset's least-squares triple before its round 0 and
-// every later one reads it (the gram column); every fit after the first
+// server, out of path order, the way a grid search arrives, twice: with
+// the sampling left to the server, so every fit is answered from the
+// dataset's triple with no world (the path column), then pinned at
+// b = 0.1, so every fit runs RC-SFISTA on a world. The first fit fills
+// the least-squares triple in-process and every later one, on either
+// path, reads it (the gram column); every world fit after the first
 // replays the Hessian batches the dataset's stream recorded and extends
 // it where it runs longer. Each is held bit for bit — objective, w,
-// iterations, rounds, stop — to the same request on a fresh server,
-// where no triple and no stream exist yet. A mismatch panics, and so
-// does a grid that fills the triple other than once.
+// iterations, rounds, stop, path — to the same request on a fresh
+// server, where no triple and no stream exist yet. A mismatch panics,
+// and so does a grid that fills the triple other than once or a world
+// half that replays nothing.
 func servingColdGrid(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, transport string) *trace.Table {
 	scfg := serve.Config{
 		Workers: 1, QueueCap: 8, Transport: transport,
@@ -37,40 +41,56 @@ func servingColdGrid(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, tra
 	off := false
 	tbl := &trace.Table{
 		Title:   fmt.Sprintf("Serving: cold lambda grid on one resident triple and batch stream (P=%d, %d points, warm=false)", procs, points),
-		Headers: []string{"lambda/lambda_max", "rounds", "replayed", "recorded", "gram", "vs fresh server"},
+		Headers: []string{"sampling", "lambda/lambda_max", "path", "iters", "rounds", "replayed", "recorded", "gram", "vs fresh server"},
 	}
-	var rounds, replayed int
-	for _, i := range order {
-		r := math.Exp(math.Log(0.5) + (math.Log(0.05)-math.Log(0.5))*float64(i)/float64(points-1))
-		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, Warm: &off, ReturnW: true}
-		before := sv.Stats().Snapshot()
-		got := servingFit(ts.URL, req)
-		after := sv.Stats().Snapshot()
-		gram := "resident"
-		if after.GramFills > before.GramFills {
-			gram = "filled"
+	for _, b := range []float64{0, 0.1} {
+		sampling := "unset"
+		if b > 0 {
+			sampling = fmt.Sprintf("b=%g", b)
 		}
-		want := servingFreshFit(scfg, req)
-		if want.ReplayedRounds != 0 || bits(got.Objective) != bits(want.Objective) || !sameBits(got.W, want.W) ||
-			got.Iters != want.Iters || got.Rounds != want.Rounds || got.Converged != want.Converged || got.Nnz != want.Nnz {
-			panic(fmt.Sprintf("expt: serving: cold fit at ratio %.3g replayed %d rounds and returned objective %.17g in %d rounds; "+
-				"stream-less %.17g in %d rounds (or another w)", r, got.ReplayedRounds, got.Objective, got.Rounds, want.Objective, want.Rounds))
+		var iters, rounds, replayed int
+		for _, i := range order {
+			r := math.Exp(math.Log(0.5) + (math.Log(0.05)-math.Log(0.5))*float64(i)/float64(points-1))
+			req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, Warm: &off, ReturnW: true, B: b}
+			before := sv.Stats().Snapshot()
+			got := servingFit(ts.URL, req)
+			after := sv.Stats().Snapshot()
+			gram := "resident"
+			if after.GramFills > before.GramFills {
+				gram = "filled"
+			}
+			want := servingFreshFit(scfg, req)
+			if want.ReplayedRounds != 0 || bits(got.Objective) != bits(want.Objective) || !sameBits(got.W, want.W) ||
+				got.Iters != want.Iters || got.Rounds != want.Rounds || got.Converged != want.Converged || got.Nnz != want.Nnz ||
+				got.AnsweredBy != want.AnsweredBy || (b == 0) != (got.AnsweredBy == "triple") {
+				panic(fmt.Sprintf("expt: serving: cold fit (%s) at ratio %.3g answered by %s, replayed %d rounds and returned objective %.17g in %d rounds; "+
+					"fresh server: %s, %.17g in %d rounds (or another w)", sampling, r, got.AnsweredBy, got.ReplayedRounds, got.Objective, got.Rounds,
+					want.AnsweredBy, want.Objective, want.Rounds))
+			}
+			iters += got.Iters
+			rounds += got.Rounds
+			replayed += got.ReplayedRounds
+			tbl.AddRow(sampling, fmt.Sprintf("%.3g", r), got.AnsweredBy, fmt.Sprintf("%d", got.Iters), fmt.Sprintf("%d", got.Rounds),
+				fmt.Sprintf("%d", got.ReplayedRounds), fmt.Sprintf("%d", after.StreamRoundsRecorded-before.StreamRoundsRecorded), gram, "bit-equal")
 		}
-		rounds += got.Rounds
-		replayed += got.ReplayedRounds
-		tbl.AddRow(fmt.Sprintf("%.3g", r), fmt.Sprintf("%d", got.Rounds), fmt.Sprintf("%d", got.ReplayedRounds),
-			fmt.Sprintf("%d", after.StreamRoundsRecorded-before.StreamRoundsRecorded), gram, "bit-equal")
-	}
-	if replayed == 0 {
-		panic("expt: serving: no cold fit of the grid replayed a round")
+		if b > 0 && replayed == 0 {
+			panic("expt: serving: no world fit of the cold grid replayed a round")
+		}
+		share := "-"
+		if rounds > 0 {
+			share = fmt.Sprintf("%d (%.0f%%)", replayed, 100*float64(replayed)/float64(rounds))
+		}
+		tbl.AddRow(sampling, "total", "", fmt.Sprintf("%d", iters), fmt.Sprintf("%d", rounds), share, "", "", fmt.Sprintf("%d/%d", points, points))
 	}
 	sn := sv.Stats().Snapshot()
 	if sn.GramFills != 1 {
 		panic(fmt.Sprintf("expt: serving: the cold grid filled the triple %d times, want once", sn.GramFills))
 	}
-	tbl.AddRow("total", fmt.Sprintf("%d", rounds), fmt.Sprintf("%d (%.0f%%)", replayed, 100*float64(replayed)/float64(rounds)),
-		fmt.Sprintf("%d", sn.StreamRoundsRecorded), fmt.Sprintf("1 fill, %.1f kB", float64(sn.GramBytes)/1e3),
-		fmt.Sprintf("%d/%d, stream %.0f kB", points, points, float64(sn.StreamBytes)/1e3))
+	if sn.TripleFits != points {
+		panic(fmt.Sprintf("expt: serving: %d triple-answered fits, want %d", sn.TripleFits, points))
+	}
+	tbl.AddRow("both", "resident", "", "", "", "", fmt.Sprintf("%d", sn.StreamRoundsRecorded),
+		fmt.Sprintf("1 fill, %.1f kB", float64(sn.GramBytes)/1e3), fmt.Sprintf("stream %.0f kB", float64(sn.StreamBytes)/1e3))
 	return tbl
 }
 

@@ -10,15 +10,23 @@
 //     triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m) and its reduced batch
 //     streams — the allreduced Hessian batch of every round a fit ran,
 //     keyed inside by the solver. Neither depends on lambda, the
-//     regularizer or the iterate. Every least-squares fit is handed it
-//     (solver.SolveDistributedStream): it reads the triple from round
-//     0, the first fit filling it before its first round, and replays
-//     the recorded rounds without a fill or an allreduce. Its reply is
-//     bit for bit that of the CLI solve at the same procs — warm=false
-//     still means a cold solve; only ElapsedMS, ModelSeconds and
-//     ReplayedRounds, which count work done, tell the difference.
-//     Triples and streams together hold at most the bytes of the
-//     dataset's X and y and leave with it;
+//     regularizer or the iterate. A least-squares fit that leaves
+//     solver, b, k and s unset, with no active_set and no
+//     compress_tier, is answered from the triple with no world
+//     (solver.SolveTriple): a local FISTA on (G, r) — the paper's b = 1
+//     corner — and one data pass over the procs column blocks that
+//     certifies it, falling through to a world started at the refined
+//     iterate when it does not certify within max_iter. Every other
+//     least-squares fit runs on a world and is handed the resident
+//     state (solver.SolveDistributedStream): it reads the triple from
+//     round 0, the first fit filling it before its first round, and
+//     replays the recorded rounds without a fill or an allreduce. Its
+//     reply is bit for bit that of the CLI solve at the same procs —
+//     warm=false still means a cold solve; only ElapsedMS, ModelSeconds
+//     and ReplayedRounds, which count work done, tell the difference.
+//     Either way the reply is the same whether the triple was kept or
+//     filled for this fit. Triples and streams together hold at most
+//     the bytes of the dataset's X and y and leave with it;
 //   - a lambda-path cache keyed by (dataset, solver fingerprint,
 //     lambda bucket) holding the final iterate and support of previous
 //     solves, so a fit at a neighboring lambda warm-starts from the
@@ -111,8 +119,12 @@ type FitRequest struct {
 	Lambda      float64 `json:"lambda,omitempty"`
 	LambdaRatio float64 `json:"lambda_ratio,omitempty"`
 
-	// Solver is "rcsfista" (default), "sfista" (k=s=1) or "fista"
-	// (deterministic: b=1, k=s=1).
+	// Solver is "rcsfista" (the default algorithm), "sfista" (k=s=1)
+	// or "fista" (deterministic: b=1, k=s=1). Naming any of them, like
+	// setting B, K or S, runs the fit on a world whose reply equals the
+	// CLI solve of those parameters bit for bit; leaving all four unset
+	// lets a least-squares fit be answered from its dataset's triple
+	// with no world (see AnsweredBy).
 	Solver string `json:"solver,omitempty"`
 	// MaxIter bounds the solution updates; zero selects the server
 	// default.
@@ -121,7 +133,11 @@ type FitRequest struct {
 	// the server default, negative disables early stopping.
 	GradMapTol float64 `json:"gradmap_tol,omitempty"`
 	// B, K, S are the sampling rate and the paper's batching/reuse
-	// parameters; zero keeps solver defaults (b=0.1, k=s=1).
+	// parameters; zero keeps solver defaults (b=0.1, k=s=1). They are
+	// the explicit-sampling switch: a least-squares fit with all three
+	// and Solver unset (and no ActiveSet or CompressTier) reads none of
+	// them and is answered from the triple; setting any one runs
+	// RC-SFISTA on a world at those parameters.
 	B float64 `json:"b,omitempty"`
 	K int     `json:"k,omitempty"`
 	S int     `json:"s,omitempty"`
@@ -202,10 +218,19 @@ type FitResponse struct {
 	ModelSeconds float64 `json:"model_seconds"`
 	// ReplayedRounds counts the Rounds whose Hessian batch came from the
 	// dataset's recorded batch stream instead of a fill and an
-	// allreduce. Everything else in the reply is what the same fit on a
-	// fresh server — no stream, no kept triple — returns, bit for bit,
-	// and what the CLI solve at the same procs returns.
+	// allreduce; 0 on a triple-answered fit, which has no rounds.
+	// Everything else in the reply is what the same fit on a fresh
+	// server — no stream, no kept triple — returns, bit for bit; for a
+	// world-answered fit that names its sampling (Solver, B, K or S)
+	// that is also what the CLI solve at the same procs returns.
 	ReplayedRounds int `json:"replayed_rounds"`
+	// AnsweredBy names the path that answered: "triple" (a local solve
+	// on the dataset's triple, certified by one data pass, or cut short
+	// by the deadline; Rounds is 0 and Iters counts local iterations),
+	// "world" (a distributed solve; for a triple-routed fit that did not
+	// certify within MaxIter, Iters and ModelSeconds include the triple
+	// path's) or "cache" (a certified hit).
+	AnsweredBy string `json:"answered_by"`
 
 	// W is the coefficient vector, present only with ReturnW.
 	W []float64 `json:"w,omitempty"`

@@ -200,6 +200,14 @@ func fingerprint(datasetKey, solverName string, b float64, k, s int, activeSet b
 	return sb.String()
 }
 
+// tripleFingerprint identifies the warm-start family of triple-routed
+// fits (see fromTriple): the dataset and the regularizer. Those fits
+// read no sampling parameter, seed or tier, and their loss is least
+// squares.
+func tripleFingerprint(datasetKey, regTag string) string {
+	return fmt.Sprintf("%s|triple|reg:%s", datasetKey, regTag)
+}
+
 // pathEntry is one cached point of a regularization path. Entries are
 // immutable once published: a hit may hand w to a model without a copy.
 type pathEntry struct {

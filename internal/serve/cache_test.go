@@ -117,8 +117,9 @@ func TestDatasetResidentPerProcs(t *testing.T) {
 	}
 }
 
-// TestResidentBytesAttributed: after a cold grid on two world sizes,
-// whose triples and streams draw on the dataset's one budget, /stats
+// TestResidentBytesAttributed: after a cold grid on two world sizes at
+// b = 0.1 (world fits, which record streams), whose triples and streams
+// draw on the dataset's one budget, /stats
 // reports as stream bytes exactly the recorded rounds' bytes, and
 // stream plus triple bytes are everything the budget holds.
 func TestResidentBytesAttributed(t *testing.T) {
@@ -128,7 +129,7 @@ func TestResidentBytesAttributed(t *testing.T) {
 	ref := &DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7}
 	for _, procs := range []int{1, 2} {
 		for _, ratio := range []float64{0.4, 0.3, 0.2} {
-			req := &FitRequest{Dataset: ref, LambdaRatio: ratio, Warm: &off, Procs: procs}
+			req := &FitRequest{Dataset: ref, LambdaRatio: ratio, Warm: &off, Procs: procs, B: 0.1}
 			if _, err := s.runFit(context.Background(), req); err != nil {
 				t.Fatal(err)
 			}

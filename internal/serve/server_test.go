@@ -101,6 +101,8 @@ func TestFitRejectsMalformedRequests(t *testing.T) {
 		{"b out of range", "/fit", `{"dataset": {"name": "abalone", "samples": 200, "seed": 7}, "lambda_ratio": 0.1, "b": 1.5}`, 400},
 		{"procs out of range", "/fit", `{"dataset": {"name": "abalone", "samples": 200, "seed": 7}, "lambda_ratio": 0.1, "procs": 99}`, 400},
 		{"bad libsvm", "/fit", `{"libsvm": "not libsvm at all :::", "lambda": 0.1}`, 400},
+		{"nan libsvm value", "/fit", `{"libsvm": "1 1:0.5\n1 1:nan", "lambda": 0.1}`, 400},
+		{"inf libsvm label", "/fit", `{"libsvm": "inf 1:0.5", "lambda": 0.1}`, 400},
 		{"predict no model", "/predict", `{"dataset": {"name": "abalone", "samples": 200, "seed": 7}}`, 400},
 		{"predict model and w", "/predict", `{"model_id": "m00000001", "w": [1], "dataset": {"name": "abalone", "samples": 200, "seed": 7}}`, 400},
 		{"predict unknown model", "/predict", `{"model_id": "m99999999", "dataset": {"name": "abalone", "samples": 200, "seed": 7}}`, 404},
@@ -194,16 +196,17 @@ func TestFitPredictRoundTrip(t *testing.T) {
 // TestWarmStartOverHTTP checks the lambda-path cache contract at the
 // service boundary: a second fit at a neighboring lambda reports a
 // cache hit and spends no more rounds than its cold twin; warm=false
-// forces a cold solve even with a populated cache.
+// forces a cold solve even with a populated cache. The fits pin b = 0.1,
+// so they run on a world and count rounds.
 func TestWarmStartOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
 
-	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3})
+	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3, B: 0.1})
 	if cold.Warm {
 		t.Fatal("first fit reported warm")
 	}
-	warm := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25})
+	warm := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, B: 0.1})
 	if !warm.Warm || !warm.PathCacheHit || warm.WarmFromLambda != cold.Lambda {
 		t.Fatalf("neighboring fit not warm-started: %+v", warm)
 	}
@@ -212,7 +215,7 @@ func TestWarmStartOverHTTP(t *testing.T) {
 	}
 
 	off := false
-	forced := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, Warm: &off})
+	forced := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, Warm: &off, B: 0.1})
 	if forced.Warm || forced.PathCacheHit {
 		t.Fatalf("warm=false still warm-started: %+v", forced)
 	}
@@ -226,22 +229,23 @@ func TestWarmStartOverHTTP(t *testing.T) {
 // fingerprint is taken from the canonical name — fingerprinting the
 // raw request string split the cache in two and a default-solver fit
 // could never warm-start a fit that spelled the name out (or vice
-// versa).
+// versa). The fits pin b = 0.1: with b, k, s and solver all unset a fit
+// is triple-routed, a family of its own (TestTripleRouting).
 func TestSolverNameCanonicalInCache(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
 
-	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3, Solver: ""})
+	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3, Solver: "", B: 0.1})
 	if cold.Warm {
 		t.Fatal("first fit reported warm")
 	}
-	warm := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, Solver: "rcsfista"})
+	warm := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, Solver: "rcsfista", B: 0.1})
 	if !warm.Warm || !warm.PathCacheHit || warm.WarmFromLambda != cold.Lambda {
 		t.Fatalf("explicit rcsfista fit missed the cache entry stored by the default-solver fit: %+v", warm)
 	}
 	// And the other direction: a default-name fit hits entries stored
 	// under the explicit name.
-	warm2 := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Solver: ""})
+	warm2 := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Solver: "", B: 0.1})
 	if !warm2.Warm || !warm2.PathCacheHit {
 		t.Fatalf("default-solver fit missed the cache: %+v", warm2)
 	}

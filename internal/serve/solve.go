@@ -169,14 +169,34 @@ func fitLoss(req *FitRequest) (erm.Loss, bool, error) {
 	return loss, pn, nil
 }
 
+// The paths that answer a fit, as FitResponse.AnsweredBy names them.
+const (
+	answeredTriple = "triple"
+	answeredWorld  = "world"
+	answeredCache  = "cache"
+)
+
+// fromTriple is the routing rule: a least-squares fit that leaves the
+// sampling setup to the server — solver, b, k and s unset, no
+// active_set, and no compress_tier but a spelling of f64 — is answered
+// from its dataset's triple without a world (solver.SolveTriple). Any
+// other fit runs on a world.
+func fromTriple(req *FitRequest, pnLoss bool) bool {
+	return !pnLoss && req.Solver == "" && req.B == 0 && req.K == 0 && req.S == 0 &&
+		!req.ActiveSet && solver.CanonicalTier(req.CompressTier) == ""
+}
+
 // runFit executes one admitted fit request end to end: dataset
-// resolution, warm-start lookup, the distributed solve under the
-// request context — on the dataset's resident state of its procs: the
-// triple read from round 0 and the batch stream of its sampling setup,
-// replayed and extended — and cache publication;
-// or, when the lookup's entry certifies the request, the cached answer
-// with no solve at all. It never returns a nil response without an
-// error.
+// resolution, warm-start lookup, the solve under the request context
+// and cache publication; or, when the lookup's entry certifies the
+// request, the cached answer with no solve at all. A fit fromTriple
+// routes is answered from the dataset's triple of its procs, filled
+// in-process on first use, and certified by one data pass; one that
+// does not certify within its budget falls through to a world started
+// at the refined W. Every other least-squares fit runs on a world over
+// the dataset's resident state of its procs: the triple read from
+// round 0 and the batch stream of its sampling setup, replayed and
+// extended. It never returns a nil response without an error.
 func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, error) {
 	ds, dsHit, err := s.resolveDataset(req.Dataset, req.LIBSVM, req.Features)
 	if err != nil {
@@ -203,18 +223,25 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	// fingerprinting the raw request string would split their warm-start
 	// entries into two cache populations that never hit each other.
 	// Non-least-squares losses always run Proximal Newton, so they
-	// canonicalize to "pn" regardless of the (empty) request field.
+	// canonicalize to "pn" regardless of the (empty) request field. A
+	// triple-routed fit reads no sampling parameter, so its family is
+	// the dataset and the regularizer alone.
+	triple := fromTriple(req, pnLoss)
 	algo := req.Solver
-	if algo == "" {
+	switch {
+	case triple:
+		algo = answeredTriple
+	case pnLoss:
+		algo = "pn"
+	case algo == "":
 		algo = "rcsfista"
 	}
-	if pnLoss {
-		algo = "pn"
-	}
-
 	datasetKey := ds.key
-	fp := fingerprint(datasetKey, algo, opts.B, opts.K, opts.S, opts.ActiveSet, opts.Seed,
-		scenario.RegTag(opts.Reg), scenario.LossTag(loss), solver.CanonicalTier(opts.CompressTier))
+	fp := tripleFingerprint(datasetKey, scenario.RegTag(opts.Reg))
+	if !triple {
+		fp = fingerprint(datasetKey, algo, opts.B, opts.K, opts.S, opts.ActiveSet, opts.Seed,
+			scenario.RegTag(opts.Reg), scenario.LossTag(loss), solver.CanonicalTier(opts.CompressTier))
+	}
 	resp := &FitResponse{Lambda: lambda, DatasetCacheHit: dsHit}
 	if req.warm() {
 		if e := s.paths.lookup(fp, lambda); e != nil {
@@ -228,28 +255,22 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 		}
 	}
 
-	world, err := dist.NewWorldOn(s.cfg.Transport, procs, s.cfg.Machine)
-	if err != nil {
-		return nil, &httpError{status: 500, msg: "create world: " + err.Error()}
-	}
 	start := time.Now()
-	var res *solver.Result
-	var serr error
-	if pnLoss {
-		res, serr = s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
-	} else {
-		res, serr = solver.SolveDistributedStream(ctx, world, ds.prob.X, ds.prob.Y, opts, ds.resident(procs))
-	}
+	res, serr := s.solve(ctx, resp, req, ds, loss, pnLoss, triple, opts, lambda, procs)
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if serr != nil {
+		var he *httpError
+		if errors.As(serr, &he) {
+			return nil, he
+		}
 		if res == nil || (!errors.Is(serr, context.DeadlineExceeded) && !errors.Is(serr, context.Canceled)) {
 			s.stats.failures.Add(1)
 			return nil, &httpError{status: 500, msg: "solve: " + serr.Error()}
 		}
-		// Deadline/cancel: the round-boundary consensus left a
-		// well-formed partial result on every rank. Replayed rounds
-		// vote once per variance-reduction epoch, so a deadline inside
-		// a replayed prefix lands at most one epoch late.
+		// Deadline/cancel: the round-boundary consensus (or the triple
+		// path's deadline check) left a well-formed partial result.
+		// Replayed rounds vote once per variance-reduction epoch, so a
+		// deadline inside a replayed prefix lands at most one epoch late.
 		resp.Partial = true
 		resp.Error = serr.Error()
 		s.stats.deadlines.Add(1)
@@ -291,6 +312,8 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	if req.ReturnW {
 		resp.W = mat.Clone(res.W)
 	}
+	// A triple-answered fit converges only on its data-pass
+	// certificate, so only certified triple answers are published.
 	if !req.NoStore && !resp.Partial && res.Converged {
 		s.paths.put(fp, &pathEntry{
 			lambda:    lambda,
@@ -304,6 +327,46 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	return resp, nil
 }
 
+// solve runs a fit the path cache did not answer and sets
+// resp.AnsweredBy. A triple-routed fit is answered from the dataset's
+// triple when its data pass certifies it, or when its deadline expires
+// first; otherwise its refined W warm-starts the world solve, whose
+// result then also counts the triple path's iterations, modeled time
+// and fill. One whose gradmap_tol disables the stop has nothing to
+// certify and goes to the world at once.
+func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, ds *dataset, loss erm.Loss, pnLoss, triple bool, opts solver.Options, lambda float64, procs int) (*solver.Result, error) {
+	var pre *solver.Result
+	if triple && opts.GradMapTol > 0 {
+		res, err := solver.SolveTriple(ctx, ds.prob.X, ds.prob.Y, procs, s.cfg.Machine, opts, ds.resident(procs))
+		if err != nil || res.Converged {
+			if res != nil {
+				resp.AnsweredBy = answeredTriple
+				s.stats.tripleFits.Add(1)
+			}
+			return res, err
+		}
+		pre = res
+		opts.W0 = res.W
+	}
+	resp.AnsweredBy = answeredWorld
+	world, err := dist.NewWorldOn(s.cfg.Transport, procs, s.cfg.Machine)
+	if err != nil {
+		return nil, &httpError{status: 500, msg: "create world: " + err.Error()}
+	}
+	var res *solver.Result
+	if pnLoss {
+		res, err = s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
+	} else {
+		res, err = solver.SolveDistributedStream(ctx, world, ds.prob.X, ds.prob.Y, opts, ds.resident(procs))
+	}
+	if pre != nil && res != nil {
+		res.Iters += pre.Iters
+		res.ModelSeconds += pre.ModelSeconds
+		res.GramFilled = res.GramFilled || pre.GramFilled
+	}
+	return res, err
+}
+
 // certifiedHit answers a fit from a path entry that certifies it: the
 // reply the zero-round solve would give, bit for bit, without building
 // a world or touching the data. Only the timings differ — no solve ran,
@@ -312,6 +375,7 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 func (s *Server) certifiedHit(resp *FitResponse, e *pathEntry, returnW bool, algo, datasetKey string) *FitResponse {
 	resp.Objective, resp.Nnz, resp.Converged = e.objective, e.nnz, true
 	resp.Warm, resp.PathCacheHit, resp.WarmFromLambda = true, true, e.lambda
+	resp.AnsweredBy = answeredCache
 	s.stats.warmFits.Add(1)
 	s.stats.certifiedHits.Add(1)
 	resp.ModelID = s.models.add(&solver.Model{

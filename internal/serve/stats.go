@@ -30,6 +30,7 @@ type Stats struct {
 	coldRounds    atomic.Int64
 	partialFits   atomic.Int64
 	certifiedHits atomic.Int64
+	tripleFits    atomic.Int64
 
 	streamReplayed atomic.Int64
 	streamRecorded atomic.Int64
@@ -79,6 +80,11 @@ type StatsSnapshot struct {
 	// norm meets the request's tolerance on the same world size. Each is
 	// also a warm fit with zero rounds.
 	CertifiedHits int64 `json:"certified_hits"`
+	// TripleFits counts fits answered from their dataset's triple with
+	// no world (FitResponse.AnsweredBy "triple"), partial ones included.
+	// A fit that fell through to a world is not one, nor is a certified
+	// hit; a fit that filled the triple is also one of GramFills.
+	TripleFits int64 `json:"triple_fits"`
 	// Batch-stream replay: rounds whose Hessian batch a fit took from
 	// its dataset's recorded stream, rounds fits appended to one, and
 	// the bytes the resident datasets' streams hold now (capped per
@@ -124,6 +130,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		PartialFits: s.partialFits.Load(),
 
 		CertifiedHits: s.certifiedHits.Load(),
+		TripleFits:    s.tripleFits.Load(),
 
 		StreamRoundsReplayed: s.streamReplayed.Load(),
 		StreamRoundsRecorded: s.streamRecorded.Load(),

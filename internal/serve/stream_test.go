@@ -15,10 +15,13 @@ import (
 	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
-// coldReq is a warm=false fit of smallRef at ratio.
+// coldReq is a warm=false fit of smallRef at ratio. It pins the
+// default sampling rate b = 0.1, which runs it on a world with the
+// dataset's batch streams: a fit that leaves b, k, s and solver unset
+// is answered from the triple instead (triple_test.go).
 func coldReq(ratio float64) *serve.FitRequest {
 	off := false
-	return &serve.FitRequest{Dataset: smallRef(), LambdaRatio: ratio, Warm: &off, ReturnW: true}
+	return &serve.FitRequest{Dataset: smallRef(), LambdaRatio: ratio, Warm: &off, ReturnW: true, B: 0.1}
 }
 
 // fitRaw posts req and returns the raw reply.

@@ -102,10 +102,7 @@ func (e *engine) takeExact(gram bool, ef *solvercore.EFStream, stop bool) {
 	if !stop || e.opts.GradMapTol <= 0 {
 		cost = nil
 	}
-	mat.AddScaled(e.tmp, e.wCurr, -e.gamma, g, cost)
-	e.reg.Apply(e.tmp, e.tmp, e.gamma, cost)
-	mat.Sub(e.tmp, e.wCurr, e.tmp, cost)
-	e.ex.norm = mat.Nrm2(e.tmp, cost) / e.gamma
+	e.ex.norm = gradMapNorm(e.tmp, e.wCurr, g, e.gamma, e.reg, cost)
 }
 
 // residual leaves this rank's Xᵀw − y at wCurr in scratch. It is local
@@ -201,6 +198,24 @@ func (g *residentGram) loss(w []float64) float64 {
 	return quad/2 - lin + g.c
 }
 
+// triplePartial returns one block's share of the least-squares triple:
+// its packed G, r and c summands at scale 1/m, the fill's allreduce
+// payload. Summed over the blocks in ascending rank order, the shares
+// are the triple.
+func triplePartial(local LocalData, cost *perf.Cost) []float64 {
+	d := local.X.Rows
+	pl := mat.PackedLen(d)
+	scale := 1 / float64(local.MGlobal)
+	part := make([]float64, pl+d+1)
+	sparse.FullGramPacked(local.X, &mat.SymPacked{N: d, Data: part[:pl]}, part[pl:pl+d], local.Y, scale, cost)
+	var yy float64
+	for _, v := range local.Y {
+		yy += v * v
+	}
+	part[pl+d] = yy * scale / 2
+	return part
+}
+
 // fillGram builds the replicated triple from this rank's block and one
 // allreduce, billed under variance reduction and rolled back otherwise
 // (see residentGram), and offers it to the resident handle on rank 0.
@@ -208,17 +223,8 @@ func (e *engine) fillGram() {
 	cost := e.c.Cost()
 	saved := *cost
 	g := &e.gram
-	d, pl := e.d, mat.PackedLen(e.d)
-	scale := 1 / float64(e.m)
-	local := make([]float64, pl+d+1)
-	sparse.FullGramPacked(e.local.X, &mat.SymPacked{N: d, Data: local[:pl]}, local[pl:pl+d], e.local.Y, scale, cost)
-	var yy float64
-	for _, v := range e.local.Y {
-		yy += v * v
-	}
-	local[pl+d] = yy * scale / 2
-	shared := e.c.AllreduceShared(local)
-	g.view(shared, d)
+	shared := e.c.AllreduceShared(triplePartial(e.local, cost))
+	g.view(shared, e.d)
 	g.filled = true
 	if !e.opts.VarianceReduced {
 		*cost = saved

@@ -23,8 +23,9 @@ import (
 // solve of another identity errors before its world runs. The triple
 // is kept once and every round once, immutable after, so concurrent
 // solves read them without copies; both draw on one budget, and what
-// does not fit is not kept. The zero value is not usable; see
-// NewResident.
+// does not fit is not kept. SolveTriple, which answers a solve from the
+// triple with no world, reads, fills and stamps it the same way. The
+// zero value is not usable; see NewResident.
 type Resident struct {
 	mu      sync.Mutex
 	id      residentID
@@ -66,6 +67,31 @@ func (r *Resident) keep(tri []float64) {
 	}
 }
 
+// stamp stamps an unstamped r with id, or checks id against r's stamp.
+// r.mu must be held.
+func (r *Resident) stamp(id residentID) error {
+	if r.id == (residentID{}) {
+		r.id = id
+	} else if r.id != id {
+		return fmt.Errorf("solver: resident state stamped %+v, solve needs %+v", r.id, id)
+	}
+	return nil
+}
+
+// held stamps r with id, or checks id against its stamp, and returns
+// r's kept triple, nil when it holds none. A nil r holds none.
+func (r *Resident) held(id residentID) ([]float64, error) {
+	if r == nil {
+		return nil, nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.stamp(id); err != nil {
+		return nil, err
+	}
+	return r.tri, nil
+}
+
 // residentView is one solve's reading of its handle, taken once before
 // the world runs so every rank takes the same branches: the holder a
 // fill is offered to, its kept triple (nil: every rank fills one
@@ -95,10 +121,8 @@ func (r *Resident) open(x *sparse.CSC, p int, opts Options) (*residentView, erro
 	key := streamKey{seed: o.Seed, mbar: sampleSize(o.B, x.Cols), k: o.K}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.id == (residentID{}) {
-		r.id = id
-	} else if r.id != id {
-		return nil, fmt.Errorf("solver: resident state stamped %+v, solve needs %+v", r.id, id)
+	if err := r.stamp(id); err != nil {
+		return nil, err
 	}
 	s := r.streams[key]
 	if s == nil {

@@ -94,6 +94,37 @@ func (a *CSC) MulVec(y, t []float64, c *perf.Cost) {
 	c.AddFlops(int64(2 * a.Nnz()))
 }
 
+// ResidualGrad is the least-squares data pass over columns [lo, hi) in
+// one sweep: for each column j, s_j = x_jᵀw − y_j, then g += s_j·x_j,
+// and it returns Σ s_j². y is indexed like the columns. Its bits are
+// those of the three-pass form over ColSlice(lo, hi) — MulVecT, Axpy of
+// −y, MulVec into g — and of the squared residuals summed in column
+// order, and so is its charge; g is accumulated, not overwritten.
+func (a *CSC) ResidualGrad(g, w, y []float64, lo, hi int, c *perf.Cost) float64 {
+	if len(g) != a.Rows || len(w) != a.Rows || len(y) != a.Cols || lo < 0 || hi > a.Cols || lo > hi {
+		panic("sparse: ResidualGrad dimension mismatch")
+	}
+	var loss float64
+	for j := lo; j < hi; j++ {
+		rows, vals := a.Col(j)
+		var s float64
+		for k, r := range rows {
+			s += vals[k] * w[r]
+		}
+		s += -1 * y[j]
+		loss += s * s
+		if s == 0 {
+			continue
+		}
+		for k, r := range rows {
+			g[r] += vals[k] * s
+		}
+	}
+	nnz := int64(a.ColPtr[hi] - a.ColPtr[lo])
+	c.AddFlops(4*nnz + 2*int64(hi-lo))
+	return loss
+}
+
 // ColSlice returns a view of columns [lo, hi) as a CSC matrix sharing
 // storage with a. Row dimension is preserved. This is how a column
 // (sample) partition is assigned to a processor.
