@@ -49,9 +49,9 @@ func main() {
 	obj := prox.NewObjective(prob.X, prob.Y, prox.L1{Lambda: 0})
 
 	const steps = 12
-	// One resident state for this (data, world size), capped at the
+	// One resident triple for this (data, world size), capped at the
 	// bytes of X and y.
-	resident := solver.NewResident(solver.NewStreamBudget(solver.DataBytes(prob.X, prob.Y)))
+	resident := solver.NewResident(solver.NewResidentBudget(solver.DataBytes(prob.X, prob.Y)))
 	fills := 0
 	fmt.Printf("%-12s %-8s %-10s %-8s %s\n", "lambda", "nnz", "loss", "rounds", "support")
 	var warm []float64 // warm-start each path point at the previous solution
@@ -68,7 +68,7 @@ func main() {
 		opts.W0 = warm
 		opts.Seed = uint64(i)
 
-		res, err := solver.SolveDistributedStream(context.Background(), dist.NewWorld(1, perf.Comet()),
+		res, err := solver.SolveDistributedResident(context.Background(), dist.NewWorld(1, perf.Comet()),
 			prob.X, prob.Y, opts, resident)
 		if err != nil {
 			log.Fatal(err)

@@ -181,6 +181,19 @@ func TestHistogramBucketsPartitionSamples(t *testing.T) {
 	}
 }
 
+// TestSummaryAnsweredBy: the summary says which path answered the
+// run's fits, from the server's counters: triple_fits, certified_hits,
+// and the rest of fits, which ran on a world.
+func TestSummaryAnsweredBy(t *testing.T) {
+	rep := &Report{ServerStats: &serve.StatsSnapshot{Fits: 64, TripleFits: 16, CertifiedHits: 40, WarmFits: 44}}
+	if got := rep.Summary(); !strings.Contains(got, "  answered: 16 triple, 40 cache, 8 world\n") {
+		t.Fatalf("summary lacks the answered line:\n%s", got)
+	}
+	if got := (&Report{}).Summary(); strings.Contains(got, "answered:") {
+		t.Fatalf("a report without server stats claims who answered:\n%s", got)
+	}
+}
+
 // TestRunClosedLoopAgainstServer is the end-to-end smoke: a short
 // closed-loop sweep against an in-process server must complete without
 // errors and hit the lambda-path cache on repeat path points.

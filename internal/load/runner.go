@@ -252,6 +252,8 @@ func (r *Report) Summary() string {
 	if sn := r.ServerStats; sn != nil {
 		fmt.Fprintf(&b, "  certified hits (answered without a solve): %d of %d warm fits\n",
 			sn.CertifiedHits, sn.WarmFits)
+		fmt.Fprintf(&b, "  answered: %d triple, %d cache, %d world\n",
+			sn.TripleFits, sn.CertifiedHits, sn.Fits-sn.TripleFits-sn.CertifiedHits)
 	}
 	return b.String()
 }

@@ -7,26 +7,23 @@
 //     sampled-Lipschitz step sizes, so repeated fits against the same
 //     data skip the Gram-spectrum power iterations;
 //   - per dataset, one solver.Resident per procs: its least-squares
-//     triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m) and its reduced batch
-//     streams — the allreduced Hessian batch of every round a fit ran,
-//     keyed inside by the solver. Neither depends on lambda, the
-//     regularizer or the iterate. A least-squares fit that leaves
-//     solver, b, k and s unset, with no active_set and no
-//     compress_tier, is answered from the triple with no world
+//     triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m), which depends on
+//     neither lambda, the regularizer nor the iterate. A least-squares
+//     fit that leaves solver, b, k and s unset, with no active_set and
+//     no compress_tier, is answered from the triple with no world
 //     (solver.SolveTriple): a local FISTA on (G, r) — the paper's b = 1
 //     corner — and one data pass over the procs column blocks that
 //     certifies it, falling through to a world started at the refined
 //     iterate when it does not certify within max_iter. Every other
-//     least-squares fit runs on a world and is handed the resident
-//     state (solver.SolveDistributedStream): it reads the triple from
-//     round 0, the first fit filling it before its first round, and
-//     replays the recorded rounds without a fill or an allreduce. Its
-//     reply is bit for bit that of the CLI solve at the same procs —
-//     warm=false still means a cold solve; only ElapsedMS, ModelSeconds
-//     and ReplayedRounds, which count work done, tell the difference.
-//     Either way the reply is the same whether the triple was kept or
-//     filled for this fit. Triples and streams together hold at most
-//     the bytes of the dataset's X and y and leave with it;
+//     least-squares fit runs on a world and is handed the triple
+//     (solver.SolveDistributedResident), which it reads from round 0,
+//     the first fit filling it before its first round. Its reply is bit
+//     for bit that of the CLI solve at the same procs — warm=false
+//     still means a cold solve; only ElapsedMS and ModelSeconds, which
+//     count work done, tell the difference. Either way the reply is the
+//     same whether the triple was kept or filled for this fit. The
+//     triples hold at most the bytes of the dataset's X and y and leave
+//     with it;
 //   - a lambda-path cache keyed by (dataset, solver fingerprint,
 //     lambda bucket) holding the final iterate and support of previous
 //     solves, so a fit at a neighboring lambda warm-starts from the
@@ -137,7 +134,8 @@ type FitRequest struct {
 	// the explicit-sampling switch: a least-squares fit with all three
 	// and Solver unset (and no ActiveSet or CompressTier) reads none of
 	// them and is answered from the triple; setting any one runs
-	// RC-SFISTA on a world at those parameters.
+	// RC-SFISTA on a world at those parameters, which reads the same
+	// triple from round 0.
 	B float64 `json:"b,omitempty"`
 	K int     `json:"k,omitempty"`
 	S int     `json:"s,omitempty"`
@@ -212,18 +210,13 @@ type FitResponse struct {
 	// ElapsedMS is wall-clock solve time; ModelSeconds the
 	// alpha-beta-gamma modeled time on the server's machine model. Both
 	// are 0 on a certified hit, which runs no solve (Rounds is 0 too).
-	// Both count work done: a replayed round and a kept triple add to
-	// neither.
+	// Both count work done: a kept triple adds to neither. Everything
+	// else in the reply is what the same fit on a fresh server — no kept
+	// triple — returns, bit for bit; for a world-answered fit that names
+	// its sampling (Solver, B, K or S) that is also what the CLI solve at
+	// the same procs returns.
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	ModelSeconds float64 `json:"model_seconds"`
-	// ReplayedRounds counts the Rounds whose Hessian batch came from the
-	// dataset's recorded batch stream instead of a fill and an
-	// allreduce; 0 on a triple-answered fit, which has no rounds.
-	// Everything else in the reply is what the same fit on a fresh
-	// server — no stream, no kept triple — returns, bit for bit; for a
-	// world-answered fit that names its sampling (Solver, B, K or S)
-	// that is also what the CLI solve at the same procs returns.
-	ReplayedRounds int `json:"replayed_rounds"`
 	// AnsweredBy names the path that answered: "triple" (a local solve
 	// on the dataset's triple, certified by one data pass, or cut short
 	// by the deadline; Rounds is 0 and Iters counts local iterations),

@@ -15,12 +15,13 @@ import (
 
 // dataset is one prepared problem: the loaded instance, its
 // lambda_max, the sampled-Lipschitz step sizes per sampling rate, and
-// the resident state of its least-squares fits, one solver.Resident
-// per world size. Preparing the first three is the expensive part of a
-// fit against fresh data — the Lipschitz estimate runs power
-// iterations over the Gram spectrum — and the resident state spares a
-// repeat fit its Gram fill and its Hessian batches, so the dataset
-// cache is what makes repeat traffic cheap.
+// the least-squares triple of its fits, one solver.Resident per world
+// size. Preparing the first three is the expensive part of a fit
+// against fresh data — the Lipschitz estimate runs power iterations
+// over the Gram spectrum — and the kept triple spares a repeat fit its
+// Gram fill, so the dataset cache is what makes repeat traffic cheap.
+// First fits racing on a dataset may each fill the triple; one is
+// kept.
 type dataset struct {
 	key       string
 	prob      *data.Problem
@@ -30,12 +31,12 @@ type dataset struct {
 	gammaB    map[float64]float64
 	residents map[int]*solver.Resident // by procs
 	// budget caps the residents together at the bytes of X and y.
-	budget *solver.StreamBudget
+	budget *solver.ResidentBudget
 }
 
-// resident returns the dataset's resident state on procs ranks, created
-// empty on first use. Which fits may read, fill or record it, and which
-// of its streams a fit replays, is the solver's decision.
+// resident returns the dataset's triple holder on procs ranks, created
+// empty on first use. Which fits may read or fill it is the solver's
+// decision.
 func (ds *dataset) resident(procs int) *solver.Resident {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -47,17 +48,15 @@ func (ds *dataset) resident(procs int) *solver.Resident {
 	return r
 }
 
-// residentBytes reports the bytes the dataset's batch streams and kept
-// triples hold, each holder's own.
-func (ds *dataset) residentBytes() (stream, gram int64) {
+// residentBytes reports the bytes the dataset's kept triples hold.
+func (ds *dataset) residentBytes() int64 {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	var n int64
 	for _, r := range ds.residents {
-		s, g := r.Bytes()
-		stream += s
-		gram += g
+		n += r.Bytes()
 	}
-	return stream, gram
+	return n
 }
 
 // gammaFor returns the stable step size for sampling rate b, cached
@@ -98,7 +97,7 @@ func newDataset(key string, p *data.Problem) *dataset {
 	lmax /= float64(p.X.Cols)
 	return &dataset{key: key, prob: p, lambdaMax: lmax, gammaB: map[float64]float64{},
 		residents: map[int]*solver.Resident{},
-		budget:    solver.NewStreamBudget(solver.DataBytes(p.X, p.Y))}
+		budget:    solver.NewResidentBudget(solver.DataBytes(p.X, p.Y))}
 }
 
 // datasetCache is a keyed LRU of prepared datasets. Evicting a dataset
@@ -154,17 +153,16 @@ func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dat
 	return ds, false, nil
 }
 
-// residentBytes reports the bytes the resident datasets' batch streams
-// and kept triples hold.
-func (c *datasetCache) residentBytes() (stream, gram int64) {
+// residentBytes reports the bytes the resident datasets' kept triples
+// hold.
+func (c *datasetCache) residentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var n int64
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		s, g := el.Value.(*dataset).residentBytes()
-		stream += s
-		gram += g
+		n += el.Value.(*dataset).residentBytes()
 	}
-	return stream, gram
+	return n
 }
 
 // inlineKey derives a stable cache key for inline LIBSVM payloads:

@@ -118,10 +118,9 @@ func TestDatasetResidentPerProcs(t *testing.T) {
 }
 
 // TestResidentBytesAttributed: after a cold grid on two world sizes at
-// b = 0.1 (world fits, which record streams), whose triples and streams
-// draw on the dataset's one budget, /stats
-// reports as stream bytes exactly the recorded rounds' bytes, and
-// stream plus triple bytes are everything the budget holds.
+// b = 0.1 (world fits), whose triples draw on the dataset's one budget,
+// /stats reports as gram bytes exactly one triple per world size, and
+// they are everything the budget holds.
 func TestResidentBytesAttributed(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 1, Procs: 2, MaxIter: 4000})
 	defer s.Close()
@@ -137,12 +136,10 @@ func TestResidentBytesAttributed(t *testing.T) {
 	}
 	sn := s.stats.Snapshot()
 	d := int64(ref.Features)
-	round, triple := 8*(d*(d+1)/2+d), 8*(d*(d+1)/2+d+1)
+	triple := 8 * (d*(d+1)/2 + d + 1)
 	ds := s.datasets.order.Front().Value.(*dataset)
-	if sn.StreamRoundsRecorded == 0 || sn.StreamBytes != sn.StreamRoundsRecorded*round ||
-		sn.GramBytes == 0 || sn.GramBytes%triple != 0 || sn.StreamBytes+sn.GramBytes != ds.budget.Used() {
-		t.Fatalf("%d stream bytes for %d recorded rounds of %d bytes, %d triple bytes, budget holds %d",
-			sn.StreamBytes, sn.StreamRoundsRecorded, round, sn.GramBytes, ds.budget.Used())
+	if sn.GramBytes != 2*triple || sn.GramFills != 2 || sn.GramBytes != ds.budget.Used() {
+		t.Fatalf("%d triple bytes from %d fills, budget holds %d; want two %d-byte triples", sn.GramBytes, sn.GramFills, ds.budget.Used(), triple)
 	}
 }
 

@@ -193,10 +193,9 @@ func fromTriple(req *FitRequest, pnLoss bool) bool {
 // routes is answered from the dataset's triple of its procs, filled
 // in-process on first use, and certified by one data pass; one that
 // does not certify within its budget falls through to a world started
-// at the refined W. Every other least-squares fit runs on a world over
-// the dataset's resident state of its procs: the triple read from
-// round 0 and the batch stream of its sampling setup, replayed and
-// extended. It never returns a nil response without an error.
+// at the refined W. Every other least-squares fit runs on a world that
+// reads the dataset's triple of its procs from round 0. It never
+// returns a nil response without an error.
 func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, error) {
 	ds, dsHit, err := s.resolveDataset(req.Dataset, req.LIBSVM, req.Features)
 	if err != nil {
@@ -269,8 +268,6 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 		}
 		// Deadline/cancel: the round-boundary consensus (or the triple
 		// path's deadline check) left a well-formed partial result.
-		// Replayed rounds vote once per variance-reduction epoch, so a
-		// deadline inside a replayed prefix lands at most one epoch late.
 		resp.Partial = true
 		resp.Error = serr.Error()
 		s.stats.deadlines.Add(1)
@@ -281,9 +278,6 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	resp.Rounds = res.Rounds
 	resp.Converged = res.Converged
 	resp.ModelSeconds = res.ModelSeconds
-	resp.ReplayedRounds = res.Replayed
-	s.stats.streamReplayed.Add(int64(res.Replayed))
-	s.stats.streamRecorded.Add(int64(res.Recorded))
 	if res.GramFilled {
 		s.stats.gramFills.Add(1)
 	}
@@ -357,7 +351,7 @@ func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, 
 	if pnLoss {
 		res, err = s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
 	} else {
-		res, err = solver.SolveDistributedStream(ctx, world, ds.prob.X, ds.prob.Y, opts, ds.resident(procs))
+		res, err = solver.SolveDistributedResident(ctx, world, ds.prob.X, ds.prob.Y, opts, ds.resident(procs))
 	}
 	if pre != nil && res != nil {
 		res.Iters += pre.Iters

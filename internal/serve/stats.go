@@ -32,12 +32,10 @@ type Stats struct {
 	certifiedHits atomic.Int64
 	tripleFits    atomic.Int64
 
-	streamReplayed atomic.Int64
-	streamRecorded atomic.Int64
-	gramFills      atomic.Int64
-	// residentBytes reads the bytes the resident batch streams and
-	// Gram triples hold; nil reads 0.
-	residentBytes func() (stream, gram int64)
+	gramFills atomic.Int64
+	// residentBytes reads the bytes the resident Gram triples hold; nil
+	// reads 0.
+	residentBytes func() int64
 }
 
 // StatsSnapshot is the JSON shape of GET /stats.
@@ -55,8 +53,7 @@ type StatsSnapshot struct {
 	QueuedFits int64 `json:"queued_fits"`
 
 	// Dataset cache counters. An entry holds the problem, its step
-	// sizes and its resident state (triple and batch streams) per world
-	// size.
+	// sizes and its resident triple per world size.
 	DatasetHits      int64 `json:"dataset_hits"`
 	DatasetMisses    int64 `json:"dataset_misses"`
 	DatasetEvictions int64 `json:"dataset_evictions"`
@@ -85,26 +82,20 @@ type StatsSnapshot struct {
 	// A fit that fell through to a world is not one, nor is a certified
 	// hit; a fit that filled the triple is also one of GramFills.
 	TripleFits int64 `json:"triple_fits"`
-	// Batch-stream replay: rounds whose Hessian batch a fit took from
-	// its dataset's recorded stream, rounds fits appended to one, and
-	// the bytes the resident datasets' streams hold now (capped per
-	// dataset at the bytes of its X and y).
-	StreamRoundsReplayed int64 `json:"stream_rounds_replayed"`
-	StreamRoundsRecorded int64 `json:"stream_rounds_recorded"`
-	StreamBytes          int64 `json:"stream_bytes"`
 	// Resident Gram: the bytes the resident datasets' least-squares
-	// triples hold now (one per dataset and world size, drawn from the
-	// same budget as the streams), and the fits that filled one — a
-	// steady grid fills once per (dataset, procs).
+	// triples hold now (at most one per dataset and world size, capped
+	// per dataset at the bytes of its X and y), and the fits that filled
+	// one. A steady grid fills once per (dataset, procs); first fits
+	// racing on a dataset may each fill, and one triple is kept.
 	GramBytes int64 `json:"gram_bytes"`
 	GramFills int64 `json:"gram_fills"`
 }
 
 // Snapshot reads the current counter values.
 func (s *Stats) Snapshot() StatsSnapshot {
-	var streamBytes, gramBytes int64
+	var gramBytes int64
 	if s.residentBytes != nil {
-		streamBytes, gramBytes = s.residentBytes()
+		gramBytes = s.residentBytes()
 	}
 	return StatsSnapshot{
 		Fits:        s.fits.Load(),
@@ -132,11 +123,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		CertifiedHits: s.certifiedHits.Load(),
 		TripleFits:    s.tripleFits.Load(),
 
-		StreamRoundsReplayed: s.streamReplayed.Load(),
-		StreamRoundsRecorded: s.streamRecorded.Load(),
-		StreamBytes:          streamBytes,
-		GramBytes:            gramBytes,
-		GramFills:            s.gramFills.Load(),
+		GramBytes: gramBytes,
+		GramFills: s.gramFills.Load(),
 	}
 }
 

@@ -23,7 +23,7 @@ func SolveDistributed(w dist.World, x *sparse.CSC, y []float64, opts Options) (*
 // every rank returns a well-formed partial result; rank 0's partial
 // result is returned together with the context's error.
 func SolveDistributedContext(ctx context.Context, w dist.World, x *sparse.CSC, y []float64, opts Options) (*Result, error) {
-	return SolveDistributedStream(ctx, w, x, y, opts, nil)
+	return SolveDistributedResident(ctx, w, x, y, opts, nil)
 }
 
 // SolvePNDistributed is SolveDistributed for the distributed Proximal

@@ -51,7 +51,7 @@ func RCSFISTA(c dist.Comm, local LocalData, opts Options) (*Result, error) {
 // — last checkpointed objective, counters, trace so far — alongside
 // the context's error.
 func RCSFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Options) (*Result, error) {
-	return rcsfista(ctx, c, local, opts, nil)
+	return rcsfista(ctx, c, local, opts, nil, nil)
 }
 
 // run drives the solve with the given stage A/B filler and stage D
@@ -96,7 +96,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 		Comm:     e.c,
 		Rec:      e.rec,
 		Fill:     fill,
-		Exchange: e.stageC(),
+		Exchange: e.exch,
 		Pass:     pass,
 		Stop:     e,
 	})
@@ -196,9 +196,6 @@ type engine struct {
 	// error-feedback residual across rounds, and the re-expansion redo
 	// exchange shares it with the Loop.
 	exch *solvercore.TieredExchanger
-	// rp replays a recorded batch stream ahead of exch (replay.go); nil
-	// runs every round live.
-	rp *replayer
 }
 
 // newEngine validates one rank's solve inputs — the options (defaults
@@ -293,18 +290,12 @@ func (e *engine) BatchLen() int {
 // the fill's cost for the Loop to charge. The k slots are computed by a
 // bounded worker pool; each worker charges a private perf.Cost that is
 // merged in slot order after the join, so accounting is deterministic
-// regardless of scheduling. A batch a replayed stream covers is not
-// computed: Fill only advances hIdx and costs nothing. Pure local
-// compute on state Process never writes (hIdx, the sampler, the data —
-// and under ActiveSet, which runs blocking, the working set), so the
-// pipelined loop may run it under the in-flight collective, before the
-// previous batch is processed.
+// regardless of scheduling. Pure local compute on state Process never
+// writes (hIdx, the sampler, the data — and under ActiveSet, which runs
+// blocking, the working set), so the pipelined loop may run it under
+// the in-flight collective, before the previous batch is processed.
 func (e *engine) Fill(buf []float64) perf.Cost {
 	k := e.opts.K
-	if e.rp.covers(e.hIdx, k) {
-		e.hIdx += k
-		return perf.Cost{}
-	}
 	base := e.hIdx
 	if e.as != nil {
 		e.as.filled = fillRec{base: base, act: e.as.act}
@@ -474,7 +465,6 @@ func (e *engine) afterUpdate() (stop bool) {
 // snapshot gradient behind it crossed the wire unquantized.
 func (e *engine) finish() *Result {
 	res := e.rec.Finish(mat.Clone(e.wCurr))
-	e.rp.report(res)
 	res.GramFilled = e.gram.filled
 	if e.gradMapStop && !e.tiers.on {
 		res.GradMap = e.ex.norm

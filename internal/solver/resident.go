@@ -2,54 +2,92 @@ package solver
 
 // Resident state: what one solve keeps for later solves of the same
 // data on the same world size — the least-squares triple (G, r, c) of
-// residentGram and the reduced batch streams (replay.go). Neither
-// depends on λ, the regularizer, w or a tolerance.
+// residentGram, which depends on neither λ, the regularizer, w nor a
+// tolerance.
 
 import (
 	"context"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
-// Resident holds the state kept across solves of one (data, P): the
-// least-squares triple — the packed G, then r, then c, as the fill's
-// allreduce sums them — and the batch streams, one per (seed, m̄, k).
-// It is stamped with the (d, m, P) of the first solve that opens it; a
-// solve of another identity errors before its world runs. The triple
-// is kept once and every round once, immutable after, so concurrent
-// solves read them without copies; both draw on one budget, and what
-// does not fit is not kept. SolveTriple, which answers a solve from the
-// triple with no world, reads, fills and stamps it the same way. The
-// zero value is not usable; see NewResident.
+// ResidentBudget caps the bytes a family of Residents holds together. A
+// triple that does not fit is not kept.
+type ResidentBudget struct {
+	limit int64
+	used  atomic.Int64
+}
+
+// NewResidentBudget returns a budget of limit bytes.
+func NewResidentBudget(limit int64) *ResidentBudget { return &ResidentBudget{limit: limit} }
+
+// DataBytes is the in-memory size of a problem's X and y: the budget
+// under which its resident state never costs more memory than the data
+// itself.
+func DataBytes(x *sparse.CSC, y []float64) int64 {
+	return 8 * int64(len(x.ColPtr)+len(x.RowIdx)+len(x.Val)+len(y))
+}
+
+// Used reports the bytes the budget's holders keep.
+func (b *ResidentBudget) Used() int64 { return b.used.Load() }
+
+// reserve takes n bytes from the budget, or reports false and takes
+// nothing when they do not fit.
+func (b *ResidentBudget) reserve(n int64) bool {
+	for {
+		u := b.used.Load()
+		if u+n > b.limit {
+			return false
+		}
+		if b.used.CompareAndSwap(u, u+n) {
+			return true
+		}
+	}
+}
+
+// sharesTriple is the one rule for which world solves read and fill a
+// resident handle: the plain f64 ones. ActiveSet keeps no resident
+// Gram; a solve under a CompressTier (of which only auto on one rank
+// has a Gram) or a FaultPlan ignores the handle and fills its own
+// triple, as it does without one.
+func sharesTriple(o *Options) bool {
+	t, err := parseTierConfig(o.CompressTier)
+	return !o.ActiveSet && err == nil && !t.on && o.Faults == nil
+}
+
+// Resident holds the least-squares triple of one (data, P) — the packed
+// G, then r, then c, as the fill's allreduce sums them — kept across
+// solves. It is stamped with the (d, m, P) of the first solve that
+// reads it; a solve of another identity errors before it runs. The
+// triple is kept once, immutable after, so concurrent solves read it
+// without copies; a triple the budget has no room for is not kept.
+// SolveDistributedResident and SolveTriple read, fill and stamp it
+// alike. The zero value is not usable; see NewResident.
 type Resident struct {
-	mu      sync.Mutex
-	id      residentID
-	tri     []float64
-	streams map[streamKey]*batchStream
-	budget  *StreamBudget
-	// streamBytes is the bytes the streams' rounds hold.
-	streamBytes int64
+	mu     sync.Mutex
+	id     residentID
+	tri    []float64
+	budget *ResidentBudget
 }
 
 // residentID is the identity a Resident is stamped with by the first
-// solve that opens it. The zero value marks an unstamped holder.
+// solve that reads it. The zero value marks an unstamped holder.
 type residentID struct{ d, m, p int }
 
 // NewResident returns an empty holder drawing on budget.
-func NewResident(budget *StreamBudget) *Resident {
-	return &Resident{streams: map[streamKey]*batchStream{}, budget: budget}
-}
+func NewResident(budget *ResidentBudget) *Resident { return &Resident{budget: budget} }
 
-// Bytes reports the bytes r's batch streams and its kept triple hold.
-func (r *Resident) Bytes() (stream, gram int64) {
+// Bytes reports the bytes r's kept triple holds.
+func (r *Resident) Bytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.streamBytes, 8 * int64(len(r.tri))
+	return 8 * int64(len(r.tri))
 }
 
 // keep stores a copy of a filled triple unless one is kept already or
@@ -67,119 +105,62 @@ func (r *Resident) keep(tri []float64) {
 	}
 }
 
-// stamp stamps an unstamped r with id, or checks id against r's stamp.
-// r.mu must be held.
-func (r *Resident) stamp(id residentID) error {
-	if r.id == (residentID{}) {
-		r.id = id
-	} else if r.id != id {
-		return fmt.Errorf("solver: resident state stamped %+v, solve needs %+v", r.id, id)
-	}
-	return nil
-}
-
-// held stamps r with id, or checks id against its stamp, and returns
-// r's kept triple, nil when it holds none. A nil r holds none.
-func (r *Resident) held(id residentID) ([]float64, error) {
+// held stamps r with the (d, m, p) of a p-rank solve on x, or checks it
+// against r's stamp, and returns r's kept triple, nil when it holds
+// none. A solve reads it once, before any rank runs, so every rank
+// takes the same branch. A nil r holds none.
+func (r *Resident) held(x *sparse.CSC, p int) ([]float64, error) {
 	if r == nil {
 		return nil, nil
 	}
+	id := residentID{d: x.Rows, m: x.Cols, p: p}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.stamp(id); err != nil {
-		return nil, err
+	if r.id == (residentID{}) {
+		r.id = id
+	} else if r.id != id {
+		return nil, fmt.Errorf("solver: resident state stamped %+v, solve needs %+v", r.id, id)
 	}
 	return r.tri, nil
 }
 
-// residentView is one solve's reading of its handle, taken once before
-// the world runs so every rank takes the same branches: the holder a
-// fill is offered to, its kept triple (nil: every rank fills one
-// before round 0), the solve's stream and the prefix of it the solve
-// replays.
-type residentView struct {
-	r      *Resident
-	tri    []float64
-	s      *batchStream
-	rounds [][]float64
-}
-
-// open checks a p-rank solve of opts on (x, ·) against the handle and
-// returns its view. It returns nil — the solve runs as without a
-// handle — for a nil handle or a solve that is not replayable (or
-// invalid, left to newEngine to report), and an error when r was
-// stamped under another (d, m, P).
-func (r *Resident) open(x *sparse.CSC, p int, opts Options) (*residentView, error) {
-	if r == nil {
-		return nil, nil
-	}
-	o := opts.withDefaults()
-	if o.Validate() != nil || !replayable(&o) {
-		return nil, nil
-	}
-	id := residentID{d: x.Rows, m: x.Cols, p: p}
-	key := streamKey{seed: o.Seed, mbar: sampleSize(o.B, x.Cols), k: o.K}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.stamp(id); err != nil {
-		return nil, err
-	}
-	s := r.streams[key]
-	if s == nil {
-		s = &batchStream{}
-		r.streams[key] = s
-	}
-	return &residentView{r: r, tri: r.tri, s: s, rounds: s.rounds[:len(s.rounds):len(s.rounds)]}, nil
-}
-
-// reside puts the engine on v before its run: the kept triple in
-// place, billing nothing like a replayed round — without one, the run
-// fills it before round 0 and rank 0 offers it to the holder — and
-// stage C behind a replayer of the stream prefix. A nil v changes
-// nothing.
-func (e *engine) reside(v *residentView) {
-	if v == nil {
-		return
-	}
-	if v.tri != nil {
-		e.gram.view(v.tri, e.d)
-	}
-	e.gram.to = v.r
-	e.rp = &replayer{residentView: v, inner: e.exch, rank0: e.c.Rank() == 0,
-		perRound: e.opts.K * e.opts.S, epoch: e.opts.EpochLen}
-}
-
-// rcsfista builds one rank's engine and runs it on v, the solve's view
-// of its resident handle (nil: none).
-func rcsfista(ctx context.Context, c dist.Comm, local LocalData, opts Options, v *residentView) (*Result, error) {
+// rcsfista builds one rank's engine and runs it on the resident holder
+// r and its kept triple tri: tri in place, billed nothing, or — when
+// tri is nil — the run fills the triple before round 0 and rank 0
+// offers it to r. A nil r keeps nothing.
+func rcsfista(ctx context.Context, c dist.Comm, local LocalData, opts Options, r *Resident, tri []float64) (*Result, error) {
 	e, err := newEngine(c, local, opts)
 	if err != nil {
 		return nil, err
 	}
-	e.reside(v)
+	if tri != nil {
+		e.gram.view(tri, e.d)
+	}
+	e.gram.to = r
 	return e.run(ctx, e, e, !e.opts.ActiveSet)
 }
 
-// SolveDistributedStream is SolveDistributedContext on the resident
-// state r of (x, y) at this world size. The solve reads r's kept
+// SolveDistributedResident is SolveDistributedContext on the resident
+// triple r of (x, y) at this world size. The solve reads r's kept
 // triple, or fills it before round 0 as every solve does and keeps it
-// in r if the budget has room, and replays and extends r's stream of
-// its (seed, m̄, k): rounds the stream holds run no fill and no
-// exchange and bill nothing, the rest run live, rank 0 appending them.
-// The result equals SolveDistributedContext's bit for bit in W,
-// FinalObj, GradMap, the counters, the stop and every trace objective,
-// whatever r holds; Cost, ModelSeconds and trace timing count the work
-// done, and Result.Replayed, Recorded and GramFilled say what the
-// handle gave and took. A solve the engine does not replay (see
-// replayable) ignores r; one whose (d, m, P) differs from the one r
-// was stamped with errors before its first round. A nil r is
+// in r if the budget has room. The result equals
+// SolveDistributedContext's bit for bit in W, FinalObj, GradMap, the
+// counters, the stop and every trace objective, whatever r holds; Cost,
+// ModelSeconds and trace timing count the work done, and
+// Result.GramFilled says whether the solve filled the triple. A solve
+// sharesTriple rejects (or one that is invalid, left to the engine to
+// report) ignores r; one whose (d, m, P) differs from the one r was
+// stamped with errors before its first round. A nil r is
 // SolveDistributedContext.
-func SolveDistributedStream(ctx context.Context, w dist.World, x *sparse.CSC, y []float64, opts Options, r *Resident) (*Result, error) {
-	v, err := r.open(x, w.Size(), opts)
+func SolveDistributedResident(ctx context.Context, w dist.World, x *sparse.CSC, y []float64, opts Options, r *Resident) (*Result, error) {
+	if o := opts.withDefaults(); o.Validate() != nil || !sharesTriple(&o) {
+		r = nil
+	}
+	tri, err := r.held(x, w.Size())
 	if err != nil {
 		return nil, err
 	}
 	return solvercore.RunWorld(w, func(c dist.Comm) (*Result, error) {
-		return rcsfista(ctx, c, Partition(x, y, c.Size(), c.Rank()), opts, v)
+		return rcsfista(ctx, c, Partition(x, y, c.Size(), c.Rank()), opts, r, tri)
 	})
 }

@@ -76,7 +76,7 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine
 	}
 	start := time.Now()
 	res := &Result{FinalRelErr: math.NaN(), GradMap: math.NaN()}
-	tri, err := r.held(residentID{d: d, m: m, p: p})
+	tri, err := r.held(x, p)
 	if err != nil {
 		return nil, err
 	}

@@ -75,13 +75,13 @@ func TestTripleMatchesWorldFill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			world := NewResident(NewStreamBudget(1 << 40))
+			world := NewResident(NewResidentBudget(1 << 40))
 			wo := o
 			wo.MaxIter = 4
-			if _, err := SolveDistributedStream(context.Background(), w, p.X, p.Y, wo, world); err != nil {
+			if _, err := SolveDistributedResident(context.Background(), w, p.X, p.Y, wo, world); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			local := NewResident(NewStreamBudget(1 << 40))
+			local := NewResident(NewResidentBudget(1 << 40))
 			filled, err := SolveTriple(context.Background(), p.X, p.Y, leg.procs, perf.Comet(), o, local)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -191,7 +191,7 @@ func TestTripleExits(t *testing.T) {
 	if _, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), off, nil); err == nil {
 		t.Fatal("a triple solve without GradMapTol must error")
 	}
-	r := NewResident(NewStreamBudget(1 << 40))
+	r := NewResident(NewResidentBudget(1 << 40))
 	if _, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), o, r); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestTripleRacingFirstSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := NewStreamBudget(1 << 40)
+	budget := NewResidentBudget(1 << 40)
 	r := NewResident(budget)
 	got := make([]*Result, 4)
 	errs := make([]error, len(got))
@@ -236,7 +236,7 @@ func TestTripleRacingFirstSolves(t *testing.T) {
 			fills++
 		}
 	}
-	_, gram := r.Bytes()
+	gram := r.Bytes()
 	if d := p.X.Rows; fills < 1 || gram != 8*int64(mat.PackedLen(d)+d+1) || budget.Used() != gram {
 		t.Fatalf("%d fills, %d triple bytes kept, %d budget bytes", fills, gram, budget.Used())
 	}

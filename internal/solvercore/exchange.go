@@ -37,15 +37,11 @@ type Vote int
 
 const (
 	// VoteMissing: the round delivered no fresh batch — a fallible round
-	// degraded to the last good batch, or skipped, or a replayed round
-	// that closes a variance-reduction epoch — so it carried no vote.
-	// Loop falls back to the standalone consensus (checkCancel).
+	// degraded to the last good batch, or skipped — so it carried no
+	// vote. Loop falls back to the standalone consensus (checkCancel).
 	VoteMissing Vote = iota
-	// VoteContinue: no rank leaves at this round. Either every rank's
-	// flag was 0, or the round is replayed from a recorded stream inside
-	// an epoch, where every rank returns it alike without synchronizing:
-	// a cancellation there lands at the epoch's closing round, or at the
-	// first live round if that comes first.
+	// VoteContinue: no rank leaves at this round; every rank's flag was
+	// 0.
 	VoteContinue
 	// VoteCancel: at least one rank's context was done.
 	VoteCancel

@@ -16,11 +16,8 @@
 // accounting is the paper's and the engines' exactly. A round whose
 // exchange ships no fresh batch — degraded or skipped under faults —
 // carries no vote and takes the standalone consensus instead, also
-// unbilled. Rounds replayed from a recorded batch stream ship nothing
-// either; they take the consensus only where their updates close a
-// variance-reduction epoch, so a cancellation lands at most one epoch
-// of replayed rounds late, at the same round on every rank. Golden
-// fixtures in the repository root pin iterates and costs bit for bit.
+// unbilled. Golden fixtures in the repository root pin iterates and
+// costs bit for bit.
 package solvercore
 
 import (
@@ -78,8 +75,7 @@ type Speculator interface {
 
 // Spec wires one solve onto Loop.
 type Spec struct {
-	// Ctx is voted on in every round that synchronizes (see checkCancel
-	// for the replayed rounds that do not); nil means background.
+	// Ctx is voted on in every round; nil means background.
 	Ctx context.Context
 	// Comm is the communicator, or nil for sequential solvers. It is
 	// used only for the standalone cancellation consensus on rounds that
@@ -223,12 +219,9 @@ func cancelErr(ctx context.Context) error {
 
 // checkCancel is the standalone cancellation consensus, run only on a
 // round whose exchange delivered no vote: a degraded or skipped
-// fallible round, or a replayed round closing a variance-reduction
-// epoch (the replayed rounds inside an epoch vote VoteContinue and run
-// none, so a cancellation there waits at most one epoch). Every rank
-// computes its local flag and the ranks agree by an OpMax allreduce,
-// so all ranks leave the loop at the same round even when only some
-// observed the cancellation — a rank
+// fallible round. Every rank computes its local flag and the ranks
+// agree by an OpMax allreduce, so all ranks leave the loop at the same
+// round even when only some observed the cancellation — a rank
 // returning alone would deadlock the others in the next collective.
 // Whether it runs depends only on the shared delivery verdict, never on
 // a rank-local fact such as a nil context, so every rank enters it

@@ -42,11 +42,6 @@ type Result struct {
 	// Faults summarizes the injected-fault resilience activity; the
 	// zero value means the run saw no faults (or ran without a plan).
 	Faults FaultStats
-	// Replayed counts the rounds whose shared batch came from a recorded
-	// batch stream — no fill, no exchange, nothing billed — and Recorded
-	// the rounds this solve appended to one (solver.Resident). Both are
-	// 0 for a solve without a stream.
-	Replayed, Recorded int
 	// GramFilled reports that the solve filled the least-squares triple
 	// (an RC-SFISTA resident Gram) itself; false when it read a kept one
 	// (solver.Resident) or never engaged one.

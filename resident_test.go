@@ -13,11 +13,14 @@ import (
 // TestResidentMatchesCLI holds a served solve to the CLI solve bit for
 // bit on every golden least-squares shape a handle applies to (no
 // faults, no screening, no wire tier), over the transport the golden
-// suite runs on: SolveDistributedStream handed no handle, a fresh one,
-// the same one again — its triple kept and its stream recorded — and
-// one whose budget holds nothing equals SolveDistributedContext in W,
-// FinalObj, GradMap, every trace objective, Rounds, Iters and the
-// stop. Only the work a handle spares may differ.
+// suite runs on: SolveDistributedResident handed no handle, a fresh
+// one, the same one again — its triple kept — and one whose budget
+// holds nothing equals SolveDistributedContext in W, FinalObj, GradMap,
+// every trace objective, Rounds, Iters and the stop. Only the work a
+// handle spares may differ: a solve that fills the triple bills what
+// the CLI solve bills, and one that reads the kept triple bills no
+// fill — under variance reduction, which bills it, fewer flops and,
+// on P > 1, fewer words and messages; otherwise the same Cost.
 func TestResidentMatchesCLI(t *testing.T) {
 	e := goldenSetup(t)
 	groups, err := prox.ParseGroups("size:4", e.prob.X.Rows)
@@ -63,7 +66,7 @@ func TestResidentMatchesCLI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept := solver.NewResident(solver.NewStreamBudget(1 << 40))
+		kept := solver.NewResident(solver.NewResidentBudget(1 << 40))
 		for _, h := range []struct {
 			state  string
 			r      *solver.Resident
@@ -72,15 +75,22 @@ func TestResidentMatchesCLI(t *testing.T) {
 			{"nil", nil, true},
 			{"fresh", kept, true},
 			{"kept", kept, false},
-			{"starved", solver.NewResident(solver.NewStreamBudget(0)), true},
+			{"starved", solver.NewResident(solver.NewResidentBudget(0)), true},
 		} {
 			name := fmt.Sprintf("%s/p%d/%s", s.name, s.p, h.state)
-			served, err := solver.SolveDistributedStream(context.Background(), newGoldenWorld(s.p), e.prob.X, e.prob.Y, s.opts(), h.r)
+			served, err := solver.SolveDistributedResident(context.Background(), newGoldenWorld(s.p), e.prob.X, e.prob.Y, s.opts(), h.r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if served.GramFilled != h.filled || (h.state == "kept") != (served.Replayed == served.Rounds && served.Rounds > 0) {
-				t.Fatalf("%s: filled the triple %t, replayed %d of %d rounds", name, served.GramFilled, served.Replayed, served.Rounds)
+			if served.GramFilled != h.filled {
+				t.Fatalf("%s: filled the triple %t, want %t", name, served.GramFilled, h.filled)
+			}
+			c, want := served.Cost, cli.Cost
+			billed := h.filled || !s.opts().VarianceReduced
+			spared := c.Flops < want.Flops && c.Words <= want.Words && c.Messages <= want.Messages &&
+				(s.p == 1 || c.Words < want.Words && c.Messages < want.Messages)
+			if billed && c != want || !billed && !spared {
+				t.Fatalf("%s: Cost %+v, CLI %+v", name, c, want)
 			}
 			requireServedIsCLI(t, name, served, cli)
 		}
