@@ -54,10 +54,3 @@ func chargeAllgather(cost *perf.Cost, p int, localWords, totalWords int) {
 func chargeP2P(cost *perf.Cost, words int) {
 	cost.AddMessages(1, int64(words))
 }
-
-// AllreduceCost returns the alpha-beta-gamma cost one rank is charged
-// for a full-precision tree allreduce of words payload words on p
-// ranks (AllreduceCostTier at TierF64).
-func AllreduceCost(p, words int) perf.Cost {
-	return AllreduceCostTier(p, words, TierF64)
-}

@@ -51,9 +51,9 @@ func TestIAllreduceSharedMatchesBlocking(t *testing.T) {
 				t.Fatalf("P=%d rank %d cost: blocking %v vs nonblocking %v",
 					p, r, wb.RankCost(r), wn.RankCost(r))
 			}
-			// And both match the published closed-form AllreduceCost.
-			if want := AllreduceCost(p, len(blocking[r])); wn.RankCost(r) != want {
-				t.Fatalf("P=%d rank %d: charged %v, AllreduceCost says %v",
+			// And both match the published closed-form AllreduceCostTier at f64.
+			if want := AllreduceCostTier(p, len(blocking[r]), TierF64); wn.RankCost(r) != want {
+				t.Fatalf("P=%d rank %d: charged %v, AllreduceCostTier says %v",
 					p, r, wn.RankCost(r), want)
 			}
 		}

@@ -159,46 +159,16 @@ func (o *Objective) Gradient(g, w []float64, c *perf.Cost) {
 	mat.Scal(1/float64(o.X.Cols), g, c)
 }
 
-// SampledHessian accumulates H += (1/|cols|) sum_{j in cols}
-// loss”(x_j^T w, y_j) x_j x_j^T, the Algorithm 1 line 3 approximation
-// for the general loss. h must be d x d and zeroed by the caller if a
-// fresh Hessian is wanted.
-func (o *Objective) SampledHessian(h *mat.Dense, w []float64, cols []int, c *perf.Cost) {
-	if h.Rows != o.X.Rows || h.Cols != o.X.Rows {
-		panic("erm: SampledHessian dimension mismatch")
-	}
-	scale := 1 / float64(len(cols))
-	var flops int64
-	for _, j := range cols {
-		rows, vals := o.X.Col(j)
-		var z float64
-		for k, r := range rows {
-			z += vals[k] * w[r]
-		}
-		curv := o.Loss.Second(z, o.Y[j]) * scale
-		if curv == 0 {
-			continue
-		}
-		for p, rp := range rows {
-			hrow := h.Row(rp)
-			cv := curv * vals[p]
-			for q, rq := range rows {
-				hrow[rq] += cv * vals[q]
-			}
-		}
-		flops += int64(2*len(rows)*len(rows) + 2*len(rows) + 4)
-	}
-	c.AddFlops(flops)
-}
-
-// SampledHessianPacked is SampledHessian into packed symmetric storage:
-// only the upper triangle of each curvature-weighted outer product
-// x_j x_j^T is accumulated, costing nz(nz+1) + 2nz + 4 flops per
-// sampled column instead of the dense 2nz^2 + 2nz + 4. Column row
-// indices are strictly increasing, so the q >= p pairs land in the
-// contiguous packed row tails. A block that stores every entry takes
-// the dense-panel form instead; both leave the same bits and the same
-// bill.
+// SampledHessianPacked accumulates H += (1/|cols|) sum_{j in cols}
+// Second(x_j^T w, y_j) x_j x_j^T, the Algorithm 1 line 3 approximation
+// for the general loss, into packed symmetric storage; h is zeroed by
+// the caller if a fresh Hessian is wanted. Only the upper triangle of
+// each curvature-weighted outer product x_j x_j^T is accumulated,
+// costing nz(nz+1) + 2nz + 4 flops per sampled column instead of the
+// full-storage 2nz^2 + 2nz + 4. Column row indices are strictly
+// increasing, so the q >= p pairs land in the contiguous packed row
+// tails. A block that stores every entry takes the dense-panel form
+// instead; both leave the same bits and the same bill.
 func (o *Objective) SampledHessianPacked(h *mat.SymPacked, w []float64, cols []int, c *perf.Cost) {
 	if h.N != o.X.Rows {
 		panic("erm: SampledHessianPacked dimension mismatch")
@@ -270,34 +240,6 @@ func (o *Objective) sampledHessianPanels(h *mat.SymPacked, w []float64, cols []i
 		}
 	}
 	flush()
-}
-
-// LipschitzBound returns an upper bound on the gradient Lipschitz
-// constant: CurvatureBound * lambda_max((1/m) X X^T), estimated by
-// power iteration.
-func (o *Objective) LipschitzBound(iters int, c *perf.Cost) float64 {
-	d := o.X.Rows
-	m := float64(o.X.Cols)
-	v := make([]float64, d)
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(d))
-	}
-	gv := make([]float64, d)
-	var lam float64
-	for it := 0; it < iters; it++ {
-		o.X.MulVecT(o.margins, v, c)
-		mat.Zero(gv)
-		o.X.MulVec(gv, o.margins, c)
-		mat.Scal(1/m, gv, c)
-		lam = mat.Nrm2(gv, c)
-		if lam == 0 {
-			return 0
-		}
-		for i := range v {
-			v[i] = gv[i] / lam
-		}
-	}
-	return o.Loss.CurvatureBound() * lam
 }
 
 // Accuracy returns the fraction of samples whose sign(x_i^T w) matches

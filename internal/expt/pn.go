@@ -76,30 +76,6 @@ func runPN(cfg Config, in *instance, p, k, innerIter, maxOuter int) float64 {
 	return -1
 }
 
-// All runs every experiment and returns the reports in paper order.
-func All(cfg Config) []*Report {
-	return []*Report{
-		Table1(cfg),
-		Table2(cfg),
-		Bounds(cfg),
-		Figure2a(cfg),
-		Figure2b(cfg),
-		Figure3(cfg),
-		Figure4(cfg),
-		Figure5(cfg),
-		Figure6(cfg),
-		Table3(cfg),
-		Figure7(cfg),
-		Scaling(cfg),
-		Machines(cfg),
-		FaultSweep(cfg),
-		ActiveSet(cfg),
-		Transport(cfg),
-		Serving(cfg),
-		Scenarios(cfg),
-	}
-}
-
 // ByID returns the named experiment driver, or nil.
 func ByID(id string) func(Config) *Report {
 	m := map[string]func(Config) *Report{

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hpcgo/rcsfista/internal/serve"
 )
@@ -191,6 +192,37 @@ func TestSummaryAnsweredBy(t *testing.T) {
 	}
 	if got := (&Report{}).Summary(); strings.Contains(got, "answered:") {
 		t.Fatalf("a report without server stats claims who answered:\n%s", got)
+	}
+}
+
+// TestSummaryWarmColdIters renders the summary from canned outcomes:
+// warm and cold fits answered from the triple (no rounds) and by a
+// world, a cache answer and a partial. The iteration means cover the
+// solved, complete fits only — the cache answer ran no solve and the
+// partial stopped at its deadline — so warm triple fits needing fewer
+// iterations than cold ones show as a saving, where round means read
+// 0 vs 0.
+func TestSummaryWarmColdIters(t *testing.T) {
+	fit := func(warm bool, by string, iters, rounds int, partial bool) Outcome {
+		return Outcome{Status: 200, Fit: &serve.FitResponse{Warm: warm, AnsweredBy: by, Iters: iters, Rounds: rounds, Partial: partial}}
+	}
+	outcomes := []Outcome{
+		fit(false, "triple", 90, 0, false),
+		fit(false, "triple", 110, 0, false),
+		fit(false, "world", 40, 40, false),
+		fit(true, "triple", 20, 0, false),
+		fit(true, "triple", 30, 0, false),
+		fit(true, "world", 10, 10, false),
+		fit(true, "cache", 0, 0, false),
+		fit(true, "triple", 5000, 0, true),
+	}
+	rep := summarize(Config{}, outcomes, time.Second)
+	if rep.MeanWarmIters != 20 || rep.MeanColdIters != 80 || rep.WarmFits != 4 || rep.Partial != 1 {
+		t.Fatalf("warm mean %g, cold mean %g, %d warm fits, %d partial; want 20, 80, 4, 1",
+			rep.MeanWarmIters, rep.MeanColdIters, rep.WarmFits, rep.Partial)
+	}
+	if got := rep.Summary(); !strings.Contains(got, "  iters of solved fits: warm mean 20.0 vs cold mean 80.0\n") {
+		t.Fatalf("summary lacks the iteration means:\n%s", got)
 	}
 }
 

@@ -41,9 +41,13 @@ type Report struct {
 	PathMisses  int     `json:"path_misses"`
 	PathHitRate float64 `json:"path_hit_rate"`
 	WarmFits    int     `json:"warm_fits"`
-	// Round economics: mean communication rounds of warm vs cold fits.
-	MeanWarmRounds float64 `json:"mean_warm_rounds"`
-	MeanColdRounds float64 `json:"mean_cold_rounds"`
+	// Warm-start economics: mean solver iterations of the warm vs cold
+	// fits that ran a solve. Iterations, not rounds: a fit answered from
+	// the triple runs local iterations and no communication round, and
+	// a world fit reports both. Cache answers run no solve and partial
+	// fits stop at the deadline, so neither counts.
+	MeanWarmIters float64 `json:"mean_warm_iters"`
+	MeanColdIters float64 `json:"mean_cold_iters"`
 	// ServerStats is the server's own /stats snapshot after the run.
 	ServerStats *serve.StatsSnapshot `json:"server_stats,omitempty"`
 }
@@ -180,7 +184,7 @@ func fetchStats(ctx context.Context, client *http.Client, base string) *serve.St
 func summarize(cfg Config, outcomes []Outcome, wall time.Duration) *Report {
 	rep := &Report{Config: cfg, N: len(outcomes), WallSec: wall.Seconds()}
 	var lats []float64
-	var warmRounds, coldRounds, warmN, coldN int
+	var warmIters, coldIters, warmN, coldN int
 	for i := range outcomes {
 		o := &outcomes[i]
 		switch {
@@ -203,17 +207,19 @@ func summarize(cfg Config, outcomes []Outcome, wall time.Duration) *Report {
 		} else {
 			rep.PathMisses++
 		}
-		// Round means mirror the server's warm/cold accounting: a
-		// deadline-clipped solve's round count measures the deadline, not
-		// convergence, so partials stay out of both buckets.
-		switch {
-		case o.Fit.Partial:
-		case o.Fit.Warm:
+		if o.Fit.Warm && !o.Fit.Partial {
 			rep.WarmFits++
-			warmRounds += o.Fit.Rounds
+		}
+		// A deadline-clipped solve's iteration count measures the
+		// deadline, not convergence, and a cache answer ran no solve:
+		// both stay out of the iteration means.
+		switch {
+		case o.Fit.Partial, o.Fit.AnsweredBy == "cache":
+		case o.Fit.Warm:
+			warmIters += o.Fit.Iters
 			warmN++
 		default:
-			coldRounds += o.Fit.Rounds
+			coldIters += o.Fit.Iters
 			coldN++
 		}
 	}
@@ -223,10 +229,10 @@ func summarize(cfg Config, outcomes []Outcome, wall time.Duration) *Report {
 		rep.PathHitRate = float64(rep.PathHits) / float64(total)
 	}
 	if warmN > 0 {
-		rep.MeanWarmRounds = float64(warmRounds) / float64(warmN)
+		rep.MeanWarmIters = float64(warmIters) / float64(warmN)
 	}
 	if coldN > 0 {
-		rep.MeanColdRounds = float64(coldRounds) / float64(coldN)
+		rep.MeanColdIters = float64(coldIters) / float64(coldN)
 	}
 	if rep.WallSec > 0 {
 		rep.ThroughputRPS = float64(rep.OK) / rep.WallSec
@@ -246,8 +252,8 @@ func (r *Report) Summary() string {
 	fmt.Fprintf(&b, "  lambda-path cache: %d hits / %d lookups (%.0f%%)\n",
 		r.PathHits, r.PathHits+r.PathMisses, 100*r.PathHitRate)
 	if r.WarmFits > 0 {
-		fmt.Fprintf(&b, "  rounds: warm mean %.1f vs cold mean %.1f\n",
-			r.MeanWarmRounds, r.MeanColdRounds)
+		fmt.Fprintf(&b, "  iters of solved fits: warm mean %.1f vs cold mean %.1f\n",
+			r.MeanWarmIters, r.MeanColdIters)
 	}
 	if sn := r.ServerStats; sn != nil {
 		fmt.Fprintf(&b, "  certified hits (answered without a solve): %d of %d warm fits\n",

@@ -46,18 +46,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestMulVecT(t *testing.T) {
-	a := DenseOf(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	y := make([]float64, 3)
-	a.MulVecT(y, []float64{1, -1}, nil)
-	want := []float64{-3, -3, -3}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("MulVecT = %v, want %v", y, want)
-		}
-	}
-}
-
 func TestMulVecTransposeConsistencyProperty(t *testing.T) {
 	// <Ax, y> == <x, A^T y> for all A, x, y.
 	f := func(data [12]float64, x [4]float64, y [3]float64) bool {
@@ -67,120 +55,22 @@ func TestMulVecTransposeConsistencyProperty(t *testing.T) {
 			}
 		}
 		a := DenseOf(3, 4, append([]float64(nil), data[:]...))
+		at := NewDense(4, 3)
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 4; j++ {
+				at.Set(j, i, a.At(i, j))
+			}
+		}
 		ax := make([]float64, 3)
 		a.MulVec(ax, x[:], nil)
 		aty := make([]float64, 4)
-		a.MulVecT(aty, y[:], nil)
+		at.MulVec(aty, y[:], nil)
 		lhs := Dot(ax, y[:], nil)
 		rhs := Dot(x[:], aty, nil)
 		return almostEq(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMul(t *testing.T) {
-	a := DenseOf(2, 2, []float64{1, 2, 3, 4})
-	b := DenseOf(2, 2, []float64{0, 1, 1, 0})
-	c := NewDense(2, 2)
-	Mul(c, a, b, nil)
-	want := []float64{2, 1, 4, 3}
-	for i, v := range c.Data {
-		if v != want[i] {
-			t.Fatalf("Mul = %v, want %v", c.Data, want)
-		}
-	}
-}
-
-func TestMulIdentityProperty(t *testing.T) {
-	f := func(data [9]float64) bool {
-		a := DenseOf(3, 3, append([]float64(nil), data[:]...))
-		id := NewDense(3, 3)
-		for i := 0; i < 3; i++ {
-			id.Set(i, i, 1)
-		}
-		c := NewDense(3, 3)
-		Mul(c, a, id, nil)
-		for i, v := range c.Data {
-			want := a.Data[i]
-			if v != want && !(math.IsNaN(v) && math.IsNaN(want)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSymOuterUpdate(t *testing.T) {
-	h := NewDense(3, 3)
-	SymOuterUpdate(h, 2, []float64{1, 0, -2}, nil)
-	// H = 2 * x x^T
-	want := [][]float64{{2, 0, -4}, {0, 0, 0}, {-4, 0, 8}}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if h.At(i, j) != want[i][j] {
-				t.Fatalf("H[%d][%d] = %g, want %g", i, j, h.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestSymOuterUpdateSymmetryProperty(t *testing.T) {
-	f := func(x [5]float64, s float64) bool {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return true
-		}
-		h := NewDense(5, 5)
-		SymOuterUpdate(h, s, x[:], nil)
-		for i := 0; i < 5; i++ {
-			for j := 0; j < 5; j++ {
-				a, b := h.At(i, j), h.At(j, i)
-				if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSymmetrize(t *testing.T) {
-	h := DenseOf(2, 2, []float64{1, 2, 4, 3})
-	Symmetrize(h, nil)
-	if h.At(0, 1) != 3 || h.At(1, 0) != 3 {
-		t.Fatalf("Symmetrize = %v", h.Data)
-	}
-	// Idempotent.
-	Symmetrize(h, nil)
-	if h.At(0, 1) != 3 {
-		t.Fatal("Symmetrize not idempotent")
-	}
-}
-
-func TestAddScaledMat(t *testing.T) {
-	a := DenseOf(2, 2, []float64{1, 1, 1, 1})
-	b := DenseOf(2, 2, []float64{1, 2, 3, 4})
-	AddScaledMat(a, 2, b, nil)
-	want := []float64{3, 5, 7, 9}
-	for i, v := range a.Data {
-		if v != want[i] {
-			t.Fatalf("AddScaledMat = %v", a.Data)
-		}
-	}
-}
-
-func TestMaxAbsDiff(t *testing.T) {
-	a := DenseOf(1, 3, []float64{1, 2, 3})
-	b := DenseOf(1, 3, []float64{1, 5, 2})
-	if got := MaxAbsDiff(a, b); got != 3 {
-		t.Fatalf("MaxAbsDiff = %g", got)
 	}
 }
 
@@ -197,11 +87,8 @@ func TestDenseDimPanics(t *testing.T) {
 	a := NewDense(2, 3)
 	cases := []func(){
 		func() { a.MulVec(make([]float64, 2), make([]float64, 2), nil) },
-		func() { a.MulVecT(make([]float64, 2), make([]float64, 2), nil) },
-		func() { Mul(NewDense(2, 2), a, a, nil) },
-		func() { SymOuterUpdate(a, 1, make([]float64, 2), nil) },
-		func() { Symmetrize(a, nil) },
-		func() { MaxAbsDiff(a, NewDense(3, 2)) },
+		func() { a.AddScaledCol(3, 1, make([]float64, 2), nil) },
+		func() { a.AddScaledCol(0, 1, make([]float64, 3), nil) },
 	}
 	for i, fn := range cases {
 		func() {

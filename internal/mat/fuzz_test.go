@@ -38,7 +38,12 @@ func FuzzPackedCholesky(f *testing.F) {
 				for i := range x {
 					x[i] = r.NormFloat64()
 				}
-				a.AddOuter(1, x, nil)
+				for i := range x {
+					tail := a.RowTail(i)
+					for jj := range tail {
+						tail[jj] += x[i] * x[i+jj]
+					}
+				}
 			}
 			for i := 0; i < n; i++ {
 				a.Set(i, i, a.At(i, i)+1+float64(n))

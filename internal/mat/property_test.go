@@ -26,17 +26,19 @@ func TestSymPackedDenseRoundTripExactProperty(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(16)
 		a := randSym(r, n)
-		back := SymPackedFromDense(a.Dense())
+		back := packDense(unpack(a))
 		for i, v := range a.Data {
 			if back.Data[i] != v {
 				t.Fatalf("n=%d: round trip changed Data[%d]: %v -> %v", n, i, v, back.Data[i])
 			}
 		}
 		// And the other direction: dense -> packed -> dense.
-		d := a.Dense()
-		d2 := SymPackedFromDense(d).Dense()
-		if MaxAbsDiff(d, d2) != 0 {
-			t.Fatalf("n=%d: dense round trip not exact", n)
+		d := unpack(a)
+		d2 := unpack(packDense(d))
+		for i, v := range d.Data {
+			if d2.Data[i] != v {
+				t.Fatalf("n=%d: dense round trip not exact", n)
+			}
 		}
 	}
 }
@@ -46,7 +48,7 @@ func TestSymPackedMulVecBitIdenticalProperty(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(20)
 		a := randSym(r, n)
-		d := a.Dense()
+		d := unpack(a)
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = r.NormFloat64()
@@ -118,38 +120,6 @@ func TestSymPackedAtSetSymmetryProperty(t *testing.T) {
 		}
 		if v != 0 && nz != 1 {
 			t.Fatalf("n=%d: Set touched %d slots", n, nz)
-		}
-	}
-}
-
-func TestSymPackedAddOuterMatchesManualProperty(t *testing.T) {
-	r := rng.New(54)
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(12)
-		a := randSym(r, n)
-		want := a.Clone()
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-			if r.Intn(4) == 0 {
-				x[i] = 0 // exercise the sparsity skip
-			}
-		}
-		s := r.NormFloat64()
-		a.AddOuter(s, x, nil)
-		// Manual reference with the kernel's association: the scaled
-		// s*x[i] is formed once per row, then multiplied by x[j].
-		for i := 0; i < n; i++ {
-			if x[i] == 0 {
-				continue
-			}
-			sxi := s * x[i]
-			for j := i; j < n; j++ {
-				want.Set(i, j, want.At(i, j)+sxi*x[j])
-			}
-		}
-		if MaxAbsDiffPacked(a, want) != 0 {
-			t.Fatalf("n=%d: AddOuter differs from the reference accumulation", n)
 		}
 	}
 }

@@ -5,9 +5,9 @@ package mat
 // Hessian and the A-indexed slices of the iterate vectors, where A is
 // the sorted working set of coordinates the l1 KKT conditions cannot
 // rule out. Gather/Scatter move vectors between the full and reduced
-// coordinate spaces; GatherSub/ScatterSub do the same for packed
-// symmetric matrices, so the inner FISTA/CD/Cholesky solvers run
-// unchanged on the reduced Quad.
+// coordinate spaces; the reduced Hessian is filled directly by
+// sparse.SampledGramPackedRows, so the inner FISTA/CD/Cholesky solvers
+// run unchanged on the reduced Quad.
 
 // Gather writes dst[i] = src[idx[i]]. dst and idx must have equal
 // length; idx entries index into src.
@@ -28,39 +28,5 @@ func Scatter(dst, src []float64, idx []int) {
 	}
 	for i, j := range idx {
 		dst[j] = src[i]
-	}
-}
-
-// GatherSub writes the idx-indexed principal submatrix of a into dst:
-// dst[p][q] = a[idx[p]][idx[q]]. dst must be |idx| x |idx|; idx must be
-// strictly increasing so each gathered row tail stays within the
-// stored upper triangle.
-func (a *SymPacked) GatherSub(dst *SymPacked, idx []int) {
-	if dst.N != len(idx) {
-		panic("mat: GatherSub dimension mismatch")
-	}
-	for p, ip := range idx {
-		tail := dst.RowTail(p)
-		src := a.RowTail(ip)
-		for q := p; q < len(idx); q++ {
-			tail[q-p] = src[idx[q]-ip]
-		}
-	}
-}
-
-// ScatterSub writes src (|idx| x |idx| packed) into the idx-indexed
-// principal submatrix of a: a[idx[p]][idx[q]] = src[p][q]. idx must be
-// strictly increasing. Entries of a outside the submatrix are
-// untouched.
-func (a *SymPacked) ScatterSub(src *SymPacked, idx []int) {
-	if src.N != len(idx) {
-		panic("mat: ScatterSub dimension mismatch")
-	}
-	for p, ip := range idx {
-		tail := src.RowTail(p)
-		dst := a.RowTail(ip)
-		for q := p; q < len(idx); q++ {
-			dst[idx[q]-ip] = tail[q-p]
-		}
 	}
 }

@@ -45,55 +45,3 @@ func TestGatherScatterLengthMismatchPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestGatherScatterSub(t *testing.T) {
-	const n = 6
-	a := NewSymPacked(n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			a.Set(i, j, float64(10*i+j))
-		}
-	}
-	idx := []int{0, 2, 5}
-	sub := NewSymPacked(len(idx))
-	a.GatherSub(sub, idx)
-	for p, ip := range idx {
-		for q := p; q < len(idx); q++ {
-			if got, want := sub.At(p, q), a.At(ip, idx[q]); got != want {
-				t.Fatalf("GatherSub(%d,%d) = %g, want %g", p, q, got, want)
-			}
-		}
-	}
-
-	// ScatterSub writes only the selected principal submatrix back.
-	b := NewSymPacked(n)
-	for p := 0; p < len(idx); p++ {
-		for q := p; q < len(idx); q++ {
-			sub.Set(p, q, float64(100+10*p+q))
-		}
-	}
-	b.ScatterSub(sub, idx)
-	inIdx := func(i int) bool { return i == 0 || i == 2 || i == 5 }
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			got := b.At(i, j)
-			if inIdx(i) && inIdx(j) {
-				if got == 0 {
-					t.Fatalf("ScatterSub missed (%d,%d)", i, j)
-				}
-			} else if got != 0 {
-				t.Fatalf("ScatterSub touched (%d,%d) outside the submatrix", i, j)
-			}
-		}
-	}
-}
-
-func TestGatherSubDimensionMismatchPanics(t *testing.T) {
-	a := NewSymPacked(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GatherSub dimension mismatch did not panic")
-		}
-	}()
-	a.GatherSub(NewSymPacked(3), []int{0, 1})
-}

@@ -189,53 +189,6 @@ func (a *SymPacked) AddScaledCol(j int, s float64, y []float64, c *perf.Cost) {
 	c.AddFlops(int64(2 * n))
 }
 
-// AddOuter performs the symmetric rank-1 update A += s * x x^T on the
-// stored upper triangle only: n(n+1)/2 multiply-adds plus the n scaled
-// copies of x, against the 2n^2 of the dense SymOuterUpdate.
-func (a *SymPacked) AddOuter(s float64, x []float64, c *perf.Cost) {
-	n := a.N
-	if len(x) != n {
-		panic("mat: SymPacked AddOuter dimension mismatch")
-	}
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		sxi := s * xi
-		tail := a.Data[a.rowStart(i) : a.rowStart(i)+n-i]
-		for jj := range tail {
-			tail[jj] += sxi * x[i+jj]
-		}
-	}
-	c.AddFlops(int64(n*(n+1) + n))
-}
-
-// Dense expands a into a full n x n dense matrix.
-func (a *SymPacked) Dense() *Dense {
-	out := NewDense(a.N, a.N)
-	for i := 0; i < a.N; i++ {
-		tail := a.RowTail(i)
-		for jj, v := range tail {
-			out.Set(i, i+jj, v)
-			out.Set(i+jj, i, v)
-		}
-	}
-	return out
-}
-
-// SymPackedFromDense packs the upper triangle of a square dense matrix.
-// The lower triangle is ignored (assumed symmetric).
-func SymPackedFromDense(a *Dense) *SymPacked {
-	if a.Rows != a.Cols {
-		panic("mat: SymPackedFromDense needs a square matrix")
-	}
-	out := NewSymPacked(a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.RowTail(i), a.Row(i)[i:])
-	}
-	return out
-}
-
 // CholeskyPacked computes the packed upper-triangular factor U with
 // A = U^T U for a symmetric positive definite packed matrix. The factor
 // is returned in packed storage (the strict lower triangle of U is zero
@@ -319,20 +272,4 @@ func SolveSPDPacked(a *SymPacked, b []float64, c *perf.Cost) ([]float64, error) 
 		return nil, err
 	}
 	return CholeskySolvePacked(u, b, c), nil
-}
-
-// MaxAbsDiffPacked returns the maximum absolute element-wise difference
-// between two equally sized packed matrices.
-func MaxAbsDiffPacked(a, b *SymPacked) float64 {
-	if a.N != b.N {
-		panic("mat: MaxAbsDiffPacked dimension mismatch")
-	}
-	var m float64
-	for i, v := range a.Data {
-		d := math.Abs(v - b.Data[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

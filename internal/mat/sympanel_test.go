@@ -19,7 +19,7 @@ func TestPanelUpdateBitIdenticalToRankOneSweep(t *testing.T) {
 				tp[i] = math.Sin(float64(5*i + n + 1))
 				s[i] = tp[i] / 3
 			}
-			got := SymPackedFromDense(symTestMatrix(n))
+			got := packDense(symTestMatrix(n))
 			want := got.Clone()
 			for k := 0; k < w; k++ {
 				for i := 0; i < n; i++ {

@@ -78,14 +78,6 @@ func NrmInf(x []float64) float64 {
 	return m
 }
 
-// Copy copies src into dst. Panics on length mismatch.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("mat: Copy length mismatch")
-	}
-	copy(dst, src)
-}
-
 // Fill sets every entry of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {
@@ -107,17 +99,6 @@ func Sub(dst, x, y []float64, c *perf.Cost) {
 	c.AddFlops(int64(len(dst)))
 }
 
-// Add computes dst = x + y. Panics on length mismatch.
-func Add(dst, x, y []float64, c *perf.Cost) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("mat: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-	c.AddFlops(int64(len(dst)))
-}
-
 // AddScaled computes dst = x + a*y. dst may alias x or y.
 func AddScaled(dst, x []float64, a float64, y []float64, c *perf.Cost) {
 	if len(dst) != len(x) || len(x) != len(y) {
@@ -127,20 +108,6 @@ func AddScaled(dst, x []float64, a float64, y []float64, c *perf.Cost) {
 		dst[i] = x[i] + a*y[i]
 	}
 	c.AddFlops(int64(2 * len(dst)))
-}
-
-// Dist2 returns the Euclidean distance between x and y.
-func Dist2(x, y []float64, c *perf.Cost) float64 {
-	if len(x) != len(y) {
-		panic("mat: Dist2 length mismatch")
-	}
-	var s float64
-	for i := range x {
-		d := x[i] - y[i]
-		s += d * d
-	}
-	c.AddFlops(int64(3*len(x) + 1))
-	return math.Sqrt(s)
 }
 
 // CountNonzeros returns the number of entries of x with magnitude above

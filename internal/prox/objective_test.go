@@ -11,28 +11,27 @@ import (
 
 func testMatrix(d, m int, seed uint64) (*sparse.CSC, []float64) {
 	g := rng.New(seed)
-	coo := sparse.NewCOO(d, m)
+	x := &sparse.CSC{Rows: d, Cols: m, ColPtr: make([]int, m+1)}
 	for j := 0; j < m; j++ {
 		for i := 0; i < d; i++ {
 			if g.Float64() < 0.6 {
-				coo.Append(i, j, g.NormFloat64())
+				x.RowIdx = append(x.RowIdx, i)
+				x.Val = append(x.Val, g.NormFloat64())
 			}
 		}
+		x.ColPtr[j+1] = len(x.Val)
 	}
 	y := make([]float64, m)
 	for i := range y {
 		y[i] = g.NormFloat64()
 	}
-	return coo.ToCSC(), y
+	return x, y
 }
 
 func TestLeastSquaresValue(t *testing.T) {
 	// 1x2 matrix X = [1 2] (d=1, m=2), y = [1, 1], w = [2]:
 	// predictions [2, 4], residuals [1, 3], f = (1+9)/(2*2) = 2.5.
-	coo := sparse.NewCOO(1, 2)
-	coo.Append(0, 0, 1)
-	coo.Append(0, 1, 2)
-	x := coo.ToCSC()
+	x := &sparse.CSC{Rows: 1, Cols: 2, ColPtr: []int{0, 1, 2}, RowIdx: []int{0, 0}, Val: []float64{1, 2}}
 	got := LeastSquares(x, []float64{1, 1}, []float64{2}, nil, nil)
 	if got != 2.5 {
 		t.Fatalf("LeastSquares = %g, want 2.5", got)
@@ -113,9 +112,9 @@ func TestEstimateLipschitzAgainstDense(t *testing.T) {
 	got := EstimateLipschitz(x, 100, nil, nil)
 
 	// Explicit Gram.
-	h := mat.NewDense(5, 5)
+	h := mat.NewSymPacked(5)
 	r := make([]float64, 5)
-	sparse.FullGram(x, h, r, make([]float64, 40), 1/m, nil)
+	sparse.FullGramPacked(x, h, r, make([]float64, 40), 1/m, nil)
 	// Dense power iteration.
 	v := []float64{1, 0.9, 0.8, 0.7, 0.6}
 	hv := make([]float64, 5)
@@ -133,7 +132,7 @@ func TestEstimateLipschitzAgainstDense(t *testing.T) {
 }
 
 func TestEstimateLipschitzZeroMatrix(t *testing.T) {
-	x := sparse.NewCOO(3, 5).ToCSC()
+	x := &sparse.CSC{Rows: 3, Cols: 5, ColPtr: make([]int, 6)}
 	if got := EstimateLipschitz(x, 10, nil, nil); got != 0 {
 		t.Fatalf("zero matrix L = %g", got)
 	}

@@ -268,19 +268,6 @@ func TestSampleWithoutReplacementPanics(t *testing.T) {
 	New(1).SampleWithoutReplacement(3, 4)
 }
 
-func TestSampleWithReplacement(t *testing.T) {
-	r := New(17)
-	s := r.SampleWithReplacement(5, 100)
-	if len(s) != 100 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for _, v := range s {
-		if v < 0 || v >= 5 {
-			t.Fatalf("out of range: %d", v)
-		}
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	r := New(18)
 	hits := 0

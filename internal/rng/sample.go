@@ -57,19 +57,6 @@ func (r *Rng) AppendSample(dst []int, n, k int) []int {
 	return dst
 }
 
-// SampleWithReplacement returns k indices drawn uniformly and
-// independently from [0, n).
-func (r *Rng) SampleWithReplacement(n, k int) []int {
-	if k < 0 || n <= 0 {
-		panic("rng: invalid SampleWithReplacement arguments")
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = r.Intn(n)
-	}
-	return out
-}
-
 // Bernoulli returns true with probability p.
 func (r *Rng) Bernoulli(p float64) bool {
 	return r.Float64() < p

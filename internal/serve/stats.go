@@ -127,13 +127,3 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		GramFills: s.gramFills.Load(),
 	}
 }
-
-// PathHitRate returns the lambda-path cache hit rate in [0, 1], or 0
-// when no lookups happened.
-func (sn StatsSnapshot) PathHitRate() float64 {
-	total := sn.PathHits + sn.PathMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(sn.PathHits) / float64(total)
-}

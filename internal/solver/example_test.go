@@ -66,14 +66,3 @@ func ExampleRCSFISTA() {
 	// Output:
 	// recovered 2-sparse model, zero communication: true
 }
-
-// ExampleThmStepSize evaluates the Theorem 1 step-size bound for a
-// mini-batch regime.
-func ExampleThmStepSize() {
-	l := 2.0
-	fmt.Printf("full batch: %.3f\n", solver.ThmStepSize(l, 1000, 1000))
-	fmt.Printf("1%% batch:   %.3f\n", solver.ThmStepSize(l, 1000, 10))
-	// Output:
-	// full batch: 0.500
-	// 1% batch:   0.425
-}

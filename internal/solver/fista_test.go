@@ -112,7 +112,7 @@ func TestFISTAObjectiveTrendsDown(t *testing.T) {
 }
 
 func TestReferenceZeroMatrix(t *testing.T) {
-	x := sparse.NewCOO(4, 6).ToCSC()
+	x := &sparse.CSC{Rows: 4, Cols: 6, ColPtr: make([]int, 7)}
 	y := []float64{1, 2, 3, 4, 5, 6}
 	w, f := Reference(x, y, 0.1, 100)
 	for _, v := range w {

@@ -52,12 +52,6 @@ func TestFullGramPackedAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("FullGramPacked allocated %g times per call", n)
 	}
-	hd := mat.NewDense(p.X.Rows, p.X.Rows)
-	if n := testing.AllocsPerRun(20, func() {
-		sparse.FullGram(p.X, hd, r, p.Y, 1, nil)
-	}); n != 0 {
-		t.Fatalf("FullGram allocated %g times per call", n)
-	}
 }
 
 func TestSampledGramPackedRowsAllocationFreeWithScratch(t *testing.T) {

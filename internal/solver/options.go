@@ -298,29 +298,11 @@ func (o Options) withDefaults() Options {
 }
 
 // GammaFromLipschitz returns the conventional FISTA step 1/L. Theorem 1
-// additionally requires gamma^-1 >= L/2 + sqrt(1/4 + 4L^2(m-mbar)/(mbar(m-1))),
-// which ThmStepSize enforces for the stochastic setting.
+// additionally requires gamma^-1 >= L/2 + sqrt(1/4 + 4L^2(m-mbar)/(mbar(m-1)))
+// (Eq. 10) in the stochastic setting.
 func GammaFromLipschitz(l float64) float64 {
 	if l <= 0 {
 		panic("solver: non-positive Lipschitz constant")
 	}
 	return 1 / l
-}
-
-// ThmStepSize returns the largest step size allowed by the Theorem 1
-// lower bound (Eq. 10) for Lipschitz constant l, sample count m and
-// mini-batch size mbar.
-func ThmStepSize(l float64, m, mbar int) float64 {
-	if l <= 0 {
-		panic("solver: non-positive Lipschitz constant")
-	}
-	if mbar >= m {
-		return 1 / l
-	}
-	ratio := float64(m-mbar) / (float64(mbar) * float64(m-1))
-	inv := l/2 + math.Sqrt(0.25+4*l*l*ratio)
-	if inv < l {
-		inv = l
-	}
-	return 1 / inv
 }

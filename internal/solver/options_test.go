@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -139,39 +138,4 @@ func TestGammaFromLipschitz(t *testing.T) {
 		}
 	}()
 	GammaFromLipschitz(0)
-}
-
-func TestThmStepSize(t *testing.T) {
-	// Full batch: reduces to 1/L.
-	if ThmStepSize(2, 100, 100) != 0.5 {
-		t.Fatal("full batch step wrong")
-	}
-	if ThmStepSize(2, 100, 200) != 0.5 {
-		t.Fatal("mbar > m should clamp to 1/L")
-	}
-	// Subsampled: step must be smaller than 1/L (Eq. 10 tightens).
-	got := ThmStepSize(2, 1000, 10)
-	if got >= 0.5 || got <= 0 {
-		t.Fatalf("subsampled step = %g", got)
-	}
-}
-
-func TestThmStepSizeMonotoneInBatchProperty(t *testing.T) {
-	// Larger mini-batches allow larger steps.
-	f := func(l0 uint8, seed uint8) bool {
-		l := float64(l0%50)/10 + 0.1
-		m := 1000
-		prev := 0.0
-		for _, mbar := range []int{1, 10, 100, 500, 1000} {
-			g := ThmStepSize(l, m, mbar)
-			if g < prev {
-				return false
-			}
-			prev = g
-		}
-		return math.Abs(prev-1/l) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

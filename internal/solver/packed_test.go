@@ -252,7 +252,7 @@ func TestCholInnerSolvesQuadExactly(t *testing.T) {
 	}
 
 	z0 := make([]float64, d)
-	for _, h := range []Hessian{hd, mat.SymPackedFromDense(hd)} {
+	for _, h := range []Hessian{hd, packUpper(hd)} {
 		q := Quad{H: h, R: r}
 		z := CholInner{}.Solve(q, prox.Zero{}, z0, 0, nil)
 		for i := range z {
@@ -314,14 +314,10 @@ func TestCDInnerPackedMatchesDense(t *testing.T) {
 	// The coordinate-descent inner solver consumes the Hessian through
 	// At/AddScaledCol; packed and dense operators must agree bitwise.
 	p, _, _ := testProblem(t, 10, 120, 0.7)
-	hd := mat.NewDense(10, 10)
+	hp := mat.NewSymPacked(10)
 	r := make([]float64, 10)
-	cols := make([]int, p.X.Cols)
-	for j := range cols {
-		cols[j] = j
-	}
-	sparse.SampledGram(p.X, hd, r, p.Y, cols, 1/float64(len(cols)), nil)
-	hp := mat.SymPackedFromDense(hd)
+	sparse.FullGramPacked(p.X, hp, r, p.Y, 1/float64(p.X.Cols), nil)
+	hd := expand(hp)
 
 	cd := CDInner{Lambda: 0.05}
 	z0 := make([]float64, 10)

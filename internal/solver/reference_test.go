@@ -22,8 +22,10 @@ import (
 )
 
 // denseRef is the dense-unpacked wire format: k slots of d^2 + d words,
-// each the full row-major H_j followed by R_j, filled by the dense Gram
-// kernel and consumed through the dense operator. Everything else —
+// each the full row-major H_j followed by R_j, consumed through the
+// dense operator. A slot's H_j is the packed Gram kernel's result
+// expanded to both triangles — the bits a full-storage kernel leaves,
+// which sparse's packed-versus-dense tests pin. Everything else —
 // sampling, the update kernel, the post-update bookkeeping — is the
 // engine's own.
 type denseRef struct{ *engine }
@@ -43,10 +45,34 @@ func (r denseRef) Fill(buf []float64) perf.Cost {
 	for j := 0; j < e.opts.K; j++ {
 		cols := e.local.LocalCols(e.sampler.AppendSample(nil, e.hIdx+j))
 		h, rv := r.slot(buf, j)
-		sparse.SampledGram(e.local.X, h, rv, e.local.Y, cols, 1/float64(e.mbar), &fill)
+		hp := mat.NewSymPacked(r.d)
+		sparse.SampledGramPacked(e.local.X, hp, rv, e.local.Y, cols, 1/float64(e.mbar), &fill)
+		copy(h.Data, expand(hp).Data)
 	}
 	e.hIdx += e.opts.K
 	return fill
+}
+
+// expand writes a packed symmetric matrix out in full storage, and
+// packUpper packs a dense matrix's upper triangle: the exact
+// conversions the packed-versus-dense tests compare through.
+func expand(a *mat.SymPacked) *mat.Dense {
+	out := mat.NewDense(a.N, a.N)
+	for i := 0; i < a.N; i++ {
+		for jj, v := range a.RowTail(i) {
+			out.Set(i, i+jj, v)
+			out.Set(i+jj, i, v)
+		}
+	}
+	return out
+}
+
+func packUpper(a *mat.Dense) *mat.SymPacked {
+	out := mat.NewSymPacked(a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		copy(out.RowTail(i), a.Row(i)[i:])
+	}
+	return out
 }
 
 func (r denseRef) Process(shared []float64) bool {

@@ -9,9 +9,10 @@ import (
 )
 
 // Hessian is the symmetric-operator interface the subproblem machinery
-// and the engine consume. Both *mat.Dense (full storage) and
-// *mat.SymPacked (upper-triangle packed, half the footprint and the
-// engine's default wire format) satisfy it.
+// and the engine consume. Every production Hessian is a *mat.SymPacked
+// (upper-triangle packed, half the footprint, the engine's one wire
+// format); *mat.Dense (full storage) satisfies it too, and the tests'
+// dense references run the same inner solvers through it.
 type Hessian interface {
 	// Dim returns the operator dimension d.
 	Dim() int

@@ -30,31 +30,25 @@ func reducedTestQuad(d int) Quad {
 }
 
 // TestReducedQuadMatchesDenseRestriction: solving the reduced
-// subproblem with each inner solver must reproduce the dense inner
-// solve restricted to the working set, when the dense solve keeps the
-// screened coordinates at zero. With an unregularized SPD system the
-// Cholesky path gives the exact restricted minimizer to compare
-// against.
+// subproblem — the principal submatrix H[idx, idx] and R[idx], the
+// shape the active-set engine hands its inner passes — with each inner
+// solver must reproduce the dense inner solve restricted to the
+// working set, when the dense solve keeps the screened coordinates at
+// zero. With an unregularized SPD system the Cholesky path gives the
+// exact restricted minimizer to compare against.
 func TestReducedQuadMatchesDenseRestriction(t *testing.T) {
 	const d = 10
 	q := reducedTestQuad(d)
 	idx := []int{0, 2, 3, 7, 9}
 	hs := mat.NewSymPacked(len(idx))
 	rs := make([]float64, len(idx))
-	rq := ReducedQuad(q, idx, hs, rs)
-
-	// The reduced Hessian is the principal submatrix, the linear term
-	// the gathered R.
 	for p, ip := range idx {
 		for qq := p; qq < len(idx); qq++ {
-			if got, want := rq.H.At(p, qq), q.H.At(ip, idx[qq]); got != want {
-				t.Fatalf("reduced H(%d,%d) = %g, want %g", p, qq, got, want)
-			}
-		}
-		if rq.R[p] != q.R[ip] {
-			t.Fatalf("reduced R[%d] = %g, want %g", p, rq.R[p], q.R[ip])
+			hs.Set(p, qq, q.H.At(ip, idx[qq]))
 		}
 	}
+	mat.Gather(rs, q.R, idx)
+	rq := Quad{H: hs, R: rs}
 
 	// Exact restricted minimizer via the Cholesky inner solver.
 	var c perf.Cost
@@ -72,47 +66,4 @@ func TestReducedQuadMatchesDenseRestriction(t *testing.T) {
 			t.Fatalf("CD reduced solve off at %d: |%g - %g| = %g", p, zc[p], exact[p], diff)
 		}
 	}
-}
-
-// TestReducedQuadFallbackMatchesPackedFastPath: a non-SymPacked
-// Hessian takes the element-access fallback; both paths must gather
-// the identical reduced subproblem.
-func TestReducedQuadFallbackMatchesPackedFastPath(t *testing.T) {
-	const d = 8
-	q := reducedTestQuad(d)
-	sp := q.H.(*mat.SymPacked)
-	dense := mat.NewDense(d, d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			dense.Set(i, j, sp.At(i, j))
-		}
-	}
-	idx := []int{1, 4, 5}
-	hsFast := mat.NewSymPacked(len(idx))
-	rsFast := make([]float64, len(idx))
-	fast := ReducedQuad(q, idx, hsFast, rsFast)
-	hsSlow := mat.NewSymPacked(len(idx))
-	rsSlow := make([]float64, len(idx))
-	slow := ReducedQuad(Quad{H: dense, R: q.R}, idx, hsSlow, rsSlow)
-	for p := 0; p < len(idx); p++ {
-		for qq := p; qq < len(idx); qq++ {
-			if fast.H.At(p, qq) != slow.H.At(p, qq) {
-				t.Fatalf("fallback diverges at (%d,%d)", p, qq)
-			}
-		}
-		if fast.R[p] != slow.R[p] {
-			t.Fatalf("fallback R diverges at %d", p)
-		}
-	}
-}
-
-func TestReducedQuadDimensionMismatchPanics(t *testing.T) {
-	q := reducedTestQuad(6)
-	dense := mat.NewDense(6, 6)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dimension mismatch did not panic")
-		}
-	}()
-	ReducedQuad(Quad{H: dense, R: q.R}, []int{0, 1, 2}, mat.NewSymPacked(2), make([]float64, 2))
 }

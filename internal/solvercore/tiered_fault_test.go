@@ -104,7 +104,7 @@ func sumPayload(procs, round int, payload func(rank, round int) []float64) []flo
 // treeCost is one rank's charge for attempts f64 tree allreduces of n
 // values on procs ranks.
 func treeCost(procs, n, attempts int) perf.Cost {
-	c := dist.AllreduceCost(procs, n)
+	c := dist.AllreduceCostTier(procs, n, dist.TierF64)
 	return perf.Cost{Flops: int64(attempts) * c.Flops, Messages: int64(attempts) * c.Messages, Words: int64(attempts) * c.Words}
 }
 
@@ -229,7 +229,7 @@ func TestTieredFaultsCorruptDetectedByAllRanks(t *testing.T) {
 	for _, leg := range faultLegs() {
 		out := runRounds(t, leg, plan, dist.TierF64, 1, rankPayload)
 		want := treeCost(leg.procs, 6, 2)
-		want.Add(dist.AllreduceCost(leg.procs, 1))
+		want.Add(dist.AllreduceCostTier(leg.procs, 1, dist.TierF64))
 		want.StallSec = plan.Backoff(1)
 		for k, o := range out {
 			name := fmt.Sprintf("%v rank %d", leg, k)

@@ -1,7 +1,24 @@
+// Package sparse implements the sparse matrix kernels the paper's
+// solvers rely on. The data matrix X is d x m (rows = features,
+// columns = samples, paper Section 2.1) and is stored in compressed
+// sparse column (CSC) form, because every stage of RC-SFISTA accesses X
+// by sample: column sampling (stage A of Figure 1), the sampled Gram
+// products H = (1/mbar) X I I^T X^T and R = (1/mbar) X I I^T y
+// (stage B), and the full-gradient products X (X^T w).
+//
+// The sampled Gram is accumulated in one format, the packed upper
+// triangle (mat.SymPacked), along two paths that leave the same bits: a
+// column-at-a-time sweep over each column's sparsity pattern, and, for a
+// block that stores every entry (CSC.Full), a gather of the sampled
+// columns into a dense panel that mat.SymPacked.PanelUpdate applies in
+// register tiles (grampanel.go). Which one runs depends only on Full.
+//
+// A compressed sparse row (CSR) view serves the solvers that partition
+// X by feature. Kernels charge their exact flop counts into an optional
+// *perf.Cost, mirroring package mat.
 package sparse
 
 import (
-	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 )
 
@@ -30,9 +47,6 @@ func (a *CSC) Density() float64 {
 // increasing within a column, so every column of a full block reads
 // rows 0..Rows-1. It selects the dense-panel Gram path (grampanel.go).
 func (a *CSC) Full() bool { return a.Nnz() == a.Rows*a.Cols }
-
-// ColNnz returns the number of non-zeros in column j.
-func (a *CSC) ColNnz(j int) int { return a.ColPtr[j+1] - a.ColPtr[j] }
 
 // Col returns views (shared storage) of column j's row indices and values.
 func (a *CSC) Col(j int) (rows []int, vals []float64) {
@@ -172,19 +186,6 @@ func (a *CSC) ToCSR() *CSR {
 		}
 	}
 	return r
-}
-
-// ToDense expands a into a dense Rows x Cols matrix. Intended for tests
-// and tiny examples only.
-func (a *CSC) ToDense() *mat.Dense {
-	d := mat.NewDense(a.Rows, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		rows, vals := a.Col(j)
-		for k, r := range rows {
-			d.Set(r, j, vals[k])
-		}
-	}
-	return d
 }
 
 // Clone returns a deep copy of a.

@@ -1,10 +1,7 @@
 package sparse
 
-import (
-	"github.com/hpcgo/rcsfista/internal/perf"
-)
-
-// CSR is a compressed sparse row matrix. Row i holds its non-zero
+// CSR is a compressed sparse row matrix, the row view CSC.ToCSR builds
+// for the feature-partitioned solvers. Row i holds its non-zero
 // column indices in ColIdx[RowPtr[i]:RowPtr[i+1]] (strictly increasing)
 // and the matching values in Val.
 type CSR struct {
@@ -21,73 +18,4 @@ func (a *CSR) Nnz() int { return len(a.Val) }
 func (a *CSR) Row(i int) (cols []int, vals []float64) {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 	return a.ColIdx[lo:hi], a.Val[lo:hi]
-}
-
-// MulVec computes y = A x with y of length Rows and x of length Cols.
-func (a *CSR) MulVec(y, x []float64, c *perf.Cost) {
-	if len(y) != a.Rows || len(x) != a.Cols {
-		panic("sparse: CSR MulVec dimension mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		var s float64
-		for k, j := range cols {
-			s += vals[k] * x[j]
-		}
-		y[i] = s
-	}
-	c.AddFlops(int64(2 * a.Nnz()))
-}
-
-// MulVecT computes y += A^T x (accumulating) with y of length Cols and
-// x of length Rows.
-func (a *CSR) MulVecT(y, x []float64, c *perf.Cost) {
-	if len(y) != a.Cols || len(x) != a.Rows {
-		panic("sparse: CSR MulVecT dimension mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			y[j] += vals[k] * xi
-		}
-	}
-	c.AddFlops(int64(2 * a.Nnz()))
-}
-
-// ToCSC converts to CSC form.
-func (a *CSR) ToCSC() *CSC {
-	cc := &CSC{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		ColPtr: make([]int, a.Cols+1),
-		RowIdx: make([]int, a.Nnz()),
-		Val:    make([]float64, a.Nnz()),
-	}
-	for _, j := range a.ColIdx {
-		cc.ColPtr[j+1]++
-	}
-	for j := 0; j < a.Cols; j++ {
-		cc.ColPtr[j+1] += cc.ColPtr[j]
-	}
-	next := append([]int(nil), cc.ColPtr[:a.Cols]...)
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			p := next[j]
-			cc.RowIdx[p] = i
-			cc.Val[p] = vals[k]
-			next[j]++
-		}
-	}
-	return cc
-}
-
-// Transpose returns A^T in CSR form.
-func (a *CSR) Transpose() *CSR {
-	t := a.ToCSC()
-	return &CSR{Rows: t.Cols, Cols: t.Rows, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}
 }

@@ -7,35 +7,24 @@ import (
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
-// ExampleCOO builds a small matrix in coordinate form and converts it.
-func ExampleCOO() {
-	coo := sparse.NewCOO(2, 3)
-	coo.Append(0, 0, 1)
-	coo.Append(1, 0, 2)
-	coo.Append(0, 2, 3)
-	x := coo.ToCSC()
-	fmt.Printf("shape %dx%d, nnz %d, density %.2f\n", x.Rows, x.Cols, x.Nnz(), x.Density())
-	fmt.Printf("X[1][0] = %g, X[1][1] = %g\n", x.At(1, 0), x.At(1, 1))
-	// Output:
-	// shape 2x3, nnz 3, density 0.50
-	// X[1][0] = 2, X[1][1] = 0
+// exampleX is X = [1 0 2; 0 3 0] (2 features, 3 samples) in CSC form:
+// column j's row indices and values are RowIdx and Val over
+// [ColPtr[j], ColPtr[j+1]).
+func exampleX() *sparse.CSC {
+	return &sparse.CSC{Rows: 2, Cols: 3, ColPtr: []int{0, 1, 2, 3}, RowIdx: []int{0, 1, 0}, Val: []float64{1, 3, 2}}
 }
 
-// ExampleSampledGram computes the stage-B kernel of the paper: the
-// subsampled Gram matrix H = (1/mbar) X_S X_S^T and R = (1/mbar) X_S y_S.
-func ExampleSampledGram() {
-	// X = [1 0 2; 0 3 0] (2 features, 3 samples), y = (1, 1, 1).
-	coo := sparse.NewCOO(2, 3)
-	coo.Append(0, 0, 1)
-	coo.Append(1, 1, 3)
-	coo.Append(0, 2, 2)
-	x := coo.ToCSC()
+// ExampleSampledGramPacked computes the stage-B kernel of the paper:
+// the subsampled Gram matrix H = (1/mbar) X_S X_S^T and
+// R = (1/mbar) X_S y_S, H kept as its packed upper triangle.
+func ExampleSampledGramPacked() {
+	x := exampleX()
 	y := []float64{1, 1, 1}
 
-	h := mat.NewDense(2, 2)
+	h := mat.NewSymPacked(2)
 	r := make([]float64, 2)
 	// Sample columns {0, 2}: H = (x0 x0^T + x2 x2^T)/2.
-	sparse.SampledGram(x, h, r, y, []int{0, 2}, 0.5, nil)
+	sparse.SampledGramPacked(x, h, r, y, []int{0, 2}, 0.5, nil)
 	fmt.Printf("H = [[%g %g] [%g %g]]\n", h.At(0, 0), h.At(0, 1), h.At(1, 0), h.At(1, 1))
 	fmt.Printf("R = %v\n", r)
 	// Output:
@@ -45,11 +34,7 @@ func ExampleSampledGram() {
 
 // ExampleCSC_MulVecT computes predictions X^T w for all samples.
 func ExampleCSC_MulVecT() {
-	coo := sparse.NewCOO(2, 3)
-	coo.Append(0, 0, 1)
-	coo.Append(1, 1, 3)
-	coo.Append(0, 2, 2)
-	x := coo.ToCSC()
+	x := exampleX()
 	pred := make([]float64, 3)
 	x.MulVecT(pred, []float64{1, -1}, nil)
 	fmt.Println(pred)

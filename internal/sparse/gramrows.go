@@ -34,7 +34,7 @@ import (
 //
 // The active-row accumulation order matches SampledGramPacked's
 // restriction to act element for element, so the reduced Gram equals
-// the GatherSub of the full Gram bit for bit.
+// the act-indexed principal submatrix of the full Gram bit for bit.
 func SampledGramPackedRows(a *CSC, h *mat.SymPacked, r []float64, y []float64, cols []int, act, pos []int, rowScratch []int, valScratch []float64, scale float64, c *perf.Cost) {
 	if h.N != len(act) || len(r) != a.Rows || len(y) != a.Cols || len(pos) != a.Rows {
 		panic("sparse: SampledGramPackedRows dimension mismatch")

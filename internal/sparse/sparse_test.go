@@ -13,69 +13,29 @@ import (
 // randomCSC builds a random r x c matrix with the given density.
 func randomCSC(r, c int, density float64, seed uint64) *CSC {
 	g := rng.New(seed)
-	coo := NewCOO(r, c)
+	a := &CSC{Rows: r, Cols: c, ColPtr: make([]int, c+1)}
 	for j := 0; j < c; j++ {
 		for i := 0; i < r; i++ {
 			if g.Float64() < density {
-				coo.Append(i, j, g.NormFloat64())
+				a.RowIdx = append(a.RowIdx, i)
+				a.Val = append(a.Val, g.NormFloat64())
 			}
 		}
+		a.ColPtr[j+1] = len(a.Val)
 	}
-	return coo.ToCSC()
+	return a
 }
 
-func TestCOOToCSCBasic(t *testing.T) {
-	coo := NewCOO(3, 2)
-	coo.Append(2, 0, 5)
-	coo.Append(0, 0, 1)
-	coo.Append(1, 1, 3)
-	a := coo.ToCSC()
-	if a.Nnz() != 3 {
-		t.Fatalf("nnz = %d", a.Nnz())
-	}
-	if a.At(2, 0) != 5 || a.At(0, 0) != 1 || a.At(1, 1) != 3 || a.At(2, 1) != 0 {
-		t.Fatal("At values wrong")
-	}
-	// Row indices sorted within each column.
-	rows, _ := a.Col(0)
-	if rows[0] != 0 || rows[1] != 2 {
-		t.Fatalf("column 0 rows = %v", rows)
-	}
-}
-
-func TestCOODuplicatesSummed(t *testing.T) {
-	coo := NewCOO(2, 2)
-	coo.Append(0, 0, 1)
-	coo.Append(0, 0, 2)
-	coo.Append(0, 0, -3)
-	a := coo.ToCSC()
-	if a.Nnz() != 0 {
-		t.Fatalf("cancelled duplicates kept: nnz = %d", a.Nnz())
-	}
-	coo.Append(1, 1, 4)
-	coo.Append(1, 1, 1)
-	a = coo.ToCSC()
-	if a.At(1, 1) != 5 {
-		t.Fatalf("duplicates not summed: %g", a.At(1, 1))
-	}
-}
-
-func TestCOOZeroDropped(t *testing.T) {
-	coo := NewCOO(2, 2)
-	coo.Append(0, 0, 0)
-	if coo.Nnz() != 0 {
-		t.Fatal("explicit zero kept")
-	}
-}
-
-func TestCOOBoundsPanic(t *testing.T) {
-	coo := NewCOO(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// toDense expands a into full row-major storage.
+func toDense(a *CSC) *mat.Dense {
+	d := mat.NewDense(a.Rows, a.Cols)
+	for j := 0; j < a.Cols; j++ {
+		rows, vals := a.Col(j)
+		for k, r := range rows {
+			d.Set(r, j, vals[k])
 		}
-	}()
-	coo.Append(2, 0, 1)
+	}
+	return d
 }
 
 func TestDensity(t *testing.T) {
@@ -84,7 +44,7 @@ func TestDensity(t *testing.T) {
 	if d <= 0.1 || d >= 0.45 {
 		t.Fatalf("density %g far from 0.25", d)
 	}
-	empty := NewCOO(0, 0).ToCSC()
+	empty := &CSC{ColPtr: []int{0}}
 	if empty.Density() != 0 {
 		t.Fatal("empty density != 0")
 	}
@@ -92,7 +52,7 @@ func TestDensity(t *testing.T) {
 
 func TestCSCMulVecAgainstDense(t *testing.T) {
 	a := randomCSC(7, 11, 0.4, 2)
-	d := a.ToDense()
+	d := toDense(a)
 	tvec := make([]float64, 11)
 	for i := range tvec {
 		tvec[i] = float64(i) - 5
@@ -110,7 +70,7 @@ func TestCSCMulVecAgainstDense(t *testing.T) {
 
 func TestCSCMulVecTAgainstDense(t *testing.T) {
 	a := randomCSC(7, 11, 0.4, 3)
-	d := a.ToDense()
+	d := toDense(a)
 	w := make([]float64, 7)
 	for i := range w {
 		w[i] = float64(i*i) - 3
@@ -118,7 +78,11 @@ func TestCSCMulVecTAgainstDense(t *testing.T) {
 	got := make([]float64, 11)
 	a.MulVecT(got, w, nil)
 	want := make([]float64, 11)
-	d.MulVecT(want, w, nil)
+	for i := 0; i < 7; i++ {
+		for j := range want {
+			want[j] += d.At(i, j) * w[i]
+		}
+	}
 	for i := range got {
 		if !almostEq(got[i], want[i]) {
 			t.Fatalf("MulVecT[%d] = %g, want %g", i, got[i], want[i])
@@ -182,69 +146,23 @@ func TestColSlicePartitionCoversMatrix(t *testing.T) {
 	}
 }
 
+// TestCSCCSRRoundtrip: ToCSR keeps the shape and every stored entry,
+// each row's column indices strictly increasing, so reading the rows
+// back visits exactly the matrix's non-zeros.
 func TestCSCCSRRoundtrip(t *testing.T) {
 	a := randomCSC(9, 7, 0.35, 7)
-	back := a.ToCSR().ToCSC()
-	if back.Rows != a.Rows || back.Cols != a.Cols || back.Nnz() != a.Nnz() {
+	r := a.ToCSR()
+	if r.Rows != a.Rows || r.Cols != a.Cols || r.Nnz() != a.Nnz() {
 		t.Fatal("roundtrip changed shape")
 	}
-	for j := 0; j < a.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
-			if a.At(i, j) != back.At(i, j) {
-				t.Fatalf("roundtrip (%d,%d)", i, j)
+	for i := 0; i < r.Rows; i++ {
+		cols, vals := r.Row(i)
+		for k, j := range cols {
+			if k > 0 && cols[k-1] >= j {
+				t.Fatalf("row %d: columns %v not strictly increasing", i, cols)
 			}
-		}
-	}
-}
-
-func TestCSRMulVecAgainstCSC(t *testing.T) {
-	a := randomCSC(8, 12, 0.3, 8)
-	r := a.ToCSR()
-	x := make([]float64, 12)
-	for i := range x {
-		x[i] = math.Sin(float64(i))
-	}
-	want := make([]float64, 8)
-	a.MulVec(want, x, nil)
-	got := make([]float64, 8)
-	r.MulVec(got, x, nil)
-	for i := range got {
-		if !almostEq(got[i], want[i]) {
-			t.Fatalf("CSR MulVec[%d]", i)
-		}
-	}
-}
-
-func TestCSRMulVecT(t *testing.T) {
-	a := randomCSC(8, 12, 0.3, 9)
-	r := a.ToCSR()
-	x := make([]float64, 8)
-	for i := range x {
-		x[i] = float64(i) - 4
-	}
-	want := make([]float64, 12)
-	a.MulVecT(want, x, nil)
-	got := make([]float64, 12)
-	r.MulVecT(got, x, nil)
-	for i := range got {
-		if !almostEq(got[i], want[i]) {
-			t.Fatalf("CSR MulVecT[%d] = %g want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a := randomCSC(5, 8, 0.4, 10).ToCSR()
-	tr := a.Transpose()
-	if tr.Rows != 8 || tr.Cols != 5 {
-		t.Fatalf("transpose shape %dx%d", tr.Rows, tr.Cols)
-	}
-	ac := a.ToCSC()
-	trc := tr.ToCSC()
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 8; j++ {
-			if ac.At(i, j) != trc.At(j, i) {
-				t.Fatalf("transpose (%d,%d)", i, j)
+			if a.At(i, j) != vals[k] {
+				t.Fatalf("roundtrip (%d,%d)", i, j)
 			}
 		}
 	}
@@ -268,9 +186,9 @@ func TestSampledGramAgainstDense(t *testing.T) {
 	cols := []int{1, 3, 3, 7, 19} // duplicates allowed
 	scale := 0.25
 
-	h := mat.NewDense(6, 6)
+	h := mat.NewSymPacked(6)
 	r := make([]float64, 6)
-	SampledGram(a, h, r, y, cols, scale, nil)
+	SampledGramPacked(a, h, r, y, cols, scale, nil)
 
 	// Dense reference.
 	want := mat.NewDense(6, 6)
@@ -287,12 +205,16 @@ func TestSampledGramAgainstDense(t *testing.T) {
 			wantR[p] += scale * y[j] * col[p]
 		}
 	}
-	if diff := mat.MaxAbsDiff(h, want); diff > 1e-12 {
-		t.Fatalf("SampledGram H diff %g", diff)
+	for p := 0; p < 6; p++ {
+		for q := 0; q < 6; q++ {
+			if diff := math.Abs(h.At(p, q) - want.At(p, q)); diff > 1e-12 {
+				t.Fatalf("SampledGramPacked H(%d,%d) diff %g", p, q, diff)
+			}
+		}
 	}
 	for i := range r {
 		if !almostEq(r[i], wantR[i]) {
-			t.Fatalf("SampledGram R[%d] = %g want %g", i, r[i], wantR[i])
+			t.Fatalf("SampledGramPacked R[%d] = %g want %g", i, r[i], wantR[i])
 		}
 	}
 }
@@ -301,12 +223,13 @@ func TestSampledGramSymmetricPSDProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		a := randomCSC(5, 15, 0.6, seed)
 		y := make([]float64, 15)
-		h := mat.NewDense(5, 5)
+		h := mat.NewSymPacked(5)
 		r := make([]float64, 5)
 		g := rng.New(seed)
 		cols := g.SampleWithoutReplacement(15, 6)
-		SampledGram(a, h, r, y, cols, 1.0/6, nil)
-		// Symmetric.
+		SampledGramPacked(a, h, r, y, cols, 1.0/6, nil)
+		// Symmetric: a packed At reads one stored element for both
+		// orders.
 		for i := 0; i < 5; i++ {
 			for j := 0; j < 5; j++ {
 				if !almostEq(h.At(i, j), h.At(j, i)) {
@@ -341,9 +264,9 @@ func TestFullGramEqualsGramApply(t *testing.T) {
 		y[i] = g.NormFloat64()
 	}
 	scale := 1.0 / 30
-	h := mat.NewDense(5, 5)
+	h := mat.NewSymPacked(5)
 	r := make([]float64, 5)
-	FullGram(a, h, r, y, scale, nil)
+	FullGramPacked(a, h, r, y, scale, nil)
 
 	w := make([]float64, 5)
 	for i := range w {
@@ -367,14 +290,17 @@ func TestFullGramEqualsGramApply(t *testing.T) {
 	}
 }
 
+// TestSampledGramFlopAccounting: on dense columns (nnz per column = 6,
+// so the dense-panel path) the packed kernel bills nz(nz+1) + 2nz per
+// sampled column.
 func TestSampledGramFlopAccounting(t *testing.T) {
-	a := randomCSC(6, 10, 1, 14) // dense columns: nnz per col = 6
+	a := randomCSC(6, 10, 1, 14)
 	y := make([]float64, 10)
-	h := mat.NewDense(6, 6)
+	h := mat.NewSymPacked(6)
 	r := make([]float64, 6)
 	var c perf.Cost
-	SampledGram(a, h, r, y, []int{0, 1}, 1, &c)
-	want := int64(2 * (2*6*6 + 2*6))
+	SampledGramPacked(a, h, r, y, []int{0, 1}, 1, &c)
+	want := int64(2 * (6*7 + 2*6))
 	if c.Flops != want {
 		t.Fatalf("flops = %d, want %d", c.Flops, want)
 	}
@@ -382,13 +308,11 @@ func TestSampledGramFlopAccounting(t *testing.T) {
 
 func TestDimensionPanics(t *testing.T) {
 	a := randomCSC(4, 6, 0.5, 15)
-	h := mat.NewDense(3, 3)
 	fns := []func(){
 		func() { a.MulVec(make([]float64, 3), make([]float64, 6), nil) },
 		func() { a.MulVecT(make([]float64, 5), make([]float64, 4), nil) },
 		func() { a.ColSlice(-1, 2) },
 		func() { a.ColSlice(2, 9) },
-		func() { SampledGram(a, h, make([]float64, 4), make([]float64, 6), nil, 1, nil) },
 		func() { GramApply(a, make([]float64, 4), make([]float64, 4), nil, make([]float64, 5), 1, nil) },
 	}
 	for i, fn := range fns {

@@ -69,14 +69,6 @@ func (s *Series) AppendEvent(e Event) { s.Events = append(s.Events, e) }
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Last returns the final sample; ok is false for an empty series.
-func (s *Series) Last() (Point, bool) {
-	if len(s.Points) == 0 {
-		return Point{}, false
-	}
-	return s.Points[len(s.Points)-1], true
-}
-
 // FirstBelow returns the first sample whose RelErr is at or below tol,
 // and ok=false if none reaches it.
 func (s *Series) FirstBelow(tol float64) (Point, bool) {
@@ -86,27 +78,6 @@ func (s *Series) FirstBelow(tol float64) (Point, bool) {
 		}
 	}
 	return Point{}, false
-}
-
-// Downsample returns a series with at most n points, keeping the first
-// and last samples and an even stride in between.
-func (s *Series) Downsample(n int) *Series {
-	if n <= 0 || len(s.Points) <= n {
-		cp := &Series{Name: s.Name, Points: append([]Point(nil), s.Points...)}
-		return cp
-	}
-	out := &Series{Name: s.Name}
-	stride := float64(len(s.Points)-1) / float64(n-1)
-	prev := -1
-	for i := 0; i < n; i++ {
-		idx := int(math.Round(float64(i) * stride))
-		if idx == prev {
-			continue
-		}
-		prev = idx
-		out.Points = append(out.Points, s.Points[idx])
-	}
-	return out
 }
 
 // Table is a simple named-column table used for the paper's tables.

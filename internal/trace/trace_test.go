@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func sampleSeries(n int) *Series {
@@ -25,14 +24,6 @@ func TestSeriesBasics(t *testing.T) {
 	s := sampleSeries(5)
 	if s.Len() != 5 {
 		t.Fatalf("Len = %d", s.Len())
-	}
-	last, ok := s.Last()
-	if !ok || last.Iter != 4 {
-		t.Fatalf("Last = %+v", last)
-	}
-	empty := &Series{}
-	if _, ok := empty.Last(); ok {
-		t.Fatal("empty Last should report !ok")
 	}
 }
 
@@ -60,38 +51,6 @@ func TestFirstBelowSkipsNaN(t *testing.T) {
 	p, ok := s.FirstBelow(0.9)
 	if !ok || p.Iter != 1 {
 		t.Fatalf("FirstBelow = %+v, %v", p, ok)
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	s := sampleSeries(100)
-	d := s.Downsample(10)
-	if d.Len() > 10 || d.Len() < 2 {
-		t.Fatalf("downsampled to %d", d.Len())
-	}
-	if d.Points[0].Iter != 0 || d.Points[d.Len()-1].Iter != 99 {
-		t.Fatal("endpoints not kept")
-	}
-	// No-op cases.
-	if s.Downsample(0).Len() != 100 || s.Downsample(200).Len() != 100 {
-		t.Fatal("no-op downsample changed length")
-	}
-}
-
-func TestDownsampleMonotoneProperty(t *testing.T) {
-	f := func(n0, k0 uint8) bool {
-		n := int(n0%200) + 2
-		k := int(k0%50) + 2
-		d := sampleSeries(n).Downsample(k)
-		for i := 1; i < d.Len(); i++ {
-			if d.Points[i].Iter <= d.Points[i-1].Iter {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
