@@ -32,6 +32,7 @@ import (
 	"github.com/hpcgo/rcsfista/internal/cocoa"
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
+	"github.com/hpcgo/rcsfista/internal/erm"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/scenario"
 	"github.com/hpcgo/rcsfista/internal/solver"
@@ -90,22 +91,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := flag.Parse(args); err != nil {
 		return err
 	}
-	if *activeSet && *algo != "rcsfista" && *algo != "sfista" {
-		return fmt.Errorf("-activeset applies to rcsfista/sfista only, not %q", *algo)
-	}
-	if *compressTier != "" && *algo != "rcsfista" && *algo != "sfista" {
-		return fmt.Errorf("-compress-tier applies to rcsfista/sfista only, not %q", *algo)
-	}
-	if *lossName == "" {
-		*lossName = "ls"
-	}
-	if *lossName != "ls" {
-		if *algo != "rcsfista" {
-			return fmt.Errorf("-loss %s runs on the proximal newton engine; leave -algo at its default", *lossName)
-		}
-		if *activeSet || *compressTier != "" {
-			return fmt.Errorf("-loss %s does not support -activeset/-compress-tier", *lossName)
-		}
+	wrank, wpeers, isWorker := workerRoster(*rank, *peers)
+	eng, err := checkFeatures(*algo, *transport, scenario.Fit{
+		Reg: *regName, Loss: *lossName, RegParams: *l2 != 0 || *groupsSpec != "",
+		ActiveSet: *activeSet, CompressTier: *compressTier != "", ProcessWorld: *transport == "tcp" || isWorker,
+	})
+	if err != nil {
+		return err
 	}
 
 	// Multi-process TCP mode. The parent re-executes this binary once
@@ -113,11 +105,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// children detect the roster (or explicit -rank/-peers) and join
 	// the mesh as workers. Everything below the launch branch runs
 	// identically in a worker, except that only rank 0 prints.
-	wrank, wpeers, isWorker := workerRoster(*rank, *peers)
 	if *transport == "tcp" && !isWorker {
-		if !distributedAlgo(*algo) {
-			return fmt.Errorf("-transport tcp runs distributed algorithms only, not %q", *algo)
-		}
 		fmt.Fprintf(out, "launching %d worker processes over localhost tcp\n", *procs)
 		return dist.Launch(ctx, dist.LaunchSpec{P: *procs, Args: args, Stdout: out, Stderr: os.Stderr})
 	}
@@ -126,7 +114,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	var prob *data.Problem
-	var err error
 	switch {
 	case *libsvm != "":
 		prob, err = data.ReadLIBSVMFile(*libsvm, *features)
@@ -148,7 +135,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := prob.Validate(); err != nil {
 		return err
 	}
-	regOp, err := buildScenarioReg(*algo, *regName, *l2, *groupsSpec, prob)
+	regOp, err := buildScenarioReg(*regName, *l2, *groupsSpec, prob)
 	if err != nil {
 		return err
 	}
@@ -175,9 +162,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// misconfigured roster fails fast on every rank.
 	var comm *dist.TCPComm
 	if isWorker {
-		if !distributedAlgo(*algo) {
-			return fmt.Errorf("-rank/-peers run distributed algorithms only, not %q", *algo)
-		}
 		c, err := dist.Connect(wrank, wpeers, mach, dist.TCPOptions{})
 		if err != nil {
 			return err
@@ -221,11 +205,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// would always exhaust -maxiter. Non-ls losses stop on the step
 	// norm instead; non-l1 regularizers run the fixed -maxiter budget.
 	fstar := math.NaN()
-	if *tol > 0 && *lossName == "ls" && regOp != nil {
+	ls := eng != scenario.LossPN
+	if *tol > 0 && ls && regOp != nil {
 		fmt.Fprintf(out, "no l1 reference optimum under -reg %s: running the fixed -maxiter budget\n", *regName)
 		*tol = 0
 	}
-	if *tol > 0 && *lossName == "ls" {
+	if *tol > 0 && ls {
 		fmt.Fprintf(out, "computing reference optimum (TFOCS stand-in, %d iterations)...\n", *refIters)
 		_, fstar = solver.Reference(prob.X, prob.Y, prob.Lambda, *refIters)
 		fmt.Fprintf(out, "F(w*) = %.8g\n", fstar)
@@ -245,17 +230,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			*k, *s, rec.PredictedSpeedup)
 	}
 
-	// Non-least-squares losses run one dedicated branch of the switch;
-	// -loss was validated to only combine with the default algorithm.
 	// -algo logistic is the older spelling of -loss logistic and keeps
 	// its own label.
 	algoLabel := *algo
 	switch {
-	case *lossName != "ls":
-		*algo = "loss-pn"
-		algoLabel = "pn-" + *lossName
 	case *algo == "logistic":
-		*algo, *lossName = "loss-pn", "logistic"
+		*lossName = "logistic"
+	case !ls:
+		algoLabel = "pn-" + *lossName
 	}
 
 	// runRanks runs one rank's solve on the live communicator (worker
@@ -264,25 +246,43 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if comm != nil {
 			return solveOnComm(comm, solve)
 		}
-		w, err := newWorld(*transport, *procs, mach)
+		w, err := dist.NewWorldOn(*transport, *procs, mach)
 		if err != nil {
 			return nil, err
 		}
 		return solvercore.RunWorld(w, solve)
 	}
 
+	// The options every solver.Options engine shares; gamma is the step
+	// from b-sampled Lipschitz estimates.
+	opts := solver.Defaults()
+	opts.Reg, opts.Lambda, opts.MaxIter, opts.Tol, opts.FStar = regOp, prob.Lambda, *maxIter, *tol, fstar
+	gamma := func(b float64, iters int) float64 {
+		return solver.GammaFromLipschitz(solver.SampledLipschitz(prob.X, prob.Y, b, iters, *seed))
+	}
 	var res *solver.Result
-	switch *algo {
-	case "loss-pn":
+	switch eng {
+	case scenario.LossPN:
 		// Generalized-loss proximal newton (huber, quantile, logistic)
-		// with any scenario regularizer; see scenario.go.
-		pn := &lossPNRun{
-			prob: prob, reg: regOp, runRanks: runRanks,
-			loss:    scenario.LossSpec{Name: *lossName, Delta: *huberDelta, Tau: *quantileTau, Eps: *quantileEps},
-			maxIter: *maxIter, inner: maxInt(1, *s), b: *b, seed: *seed,
+		// with any scenario regularizer.
+		lossFn, lerr := scenario.BuildLoss(scenario.LossSpec{Name: *lossName, Delta: *huberDelta, Tau: *quantileTau, Eps: *quantileEps})
+		if lerr != nil {
+			return lerr
 		}
-		res, err = pn.solve(ctx, out)
-	case "cocoa":
+		y := prob.Y
+		_, logistic := lossFn.(erm.Logistic)
+		if logistic {
+			y = erm.SignLabels(y)
+		}
+		eopts := erm.Options{Loss: lossFn, Reg: regOp, Lambda: prob.Lambda,
+			OuterIter: *maxIter, InnerIter: max(1, *s), B: *b, LineSearch: true, Seed: *seed}
+		res, err = runRanks(func(c dist.Comm) (*solver.Result, error) {
+			return erm.DistProxNewtonContext(ctx, c, erm.Partition(prob.X, y, c.Size(), c.Rank()), eopts)
+		})
+		if res != nil && logistic {
+			fmt.Fprintf(out, "training accuracy: %.4f\n", erm.NewObjective(prob.X, y, lossFn).Accuracy(res.W))
+		}
+	case scenario.CoCoA:
 		opts := cocoa.Options{
 			Lambda: prob.Lambda, Rounds: *maxIter, Tol: *tol, FStar: fstar, Seed: *seed,
 		}
@@ -290,75 +290,36 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		res, err = runRanks(func(c dist.Comm) (*solver.Result, error) {
 			return cocoa.SolveContext(ctx, c, cocoa.Partition(xRows, prob.Y, c.Size(), c.Rank()), opts)
 		})
-	case "cd":
-		opts := solver.Defaults()
-		opts.Reg = regOp
-		opts.Lambda = prob.Lambda
-		opts.MaxIter = *maxIter
-		opts.Tol = *tol
-		opts.FStar = fstar
+	case scenario.CD:
 		res, err = solver.CoordinateDescent(prob.X, prob.Y, opts)
-	case "prox-svrg":
-		l := solver.SampledLipschitz(prob.X, prob.Y, *b, 8, *seed)
-		opts := solver.Defaults()
-		opts.Reg = regOp
-		opts.Lambda = prob.Lambda
-		opts.Gamma = solver.GammaFromLipschitz(l)
-		opts.MaxIter = *maxIter
-		opts.Tol = *tol
-		opts.FStar = fstar
-		opts.B = *b
-		opts.Seed = *seed
+	case scenario.ProxSVRG:
+		opts.Gamma, opts.B, opts.Seed = gamma(*b, 8), *b, *seed
 		res, err = solver.ProxSVRGContext(ctx, prob.X, prob.Y, opts)
-	case "fista", "ista":
-		l := solver.SampledLipschitz(prob.X, prob.Y, 1, 1, *seed)
-		opts := solver.Defaults()
-		opts.Reg = regOp
-		opts.Lambda = prob.Lambda
-		opts.Gamma = solver.GammaFromLipschitz(l)
-		opts.MaxIter = *maxIter
-		opts.Tol = *tol
-		opts.FStar = fstar
-		opts.EvalEvery = 10
+	case scenario.DataFISTA:
+		opts.Gamma, opts.EvalEvery = gamma(1, 1), 10
+		solve := solver.ISTA
 		if *algo == "fista" {
-			res, err = solver.FISTA(prob.X, prob.Y, opts)
-		} else {
-			res, err = solver.ISTA(prob.X, prob.Y, opts)
+			solve = solver.FISTA
 		}
-	case "pn":
-		l := solver.SampledLipschitz(prob.X, prob.Y, *b, 8, *seed)
+		res, err = solve(prob.X, prob.Y, opts)
+	case scenario.PN:
 		opts := solver.DistPNOptions{
-			Lambda: prob.Lambda, Gamma: solver.GammaFromLipschitz(l), B: *b,
+			Lambda: prob.Lambda, Gamma: gamma(*b, 8), B: *b,
 			Tol: *tol, FStar: fstar, Seed: *seed,
-			OuterIter: *maxIter / maxInt(1, *s), InnerIter: maxInt(1, *s), K: *k,
+			OuterIter: *maxIter / max(1, *s), InnerIter: max(1, *s), K: *k,
 		}
 		res, err = runRanks(func(c dist.Comm) (*solver.Result, error) {
 			return solver.DistProxNewtonContext(ctx, c, solver.Partition(prob.X, prob.Y, c.Size(), c.Rank()), opts)
 		})
-	case "rcsfista", "sfista":
-		l := solver.SampledLipschitz(prob.X, prob.Y, *b, 8, *seed)
-		opts := solver.Defaults()
-		opts.Reg = regOp
-		opts.Lambda = prob.Lambda
-		opts.Gamma = solver.GammaFromLipschitz(l)
-		opts.MaxIter = *maxIter
-		opts.Tol = *tol
-		opts.FStar = fstar
-		opts.B = *b
-		opts.K = *k
-		opts.S = *s
-		opts.Seed = *seed
-		opts.ActiveSet = *activeSet
-		opts.ScreenMargin = *screenMargin
-		opts.CompressTier = *compressTier
+	case scenario.RCSFISTA:
+		opts.Gamma, opts.B, opts.K, opts.S, opts.Seed = gamma(*b, 8), *b, *k, *s, *seed
+		opts.ActiveSet, opts.ScreenMargin, opts.CompressTier = *activeSet, *screenMargin, *compressTier
 		if *algo == "sfista" {
 			opts.K, opts.S = 1, 1
 		}
 		res, err = runRanks(func(c dist.Comm) (*solver.Result, error) {
 			return solver.RCSFISTAContext(ctx, c, solver.Partition(prob.X, prob.Y, c.Size(), c.Rank()), opts)
 		})
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 	// A signal-cancelled solve still hands back a well-formed partial
 	// result (last checkpoint, counters, trace so far): report it and
@@ -414,11 +375,4 @@ func printObjective(out io.Writer, res *solver.Result) {
 	if !math.IsNaN(res.GradMap) {
 		fmt.Fprintf(out, "  gradient-mapping norm at w: %.3g\n", res.GradMap)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

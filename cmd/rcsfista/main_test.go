@@ -174,7 +174,7 @@ func TestCLIErrors(t *testing.T) {
 		}
 	}
 	err := run(context.Background(), []string{"-loss", "logistic", "-activeset", "-dataset", "nosuch"}, &out)
-	if err == nil || err.Error() != "-loss logistic does not support -activeset/-compress-tier" {
+	if err == nil || err.Error() != "-activeset does not apply to -loss logistic" {
 		t.Fatalf("-loss logistic -activeset: got %v", err)
 	}
 }

@@ -28,22 +28,6 @@ func workerRoster(rankFlag int, peersFlag string) (rank int, peers []string, isW
 	return rank, peers, isWorker
 }
 
-// distributedAlgo reports whether the algorithm runs on a dist.Comm
-// (and can therefore run one OS process per rank).
-func distributedAlgo(algo string) bool {
-	switch algo {
-	case "rcsfista", "sfista", "pn", "cocoa", "logistic":
-		return true
-	}
-	return false
-}
-
-// newWorld builds the in-process world on the selected transport
-// backend — the single-process execution path.
-func newWorld(transport string, p int, mach perf.Machine) (dist.World, error) {
-	return dist.NewWorldOn(transport, p, mach)
-}
-
 // solveOnComm runs one rank's share of a solve on the live
 // communicator and rebuilds the world-level result fields
 // solvercore.RunWorld would produce: the critical-path cost is the

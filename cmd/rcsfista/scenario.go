@@ -1,77 +1,55 @@
-// Scenario plumbing for the CLI: resolving -reg/-l2/-groups into a
-// prox operator and running the generalized-loss proximal newton
-// branch that -loss {logistic,huber,quantile} selects.
+// Scenario plumbing for the CLI: asking the feature table which engine
+// the flags select and resolving -reg/-l2/-groups into a prox operator.
 package main
 
 import (
-	"context"
 	"fmt"
-	"io"
 
 	"github.com/hpcgo/rcsfista/internal/data"
-	"github.com/hpcgo/rcsfista/internal/dist"
-	"github.com/hpcgo/rcsfista/internal/erm"
 	"github.com/hpcgo/rcsfista/internal/prox"
 	"github.com/hpcgo/rcsfista/internal/scenario"
-	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
-// buildScenarioReg resolves the regularizer flags against the loaded
-// problem dimension. Any family beyond the default l1 goes through
-// the scenario builder; the dual (cocoa) and least-squares-Newton
-// (pn) baselines are l1-only. A nil operator means "default l1 from
-// Options.Lambda".
-func buildScenarioReg(algo, name string, l2 float64, groupsSpec string, prob *data.Problem) (prox.Operator, error) {
-	if name == "" || name == "l1" {
-		if l2 != 0 || groupsSpec != "" {
-			return nil, fmt.Errorf("-l2/-groups apply to -reg en|ridge|group, not %q", name)
-		}
-		return nil, nil
+// engines maps each -algo name to its engine. rcsfista, the flag's
+// default, names none, so a -loss other than ls picks proximal Newton.
+var engines = map[string]scenario.Engine{
+	"rcsfista":  scenario.Default,
+	"sfista":    scenario.RCSFISTA,
+	"logistic":  scenario.LossPN,
+	"fista":     scenario.DataFISTA,
+	"ista":      scenario.DataFISTA,
+	"cd":        scenario.CD,
+	"prox-svrg": scenario.ProxSVRG,
+	"pn":        scenario.PN,
+	"cocoa":     scenario.CoCoA,
+}
+
+// checkFeatures asks the feature table which engine -algo selects for
+// the fit f, before any world is launched or data loaded, and refuses
+// what the engine does not allow in the flags' own names.
+func checkFeatures(algo, transport string, f scenario.Fit) (scenario.Engine, error) {
+	e, ok := engines[algo]
+	if !ok {
+		return 0, fmt.Errorf("unknown algorithm %q", algo)
 	}
-	if algo == "cocoa" || algo == "pn" {
-		return nil, fmt.Errorf("-reg %s does not apply to -algo %s (l1 only)", name, algo)
+	world := "-transport tcp"
+	if transport != "tcp" {
+		world = "-rank/-peers"
+	}
+	f.Engine, f.Algo = e, "-algo "+algo
+	return scenario.Check(f, scenario.Names{
+		scenario.RegParams: "-l2/-groups", scenario.Loss: "-loss", scenario.NonL1Reg: "-reg",
+		scenario.ActiveSet: "-activeset", scenario.CompressTier: "-compress-tier", scenario.ProcessWorld: world,
+	})
+}
+
+// buildScenarioReg resolves -reg/-l2/-groups against the loaded problem
+// dimension. A nil operator means "default l1 from Options.Lambda".
+func buildScenarioReg(name string, l2 float64, groupsSpec string, prob *data.Problem) (prox.Operator, error) {
+	if name == "" || name == "l1" {
+		return nil, nil
 	}
 	return scenario.BuildReg(scenario.RegSpec{
 		Name: name, Lambda: prob.Lambda, L2: l2, Groups: groupsSpec,
 	}, prob.X.Rows)
-}
-
-// lossPNRun is the flag state the generalized-loss proximal newton
-// branch needs: the whole solve path for huber/quantile/logistic.
-// runRanks puts a rank function on the run's communicator or world.
-type lossPNRun struct {
-	prob     *data.Problem
-	reg      prox.Operator
-	runRanks func(solve func(c dist.Comm) (*solver.Result, error)) (*solver.Result, error)
-	loss     scenario.LossSpec
-	maxIter  int
-	inner    int
-	b        float64
-	seed     uint64
-}
-
-func (r *lossPNRun) solve(ctx context.Context, out io.Writer) (*solver.Result, error) {
-	lossFn, err := scenario.BuildLoss(r.loss)
-	if err != nil {
-		return nil, err
-	}
-	y := r.prob.Y
-	_, logistic := lossFn.(erm.Logistic)
-	if logistic {
-		y = erm.SignLabels(y)
-	}
-	eopts := erm.Options{
-		Loss: lossFn, Reg: r.reg, Lambda: r.prob.Lambda,
-		OuterIter: r.maxIter, InnerIter: r.inner, B: r.b,
-		LineSearch: true, Seed: r.seed,
-	}
-	res, err := r.runRanks(func(c dist.Comm) (*solver.Result, error) {
-		local := erm.Partition(r.prob.X, y, c.Size(), c.Rank())
-		return erm.DistProxNewtonContext(ctx, c, local, eopts)
-	})
-	if res != nil && logistic {
-		obj := erm.NewObjective(r.prob.X, y, lossFn)
-		fmt.Fprintf(out, "training accuracy: %.4f\n", obj.Accuracy(res.W))
-	}
-	return res, err
 }

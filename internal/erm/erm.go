@@ -38,9 +38,6 @@ type Loss interface {
 	// Second returns d^2/dz^2 loss(z, y); must be non-negative
 	// (convexity) and bounded (smoothness).
 	Second(z, y float64) float64
-	// CurvatureBound returns a global upper bound on Second, used for
-	// Lipschitz estimates (1 for least squares, 1/4 for logistic).
-	CurvatureBound() float64
 	// Name identifies the loss.
 	Name() string
 }
@@ -57,9 +54,6 @@ func (Squared) Deriv(z, y float64) float64 { return z - y }
 
 // Second returns 1.
 func (Squared) Second(z, y float64) float64 { return 1 }
-
-// CurvatureBound returns 1.
-func (Squared) CurvatureBound() float64 { return 1 }
 
 // Name returns "squared".
 func (Squared) Name() string { return "squared" }
@@ -87,9 +81,6 @@ func (Logistic) Second(z, y float64) float64 {
 	s := sigmoid(y * z)
 	return s * (1 - s)
 }
-
-// CurvatureBound returns 1/4.
-func (Logistic) CurvatureBound() float64 { return 0.25 }
 
 // SignLabels returns a copy of y mapped onto the {-1, +1} labels
 // Logistic expects: +1 where y >= 0, -1 elsewhere. The input — often a
@@ -308,9 +299,6 @@ func (h Huber) Second(z, y float64) float64 {
 	}
 	return 0
 }
-
-// CurvatureBound returns 1.
-func (Huber) CurvatureBound() float64 { return 1 }
 
 // Name returns "huber".
 func (Huber) Name() string { return "huber" }

@@ -66,8 +66,5 @@ func (q Quantile) Second(z, y float64) float64 {
 	return s * (1 - s) / q.eps()
 }
 
-// CurvatureBound returns 1/(4*eps).
-func (q Quantile) CurvatureBound() float64 { return 1 / (4 * q.eps()) }
-
 // Name returns "quantile".
 func (Quantile) Name() string { return "quantile" }

@@ -29,15 +29,14 @@ func TestQuantileLossShape(t *testing.T) {
 			t.Fatalf("Deriv(%g) = %g outside [-0.8, 0.2]", z, d)
 		}
 	}
-	// Convexity: Second non-negative and within the curvature bound.
+	// Convexity: Second non-negative and within the curvature bound
+	// 1/(4*eps), the peak of the smoothed pinball's second derivative.
+	bound := 1 / (4 * q.Eps)
 	for _, z := range []float64{-5, -0.1, 0, 0.1, 5} {
 		s := q.Second(z, 0)
-		if s < 0 || s > q.CurvatureBound() {
-			t.Fatalf("Second(%g) = %g outside [0, %g]", z, s, q.CurvatureBound())
+		if s < 0 || s > bound {
+			t.Fatalf("Second(%g) = %g outside [0, %g]", z, s, bound)
 		}
-	}
-	if b := q.CurvatureBound(); math.Abs(b-1/(4*0.1)) > 1e-15 {
-		t.Fatalf("CurvatureBound = %g, want 2.5", b)
 	}
 	// Defaults: tau 0.5, eps 0.5.
 	def := Quantile{}

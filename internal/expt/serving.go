@@ -109,7 +109,7 @@ func Serving(cfg Config) *Report {
 		rep.Latency.P50MS, rep.Latency.P95MS, rep.Latency.P99MS, rep.Latency.MaxMS))
 	loadTbl.AddRow("lambda-path cache", fmt.Sprintf("%d hits / %d lookups (%.0f%%)",
 		rep.PathHits, rep.PathHits+rep.PathMisses, 100*rep.PathHitRate))
-	loadTbl.AddRow("mean iters of solved fits, warm vs cold", fmt.Sprintf("%.1f vs %.1f", rep.MeanWarmIters, rep.MeanColdIters))
+	loadTbl.AddRow("iters of solved fits at the same lambda", rep.WarmVsCold())
 	if sn := rep.ServerStats; sn != nil {
 		loadTbl.AddRow("answered from the triple / cache", fmt.Sprintf("%d / %d of %d fits", sn.TripleFits, sn.CertifiedHits, sn.Fits))
 	}

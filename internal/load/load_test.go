@@ -197,32 +197,44 @@ func TestSummaryAnsweredBy(t *testing.T) {
 
 // TestSummaryWarmColdIters renders the summary from canned outcomes:
 // warm and cold fits answered from the triple (no rounds) and by a
-// world, a cache answer and a partial. The iteration means cover the
-// solved, complete fits only — the cache answer ran no solve and the
-// partial stopped at its deadline — so warm triple fits needing fewer
-// iterations than cold ones show as a saving, where round means read
-// 0 vs 0.
+// world at four lambdas, a cache answer and a partial. The iteration
+// means cover the solved, complete fits only — the cache answer ran no
+// solve and the partial stopped at its deadline — at the lambdas that
+// have both a warm and a cold one, each lambda weighing the same: a
+// warm start saving iterations shows as a saving at equal lambda, not
+// as the difference between the lambdas warm and cold fits ran at. With
+// no such lambda the summary says there is no pair.
 func TestSummaryWarmColdIters(t *testing.T) {
-	fit := func(warm bool, by string, iters, rounds int, partial bool) Outcome {
-		return Outcome{Status: 200, Fit: &serve.FitResponse{Warm: warm, AnsweredBy: by, Iters: iters, Rounds: rounds, Partial: partial}}
+	fit := func(lambda float64, warm bool, by string, iters, rounds int, partial bool) Outcome {
+		return Outcome{Status: 200, Fit: &serve.FitResponse{Lambda: lambda, Warm: warm, AnsweredBy: by,
+			Iters: iters, Rounds: rounds, Partial: partial}}
 	}
 	outcomes := []Outcome{
-		fit(false, "triple", 90, 0, false),
-		fit(false, "triple", 110, 0, false),
-		fit(false, "world", 40, 40, false),
-		fit(true, "triple", 20, 0, false),
-		fit(true, "triple", 30, 0, false),
-		fit(true, "world", 10, 10, false),
-		fit(true, "cache", 0, 0, false),
-		fit(true, "triple", 5000, 0, true),
+		fit(1, false, "triple", 90, 0, false),
+		fit(1, true, "triple", 20, 0, false),
+		fit(1, true, "cache", 0, 0, false),
+		fit(2, false, "triple", 110, 0, false),
+		fit(2, true, "triple", 5000, 0, true),
+		fit(3, false, "world", 40, 40, false),
+		fit(3, true, "world", 10, 10, false),
+		fit(3, true, "triple", 30, 0, false),
+		fit(4, true, "triple", 50, 0, false),
 	}
 	rep := summarize(Config{}, outcomes, time.Second)
-	if rep.MeanWarmIters != 20 || rep.MeanColdIters != 80 || rep.WarmFits != 4 || rep.Partial != 1 {
-		t.Fatalf("warm mean %g, cold mean %g, %d warm fits, %d partial; want 20, 80, 4, 1",
-			rep.MeanWarmIters, rep.MeanColdIters, rep.WarmFits, rep.Partial)
+	if rep.MeanWarmIters != 20 || rep.MeanColdIters != 65 || rep.PairedLambdas != 2 || rep.WarmFits != 5 || rep.Partial != 1 {
+		t.Fatalf("warm mean %g, cold mean %g over %d lambdas, %d warm fits, %d partial; want 20, 65, 2, 5, 1",
+			rep.MeanWarmIters, rep.MeanColdIters, rep.PairedLambdas, rep.WarmFits, rep.Partial)
 	}
-	if got := rep.Summary(); !strings.Contains(got, "  iters of solved fits: warm mean 20.0 vs cold mean 80.0\n") {
+	if got := rep.Summary(); !strings.Contains(got, "  iters of solved fits at the same lambda: warm mean 20.0 vs cold mean 65.0 over 2 lambdas\n") {
 		t.Fatalf("summary lacks the iteration means:\n%s", got)
+	}
+
+	rep = summarize(Config{}, []Outcome{outcomes[0], outcomes[3], outcomes[8]}, time.Second)
+	if rep.PairedLambdas != 0 || rep.MeanWarmIters != 0 || rep.MeanColdIters != 0 {
+		t.Fatalf("unpaired: warm mean %g, cold mean %g over %d lambdas", rep.MeanWarmIters, rep.MeanColdIters, rep.PairedLambdas)
+	}
+	if got := rep.Summary(); !strings.Contains(got, "no like-for-like pair") {
+		t.Fatalf("summary of unpaired fits claims a pair:\n%s", got)
 	}
 }
 

@@ -42,12 +42,15 @@ type Report struct {
 	PathHitRate float64 `json:"path_hit_rate"`
 	WarmFits    int     `json:"warm_fits"`
 	// Warm-start economics: mean solver iterations of the warm vs cold
-	// fits that ran a solve. Iterations, not rounds: a fit answered from
-	// the triple runs local iterations and no communication round, and
-	// a world fit reports both. Cache answers run no solve and partial
-	// fits stop at the deadline, so neither counts.
+	// fits that ran a solve, like for like: only lambdas with both a warm
+	// and a cold solved fit count, PairedLambdas of them, each with equal
+	// weight. Iterations, not rounds: a fit answered from the triple runs
+	// local iterations and no communication round, and a world fit
+	// reports both. Cache answers run no solve and partial fits stop at
+	// the deadline, so neither counts.
 	MeanWarmIters float64 `json:"mean_warm_iters"`
 	MeanColdIters float64 `json:"mean_cold_iters"`
+	PairedLambdas int     `json:"paired_lambdas"`
 	// ServerStats is the server's own /stats snapshot after the run.
 	ServerStats *serve.StatsSnapshot `json:"server_stats,omitempty"`
 }
@@ -184,7 +187,9 @@ func fetchStats(ctx context.Context, client *http.Client, base string) *serve.St
 func summarize(cfg Config, outcomes []Outcome, wall time.Duration) *Report {
 	rep := &Report{Config: cfg, N: len(outcomes), WallSec: wall.Seconds()}
 	var lats []float64
-	var warmIters, coldIters, warmN, coldN int
+	// iters[lambda] holds the iteration sum and count of the solved warm
+	// (0, 1) and cold (2, 3) fits at lambda.
+	iters := map[float64][4]int{}
 	for i := range outcomes {
 		o := &outcomes[i]
 		switch {
@@ -213,27 +218,35 @@ func summarize(cfg Config, outcomes []Outcome, wall time.Duration) *Report {
 		// A deadline-clipped solve's iteration count measures the
 		// deadline, not convergence, and a cache answer ran no solve:
 		// both stay out of the iteration means.
-		switch {
-		case o.Fit.Partial, o.Fit.AnsweredBy == "cache":
-		case o.Fit.Warm:
-			warmIters += o.Fit.Iters
-			warmN++
-		default:
-			coldIters += o.Fit.Iters
-			coldN++
+		if o.Fit.Partial || o.Fit.AnsweredBy == "cache" {
+			continue
 		}
+		at, side := iters[o.Fit.Lambda], 2
+		if o.Fit.Warm {
+			side = 0
+		}
+		at[side] += o.Fit.Iters
+		at[side+1]++
+		iters[o.Fit.Lambda] = at
 	}
 	sort.Float64s(lats)
 	rep.Latency = NewHistogram(lats)
 	if total := rep.PathHits + rep.PathMisses; total > 0 {
 		rep.PathHitRate = float64(rep.PathHits) / float64(total)
 	}
-	if warmN > 0 {
-		rep.MeanWarmIters = float64(warmIters) / float64(warmN)
+	var lambdas []float64
+	for l, at := range iters {
+		if at[1] > 0 && at[3] > 0 {
+			lambdas = append(lambdas, l)
+		}
 	}
-	if coldN > 0 {
-		rep.MeanColdIters = float64(coldIters) / float64(coldN)
+	sort.Float64s(lambdas)
+	for _, l := range lambdas {
+		at, n := iters[l], float64(len(lambdas))
+		rep.MeanWarmIters += float64(at[0]) / float64(at[1]) / n
+		rep.MeanColdIters += float64(at[2]) / float64(at[3]) / n
 	}
+	rep.PairedLambdas = len(lambdas)
 	if rep.WallSec > 0 {
 		rep.ThroughputRPS = float64(rep.OK) / rep.WallSec
 	}
@@ -252,8 +265,7 @@ func (r *Report) Summary() string {
 	fmt.Fprintf(&b, "  lambda-path cache: %d hits / %d lookups (%.0f%%)\n",
 		r.PathHits, r.PathHits+r.PathMisses, 100*r.PathHitRate)
 	if r.WarmFits > 0 {
-		fmt.Fprintf(&b, "  iters of solved fits: warm mean %.1f vs cold mean %.1f\n",
-			r.MeanWarmIters, r.MeanColdIters)
+		fmt.Fprintf(&b, "  iters of solved fits at the same lambda: %s\n", r.WarmVsCold())
 	}
 	if sn := r.ServerStats; sn != nil {
 		fmt.Fprintf(&b, "  certified hits (answered without a solve): %d of %d warm fits\n",
@@ -262,6 +274,14 @@ func (r *Report) Summary() string {
 			sn.TripleFits, sn.CertifiedHits, sn.Fits-sn.TripleFits-sn.CertifiedHits)
 	}
 	return b.String()
+}
+
+// WarmVsCold renders the like-for-like warm vs cold iteration means.
+func (r *Report) WarmVsCold() string {
+	if r.PairedLambdas == 0 {
+		return "no lambda has both a warm and a cold solved fit (no like-for-like pair)"
+	}
+	return fmt.Sprintf("warm mean %.1f vs cold mean %.1f over %d lambdas", r.MeanWarmIters, r.MeanColdIters, r.PairedLambdas)
 }
 
 func lambdaPattern(cfg Config) string {

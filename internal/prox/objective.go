@@ -69,16 +69,6 @@ func (o *Objective) Gradient(g, w []float64, c *perf.Cost) {
 	mat.Scal(1/m, g, c)
 }
 
-// RelErr returns the relative objective error of Section 5.1,
-// e = |(F(w) - F*) / F*|, the paper's convergence metric and stopping
-// criterion. F* is the reference optimal objective value.
-func RelErr(fw, fstar float64) float64 {
-	if fstar == 0 {
-		return math.Abs(fw)
-	}
-	return math.Abs((fw - fstar) / fstar)
-}
-
 // EstimateLipschitz estimates L = lambda_max((1/m) X X^T), the Lipschitz
 // constant of grad f, by iters rounds of power iteration on the implicit
 // Gram operator. v0 seeds the iteration; pass nil for a deterministic

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/erm"
@@ -105,5 +107,57 @@ func TestTagsDistinguishScenarios(t *testing.T) {
 	// λ is excluded from the reg tag: the λ-path cache handles it.
 	if RegTag(prox.L1{Lambda: 0.1}) != RegTag(prox.L1{Lambda: 0.9}) {
 		t.Fatal("l1 tag should not depend on lambda")
+	}
+}
+
+// TestCheckTable pins the feature table engine by engine: each feature
+// alone is allowed exactly where the surfaces allowed it before they
+// shared one table, a refusal names its feature, and Default resolves
+// by the loss.
+func TestCheckTable(t *testing.T) {
+	allowed := map[Engine]Feature{
+		RCSFISTA:  NonL1Reg | ActiveSet | CompressTier | ProcessWorld,
+		LossPN:    NonL1Reg | ProcessWorld,
+		DataFISTA: NonL1Reg,
+		CD:        NonL1Reg,
+		ProxSVRG:  NonL1Reg,
+		PN:        ProcessWorld,
+		CoCoA:     ProcessWorld,
+	}
+	names := Names{RegParams: "l2", Loss: "loss", NonL1Reg: "reg", ActiveSet: "as", CompressTier: "tier", ProcessWorld: "world"}
+	for e, ok := range allowed {
+		for _, ft := range []Feature{NonL1Reg, ActiveSet, CompressTier, ProcessWorld} {
+			f := Fit{Engine: e, Algo: "algo", ActiveSet: ft == ActiveSet, CompressTier: ft == CompressTier, ProcessWorld: ft == ProcessWorld}
+			if ft == NonL1Reg {
+				f.Reg = "en"
+			}
+			if e == LossPN {
+				f.Engine, f.Loss = Default, "huber"
+			}
+			got, err := Check(f, names)
+			var r *Refusal
+			switch {
+			case ok&ft != 0 && (err != nil || got != e):
+				t.Fatalf("engine %d, feature %d: got engine %d, %v; want it allowed", e, ft, got, err)
+			case ok&ft == 0 && (!errors.As(err, &r) || r.Feature != ft || !strings.HasPrefix(err.Error(), names[ft]+" ")):
+				t.Fatalf("engine %d, feature %d: got %v; want it refused", e, ft, err)
+			}
+		}
+		if e != LossPN {
+			if _, err := Check(Fit{Engine: e, Algo: "algo", Loss: "quantile"}, names); err == nil || err.(*Refusal).Feature != Loss {
+				t.Fatalf("engine %d took a loss: %v", e, err)
+			}
+		}
+	}
+	if _, err := Check(Fit{Engine: LossPN, Algo: "algo", Loss: "huber"}, names); err == nil || err.(*Refusal).Feature != Loss {
+		t.Fatalf("a loss beside a named LossPN: %v", err)
+	}
+	for _, reg := range []string{"", "l1"} {
+		if _, err := Check(Fit{Reg: reg, RegParams: true}, names); err == nil || err.(*Refusal).Feature != RegParams {
+			t.Fatalf("l2/groups beside %q: %v", reg, err)
+		}
+	}
+	if e, err := Check(Fit{Reg: "ridge", RegParams: true, Loss: "ls"}, names); e != RCSFISTA || err != nil {
+		t.Fatalf("default least squares: %d, %v", e, err)
 	}
 }

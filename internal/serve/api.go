@@ -12,9 +12,9 @@
 //     fit that leaves solver, b, k and s unset, with no active_set and
 //     no compress_tier, is answered from the triple with no world
 //     (solver.SolveTriple): a local FISTA on (G, r) — the paper's b = 1
-//     corner — and one data pass over the procs column blocks that
-//     certifies it, falling through to a world started at the refined
-//     iterate when it does not certify within max_iter. Every other
+//     corner — of at most max_iter iterations, and one data pass over
+//     the procs column blocks that certifies it or, when it does not
+//     certify within max_iter, prices its unconverged answer. Every other
 //     least-squares fit runs on a world and is handed the triple
 //     (solver.SolveDistributedResident), which it reads from round 0,
 //     the first fit filling it before its first round. Its reply is bit
@@ -100,7 +100,8 @@ type FitRequest struct {
 	// "huber" or "quantile". Non-least-squares losses run on the
 	// sampled-Hessian Proximal Newton engine (one gradient + one
 	// Hessian allreduce per outer iteration) instead of RC-SFISTA, so
-	// Solver must stay empty and ActiveSet off for them. HuberDelta,
+	// Solver, ActiveSet and CompressTier must stay unset for them (the
+	// feature table in internal/scenario refuses them). HuberDelta,
 	// QuantileTau and QuantileEps are the loss shape parameters; zero
 	// selects the loss defaults.
 	Loss        string  `json:"loss,omitempty"`
@@ -117,14 +118,18 @@ type FitRequest struct {
 	LambdaRatio float64 `json:"lambda_ratio,omitempty"`
 
 	// Solver is "rcsfista" (the default algorithm), "sfista" (k=s=1)
-	// or "fista" (deterministic: b=1, k=s=1). Naming any of them, like
-	// setting B, K or S, runs the fit on a world whose reply equals the
-	// CLI solve of those parameters bit for bit; leaving all four unset
-	// lets a least-squares fit be answered from its dataset's triple
-	// with no world (see AnsweredBy).
+	// or "fista" (RC-SFISTA at b=1, k=s=1: the paper's FISTA corner,
+	// not the CLI's -algo fista, which passes over the data every
+	// update). Naming any of them, like setting B, K or S, runs the fit
+	// on a world whose reply equals the CLI solve of those parameters
+	// bit for bit; leaving all four unset lets a least-squares fit be
+	// answered from its dataset's triple with no world (see AnsweredBy).
 	Solver string `json:"solver,omitempty"`
-	// MaxIter bounds the solution updates; zero selects the server
-	// default.
+	// MaxIter bounds the solution updates — the local iterations of a
+	// triple-answered fit, the updates of a world fit, the outer
+	// iterations of a proximal newton fit; zero selects the server
+	// default (100 outer iterations for proximal newton). Iters never
+	// exceeds it.
 	MaxIter int `json:"max_iter,omitempty"`
 	// GradMapTol is the reference-free stopping threshold; zero selects
 	// the server default, negative disables early stopping.
@@ -218,11 +223,10 @@ type FitResponse struct {
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	ModelSeconds float64 `json:"model_seconds"`
 	// AnsweredBy names the path that answered: "triple" (a local solve
-	// on the dataset's triple, certified by one data pass, or cut short
-	// by the deadline; Rounds is 0 and Iters counts local iterations),
-	// "world" (a distributed solve; for a triple-routed fit that did not
-	// certify within MaxIter, Iters and ModelSeconds include the triple
-	// path's) or "cache" (a certified hit).
+	// on the dataset's triple, certified by one data pass, unconverged
+	// when it did not certify within MaxIter, or cut short by the
+	// deadline; Rounds is 0 and Iters counts local iterations), "world"
+	// (a distributed solve) or "cache" (a certified hit).
 	AnsweredBy string `json:"answered_by"`
 
 	// W is the coefficient vector, present only with ReturnW.

@@ -104,8 +104,10 @@ func TestCertifiedHitNeedsNoWorld(t *testing.T) {
 		t.Fatalf("repeat objective %.17g nnz %d, publisher %.17g nnz %d (or w differs)",
 			again.Objective, again.Nnz, first.Objective, first.Nnz)
 	}
-	if sn := getStats(t, client, ts.URL); sn.CertifiedHits != 1 || sn.WarmFits != 1 || sn.WarmRounds != 0 {
-		t.Fatalf("stats after one hit: certified %d warm %d warm rounds %d", sn.CertifiedHits, sn.WarmFits, sn.WarmRounds)
+	if sn := getStats(t, client, ts.URL); sn.CertifiedHits != 1 || sn.WarmFits != 1 || sn.WarmIters != 0 ||
+		sn.ColdFits != 1 || sn.ColdIters != int64(first.Iters) {
+		t.Fatalf("stats after one hit: certified %d, warm %d (%d iters), cold %d (%d iters, publisher %d)",
+			sn.CertifiedHits, sn.WarmFits, sn.WarmIters, sn.ColdFits, sn.ColdIters, first.Iters)
 	}
 
 	direct := directZeroRound(t, first.Lambda, first.W, fastConfig().Procs)

@@ -288,12 +288,12 @@ func TestDeadlineReturnsPartialResult(t *testing.T) {
 	if sn.Deadlines != 1 {
 		t.Fatalf("deadlines counter = %d, want 1", sn.Deadlines)
 	}
-	// A clipped solve is a partial, not a cold fit: its round count
-	// reflects the deadline and must not pollute the warm/cold round
+	// A clipped solve is a partial, not a cold fit: its iteration count
+	// reflects the deadline and must not pollute the warm/cold
 	// economics.
-	if sn.PartialFits != 1 || sn.ColdFits != 0 || sn.ColdRounds != 0 || sn.WarmFits != 0 {
-		t.Fatalf("partial fit leaked into warm/cold counters: partial=%d cold=%d coldRounds=%d warm=%d",
-			sn.PartialFits, sn.ColdFits, sn.ColdRounds, sn.WarmFits)
+	if sn.PartialFits != 1 || sn.ColdFits != 0 || sn.ColdIters != 0 || sn.WarmFits != 0 {
+		t.Fatalf("partial fit leaked into warm/cold counters: partial=%d cold=%d coldIters=%d warm=%d",
+			sn.PartialFits, sn.ColdFits, sn.ColdIters, sn.WarmFits)
 	}
 }
 

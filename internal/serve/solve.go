@@ -96,13 +96,10 @@ func (s *Server) fitOptions(req *FitRequest, ds *dataset) (solver.Options, float
 		o.S = req.S
 	}
 	switch req.Solver {
-	case "", "rcsfista":
 	case "sfista":
 		o.K, o.S = 1, 1
 	case "fista":
 		o.K, o.S, o.B = 1, 1, 1
-	default:
-		return zero, 0, badRequest("unknown solver %q (rcsfista, sfista, fista)", req.Solver)
 	}
 	o.MaxIter = s.cfg.MaxIter
 	if req.MaxIter > 0 {
@@ -133,8 +130,6 @@ func (s *Server) fitOptions(req *FitRequest, ds *dataset) (solver.Options, float
 			return zero, 0, badRequest("%v", err)
 		}
 		o.Reg = reg
-	} else if req.L2 != 0 || req.Groups != "" {
-		return zero, 0, badRequest("l2/groups apply to reg=en|ridge|group, not %q", req.Reg)
 	}
 	o.Gamma = ds.gammaFor(o.B)
 	o.TraceName = "serve"
@@ -144,29 +139,33 @@ func (s *Server) fitOptions(req *FitRequest, ds *dataset) (solver.Options, float
 	return o, lambda, nil
 }
 
-// fitLoss resolves the request's loss block. The bool reports whether
-// the fit must run on the Proximal Newton engine (any loss other than
-// least squares).
-func fitLoss(req *FitRequest) (erm.Loss, bool, error) {
-	loss, err := scenario.BuildLoss(scenario.LossSpec{
-		Name: req.Loss, Delta: req.HuberDelta, Tau: req.QuantileTau, Eps: req.QuantileEps,
-	})
+// fitNames spells the features as FitRequest's fields.
+var fitNames = scenario.Names{
+	scenario.RegParams: "l2/groups", scenario.Loss: "loss", scenario.NonL1Reg: "reg",
+	scenario.ActiveSet: "active_set", scenario.CompressTier: "compress_tier",
+}
+
+// fitEngine asks the feature table which engine the request runs on —
+// solver "" names none (scenario.Default); every other name, "fista"
+// (b = 1) included, is RC-SFISTA — and refuses, with a 400 in the
+// request's field names, what that engine does not allow.
+func fitEngine(req *FitRequest) (scenario.Engine, error) {
+	e := scenario.RCSFISTA
+	switch req.Solver {
+	case "":
+		e = scenario.Default
+	case "rcsfista", "sfista", "fista":
+	default:
+		return 0, badRequest("unknown solver %q (rcsfista, sfista, fista)", req.Solver)
+	}
+	e, err := scenario.Check(scenario.Fit{
+		Engine: e, Algo: fmt.Sprintf("solver %q", req.Solver), Reg: req.Reg, Loss: req.Loss,
+		RegParams: req.L2 != 0 || req.Groups != "", ActiveSet: req.ActiveSet, CompressTier: req.CompressTier != "",
+	}, fitNames)
 	if err != nil {
-		return nil, false, badRequest("%v", err)
+		return 0, badRequest("%v", err)
 	}
-	pn := req.Loss != "" && req.Loss != "ls"
-	if pn {
-		if req.Solver != "" {
-			return nil, false, badRequest("loss %q runs on the proximal newton engine; leave solver empty", req.Loss)
-		}
-		if req.ActiveSet {
-			return nil, false, badRequest("active_set applies to least-squares solvers only, not loss %q", req.Loss)
-		}
-		if req.CompressTier != "" {
-			return nil, false, badRequest("compress_tier applies to least-squares solvers only, not loss %q", req.Loss)
-		}
-	}
-	return loss, pn, nil
+	return e, nil
 }
 
 // The paths that answer a fit, as FitResponse.AnsweredBy names them.
@@ -181,27 +180,33 @@ const (
 // active_set, and no compress_tier but a spelling of f64 — is answered
 // from its dataset's triple without a world (solver.SolveTriple). Any
 // other fit runs on a world.
-func fromTriple(req *FitRequest, pnLoss bool) bool {
-	return !pnLoss && req.Solver == "" && req.B == 0 && req.K == 0 && req.S == 0 &&
+func fromTriple(req *FitRequest, e scenario.Engine) bool {
+	return e == scenario.RCSFISTA && req.Solver == "" && req.B == 0 && req.K == 0 && req.S == 0 &&
 		!req.ActiveSet && solver.CanonicalTier(req.CompressTier) == ""
 }
 
-// runFit executes one admitted fit request end to end: dataset
-// resolution, warm-start lookup, the solve under the request context
-// and cache publication; or, when the lookup's entry certifies the
-// request, the cached answer with no solve at all. A fit fromTriple
-// routes is answered from the dataset's triple of its procs, filled
-// in-process on first use, and certified by one data pass; one that
-// does not certify within its budget falls through to a world started
-// at the refined W. Every other least-squares fit runs on a world that
-// reads the dataset's triple of its procs from round 0. It never
-// returns a nil response without an error.
+// runFit executes one admitted fit request end to end: the feature
+// table's check, dataset resolution, warm-start lookup, the solve under
+// the request context and cache publication; or, when the lookup's
+// entry certifies the request, the cached answer with no solve at all.
+// A fit fromTriple routes is answered from the dataset's triple of its
+// procs, filled in-process on first use, within max_iter iterations and
+// certified by one data pass when it converges. Every other
+// least-squares fit runs on a world that reads the dataset's triple of
+// its procs from round 0. It never returns a nil response without an
+// error.
 func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, error) {
-	ds, dsHit, err := s.resolveDataset(req.Dataset, req.LIBSVM, req.Features)
+	eng, err := fitEngine(req)
 	if err != nil {
 		return nil, err
 	}
-	loss, pnLoss, err := fitLoss(req)
+	loss, err := scenario.BuildLoss(scenario.LossSpec{
+		Name: req.Loss, Delta: req.HuberDelta, Tau: req.QuantileTau, Eps: req.QuantileEps,
+	})
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	ds, dsHit, err := s.resolveDataset(req.Dataset, req.LIBSVM, req.Features)
 	if err != nil {
 		return nil, err
 	}
@@ -225,12 +230,12 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	// canonicalize to "pn" regardless of the (empty) request field. A
 	// triple-routed fit reads no sampling parameter, so its family is
 	// the dataset and the regularizer alone.
-	triple := fromTriple(req, pnLoss)
+	triple := fromTriple(req, eng)
 	algo := req.Solver
 	switch {
 	case triple:
 		algo = answeredTriple
-	case pnLoss:
+	case eng == scenario.LossPN:
 		algo = "pn"
 	case algo == "":
 		algo = "rcsfista"
@@ -255,7 +260,7 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	}
 
 	start := time.Now()
-	res, serr := s.solve(ctx, resp, req, ds, loss, pnLoss, triple, opts, lambda, procs)
+	res, serr := s.solve(ctx, resp, req, ds, loss, eng, triple, opts, lambda, procs)
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if serr != nil {
 		var he *httpError
@@ -287,18 +292,18 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 		}
 	}
 	// Warm-start effectiveness is measured on completed solves only: a
-	// deadline-clipped fit stops at whatever round the clock ran out on,
-	// so its round count says nothing about warm vs cold convergence and
+	// deadline-clipped fit stops at whatever iteration the clock ran out
+	// on, so its count says nothing about warm vs cold convergence and
 	// would drag both averages toward the deadline budget.
 	switch {
 	case resp.Partial:
 		s.stats.partialFits.Add(1)
 	case resp.Warm:
 		s.stats.warmFits.Add(1)
-		s.stats.warmRounds.Add(int64(res.Rounds))
+		s.stats.warmIters.Add(int64(res.Iters))
 	default:
 		s.stats.coldFits.Add(1)
-		s.stats.coldRounds.Add(int64(res.Rounds))
+		s.stats.coldIters.Add(int64(res.Iters))
 	}
 
 	model := solver.NewModel(res, lambda, algo, datasetKey)
@@ -323,42 +328,27 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 
 // solve runs a fit the path cache did not answer and sets
 // resp.AnsweredBy. A triple-routed fit is answered from the dataset's
-// triple when its data pass certifies it, or when its deadline expires
-// first; otherwise its refined W warm-starts the world solve, whose
-// result then also counts the triple path's iterations, modeled time
-// and fill. One whose gradmap_tol disables the stop has nothing to
-// certify and goes to the world at once.
-func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, ds *dataset, loss erm.Loss, pnLoss, triple bool, opts solver.Options, lambda float64, procs int) (*solver.Result, error) {
-	var pre *solver.Result
-	if triple && opts.GradMapTol > 0 {
+// triple: certified by its data pass, or unconverged when it does not
+// certify within MaxIter, or partial when its deadline expires first.
+// Every other fit runs on a world.
+func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, ds *dataset, loss erm.Loss, eng scenario.Engine, triple bool, opts solver.Options, lambda float64, procs int) (*solver.Result, error) {
+	if triple {
 		res, err := solver.SolveTriple(ctx, ds.prob.X, ds.prob.Y, procs, s.cfg.Machine, opts, ds.resident(procs))
-		if err != nil || res.Converged {
-			if res != nil {
-				resp.AnsweredBy = answeredTriple
-				s.stats.tripleFits.Add(1)
-			}
-			return res, err
+		if res != nil {
+			resp.AnsweredBy = answeredTriple
+			s.stats.tripleFits.Add(1)
 		}
-		pre = res
-		opts.W0 = res.W
+		return res, err
 	}
 	resp.AnsweredBy = answeredWorld
 	world, err := dist.NewWorldOn(s.cfg.Transport, procs, s.cfg.Machine)
 	if err != nil {
 		return nil, &httpError{status: 500, msg: "create world: " + err.Error()}
 	}
-	var res *solver.Result
-	if pnLoss {
-		res, err = s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
-	} else {
-		res, err = solver.SolveDistributedResident(ctx, world, ds.prob.X, ds.prob.Y, opts, ds.resident(procs))
+	if eng == scenario.LossPN {
+		return s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
 	}
-	if pre != nil && res != nil {
-		res.Iters += pre.Iters
-		res.ModelSeconds += pre.ModelSeconds
-		res.GramFilled = res.GramFilled || pre.GramFilled
-	}
-	return res, err
+	return solver.SolveDistributedResident(ctx, world, ds.prob.X, ds.prob.Y, opts, ds.resident(procs))
 }
 
 // certifiedHit answers a fit from a path entry that certifies it: the

@@ -26,8 +26,8 @@ type Stats struct {
 
 	warmFits      atomic.Int64
 	coldFits      atomic.Int64
-	warmRounds    atomic.Int64
-	coldRounds    atomic.Int64
+	warmIters     atomic.Int64
+	coldIters     atomic.Int64
 	partialFits   atomic.Int64
 	certifiedHits atomic.Int64
 	tripleFits    atomic.Int64
@@ -62,15 +62,14 @@ type StatsSnapshot struct {
 	PathMisses    int64 `json:"path_misses"`
 	PathEvictions int64 `json:"path_evictions"`
 
-	// Warm-start effectiveness: communication rounds spent by
-	// warm-started vs cold fits. Only completed solves count — a
-	// deadline-clipped fit's round count reflects the deadline, not
-	// convergence, so partials are tallied separately and contribute to
-	// neither rounds bucket.
+	// Warm-start effectiveness: solver iterations (a triple fit runs no
+	// round) of warm vs cold fits that ran a solve. A certified hit is a
+	// warm fit that adds no iterations; a deadline-clipped fit's count
+	// reflects the deadline, so partials count in neither bucket.
 	WarmFits    int64 `json:"warm_fits"`
 	ColdFits    int64 `json:"cold_fits"`
-	WarmRounds  int64 `json:"warm_rounds"`
-	ColdRounds  int64 `json:"cold_rounds"`
+	WarmIters   int64 `json:"warm_iters"`
+	ColdIters   int64 `json:"cold_iters"`
 	PartialFits int64 `json:"partial_fits"`
 	// CertifiedHits counts warm fits answered from the lambda-path cache
 	// without a solve: an exact-lambda entry whose stored gradient-mapping
@@ -78,9 +77,9 @@ type StatsSnapshot struct {
 	// also a warm fit with zero rounds.
 	CertifiedHits int64 `json:"certified_hits"`
 	// TripleFits counts fits answered from their dataset's triple with
-	// no world (FitResponse.AnsweredBy "triple"), partial ones included.
-	// A fit that fell through to a world is not one, nor is a certified
-	// hit; a fit that filled the triple is also one of GramFills.
+	// no world (FitResponse.AnsweredBy "triple"), partial and
+	// unconverged ones included. A certified hit is not one; a fit that
+	// filled the triple is also one of GramFills.
 	TripleFits int64 `json:"triple_fits"`
 	// Resident Gram: the bytes the resident datasets' least-squares
 	// triples hold now (at most one per dataset and world size, capped
@@ -116,8 +115,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 
 		WarmFits:    s.warmFits.Load(),
 		ColdFits:    s.coldFits.Load(),
-		WarmRounds:  s.warmRounds.Load(),
-		ColdRounds:  s.coldRounds.Load(),
+		WarmIters:   s.warmIters.Load(),
+		ColdIters:   s.coldIters.Load(),
 		PartialFits: s.partialFits.Load(),
 
 		CertifiedHits: s.certifiedHits.Load(),

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/data"
-	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/serve"
 	"github.com/hpcgo/rcsfista/internal/solver"
@@ -18,10 +17,10 @@ import (
 // TestTripleRouting is the routing table: a least-squares fit that
 // leaves solver, b, k and s unset, with no active_set and no
 // compress_tier but a spelling of f64, is answered from the triple —
-// no rounds, certified, counted in triple_fits — for every
-// regularizer; any explicit sampling parameter or solver, any other
-// loss, active_set, a quantized tier, or a disabled stop (nothing to
-// certify) runs on a world.
+// no rounds, counted in triple_fits, certified unless its stop is
+// disabled (nothing to certify: it runs max_iter iterations) — for
+// every regularizer; any explicit sampling parameter or solver, any
+// other loss, active_set or a quantized tier runs on a world.
 func TestTripleRouting(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
@@ -47,7 +46,7 @@ func TestTripleRouting(t *testing.T) {
 		{"huber", func(r *serve.FitRequest) { r.Loss, r.MaxIter = "huber", 1000 }, "world"},
 		{"active_set", func(r *serve.FitRequest) { r.ActiveSet = true }, "world"},
 		{"f32", func(r *serve.FitRequest) { r.CompressTier = "f32" }, "world"},
-		{"gradmap_tol disabled", func(r *serve.FitRequest) { r.GradMapTol, r.MaxIter = -1, 200 }, "world"},
+		{"gradmap_tol disabled", func(r *serve.FitRequest) { r.GradMapTol, r.MaxIter = -1, 200 }, "triple"},
 	} {
 		req := &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Warm: &off, NoStore: true}
 		tc.edit(req)
@@ -58,7 +57,12 @@ func TestTripleRouting(t *testing.T) {
 			t.Fatalf("%s: answered by %q, want %q", tc.name, got.AnsweredBy, tc.want)
 		}
 		triple := after.TripleFits - before.TripleFits
-		if tc.want == "triple" && (triple != 1 || got.Rounds != 0 || !got.Converged || got.Iters == 0) {
+		budget := fastConfig().MaxIter
+		if req.MaxIter > 0 {
+			budget = req.MaxIter
+		}
+		if tc.want == "triple" && (triple != 1 || got.Rounds != 0 || got.Converged != (req.GradMapTol >= 0) ||
+			got.Iters == 0 || got.Iters > budget) {
 			t.Fatalf("%s: triple_fits +%d, %d rounds, %d iters, converged %t",
 				tc.name, triple, got.Rounds, got.Iters, got.Converged)
 		}
@@ -84,44 +88,30 @@ func serverOpts(t *testing.T, lambda float64, maxIter int) (*data.Problem, solve
 	return p, o
 }
 
-// TestTripleFallsThrough: a triple-routed fit whose max_iter is too
-// small to certify is finished by a world started from the refined W,
-// bit for bit the world solve warm-started at SolveTriple's W, and its
-// effort counts both legs. An unconverged reply is not published.
-func TestTripleFallsThrough(t *testing.T) {
+// TestTripleMaxIter: a triple-routed fit whose max_iter is too small to
+// certify is answered by the triple, unconverged, after exactly max_iter
+// iterations and no round — bit for bit SolveTriple's answer at the
+// server's options — and is not published.
+func TestTripleMaxIter(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
 	req := &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, MaxIter: 12, ReturnW: true}
 	got := doFit(t, client, ts.URL, req)
-	if got.AnsweredBy != "world" || got.Rounds == 0 {
-		t.Fatalf("short fit answered by %q in %d rounds", got.AnsweredBy, got.Rounds)
+	if got.AnsweredBy != "triple" || got.Converged || got.Iters != req.MaxIter || got.Rounds != 0 {
+		t.Fatalf("short fit answered by %q, converged %t, %d iters, %d rounds", got.AnsweredBy, got.Converged, got.Iters, got.Rounds)
 	}
 
 	p, o := serverOpts(t, got.Lambda, req.MaxIter)
-	procs := fastConfig().Procs
-	pre, err := solver.SolveTriple(context.Background(), p.X, p.Y, procs, perf.Comet(), o, nil)
-	if err != nil || pre.Converged {
-		t.Fatalf("triple leg: %v, converged %t", err, pre != nil && pre.Converged)
-	}
-	o.W0 = pre.W
-	world, err := dist.NewWorldOn("chan", procs, perf.Comet())
+	want, err := solver.SolveTriple(context.Background(), p.X, p.Y, fastConfig().Procs, perf.Comet(), o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := solver.SolveDistributedContext(context.Background(), world, p.X, p.Y, o)
-	if err != nil {
-		t.Fatal(err)
+	if !sameBits(got.W, want.W) || !sameBits([]float64{got.Objective}, []float64{want.FinalObj}) || got.Iters != want.Iters {
+		t.Fatalf("short fit: %d iters, objective %.17g; SolveTriple %d iters, %.17g (or w differs)",
+			got.Iters, got.Objective, want.Iters, want.FinalObj)
 	}
-	if !sameBits(got.W, want.W) || !sameBits([]float64{got.Objective}, []float64{want.FinalObj}) ||
-		got.Rounds != want.Rounds || got.Iters != pre.Iters+want.Iters || got.Converged != want.Converged {
-		t.Fatalf("fall-through: %d rounds, %d iters, objective %.17g; world from the refined W %d rounds, %d+%d iters, %.17g (or w differs)",
-			got.Rounds, got.Iters, got.Objective, want.Rounds, pre.Iters, want.Iters, want.FinalObj)
-	}
-	if !got.Converged {
-		again := doFit(t, client, ts.URL, req)
-		if again.PathCacheHit {
-			t.Fatal("an unconverged fall-through was published")
-		}
+	if again := doFit(t, client, ts.URL, req); again.PathCacheHit {
+		t.Fatal("an unconverged triple answer was published")
 	}
 }
 

@@ -147,8 +147,9 @@ type DistPNOptions struct {
 	TraceName string
 }
 
-// DistProxNewton runs the distributed stochastic Proximal Newton
-// method. As Section 3.3 observes, applying (RC-)SFISTA to the Eq. 19
+// DistProxNewtonContext runs the distributed stochastic Proximal Newton
+// method under a context (see RCSFISTAContext for the cancellation
+// contract). As Section 3.3 observes, applying (RC-)SFISTA to the Eq. 19
 // subproblem is identical to applying the SFISTA recurrences while
 // holding (H_n, R_n) fixed, so the driver delegates to the RC-SFISTA
 // engine with a direct option mapping:
@@ -165,12 +166,6 @@ type DistPNOptions struct {
 // outer iteration);
 // with K > 1 it is "PN with RC-SFISTA as inner solver", cutting
 // latency by O(K) (Figure 7).
-func DistProxNewton(c dist.Comm, local LocalData, opts DistPNOptions) (*Result, error) {
-	return DistProxNewtonContext(context.Background(), c, local, opts)
-}
-
-// DistProxNewtonContext is DistProxNewton under a context (see
-// RCSFISTAContext for the cancellation contract).
 func DistProxNewtonContext(ctx context.Context, c dist.Comm, local LocalData, opts DistPNOptions) (*Result, error) {
 	if opts.OuterIter <= 0 {
 		opts.OuterIter = 100

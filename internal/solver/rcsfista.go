@@ -256,7 +256,7 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 	if s, ok := opts.Reg.(prox.Screener); ok {
 		e.scr = s
 	}
-	e.gram.on = !opts.ActiveSet && (!tiers.on || tiers.auto && c.Size() == 1)
+	e.gram.on = holdsTriple(&opts, c.Size())
 	if opts.W0 != nil {
 		if len(opts.W0) != d {
 			panic("solver: W0 length mismatch")

@@ -149,10 +149,7 @@ const gramMapSlack = 1e-6
 // otherwise rolled back like any instrumentation, so W, Cost and
 // Rounds do not depend on the trace cadence.
 type residentGram struct {
-	// on gates the path: off under ActiveSet, whose |A|-sized slots G
-	// may outgrow, and under any CompressTier — where the snapshot
-	// gradient crosses the wire quantized and the auto ratchet reads the
-	// objective — except auto on one rank, which never leaves f64.
+	// on gates the path (holdsTriple).
 	on bool
 	// h, r, c are the replicated triple, nil h until held. They view
 	// the fill's shared allreduce result or a kept triple, which

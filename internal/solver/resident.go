@@ -51,14 +51,14 @@ func (b *ResidentBudget) reserve(n int64) bool {
 	}
 }
 
-// sharesTriple is the one rule for which world solves read and fill a
-// resident handle: the plain f64 ones. ActiveSet keeps no resident
-// Gram; a solve under a CompressTier (of which only auto on one rank
-// has a Gram) or a FaultPlan ignores the handle and fills its own
-// triple, as it does without one.
-func sharesTriple(o *Options) bool {
+// holdsTriple is the one rule for which solves hold the least-squares
+// triple before round 0, and so share a resident handle: none under
+// ActiveSet (G may outgrow its |A|-sized slots) or a CompressTier (the
+// snapshot gradient crosses the wire quantized; the auto ratchet reads
+// the objective) but auto on one rank, which never leaves f64.
+func holdsTriple(o *Options, p int) bool {
 	t, err := parseTierConfig(o.CompressTier)
-	return !o.ActiveSet && err == nil && !t.on && o.Faults == nil
+	return err == nil && !o.ActiveSet && (!t.on || t.auto && p == 1)
 }
 
 // Resident holds the least-squares triple of one (data, P) — the packed
@@ -148,12 +148,12 @@ func rcsfista(ctx context.Context, c dist.Comm, local LocalData, opts Options, r
 // counters, the stop and every trace objective, whatever r holds; Cost,
 // ModelSeconds and trace timing count the work done, and
 // Result.GramFilled says whether the solve filled the triple. A solve
-// sharesTriple rejects (or one that is invalid, left to the engine to
-// report) ignores r; one whose (d, m, P) differs from the one r was
-// stamped with errors before its first round. A nil r is
+// that holds no triple (holdsTriple), or one that is invalid, left to
+// the engine to report, ignores r; one whose (d, m, P) differs from the
+// one r was stamped with errors before its first round. A nil r is
 // SolveDistributedContext.
 func SolveDistributedResident(ctx context.Context, w dist.World, x *sparse.CSC, y []float64, opts Options, r *Resident) (*Result, error) {
-	if o := opts.withDefaults(); o.Validate() != nil || !sharesTriple(&o) {
+	if o := opts.withDefaults(); o.Validate() != nil || !holdsTriple(&o, w.Size()) {
 		r = nil
 	}
 	tri, err := r.held(x, w.Size())

@@ -153,10 +153,10 @@ func TestResidentIdentity(t *testing.T) {
 	}
 }
 
-// TestResidentIneligible: a screened, a compressed (f32, i8, auto) and a
-// fault-injected solve neither read nor write a resident handle — not
-// its triple, not even its stamp — and equal their handle-less solves
-// in everything, Cost included.
+// TestResidentIneligible: a screened and a compressed (f32, i8, auto on
+// two ranks) solve hold no triple, so they neither read nor write a
+// resident handle — not its triple, not even its stamp — and equal
+// their handle-less solves in everything, Cost included.
 func TestResidentIneligible(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -174,9 +174,6 @@ func TestResidentIneligible(t *testing.T) {
 		"f32":       func(o *Options) { o.CompressTier = "f32" },
 		"i8":        func(o *Options) { o.CompressTier = "i8" },
 		"auto":      func(o *Options) { o.CompressTier = "auto" },
-		"faults": func(o *Options) {
-			o.Faults = &dist.FaultPlan{Seed: 3, Schedule: []dist.ScheduledFault{{Round: 2, Kind: dist.FaultDrop}}}
-		},
 	} {
 		o := base
 		edit(&o)
@@ -200,6 +197,60 @@ func TestResidentIneligible(t *testing.T) {
 		}
 		if g := fresh.Bytes(); g != 0 || fresh.id != (residentID{}) {
 			t.Fatalf("%s: the fresh handle moved: %d triple bytes, stamp %+v", name, g, fresh.id)
+		}
+	}
+}
+
+// TestResidentShared: a fault-injected solve and an auto-tier solve on
+// one rank hold the triple, so they share a resident handle like a
+// plain solve. On a kept handle they fill nothing and answer the
+// handle-less solve bit for bit (faults included); on a fresh handle
+// they fill the triple, keep it and stamp the handle.
+func TestResidentShared(t *testing.T) {
+	p, err := data.LoadWith("covtype", 240, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := gramOpts(p)
+	base.K, base.MaxIter, base.GradMapTol = 2, 40, 0
+	for name, tc := range map[string]struct {
+		procs int
+		edit  func(o *Options)
+	}{
+		"faults": {2, func(o *Options) {
+			o.Faults = &dist.FaultPlan{Seed: 3, Schedule: []dist.ScheduledFault{{Round: 2, Kind: dist.FaultDrop}}}
+		}},
+		"auto/p1": {1, func(o *Options) { o.CompressTier = "auto" }},
+	} {
+		solve := func(o Options, r *Resident) (*Result, error) {
+			return SolveDistributedResident(context.Background(), dist.NewWorld(tc.procs, perf.Comet()), p.X, p.Y, o, r)
+		}
+		o := base
+		tc.edit(&o)
+		want, err := solve(o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := newResident()
+		if _, err := solve(base, kept); err != nil {
+			t.Fatal(err)
+		}
+		got, err := solve(o, kept)
+		if err != nil || got.GramFilled {
+			t.Fatalf("%s: err %v, filled %t; want the kept triple read", name, err, got != nil && got.GramFilled)
+		}
+		requireResidentAnswer(t, name+"/kept", got, want)
+		if got.Faults != want.Faults {
+			t.Fatalf("%s: faults %+v, handle-less %+v", name, got.Faults, want.Faults)
+		}
+		fresh := newResident()
+		got, err = solve(o, fresh)
+		if err != nil || !got.GramFilled {
+			t.Fatalf("%s: err %v, filled %t; want the fresh handle filled", name, err, got != nil && got.GramFilled)
+		}
+		requireResidentAnswer(t, name+"/fresh", got, want)
+		if id := (residentID{d: p.X.Rows, m: p.X.Cols, p: tc.procs}); fresh.Bytes() == 0 || fresh.id != id {
+			t.Fatalf("%s: fresh handle holds %d bytes, stamp %+v, want %+v", name, fresh.Bytes(), fresh.id, id)
 		}
 	}
 }

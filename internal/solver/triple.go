@@ -10,7 +10,6 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -45,16 +44,16 @@ const tripleCheckEvery = 10
 //     bit for bit, what a p-rank world's data pass gives at W, and
 //     Converged reports that GradMap meets GradMapTol.
 //
-// A solve that does not certify within MaxIter iterations returns its
-// refined W unconverged, for a world solve to finish from; a done ctx
-// returns the iterate so far as a partial result with ctx's error. Both
-// carry W's data-pass FinalObj and a NaN GradMap. Rounds is 0; Cost is
-// the local flops (fill, power iteration, iterations, data passes) with
-// no words and no messages; GramFilled reports an in-process fill. Of
-// opts only Lambda or Reg, Gamma, MaxIter, GradMapTol, W0, FStar and
-// TraceName are read. A solve without a positive GradMapTol has nothing
-// to certify against and errors, and so does one whose (d, m, p)
-// differs from r's stamp. A nil r keeps nothing.
+// A solve that does not certify within MaxIter iterations — one
+// without a positive GradMapTol never does — returns its W after
+// MaxIter iterations unconverged; a done ctx returns the iterate so far
+// as a partial result with ctx's error. Both carry W's data-pass
+// FinalObj and a NaN GradMap. Rounds is 0; Cost is the local flops
+// (fill, power iteration, iterations, data passes) with no words and no
+// messages; GramFilled reports an in-process fill. Of opts only Lambda
+// or Reg, Gamma, MaxIter, GradMapTol, W0, FStar and TraceName are read.
+// A solve whose (d, m, p) differs from r's stamp errors. A nil r keeps
+// nothing.
 func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine perf.Machine, opts Options, r *Resident) (*Result, error) {
 	o := opts.withDefaults()
 	if err := o.Validate(); err != nil {
@@ -62,8 +61,6 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine
 	}
 	d, m := x.Rows, x.Cols
 	switch {
-	case o.GradMapTol <= 0:
-		return nil, errors.New("solver: a triple solve needs GradMapTol > 0 to certify its answer")
 	case p < 1 || m != len(y):
 		return nil, fmt.Errorf("solver: triple solve of %d samples, %d labels on %d ranks", m, len(y), p)
 	case o.W0 != nil && len(o.W0) != d:
@@ -97,7 +94,7 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine
 			// The world's rule (nearStop): a Gram norm within gramMapSlack
 			// of the stop is the data pass's to decide, so an answer whose
 			// data norm meets tol certifies again from its own W.
-			if s.gramNorm() <= tol*(1+gramMapSlack) {
+			if tol > 0 && s.gramNorm() <= tol*(1+gramMapSlack) {
 				if obj, norm := dataPass(x, y, p, s.w, o.Gamma, o.Reg, s.grad, s.tmp, &res.Cost); norm <= tol {
 					res.FinalObj, res.GradMap, res.Converged = obj, norm, true
 					break

@@ -160,7 +160,9 @@ func TestTripleCertificateIsTheWorldDataPass(t *testing.T) {
 // a budget too small to certify returns the refined W unconverged with
 // its data-pass objective and a NaN GradMap; a done context returns the
 // iterate so far with the context's error; a solve without a positive
-// GradMapTol, or on a holder stamped for another world size, errors.
+// GradMapTol runs its budget and returns the short budget's answer bit
+// for bit, unconverged; a solve on a holder stamped for another world
+// size errors.
 func TestTripleExits(t *testing.T) {
 	p := tripleShapes(t)["covtype"]
 	o := tripleOpts(p)
@@ -178,6 +180,7 @@ func TestTripleExits(t *testing.T) {
 	if want := prox.NewObjective(p.X, p.Y, prox.L1{Lambda: o.Lambda}).F(res.W, nil); math.Abs(res.FinalObj-want) > 1e-12*math.Abs(want) {
 		t.Fatalf("short budget objective %.17g, F(W) = %.17g", res.FinalObj, want)
 	}
+	shortW, shortObj := res.W, res.FinalObj
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -186,10 +189,13 @@ func TestTripleExits(t *testing.T) {
 		t.Fatalf("cancelled: err %v, result %+v", err, res)
 	}
 
-	off := o
+	off := short
 	off.GradMapTol = 0
-	if _, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), off, nil); err == nil {
-		t.Fatal("a triple solve without GradMapTol must error")
+	noStop, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), off, nil)
+	if err != nil || noStop.Converged || noStop.Iters != off.MaxIter || !sameFloats(noStop.W, shortW) ||
+		math.Float64bits(noStop.FinalObj) != math.Float64bits(shortObj) {
+		t.Fatalf("without GradMapTol: err %v, converged %t, %d iters, objective %.17g (short budget %.17g, or W differs)",
+			err, noStop.Converged, noStop.Iters, noStop.FinalObj, shortObj)
 	}
 	r := NewResident(NewResidentBudget(1 << 40))
 	if _, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), o, r); err != nil {
