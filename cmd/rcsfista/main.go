@@ -99,6 +99,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Resolve the loss and regularizer names before any load; the
+	// regularizer is built once the problem fixes d and lambda. -algo
+	// logistic is the older spelling of -loss logistic.
+	if *algo == "logistic" {
+		*lossName = "logistic"
+	}
+	lossFn, err := scenario.BuildLoss(scenario.LossSpec{Name: *lossName, Delta: *huberDelta, Tau: *quantileTau, Eps: *quantileEps})
+	if err != nil {
+		return err
+	}
+	if err := scenario.CheckRegName(*regName); err != nil {
+		return err
+	}
 
 	// Multi-process TCP mode. The parent re-executes this binary once
 	// per rank with the rank roster in the environment and waits;
@@ -230,13 +243,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			*k, *s, rec.PredictedSpeedup)
 	}
 
-	// -algo logistic is the older spelling of -loss logistic and keeps
-	// its own label.
+	// -algo logistic keeps its own label.
 	algoLabel := *algo
-	switch {
-	case *algo == "logistic":
-		*lossName = "logistic"
-	case !ls:
+	if !ls && *algo != "logistic" {
 		algoLabel = "pn-" + *lossName
 	}
 
@@ -265,10 +274,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case scenario.LossPN:
 		// Generalized-loss proximal newton (huber, quantile, logistic)
 		// with any scenario regularizer.
-		lossFn, lerr := scenario.BuildLoss(scenario.LossSpec{Name: *lossName, Delta: *huberDelta, Tau: *quantileTau, Eps: *quantileEps})
-		if lerr != nil {
-			return lerr
-		}
 		y := prob.Y
 		_, logistic := lossFn.(erm.Logistic)
 		if logistic {

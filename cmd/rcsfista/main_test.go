@@ -177,6 +177,17 @@ func TestCLIErrors(t *testing.T) {
 	if err == nil || err.Error() != "-activeset does not apply to -loss logistic" {
 		t.Fatalf("-loss logistic -activeset: got %v", err)
 	}
+	// A misspelled -loss or -reg name is refused before the file named
+	// by -libsvm, which does not exist, is opened.
+	for _, c := range []struct{ flag, name, want string }{
+		{"-loss", "hinge", `unknown loss "hinge"`},
+		{"-reg", "l0", `unknown regularizer "l0"`},
+	} {
+		err := run(context.Background(), []string{c.flag, c.name, "-libsvm", "/does/not/exist"}, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s %s -libsvm /does/not/exist: got %v, want the %s error", c.flag, c.name, err, c.want)
+		}
+	}
 }
 
 func TestCLITrainSavePredict(t *testing.T) {

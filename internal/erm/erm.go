@@ -156,10 +156,11 @@ func (o *Objective) Gradient(g, w []float64, c *perf.Cost) {
 // the caller if a fresh Hessian is wanted. Only the upper triangle of
 // each curvature-weighted outer product x_j x_j^T is accumulated,
 // costing nz(nz+1) + 2nz + 4 flops per sampled column instead of the
-// full-storage 2nz^2 + 2nz + 4. Column row indices are strictly
-// increasing, so the q >= p pairs land in the contiguous packed row
-// tails. A block that stores every entry takes the dense-panel form
-// instead; both leave the same bits and the same bill.
+// full-storage 2nz^2 + 2nz + 4; a column with zero curvature adds and
+// bills nothing. A sparse block sends each column through the sparse
+// Gram kernel, sparse.AddOuterPacked, with the curvature as the weight;
+// a block that stores every entry takes the dense-panel form instead.
+// Both leave the same bits and the same bill.
 func (o *Objective) SampledHessianPacked(h *mat.SymPacked, w []float64, cols []int, c *perf.Cost) {
 	if h.N != o.X.Rows {
 		panic("erm: SampledHessianPacked dimension mismatch")
@@ -168,41 +169,34 @@ func (o *Objective) SampledHessianPacked(h *mat.SymPacked, w []float64, cols []i
 		o.sampledHessianPanels(h, w, cols, c)
 		return
 	}
-	o.sampledHessianSweep(h, w, cols, c)
-}
-
-// sampledHessianSweep is the column-at-a-time form of
-// SampledHessianPacked, for any sparsity pattern.
-func (o *Objective) sampledHessianSweep(h *mat.SymPacked, w []float64, cols []int, c *perf.Cost) {
 	scale := 1 / float64(len(cols))
 	var flops int64
 	for _, j := range cols {
 		rows, vals := o.X.Col(j)
-		var z float64
-		for k, r := range rows {
-			z += vals[k] * w[r]
+		if curv := o.curvature(j, w, scale); curv != 0 {
+			sparse.AddOuterPacked(h, rows, vals, curv)
+			flops += int64(len(rows)*(len(rows)+1) + 2*len(rows) + 4)
 		}
-		curv := o.Loss.Second(z, o.Y[j]) * scale
-		if curv == 0 {
-			continue
-		}
-		for p, rp := range rows {
-			tail := h.RowTail(rp)
-			cv := curv * vals[p]
-			for q := p; q < len(rows); q++ {
-				tail[rows[q]-rp] += cv * vals[q]
-			}
-		}
-		flops += int64(len(rows)*(len(rows)+1) + 2*len(rows) + 4)
 	}
 	c.AddFlops(flops)
+}
+
+// curvature returns scale * Second(x_j^T w, y_j), the weight sample j
+// carries into the sampled Hessian.
+func (o *Objective) curvature(j int, w []float64, scale float64) float64 {
+	rows, vals := o.X.Col(j)
+	var z float64
+	for k, r := range rows {
+		z += vals[k] * w[r]
+	}
+	return o.Loss.Second(z, o.Y[j]) * scale
 }
 
 // sampledHessianPanels is SampledHessianPacked for a block that stores
 // every entry: the columns with non-zero curvature go, a panel at a
 // time and in cols order, through the dense-panel kernel with the
-// curvature as the weight. Same products in the same order as
-// sampledHessianSweep, so the same bits, and the same flops billed.
+// curvature as the weight. Same products in the same order as the
+// column sweep, so the same bits, and the same flops billed.
 func (o *Objective) sampledHessianPanels(h *mat.SymPacked, w []float64, cols []int, c *perf.Cost) {
 	scale := 1 / float64(len(cols))
 	var (
@@ -216,12 +210,7 @@ func (o *Objective) sampledHessianPanels(h *mat.SymPacked, w []float64, cols []i
 		n = 0
 	}
 	for _, j := range cols {
-		rows, vals := o.X.Col(j)
-		var z float64
-		for k, r := range rows {
-			z += vals[k] * w[r]
-		}
-		cv := o.Loss.Second(z, o.Y[j]) * scale
+		cv := o.curvature(j, w, scale)
 		if cv == 0 {
 			continue
 		}

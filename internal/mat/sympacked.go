@@ -74,6 +74,15 @@ func (a *SymPacked) RowTail(i int) []float64 {
 	return a.Data[a.rowStart(i) : a.rowStart(i)+a.N-i]
 }
 
+// RowWindow returns row i indexed by column: element (i, j), j >= i,
+// is RowWindow(i)[j]. The window ends where RowTail does, so it always
+// lies inside Data; its first i entries belong to earlier rows and must
+// not be written through it.
+func (a *SymPacked) RowWindow(i int) []float64 {
+	o := a.rowStart(i) - i
+	return a.Data[o : o+a.N]
+}
+
 // Zero clears all entries.
 func (a *SymPacked) Zero() { Zero(a.Data) }
 

@@ -10,6 +10,7 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 
 	"github.com/hpcgo/rcsfista/internal/erm"
@@ -76,8 +77,18 @@ func BuildReg(spec RegSpec, d int) (prox.Operator, error) {
 		}
 		return prox.GroupL2{Lambda: spec.Lambda, Groups: groups}, nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown regularizer %q (want %s)", spec.Name, strings.Join(RegNames, "|"))
+		return nil, CheckRegName(spec.Name)
 	}
+}
+
+// CheckRegName returns BuildReg's error for a regularizer name it does
+// not know, nil for one it does, so a surface can refuse a misspelled
+// name before it has the problem BuildReg needs.
+func CheckRegName(name string) error {
+	if name == "" || slices.Contains(RegNames, name) {
+		return nil
+	}
+	return fmt.Errorf("scenario: unknown regularizer %q (want %s)", name, strings.Join(RegNames, "|"))
 }
 
 // BuildLoss resolves the spec into an erm.Loss.

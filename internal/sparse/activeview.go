@@ -62,51 +62,13 @@ func (v *ActiveView) Col(j int) ([]int, []float64) {
 }
 
 // SampledGramPackedView is SampledGramPackedRows with the active-row
-// filter amortized through a prebuilt ActiveView: identical accumulation
-// order, identical flop charge na(na+1) + 2nz per column, identical
-// bits — only the per-column position-map walk is gone.
+// filter amortized through a prebuilt ActiveView: the same kernel on the
+// same filtered columns, so identical accumulation order, identical
+// flop charge na(na+1) + 2nz per column, identical bits — only the
+// per-column position-map walk is gone.
 func SampledGramPackedView(a *CSC, view *ActiveView, h *mat.SymPacked, r []float64, y []float64, cols []int, scale float64, c *perf.Cost) {
 	if len(r) != a.Rows || len(y) != a.Cols {
 		panic("sparse: SampledGramPackedView dimension mismatch")
 	}
-	n := len(cols)
-	if cols == nil {
-		n = a.Cols
-	}
-	var flops int64
-	for ci := 0; ci < n; ci++ {
-		j := ci
-		if cols != nil {
-			j = cols[ci]
-		}
-		ar, av := view.Col(j)
-		na := len(ar)
-		// Upper triangle of the reduced scale * x_j x_j^T, register-
-		// blocked two rows at a time — the same sweep as the Rows kernel.
-		p := 0
-		for ; p+1 < na; p += 2 {
-			b0, b1 := ar[p], ar[p+1]
-			t0, t1 := h.RowTail(b0), h.RowTail(b1)
-			sv0, sv1 := scale*av[p], scale*av[p+1]
-			t0[0] += sv0 * av[p]
-			t0[b1-b0] += sv0 * av[p+1]
-			t1[0] += sv1 * av[p+1]
-			for q := p + 2; q < na; q++ {
-				rq, vq := ar[q], av[q]
-				t0[rq-b0] += sv0 * vq
-				t1[rq-b1] += sv1 * vq
-			}
-		}
-		if p < na {
-			h.RowTail(ar[p])[0] += scale * av[p] * av[p]
-		}
-		// R += scale * y_j * x_j over the FULL sparsity pattern.
-		rows, vals := a.Col(j)
-		sy := scale * y[j]
-		for p := 0; p < len(rows); p++ {
-			r[rows[p]] += sy * vals[p]
-		}
-		flops += int64(na*(na+1) + 2*len(rows))
-	}
-	c.AddFlops(flops)
+	gramSweep(a, h, r, y, cols, scale, view.Col, c)
 }

@@ -7,11 +7,16 @@
 // (stage B), and the full-gradient products X (X^T w).
 //
 // The sampled Gram is accumulated in one format, the packed upper
-// triangle (mat.SymPacked), along two paths that leave the same bits: a
-// column-at-a-time sweep over each column's sparsity pattern, and, for a
-// block that stores every entry (CSC.Full), a gather of the sampled
-// columns into a dense panel that mat.SymPacked.PanelUpdate applies in
-// register tiles (grampanel.go). Which one runs depends only on Full.
+// triangle (mat.SymPacked), along two paths that leave the same bits.
+// Any sparse block takes a column-at-a-time sweep: one kernel,
+// AddOuterPacked, adds each sampled column's weighted outer product
+// four rows at a time, and it serves every sparse fill — the full-row
+// SampledGramPacked and FullGramPacked, the screened
+// SampledGramPackedRows and SampledGramPackedView, and the
+// curvature-weighted erm Hessian. A block that stores every entry
+// (CSC.Full) instead gathers the sampled columns into a dense panel
+// that mat.SymPacked.PanelUpdate applies in register tiles
+// (grampanel.go). Which one runs depends only on Full.
 //
 // A compressed sparse row (CSR) view serves the solvers that partition
 // X by feature. Kernels charge their exact flop counts into an optional

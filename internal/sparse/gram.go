@@ -27,24 +27,30 @@ import (
 // A nil cols accumulates every column (the FullGramPacked path).
 //
 // A block that stores every entry takes the dense-panel path of
-// grampanel.go instead of the column sweep; the two leave the same bits
-// and bill the same flops. The selection sits out here, in a function
-// of its own: tested inside the sweep's function it changed that
-// function's register allocation and slowed the sparse workloads.
+// grampanel.go, any other the column sweep of AddOuterPacked; the two
+// leave the same bits and bill the same flops. The selection sits out
+// here, in a function of its own: tested inside the sweep's function it
+// changed that function's register allocation and slowed the sparse
+// workloads.
 func SampledGramPacked(a *CSC, h *mat.SymPacked, r []float64, y []float64, cols []int, scale float64, c *perf.Cost) {
 	if a.Full() {
 		gramPackedFull(a, h, r, y, cols, scale, c)
 		return
 	}
-	gramPackedSweep(a, h, r, y, cols, scale, c)
-}
-
-// gramPackedSweep is the column-at-a-time form of SampledGramPacked,
-// for any sparsity pattern.
-func gramPackedSweep(a *CSC, h *mat.SymPacked, r []float64, y []float64, cols []int, scale float64, c *perf.Cost) {
 	if h.N != a.Rows || len(r) != a.Rows || len(y) != a.Cols {
 		panic("sparse: SampledGramPacked dimension mismatch")
 	}
+	gramSweep(a, h, r, y, cols, scale, a.Col, c)
+}
+
+// gramSweep is the column-at-a-time sampled Gram fill every sparse
+// block takes: for each sampled column j (every column when cols is
+// nil) the entries hcol(j) — all of column j, or its active rows
+// renumbered to working-set positions — go into H through
+// AddOuterPacked, while R takes the whole column. It bills
+// na(na+1) + 2nz flops per column, na = len of hcol(j), nz = nnz of
+// column j.
+func gramSweep(a *CSC, h *mat.SymPacked, r []float64, y []float64, cols []int, scale float64, hcol func(j int) ([]int, []float64), c *perf.Cost) {
 	n := len(cols)
 	if cols == nil {
 		n = a.Cols
@@ -55,37 +61,14 @@ func gramPackedSweep(a *CSC, h *mat.SymPacked, r []float64, y []float64, cols []
 		if cols != nil {
 			j = cols[ci]
 		}
+		hr, hv := hcol(j)
+		AddOuterPacked(h, hr, hv, scale)
 		rows, vals := a.Col(j)
-		nz := len(rows)
-		// Upper triangle of scale * x_j x_j^T: row indices are strictly
-		// increasing, so for q >= p element (rows[p], rows[q]) lies in
-		// the contiguous tail of packed row rows[p]. The sweep is
-		// register-blocked two rows at a time — one (rows[q], vals[q])
-		// load feeds both rows' accumulations. Each packed element
-		// receives exactly one contribution sv_p*vals[q] per column, so
-		// the blocked order is bit-identical to the row-at-a-time form.
-		p := 0
-		for ; p+1 < nz; p += 2 {
-			b0, b1 := rows[p], rows[p+1]
-			t0, t1 := h.RowTail(b0), h.RowTail(b1)
-			sv0, sv1 := scale*vals[p], scale*vals[p+1]
-			t0[0] += sv0 * vals[p]
-			t0[b1-b0] += sv0 * vals[p+1]
-			t1[0] += sv1 * vals[p+1]
-			for q := p + 2; q < nz; q++ {
-				rq, vq := rows[q], vals[q]
-				t0[rq-b0] += sv0 * vq
-				t1[rq-b1] += sv1 * vq
-			}
-		}
-		if p < nz {
-			h.RowTail(rows[p])[0] += scale * vals[p] * vals[p]
-		}
 		sy := scale * y[j]
-		for p := 0; p < nz; p++ {
-			r[rows[p]] += sy * vals[p]
+		for p, v := range vals {
+			r[rows[p]] += sy * v
 		}
-		flops += int64(nz*(nz+1) + 2*nz)
+		flops += int64(len(hr)*(len(hr)+1) + 2*len(rows))
 	}
 	c.AddFlops(flops)
 }
@@ -117,5 +100,57 @@ func GramApply(a *CSC, g, w, shift, scratch []float64, scale float64, c *perf.Co
 	}
 	if shift != nil {
 		mat.Axpy(-1, shift, g, c)
+	}
+}
+
+// AddOuterPacked adds w * x x^T to the packed upper triangle h, where
+// x is the sparse vector with the strictly increasing indices rows and
+// the values vals: element (rows[p], rows[q]), q >= p, receives the one
+// rounded product (w*vals[p])*vals[q]. It is the kernel of every sparse
+// Gram fill — SampledGramPacked, SampledGramPackedRows/View and the
+// curvature-weighted erm Hessian — and charges nothing: the callers
+// bill their columns.
+//
+// Rows go four at a time. Each is addressed through its column-indexed
+// window (mat.SymPacked.RowWindow), so one entry (rows[q], vals[q])
+// past the block feeds four accumulations at one index, behind one
+// bounds check. Every element gets exactly one product per call, so
+// the blocking cannot change a bit: a sequence of calls adds
+// each element's products in call order, whatever the row grouping.
+func AddOuterPacked(h *mat.SymPacked, rows []int, vals []float64, w float64) {
+	// The blocks advance by reslicing, not by an index: with an outer
+	// index live across it, gc spilled the inner loop's counter and
+	// reloaded two slice bases on every entry.
+	for len(rows) >= 4 {
+		vals = vals[:len(rows)]
+		b0, b1, b2, b3 := rows[0], rows[1], rows[2], rows[3]
+		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
+		s0, s1, s2, s3 := w*v0, w*v1, w*v2, w*v3
+		h0 := h.RowWindow(b0)
+		h1, h2, h3 := h.RowWindow(b1)[:len(h0)], h.RowWindow(b2)[:len(h0)], h.RowWindow(b3)[:len(h0)]
+		h0[b0] += s0 * v0
+		h0[b1] += s0 * v1
+		h0[b2] += s0 * v2
+		h0[b3] += s0 * v3
+		h1[b1] += s1 * v1
+		h1[b2] += s1 * v2
+		h1[b3] += s1 * v3
+		h2[b2] += s2 * v2
+		h2[b3] += s2 * v3
+		h3[b3] += s3 * v3
+		for q := 4; q < len(rows); q++ {
+			rq, vq := rows[q], vals[q]
+			h0[rq] += s0 * vq
+			h1[rq] += s1 * vq
+			h2[rq] += s2 * vq
+			h3[rq] += s3 * vq
+		}
+		rows, vals = rows[4:], vals[4:]
+	}
+	for p, rp := range rows {
+		hp, s := h.RowWindow(rp), w*vals[p]
+		for q := p; q < len(rows); q++ {
+			hp[rows[q]] += s * vals[q]
+		}
 	}
 }
