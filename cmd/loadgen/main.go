@@ -58,9 +58,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	samples := fs.Int("m", 2000, "dataset samples")
 	features := fs.Int("d", 0, "dataset features (0 = registry default)")
 	dataSeed := fs.Uint64("data-seed", 42, "dataset generator seed")
-	solverName := fs.String("solver", "", "solver per fit (rcsfista|sfista|fista)")
 	maxIter := fs.Int("maxiter", 0, "iteration budget per fit (0 = server default)")
-	activeset := fs.Bool("activeset", false, "enable active-set screening per fit")
 	procs := fs.Int("procs", 0, "world size per fit (0 = server default)")
 	cold := fs.Bool("cold", false, "disable warm starts (cold baseline run)")
 	deadlineMS := fs.Int("deadline-ms", 0, "per-request deadline (0 = server default)")
@@ -109,9 +107,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		SweepLen:    *sweepLen,
 		RatioHi:     *ratioHi,
 		RatioLo:     *ratioLo,
-		Solver:      *solverName,
 		MaxIter:     *maxIter,
-		ActiveSet:   *activeset,
 		Procs:       *procs,
 		Warm:        !*cold,
 		DeadlineMS:  *deadlineMS,

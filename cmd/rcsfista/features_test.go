@@ -16,15 +16,16 @@ import (
 	"github.com/hpcgo/rcsfista/internal/serve"
 )
 
-// spellings names each feature as a CLI flag and as a /fit field; a
-// refusal starts with its feature's spelling on either surface.
+// spellings names each feature as a CLI flag and as a /fit field ("":
+// none); a refusal starts with its feature's spelling on either surface.
 var spellings = map[scenario.Feature][2]string{
 	scenario.RegParams:    {"-l2/-groups", "l2/groups"},
 	scenario.Loss:         {"-loss", "loss"},
 	scenario.NonL1Reg:     {"-reg", "reg"},
-	scenario.ActiveSet:    {"-activeset", "active_set"},
-	scenario.CompressTier: {"-compress-tier", "compress_tier"},
+	scenario.ActiveSet:    {"-activeset", ""},
+	scenario.CompressTier: {"-compress-tier", ""},
 	scenario.ProcessWorld: {"-transport tcp", ""},
+	scenario.SampleRate:   {"", "b"},
 }
 
 // cliCheck runs the CLI on a dataset that does not exist. A refusal is
@@ -44,12 +45,15 @@ func cliCheck(t *testing.T, args []string) (scenario.Feature, bool) {
 	return 0, false
 }
 
-// TestFeatureTableAcrossSurfaces: every combination of solver, loss,
-// regularizer, active set and compress tier sent to POST /fit is refused
-// with a 400 naming the feature the combination refused before the
-// table existed, or it runs; the CLI spelling of the same combination,
-// where one exists, refuses the same feature before loading any data,
-// or gets as far as the load. The CLI-only engines refuse theirs alike.
+// TestFeatureTableAcrossSurfaces: every combination of loss,
+// regularizer and sampling rate sent to POST /fit is refused with a 400
+// naming the feature the table refuses — l2 beside l1 anywhere, b beside
+// least squares, whose triple reads every sample — or it runs, answered
+// by the triple for least squares and by a world otherwise. The CLI
+// spelling of the same combination without b, which has no /fit
+// engine's meaning on the CLI, refuses the same feature before loading
+// any data, or gets as far as the load. The CLI-only engines and
+// features refuse theirs alike.
 func TestFeatureTableAcrossSurfaces(t *testing.T) {
 	sv := serve.New(serve.Config{Workers: 2, QueueCap: 64, Procs: 2, MaxIter: 30})
 	ts := httptest.NewServer(sv.Handler())
@@ -58,83 +62,67 @@ func TestFeatureTableAcrossSurfaces(t *testing.T) {
 		sv.Close()
 	}()
 	off := false
-	for _, solver := range []string{"", "rcsfista", "sfista", "fista"} {
-		for _, loss := range []string{"", "huber"} {
-			for _, reg := range []string{"", "en", "l1+l2"} {
-				for _, activeSet := range []bool{false, true} {
-					for _, tier := range []string{"", "f32"} {
-						req := serve.FitRequest{
-							Dataset:     &serve.DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7},
-							LambdaRatio: 0.3, Solver: solver, Loss: loss, ActiveSet: activeSet, CompressTier: tier,
-							MaxIter: 30, Warm: &off, NoStore: true,
-						}
-						var args []string
-						if solver == "sfista" {
-							args = append(args, "-algo", "sfista")
-						}
-						if loss != "" {
-							args = append(args, "-loss", loss)
-						}
-						switch reg {
-						case "en":
-							req.Reg, req.L2 = "en", 0.01
-							args = append(args, "-reg", "en", "-l2", "0.01")
-						case "l1+l2":
-							req.L2 = 0.01
-							args = append(args, "-l2", "0.01")
-						}
-						if activeSet {
-							args = append(args, "-activeset")
-						}
-						if tier != "" {
-							args = append(args, "-compress-tier", tier)
-						}
-						// What was refused before the table: l2 beside l1
-						// anywhere, and beside a loss other than ls a named
-						// solver, active_set or compress_tier.
-						want, refused := scenario.Feature(0), true
-						switch {
-						case reg == "l1+l2":
-							want = scenario.RegParams
-						case loss != "" && solver != "":
-							want = scenario.Loss
-						case loss != "" && activeSet:
-							want = scenario.ActiveSet
-						case loss != "" && tier != "":
-							want = scenario.CompressTier
-						default:
-							refused = false
-						}
-						name := fmt.Sprintf("solver=%q loss=%q reg=%q active_set=%t tier=%q", solver, loss, reg, activeSet, tier)
+	for _, loss := range []string{"", "huber"} {
+		for _, reg := range []string{"", "en", "l1+l2"} {
+			for _, b := range []float64{0, 0.2} {
+				req := serve.FitRequest{
+					Dataset:     &serve.DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7},
+					LambdaRatio: 0.3, Loss: loss, B: b, MaxIter: 30, Warm: &off, NoStore: true,
+				}
+				var args []string
+				if loss != "" {
+					args = append(args, "-loss", loss)
+				}
+				switch reg {
+				case "en":
+					req.Reg, req.L2 = "en", 0.01
+					args = append(args, "-reg", "en", "-l2", "0.01")
+				case "l1+l2":
+					req.L2 = 0.01
+					args = append(args, "-l2", "0.01")
+				}
+				want, refused := scenario.Feature(0), true
+				switch {
+				case reg == "l1+l2":
+					want = scenario.RegParams
+				case loss == "" && b != 0:
+					want = scenario.SampleRate
+				default:
+					refused = false
+				}
+				name := fmt.Sprintf("loss=%q reg=%q b=%g", loss, reg, b)
 
-						body, _ := json.Marshal(&req)
-						resp, err := ts.Client().Post(ts.URL+"/fit", "application/json", bytes.NewReader(body))
-						if err != nil {
-							t.Fatal(err)
-						}
-						var reply struct {
-							Error string `json:"error"`
-						}
-						status := resp.StatusCode
-						if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-							t.Fatalf("%s: decode: %v", name, err)
-						}
-						resp.Body.Close()
-						switch {
-						case refused && (status != http.StatusBadRequest || !strings.HasPrefix(reply.Error, spellings[want][1]+" ")):
-							t.Fatalf("%s: /fit %d %q, want a 400 naming %s", name, status, reply.Error, spellings[want][1])
-						case !refused && status != http.StatusOK:
-							t.Fatalf("%s: /fit %d %q, want it run", name, status, reply.Error)
-						}
+				body, _ := json.Marshal(&req)
+				resp, err := ts.Client().Post(ts.URL+"/fit", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var reply struct {
+					Error      string `json:"error"`
+					AnsweredBy string `json:"answered_by"`
+				}
+				status := resp.StatusCode
+				if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+					t.Fatalf("%s: decode: %v", name, err)
+				}
+				resp.Body.Close()
+				answeredBy := "triple"
+				if loss != "" {
+					answeredBy = "world"
+				}
+				switch {
+				case refused && (status != http.StatusBadRequest || !strings.HasPrefix(reply.Error, spellings[want][1]+" ")):
+					t.Fatalf("%s: /fit %d %q, want a 400 naming %s", name, status, reply.Error, spellings[want][1])
+				case !refused && (status != http.StatusOK || reply.AnsweredBy != answeredBy):
+					t.Fatalf("%s: /fit %d %q answered by %q, want it answered by %s", name, status, reply.Error, reply.AnsweredBy, answeredBy)
+				}
 
-						if solver != "" && solver != "sfista" {
-							continue // no CLI spelling: -algo rcsfista is the CLI's default and -algo fista is data FISTA
-						}
-						got, cliRefused := cliCheck(t, args)
-						if cliRefused != refused || got != want {
-							t.Fatalf("%s: CLI %v refused %t (feature %d), /fit refused %t (feature %d)", name, args, cliRefused, got, refused, want)
-						}
-					}
+				if b != 0 {
+					continue // the CLI's -b always holds a rate, on every engine
+				}
+				got, cliRefused := cliCheck(t, args)
+				if cliRefused != refused || got != want {
+					t.Fatalf("%s: CLI %v refused %t (feature %d), /fit refused %t (feature %d)", name, args, cliRefused, got, refused, want)
 				}
 			}
 		}
@@ -157,6 +145,8 @@ func TestFeatureTableAcrossSurfaces(t *testing.T) {
 		{[]string{"-algo", "logistic", "-loss", "huber"}, scenario.Loss},
 		{[]string{"-algo", "fista", "-loss", "quantile"}, scenario.Loss},
 		{[]string{"-algo", "cocoa", "-l2", "0.5"}, scenario.RegParams},
+		{[]string{"-activeset", "-loss", "huber"}, scenario.ActiveSet},
+		{[]string{"-compress-tier", "f32", "-loss", "quantile"}, scenario.CompressTier},
 	} {
 		err := run(context.Background(), append(tc.args, "-dataset", "nosuch", "-tol", "0"), io.Discard)
 		flag := spellings[tc.want][0]

@@ -60,14 +60,10 @@ type Config struct {
 	RatioHi  float64 `json:"ratio_hi"`
 	RatioLo  float64 `json:"ratio_lo"`
 
-	// Solver/MaxIter/GradMapTol/EpochLen/B/ActiveSet/Procs/Seed pass
-	// through to the fit requests (zero keeps server defaults).
-	Solver     string  `json:"solver,omitempty"`
+	// MaxIter/GradMapTol/Procs pass through to the fit requests (zero
+	// keeps server defaults).
 	MaxIter    int     `json:"max_iter,omitempty"`
 	GradMapTol float64 `json:"gradmap_tol,omitempty"`
-	EpochLen   int     `json:"epoch_len,omitempty"`
-	B          float64 `json:"b,omitempty"`
-	ActiveSet  bool    `json:"active_set,omitempty"`
 	Procs      int     `json:"procs,omitempty"`
 	// Warm disables the server's warm-start lookup when false.
 	Warm bool `json:"warm"`
@@ -163,12 +159,8 @@ func BuildSchedule(cfg Config) []Request {
 			Fit: serve.FitRequest{
 				Dataset:     &ds,
 				LambdaRatio: ratio,
-				Solver:      cfg.Solver,
 				MaxIter:     cfg.MaxIter,
 				GradMapTol:  cfg.GradMapTol,
-				EpochLen:    cfg.EpochLen,
-				B:           cfg.B,
-				ActiveSet:   cfg.ActiveSet,
 				Procs:       cfg.Procs,
 				Warm:        &warm,
 				DeadlineMS:  cfg.DeadlineMS,

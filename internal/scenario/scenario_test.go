@@ -112,22 +112,25 @@ func TestTagsDistinguishScenarios(t *testing.T) {
 
 // TestCheckTable pins the feature table engine by engine: each feature
 // alone is allowed exactly where the surfaces allowed it before they
-// shared one table, a refusal names its feature, and Default resolves
-// by the loss.
+// shared one table, a refusal names its feature, and Default and Served
+// resolve by the loss. The triple reads every sample, so it alone of the
+// engines /fit reaches refuses b.
 func TestCheckTable(t *testing.T) {
 	allowed := map[Engine]Feature{
-		RCSFISTA:  NonL1Reg | ActiveSet | CompressTier | ProcessWorld,
-		LossPN:    NonL1Reg | ProcessWorld,
+		RCSFISTA:  NonL1Reg | ActiveSet | CompressTier | ProcessWorld | SampleRate,
+		Triple:    NonL1Reg,
+		LossPN:    NonL1Reg | ProcessWorld | SampleRate,
 		DataFISTA: NonL1Reg,
 		CD:        NonL1Reg,
-		ProxSVRG:  NonL1Reg,
-		PN:        ProcessWorld,
+		ProxSVRG:  NonL1Reg | SampleRate,
+		PN:        ProcessWorld | SampleRate,
 		CoCoA:     ProcessWorld,
 	}
-	names := Names{RegParams: "l2", Loss: "loss", NonL1Reg: "reg", ActiveSet: "as", CompressTier: "tier", ProcessWorld: "world"}
+	names := Names{RegParams: "l2", Loss: "loss", NonL1Reg: "reg", ActiveSet: "as", CompressTier: "tier", ProcessWorld: "world", SampleRate: "b"}
 	for e, ok := range allowed {
-		for _, ft := range []Feature{NonL1Reg, ActiveSet, CompressTier, ProcessWorld} {
-			f := Fit{Engine: e, Algo: "algo", ActiveSet: ft == ActiveSet, CompressTier: ft == CompressTier, ProcessWorld: ft == ProcessWorld}
+		for _, ft := range []Feature{NonL1Reg, ActiveSet, CompressTier, ProcessWorld, SampleRate} {
+			f := Fit{Engine: e, Algo: "algo", ActiveSet: ft == ActiveSet, CompressTier: ft == CompressTier,
+				ProcessWorld: ft == ProcessWorld, SampleRate: ft == SampleRate}
 			if ft == NonL1Reg {
 				f.Reg = "en"
 			}
@@ -159,5 +162,11 @@ func TestCheckTable(t *testing.T) {
 	}
 	if e, err := Check(Fit{Reg: "ridge", RegParams: true, Loss: "ls"}, names); e != RCSFISTA || err != nil {
 		t.Fatalf("default least squares: %d, %v", e, err)
+	}
+	if e, err := Check(Fit{Engine: Served, Reg: "group"}, names); e != Triple || err != nil {
+		t.Fatalf("served least squares: %d, %v", e, err)
+	}
+	if e, err := Check(Fit{Engine: Served, Loss: "huber", SampleRate: true}, names); e != LossPN || err != nil {
+		t.Fatalf("served huber at a sampling rate: %d, %v", e, err)
 	}
 }

@@ -1,51 +1,45 @@
 // Package serve implements LASSO-as-a-service: an HTTP/JSON front end
-// that runs the repository's communication-avoiding solvers on a
-// bounded worker pool with admission control, and exploits the
-// regularization-path structure of the workload through three caches:
+// that answers fits on a bounded worker pool with admission control,
+// and exploits the regularization-path structure of the workload
+// through three caches:
 //
-//   - a dataset cache (LRU) holding the loaded problem plus its
-//     sampled-Lipschitz step sizes, so repeated fits against the same
-//     data skip the Gram-spectrum power iterations;
+//   - a dataset cache (LRU) holding the loaded problem, its lambda_max
+//     and, once a least-squares fit needs it, its sampled-Lipschitz
+//     step size, so repeated fits against the same data skip the
+//     Gram-spectrum power iterations;
 //   - per dataset, one solver.Resident per procs: its least-squares
 //     triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m), which depends on
-//     neither lambda, the regularizer nor the iterate. A least-squares
-//     fit that leaves solver, b, k and s unset, with no active_set and
-//     no compress_tier, is answered from the triple with no world
+//     neither lambda, the regularizer nor the iterate. Every
+//     least-squares fit is answered from the triple with no world
 //     (solver.SolveTriple): a local FISTA on (G, r) — the paper's b = 1
 //     corner — of at most max_iter iterations, and one data pass over
 //     the procs column blocks that certifies it or, when it does not
-//     certify within max_iter, prices its unconverged answer. Every other
-//     least-squares fit runs on a world and is handed the triple
-//     (solver.SolveDistributedResident), which it reads from round 0,
-//     the first fit filling it before its first round. Its reply is bit
-//     for bit that of the CLI solve at the same procs — warm=false
-//     still means a cold solve; only ElapsedMS and ModelSeconds, which
-//     count work done, tell the difference. Either way the reply is the
-//     same whether the triple was kept or filled for this fit. The
-//     triples hold at most the bytes of the dataset's X and y and leave
-//     with it;
-//   - a lambda-path cache keyed by (dataset, solver fingerprint,
-//     lambda bucket) holding the final iterate and support of previous
-//     solves, so a fit at a neighboring lambda warm-starts from the
-//     cached solution — with active-set screening the warm solve's
-//     working set starts at the cached support, and with GradMapTol
-//     stopping a sufficiently close warm start finishes in zero
-//     communication rounds (see solver.Options.W0).
+//     certify within max_iter, prices its unconverged answer. The first
+//     fit fills the triple in-process; the reply is the same whether
+//     the triple was kept or filled for this fit. The triples hold at
+//     most the bytes of the dataset's X and y and leave with it. A
+//     world answers only the other losses, on the proximal Newton
+//     engine;
+//   - a lambda-path cache keyed by (dataset, fit family, lambda
+//     bucket) holding the final iterate of previous solves, so a fit
+//     at a neighboring lambda warm-starts from the cached solution, in
+//     fewer iterations.
 //
 // Each path entry also keeps the certificate its solve stopped on — the
 // gradient-mapping norm at w (solver.Result.GradMap) — and the world
 // size it was measured on. A repeat at the entry's exact lambda, on the
 // same world size, whose GradMapTol the stored norm meets is a certified
-// hit: it is answered from the entry without building a world or reading
-// the data, bit for bit what the zero-round solve would return.
+// hit: it is answered from the entry without a solve or reading the
+// data, bit for bit what the solve warm-started there would return.
 //
 // Admission control is a queue with a hard cap: when every worker is
 // busy and the queue is full, POST /fit returns 429 immediately
 // instead of building an unbounded backlog. Each admitted request
-// carries a deadline; the context is threaded through
-// the cancellation vote solvercore.Loop takes in every round, so an
-// expired deadline (or a disconnected client) stops the solve at the
-// next round and still yields a well-formed partial result.
+// carries a deadline. A least-squares fit checks its context every
+// few local iterations (solver.SolveTriple), a proximal Newton fit at
+// the cancellation vote solvercore.Loop takes every round, so an
+// expired deadline (or a disconnected client) stops the solve and still
+// yields a well-formed partial result.
 package serve
 
 import (
@@ -97,13 +91,12 @@ type FitRequest struct {
 	Groups string `json:"groups,omitempty"`
 
 	// Loss selects the smooth loss: "ls" (default), "logistic",
-	// "huber" or "quantile". Non-least-squares losses run on the
-	// sampled-Hessian Proximal Newton engine (one gradient + one
-	// Hessian allreduce per outer iteration) instead of RC-SFISTA, so
-	// Solver, ActiveSet and CompressTier must stay unset for them (the
-	// feature table in internal/scenario refuses them). HuberDelta,
-	// QuantileTau and QuantileEps are the loss shape parameters; zero
-	// selects the loss defaults.
+	// "huber" or "quantile". A least-squares fit is answered from the
+	// dataset's triple; the other losses run on the sampled-Hessian
+	// Proximal Newton engine on a world (one gradient + one Hessian
+	// allreduce per outer iteration). HuberDelta, QuantileTau and
+	// QuantileEps are the loss shape parameters; zero selects the loss
+	// defaults.
 	Loss        string  `json:"loss,omitempty"`
 	HuberDelta  float64 `json:"huber_delta,omitempty"`
 	QuantileTau float64 `json:"quantile_tau,omitempty"`
@@ -117,52 +110,28 @@ type FitRequest struct {
 	Lambda      float64 `json:"lambda,omitempty"`
 	LambdaRatio float64 `json:"lambda_ratio,omitempty"`
 
-	// Solver is "rcsfista" (the default algorithm), "sfista" (k=s=1)
-	// or "fista" (RC-SFISTA at b=1, k=s=1: the paper's FISTA corner,
-	// not the CLI's -algo fista, which passes over the data every
-	// update). Naming any of them, like setting B, K or S, runs the fit
-	// on a world whose reply equals the CLI solve of those parameters
-	// bit for bit; leaving all four unset lets a least-squares fit be
-	// answered from its dataset's triple with no world (see AnsweredBy).
-	Solver string `json:"solver,omitempty"`
 	// MaxIter bounds the solution updates — the local iterations of a
-	// triple-answered fit, the updates of a world fit, the outer
-	// iterations of a proximal newton fit; zero selects the server
-	// default (100 outer iterations for proximal newton). Iters never
-	// exceeds it.
+	// least-squares fit, the outer iterations of a proximal newton fit;
+	// zero selects the server default (100 outer iterations for
+	// proximal newton). Iters never exceeds it.
 	MaxIter int `json:"max_iter,omitempty"`
 	// GradMapTol is the reference-free stopping threshold; zero selects
 	// the server default, negative disables early stopping.
 	GradMapTol float64 `json:"gradmap_tol,omitempty"`
-	// B, K, S are the sampling rate and the paper's batching/reuse
-	// parameters; zero keeps solver defaults (b=0.1, k=s=1). They are
-	// the explicit-sampling switch: a least-squares fit with all three
-	// and Solver unset (and no ActiveSet or CompressTier) reads none of
-	// them and is answered from the triple; setting any one runs
-	// RC-SFISTA on a world at those parameters, which reads the same
-	// triple from round 0.
+	// B is the Hessian sampling rate of a proximal newton fit; zero
+	// keeps 0.1. A least-squares fit reads every sample (the triple is
+	// the b = 1 corner), so the feature table refuses b beside it.
 	B float64 `json:"b,omitempty"`
-	K int     `json:"k,omitempty"`
-	S int     `json:"s,omitempty"`
-	// EpochLen overrides the variance-reduction epoch length (zero
-	// keeps the solver default). Shorter epochs give the GradMapTol
-	// stop finer granularity, which sharpens warm-start round savings.
-	EpochLen int `json:"epoch_len,omitempty"`
-	// ActiveSet enables dynamic screening (reduced allreduce payloads).
-	ActiveSet bool `json:"active_set,omitempty"`
-	// CompressTier selects the quantized-collective wire tier for the
-	// solve: "" or "off" (full f64), "f32", "i8", "auto"
-	// (cost-model-driven per collective). Least-squares solvers only.
-	CompressTier string `json:"compress_tier,omitempty"`
-	// Procs is the world size the solve runs on; zero selects the
-	// server default. The iterates are invariant to Procs (shared
-	// sample streams), which is why warm starts ignore it: an entry
-	// published at any P warm-starts a fit at any other. Their last bits
-	// are not — the allreduced sums group by partition — so a certified
+	// Procs is the world size the fit is answered on — the ranks of a
+	// proximal newton world, the column blocks a least-squares fit's
+	// triple and data pass sum over; zero selects the server default.
+	// The answer depends on Procs only in its last bits — the sums group
+	// by partition — which is why warm starts ignore it: an entry
+	// published at any P warm-starts a fit at any other. A certified
 	// hit, which returns the stored answer instead of solving, needs the
 	// entry's own P.
 	Procs int `json:"procs,omitempty"`
-	// Seed drives the sampling streams (default 42).
+	// Seed drives a proximal newton fit's sampling streams (default 42).
 	Seed uint64 `json:"seed,omitempty"`
 
 	// Warm enables the lambda-path warm-start lookup (default true;
@@ -217,16 +186,15 @@ type FitResponse struct {
 	// are 0 on a certified hit, which runs no solve (Rounds is 0 too).
 	// Both count work done: a kept triple adds to neither. Everything
 	// else in the reply is what the same fit on a fresh server — no kept
-	// triple — returns, bit for bit; for a world-answered fit that names
-	// its sampling (Solver, B, K or S) that is also what the CLI solve at
-	// the same procs returns.
+	// triple — returns, bit for bit.
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	ModelSeconds float64 `json:"model_seconds"`
 	// AnsweredBy names the path that answered: "triple" (a local solve
 	// on the dataset's triple, certified by one data pass, unconverged
 	// when it did not certify within MaxIter, or cut short by the
-	// deadline; Rounds is 0 and Iters counts local iterations), "world"
-	// (a distributed solve) or "cache" (a certified hit).
+	// deadline; Rounds is 0 and Iters counts local iterations; every
+	// least-squares fit a solve answers), "world" (a proximal newton fit
+	// on a world, for a loss other than ls) or "cache" (a certified hit).
 	AnsweredBy string `json:"answered_by"`
 
 	// W is the coefficient vector, present only with ReturnW.
@@ -283,8 +251,10 @@ type Config struct {
 	PathCap int
 	// ModelCap bounds the fitted-model store (default 256, LRU).
 	ModelCap int
-	// MaxIter / GradMapTol / EpochLen are the solver defaults applied
-	// to requests that leave them zero (defaults 4000 / 1e-5 / 20).
+	// MaxIter / GradMapTol are the solver defaults applied to requests
+	// that leave them zero (defaults 4000 / 1e-5). EpochLen (default 20)
+	// is read by no fit; the repository benchmark's serving reference
+	// solve still reads it.
 	MaxIter    int
 	GradMapTol float64
 	EpochLen   int

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/hpcgo/rcsfista/internal/data"
@@ -14,21 +13,23 @@ import (
 )
 
 // dataset is one prepared problem: the loaded instance, its
-// lambda_max, the sampled-Lipschitz step sizes per sampling rate, and
-// the least-squares triple of its fits, one solver.Resident per world
-// size. Preparing the first three is the expensive part of a fit
-// against fresh data — the Lipschitz estimate runs power iterations
-// over the Gram spectrum — and the kept triple spares a repeat fit its
-// Gram fill, so the dataset cache is what makes repeat traffic cheap.
-// First fits racing on a dataset may each fill the triple; one is
-// kept.
+// lambda_max, the step size of its least-squares fits, and their
+// triple, one solver.Resident per world size. Preparing the first three
+// is the expensive part of a fit against fresh data — the step size
+// runs power iterations over the Gram spectrum — and the kept triple
+// spares a repeat fit its Gram fill, so the dataset cache is what makes
+// repeat traffic cheap. First fits racing on a dataset may each fill
+// the triple; one is kept.
 type dataset struct {
 	key       string
 	prob      *data.Problem
 	lambdaMax float64
 
+	// gamma is the least-squares step size, 0 until stepOnce sets it.
+	stepOnce sync.Once
+	gamma    float64
+
 	mu        sync.Mutex
-	gammaB    map[float64]float64
 	residents map[int]*solver.Resident // by procs
 	// budget caps the residents together at the bytes of X and y.
 	budget *solver.ResidentBudget
@@ -59,27 +60,17 @@ func (ds *dataset) residentBytes() int64 {
 	return n
 }
 
-// gammaFor returns the stable step size for sampling rate b, cached
-// per b (the serving analogue of expt's per-instance gamma cache). The
-// estimate runs outside the lock, so fits at other rates, and the
-// resident lookups of every fit, do not wait on it; two first fits at
-// one rate may both estimate — the same bits — and the first insert
-// wins.
-func (ds *dataset) gammaFor(b float64) float64 {
-	ds.mu.Lock()
-	g, ok := ds.gammaB[b]
-	ds.mu.Unlock()
-	if ok {
-		return g
-	}
-	g = solver.GammaFromLipschitz(solver.SampledLipschitz(ds.prob.X, ds.prob.Y, b, 8, 777))
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if won, ok := ds.gammaB[b]; ok {
-		return won
-	}
-	ds.gammaB[b] = g
-	return g
+// step returns the step size of the dataset's least-squares fits: the
+// stable step of the sampled Lipschitz estimate at the solver's default
+// rate (8 power iterations, seed 777), the serving analogue of expt's
+// per-instance gamma cache. It is estimated once, on the first call;
+// concurrent first callers wait for that estimate, and nothing else on
+// the dataset does.
+func (ds *dataset) step() float64 {
+	ds.stepOnce.Do(func() {
+		ds.gamma = solver.GammaFromLipschitz(solver.SampledLipschitz(ds.prob.X, ds.prob.Y, solver.Defaults().B, 8, 777))
+	})
+	return ds.gamma
 }
 
 // newDataset wraps a loaded problem with its derived quantities.
@@ -95,7 +86,7 @@ func newDataset(key string, p *data.Problem) *dataset {
 		}
 	}
 	lmax /= float64(p.X.Cols)
-	return &dataset{key: key, prob: p, lambdaMax: lmax, gammaB: map[float64]float64{},
+	return &dataset{key: key, prob: p, lambdaMax: lmax,
 		residents: map[int]*solver.Resident{},
 		budget:    solver.NewResidentBudget(solver.DataBytes(p.X, p.Y))}
 }
@@ -119,7 +110,7 @@ func newDatasetCache(cap int, stats *Stats) *datasetCache {
 // block hits on other keys; two concurrent first requests for the same
 // key may both load (both count as misses), but the first insert wins
 // and the loser adopts it, so every caller shares one *dataset — one
-// gamma cache and one resident state per world size.
+// step size and one resident state per world size.
 func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dataset, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -139,7 +130,7 @@ func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dat
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		// Lost the race; adopt the winner so every caller shares one
-		// gamma cache.
+		// step size.
 		c.order.MoveToFront(el)
 		return el.Value.(*dataset), false, nil
 	}
@@ -173,35 +164,24 @@ func inlineKey(libsvm string, features int) string {
 	return fmt.Sprintf("inline/%d/%016x", features, h.Sum64())
 }
 
-// fingerprint identifies a warm-start-compatible family of solves:
-// same dataset, solver, sampling setup and scenario (regularizer
-// family and loss, as canonical scenario tags — a huber fit must never
-// warm-start an l1 least-squares fit, their optima differ). Procs is
-// deliberately absent — the iterates are invariant to the world size
+// fingerprint identifies the warm-start family of proximal newton fits
+// (loss other than ls): same dataset, sampling rate, seed and scenario
+// (regularizer family and loss, as canonical scenario tags — a huber
+// fit must never warm-start a quantile fit, their optima differ). Procs
+// is deliberately absent — the iterates are invariant to the world size
 // (shared sample streams), so a solution computed at P=1 warm-starts a
 // P=8 fit. (Not bit for bit: the allreduced sums group by partition, so
 // a certified hit, which skips the solve, also needs the entry's P —
 // see pathEntry.certifies.) The primary penalty lambda is also absent:
 // the path cache indexes it separately, that is the whole point of
 // warm starts.
-func fingerprint(datasetKey, solverName string, b float64, k, s int, activeSet bool, seed uint64, regTag, lossTag, tierTag string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%s|b%g|k%d|s%d|as%t|seed%d|reg:%s|loss:%s",
-		datasetKey, solverName, b, k, s, activeSet, seed, regTag, lossTag)
-	if tierTag != "" {
-		// Quantized solves land near-identical but not bit-identical
-		// optima; tag them so tier families keep separate warm-start
-		// paths. The empty tag ("" / "off" / "f64" requests) preserves
-		// the historical fingerprint for uncompressed solves.
-		fmt.Fprintf(&sb, "|tier:%s", tierTag)
-	}
-	return sb.String()
+func fingerprint(datasetKey string, b float64, seed uint64, regTag, lossTag string) string {
+	return fmt.Sprintf("%s|pn|b%g|seed%d|reg:%s|loss:%s", datasetKey, b, seed, regTag, lossTag)
 }
 
-// tripleFingerprint identifies the warm-start family of triple-routed
-// fits (see fromTriple): the dataset and the regularizer. Those fits
-// read no sampling parameter, seed or tier, and their loss is least
-// squares.
+// tripleFingerprint identifies the warm-start family of least-squares
+// fits, which are answered from the triple: the dataset and the
+// regularizer. Those fits read no sampling parameter or seed.
 func tripleFingerprint(datasetKey, regTag string) string {
 	return fmt.Sprintf("%s|triple|reg:%s", datasetKey, regTag)
 }

@@ -60,8 +60,8 @@ func TestDatasetCacheLoadError(t *testing.T) {
 
 // TestDatasetCacheConcurrentFirstGet: concurrent first requests for one
 // key all load — each waits in its loader until every one has entered —
-// yet all end on the first inserted *dataset, so they share one gamma
-// cache and one set of batch streams.
+// yet all end on the first inserted *dataset, so they share one step
+// size and one resident state per world size.
 func TestDatasetCacheConcurrentFirstGet(t *testing.T) {
 	var stats Stats
 	c := newDatasetCache(2, &stats)
@@ -117,8 +117,8 @@ func TestDatasetResidentPerProcs(t *testing.T) {
 	}
 }
 
-// TestResidentBytesAttributed: after a cold grid on two world sizes at
-// b = 0.1 (world fits), whose triples draw on the dataset's one budget,
+// TestResidentBytesAttributed: after a cold grid on two world sizes,
+// whose triples draw on the dataset's one budget,
 // /stats reports as gram bytes exactly one triple per world size, and
 // they are everything the budget holds.
 func TestResidentBytesAttributed(t *testing.T) {
@@ -128,7 +128,7 @@ func TestResidentBytesAttributed(t *testing.T) {
 	ref := &DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7}
 	for _, procs := range []int{1, 2} {
 		for _, ratio := range []float64{0.4, 0.3, 0.2} {
-			req := &FitRequest{Dataset: ref, LambdaRatio: ratio, Warm: &off, Procs: procs, B: 0.1}
+			req := &FitRequest{Dataset: ref, LambdaRatio: ratio, Warm: &off, Procs: procs}
 			if _, err := s.runFit(context.Background(), req); err != nil {
 				t.Fatal(err)
 			}
@@ -143,29 +143,23 @@ func TestResidentBytesAttributed(t *testing.T) {
 	}
 }
 
-// TestGammaForConcurrent: fits at two sampling rates estimate their
-// step sizes at once while others look up the resident state (run it
-// under -race). Each rate's step is the estimate a lone call makes,
-// and every caller of a rate gets the one cached value.
+// TestGammaForConcurrent: first fits estimate the dataset's step size
+// at once while others look up the resident state (run it under
+// -race). Every caller gets the estimate a lone call makes.
 func TestGammaForConcurrent(t *testing.T) {
 	p, err := data.LoadWith("abalone", 400, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := []float64{0.1, 0.25}
-	want := map[float64]float64{}
-	for _, b := range rates {
-		want[b] = newDataset("ref", p).gammaFor(b)
-	}
+	want := newDataset("ref", p).step()
 	ds := newDataset("k", p)
-	const callers = 4
-	got := make([]float64, callers*len(rates))
+	got := make([]float64, 6)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = ds.gammaFor(rates[i%len(rates)])
+			got[i] = ds.step()
 		}(i)
 		go func(i int) {
 			defer wg.Done()
@@ -174,12 +168,31 @@ func TestGammaForConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for i, g := range got {
-		if b := rates[i%len(rates)]; g != want[b] {
-			t.Fatalf("caller %d: gamma(%g) = %.17g, a lone estimate gives %.17g", i, b, g, want[b])
+		if g != want || g <= 0 {
+			t.Fatalf("caller %d: step %.17g, a lone estimate gives %.17g", i, g, want)
 		}
 	}
-	if len(ds.gammaB) != len(rates) {
-		t.Fatalf("%d cached steps for %d rates", len(ds.gammaB), len(rates))
+}
+
+// TestPNFitSkipsTheStep: a proximal newton fit reads no step size, so
+// it estimates none: after a huber fit on a fresh dataset the step is
+// still unset, and the dataset's first least-squares fit sets it.
+func TestPNFitSkipsTheStep(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 1, Procs: 2})
+	defer s.Close()
+	ref := &DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7}
+	if _, err := s.runFit(context.Background(), &FitRequest{Dataset: ref, LambdaRatio: 0.2, Loss: "huber", MaxIter: 20}); err != nil {
+		t.Fatal(err)
+	}
+	ds := s.datasets.order.Front().Value.(*dataset)
+	if ds.gamma != 0 {
+		t.Fatalf("a huber fit estimated step %g", ds.gamma)
+	}
+	if _, err := s.runFit(context.Background(), &FitRequest{Dataset: ref, LambdaRatio: 0.2, MaxIter: 20}); err != nil {
+		t.Fatal(err)
+	}
+	if ds.gamma <= 0 {
+		t.Fatalf("a least-squares fit left step %g", ds.gamma)
 	}
 }
 
@@ -252,28 +265,29 @@ func TestPathCacheEviction(t *testing.T) {
 }
 
 // TestFingerprintSeparatesFamilies pins what may and may not share
-// warm starts: sampling setup separates, world size does not.
+// warm starts: a proximal newton fit's sampling rate, seed and scenario
+// separate, world size does not; least-squares fits are a family of
+// their own per dataset and regularizer.
 func TestFingerprintSeparatesFamilies(t *testing.T) {
-	base := fingerprint("ds", "rcsfista", 0.1, 1, 1, false, 42, "l1", "ls", "")
-	same := fingerprint("ds", "rcsfista", 0.1, 1, 1, false, 42, "l1", "ls", "")
-	if base != same {
+	base := fingerprint("ds", 0.1, 42, "l1", "huber:d=1")
+	if base != fingerprint("ds", 0.1, 42, "l1", "huber:d=1") {
 		t.Fatal("fingerprint not deterministic")
 	}
 	for name, other := range map[string]string{
-		"dataset":   fingerprint("ds2", "rcsfista", 0.1, 1, 1, false, 42, "l1", "ls", ""),
-		"solver":    fingerprint("ds", "fista", 0.1, 1, 1, false, 42, "l1", "ls", ""),
-		"b":         fingerprint("ds", "rcsfista", 0.2, 1, 1, false, 42, "l1", "ls", ""),
-		"k":         fingerprint("ds", "rcsfista", 0.1, 2, 1, false, 42, "l1", "ls", ""),
-		"s":         fingerprint("ds", "rcsfista", 0.1, 1, 2, false, 42, "l1", "ls", ""),
-		"activeset": fingerprint("ds", "rcsfista", 0.1, 1, 1, true, 42, "l1", "ls", ""),
-		"seed":      fingerprint("ds", "rcsfista", 0.1, 1, 1, false, 43, "l1", "ls", ""),
-		"reg":       fingerprint("ds", "rcsfista", 0.1, 1, 1, false, 42, "en:l2=0.01", "ls", ""),
-		"loss":      fingerprint("ds", "rcsfista", 0.1, 1, 1, false, 42, "l1", "huber:d=1", ""),
-		"tier":      fingerprint("ds", "rcsfista", 0.1, 1, 1, false, 42, "l1", "ls", "i8"),
+		"dataset": fingerprint("ds2", 0.1, 42, "l1", "huber:d=1"),
+		"b":       fingerprint("ds", 0.2, 42, "l1", "huber:d=1"),
+		"seed":    fingerprint("ds", 0.1, 43, "l1", "huber:d=1"),
+		"reg":     fingerprint("ds", 0.1, 42, "en:l2=0.01", "huber:d=1"),
+		"loss":    fingerprint("ds", 0.1, 42, "l1", "quantile:tau=0.5"),
+		"triple":  tripleFingerprint("ds", "l1"),
 	} {
 		if other == base {
 			t.Errorf("fingerprint ignores %s", name)
 		}
+	}
+	if tripleFingerprint("ds", "l1") == tripleFingerprint("ds", "en:l2=0.01") ||
+		tripleFingerprint("ds", "l1") == tripleFingerprint("ds2", "l1") {
+		t.Error("triple fingerprint ignores the regularizer or the dataset")
 	}
 }
 

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,16 +11,16 @@ import (
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/mat"
+	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/serve"
+	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
-// coldReq is a warm=false fit of smallRef at ratio. It pins the
-// default sampling rate b = 0.1, which runs it on a world that reads
-// the dataset's triple: a fit that leaves b, k, s and solver unset is
-// answered from the triple instead (triple_test.go).
+// coldReq is a warm=false fit of smallRef at ratio, answered from the
+// dataset's triple.
 func coldReq(ratio float64) *serve.FitRequest {
 	off := false
-	return &serve.FitRequest{Dataset: smallRef(), LambdaRatio: ratio, Warm: &off, ReturnW: true, B: 0.1}
+	return &serve.FitRequest{Dataset: smallRef(), LambdaRatio: ratio, Warm: &off, ReturnW: true}
 }
 
 // fitRaw posts req and returns the raw reply.
@@ -43,20 +44,23 @@ var workFields = regexp.MustCompile(`"(elapsed_ms|model_seconds)": [^,\n]*`)
 // d-feature dataset: the packed G, r and c.
 func tripleBytes(d int) int64 { return 8 * int64(mat.PackedLen(d)+d+1) }
 
-// TestRepeatedWorldFitIsTheColdOne: a warm=false world fit repeated on
-// one server, which reads the triple the first fit kept, replies as the
-// same fit on a fresh server, which fills it, byte for byte apart from
-// the work it did and the server's history (coldGridFields).
+// TestRepeatedWorldFitIsTheColdOne: a warm=false world fit — a loss
+// other than ls, on proximal Newton — repeated on one server replies as
+// the same fit on a fresh server, byte for byte apart from the work it
+// did and the server's history (coldGridFields). World fits neither
+// fill nor keep a triple.
 func TestRepeatedWorldFitIsTheColdOne(t *testing.T) {
+	req := coldReq(0.2)
+	req.Loss, req.MaxIter = "huber", 200
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
-	doFit(t, client, ts.URL, coldReq(0.2))
-	repeated := fitRaw(t, client, ts.URL, coldReq(0.2))
+	doFit(t, client, ts.URL, req)
+	repeated := fitRaw(t, client, ts.URL, req)
 	_, ctl := newTestServer(t, fastConfig())
-	fresh := fitRaw(t, ctl.Client(), ctl.URL, coldReq(0.2))
+	fresh := fitRaw(t, ctl.Client(), ctl.URL, req)
 
-	var r, f serve.FitResponse
-	if json.Unmarshal(repeated, &r) != nil || json.Unmarshal(fresh, &f) != nil {
+	var r serve.FitResponse
+	if json.Unmarshal(repeated, &r) != nil {
 		t.Fatal("undecodable reply")
 	}
 	if r.AnsweredBy != "world" || r.Rounds == 0 || r.Warm {
@@ -65,11 +69,8 @@ func TestRepeatedWorldFitIsTheColdOne(t *testing.T) {
 	if a, b := coldGridFields.ReplaceAll(repeated, nil), coldGridFields.ReplaceAll(fresh, nil); string(a) != string(b) {
 		t.Fatalf("replies differ:\n%s\nvs\n%s", a, b)
 	}
-	if r.ModelSeconds > f.ModelSeconds {
-		t.Fatalf("model seconds %g on the kept triple vs %g filling it", r.ModelSeconds, f.ModelSeconds)
-	}
-	if sn := getStats(t, client, ts.URL); sn.GramFills != 1 || sn.GramBytes != tripleBytes(smallRef().Features) {
-		t.Fatalf("two fits: %d fills, %d triple bytes; want one kept triple", sn.GramFills, sn.GramBytes)
+	if sn := getStats(t, client, ts.URL); sn.GramFills != 0 || sn.GramBytes != 0 {
+		t.Fatalf("two world fits: %d fills, %d triple bytes; want none", sn.GramFills, sn.GramBytes)
 	}
 }
 
@@ -102,10 +103,10 @@ func TestTripleLeavesWithTheDataset(t *testing.T) {
 	}
 }
 
-// TestResidentGridConcurrent: two workers fit one lambda grid on a
-// world at once, in opposite orders, racing to fill and read one triple
-// (the CI serving job runs it under -race). Every reply equals the
-// handle-less solve bit for bit, and one triple is kept.
+// TestResidentGridConcurrent: two workers fit one lambda grid from the
+// triple at once, in opposite orders, racing to fill and read it (the
+// CI serving job runs it under -race). Every reply equals the
+// handle-less triple solve bit for bit, and one triple is kept.
 func TestResidentGridConcurrent(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Workers, cfg.QueueCap = 2, 8
@@ -150,12 +151,16 @@ func TestResidentGridConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ratio, rs := range replies {
-		want := directZeroRound(t, rs[0].Lambda, nil, cfg.Procs)
+		p, o := serverOpts(t, rs[0].Lambda, cfg.MaxIter)
+		want, err := solver.SolveTriple(context.Background(), p.X, p.Y, cfg.Procs, perf.Comet(), o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range rs {
-			if r.Rounds != want.Rounds || r.Iters != want.Iters || !sameBits(r.W, want.W) ||
+			if r.AnsweredBy != "triple" || r.Iters != want.Iters || !sameBits(r.W, want.W) ||
 				!sameBits([]float64{r.Objective}, []float64{want.FinalObj}) {
-				t.Fatalf("ratio %g: %d rounds, objective %.17g; handle-less %d rounds, %.17g (or w differs)",
-					ratio, r.Rounds, r.Objective, want.Rounds, want.FinalObj)
+				t.Fatalf("ratio %g: answered by %s, %d iters, objective %.17g; handle-less %d iters, %.17g (or w differs)",
+					ratio, r.AnsweredBy, r.Iters, r.Objective, want.Iters, want.FinalObj)
 			}
 		}
 	}

@@ -20,13 +20,13 @@ func TestScenarioFitMatrix(t *testing.T) {
 		req  *serve.FitRequest
 	}{
 		{"en", &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Reg: "en", L2: 0.01}},
-		{"en-activeset", &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Reg: "en", L2: 0.01, ActiveSet: true}},
 		{"ridge", &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Reg: "ridge", L2: 0.05}},
 		{"group", &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Reg: "group", Groups: "size:2"}},
 		{"huber", &serve.FitRequest{Dataset: smallRef(), Lambda: 0.01, Loss: "huber", HuberDelta: 1}},
 		{"quantile", &serve.FitRequest{Dataset: smallRef(), Lambda: 0.01, Loss: "quantile", QuantileTau: 0.7}},
 		{"logistic", &serve.FitRequest{Dataset: smallRef(), Lambda: 0.01, Loss: "logistic"}},
 		{"huber-group", &serve.FitRequest{Dataset: smallRef(), Lambda: 0.01, Loss: "huber", Reg: "group", Groups: "size:2"}},
+		{"huber-b", &serve.FitRequest{Dataset: smallRef(), Lambda: 0.01, Loss: "huber", B: 0.3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,7 +44,8 @@ func TestScenarioFitMatrix(t *testing.T) {
 	}
 }
 
-// TestScenarioRejections pins the 400 surface of the reg/loss block.
+// TestScenarioRejections pins the 400 surface of the reg/loss block;
+// the retired engine fields (solver, active_set) are unknown fields.
 func TestScenarioRejections(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
@@ -62,6 +63,7 @@ func TestScenarioRejections(t *testing.T) {
 		{"loss with solver", `{"dataset": {"name": "abalone", "samples": 200, "seed": 7}, "lambda": 0.1, "loss": "huber", "solver": "fista"}`},
 		{"loss with active_set", `{"dataset": {"name": "abalone", "samples": 200, "seed": 7}, "lambda": 0.1, "loss": "huber", "active_set": true}`},
 		{"activeset ridge", `{"dataset": {"name": "abalone", "samples": 200, "seed": 7}, "lambda": 0.1, "reg": "ridge", "l2": 0.5, "active_set": true}`},
+		{"b with ls", `{"dataset": {"name": "abalone", "samples": 200, "seed": 7}, "lambda": 0.1, "loss": "ls", "b": 0.5}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,31 +117,5 @@ func TestScenarioIsolatesWarmStarts(t *testing.T) {
 		if huber3.Warm || huber3.PathCacheHit {
 			t.Fatalf("huber delta=2 warm-started from delta=1: %+v", huber3)
 		}
-	}
-}
-
-// TestCompressTierSpellingsShareWarmStarts: "", "off" and "f64" are
-// one option value (solver.CanonicalTier), so requests spelling the
-// uncompressed tier differently must share one λ-path population; a
-// genuinely compressed tier lands near-identical but not bit-identical
-// optima and keeps its own.
-func TestCompressTierSpellingsShareWarmStarts(t *testing.T) {
-	_, ts := newTestServer(t, fastConfig())
-	client := ts.Client()
-
-	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3})
-	if cold.Warm {
-		t.Fatal("first fit reported warm")
-	}
-	for i, tier := range []string{"off", "f64", ""} {
-		fit := doFit(t, client, ts.URL, &serve.FitRequest{
-			Dataset: smallRef(), LambdaRatio: 0.29 - 0.01*float64(i), CompressTier: tier})
-		if !fit.Warm || !fit.PathCacheHit {
-			t.Fatalf("compress_tier %q missed the uncompressed population: %+v", tier, fit)
-		}
-	}
-	f32 := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, CompressTier: "f32"})
-	if f32.Warm || f32.PathCacheHit {
-		t.Fatalf("f32 fit warm-started from an uncompressed entry: %+v", f32)
 	}
 }

@@ -195,18 +195,17 @@ func TestFitPredictRoundTrip(t *testing.T) {
 
 // TestWarmStartOverHTTP checks the lambda-path cache contract at the
 // service boundary: a second fit at a neighboring lambda reports a
-// cache hit and spends no more rounds than its cold twin; warm=false
-// forces a cold solve even with a populated cache. The fits pin b = 0.1,
-// so they run on a world and count rounds.
+// cache hit and spends no more iterations than its cold twin; warm=false
+// forces a cold solve even with a populated cache.
 func TestWarmStartOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
 
-	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3, B: 0.1})
+	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3})
 	if cold.Warm {
 		t.Fatal("first fit reported warm")
 	}
-	warm := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, B: 0.1})
+	warm := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25})
 	if !warm.Warm || !warm.PathCacheHit || warm.WarmFromLambda != cold.Lambda {
 		t.Fatalf("neighboring fit not warm-started: %+v", warm)
 	}
@@ -215,45 +214,92 @@ func TestWarmStartOverHTTP(t *testing.T) {
 	}
 
 	off := false
-	forced := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, Warm: &off, B: 0.1})
+	forced := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, Warm: &off})
 	if forced.Warm || forced.PathCacheHit {
 		t.Fatalf("warm=false still warm-started: %+v", forced)
 	}
-	if warm.Rounds > forced.Rounds {
-		t.Fatalf("warm fit spent %d rounds, cold twin %d — warm must not cost more", warm.Rounds, forced.Rounds)
+	if warm.Iters > forced.Iters {
+		t.Fatalf("warm fit took %d iterations, cold twin %d — warm must not cost more", warm.Iters, forced.Iters)
 	}
 }
 
-// TestSolverNameCanonicalInCache: "" and "rcsfista" name the same
-// algorithm, so they must share one warm-start cache population. The
-// fingerprint is taken from the canonical name — fingerprinting the
-// raw request string split the cache in two and a default-solver fit
-// could never warm-start a fit that spelled the name out (or vice
-// versa). The fits pin b = 0.1: with b, k, s and solver all unset a fit
-// is triple-routed, a family of its own (TestTripleRouting).
-func TestSolverNameCanonicalInCache(t *testing.T) {
-	_, ts := newTestServer(t, fastConfig())
+// TestRetiredFitFields: the fields no /fit engine reads — the world's
+// engine and sampling setup — are unknown to the strict decoder, every
+// spelling of compress_tier included: each is a 400 naming it, and no
+// dataset is loaded. b is the feature table's to refuse beside least
+// squares, which reads every sample, and still reaches proximal Newton.
+func TestRetiredFitFields(t *testing.T) {
+	sv, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
+	const head = `{"dataset": {"name": "abalone", "samples": 200, "features": 8, "seed": 7}, "lambda_ratio": 0.2, `
+	for _, tc := range []struct {
+		field, body string
+	}{
+		{"solver", `"solver": "rcsfista"`},
+		{"solver", `"solver": "fista"`},
+		{"k", `"k": 2`},
+		{"s", `"s": 2`},
+		{"epoch_len", `"epoch_len": 5`},
+		{"active_set", `"active_set": true`},
+		{"compress_tier", `"compress_tier": "off"`},
+		{"compress_tier", `"compress_tier": "f32"`},
+		{"b", `"b": 0.1`},
+		{"b", `"loss": "ls", "b": 1`},
+	} {
+		status, raw := postJSON(t, client, ts.URL+"/fit", head+tc.body+"}")
+		var er struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(raw, &er); err != nil || status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, %s; want a 400", tc.body, status, raw)
+		}
+		named := strings.Contains(er.Error, `unknown field "`+tc.field+`"`)
+		if tc.field == "b" {
+			named = strings.HasPrefix(er.Error, "b does not apply to loss ls")
+		}
+		if !named {
+			t.Fatalf("%s: %q does not name %s", tc.body, er.Error, tc.field)
+		}
+		if sn := sv.Stats().Snapshot(); sn.DatasetMisses != 0 || sn.DatasetHits != 0 {
+			t.Fatalf("%s: the refused fit resolved a dataset (%d misses, %d hits)", tc.body, sn.DatasetMisses, sn.DatasetHits)
+		}
+	}
+	huber := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Loss: "huber", B: 0.3, MaxIter: 50})
+	if huber.AnsweredBy != "world" || huber.ModelID == "" {
+		t.Fatalf("huber fit at b = 0.3: %+v", huber)
+	}
+}
 
-	cold := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3, Solver: "", B: 0.1})
-	if cold.Warm {
-		t.Fatal("first fit reported warm")
+// TestBadFitLoadsNothing: a fit whose request alone is malformed — a
+// negative or doubled penalty, b or procs out of range — is refused
+// before its dataset is resolved: with room for one dataset, a bad fit
+// naming a second one loads nothing and evicts nothing, and the first
+// dataset still hits.
+func TestBadFitLoadsNothing(t *testing.T) {
+	cfg := fastConfig()
+	cfg.DatasetCap = 1
+	sv, ts := newTestServer(t, cfg)
+	client := ts.Client()
+	doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2})
+	const other = `{"dataset": {"name": "abalone", "samples": 120, "features": 6, "seed": 3}, `
+	for _, body := range []string{
+		other + `"lambda": -1}`,
+		other + `"lambda_ratio": -0.1}`,
+		other + `"lambda": 0.1, "lambda_ratio": 0.1}`,
+		other + `"lambda_ratio": 0.2, "procs": 99}`,
+		other + `"lambda_ratio": 0.2, "procs": -1}`,
+		other + `"lambda_ratio": 0.2, "loss": "huber", "b": 1.5}`,
+		other + `"lambda_ratio": 0.2, "loss": "huber", "b": -0.5}`,
+	} {
+		if status, raw := postJSON(t, client, ts.URL+"/fit", body); status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, %s; want a 400", body, status, raw)
+		}
 	}
-	warm := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, Solver: "rcsfista", B: 0.1})
-	if !warm.Warm || !warm.PathCacheHit || warm.WarmFromLambda != cold.Lambda {
-		t.Fatalf("explicit rcsfista fit missed the cache entry stored by the default-solver fit: %+v", warm)
+	if sn := sv.Stats().Snapshot(); sn.DatasetMisses != 1 || sn.DatasetEvictions != 0 {
+		t.Fatalf("bad fits moved the dataset cache: %d misses, %d evictions", sn.DatasetMisses, sn.DatasetEvictions)
 	}
-	// And the other direction: a default-name fit hits entries stored
-	// under the explicit name.
-	warm2 := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Solver: "", B: 0.1})
-	if !warm2.Warm || !warm2.PathCacheHit {
-		t.Fatalf("default-solver fit missed the cache: %+v", warm2)
-	}
-
-	// A genuinely different solver still gets its own population.
-	other := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.25, Solver: "fista"})
-	if other.Warm || other.PathCacheHit {
-		t.Fatalf("fista fit warm-started from an rcsfista entry: %+v", other)
+	if again := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.3}); !again.DatasetCacheHit {
+		t.Fatal("the first dataset was evicted by a refused fit")
 	}
 }
 
@@ -415,9 +461,10 @@ func TestClientDisconnectReleasesSolve(t *testing.T) {
 	dist.VerifyNoGoroutineLeaks(t, baseline)
 }
 
-// TestConcurrentFitSoak hammers the service from many goroutines (run
-// under -race in make check and the CI serving job): every request must
-// come back 200 and the bookkeeping must balance.
+// TestConcurrentFitSoak hammers the service from many goroutines, half
+// on the triple and half on worlds (run under -race in make check and
+// the CI serving job): every request must come back 200 and the
+// bookkeeping must balance.
 func TestConcurrentFitSoak(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Workers = 4
@@ -437,7 +484,9 @@ func TestConcurrentFitSoak(t *testing.T) {
 				req := &serve.FitRequest{
 					Dataset:     smallRef(),
 					LambdaRatio: ratios[i%len(ratios)],
-					ActiveSet:   g%2 == 0,
+				}
+				if g%2 == 0 {
+					req.Loss, req.MaxIter = "huber", 200
 				}
 				body, err := json.Marshal(req)
 				if err != nil {

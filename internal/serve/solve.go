@@ -59,16 +59,35 @@ func (s *Server) resolveDataset(ref *DatasetRef, libsvm string, features int) (*
 	}
 }
 
-// fitOptions assembles solver options for a request against a
-// prepared dataset, resolving the lambda and the server defaults.
-func (s *Server) fitOptions(req *FitRequest, ds *dataset) (solver.Options, float64, error) {
+// checkRequest refuses what the request alone gets wrong — the
+// penalty's sign, both penalties at once, b or procs out of range —
+// before any dataset is resolved, so a malformed fit loads nothing and
+// evicts nothing. It returns the fit's world size.
+func (s *Server) checkRequest(req *FitRequest) (int, error) {
+	switch {
+	case req.Lambda < 0 || req.LambdaRatio < 0:
+		return 0, badRequest("lambda and lambda_ratio must be non-negative")
+	case req.Lambda > 0 && req.LambdaRatio > 0:
+		return 0, badRequest("set either lambda or lambda_ratio, not both")
+	case req.B < 0 || req.B > 1:
+		return 0, badRequest("b = %g out of (0, 1]", req.B)
+	}
+	procs := s.cfg.Procs
+	if req.Procs != 0 {
+		procs = req.Procs
+	}
+	if procs < 1 || procs > s.cfg.MaxProcs {
+		return 0, badRequest("procs = %d out of [1, %d]", procs, s.cfg.MaxProcs)
+	}
+	return procs, nil
+}
+
+// fitOptions assembles solver options for a checked request against a
+// prepared dataset, resolving the lambda and the server defaults. Only
+// a least-squares fit (engine Triple) reads the step size, so only it
+// estimates one.
+func (s *Server) fitOptions(req *FitRequest, ds *dataset, eng scenario.Engine) (solver.Options, float64, error) {
 	var zero solver.Options
-	if req.Lambda < 0 || req.LambdaRatio < 0 {
-		return zero, 0, badRequest("lambda and lambda_ratio must be non-negative")
-	}
-	if req.Lambda > 0 && req.LambdaRatio > 0 {
-		return zero, 0, badRequest("set either lambda or lambda_ratio, not both")
-	}
 	lambda := req.Lambda
 	if req.LambdaRatio > 0 {
 		lambda = req.LambdaRatio * ds.lambdaMax
@@ -79,27 +98,11 @@ func (s *Server) fitOptions(req *FitRequest, ds *dataset) (solver.Options, float
 
 	o := solver.Defaults()
 	o.Lambda = lambda
-	o.Seed = 42
 	if req.Seed != 0 {
 		o.Seed = req.Seed
 	}
 	if req.B != 0 {
-		if req.B < 0 || req.B > 1 {
-			return zero, 0, badRequest("b = %g out of (0, 1]", req.B)
-		}
 		o.B = req.B
-	}
-	if req.K != 0 {
-		o.K = req.K
-	}
-	if req.S != 0 {
-		o.S = req.S
-	}
-	switch req.Solver {
-	case "sfista":
-		o.K, o.S = 1, 1
-	case "fista":
-		o.K, o.S, o.B = 1, 1, 1
 	}
 	o.MaxIter = s.cfg.MaxIter
 	if req.MaxIter > 0 {
@@ -107,20 +110,10 @@ func (s *Server) fitOptions(req *FitRequest, ds *dataset) (solver.Options, float
 	}
 	o.GradMapTol = s.cfg.GradMapTol
 	if req.GradMapTol != 0 {
-		o.GradMapTol = req.GradMapTol
-		if o.GradMapTol < 0 {
-			o.GradMapTol = 0
-		}
+		o.GradMapTol = max(req.GradMapTol, 0)
 	}
-	o.EpochLen = s.cfg.EpochLen
-	if req.EpochLen > 0 {
-		o.EpochLen = req.EpochLen
-	}
-	o.ActiveSet = req.ActiveSet
-	o.CompressTier = req.CompressTier
 	// The regularizer block. The default l1 stays expressed through
-	// Lambda alone (Reg nil) so the pre-scenario request shape maps to
-	// byte-identical solver options; any other family goes through the
+	// Lambda alone (Reg nil); any other family goes through the
 	// scenario builder against the dataset's dimension.
 	if req.Reg != "" && req.Reg != "l1" {
 		reg, err := scenario.BuildReg(scenario.RegSpec{
@@ -131,36 +124,29 @@ func (s *Server) fitOptions(req *FitRequest, ds *dataset) (solver.Options, float
 		}
 		o.Reg = reg
 	}
-	o.Gamma = ds.gammaFor(o.B)
 	o.TraceName = "serve"
-	if err := o.Validate(); err != nil {
-		return zero, 0, badRequest("%v", err)
+	if eng == scenario.Triple {
+		o.Gamma = ds.step()
+		if err := o.Validate(); err != nil {
+			return zero, 0, badRequest("%v", err)
+		}
 	}
 	return o, lambda, nil
 }
 
 // fitNames spells the features as FitRequest's fields.
 var fitNames = scenario.Names{
-	scenario.RegParams: "l2/groups", scenario.Loss: "loss", scenario.NonL1Reg: "reg",
-	scenario.ActiveSet: "active_set", scenario.CompressTier: "compress_tier",
+	scenario.RegParams: "l2/groups", scenario.Loss: "loss", scenario.NonL1Reg: "reg", scenario.SampleRate: "b",
 }
 
 // fitEngine asks the feature table which engine the request runs on —
-// solver "" names none (scenario.Default); every other name, "fista"
-// (b = 1) included, is RC-SFISTA — and refuses, with a 400 in the
-// request's field names, what that engine does not allow.
+// /fit names none (scenario.Served): Triple for least squares, LossPN
+// for any other loss — and refuses, with a 400 in the request's field
+// names, what that engine does not allow.
 func fitEngine(req *FitRequest) (scenario.Engine, error) {
-	e := scenario.RCSFISTA
-	switch req.Solver {
-	case "":
-		e = scenario.Default
-	case "rcsfista", "sfista", "fista":
-	default:
-		return 0, badRequest("unknown solver %q (rcsfista, sfista, fista)", req.Solver)
-	}
 	e, err := scenario.Check(scenario.Fit{
-		Engine: e, Algo: fmt.Sprintf("solver %q", req.Solver), Reg: req.Reg, Loss: req.Loss,
-		RegParams: req.L2 != 0 || req.Groups != "", ActiveSet: req.ActiveSet, CompressTier: req.CompressTier != "",
+		Engine: scenario.Served, Algo: "loss ls", Reg: req.Reg, Loss: req.Loss,
+		RegParams: req.L2 != 0 || req.Groups != "", SampleRate: req.B != 0,
 	}, fitNames)
 	if err != nil {
 		return 0, badRequest("%v", err)
@@ -175,26 +161,15 @@ const (
 	answeredCache  = "cache"
 )
 
-// fromTriple is the routing rule: a least-squares fit that leaves the
-// sampling setup to the server — solver, b, k and s unset, no
-// active_set, and no compress_tier but a spelling of f64 — is answered
-// from its dataset's triple without a world (solver.SolveTriple). Any
-// other fit runs on a world.
-func fromTriple(req *FitRequest, e scenario.Engine) bool {
-	return e == scenario.RCSFISTA && req.Solver == "" && req.B == 0 && req.K == 0 && req.S == 0 &&
-		!req.ActiveSet && solver.CanonicalTier(req.CompressTier) == ""
-}
-
 // runFit executes one admitted fit request end to end: the feature
-// table's check, dataset resolution, warm-start lookup, the solve under
-// the request context and cache publication; or, when the lookup's
-// entry certifies the request, the cached answer with no solve at all.
-// A fit fromTriple routes is answered from the dataset's triple of its
-// procs, filled in-process on first use, within max_iter iterations and
-// certified by one data pass when it converges. Every other
-// least-squares fit runs on a world that reads the dataset's triple of
-// its procs from round 0. It never returns a nil response without an
-// error.
+// table's and the request's own checks, dataset resolution, warm-start
+// lookup, the solve under the request context and cache publication;
+// or, when the lookup's entry certifies the request, the cached answer
+// with no solve at all. A least-squares fit is answered from the
+// dataset's triple of its procs, filled in-process on first use, within
+// max_iter iterations and certified by one data pass when it converges;
+// any other loss runs proximal Newton on a world. It never returns a
+// nil response without an error.
 func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, error) {
 	eng, err := fitEngine(req)
 	if err != nil {
@@ -206,51 +181,32 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
+	procs, err := s.checkRequest(req)
+	if err != nil {
+		return nil, err
+	}
 	ds, dsHit, err := s.resolveDataset(req.Dataset, req.LIBSVM, req.Features)
 	if err != nil {
 		return nil, err
 	}
-	opts, lambda, err := s.fitOptions(req, ds)
+	opts, lambda, err := s.fitOptions(req, ds, eng)
 	if err != nil {
 		return nil, err
 	}
-	procs := s.cfg.Procs
-	if req.Procs != 0 {
-		procs = req.Procs
-	}
-	if procs < 1 || procs > s.cfg.MaxProcs {
-		return nil, badRequest("procs = %d out of [1, %d]", procs, s.cfg.MaxProcs)
-	}
 
-	// Canonicalize the solver name before it reaches the cache
-	// fingerprint: "" and "rcsfista" are the same algorithm, and
-	// fingerprinting the raw request string would split their warm-start
-	// entries into two cache populations that never hit each other.
-	// Non-least-squares losses always run Proximal Newton, so they
-	// canonicalize to "pn" regardless of the (empty) request field. A
-	// triple-routed fit reads no sampling parameter, so its family is
-	// the dataset and the regularizer alone.
-	triple := fromTriple(req, eng)
-	algo := req.Solver
-	switch {
-	case triple:
-		algo = answeredTriple
-	case eng == scenario.LossPN:
-		algo = "pn"
-	case algo == "":
-		algo = "rcsfista"
-	}
-	datasetKey := ds.key
-	fp := tripleFingerprint(datasetKey, scenario.RegTag(opts.Reg))
-	if !triple {
-		fp = fingerprint(datasetKey, algo, opts.B, opts.K, opts.S, opts.ActiveSet, opts.Seed,
-			scenario.RegTag(opts.Reg), scenario.LossTag(loss), solver.CanonicalTier(opts.CompressTier))
+	// The warm-start family: a least-squares fit reads no sampling
+	// parameter or seed, so its family is the dataset and the
+	// regularizer alone; a proximal newton fit's adds b, the seed and
+	// the loss.
+	algo, fp := answeredTriple, tripleFingerprint(ds.key, scenario.RegTag(opts.Reg))
+	if eng != scenario.Triple {
+		algo, fp = "pn", fingerprint(ds.key, opts.B, opts.Seed, scenario.RegTag(opts.Reg), scenario.LossTag(loss))
 	}
 	resp := &FitResponse{Lambda: lambda, DatasetCacheHit: dsHit}
 	if req.warm() {
 		if e := s.paths.lookup(fp, lambda); e != nil {
 			if e.certifies(lambda, opts.GradMapTol, procs) {
-				return s.certifiedHit(resp, e, req.ReturnW, algo, datasetKey), nil
+				return s.certifiedHit(resp, e, req.ReturnW, algo, ds.key), nil
 			}
 			opts.W0 = e.w
 			resp.Warm = true
@@ -260,7 +216,7 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	}
 
 	start := time.Now()
-	res, serr := s.solve(ctx, resp, req, ds, loss, eng, triple, opts, lambda, procs)
+	res, serr := s.solve(ctx, resp, req, ds, loss, eng, opts, lambda, procs)
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if serr != nil {
 		var he *httpError
@@ -271,8 +227,8 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 			s.stats.failures.Add(1)
 			return nil, &httpError{status: 500, msg: "solve: " + serr.Error()}
 		}
-		// Deadline/cancel: the round-boundary consensus (or the triple
-		// path's deadline check) left a well-formed partial result.
+		// Deadline/cancel: the triple's deadline check or the world's
+		// round-boundary consensus left a well-formed partial result.
 		resp.Partial = true
 		resp.Error = serr.Error()
 		s.stats.deadlines.Add(1)
@@ -306,7 +262,7 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 		s.stats.coldIters.Add(int64(res.Iters))
 	}
 
-	model := solver.NewModel(res, lambda, algo, datasetKey)
+	model := solver.NewModel(res, lambda, algo, ds.key)
 	resp.ModelID = s.models.add(model)
 	if req.ReturnW {
 		resp.W = mat.Clone(res.W)
@@ -327,12 +283,12 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 }
 
 // solve runs a fit the path cache did not answer and sets
-// resp.AnsweredBy. A triple-routed fit is answered from the dataset's
+// resp.AnsweredBy. A least-squares fit is answered from the dataset's
 // triple: certified by its data pass, or unconverged when it does not
 // certify within MaxIter, or partial when its deadline expires first.
-// Every other fit runs on a world.
-func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, ds *dataset, loss erm.Loss, eng scenario.Engine, triple bool, opts solver.Options, lambda float64, procs int) (*solver.Result, error) {
-	if triple {
+// Any other loss runs proximal Newton on a world.
+func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, ds *dataset, loss erm.Loss, eng scenario.Engine, opts solver.Options, lambda float64, procs int) (*solver.Result, error) {
+	if eng == scenario.Triple {
 		res, err := solver.SolveTriple(ctx, ds.prob.X, ds.prob.Y, procs, s.cfg.Machine, opts, ds.resident(procs))
 		if res != nil {
 			resp.AnsweredBy = answeredTriple
@@ -345,15 +301,12 @@ func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, 
 	if err != nil {
 		return nil, &httpError{status: 500, msg: "create world: " + err.Error()}
 	}
-	if eng == scenario.LossPN {
-		return s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
-	}
-	return solver.SolveDistributedResident(ctx, world, ds.prob.X, ds.prob.Y, opts, ds.resident(procs))
+	return s.runPNFit(ctx, world, req, ds, loss, opts, lambda)
 }
 
 // certifiedHit answers a fit from a path entry that certifies it: the
-// reply the zero-round solve would give, bit for bit, without building
-// a world or touching the data. Only the timings differ — no solve ran,
+// reply the solve warm-started at the entry would give, bit for bit,
+// without a solve or touching the data. Only the timings differ — no solve ran,
 // so ElapsedMS and ModelSeconds are 0. The model aliases the entry's
 // immutable w, and nothing is re-published.
 func (s *Server) certifiedHit(resp *FitResponse, e *pathEntry, returnW bool, algo, datasetKey string) *FitResponse {

@@ -14,13 +14,12 @@ import (
 	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
-// TestTripleRouting is the routing table: a least-squares fit that
-// leaves solver, b, k and s unset, with no active_set and no
-// compress_tier but a spelling of f64, is answered from the triple —
-// no rounds, counted in triple_fits, certified unless its stop is
-// disabled (nothing to certify: it runs max_iter iterations) — for
-// every regularizer; any explicit sampling parameter or solver, any
-// other loss, active_set or a quantized tier runs on a world.
+// TestTripleRouting is the routing table: every least-squares fit is
+// answered from the triple — no rounds, counted in triple_fits,
+// certified unless its stop is disabled (nothing to certify: it runs
+// max_iter iterations) — for every regularizer, world size and seed;
+// every other loss, with or without a sampling rate, runs proximal
+// Newton on a world.
 func TestTripleRouting(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
@@ -31,22 +30,17 @@ func TestTripleRouting(t *testing.T) {
 		want string
 	}{
 		{"l1", func(r *serve.FitRequest) {}, "triple"},
+		{"ls", func(r *serve.FitRequest) { r.Loss = "ls" }, "triple"},
 		{"en", func(r *serve.FitRequest) { r.Reg, r.L2 = "en", 0.01 }, "triple"},
 		{"ridge", func(r *serve.FitRequest) { r.Reg, r.L2 = "ridge", 0.05 }, "triple"},
 		{"group", func(r *serve.FitRequest) { r.Reg, r.Groups = "group", "size:2" }, "triple"},
-		{"compress_tier off", func(r *serve.FitRequest) { r.CompressTier = "off" }, "triple"},
 		{"other procs", func(r *serve.FitRequest) { r.Procs = 1 }, "triple"},
-		{"b", func(r *serve.FitRequest) { r.B = 0.1 }, "world"},
-		{"b = 1", func(r *serve.FitRequest) { r.B = 1 }, "world"},
-		{"k", func(r *serve.FitRequest) { r.K = 2 }, "world"},
-		{"s", func(r *serve.FitRequest) { r.S = 2 }, "world"},
-		{"rcsfista", func(r *serve.FitRequest) { r.Solver = "rcsfista" }, "world"},
-		{"sfista", func(r *serve.FitRequest) { r.Solver = "sfista" }, "world"},
-		{"fista", func(r *serve.FitRequest) { r.Solver = "fista" }, "world"},
-		{"huber", func(r *serve.FitRequest) { r.Loss, r.MaxIter = "huber", 1000 }, "world"},
-		{"active_set", func(r *serve.FitRequest) { r.ActiveSet = true }, "world"},
-		{"f32", func(r *serve.FitRequest) { r.CompressTier = "f32" }, "world"},
+		{"seed", func(r *serve.FitRequest) { r.Seed = 9 }, "triple"},
 		{"gradmap_tol disabled", func(r *serve.FitRequest) { r.GradMapTol, r.MaxIter = -1, 200 }, "triple"},
+		{"huber", func(r *serve.FitRequest) { r.Loss, r.MaxIter = "huber", 1000 }, "world"},
+		{"huber b", func(r *serve.FitRequest) { r.Loss, r.MaxIter, r.B = "huber", 1000, 0.5 }, "world"},
+		{"quantile", func(r *serve.FitRequest) { r.Loss = "quantile" }, "world"},
+		{"logistic", func(r *serve.FitRequest) { r.Loss = "logistic" }, "world"},
 	} {
 		req := &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Warm: &off, NoStore: true}
 		tc.edit(req)
@@ -66,8 +60,8 @@ func TestTripleRouting(t *testing.T) {
 			t.Fatalf("%s: triple_fits +%d, %d rounds, %d iters, converged %t",
 				tc.name, triple, got.Rounds, got.Iters, got.Converged)
 		}
-		if tc.want == "world" && triple != 0 {
-			t.Fatalf("%s: a world fit counted as a triple fit", tc.name)
+		if tc.want == "world" && (triple != 0 || got.Rounds == 0) {
+			t.Fatalf("%s: a world fit counted as a triple fit (+%d) or ran no round (%d)", tc.name, triple, got.Rounds)
 		}
 	}
 }
@@ -82,8 +76,10 @@ func serverOpts(t *testing.T, lambda float64, maxIter int) (*data.Problem, solve
 		t.Fatal(err)
 	}
 	cfg := serve.New(fastConfig()).Config()
-	o := solver.Defaults() // the request defaults: b = 0.1, k = s = 1, seed 42
-	o.Lambda, o.MaxIter, o.GradMapTol, o.EpochLen = lambda, maxIter, cfg.GradMapTol, cfg.EpochLen
+	o := solver.Defaults()
+	o.Lambda, o.MaxIter, o.GradMapTol = lambda, maxIter, cfg.GradMapTol
+	// The server's per-dataset step size (the default rate b = 0.1, 8
+	// power iterations, seed 777).
 	o.Gamma = solver.GammaFromLipschitz(solver.SampledLipschitz(p.X, p.Y, o.B, 8, 777))
 	return p, o
 }

@@ -23,7 +23,9 @@ func SolveDistributed(w dist.World, x *sparse.CSC, y []float64, opts Options) (*
 // every rank returns a well-formed partial result; rank 0's partial
 // result is returned together with the context's error.
 func SolveDistributedContext(ctx context.Context, w dist.World, x *sparse.CSC, y []float64, opts Options) (*Result, error) {
-	return SolveDistributedResident(ctx, w, x, y, opts, nil)
+	return solvercore.RunWorld(w, func(c dist.Comm) (*Result, error) {
+		return RCSFISTAContext(ctx, c, Partition(x, y, c.Size(), c.Rank()), opts)
+	})
 }
 
 // SolvePNDistributed is SolveDistributed for the distributed Proximal

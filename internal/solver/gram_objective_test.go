@@ -239,7 +239,7 @@ func TestGramObjectiveEngagement(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for rank, e := range engines {
-			if pc := counters[rank]; pc.fills != 1 || !e.gram.filled || pc.objs != 1 || pc.snaps != 0 {
+			if pc := counters[rank]; pc.fills != 1 || e.gram.h == nil || pc.objs != 1 || pc.snaps != 0 {
 				t.Errorf("%s rank %d: %d fills, %d objective and %d snapshot passes; want 1 fill and only the final objective's",
 					tc.name, rank, pc.fills, pc.objs, pc.snaps)
 			}
@@ -272,8 +272,8 @@ func TestGramObjectiveEngagement(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := tier == "auto" && procs == 1
-			if e := engines[0]; (e.gram.h != nil) != want || e.gram.filled != want {
-				t.Errorf("%s/p%d: held=%t filled=%t, want %t", tier, procs, e.gram.h != nil, e.gram.filled, want)
+			if e := engines[0]; (e.gram.h != nil) != want {
+				t.Errorf("%s/p%d: filled=%t, want %t", tier, procs, e.gram.h != nil, want)
 			}
 		}
 	}
@@ -293,7 +293,7 @@ func TestGramObjectiveEngagement(t *testing.T) {
 		t.Fatalf("warm start ran %d rounds, want the zero-round path", res.Rounds)
 	}
 	for rank, e := range engines {
-		if pc := counters[rank]; pc.fills != 1 || !e.gram.filled || pc.objs != 1 || pc.snaps != 1 {
+		if pc := counters[rank]; pc.fills != 1 || e.gram.h == nil || pc.objs != 1 || pc.snaps != 1 {
 			t.Errorf("W0 rank %d: %d fills, %d objective and %d snapshot passes, want 1 of each",
 				rank, pc.fills, pc.objs, pc.snaps)
 		}
@@ -365,8 +365,8 @@ func TestGramObjectiveMovesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if e := engines[0]; e.gram.filled != gram {
-				t.Fatalf("%s EvalEvery=%d: filled the triple %t", tc.name, o.EvalEvery, e.gram.filled)
+			if e := engines[0]; (e.gram.h != nil) != gram {
+				t.Fatalf("%s EvalEvery=%d: filled the triple %t", tc.name, o.EvalEvery, e.gram.h != nil)
 			}
 			return res
 		}
@@ -543,9 +543,9 @@ func TestGramObjectiveCancelAfterFill(t *testing.T) {
 			}
 			// Cancelled mid-run, so no final data pass followed.
 			for rank, e := range engines {
-				if pc := counters[rank]; !e.gram.filled || pc.objs != 0 || pc.snaps != 0 {
+				if pc := counters[rank]; e.gram.h == nil || pc.objs != 0 || pc.snaps != 0 {
 					t.Errorf("%s rank %d: filled=%t after %d objective and %d snapshot passes",
-						name, rank, e.gram.filled, pc.objs, pc.snaps)
+						name, rank, e.gram.h != nil, pc.objs, pc.snaps)
 				}
 			}
 			dist.VerifyNoGoroutineLeaks(t, baseline)

@@ -293,7 +293,7 @@ func (o Options) withDefaults() Options {
 	if o.ActiveSet && o.ScreenMargin == 0 {
 		o.ScreenMargin = 0.1
 	}
-	o.CompressTier = CanonicalTier(o.CompressTier)
+	o.CompressTier = canonicalTier(o.CompressTier)
 	return o
 }
 

@@ -51,7 +51,11 @@ func RCSFISTA(c dist.Comm, local LocalData, opts Options) (*Result, error) {
 // — last checkpointed objective, counters, trace so far — alongside
 // the context's error.
 func RCSFISTAContext(ctx context.Context, c dist.Comm, local LocalData, opts Options) (*Result, error) {
-	return rcsfista(ctx, c, local, opts, nil, nil)
+	e, err := newEngine(c, local, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(ctx, e, e, !e.opts.ActiveSet)
 }
 
 // run drives the solve with the given stage A/B filler and stage D
@@ -465,7 +469,7 @@ func (e *engine) afterUpdate() (stop bool) {
 // snapshot gradient behind it crossed the wire unquantized.
 func (e *engine) finish() *Result {
 	res := e.rec.Finish(mat.Clone(e.wCurr))
-	res.GramFilled = e.gram.filled
+	res.GramFilled = e.gram.h != nil
 	if e.gradMapStop && !e.tiers.on {
 		res.GradMap = e.ex.norm
 	}

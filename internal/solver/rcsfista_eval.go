@@ -20,11 +20,11 @@ import (
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
-// start readies the solve before round 0: the resident triple held
-// when its path is on (kept by a resident handle, else filled now),
-// then under variance reduction the first snapshot.
+// start readies the solve before round 0: the resident triple filled
+// when its path is on, then under variance reduction the first
+// snapshot.
 func (e *engine) start() {
-	if e.gram.on && e.gram.h == nil {
+	if e.gram.on {
 		e.fillGram()
 	}
 	if e.opts.VarianceReduced {
@@ -142,25 +142,21 @@ const gramMapSlack = 1e-6
 //
 // The fill is FullGramPacked over the local block, ≤ (d+3)·nnz_local
 // flops, then one f64 AllreduceShared of PackedLen(d)+d+1 words. Every
-// solve the path is on for holds the triple before round 0 (start): a
-// resident handle's kept one (resident.go), billed nothing, or one it
-// fills then. The fill is billed when the algorithm reads the triple —
-// under variance reduction, whose snapshots take ∇f from it — and
-// otherwise rolled back like any instrumentation, so W, Cost and
-// Rounds do not depend on the trace cadence.
+// solve the path is on for fills the triple before round 0 (start).
+// The fill is billed when the algorithm reads the triple — under
+// variance reduction, whose snapshots take ∇f from it — and otherwise
+// rolled back like any instrumentation, so W, Cost and Rounds do not
+// depend on the trace cadence. SolveTriple holds the same triple with
+// no world (triple.go).
 type residentGram struct {
 	// on gates the path (holdsTriple).
 	on bool
-	// h, r, c are the replicated triple, nil h until held. They view
-	// the fill's shared allreduce result or a kept triple, which
-	// nothing writes.
+	// h, r, c are the replicated triple, nil h until filled. They view
+	// the fill's shared allreduce result (or SolveTriple's triple),
+	// which nothing writes.
 	h *mat.SymPacked
 	r []float64
 	c float64
-	// filled says this solve filled the triple; to is the resident
-	// handle rank 0 offers a fill to (nil: none).
-	filled bool
-	to     *Resident
 }
 
 // view points the d-dimensional triple at tri: the packed G, then r,
@@ -215,19 +211,14 @@ func triplePartial(local LocalData, cost *perf.Cost) []float64 {
 
 // fillGram builds the replicated triple from this rank's block and one
 // allreduce, billed under variance reduction and rolled back otherwise
-// (see residentGram), and offers it to the resident handle on rank 0.
+// (see residentGram).
 func (e *engine) fillGram() {
 	cost := e.c.Cost()
 	saved := *cost
 	g := &e.gram
-	shared := e.c.AllreduceShared(triplePartial(e.local, cost))
-	g.view(shared, e.d)
-	g.filled = true
+	g.view(e.c.AllreduceShared(triplePartial(e.local, cost)), e.d)
 	if !e.opts.VarianceReduced {
 		*cost = saved
-	}
-	if e.c.Rank() == 0 {
-		g.to.keep(shared)
 	}
 }
 

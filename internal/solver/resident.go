@@ -1,19 +1,16 @@
 package solver
 
-// Resident state: what one solve keeps for later solves of the same
-// data on the same world size — the least-squares triple (G, r, c) of
-// residentGram, which depends on neither λ, the regularizer, w nor a
+// Resident state: what one triple solve keeps for later solves of the
+// same data on the same world size — the least-squares triple (G, r, c)
+// of residentGram, which depends on neither λ, the regularizer, w nor a
 // tolerance.
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 
-	"github.com/hpcgo/rcsfista/internal/dist"
-	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
@@ -51,24 +48,23 @@ func (b *ResidentBudget) reserve(n int64) bool {
 	}
 }
 
-// holdsTriple is the one rule for which solves hold the least-squares
-// triple before round 0, and so share a resident handle: none under
-// ActiveSet (G may outgrow its |A|-sized slots) or a CompressTier (the
-// snapshot gradient crosses the wire quantized; the auto ratchet reads
-// the objective) but auto on one rank, which never leaves f64.
+// holdsTriple is the one rule for which world solves fill the
+// least-squares triple before round 0: none under ActiveSet (G may
+// outgrow its |A|-sized slots) or a CompressTier (the snapshot gradient
+// crosses the wire quantized; the auto ratchet reads the objective) but
+// auto on one rank, which never leaves f64.
 func holdsTriple(o *Options, p int) bool {
 	t, err := parseTierConfig(o.CompressTier)
 	return err == nil && !o.ActiveSet && (!t.on || t.auto && p == 1)
 }
 
 // Resident holds the least-squares triple of one (data, P) — the packed
-// G, then r, then c, as the fill's allreduce sums them — kept across
-// solves. It is stamped with the (d, m, P) of the first solve that
-// reads it; a solve of another identity errors before it runs. The
-// triple is kept once, immutable after, so concurrent solves read it
-// without copies; a triple the budget has no room for is not kept.
-// SolveDistributedResident and SolveTriple read, fill and stamp it
-// alike. The zero value is not usable; see NewResident.
+// G, then r, then c, as a P-rank world fill's allreduce sums them —
+// kept across SolveTriple calls. It is stamped with the (d, m, P) of the
+// first solve that reads it; a solve of another identity errors before
+// it runs. The triple is kept once, immutable after, so concurrent
+// solves read it without copies; a triple the budget has no room for is
+// not kept. The zero value is not usable; see NewResident.
 type Resident struct {
 	mu     sync.Mutex
 	id     residentID
@@ -122,45 +118,4 @@ func (r *Resident) held(x *sparse.CSC, p int) ([]float64, error) {
 		return nil, fmt.Errorf("solver: resident state stamped %+v, solve needs %+v", r.id, id)
 	}
 	return r.tri, nil
-}
-
-// rcsfista builds one rank's engine and runs it on the resident holder
-// r and its kept triple tri: tri in place, billed nothing, or — when
-// tri is nil — the run fills the triple before round 0 and rank 0
-// offers it to r. A nil r keeps nothing.
-func rcsfista(ctx context.Context, c dist.Comm, local LocalData, opts Options, r *Resident, tri []float64) (*Result, error) {
-	e, err := newEngine(c, local, opts)
-	if err != nil {
-		return nil, err
-	}
-	if tri != nil {
-		e.gram.view(tri, e.d)
-	}
-	e.gram.to = r
-	return e.run(ctx, e, e, !e.opts.ActiveSet)
-}
-
-// SolveDistributedResident is SolveDistributedContext on the resident
-// triple r of (x, y) at this world size. The solve reads r's kept
-// triple, or fills it before round 0 as every solve does and keeps it
-// in r if the budget has room. The result equals
-// SolveDistributedContext's bit for bit in W, FinalObj, GradMap, the
-// counters, the stop and every trace objective, whatever r holds; Cost,
-// ModelSeconds and trace timing count the work done, and
-// Result.GramFilled says whether the solve filled the triple. A solve
-// that holds no triple (holdsTriple), or one that is invalid, left to
-// the engine to report, ignores r; one whose (d, m, P) differs from the
-// one r was stamped with errors before its first round. A nil r is
-// SolveDistributedContext.
-func SolveDistributedResident(ctx context.Context, w dist.World, x *sparse.CSC, y []float64, opts Options, r *Resident) (*Result, error) {
-	if o := opts.withDefaults(); o.Validate() != nil || !holdsTriple(&o, w.Size()) {
-		r = nil
-	}
-	tri, err := r.held(x, w.Size())
-	if err != nil {
-		return nil, err
-	}
-	return solvercore.RunWorld(w, func(c dist.Comm) (*Result, error) {
-		return rcsfista(ctx, c, Partition(x, y, c.Size(), c.Rank()), opts, r, tri)
-	})
 }

@@ -49,13 +49,12 @@ type tierConfig struct {
 	fixed dist.Tier // the fixed tier when !auto
 }
 
-// CanonicalTier returns the canonical spelling of an
+// canonicalTier returns the canonical spelling of an
 // Options.CompressTier value: "" for every spelling of the
 // uncompressed default ("", "off", "f64"), anything else unchanged.
-// It is the one canonicalizer — withDefaults applies it, and whatever
-// keys on the option (the serving layer's warm-start fingerprint) must
-// key on its result so equivalent requests share one identity.
-func CanonicalTier(s string) string {
+// It is the one canonicalizer: withDefaults applies it, so whatever
+// reads the option sees one spelling per tier.
+func canonicalTier(s string) string {
 	if t, err := dist.ParseTier(s); err == nil && t == dist.TierF64 {
 		return ""
 	}
@@ -65,7 +64,7 @@ func CanonicalTier(s string) string {
 // parseTierConfig maps an Options.CompressTier spelling to a
 // tierConfig.
 func parseTierConfig(s string) (tierConfig, error) {
-	switch s = CanonicalTier(s); s {
+	switch s = canonicalTier(s); s {
 	case "":
 		return tierConfig{}, nil
 	case "auto":

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -61,32 +62,40 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
+// worldTriple reads the triple a world solve's engine holds: its packed
+// G, then r, then c, as the fill's shared allreduce summed them.
+func worldTriple(e *engine) []float64 {
+	return append(append(slices.Clone(e.gram.h.Data), e.gram.r...), e.gram.c)
+}
+
 // TestTripleMatchesWorldFill: the triple SolveTriple fills in-process
-// and keeps is, bit for bit, the one a p-rank world solve fills and
-// keeps, at P ∈ {1, 2, 4} on chan and tcp, on the sparse and the dense
-// fill kernel. A triple solve on either holder then answers alike, bit
-// for bit, and reads the kept triple without filling.
+// and keeps is, bit for bit, the one a p-rank world solve fills before
+// round 0 (read off rank 0's engine), at P ∈ {1, 2, 4} on chan and tcp,
+// on the sparse and the dense fill kernel. A triple solve then answers
+// alike, bit for bit and without filling, from the kept triple and from
+// a holder that keeps the world's.
 func TestTripleMatchesWorldFill(t *testing.T) {
 	for name, p := range tripleShapes(t) {
 		o := tripleOpts(p)
 		for _, leg := range tripleLegs {
 			label := fmt.Sprintf("%s/%s/p%d", name, leg.backend, leg.procs)
-			w, err := dist.NewWorldOn(leg.backend, leg.procs, perf.Comet())
-			if err != nil {
-				t.Fatal(err)
-			}
-			world := NewResident(NewResidentBudget(1 << 40))
 			wo := o
 			wo.MaxIter = 4
-			if _, err := SolveDistributedResident(context.Background(), w, p.X, p.Y, wo, world); err != nil {
+			_, engines, err := runEngines(context.Background(), t, leg.backend, leg.procs, p, wo, true)
+			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			if engines[0].gram.h == nil {
+				t.Fatalf("%s: the world solve did not fill the triple", label)
+			}
+			world := NewResident(NewResidentBudget(1 << 40))
+			world.keep(worldTriple(engines[0]))
 			local := NewResident(NewResidentBudget(1 << 40))
 			filled, err := SolveTriple(context.Background(), p.X, p.Y, leg.procs, perf.Comet(), o, local)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if !filled.GramFilled || world.tri == nil || !sameFloats(local.tri, world.tri) {
+			if !filled.GramFilled || !sameFloats(local.tri, world.tri) {
 				t.Fatalf("%s: filled %t; the in-process triple differs from the world fill's", label, filled.GramFilled)
 			}
 			for _, r := range []*Resident{local, world} {
