@@ -26,6 +26,7 @@ var spellings = map[scenario.Feature][2]string{
 	scenario.CompressTier: {"-compress-tier", ""},
 	scenario.ProcessWorld: {"-transport tcp", ""},
 	scenario.SampleRate:   {"", "b"},
+	scenario.SampleSeed:   {"", "seed"},
 }
 
 // cliCheck runs the CLI on a dataset that does not exist. A refusal is
@@ -46,13 +47,13 @@ func cliCheck(t *testing.T, args []string) (scenario.Feature, bool) {
 }
 
 // TestFeatureTableAcrossSurfaces: every combination of loss,
-// regularizer and sampling rate sent to POST /fit is refused with a 400
-// naming the feature the table refuses — l2 beside l1 anywhere, b beside
-// least squares, whose triple reads every sample — or it runs, answered
-// by the triple for least squares and by a world otherwise. The CLI
-// spelling of the same combination without b, which has no /fit
-// engine's meaning on the CLI, refuses the same feature before loading
-// any data, or gets as far as the load. The CLI-only engines and
+// regularizer, sampling rate and seed sent to POST /fit is refused with
+// a 400 naming the feature the table refuses — l2 beside l1 anywhere, b
+// or seed beside least squares, whose triple reads every sample and
+// draws none — or it runs, answered by the triple for least squares and
+// by a world otherwise. The CLI spelling of the same combination without
+// b or seed, which the CLI always holds, refuses the same feature before
+// loading any data, or gets as far as the load. The CLI-only engines and
 // features refuse theirs alike.
 func TestFeatureTableAcrossSurfaces(t *testing.T) {
 	sv := serve.New(serve.Config{Workers: 2, QueueCap: 64, Procs: 2, MaxIter: 30})
@@ -64,10 +65,14 @@ func TestFeatureTableAcrossSurfaces(t *testing.T) {
 	off := false
 	for _, loss := range []string{"", "huber"} {
 		for _, reg := range []string{"", "en", "l1+l2"} {
-			for _, b := range []float64{0, 0.2} {
+			for _, sampling := range []struct {
+				b    float64
+				seed uint64
+			}{{0, 0}, {0.2, 0}, {0, 9}, {0.2, 9}} {
+				b, seed := sampling.b, sampling.seed
 				req := serve.FitRequest{
 					Dataset:     &serve.DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7},
-					LambdaRatio: 0.3, Loss: loss, B: b, MaxIter: 30, Warm: &off, NoStore: true,
+					LambdaRatio: 0.3, Loss: loss, B: b, Seed: seed, MaxIter: 30, Warm: &off, NoStore: true,
 				}
 				var args []string
 				if loss != "" {
@@ -87,10 +92,12 @@ func TestFeatureTableAcrossSurfaces(t *testing.T) {
 					want = scenario.RegParams
 				case loss == "" && b != 0:
 					want = scenario.SampleRate
+				case loss == "" && seed != 0:
+					want = scenario.SampleSeed
 				default:
 					refused = false
 				}
-				name := fmt.Sprintf("loss=%q reg=%q b=%g", loss, reg, b)
+				name := fmt.Sprintf("loss=%q reg=%q b=%g seed=%d", loss, reg, b, seed)
 
 				body, _ := json.Marshal(&req)
 				resp, err := ts.Client().Post(ts.URL+"/fit", "application/json", bytes.NewReader(body))
@@ -117,8 +124,8 @@ func TestFeatureTableAcrossSurfaces(t *testing.T) {
 					t.Fatalf("%s: /fit %d %q answered by %q, want it answered by %s", name, status, reply.Error, reply.AnsweredBy, answeredBy)
 				}
 
-				if b != 0 {
-					continue // the CLI's -b always holds a rate, on every engine
+				if b != 0 || seed != 0 {
+					continue // the CLI's -b and -seed always hold a value, on every engine
 				}
 				got, cliRefused := cliCheck(t, args)
 				if cliRefused != refused || got != want {

@@ -5,8 +5,8 @@
 // penalties, on a covtype-shaped instance, each answered from the
 // least-squares triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m) with no
 // world: solver.SolveTriple, the paper's b = 1 corner, certified by one
-// data pass. Every point shares one solver.Resident, so the triple is
-// filled once for the whole path and read by every later point.
+// data pass. The triple is filled once (solver.FillTriple), with its
+// step 1/λmax(G), and every path point reads it.
 //
 // Run with:
 //
@@ -44,32 +44,25 @@ func main() {
 	lmax /= float64(m)
 	fmt.Printf("lambda_max = %.5f\n\n", lmax)
 
-	l := solver.SampledLipschitz(prob.X, prob.Y, 0.2, 8, 3)
-	gamma := solver.GammaFromLipschitz(l)
 	obj := prox.NewObjective(prob.X, prob.Y, prox.L1{Lambda: 0})
 
 	const steps, procs = 12, 4
-	// One resident triple for this (data, world size), capped at the
-	// bytes of X and y.
-	resident := solver.NewResident(solver.NewResidentBudget(solver.DataBytes(prob.X, prob.Y)))
-	fills := 0
+	// One triple for this (data, world size), filled once.
+	tri := solver.FillTriple(prob.X, prob.Y, procs, nil)
+	fmt.Printf("least-squares triple: %.1f kB, step 1/lambda_max(G) = %.5f\n\n", float64(tri.Bytes())/1e3, tri.Step())
 	fmt.Printf("%-12s %-8s %-10s %-8s %s\n", "lambda", "nnz", "loss", "iters", "support")
 	var warm []float64 // warm-start each path point at the previous solution
 	for i := 0; i < steps; i++ {
 		lam := lmax * math.Pow(0.6, float64(i+1))
 		opts := solver.Defaults()
 		opts.Lambda = lam
-		opts.Gamma = gamma
 		opts.GradMapTol = 1e-6
 		opts.MaxIter = 4000
 		opts.W0 = warm
 
-		res, err := solver.SolveTriple(context.Background(), prob.X, prob.Y, procs, perf.Comet(), opts, resident)
+		res, err := solver.SolveTriple(context.Background(), prob.X, prob.Y, tri, perf.Comet(), opts)
 		if err != nil {
 			log.Fatal(err)
-		}
-		if res.GramFilled {
-			fills++
 		}
 		nnz := 0
 		var bar strings.Builder
@@ -85,6 +78,5 @@ func main() {
 		loss := obj.Smooth(res.W, nil)
 		fmt.Printf("%-12.6f %-8d %-10.5f %-8d %s\n", lam, nnz, loss, res.Iters, bar.String())
 	}
-	fmt.Printf("\nleast-squares triple fills over %d path points: %d\n", steps, fills)
 	fmt.Println("smaller penalties admit more features; the loss decreases monotonically along the path.")
 }

@@ -108,9 +108,8 @@ func Serving(cfg Config) *Report {
 	loadTbl.AddRow("lambda-path cache", fmt.Sprintf("%d hits / %d lookups (%.0f%%)",
 		rep.PathHits, rep.PathHits+rep.PathMisses, 100*rep.PathHitRate))
 	loadTbl.AddRow("iters of solved fits at the same lambda", rep.WarmVsCold())
-	if sn := rep.ServerStats; sn != nil {
-		loadTbl.AddRow("answered from the triple / cache", fmt.Sprintf("%d / %d of %d fits", sn.TripleFits, sn.CertifiedHits, sn.Fits))
-	}
+	loadTbl.AddRow("answered from the triple / cache", fmt.Sprintf("%d / %d of %d fits",
+		rep.AnsweredBy["triple"], rep.AnsweredBy["cache"], rep.OK))
 
 	// Phase 2: warm-vs-cold iterations on a fresh server (clean caches).
 	warmTbl := servingWarmVsCold(cfg, dsRef, procs, maxIter, transport)

@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -183,15 +184,57 @@ func TestHistogramBucketsPartitionSamples(t *testing.T) {
 }
 
 // TestSummaryAnsweredBy: the summary says which path answered the
-// run's fits, from the server's counters: triple_fits, certified_hits,
-// and the rest of fits, which ran on a world.
+// run's fits, from their replies' answered_by, and how many of its warm
+// fits were certified hits — whatever the server's running totals say.
 func TestSummaryAnsweredBy(t *testing.T) {
-	rep := &Report{ServerStats: &serve.StatsSnapshot{Fits: 64, TripleFits: 16, CertifiedHits: 40, WarmFits: 44}}
-	if got := rep.Summary(); !strings.Contains(got, "  answered: 16 triple, 40 cache, 8 world\n") {
-		t.Fatalf("summary lacks the answered line:\n%s", got)
+	fit := func(by string, warm bool) Outcome {
+		return Outcome{Status: 200, Fit: &serve.FitResponse{AnsweredBy: by, Warm: warm}}
 	}
-	if got := (&Report{}).Summary(); strings.Contains(got, "answered:") {
-		t.Fatalf("a report without server stats claims who answered:\n%s", got)
+	outcomes := []Outcome{fit("triple", false), fit("triple", true), fit("cache", true), fit("cache", true), fit("world", false), {Status: 429}}
+	rep := summarize(Config{}, outcomes, time.Second)
+	rep.ServerStats = &serve.StatsSnapshot{Fits: 64, TripleFits: 16, CertifiedHits: 40, WarmFits: 44}
+	got := rep.Summary()
+	if !strings.Contains(got, "  answered: 2 triple, 2 cache, 1 world\n") ||
+		!strings.Contains(got, "  certified hits (answered without a solve): 2 of 3 warm fits\n") {
+		t.Fatalf("summary misreports the run:\n%s", got)
+	}
+	if got := summarize(Config{}, []Outcome{{Status: 429}}, time.Second).Summary(); strings.Contains(got, "answered:") {
+		t.Fatalf("a run without fits claims who answered:\n%s", got)
+	}
+}
+
+// TestSummaryCountsTheRun: a sweep against a server that has already
+// answered fits — a least-squares fit, its repeat and a huber fit —
+// reports its own fits: every one answered by the triple or the cache,
+// none by a world, with the certified hits among its own warm fits.
+func TestSummaryCountsTheRun(t *testing.T) {
+	sv := serve.New(serve.Config{Workers: 2, QueueCap: 64, Procs: 2})
+	ts := httptest.NewServer(sv.Handler())
+	defer func() {
+		ts.Close()
+		sv.Close()
+	}()
+	ds := serve.DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7}
+	ls := Request{Fit: serve.FitRequest{Dataset: &ds, LambdaRatio: 0.3}}
+	huber := Request{Fit: serve.FitRequest{Dataset: &ds, LambdaRatio: 0.3, Loss: "huber", MaxIter: 20}}
+	for _, req := range []*Request{&ls, &ls, &huber} {
+		if o := doFit(context.Background(), ts.Client(), ts.URL, req); o.Fit == nil {
+			t.Fatalf("earlier fit: status %d, %s", o.Status, o.Err)
+		}
+	}
+	rep, err := Run(context.Background(), Config{BaseURL: ts.URL, Requests: 12, Concurrency: 2, Seed: 1,
+		Sweep: true, SweepLen: 4, Dataset: ds, Procs: 2, Warm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := rep.AnsweredBy
+	if rep.OK != 12 || by["triple"]+by["cache"] != 12 || by["world"] != 0 || rep.ServerStats.Fits != 15 {
+		t.Fatalf("%d ok, answered %v, server fits %d; want the run's 12, none by a world, of the server's 15", rep.OK, by, rep.ServerStats.Fits)
+	}
+	want := fmt.Sprintf("  certified hits (answered without a solve): %d of %d warm fits\n  answered: %d triple, %d cache, 0 world\n",
+		by["cache"], rep.WarmFits, by["triple"], by["cache"])
+	if got := rep.Summary(); !strings.Contains(got, want) {
+		t.Fatalf("summary\n%s\nlacks the run's counts\n%s", got, want)
 	}
 }
 

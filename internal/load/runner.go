@@ -51,7 +51,11 @@ type Report struct {
 	MeanWarmIters float64 `json:"mean_warm_iters"`
 	MeanColdIters float64 `json:"mean_cold_iters"`
 	PairedLambdas int     `json:"paired_lambdas"`
-	// ServerStats is the server's own /stats snapshot after the run.
+	// AnsweredBy counts the run's fits by the path that answered them
+	// (FitResponse.AnsweredBy): "triple", "cache" or "world".
+	AnsweredBy map[string]int `json:"answered_by"`
+	// ServerStats is the server's own /stats snapshot after the run: its
+	// running totals, which count fits from before the run too.
 	ServerStats *serve.StatsSnapshot `json:"server_stats,omitempty"`
 }
 
@@ -185,7 +189,7 @@ func fetchStats(ctx context.Context, client *http.Client, base string) *serve.St
 
 // summarize folds the outcomes into the report.
 func summarize(cfg Config, outcomes []Outcome, wall time.Duration) *Report {
-	rep := &Report{Config: cfg, N: len(outcomes), WallSec: wall.Seconds()}
+	rep := &Report{Config: cfg, N: len(outcomes), WallSec: wall.Seconds(), AnsweredBy: map[string]int{}}
 	var lats []float64
 	// iters[lambda] holds the iteration sum and count of the solved warm
 	// (0, 1) and cold (2, 3) fits at lambda.
@@ -204,6 +208,7 @@ func summarize(cfg Config, outcomes []Outcome, wall time.Duration) *Report {
 		if o.Fit == nil {
 			continue
 		}
+		rep.AnsweredBy[o.Fit.AnsweredBy]++
 		if o.Fit.Partial {
 			rep.Partial++
 		}
@@ -267,11 +272,11 @@ func (r *Report) Summary() string {
 	if r.WarmFits > 0 {
 		fmt.Fprintf(&b, "  iters of solved fits at the same lambda: %s\n", r.WarmVsCold())
 	}
-	if sn := r.ServerStats; sn != nil {
+	if len(r.AnsweredBy) > 0 {
 		fmt.Fprintf(&b, "  certified hits (answered without a solve): %d of %d warm fits\n",
-			sn.CertifiedHits, sn.WarmFits)
+			r.AnsweredBy["cache"], r.WarmFits)
 		fmt.Fprintf(&b, "  answered: %d triple, %d cache, %d world\n",
-			sn.TripleFits, sn.CertifiedHits, sn.Fits-sn.TripleFits-sn.CertifiedHits)
+			r.AnsweredBy["triple"], r.AnsweredBy["cache"], r.AnsweredBy["world"])
 	}
 	return b.String()
 }

@@ -113,24 +113,25 @@ func TestTagsDistinguishScenarios(t *testing.T) {
 // TestCheckTable pins the feature table engine by engine: each feature
 // alone is allowed exactly where the surfaces allowed it before they
 // shared one table, a refusal names its feature, and Default and Served
-// resolve by the loss. The triple reads every sample, so it alone of the
-// engines /fit reaches refuses b.
+// resolve by the loss. The triple reads every sample and draws none, so
+// it alone of the engines /fit reaches refuses b and a seed.
 func TestCheckTable(t *testing.T) {
 	allowed := map[Engine]Feature{
-		RCSFISTA:  NonL1Reg | ActiveSet | CompressTier | ProcessWorld | SampleRate,
+		RCSFISTA:  NonL1Reg | ActiveSet | CompressTier | ProcessWorld | SampleRate | SampleSeed,
 		Triple:    NonL1Reg,
-		LossPN:    NonL1Reg | ProcessWorld | SampleRate,
+		LossPN:    NonL1Reg | ProcessWorld | SampleRate | SampleSeed,
 		DataFISTA: NonL1Reg,
 		CD:        NonL1Reg,
-		ProxSVRG:  NonL1Reg | SampleRate,
-		PN:        ProcessWorld | SampleRate,
+		ProxSVRG:  NonL1Reg | SampleRate | SampleSeed,
+		PN:        ProcessWorld | SampleRate | SampleSeed,
 		CoCoA:     ProcessWorld,
 	}
-	names := Names{RegParams: "l2", Loss: "loss", NonL1Reg: "reg", ActiveSet: "as", CompressTier: "tier", ProcessWorld: "world", SampleRate: "b"}
+	names := Names{RegParams: "l2", Loss: "loss", NonL1Reg: "reg", ActiveSet: "as", CompressTier: "tier", ProcessWorld: "world",
+		SampleRate: "b", SampleSeed: "seed"}
 	for e, ok := range allowed {
-		for _, ft := range []Feature{NonL1Reg, ActiveSet, CompressTier, ProcessWorld, SampleRate} {
+		for _, ft := range []Feature{NonL1Reg, ActiveSet, CompressTier, ProcessWorld, SampleRate, SampleSeed} {
 			f := Fit{Engine: e, Algo: "algo", ActiveSet: ft == ActiveSet, CompressTier: ft == CompressTier,
-				ProcessWorld: ft == ProcessWorld, SampleRate: ft == SampleRate}
+				ProcessWorld: ft == ProcessWorld, SampleRate: ft == SampleRate, SampleSeed: ft == SampleSeed}
 			if ft == NonL1Reg {
 				f.Reg = "en"
 			}
@@ -166,7 +167,7 @@ func TestCheckTable(t *testing.T) {
 	if e, err := Check(Fit{Engine: Served, Reg: "group"}, names); e != Triple || err != nil {
 		t.Fatalf("served least squares: %d, %v", e, err)
 	}
-	if e, err := Check(Fit{Engine: Served, Loss: "huber", SampleRate: true}, names); e != LossPN || err != nil {
-		t.Fatalf("served huber at a sampling rate: %d, %v", e, err)
+	if e, err := Check(Fit{Engine: Served, Loss: "huber", SampleRate: true, SampleSeed: true}, names); e != LossPN || err != nil {
+		t.Fatalf("served huber at a sampling rate and seed: %d, %v", e, err)
 	}
 }

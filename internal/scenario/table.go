@@ -41,19 +41,20 @@ const (
 	CompressTier                     // any wire tier, "off" included
 	ProcessWorld                     // one OS process per rank
 	SampleRate                       // b: only /fit asks, the CLI's -b always holds one
+	SampleSeed                       // the sampling seed: only /fit asks, the CLI's -seed always holds one
 )
 
 // table lists the features each engine allows. Loss is no column: only
 // LossPN runs a loss other than ls, and Check routes a fit there only
 // from Default or Served.
 var table = [...]Feature{
-	RCSFISTA:  NonL1Reg | ActiveSet | CompressTier | ProcessWorld | SampleRate,
+	RCSFISTA:  NonL1Reg | ActiveSet | CompressTier | ProcessWorld | SampleRate | SampleSeed,
 	Triple:    NonL1Reg,
-	LossPN:    NonL1Reg | ProcessWorld | SampleRate,
+	LossPN:    NonL1Reg | ProcessWorld | SampleRate | SampleSeed,
 	DataFISTA: NonL1Reg,
 	CD:        NonL1Reg,
-	ProxSVRG:  NonL1Reg | SampleRate,
-	PN:        ProcessWorld | SampleRate,
+	ProxSVRG:  NonL1Reg | SampleRate | SampleSeed,
+	PN:        ProcessWorld | SampleRate | SampleSeed,
 	CoCoA:     ProcessWorld,
 }
 
@@ -63,9 +64,9 @@ type Names map[Feature]string
 // Fit is a surface's question: the engine its names select (Algo
 // spells it), the reg and loss names ("" is l1, ls) and its features.
 type Fit struct {
-	Engine                                                       Engine
-	Algo, Reg, Loss                                              string
-	RegParams, ActiveSet, CompressTier, ProcessWorld, SampleRate bool
+	Engine                                                                   Engine
+	Algo, Reg, Loss                                                          string
+	RegParams, ActiveSet, CompressTier, ProcessWorld, SampleRate, SampleSeed bool
 }
 
 // Refusal is Check's error, phrased in the asking surface's names.
@@ -110,6 +111,8 @@ func Check(f Fit, names Names) (Engine, error) {
 		return refuse(ProcessWorld, "%s does not apply to %s", names[ProcessWorld], label)
 	case f.SampleRate && a&SampleRate == 0:
 		return refuse(SampleRate, "%s does not apply to %s, which reads every sample (b = 1)", names[SampleRate], label)
+	case f.SampleSeed && a&SampleSeed == 0:
+		return refuse(SampleSeed, "%s does not apply to %s, which draws no sample", names[SampleSeed], label)
 	}
 	return e, nil
 }

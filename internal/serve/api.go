@@ -3,23 +3,22 @@
 // and exploits the regularization-path structure of the workload
 // through three caches:
 //
-//   - a dataset cache (LRU) holding the loaded problem, its lambda_max
-//     and, once a least-squares fit needs it, its sampled-Lipschitz
-//     step size, so repeated fits against the same data skip the
-//     Gram-spectrum power iterations;
-//   - per dataset, one solver.Resident per procs: its least-squares
-//     triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m), which depends on
-//     neither lambda, the regularizer nor the iterate. Every
-//     least-squares fit is answered from the triple with no world
-//     (solver.SolveTriple): a local FISTA on (G, r) — the paper's b = 1
-//     corner — of at most max_iter iterations, and one data pass over
-//     the procs column blocks that certifies it or, when it does not
-//     certify within max_iter, prices its unconverged answer. The first
-//     fit fills the triple in-process; the reply is the same whether
-//     the triple was kept or filled for this fit. The triples hold at
-//     most the bytes of the dataset's X and y and leave with it. A
-//     world answers only the other losses, on the proximal Newton
-//     engine;
+//   - a dataset cache (LRU) holding the loaded problem and its
+//     lambda_max;
+//   - per dataset, one solver.Triple per procs: its least-squares
+//     triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m) and its one step size
+//     1/λmax(G), which depend on neither lambda, the regularizer nor
+//     the iterate. Every least-squares fit is answered from the triple
+//     with no world (solver.SolveTriple): Algorithm 2's deterministic
+//     FISTA on (G, r) — the paper's b = 1 corner — of at most max_iter
+//     iterations, and one data pass over the procs column blocks that
+//     certifies it or, when it does not certify within max_iter,
+//     prices its unconverged answer. The first fit fills the triple
+//     in-process (solver.FillTriple) and bills the fill; the reply is
+//     otherwise the same whether the triple was kept or filled for
+//     this fit. The triples hold at most the bytes of the dataset's X
+//     and y and leave with it. A world answers only the other losses,
+//     on the proximal Newton engine;
 //   - a lambda-path cache keyed by (dataset, fit family, lambda
 //     bucket) holding the final iterate of previous solves, so a fit
 //     at a neighboring lambda warm-starts from the cached solution, in
@@ -132,6 +131,8 @@ type FitRequest struct {
 	// entry's own P.
 	Procs int `json:"procs,omitempty"`
 	// Seed drives a proximal newton fit's sampling streams (default 42).
+	// A least-squares fit draws no sample, so the feature table refuses
+	// seed beside it.
 	Seed uint64 `json:"seed,omitempty"`
 
 	// Warm enables the lambda-path warm-start lookup (default true;
@@ -184,17 +185,19 @@ type FitResponse struct {
 	// ElapsedMS is wall-clock solve time; ModelSeconds the
 	// alpha-beta-gamma modeled time on the server's machine model. Both
 	// are 0 on a certified hit, which runs no solve (Rounds is 0 too).
-	// Both count work done: a kept triple adds to neither. Everything
+	// Both count work done: the fit that fills its triple (and its step)
+	// bills the fill, one that reads a kept triple does not. Everything
 	// else in the reply is what the same fit on a fresh server — no kept
 	// triple — returns, bit for bit.
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	ModelSeconds float64 `json:"model_seconds"`
 	// AnsweredBy names the path that answered: "triple" (a local solve
-	// on the dataset's triple, certified by one data pass, unconverged
-	// when it did not certify within MaxIter, or cut short by the
-	// deadline; Rounds is 0 and Iters counts local iterations; every
-	// least-squares fit a solve answers), "world" (a proximal newton fit
-	// on a world, for a loss other than ls) or "cache" (a certified hit).
+	// on the dataset's triple at its step, certified by one data pass,
+	// unconverged when it did not certify within MaxIter, or cut short
+	// by the deadline; Rounds is 0 and Iters counts local iterations;
+	// every least-squares fit a solve answers), "world" (a proximal
+	// newton fit on a world, for a loss other than ls) or "cache" (a
+	// certified hit).
 	AnsweredBy string `json:"answered_by"`
 
 	// W is the coefficient vector, present only with ReturnW.

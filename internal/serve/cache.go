@@ -9,68 +9,60 @@ import (
 	"sync"
 
 	"github.com/hpcgo/rcsfista/internal/data"
+	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
 // dataset is one prepared problem: the loaded instance, its
-// lambda_max, the step size of its least-squares fits, and their
-// triple, one solver.Resident per world size. Preparing the first three
-// is the expensive part of a fit against fresh data — the step size
-// runs power iterations over the Gram spectrum — and the kept triple
-// spares a repeat fit its Gram fill, so the dataset cache is what makes
-// repeat traffic cheap. First fits racing on a dataset may each fill
-// the triple; one is kept.
+// lambda_max, and the least-squares triple of its fits, one
+// solver.Triple per world size, filled by the first least-squares fit
+// on that size. The kept triple spares every later fit its Gram fill,
+// so the dataset cache is what makes repeat traffic cheap. First fits
+// racing on a dataset may each fill the triple; one is kept.
 type dataset struct {
 	key       string
 	prob      *data.Problem
 	lambdaMax float64
 
-	// gamma is the least-squares step size, 0 until stepOnce sets it.
-	stepOnce sync.Once
-	gamma    float64
-
-	mu        sync.Mutex
-	residents map[int]*solver.Resident // by procs
-	// budget caps the residents together at the bytes of X and y.
-	budget *solver.ResidentBudget
+	mu      sync.Mutex
+	triples map[int]*solver.Triple // by procs
+	// bytes is what the triples hold together, at most dataBytes.
+	bytes int64
 }
 
-// resident returns the dataset's triple holder on procs ranks, created
-// empty on first use. Which fits may read or fill it is the solver's
-// decision.
-func (ds *dataset) resident(procs int) *solver.Resident {
+// dataBytes is the in-memory size of the dataset's X and y: the cap
+// under which its triples never cost more memory than the data itself.
+func (ds *dataset) dataBytes() int64 {
+	x := ds.prob.X
+	return 8 * int64(len(x.ColPtr)+len(x.RowIdx)+len(x.Val)+len(ds.prob.Y))
+}
+
+// triple returns the dataset's triple on procs ranks and whether this
+// call filled it, billing a fill to cost. A filled triple is kept
+// unless one is kept already — racing fills are the same bits — or
+// dataBytes has no room for it.
+func (ds *dataset) triple(procs int, cost *perf.Cost) (*solver.Triple, bool) {
+	ds.mu.Lock()
+	tri := ds.triples[procs]
+	ds.mu.Unlock()
+	if tri != nil {
+		return tri, false
+	}
+	tri = solver.FillTriple(ds.prob.X, ds.prob.Y, procs, cost)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	r, ok := ds.residents[procs]
-	if !ok {
-		r = solver.NewResident(ds.budget)
-		ds.residents[procs] = r
+	if ds.triples[procs] == nil && ds.bytes+tri.Bytes() <= ds.dataBytes() {
+		ds.triples[procs] = tri
+		ds.bytes += tri.Bytes()
 	}
-	return r
+	return tri, true
 }
 
-// residentBytes reports the bytes the dataset's kept triples hold.
-func (ds *dataset) residentBytes() int64 {
+// tripleBytes reports the bytes the dataset's kept triples hold.
+func (ds *dataset) tripleBytes() int64 {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	var n int64
-	for _, r := range ds.residents {
-		n += r.Bytes()
-	}
-	return n
-}
-
-// step returns the step size of the dataset's least-squares fits: the
-// stable step of the sampled Lipschitz estimate at the solver's default
-// rate (8 power iterations, seed 777), the serving analogue of expt's
-// per-instance gamma cache. It is estimated once, on the first call;
-// concurrent first callers wait for that estimate, and nothing else on
-// the dataset does.
-func (ds *dataset) step() float64 {
-	ds.stepOnce.Do(func() {
-		ds.gamma = solver.GammaFromLipschitz(solver.SampledLipschitz(ds.prob.X, ds.prob.Y, solver.Defaults().B, 8, 777))
-	})
-	return ds.gamma
+	return ds.bytes
 }
 
 // newDataset wraps a loaded problem with its derived quantities.
@@ -86,13 +78,11 @@ func newDataset(key string, p *data.Problem) *dataset {
 		}
 	}
 	lmax /= float64(p.X.Cols)
-	return &dataset{key: key, prob: p, lambdaMax: lmax,
-		residents: map[int]*solver.Resident{},
-		budget:    solver.NewResidentBudget(solver.DataBytes(p.X, p.Y))}
+	return &dataset{key: key, prob: p, lambdaMax: lmax, triples: map[int]*solver.Triple{}}
 }
 
 // datasetCache is a keyed LRU of prepared datasets. Evicting a dataset
-// drops its resident state with it.
+// drops its triples with it.
 type datasetCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -110,7 +100,7 @@ func newDatasetCache(cap int, stats *Stats) *datasetCache {
 // block hits on other keys; two concurrent first requests for the same
 // key may both load (both count as misses), but the first insert wins
 // and the loser adopts it, so every caller shares one *dataset — one
-// step size and one resident state per world size.
+// kept triple per world size.
 func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dataset, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -129,8 +119,8 @@ func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dat
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		// Lost the race; adopt the winner so every caller shares one
-		// step size.
+		// Lost the race; adopt the winner so every caller shares its
+		// triples.
 		c.order.MoveToFront(el)
 		return el.Value.(*dataset), false, nil
 	}
@@ -144,14 +134,14 @@ func (c *datasetCache) get(key string, load func() (*data.Problem, error)) (*dat
 	return ds, false, nil
 }
 
-// residentBytes reports the bytes the resident datasets' kept triples
+// tripleBytes reports the bytes the cached datasets' kept triples
 // hold.
-func (c *datasetCache) residentBytes() int64 {
+func (c *datasetCache) tripleBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		n += el.Value.(*dataset).residentBytes()
+		n += el.Value.(*dataset).tripleBytes()
 	}
 	return n
 }

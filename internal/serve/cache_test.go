@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/data"
+	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
 // TestDatasetCacheLRU: hits refresh recency, overflow evicts the
@@ -60,8 +61,8 @@ func TestDatasetCacheLoadError(t *testing.T) {
 
 // TestDatasetCacheConcurrentFirstGet: concurrent first requests for one
 // key all load — each waits in its loader until every one has entered —
-// yet all end on the first inserted *dataset, so they share one step
-// size and one resident state per world size.
+// yet all end on the first inserted *dataset, so they share one kept
+// triple per world size.
 func TestDatasetCacheConcurrentFirstGet(t *testing.T) {
 	var stats Stats
 	c := newDatasetCache(2, &stats)
@@ -98,29 +99,45 @@ func TestDatasetCacheConcurrentFirstGet(t *testing.T) {
 	}
 }
 
-// TestDatasetResidentPerProcs: one resident state per procs, shared by
-// every lookup of that world size and by no other, all on the
-// dataset's one budget of its X and y bytes. Which stream of it a fit
-// replays is the solver's key (TestReplayIdentity, TestStreamKeys).
+// TestDatasetResidentPerProcs: one kept triple per procs — the first
+// lookup of a world size fills it, every later one reads it, another
+// size fills its own — counted in the dataset's bytes. A dataset whose
+// X and y take fewer bytes than a triple keeps none: every lookup fills.
 func TestDatasetResidentPerProcs(t *testing.T) {
 	p, err := data.LoadWith("abalone", 60, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := newDataset("k", p)
-	r := ds.resident(2)
-	if ds.resident(2) != r || ds.resident(1) == r {
-		t.Fatal("want one resident state per procs")
+	tri, filled := ds.triple(2, nil)
+	again, refilled := ds.triple(2, nil)
+	other, otherFilled := ds.triple(1, nil)
+	if !filled || refilled || again != tri || !otherFilled || other == tri {
+		t.Fatal("want one kept triple per procs, filled by its first lookup")
 	}
-	if ds.budget.Used() != 0 || len(ds.residents) != 2 {
-		t.Fatalf("%d residents holding %d bytes", len(ds.residents), ds.budget.Used())
+	if ds.tripleBytes() != tri.Bytes()+other.Bytes() || len(ds.triples) != 2 {
+		t.Fatalf("%d triples holding %d bytes", len(ds.triples), ds.tripleBytes())
+	}
+
+	wide, err := data.LoadWith("mnist", 10, 392, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds = newDataset("wide", wide)
+	for i := 0; i < 2; i++ {
+		if tri, filled := ds.triple(2, nil); !filled || tri.Bytes() <= ds.dataBytes() {
+			t.Fatalf("lookup %d on a dataset of %d bytes read a kept %d-byte triple", i, ds.dataBytes(), tri.Bytes())
+		}
+	}
+	if ds.tripleBytes() != 0 || len(ds.triples) != 0 {
+		t.Fatalf("a triple larger than its data was kept: %d bytes", ds.tripleBytes())
 	}
 }
 
 // TestResidentBytesAttributed: after a cold grid on two world sizes,
-// whose triples draw on the dataset's one budget,
-// /stats reports as gram bytes exactly one triple per world size, and
-// they are everything the budget holds.
+// whose triples share the dataset's one cap, /stats reports as gram
+// bytes exactly one triple per world size, and they are everything the
+// dataset holds.
 func TestResidentBytesAttributed(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 1, Procs: 2, MaxIter: 4000})
 	defer s.Close()
@@ -138,46 +155,47 @@ func TestResidentBytesAttributed(t *testing.T) {
 	d := int64(ref.Features)
 	triple := 8 * (d*(d+1)/2 + d + 1)
 	ds := s.datasets.order.Front().Value.(*dataset)
-	if sn.GramBytes != 2*triple || sn.GramFills != 2 || sn.GramBytes != ds.budget.Used() {
-		t.Fatalf("%d triple bytes from %d fills, budget holds %d; want two %d-byte triples", sn.GramBytes, sn.GramFills, ds.budget.Used(), triple)
+	if sn.GramBytes != 2*triple || sn.GramFills != 2 || sn.GramBytes != ds.tripleBytes() {
+		t.Fatalf("%d triple bytes from %d fills, dataset holds %d; want two %d-byte triples", sn.GramBytes, sn.GramFills, ds.tripleBytes(), triple)
 	}
 }
 
-// TestGammaForConcurrent: first fits estimate the dataset's step size
-// at once while others look up the resident state (run it under
-// -race). Every caller gets the estimate a lone call makes.
-func TestGammaForConcurrent(t *testing.T) {
+// TestDatasetTripleConcurrent: first lookups of a dataset's triples on
+// two world sizes race (run it under -race). Every caller gets the step
+// and size of a lone fill on its size (TestTripleRacingFirstSolves holds
+// racing fills to the same bits), and one triple per size is kept.
+func TestDatasetTripleConcurrent(t *testing.T) {
 	p, err := data.LoadWith("abalone", 400, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := newDataset("ref", p).step()
+	lone := map[int]*solver.Triple{1: solver.FillTriple(p.X, p.Y, 1, nil), 2: solver.FillTriple(p.X, p.Y, 2, nil)}
 	ds := newDataset("k", p)
-	got := make([]float64, 6)
+	got := make([]*solver.Triple, 8)
 	var wg sync.WaitGroup
 	for i := range got {
-		wg.Add(2)
+		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = ds.step()
-		}(i)
-		go func(i int) {
-			defer wg.Done()
-			ds.resident(1 + i%2)
+			got[i], _ = ds.triple(1+i%2, nil)
 		}(i)
 	}
 	wg.Wait()
-	for i, g := range got {
-		if g != want || g <= 0 {
-			t.Fatalf("caller %d: step %.17g, a lone estimate gives %.17g", i, g, want)
+	for i, tri := range got {
+		want := lone[1+i%2]
+		if tri.Step() != want.Step() || tri.Bytes() != want.Bytes() {
+			t.Fatalf("caller %d: step %.17g, %d bytes; a lone fill gives %.17g, %d", i, tri.Step(), tri.Bytes(), want.Step(), want.Bytes())
 		}
+	}
+	if len(ds.triples) != 2 || ds.tripleBytes() != lone[1].Bytes()+lone[2].Bytes() {
+		t.Fatalf("%d triples holding %d bytes; want one per size", len(ds.triples), ds.tripleBytes())
 	}
 }
 
-// TestPNFitSkipsTheStep: a proximal newton fit reads no step size, so
-// it estimates none: after a huber fit on a fresh dataset the step is
-// still unset, and the dataset's first least-squares fit sets it.
-func TestPNFitSkipsTheStep(t *testing.T) {
+// TestPNFitFillsNoTriple: a proximal newton fit reads no triple, so it
+// fills none: after a huber fit on a fresh dataset it holds no triple,
+// and the dataset's first least-squares fit fills one.
+func TestPNFitFillsNoTriple(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 1, Procs: 2})
 	defer s.Close()
 	ref := &DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7}
@@ -185,14 +203,14 @@ func TestPNFitSkipsTheStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := s.datasets.order.Front().Value.(*dataset)
-	if ds.gamma != 0 {
-		t.Fatalf("a huber fit estimated step %g", ds.gamma)
+	if len(ds.triples) != 0 || s.stats.Snapshot().GramFills != 0 {
+		t.Fatalf("a huber fit filled %d triples", len(ds.triples))
 	}
 	if _, err := s.runFit(context.Background(), &FitRequest{Dataset: ref, LambdaRatio: 0.2, MaxIter: 20}); err != nil {
 		t.Fatal(err)
 	}
-	if ds.gamma <= 0 {
-		t.Fatalf("a least-squares fit left step %g", ds.gamma)
+	if len(ds.triples) != 1 || s.stats.Snapshot().GramFills != 1 {
+		t.Fatalf("a least-squares fit left %d triples", len(ds.triples))
 	}
 }
 

@@ -52,9 +52,9 @@ func certifiedReq() *serve.FitRequest {
 
 // directZeroRound runs, outside the server, a world solve of smallRef
 // at lambda warm-started at w on procs ranks (SolveDistributedContext,
-// at the server's step size and tolerance): at a certified triple
-// answer it stops before round 0 with the answer's bits, since the
-// triple's certificate is the world's data pass.
+// at the step of the procs-rank triple and the server's tolerance): at
+// a certified triple answer it stops before round 0 with the answer's
+// bits, since the triple's certificate is the world's data pass.
 func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solver.Result {
 	t.Helper()
 	ref := smallRef()
@@ -66,8 +66,8 @@ func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solv
 	o := solver.Defaults()
 	o.Lambda, o.W0 = lambda, w
 	o.MaxIter, o.GradMapTol = cfg.MaxIter, cfg.GradMapTol
-	// The server's per-dataset step size (8 power iterations, seed 777).
-	o.Gamma = solver.GammaFromLipschitz(solver.SampledLipschitz(p.X, p.Y, o.B, 8, 777))
+	// The step of the triple the fit was answered from.
+	o.Gamma = solver.FillTriple(p.X, p.Y, procs, nil).Step()
 	world, err := dist.NewWorldOn("chan", procs, perf.Comet())
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package serve_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,9 +10,7 @@ import (
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/mat"
-	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/serve"
-	"github.com/hpcgo/rcsfista/internal/solver"
 )
 
 // coldReq is a warm=false fit of smallRef at ratio, answered from the
@@ -105,8 +102,8 @@ func TestTripleLeavesWithTheDataset(t *testing.T) {
 
 // TestResidentGridConcurrent: two workers fit one lambda grid from the
 // triple at once, in opposite orders, racing to fill and read it (the
-// CI serving job runs it under -race). Every reply equals the
-// handle-less triple solve bit for bit, and one triple is kept.
+// CI serving job runs it under -race). Every reply equals the triple
+// solve on a fill of its own bit for bit, and one triple is kept.
 func TestResidentGridConcurrent(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Workers, cfg.QueueCap = 2, 8
@@ -152,14 +149,11 @@ func TestResidentGridConcurrent(t *testing.T) {
 	}
 	for ratio, rs := range replies {
 		p, o := serverOpts(t, rs[0].Lambda, cfg.MaxIter)
-		want, err := solver.SolveTriple(context.Background(), p.X, p.Y, cfg.Procs, perf.Comet(), o, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := soloTriple(t, p, cfg.Procs, o)
 		for _, r := range rs {
 			if r.AnsweredBy != "triple" || r.Iters != want.Iters || !sameBits(r.W, want.W) ||
 				!sameBits([]float64{r.Objective}, []float64{want.FinalObj}) {
-				t.Fatalf("ratio %g: answered by %s, %d iters, objective %.17g; handle-less %d iters, %.17g (or w differs)",
+				t.Fatalf("ratio %g: answered by %s, %d iters, objective %.17g; own fill %d iters, %.17g (or w differs)",
 					ratio, r.AnsweredBy, r.Iters, r.Objective, want.Iters, want.FinalObj)
 			}
 		}

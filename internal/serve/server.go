@@ -26,7 +26,7 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg}
 	s.pool = newPool(cfg.Workers, cfg.QueueCap, &s.stats)
 	s.datasets = newDatasetCache(cfg.DatasetCap, &s.stats)
-	s.stats.residentBytes = s.datasets.residentBytes
+	s.stats.tripleBytes = s.datasets.tripleBytes
 	s.paths = newPathCache(cfg.PathCap, &s.stats)
 	s.models = newModelStore(cfg.ModelCap)
 	return s

@@ -226,8 +226,9 @@ func TestWarmStartOverHTTP(t *testing.T) {
 // TestRetiredFitFields: the fields no /fit engine reads — the world's
 // engine and sampling setup — are unknown to the strict decoder, every
 // spelling of compress_tier included: each is a 400 naming it, and no
-// dataset is loaded. b is the feature table's to refuse beside least
-// squares, which reads every sample, and still reaches proximal Newton.
+// dataset is loaded. b and seed are the feature table's to refuse beside
+// least squares, which reads every sample and draws none, and still
+// reach proximal Newton.
 func TestRetiredFitFields(t *testing.T) {
 	sv, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
@@ -245,6 +246,7 @@ func TestRetiredFitFields(t *testing.T) {
 		{"compress_tier", `"compress_tier": "f32"`},
 		{"b", `"b": 0.1`},
 		{"b", `"loss": "ls", "b": 1`},
+		{"seed", `"seed": 9`},
 	} {
 		status, raw := postJSON(t, client, ts.URL+"/fit", head+tc.body+"}")
 		var er struct {
@@ -254,8 +256,8 @@ func TestRetiredFitFields(t *testing.T) {
 			t.Fatalf("%s: status %d, %s; want a 400", tc.body, status, raw)
 		}
 		named := strings.Contains(er.Error, `unknown field "`+tc.field+`"`)
-		if tc.field == "b" {
-			named = strings.HasPrefix(er.Error, "b does not apply to loss ls")
+		if tc.field == "b" || tc.field == "seed" {
+			named = strings.HasPrefix(er.Error, tc.field+" does not apply to loss ls")
 		}
 		if !named {
 			t.Fatalf("%s: %q does not name %s", tc.body, er.Error, tc.field)
@@ -264,9 +266,9 @@ func TestRetiredFitFields(t *testing.T) {
 			t.Fatalf("%s: the refused fit resolved a dataset (%d misses, %d hits)", tc.body, sn.DatasetMisses, sn.DatasetHits)
 		}
 	}
-	huber := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Loss: "huber", B: 0.3, MaxIter: 50})
+	huber := doFit(t, client, ts.URL, &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Loss: "huber", B: 0.3, Seed: 9, MaxIter: 50})
 	if huber.AnsweredBy != "world" || huber.ModelID == "" {
-		t.Fatalf("huber fit at b = 0.3: %+v", huber)
+		t.Fatalf("huber fit at b = 0.3, seed 9: %+v", huber)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/erm"
 	"github.com/hpcgo/rcsfista/internal/mat"
+	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/scenario"
 	"github.com/hpcgo/rcsfista/internal/solver"
 	"github.com/hpcgo/rcsfista/internal/solvercore"
@@ -83,10 +84,9 @@ func (s *Server) checkRequest(req *FitRequest) (int, error) {
 }
 
 // fitOptions assembles solver options for a checked request against a
-// prepared dataset, resolving the lambda and the server defaults. Only
-// a least-squares fit (engine Triple) reads the step size, so only it
-// estimates one.
-func (s *Server) fitOptions(req *FitRequest, ds *dataset, eng scenario.Engine) (solver.Options, float64, error) {
+// prepared dataset, resolving the lambda and the server defaults. A
+// least-squares fit takes its step from its triple.
+func (s *Server) fitOptions(req *FitRequest, ds *dataset) (solver.Options, float64, error) {
 	var zero solver.Options
 	lambda := req.Lambda
 	if req.LambdaRatio > 0 {
@@ -125,18 +125,13 @@ func (s *Server) fitOptions(req *FitRequest, ds *dataset, eng scenario.Engine) (
 		o.Reg = reg
 	}
 	o.TraceName = "serve"
-	if eng == scenario.Triple {
-		o.Gamma = ds.step()
-		if err := o.Validate(); err != nil {
-			return zero, 0, badRequest("%v", err)
-		}
-	}
 	return o, lambda, nil
 }
 
 // fitNames spells the features as FitRequest's fields.
 var fitNames = scenario.Names{
-	scenario.RegParams: "l2/groups", scenario.Loss: "loss", scenario.NonL1Reg: "reg", scenario.SampleRate: "b",
+	scenario.RegParams: "l2/groups", scenario.Loss: "loss", scenario.NonL1Reg: "reg",
+	scenario.SampleRate: "b", scenario.SampleSeed: "seed",
 }
 
 // fitEngine asks the feature table which engine the request runs on —
@@ -146,7 +141,7 @@ var fitNames = scenario.Names{
 func fitEngine(req *FitRequest) (scenario.Engine, error) {
 	e, err := scenario.Check(scenario.Fit{
 		Engine: scenario.Served, Algo: "loss ls", Reg: req.Reg, Loss: req.Loss,
-		RegParams: req.L2 != 0 || req.Groups != "", SampleRate: req.B != 0,
+		RegParams: req.L2 != 0 || req.Groups != "", SampleRate: req.B != 0, SampleSeed: req.Seed != 0,
 	}, fitNames)
 	if err != nil {
 		return 0, badRequest("%v", err)
@@ -189,7 +184,7 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	if err != nil {
 		return nil, err
 	}
-	opts, lambda, err := s.fitOptions(req, ds, eng)
+	opts, lambda, err := s.fitOptions(req, ds)
 	if err != nil {
 		return nil, err
 	}
@@ -239,9 +234,6 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	resp.Rounds = res.Rounds
 	resp.Converged = res.Converged
 	resp.ModelSeconds = res.ModelSeconds
-	if res.GramFilled {
-		s.stats.gramFills.Add(1)
-	}
 	for _, v := range res.W {
 		if v != 0 {
 			resp.Nnz++
@@ -289,10 +281,19 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 // Any other loss runs proximal Newton on a world.
 func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, ds *dataset, loss erm.Loss, eng scenario.Engine, opts solver.Options, lambda float64, procs int) (*solver.Result, error) {
 	if eng == scenario.Triple {
-		res, err := solver.SolveTriple(ctx, ds.prob.X, ds.prob.Y, procs, s.cfg.Machine, opts, ds.resident(procs))
+		var fill perf.Cost
+		tri, filled := ds.triple(procs, &fill)
+		if filled {
+			s.stats.gramFills.Add(1)
+		}
+		res, err := solver.SolveTriple(ctx, ds.prob.X, ds.prob.Y, tri, s.cfg.Machine, opts)
 		if res != nil {
 			resp.AnsweredBy = answeredTriple
 			s.stats.tripleFits.Add(1)
+			// The fit that fills the triple bills the fill; one that
+			// reads a kept triple does not.
+			res.Cost.Add(fill)
+			res.ModelSeconds = s.cfg.Machine.Seconds(res.Cost)
 		}
 		return res, err
 	}

@@ -33,9 +33,9 @@ type Stats struct {
 	tripleFits    atomic.Int64
 
 	gramFills atomic.Int64
-	// residentBytes reads the bytes the resident Gram triples hold; nil
-	// reads 0.
-	residentBytes func() int64
+	// tripleBytes reads the bytes the kept least-squares triples hold;
+	// nil reads 0.
+	tripleBytes func() int64
 }
 
 // StatsSnapshot is the JSON shape of GET /stats.
@@ -81,7 +81,7 @@ type StatsSnapshot struct {
 	// unconverged ones included. A certified hit is not one; a fit that
 	// filled the triple is also one of GramFills.
 	TripleFits int64 `json:"triple_fits"`
-	// Resident Gram: the bytes the resident datasets' least-squares
+	// Resident Gram: the bytes the cached datasets' least-squares
 	// triples hold now (at most one per dataset and world size, capped
 	// per dataset at the bytes of its X and y), and the fits that filled
 	// one. A steady grid fills once per (dataset, procs); first fits
@@ -93,8 +93,8 @@ type StatsSnapshot struct {
 // Snapshot reads the current counter values.
 func (s *Stats) Snapshot() StatsSnapshot {
 	var gramBytes int64
-	if s.residentBytes != nil {
-		gramBytes = s.residentBytes()
+	if s.tripleBytes != nil {
+		gramBytes = s.tripleBytes()
 	}
 	return StatsSnapshot{
 		Fits:        s.fits.Load(),

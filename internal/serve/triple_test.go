@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net/http"
 	"regexp"
 	"strings"
 	"testing"
@@ -17,9 +18,10 @@ import (
 // TestTripleRouting is the routing table: every least-squares fit is
 // answered from the triple — no rounds, counted in triple_fits,
 // certified unless its stop is disabled (nothing to certify: it runs
-// max_iter iterations) — for every regularizer, world size and seed;
-// every other loss, with or without a sampling rate, runs proximal
-// Newton on a world.
+// max_iter iterations) — for every regularizer and world size, and one
+// that names a seed, which the triple does not draw, is a 400 naming
+// it; every other loss, with or without a sampling rate or seed, runs
+// proximal Newton on a world.
 func TestTripleRouting(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
@@ -35,16 +37,26 @@ func TestTripleRouting(t *testing.T) {
 		{"ridge", func(r *serve.FitRequest) { r.Reg, r.L2 = "ridge", 0.05 }, "triple"},
 		{"group", func(r *serve.FitRequest) { r.Reg, r.Groups = "group", "size:2" }, "triple"},
 		{"other procs", func(r *serve.FitRequest) { r.Procs = 1 }, "triple"},
-		{"seed", func(r *serve.FitRequest) { r.Seed = 9 }, "triple"},
+		{"seed", func(r *serve.FitRequest) { r.Seed = 9 }, "seed does not apply to loss ls"},
 		{"gradmap_tol disabled", func(r *serve.FitRequest) { r.GradMapTol, r.MaxIter = -1, 200 }, "triple"},
 		{"huber", func(r *serve.FitRequest) { r.Loss, r.MaxIter = "huber", 1000 }, "world"},
 		{"huber b", func(r *serve.FitRequest) { r.Loss, r.MaxIter, r.B = "huber", 1000, 0.5 }, "world"},
+		{"huber seed", func(r *serve.FitRequest) { r.Loss, r.MaxIter, r.Seed = "huber", 1000, 9 }, "world"},
 		{"quantile", func(r *serve.FitRequest) { r.Loss = "quantile" }, "world"},
 		{"logistic", func(r *serve.FitRequest) { r.Loss = "logistic" }, "world"},
 	} {
 		req := &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, Warm: &off, NoStore: true}
 		tc.edit(req)
 		before := getStats(t, client, ts.URL)
+		if tc.want != "triple" && tc.want != "world" {
+			body, _ := json.Marshal(req)
+			status, raw := postJSON(t, client, ts.URL+"/fit", string(body))
+			if after := getStats(t, client, ts.URL); status != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) ||
+				after.DatasetMisses+after.DatasetHits != before.DatasetMisses+before.DatasetHits {
+				t.Fatalf("%s: status %d, %s; want a 400 %q before any dataset resolves", tc.name, status, raw, tc.want)
+			}
+			continue
+		}
 		got := doFit(t, client, ts.URL, req)
 		after := getStats(t, client, ts.URL)
 		if got.AnsweredBy != tc.want {
@@ -78,10 +90,18 @@ func serverOpts(t *testing.T, lambda float64, maxIter int) (*data.Problem, solve
 	cfg := serve.New(fastConfig()).Config()
 	o := solver.Defaults()
 	o.Lambda, o.MaxIter, o.GradMapTol = lambda, maxIter, cfg.GradMapTol
-	// The server's per-dataset step size (the default rate b = 0.1, 8
-	// power iterations, seed 777).
-	o.Gamma = solver.GammaFromLipschitz(solver.SampledLipschitz(p.X, p.Y, o.B, 8, 777))
 	return p, o
+}
+
+// soloTriple answers o on p from a triple of its own, filled on procs
+// ranks: a fit on a server with no kept triple.
+func soloTriple(t *testing.T, p *data.Problem, procs int, o solver.Options) *solver.Result {
+	t.Helper()
+	res, err := solver.SolveTriple(context.Background(), p.X, p.Y, solver.FillTriple(p.X, p.Y, procs, nil), perf.Comet(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestTripleMaxIter: a triple-routed fit whose max_iter is too small to
@@ -98,10 +118,7 @@ func TestTripleMaxIter(t *testing.T) {
 	}
 
 	p, o := serverOpts(t, got.Lambda, req.MaxIter)
-	want, err := solver.SolveTriple(context.Background(), p.X, p.Y, fastConfig().Procs, perf.Comet(), o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := soloTriple(t, p, fastConfig().Procs, o)
 	if !sameBits(got.W, want.W) || !sameBits([]float64{got.Objective}, []float64{want.FinalObj}) || got.Iters != want.Iters {
 		t.Fatalf("short fit: %d iters, objective %.17g; SolveTriple %d iters, %.17g (or w differs)",
 			got.Iters, got.Objective, want.Iters, want.FinalObj)

@@ -469,7 +469,6 @@ func (e *engine) afterUpdate() (stop bool) {
 // snapshot gradient behind it crossed the wire unquantized.
 func (e *engine) finish() *Result {
 	res := e.rec.Finish(mat.Clone(e.wCurr))
-	res.GramFilled = e.gram.h != nil
 	if e.gradMapStop && !e.tiers.on {
 		res.GradMap = e.ex.norm
 	}

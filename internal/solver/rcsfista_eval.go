@@ -146,14 +146,14 @@ const gramMapSlack = 1e-6
 // The fill is billed when the algorithm reads the triple — under
 // variance reduction, whose snapshots take ∇f from it — and otherwise
 // rolled back like any instrumentation, so W, Cost and Rounds do not
-// depend on the trace cadence. SolveTriple holds the same triple with
-// no world (triple.go).
+// depend on the trace cadence. FillTriple fills the same triple with no
+// world (triple.go).
 type residentGram struct {
 	// on gates the path (holdsTriple).
 	on bool
 	// h, r, c are the replicated triple, nil h until filled. They view
-	// the fill's shared allreduce result (or SolveTriple's triple),
-	// which nothing writes.
+	// the fill's shared allreduce result (or a Triple's values), which
+	// nothing writes.
 	h *mat.SymPacked
 	r []float64
 	c float64
@@ -189,6 +189,16 @@ func (g *residentGram) loss(w []float64) float64 {
 		quad += wi * (tail[0]*wi + 2*off)
 	}
 	return quad/2 - lin + g.c
+}
+
+// holdsTriple is the one rule for which world solves fill the
+// least-squares triple before round 0: none under ActiveSet (G may
+// outgrow its |A|-sized slots) or a CompressTier (the snapshot gradient
+// crosses the wire quantized; the auto ratchet reads the objective) but
+// auto on one rank, which never leaves f64.
+func holdsTriple(o *Options, p int) bool {
+	t, err := parseTierConfig(o.CompressTier)
+	return err == nil && !o.ActiveSet && (!t.on || t.auto && p == 1)
 }
 
 // triplePartial returns one block's share of the least-squares triple:

@@ -3,56 +3,45 @@ package solver
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/data"
-	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/prox"
 )
 
-// newResident returns a handle with room for every test solve.
-func newResident() *Resident { return NewResident(NewResidentBudget(1 << 40)) }
-
-// residentSolve answers o on two ranks from the triple r holds or
-// fills.
-func residentSolve(p *data.Problem, o Options, r *Resident) (*Result, error) {
-	return SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), o, r)
+// residentSolve answers o from tri.
+func residentSolve(p *data.Problem, o Options, tri *Triple) (*Result, error) {
+	return SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), o)
 }
 
-// requireResidentAnswer fails unless a triple solve on a resident
-// handle equals the handle-less one bit for bit in everything but work:
-// W, FinalObj, Iters, Converged and GradMap.
+// requireResidentAnswer fails unless a triple solve on a kept triple
+// equals the one on a fresh fill bit for bit: W, FinalObj, Iters,
+// Converged and GradMap.
 func requireResidentAnswer(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if got.Iters != want.Iters || got.Converged != want.Converged || !sameFloats(got.W, want.W) ||
-		math.Float64bits(got.FinalObj) != math.Float64bits(want.FinalObj) ||
-		math.Float64bits(got.GradMap) != math.Float64bits(want.GradMap) {
-		t.Fatalf("%s: %d iters, objective %.17g, gradmap %g, converged %t; handle-less %d, %.17g, %g, %t (or W differs)",
+	if !sameAnswer(got, want) {
+		t.Fatalf("%s: %d iters, objective %.17g, gradmap %g, converged %t; fresh fill %d, %.17g, %g, %t (or W differs)",
 			label, got.Iters, got.FinalObj, got.GradMap, got.Converged, want.Iters, want.FinalObj, want.GradMap, want.Converged)
 	}
 }
 
-// TestResidentRacingFirstSolves: triple solves racing on one fresh
-// handle whose budget cannot hold the triple each fill it, none keeps
-// it, nothing is charged to the budget, and every answer equals the
-// handle-less solve bit for bit. (TestTripleRacingFirstSolves races on
-// a handle with room.)
+// TestResidentRacingFirstSolves: triple solves racing on one kept
+// triple read it at once, and every answer equals the lone solve bit
+// for bit (the CI serving job runs it under -race).
 func TestResidentRacingFirstSolves(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := tripleOpts(p)
-	want, err := residentSolve(p, o, nil)
+	tri := FillTriple(p.X, p.Y, 2, nil)
+	want, err := residentSolve(p, o, FillTriple(p.X, p.Y, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.X.Rows
-	budget := NewResidentBudget(8*int64(mat.PackedLen(d)+d+1) - 1)
-	starved := NewResident(budget)
 	got := make([]*Result, 4)
 	errs := make([]error, len(got))
 	var wg sync.WaitGroup
@@ -60,7 +49,7 @@ func TestResidentRacingFirstSolves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = residentSolve(p, o, starved)
+			got[i], errs[i] = residentSolve(p, o, tri)
 		}(i)
 	}
 	wg.Wait()
@@ -69,32 +58,24 @@ func TestResidentRacingFirstSolves(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		requireResidentAnswer(t, fmt.Sprintf("racer %d", i), res, want)
-		if !res.GramFilled {
-			t.Fatalf("racer %d read a triple the budget has no room for", i)
-		}
-	}
-	if gram := starved.Bytes(); gram != 0 || budget.Used() != 0 {
-		t.Fatalf("starved handle keeps %d bytes, budget holds %d", gram, budget.Used())
 	}
 }
 
-// TestResidentIdentity: a Resident is stamped with the (d, m, P) of the
-// first solve that reads it, and a solve of any other errors before it
-// runs, leaving the kept triple as it was.
+// TestResidentIdentity: a triple answers only solves of its own
+// (d, m) — a solve of another feature count, sample count or label
+// count errors before it runs, and so does one whose W0, Lambda or
+// MaxIter it cannot take — and is the same bits after.
 func TestResidentIdentity(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := tripleOpts(p)
-	r := newResident()
-	solve := func(procs int, prob *data.Problem) (*Result, error) {
-		return SolveTriple(context.Background(), prob.X, prob.Y, procs, perf.Comet(), o, r)
+	tri := FillTriple(p.X, p.Y, 2, nil)
+	kept := slices.Clone(tri.vals)
+	if _, err := residentSolve(p, o, tri); err != nil {
+		t.Fatal(err)
 	}
-	if res, err := solve(2, p); err != nil || !res.GramFilled {
-		t.Fatalf("first solve: err %v, result %+v", err, res)
-	}
-	held := r.Bytes()
 	otherD, err := data.LoadWith("covtype", 240, 20, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -103,30 +84,42 @@ func TestResidentIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	short := &data.Problem{X: p.X, Y: p.Y[:len(p.Y)-1]}
 	for _, c := range []struct {
-		name  string
-		procs int
-		prob  *data.Problem
-	}{{"procs", 4, p}, {"d", 2, otherD}, {"m", 2, otherM}} {
-		if res, err := solve(c.procs, c.prob); err == nil || res != nil || r.Bytes() != held {
-			t.Fatalf("%s: a mismatching solve ran: res %v err %v, %d bytes kept (held %d)", c.name, res, err, r.Bytes(), held)
+		name string
+		prob *data.Problem
+	}{{"d", otherD}, {"m", otherM}, {"labels", short}} {
+		if res, err := residentSolve(c.prob, o, tri); err == nil || res != nil || !sameFloats(tri.vals, kept) {
+			t.Fatalf("%s: a mismatching solve ran: res %v err %v, or changed the triple", c.name, res, err)
+		}
+	}
+	for name, edit := range map[string]func(o *Options){
+		"w0":      func(o *Options) { o.W0 = make([]float64, p.X.Rows-1) },
+		"lambda":  func(o *Options) { o.Lambda = -1 },
+		"maxiter": func(o *Options) { o.MaxIter = -1 },
+	} {
+		oc := o
+		edit(&oc)
+		if res, err := residentSolve(p, oc, tri); err == nil || res != nil {
+			t.Fatalf("%s: a solve with bad options ran: res %v", name, res)
 		}
 	}
 }
 
-// TestResidentShared: solves that share one Resident read its kept
-// triple whatever else they vary — λ, the regularizer, the tolerance,
-// the budget, the start — without filling, and answer as the
-// handle-less solve does.
+// TestResidentShared: solves that share one triple in turn, whatever
+// else they vary — λ, the regularizer, the tolerance, the budget, the
+// start — answer as on a fresh fill of their own, and leave the triple
+// the same bits.
 func TestResidentShared(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := tripleOpts(p)
-	r := newResident()
-	if res, err := residentSolve(p, o, r); err != nil || !res.GramFilled {
-		t.Fatalf("first solve: err %v, result %+v", err, res)
+	tri := FillTriple(p.X, p.Y, 2, nil)
+	kept := slices.Clone(tri.vals)
+	if _, err := residentSolve(p, o, tri); err != nil {
+		t.Fatal(err)
 	}
 	for name, edit := range map[string]func(o *Options){
 		"lambda": func(o *Options) { o.Lambda *= 2 },
@@ -137,14 +130,17 @@ func TestResidentShared(t *testing.T) {
 	} {
 		oc := o
 		edit(&oc)
-		want, err := residentSolve(p, oc, nil)
+		want, err := residentSolve(p, oc, FillTriple(p.X, p.Y, 2, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := residentSolve(p, oc, r)
-		if err != nil || got.GramFilled {
-			t.Fatalf("%s: err %v, filled %t; want the kept triple read", name, err, got != nil && got.GramFilled)
+		got, err := residentSolve(p, oc, tri)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		requireResidentAnswer(t, name, got, want)
+	}
+	if !sameFloats(tri.vals, kept) {
+		t.Fatal("a solve wrote the shared triple")
 	}
 }

@@ -1,15 +1,16 @@
 package solver
 
-// A least-squares solve answered from the resident triple (G, r, c)
-// with no world: at b = 1 the paper's sampled pair (H_n, R_n) of Eq. 18
-// is (G, r), so the whole solve is one local accelerated proximal
-// gradient run on ½wᵀGw − rᵀw + c + g(w) — CA-BCD's resident Gram
+// A least-squares solve answered from the triple (G, r, c) with no
+// world: at b = 1 the paper's sampled pair (H_n, R_n) of Eq. 18 is
+// (G, r), so the whole solve is Algorithm 2's deterministic FISTA on
+// ½wᵀGw − rᵀw + c + g(w) at the step 1/λmax(G) — CA-BCD's resident Gram
 // (arXiv 1612.04003), the b → 1 end of the subsampled-Newton trade-off
 // (arXiv 1708.08552) — and one data pass over the P column blocks
 // certifies the answer with the bits a P-rank world's data pass takes.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -27,44 +28,130 @@ import (
 // Gram-sourced gradient-map checks, each also a deadline check.
 const tripleCheckEvery = 10
 
-// SolveTriple answers the least-squares solve of (x, y) at opts on p
-// ranks from the triple a p-rank solve holds, without a world:
+// Triple is the least-squares triple of one (data, P): the packed
+// G = XXᵀ/m, then r = Xy/m, then c = ‖y‖²/2m, with the bits a P-rank
+// world fill's shared allreduce sums, and the one step size every solve
+// on it takes. It depends on neither λ, the regularizer, w nor a
+// tolerance, so one Triple answers every least-squares solve of its
+// data on P ranks. FillTriple makes it and nothing writes it after, so
+// concurrent solves read it without copies.
+type Triple struct {
+	d, m, p int
+	vals    []float64
+	step    float64
+}
+
+// Step reports the triple's FISTA step 1/L, where L bounds λmax(G)
+// from above (lipschitzBound).
+func (t *Triple) Step() float64 { return t.step }
+
+// Bytes reports the memory the triple's values hold.
+func (t *Triple) Bytes() int64 { return 8 * int64(len(t.vals)) }
+
+// FillTriple fills the triple of (x, y) on p ranks in-process: the
+// triplePartial of each block Partition deals, concurrently, summed in
+// ascending rank order as the fill's shared allreduce sums them; then
+// its step from lipschitzBound. The fill's flops, block costs merged in
+// rank order, and the bound's go to cost.
+func FillTriple(x *sparse.CSC, y []float64, p int, cost *perf.Cost) *Triple {
+	if p < 1 || x.Cols != len(y) {
+		panic(fmt.Sprintf("solver: triple of %d samples, %d labels on %d ranks", x.Cols, len(y), p))
+	}
+	parts := make([][]float64, p)
+	costs := make([]perf.Cost, p)
+	eachBlock(p, func(q int) { parts[q] = triplePartial(Partition(x, y, p, q), &costs[q]) })
+	vals := parts[0]
+	for _, part := range parts[1:] {
+		for i, v := range part {
+			vals[i] += v
+		}
+	}
+	for _, c := range costs {
+		cost.Add(c)
+	}
+	t := &Triple{d: x.Rows, m: x.Cols, p: p, vals: vals, step: 1}
+	var g residentGram
+	g.view(vals, t.d)
+	// A zero G (all-zero data) takes any step; 1 stands in.
+	if l := lipschitzBound(g.h, cost); l > 0 {
+		t.step = 1 / l
+	}
+	return t
+}
+
+// The power iteration of lipschitzBound stops once its residual is
+// tripleStepTol of its Rayleigh quotient, or after tripleStepMaxIter
+// iterations.
+const (
+	tripleStepTol     = 1e-4
+	tripleStepMaxIter = 1000
+)
+
+// lipschitzBound returns L = ρ + ‖Gv − ρv‖ for the power iterate v of
+// G — unit, from the all-ones direction — and its Rayleigh quotient
+// ρ = vᵀGv, taken once the residual meets tripleStepTol·ρ or after
+// tripleStepMaxIter iterations. L bounds λmax(G) from above as soon as
+// v keeps half its weight a² on G's top eigenspace: with S = λmax − ρ,
+// Cauchy–Schwarz gives ‖Gv − ρv‖² ≥ S²·a²/(1 − a²) ≥ S², and the power
+// iteration raises a² towards 1 geometrically. Stopped on the
+// tolerance, L ≤ (1 + tripleStepTol)·λmax, so the step 1/L is within
+// that share of FISTA's 1/λmax.
+func lipschitzBound(g *mat.SymPacked, cost *perf.Cost) float64 {
+	d := g.N
+	v, gv, res := make([]float64, d), make([]float64, d), make([]float64, d)
+	mat.Fill(v, 1/math.Sqrt(float64(d)))
+	for it := 0; ; it++ {
+		g.MulVec(gv, v, cost)
+		rho := mat.Dot(v, gv, cost)
+		mat.AddScaled(res, gv, -rho, v, cost)
+		if r := mat.Nrm2(res, cost); r <= tripleStepTol*rho || it == tripleStepMaxIter {
+			return rho + r
+		}
+		n := mat.Nrm2(gv, cost)
+		if n == 0 {
+			return 0
+		}
+		for i, x := range gv {
+			v[i] = x / n
+		}
+		cost.AddFlops(int64(d))
+	}
+}
+
+// SolveTriple answers the least-squares solve of (x, y) at opts from
+// tri, the triple FillTriple filled for them, without a world:
 //
-//   - The triple is r's kept one, or one filled in-process from the
-//     blocks Partition deals the p ranks — FullGramPacked partials
-//     summed in ascending rank order, the bits a p-rank world fill
-//     keeps — and offered to r.
 //   - FISTA runs on ½wᵀGw − rᵀw + c + g(w) from opts.W0 (zero when nil)
-//     at step min(Gamma, 1/λmax(G)). Every tripleCheckEvery iterations
-//     it takes the Gram-sourced gradient-map norm at Gamma and checks
-//     ctx.
+//     at tri's step. Every tripleCheckEvery iterations it takes the
+//     Gram-sourced gradient-map norm at that step and checks ctx.
 //   - A W whose Gram norm meets GradMapTol, up to the engine's
-//     gramMapSlack, is decided by one data pass over the p blocks, run
-//     concurrently and folded in rank order: FinalObj and GradMap are,
-//     bit for bit, what a p-rank world's data pass gives at W, and
-//     Converged reports that GradMap meets GradMapTol.
+//     gramMapSlack, is decided by one data pass over tri's P blocks,
+//     run concurrently and folded in rank order: FinalObj and GradMap
+//     are, bit for bit, what a P-rank world's data pass gives at W and
+//     at tri's step, and Converged reports that GradMap meets
+//     GradMapTol.
 //
 // A solve that does not certify within MaxIter iterations — one
 // without a positive GradMapTol never does — returns its W after
 // MaxIter iterations unconverged; a done ctx returns the iterate so far
 // as a partial result with ctx's error. Both carry W's data-pass
-// FinalObj and a NaN GradMap. Rounds is 0; Cost is the local flops
-// (fill, power iteration, iterations, data passes) with no words and no
-// messages; GramFilled reports an in-process fill. Of opts only Lambda
-// or Reg, Gamma, MaxIter, GradMapTol, W0, FStar and TraceName are read.
-// A solve whose (d, m, p) differs from r's stamp errors. A nil r keeps
-// nothing.
-func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine perf.Machine, opts Options, r *Resident) (*Result, error) {
+// FinalObj and a NaN GradMap. Rounds is 0; Cost is the local flops of
+// the iterations and data passes, with no words and no messages: tri's
+// fill is its filler's to bill. Of opts only Lambda or Reg, MaxIter,
+// GradMapTol, W0, FStar and TraceName are read. An x whose (d, m)
+// differs from tri's errors.
+func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, tri *Triple, machine perf.Machine, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	d, m := x.Rows, x.Cols
+	d, m, p := x.Rows, x.Cols, tri.p
 	switch {
-	case p < 1 || m != len(y):
-		return nil, fmt.Errorf("solver: triple solve of %d samples, %d labels on %d ranks", m, len(y), p)
+	case d != tri.d || m != tri.m || m != len(y):
+		return nil, fmt.Errorf("solver: triple of %d features, %d samples answers a solve of %d, %d (%d labels)", tri.d, tri.m, d, m, len(y))
 	case o.W0 != nil && len(o.W0) != d:
 		return nil, fmt.Errorf("solver: W0 has %d coords, want %d", len(o.W0), d)
+	case o.Lambda < 0:
+		return nil, errors.New("solver: Lambda must be non-negative")
+	case o.MaxIter <= 0:
+		return nil, errors.New("solver: MaxIter must be positive")
 	}
 	if gl, ok := o.Reg.(prox.GroupL2); ok {
 		if err := gl.Check(d); err != nil {
@@ -73,18 +160,10 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine
 	}
 	start := time.Now()
 	res := &Result{FinalRelErr: math.NaN(), GradMap: math.NaN()}
-	tri, err := r.held(x, p)
-	if err != nil {
-		return nil, err
-	}
-	if tri == nil {
-		tri = fillTriple(x, y, p, &res.Cost)
-		res.GramFilled = true
-		r.keep(tri)
-	}
-	s := newTripleSolve(tri, d, o, &res.Cost)
+	s := newTripleSolve(tri, o, &res.Cost)
 
 	tol := o.GradMapTol
+	var err error
 	n := 0
 	for ; ; n++ {
 		if n%tripleCheckEvery == 0 || n == o.MaxIter {
@@ -95,7 +174,7 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine
 			// of the stop is the data pass's to decide, so an answer whose
 			// data norm meets tol certifies again from its own W.
 			if tol > 0 && s.gramNorm() <= tol*(1+gramMapSlack) {
-				if obj, norm := dataPass(x, y, p, s.w, o.Gamma, o.Reg, s.grad, s.tmp, &res.Cost); norm <= tol {
+				if obj, norm := dataPass(x, y, p, s.w, s.lr, o.Reg, s.grad, s.tmp, &res.Cost); norm <= tol {
 					res.FinalObj, res.GradMap, res.Converged = obj, norm, true
 					break
 				}
@@ -107,7 +186,7 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine
 		s.step()
 	}
 	if !res.Converged {
-		res.FinalObj, _ = dataPass(x, y, p, s.w, o.Gamma, o.Reg, s.grad, s.tmp, &res.Cost)
+		res.FinalObj, _ = dataPass(x, y, p, s.w, s.lr, o.Reg, s.grad, s.tmp, &res.Cost)
 	}
 	res.W, res.Iters = s.w, n
 	res.FinalRelErr = relErr(res.FinalObj, o.FStar)
@@ -126,21 +205,18 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, p int, machine
 type tripleSolve struct {
 	g                      residentGram
 	reg                    prox.Operator
-	gamma, lr, t           float64
+	lr, t                  float64
 	w, wPrev, v, grad, tmp []float64
 	cost                   *perf.Cost
 }
 
-// newTripleSolve starts FISTA on the triple tri at o.W0, with step
-// lr = min(Gamma, 1/λmax(G)) from 30 power iterations.
-func newTripleSolve(tri []float64, d int, o Options, cost *perf.Cost) *tripleSolve {
-	s := &tripleSolve{reg: o.Reg, gamma: o.Gamma, lr: o.Gamma, t: 1, cost: cost,
+// newTripleSolve starts FISTA on tri at o.W0, with tri's step.
+func newTripleSolve(tri *Triple, o Options, cost *perf.Cost) *tripleSolve {
+	d := tri.d
+	s := &tripleSolve{reg: o.Reg, lr: tri.step, t: 1, cost: cost,
 		w: make([]float64, d), wPrev: make([]float64, d), v: make([]float64, d),
 		grad: make([]float64, d), tmp: make([]float64, d)}
-	s.g.view(tri, d)
-	if l := EstimateQuadLipschitz(s.g.h, 30, cost); l > 0 && 1/l < s.lr {
-		s.lr = 1 / l
-	}
+	s.g.view(tri.vals, d)
 	if o.W0 != nil {
 		copy(s.w, o.W0)
 		copy(s.wPrev, o.W0)
@@ -175,11 +251,11 @@ func (s *tripleSolve) step() {
 	}
 }
 
-// gramNorm is the gradient-map norm at w and Gamma from ∇f = Gw − r.
+// gramNorm is the gradient-map norm at w and the step from ∇f = Gw − r.
 func (s *tripleSolve) gramNorm() float64 {
 	s.g.h.MulVec(s.grad, s.w, s.cost)
 	mat.Axpy(-1, s.g.r, s.grad, s.cost)
-	return gradMapNorm(s.tmp, s.w, s.grad, s.gamma, s.reg, s.cost)
+	return gradMapNorm(s.tmp, s.w, s.grad, s.lr, s.reg, s.cost)
 }
 
 // gradMapNorm returns ‖w − prox_γg(w − γ·grad)‖/γ, using tmp.
@@ -203,26 +279,6 @@ func eachBlock(p int, f func(q int)) {
 	}
 	f(0)
 	wg.Wait()
-}
-
-// fillTriple fills the triple of (x, y) on p ranks in-process: the
-// triplePartial of each block Partition deals, concurrently, summed in
-// ascending rank order as the fill's shared allreduce sums them. The
-// block costs merge in rank order.
-func fillTriple(x *sparse.CSC, y []float64, p int, cost *perf.Cost) []float64 {
-	parts := make([][]float64, p)
-	costs := make([]perf.Cost, p)
-	eachBlock(p, func(q int) { parts[q] = triplePartial(Partition(x, y, p, q), &costs[q]) })
-	tri := parts[0]
-	for _, part := range parts[1:] {
-		for i, v := range part {
-			tri[i] += v
-		}
-	}
-	for _, c := range costs {
-		cost.Add(c)
-	}
-	return tri
 }
 
 // dataPass takes the exact state of w from the p column blocks of

@@ -40,13 +40,19 @@ func tripleShapes(t *testing.T) map[string]*data.Problem {
 	return out
 }
 
-// tripleOpts are the serving layer's options for p: defaults, the
-// b = 0.1 sampled step, tolerance 1e-5.
+// tripleOpts are the serving layer's options for p: defaults and
+// tolerance 1e-5. A triple solve takes its triple's step, so they set
+// no Gamma; a world solve beside it takes the triple's (worldOpts).
 func tripleOpts(p *data.Problem) Options {
 	o := Defaults()
 	o.Lambda = 0.2 * p.Lambda
-	o.Gamma = GammaFromLipschitz(SampledLipschitz(p.X, p.Y, o.B, 8, 777))
 	o.MaxIter, o.GradMapTol, o.EpochLen = 4000, 1e-5, 20
+	return o
+}
+
+// worldOpts are o for a world solve at tri's step.
+func worldOpts(o Options, tri *Triple) Options {
+	o.Gamma = tri.Step()
 	return o
 }
 
@@ -62,24 +68,31 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
+// sameAnswer reports whether two solves answered alike, bit for bit:
+// W, FinalObj, GradMap, Iters and Converged.
+func sameAnswer(a, b *Result) bool {
+	return a.Iters == b.Iters && a.Converged == b.Converged && sameFloats(a.W, b.W) &&
+		sameFloats([]float64{a.FinalObj, a.GradMap}, []float64{b.FinalObj, b.GradMap})
+}
+
 // worldTriple reads the triple a world solve's engine holds: its packed
 // G, then r, then c, as the fill's shared allreduce summed them.
 func worldTriple(e *engine) []float64 {
 	return append(append(slices.Clone(e.gram.h.Data), e.gram.r...), e.gram.c)
 }
 
-// TestTripleMatchesWorldFill: the triple SolveTriple fills in-process
-// and keeps is, bit for bit, the one a p-rank world solve fills before
-// round 0 (read off rank 0's engine), at P ∈ {1, 2, 4} on chan and tcp,
-// on the sparse and the dense fill kernel. A triple solve then answers
-// alike, bit for bit and without filling, from the kept triple and from
-// a holder that keeps the world's.
+// TestTripleMatchesWorldFill: the triple FillTriple fills in-process is,
+// bit for bit, the one a p-rank world solve fills before round 0 (read
+// off rank 0's engine), at P ∈ {1, 2, 4} on chan and tcp, on the sparse
+// and the dense fill kernel; so is its step, and a triple solve answers
+// alike from either.
 func TestTripleMatchesWorldFill(t *testing.T) {
 	for name, p := range tripleShapes(t) {
 		o := tripleOpts(p)
 		for _, leg := range tripleLegs {
 			label := fmt.Sprintf("%s/%s/p%d", name, leg.backend, leg.procs)
-			wo := o
+			local := FillTriple(p.X, p.Y, leg.procs, nil)
+			wo := worldOpts(o, local)
 			wo.MaxIter = 4
 			_, engines, err := runEngines(context.Background(), t, leg.backend, leg.procs, p, wo, true)
 			if err != nil {
@@ -88,26 +101,49 @@ func TestTripleMatchesWorldFill(t *testing.T) {
 			if engines[0].gram.h == nil {
 				t.Fatalf("%s: the world solve did not fill the triple", label)
 			}
-			world := NewResident(NewResidentBudget(1 << 40))
-			world.keep(worldTriple(engines[0]))
-			local := NewResident(NewResidentBudget(1 << 40))
-			filled, err := SolveTriple(context.Background(), p.X, p.Y, leg.procs, perf.Comet(), o, local)
+			world := &Triple{d: local.d, m: local.m, p: local.p, vals: worldTriple(engines[0])}
+			var g residentGram
+			g.view(world.vals, world.d)
+			world.step = 1 / lipschitzBound(g.h, nil)
+			if !sameFloats(local.vals, world.vals) || local.Step() != world.Step() {
+				t.Fatalf("%s: the in-process triple differs from the world fill's (step %g, world's %g)", label, local.Step(), world.Step())
+			}
+			mine, err := SolveTriple(context.Background(), p.X, p.Y, local, perf.Comet(), o)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if !filled.GramFilled || !sameFloats(local.tri, world.tri) {
-				t.Fatalf("%s: filled %t; the in-process triple differs from the world fill's", label, filled.GramFilled)
+			theirs, err := SolveTriple(context.Background(), p.X, p.Y, world, perf.Comet(), o)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			for _, r := range []*Resident{local, world} {
-				again, err := SolveTriple(context.Background(), p.X, p.Y, leg.procs, perf.Comet(), o, r)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if again.GramFilled || again.Iters != filled.Iters || !sameFloats(again.W, filled.W) ||
-					!sameFloats([]float64{again.FinalObj, again.GradMap}, []float64{filled.FinalObj, filled.GradMap}) {
-					t.Fatalf("%s: kept-triple solve filled %t, %d iters, objective %.17g; filling solve %d iters, %.17g (or W differs)",
-						label, again.GramFilled, again.Iters, again.FinalObj, filled.Iters, filled.FinalObj)
-				}
+			if !sameAnswer(mine, theirs) {
+				t.Fatalf("%s: on the world's triple %d iters, objective %.17g; on the filled one %d, %.17g (or W differs)",
+					label, theirs.Iters, theirs.FinalObj, mine.Iters, mine.FinalObj)
+			}
+		}
+	}
+}
+
+// TestTripleStepIsSafe: a triple's step never exceeds FISTA's safe step
+// 1/λmax(G), with λmax from a 1000-iteration power estimate, and is
+// within 0.1 % of it, on covtype, mnist, epsilon and susy shapes at
+// P ∈ {1, 2, 4}.
+func TestTripleStepIsSafe(t *testing.T) {
+	for _, s := range []struct {
+		name string
+		m, d int
+	}{{"covtype", 8000, 54}, {"mnist", 2000, 392}, {"epsilon", 2000, 192}, {"susy", 8000, 18}} {
+		p, err := data.LoadWith(s.name, s.m, s.d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			tri := FillTriple(p.X, p.Y, procs, nil)
+			var g residentGram
+			g.view(tri.vals, tri.d)
+			lam := EstimateQuadLipschitz(g.h, 1000, nil)
+			if r := tri.Step() * lam; !(r <= 1+1e-9 && r >= 1-1e-3) {
+				t.Fatalf("%s %d×%d P=%d: step·λmax = %.12f, want ≤ 1 and within 0.1 %% of it", s.name, s.m, s.d, procs, r)
 			}
 		}
 	}
@@ -115,11 +151,11 @@ func TestTripleMatchesWorldFill(t *testing.T) {
 
 // TestTripleCertificateIsTheWorldDataPass: a triple answer certifies
 // (GradMap ≤ tol) with the FinalObj and GradMap bits a p-rank world's
-// data pass takes at its W — the world solve warm-started there stops
-// before round 0 and hands back W, FinalObj and GradMap unchanged — at
-// P ∈ {1, 2, 4} on chan and tcp, for l1, elastic net, ridge and group
-// lasso. The answer costs local flops only: no round, no word, no
-// message.
+// data pass takes at its W and the triple's step — the world solve
+// warm-started there at Gamma = the triple's step stops before round 0
+// and hands back W, FinalObj and GradMap unchanged — at P ∈ {1, 2, 4}
+// on chan and tcp, for l1, elastic net, ridge and group lasso. The
+// answer costs local flops only: no round, no word, no message.
 func TestTripleCertificateIsTheWorldDataPass(t *testing.T) {
 	p := tripleShapes(t)["covtype"]
 	d := p.X.Rows
@@ -133,12 +169,13 @@ func TestTripleCertificateIsTheWorldDataPass(t *testing.T) {
 		"ridge": prox.L2Squared{Lambda: 0.05},
 		"group": prox.GroupL2{Lambda: 0.2 * p.Lambda, Groups: groups},
 	}
-	for rname, reg := range regs {
-		o := tripleOpts(p)
-		o.Reg = reg
-		for _, leg := range tripleLegs {
+	for _, leg := range tripleLegs {
+		tri := FillTriple(p.X, p.Y, leg.procs, nil)
+		for rname, reg := range regs {
+			o := tripleOpts(p)
+			o.Reg = reg
 			label := fmt.Sprintf("%s/%s/p%d", rname, leg.backend, leg.procs)
-			res, err := SolveTriple(context.Background(), p.X, p.Y, leg.procs, perf.Comet(), o, nil)
+			res, err := SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), o)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -150,7 +187,7 @@ func TestTripleCertificateIsTheWorldDataPass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wo := o
+			wo := worldOpts(o, tri)
 			wo.W0 = res.W
 			direct, err := SolveDistributedContext(context.Background(), w, p.X, p.Y, wo)
 			if err != nil {
@@ -165,24 +202,24 @@ func TestTripleCertificateIsTheWorldDataPass(t *testing.T) {
 	}
 }
 
-// TestTripleExits pins the exits that do not certify and the refusals:
-// a budget too small to certify returns the refined W unconverged with
-// its data-pass objective and a NaN GradMap; a done context returns the
-// iterate so far with the context's error; a solve without a positive
-// GradMapTol runs its budget and returns the short budget's answer bit
-// for bit, unconverged; a solve on a holder stamped for another world
-// size errors.
+// TestTripleExits pins the exits that do not certify: a budget too
+// small to certify returns the refined W unconverged with its data-pass
+// objective and a NaN GradMap; a done context returns the iterate so
+// far with the context's error; a solve without a positive GradMapTol
+// runs its budget and returns the short budget's answer bit for bit,
+// unconverged.
 func TestTripleExits(t *testing.T) {
 	p := tripleShapes(t)["covtype"]
 	o := tripleOpts(p)
-	full, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), o, nil)
+	tri := FillTriple(p.X, p.Y, 2, nil)
+	full, err := SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), o)
 	if err != nil || !full.Converged || full.Iters < 2*tripleCheckEvery {
 		t.Fatalf("reference: %v, %+v", err, full)
 	}
 
 	short := o
 	short.MaxIter = tripleCheckEvery + 3
-	res, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), short, nil)
+	res, err := SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), short)
 	if err != nil || res.Converged || !math.IsNaN(res.GradMap) || res.Iters != short.MaxIter || sameFloats(res.W, make([]float64, len(res.W))) {
 		t.Fatalf("short budget: err %v, converged %t, gradmap %g, %d iters", err, res.Converged, res.GradMap, res.Iters)
 	}
@@ -193,66 +230,55 @@ func TestTripleExits(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = SolveTriple(ctx, p.X, p.Y, 2, perf.Comet(), o, nil)
+	res, err = SolveTriple(ctx, p.X, p.Y, tri, perf.Comet(), o)
 	if !errors.Is(err, context.Canceled) || res == nil || res.Converged || res.Iters != 0 || math.IsNaN(res.FinalObj) {
 		t.Fatalf("cancelled: err %v, result %+v", err, res)
 	}
 
 	off := short
 	off.GradMapTol = 0
-	noStop, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), off, nil)
+	noStop, err := SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), off)
 	if err != nil || noStop.Converged || noStop.Iters != off.MaxIter || !sameFloats(noStop.W, shortW) ||
 		math.Float64bits(noStop.FinalObj) != math.Float64bits(shortObj) {
 		t.Fatalf("without GradMapTol: err %v, converged %t, %d iters, objective %.17g (short budget %.17g, or W differs)",
 			err, noStop.Converged, noStop.Iters, noStop.FinalObj, shortObj)
 	}
-	r := NewResident(NewResidentBudget(1 << 40))
-	if _, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), o, r); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SolveTriple(context.Background(), p.X, p.Y, 1, perf.Comet(), o, r); err == nil {
-		t.Fatal("a holder stamped at P = 2 served a P = 1 triple solve")
-	}
 }
 
-// TestTripleRacingFirstSolves: triple solves racing on one fresh holder
-// — a server's first fits on a dataset — each fill or read the triple,
-// exactly one triple is kept and charged to the budget, and every
-// answer is the same bits (the CI serving job runs it under -race).
+// TestTripleRacingFirstSolves: first fills racing on one dataset — a
+// server's first fits — each fill the same triple bit for bit, step
+// included, and answer alike (the CI serving job runs it under -race).
 func TestTripleRacingFirstSolves(t *testing.T) {
 	p := tripleShapes(t)["covtype"]
 	o := tripleOpts(p)
-	want, err := SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), o, nil)
+	lone := FillTriple(p.X, p.Y, 2, nil)
+	want, err := SolveTriple(context.Background(), p.X, p.Y, lone, perf.Comet(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := NewResidentBudget(1 << 40)
-	r := NewResident(budget)
-	got := make([]*Result, 4)
-	errs := make([]error, len(got))
+	tris := make([]*Triple, 4)
+	got := make([]*Result, len(tris))
+	errs := make([]error, len(tris))
 	var wg sync.WaitGroup
-	for i := range got {
+	for i := range tris {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = SolveTriple(context.Background(), p.X, p.Y, 2, perf.Comet(), o, r)
+			tris[i] = FillTriple(p.X, p.Y, 2, nil)
+			got[i], errs[i] = SolveTriple(context.Background(), p.X, p.Y, tris[i], perf.Comet(), o)
 		}(i)
 	}
 	wg.Wait()
-	fills := 0
 	for i, res := range got {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if res.Iters != want.Iters || !sameFloats(res.W, want.W) || !sameFloats([]float64{res.FinalObj, res.GradMap}, []float64{want.FinalObj, want.GradMap}) {
-			t.Fatalf("racer %d: %d iters, objective %.17g; lone solve %d, %.17g (or W differs)", i, res.Iters, res.FinalObj, want.Iters, want.FinalObj)
-		}
-		if res.GramFilled {
-			fills++
+		if !sameFloats(tris[i].vals, lone.vals) || tris[i].Step() != lone.Step() || !sameAnswer(res, want) {
+			t.Fatalf("racer %d: step %g, %d iters, objective %.17g; lone fill %g, %d, %.17g (or the triple or W differs)",
+				i, tris[i].Step(), res.Iters, res.FinalObj, lone.Step(), want.Iters, want.FinalObj)
 		}
 	}
-	gram := r.Bytes()
-	if d := p.X.Rows; fills < 1 || gram != 8*int64(mat.PackedLen(d)+d+1) || budget.Used() != gram {
-		t.Fatalf("%d fills, %d triple bytes kept, %d budget bytes", fills, gram, budget.Used())
+	if d := p.X.Rows; lone.Bytes() != 8*int64(mat.PackedLen(d)+d+1) {
+		t.Fatalf("a triple of %d features holds %d bytes", d, lone.Bytes())
 	}
 }

@@ -42,10 +42,6 @@ type Result struct {
 	// Faults summarizes the injected-fault resilience activity; the
 	// zero value means the run saw no faults (or ran without a plan).
 	Faults FaultStats
-	// GramFilled reports that the solve filled the least-squares triple
-	// (an RC-SFISTA resident Gram) itself; false when it read a kept one
-	// (solver.Resident) or never engaged one.
-	GramFilled bool
 }
 
 // FaultStats counts the solver's resilience activity under an injected
