@@ -133,6 +133,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "loadgen: report written to %s\n", *out)
 	}
+	// An interrupted run's in-flight requests fail with the interrupt.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if rep.Errors > 0 {
 		return fmt.Errorf("%d requests failed", rep.Errors)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -67,5 +68,17 @@ func TestRunHitRateGate(t *testing.T) {
 	}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "hit rate") {
 		t.Fatalf("gate did not trip: %v", err)
+	}
+}
+
+// TestRunInterrupted: a run whose context is already done sends
+// nothing and says it was interrupted, not that its requests failed.
+func TestRunInterrupted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var buf bytes.Buffer
+	err := run(ctx, []string{"-selfserve", "-n", "4", "-dataset", "abalone", "-m", "200", "-d", "8"}, &buf)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(buf.String(), "load: 0 requests") {
+		t.Fatalf("got %v, want the cancellation and no request counted:\n%s", err, buf.String())
 	}
 }

@@ -146,14 +146,14 @@ func TestFeatureTableAcrossSurfaces(t *testing.T) {
 		{[]string{"-algo", "prox-svrg", "-activeset"}, scenario.ActiveSet},
 		{[]string{"-algo", "fista", "-activeset"}, scenario.ActiveSet},
 		{[]string{"-algo", "cd", "-compress-tier", "off"}, scenario.CompressTier},
-		{[]string{"-algo", "logistic", "-compress-tier", "f32"}, scenario.CompressTier},
 		{[]string{"-algo", "ista", "-transport", "tcp"}, scenario.ProcessWorld},
 		{[]string{"-algo", "cd", "-rank", "0", "-peers", "127.0.0.1:1"}, scenario.ProcessWorld},
-		{[]string{"-algo", "logistic", "-loss", "huber"}, scenario.Loss},
+		{[]string{"-algo", "cocoa", "-loss", "logistic"}, scenario.Loss},
 		{[]string{"-algo", "fista", "-loss", "quantile"}, scenario.Loss},
 		{[]string{"-algo", "cocoa", "-l2", "0.5"}, scenario.RegParams},
 		{[]string{"-activeset", "-loss", "huber"}, scenario.ActiveSet},
 		{[]string{"-compress-tier", "f32", "-loss", "quantile"}, scenario.CompressTier},
+		{[]string{"-loss", "logistic", "-compress-tier", "f32"}, scenario.CompressTier},
 	} {
 		err := run(context.Background(), append(tc.args, "-dataset", "nosuch", "-tol", "0"), io.Discard)
 		flag := spellings[tc.want][0]
@@ -166,7 +166,7 @@ func TestFeatureTableAcrossSurfaces(t *testing.T) {
 		}
 	}
 	for _, args := range [][]string{
-		{"-algo", "logistic", "-reg", "en", "-l2", "0.01"},
+		{"-loss", "logistic", "-reg", "en", "-l2", "0.01"},
 		{"-algo", "fista", "-reg", "group", "-groups", "size:2"},
 		{"-algo", "cd", "-reg", "ridge"},
 		{"-algo", "pn", "-k", "2"},

@@ -59,7 +59,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		libsvm       = flag.String("libsvm", "", "LIBSVM file to load instead of a synthetic dataset")
 		features     = flag.Int("features", 0, "feature count for -libsvm (0: infer)")
 		samples      = flag.Int("samples", 0, "sample count override for synthetic data (0: registry default)")
-		algo         = flag.String("algo", "rcsfista", "algorithm: rcsfista|sfista|fista|ista|pn|cocoa|logistic|cd|prox-svrg")
+		algo         = flag.String("algo", "rcsfista", "algorithm: rcsfista|sfista|fista|ista|pn|cocoa|cd|prox-svrg")
 		procs        = flag.Int("procs", 1, "number of simulated processors")
 		k            = flag.Int("k", 8, "iteration-overlapping parameter (0: auto-tune from Eq. 25-28)")
 		s            = flag.Int("s", 1, "Hessian-reuse inner loop parameter")
@@ -100,11 +100,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	// Resolve the loss and regularizer names before any load; the
-	// regularizer is built once the problem fixes d and lambda. -algo
-	// logistic is the older spelling of -loss logistic.
-	if *algo == "logistic" {
-		*lossName = "logistic"
-	}
+	// regularizer is built once the problem fixes d and lambda.
 	lossFn, err := scenario.BuildLoss(scenario.LossSpec{Name: *lossName, Delta: *huberDelta, Tau: *quantileTau, Eps: *quantileEps})
 	if err != nil {
 		return err
@@ -243,9 +239,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			*k, *s, rec.PredictedSpeedup)
 	}
 
-	// -algo logistic keeps its own label.
 	algoLabel := *algo
-	if !ls && *algo != "logistic" {
+	if !ls {
 		algoLabel = "pn-" + *lossName
 	}
 

@@ -66,7 +66,7 @@ func TestCLIAlgorithms(t *testing.T) {
 }
 
 func TestCLILogistic(t *testing.T) {
-	out := runCLI(t, fastArgs("-algo", "logistic", "-procs", "2", "-maxiter", "10", "-tol", "0")...)
+	out := runCLI(t, fastArgs("-loss", "logistic", "-procs", "2", "-maxiter", "10", "-tol", "0")...)
 	if !strings.Contains(out, "training accuracy") {
 		t.Fatalf("missing accuracy:\n%s", out)
 	}
@@ -152,6 +152,10 @@ func TestCLIErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-algo", "nope", "-tol", "0"}, &out); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+	// Logistic regression is spelled -loss logistic only.
+	if err := run(context.Background(), []string{"-algo", "logistic", "-dataset", "nosuch"}, &out); err == nil || err.Error() != `unknown algorithm "logistic"` {
+		t.Fatalf("-algo logistic: got %v, want it refused as an unknown algorithm", err)
 	}
 	if err := run(context.Background(), []string{"-dataset", "nope", "-tol", "0"}, &out); err == nil {
 		t.Fatal("unknown dataset accepted")

@@ -15,7 +15,6 @@ import (
 var engines = map[string]scenario.Engine{
 	"rcsfista":  scenario.Default,
 	"sfista":    scenario.RCSFISTA,
-	"logistic":  scenario.LossPN,
 	"fista":     scenario.DataFISTA,
 	"ista":      scenario.DataFISTA,
 	"cd":        scenario.CD,

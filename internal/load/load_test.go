@@ -3,8 +3,10 @@ package load
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -328,6 +330,37 @@ func TestRunClosedLoopAgainstServer(t *testing.T) {
 	}
 	if !strings.Contains(rep.Summary(), "certified hits") {
 		t.Fatalf("summary omits the certified hits:\n%s", rep.Summary())
+	}
+}
+
+// TestRunStopsAtCancel: a closed-loop run cancelled while its first
+// requests hang reports those requests and no more. The two in flight
+// fail with the cancellation; the schedule's other eight were never
+// sent, so they count neither as requests nor as errors.
+func TestRunStopsAtCancel(t *testing.T) {
+	arrived := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // a read body lets the server see the client leave
+		arrived <- struct{}{}
+		<-r.Context().Done()
+	}))
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-arrived
+		<-arrived
+		cancel()
+	}()
+	rep, err := Run(ctx, Config{BaseURL: ts.URL, Requests: 10, Concurrency: 2, Seed: 1,
+		Dataset: serve.DatasetRef{Name: "abalone", Samples: 200, Features: 8, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.N != 2 || rep.Errors != 2 || rep.OK != 0 || rep.Latency.N != 0 {
+		t.Fatalf("%d requests, %d errors, %d ok; want the 2 sent, both failed", rep.N, rep.Errors, rep.OK)
+	}
+	if got := rep.Summary(); !strings.HasPrefix(got, "load: 2 requests") {
+		t.Fatalf("summary counts unsent requests:\n%s", got)
 	}
 }
 

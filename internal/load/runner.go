@@ -13,7 +13,8 @@ import (
 	"github.com/hpcgo/rcsfista/internal/serve"
 )
 
-// Outcome records one completed request.
+// Outcome records one sent request. A request the run stopped before
+// sending keeps the zero Outcome: no status and no error.
 type Outcome struct {
 	Index     int     `json:"index"`
 	Status    int     `json:"status"`
@@ -26,7 +27,9 @@ type Outcome struct {
 // Report is the JSON artifact of one load run — the service-level
 // record CI archives per commit.
 type Report struct {
-	Config   Config    `json:"config"`
+	Config Config `json:"config"`
+	// N counts the requests sent: all of the schedule unless the run's
+	// context ended first.
 	N        int       `json:"n"`
 	OK       int       `json:"ok"`
 	Rejected int       `json:"rejected"` // 429s
@@ -62,7 +65,8 @@ type Report struct {
 // Run executes the schedule for cfg against cfg.BaseURL and summarizes
 // the outcomes. The request *schedule* is deterministic for a fixed
 // seed; completion order (and therefore cache hit patterns under
-// concurrency) depends on timing, as with any real load test.
+// concurrency) depends on timing, as with any real load test. Once ctx
+// ends no further request is sent, and the report covers the sent ones.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -97,7 +101,9 @@ func runClosed(ctx context.Context, cfg Config, client *http.Client, sched []Req
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i] = doFit(ctx, client, cfg.BaseURL, &sched[i])
+				if ctx.Err() == nil {
+					out[i] = doFit(ctx, client, cfg.BaseURL, &sched[i])
+				}
 			}
 		}()
 	}
@@ -116,14 +122,14 @@ func runOpen(ctx context.Context, cfg Config, client *http.Client, sched []Reque
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := range sched {
-		if ctx.Err() != nil {
-			break
-		}
 		if wait := sched[i].At - time.Since(start); wait > 0 {
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
 			}
+		}
+		if ctx.Err() != nil {
+			break
 		}
 		wg.Add(1)
 		go func(i int) {
@@ -187,15 +193,19 @@ func fetchStats(ctx context.Context, client *http.Client, base string) *serve.St
 	return &sn
 }
 
-// summarize folds the outcomes into the report.
+// summarize folds the sent outcomes into the report.
 func summarize(cfg Config, outcomes []Outcome, wall time.Duration) *Report {
-	rep := &Report{Config: cfg, N: len(outcomes), WallSec: wall.Seconds(), AnsweredBy: map[string]int{}}
+	rep := &Report{Config: cfg, WallSec: wall.Seconds(), AnsweredBy: map[string]int{}}
 	var lats []float64
 	// iters[lambda] holds the iteration sum and count of the solved warm
 	// (0, 1) and cold (2, 3) fits at lambda.
 	iters := map[float64][4]int{}
 	for i := range outcomes {
 		o := &outcomes[i]
+		if o.Status == 0 && o.Err == "" {
+			continue // never sent
+		}
+		rep.N++
 		switch {
 		case o.Status == http.StatusOK && o.Err == "":
 			rep.OK++

@@ -12,31 +12,20 @@ import (
 //
 //	f(w) = (1/2m) sum_i (x_i^T w - y_i)^2 = (1/2m) ||X^T w - y||^2
 //
-// for the d x m data matrix X. scratch must have length m (reused
-// across calls); pass nil to allocate internally.
-func LeastSquares(x *sparse.CSC, y, w, scratch []float64, c *perf.Cost) float64 {
-	m := x.Cols
-	if scratch == nil {
-		scratch = make([]float64, m)
-	}
-	x.MulVecT(scratch, w, c)
-	var s float64
-	for i, t := range scratch {
-		r := t - y[i]
-		s += r * r
-	}
-	c.AddFlops(int64(3 * m))
-	return s / (2 * float64(m))
+// for the d x m data matrix X, in one sweep over the columns
+// (sparse.CSC.ResidualLoss): 2·nnz + 3m flops, no scratch.
+func LeastSquares(x *sparse.CSC, y, w []float64, c *perf.Cost) float64 {
+	return x.ResidualLoss(w, y, 0, x.Cols, c) / (2 * float64(x.Cols))
 }
 
 // Objective couples the least-squares loss with a proximal regularizer
-// so that F(w) = f(w) + g(w) can be evaluated and tracked.
+// so that F(w) = f(w) + g(w) can be evaluated and tracked. f and ∇f each
+// take one sweep over the columns and keep no state, so concurrent
+// callers may share an Objective.
 type Objective struct {
 	X *sparse.CSC
 	Y []float64
 	G Operator
-
-	scratch []float64
 }
 
 // NewObjective returns an objective for data (x, y) and regularizer g.
@@ -44,29 +33,26 @@ func NewObjective(x *sparse.CSC, y []float64, g Operator) *Objective {
 	if x.Cols != len(y) {
 		panic("prox: Objective sample count mismatch")
 	}
-	return &Objective{X: x, Y: y, G: g, scratch: make([]float64, x.Cols)}
+	return &Objective{X: x, Y: y, G: g}
 }
 
 // F returns the full objective F(w) = f(w) + g(w).
 func (o *Objective) F(w []float64, c *perf.Cost) float64 {
-	return LeastSquares(o.X, o.Y, w, o.scratch, c) + o.G.Value(w, c)
+	return LeastSquares(o.X, o.Y, w, c) + o.G.Value(w, c)
 }
 
 // Smooth returns only f(w).
 func (o *Objective) Smooth(w []float64, c *perf.Cost) float64 {
-	return LeastSquares(o.X, o.Y, w, o.scratch, c)
+	return LeastSquares(o.X, o.Y, w, c)
 }
 
 // Gradient writes the exact gradient (Eq. 4),
 // grad f(w) = (1/m)(X X^T w - X y), into g without forming the Gram
-// matrix.
+// matrix: one sweep (sparse.CSC.ResidualGrad), then the 1/m scale.
 func (o *Objective) Gradient(g, w []float64, c *perf.Cost) {
-	m := float64(o.X.Cols)
-	o.X.MulVecT(o.scratch, w, c)
-	mat.Axpy(-1, o.Y, o.scratch, c)
 	mat.Zero(g)
-	o.X.MulVec(g, o.scratch, c)
-	mat.Scal(1/m, g, c)
+	o.X.ResidualGrad(g, w, o.Y, 0, o.X.Cols, c)
+	mat.Scal(1/float64(o.X.Cols), g, c)
 }
 
 // EstimateLipschitz estimates L = lambda_max((1/m) X X^T), the Lipschitz

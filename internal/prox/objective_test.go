@@ -2,6 +2,8 @@ package prox
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/mat"
@@ -32,7 +34,7 @@ func TestLeastSquaresValue(t *testing.T) {
 	// 1x2 matrix X = [1 2] (d=1, m=2), y = [1, 1], w = [2]:
 	// predictions [2, 4], residuals [1, 3], f = (1+9)/(2*2) = 2.5.
 	x := &sparse.CSC{Rows: 1, Cols: 2, ColPtr: []int{0, 1, 2}, RowIdx: []int{0, 0}, Val: []float64{1, 2}}
-	got := LeastSquares(x, []float64{1, 1}, []float64{2}, nil, nil)
+	got := LeastSquares(x, []float64{1, 1}, []float64{2}, nil)
 	if got != 2.5 {
 		t.Fatalf("LeastSquares = %g, want 2.5", got)
 	}
@@ -42,11 +44,11 @@ func TestObjectiveComposition(t *testing.T) {
 	x, y := testMatrix(5, 12, 1)
 	o := NewObjective(x, y, L1{Lambda: 0.3})
 	w := []float64{1, -2, 0, 0.5, 0}
-	want := LeastSquares(x, y, w, nil, nil) + 0.3*(1+2+0.5)
+	want := LeastSquares(x, y, w, nil) + 0.3*(1+2+0.5)
 	if got := o.F(w, nil); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("F = %g, want %g", got, want)
 	}
-	if got := o.Smooth(w, nil); math.Abs(got-LeastSquares(x, y, w, nil, nil)) > 1e-15 {
+	if got := o.Smooth(w, nil); math.Abs(got-LeastSquares(x, y, w, nil)) > 1e-15 {
 		t.Fatalf("Smooth = %g", got)
 	}
 }
@@ -89,6 +91,41 @@ func TestGradientZeroAtLeastSquaresSolution(t *testing.T) {
 	if f := o.Smooth(w, nil); f > 1e-20 {
 		t.Fatalf("loss at interpolating w: %g", f)
 	}
+}
+
+// TestObjectiveConcurrentReaders: an Objective keeps no scratch, so
+// goroutines sharing one read F and ∇f at their own iterates with the
+// bits a lone caller gets (under -race, a shared buffer would also be
+// reported).
+func TestObjectiveConcurrentReaders(t *testing.T) {
+	x, y := testMatrix(6, 30, 7)
+	o := NewObjective(x, y, L1{Lambda: 0.1})
+	ws, fs, grads := make([][]float64, 4), make([]float64, 4), make([][]float64, 4)
+	g := rng.New(8)
+	for i := range ws {
+		ws[i], grads[i] = make([]float64, 6), make([]float64, 6)
+		for j := range ws[i] {
+			ws[i][j] = g.NormFloat64()
+		}
+		fs[i] = o.F(ws[i], nil)
+		o.Gradient(grads[i], ws[i], nil)
+	}
+	var wg sync.WaitGroup
+	for i := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			grad := make([]float64, 6)
+			for range 50 {
+				o.Gradient(grad, ws[i], nil)
+				if f := o.F(ws[i], nil); math.Float64bits(f) != math.Float64bits(fs[i]) || !slices.Equal(grad, grads[i]) {
+					t.Errorf("reader %d: F %.17g, ∇f %v; alone %.17g, %v", i, f, grad, fs[i], grads[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEstimateLipschitzAgainstDense(t *testing.T) {

@@ -19,7 +19,7 @@ const (
 	// Triple is FISTA on the least-squares triple (G, r), the paper's
 	// b = 1 corner, certified by one data pass: /fit's least squares.
 	Triple
-	// LossPN is proximal Newton for any loss (CLI -algo logistic).
+	// LossPN is proximal Newton for any loss other than ls (CLI -loss).
 	LossPN
 	// The CLI-only least-squares baselines (-algo fista and ista, cd,
 	// prox-svrg, pn, cocoa).

@@ -179,7 +179,7 @@ func TestGramObjectiveMatchesDataPass(t *testing.T) {
 						e.wVer++
 						vals[i] = e.evaluate(false)
 						if f := e.evaluate(true); e.c.Rank() == 0 {
-							dataF[i], c = f, e.gram.c
+							dataF[i], c = f, e.tri.c
 						}
 					}
 					gram[e.c.Rank()] = vals
@@ -239,7 +239,7 @@ func TestGramObjectiveEngagement(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for rank, e := range engines {
-			if pc := counters[rank]; pc.fills != 1 || e.gram.h == nil || pc.objs != 1 || pc.snaps != 0 {
+			if pc := counters[rank]; pc.fills != 1 || e.tri == nil || pc.objs != 1 || pc.snaps != 0 {
 				t.Errorf("%s rank %d: %d fills, %d objective and %d snapshot passes; want 1 fill and only the final objective's",
 					tc.name, rank, pc.fills, pc.objs, pc.snaps)
 			}
@@ -255,9 +255,9 @@ func TestGramObjectiveEngagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank, e := range engines {
-		if n := counters[rank].objs; e.gram.h != nil || n < res.Iters+1 {
+		if n := counters[rank].objs; e.tri != nil || n < res.Iters+1 {
 			t.Errorf("activeset rank %d: filled=%t, %d data passes for %d updates, want no fill and every evaluation",
-				rank, e.gram.h != nil, n, res.Iters)
+				rank, e.tri != nil, n, res.Iters)
 		}
 	}
 	// Auto prices every rung at zero on one rank and stays on f64, so it
@@ -272,8 +272,8 @@ func TestGramObjectiveEngagement(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := tier == "auto" && procs == 1
-			if e := engines[0]; (e.gram.h != nil) != want {
-				t.Errorf("%s/p%d: filled=%t, want %t", tier, procs, e.gram.h != nil, want)
+			if e := engines[0]; (e.tri != nil) != want {
+				t.Errorf("%s/p%d: filled=%t, want %t", tier, procs, e.tri != nil, want)
 			}
 		}
 	}
@@ -293,7 +293,7 @@ func TestGramObjectiveEngagement(t *testing.T) {
 		t.Fatalf("warm start ran %d rounds, want the zero-round path", res.Rounds)
 	}
 	for rank, e := range engines {
-		if pc := counters[rank]; pc.fills != 1 || e.gram.h == nil || pc.objs != 1 || pc.snaps != 1 {
+		if pc := counters[rank]; pc.fills != 1 || e.tri == nil || pc.objs != 1 || pc.snaps != 1 {
 			t.Errorf("W0 rank %d: %d fills, %d objective and %d snapshot passes, want 1 of each",
 				rank, pc.fills, pc.objs, pc.snaps)
 		}
@@ -359,14 +359,14 @@ func TestGramObjectiveMovesNothing(t *testing.T) {
 				o.EvalEvery = o.MaxIter
 			}
 			res, engines, err := engineWorld(t, "chan", tc.procs, p, o, nil, func(e *engine) (*Result, error) {
-				e.gram.on = gram
+				e.fillsTri = gram
 				return e.run(context.Background(), e, e, tc.pipelined)
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if e := engines[0]; (e.gram.h != nil) != gram {
-				t.Fatalf("%s EvalEvery=%d: filled the triple %t", tc.name, o.EvalEvery, e.gram.h != nil)
+			if e := engines[0]; (e.tri != nil) != gram {
+				t.Fatalf("%s EvalEvery=%d: filled the triple %t", tc.name, o.EvalEvery, e.tri != nil)
 			}
 			return res
 		}
@@ -399,7 +399,7 @@ func TestGramObjectiveTolStop(t *testing.T) {
 	o.Tol = 1e-4
 	run := func(gram bool) *Result {
 		res, _, err := engineWorld(t, "chan", 4, p, o, nil, func(e *engine) (*Result, error) {
-			e.gram.on = gram
+			e.fillsTri = gram
 			return e.run(context.Background(), e, e, false)
 		})
 		if err != nil {
@@ -543,9 +543,9 @@ func TestGramObjectiveCancelAfterFill(t *testing.T) {
 			}
 			// Cancelled mid-run, so no final data pass followed.
 			for rank, e := range engines {
-				if pc := counters[rank]; e.gram.h == nil || pc.objs != 0 || pc.snaps != 0 {
+				if pc := counters[rank]; e.tri == nil || pc.objs != 0 || pc.snaps != 0 {
 					t.Errorf("%s rank %d: filled=%t after %d objective and %d snapshot passes",
-						name, rank, e.gram.h != nil, pc.objs, pc.snaps)
+						name, rank, e.tri != nil, pc.objs, pc.snaps)
 				}
 			}
 			dist.VerifyNoGoroutineLeaks(t, baseline)
@@ -593,7 +593,7 @@ func TestGramObjectiveUnderFaults(t *testing.T) {
 			t.Fatalf("%s: the plan injected nothing: %+v", name, res.Faults)
 		}
 		for rank, e := range engines {
-			if pc := counters[rank]; e.gram.h == nil || pc.fills != 1 || pc.objs != 1 || pc.snaps != 0 {
+			if pc := counters[rank]; e.tri == nil || pc.fills != 1 || pc.objs != 1 || pc.snaps != 0 {
 				t.Errorf("%s rank %d: %d fills after %d objective and %d snapshot passes", name, rank, pc.fills, pc.objs, pc.snaps)
 			}
 		}

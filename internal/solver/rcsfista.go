@@ -145,7 +145,6 @@ type engine struct {
 	sampler solvercore.StreamSampler
 
 	wPrev, wCurr, v, grad, tmp []float64
-	scratch                    []float64 // length mLocal
 	t                          float64
 	hIdx                       int
 	sinceSnap, sinceEval       int
@@ -185,9 +184,12 @@ type engine struct {
 	tierBestObj float64
 	tierStall   int
 	tierCap     dist.Tier
-	// gram is the resident least-squares triple the objective and the
-	// snapshot read (rcsfista_eval.go).
-	gram residentGram
+	// fillsTri says the solve fills the resident least-squares triple
+	// before round 0 (holdsTriple); tri is that triple once filled, nil
+	// before, which the objective and the snapshot read
+	// (rcsfista_eval.go).
+	fillsTri bool
+	tri      *Triple
 
 	// as is the dynamic-screening state (Options.ActiveSet); nil runs
 	// the dense path bit-identically to the goldens.
@@ -240,19 +242,18 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 		sampler: solvercore.StreamSampler{
 			Src: rng.NewSource(opts.Seed), Epoch: 1, N: m, Draw: mbar, FullWhenSaturated: true,
 		},
-		wPrev:   make([]float64, d),
-		wCurr:   make([]float64, d),
-		v:       make([]float64, d),
-		grad:    make([]float64, d),
-		tmp:     make([]float64, d),
-		scratch: make([]float64, local.X.Cols),
-		t:       1,
+		wPrev: make([]float64, d),
+		wCurr: make([]float64, d),
+		v:     make([]float64, d),
+		grad:  make([]float64, d),
+		tmp:   make([]float64, d),
+		t:     1,
 
 		slotDraw:  make([][]int, opts.K),
 		slotCols:  make([][]int, opts.K),
 		fillCosts: make([]perf.Cost, opts.K),
 
-		ex:          exactState{ver: -1, resid: -1, grad: make([]float64, d), norm: math.Inf(1)},
+		ex:          exactState{ver: -1, grad: make([]float64, d), norm: math.Inf(1), loss: math.NaN()},
 		tiers:       tiers,
 		tierBestObj: math.Inf(1),
 		tierCap:     dist.TierI8,
@@ -260,7 +261,7 @@ func newEngine(c dist.Comm, local LocalData, opts Options) (*engine, error) {
 	if s, ok := opts.Reg.(prox.Screener); ok {
 		e.scr = s
 	}
-	e.gram.on = holdsTriple(&opts, c.Size())
+	e.fillsTri = holdsTriple(&opts, c.Size())
 	if opts.W0 != nil {
 		if len(opts.W0) != d {
 			panic("solver: W0 length mismatch")

@@ -1,30 +1,31 @@
 package solver
 
 // The engine's exact state — ∇f, the gradient-map norm and the local
-// residual at the current iterate, memoised per iterate version — and
-// two of its readers: the stage-A snapshot refresh and the
+// loss at the current iterate, memoised per iterate version — and two
+// of its readers: the stage-A snapshot refresh and the
 // instrumentation-side objective evaluation (the KKT scan reads it in
 // activeset_window.go). Split from rcsfista.go, which keeps the round
-// loop, the update kernel and the solvercore hooks. A solve the
-// resident least-squares Gram is on for holds it from round 0, and the
-// state and the objective read it; any other takes one collective for
-// each, routed through the tier policy.
+// loop, the update kernel and the solvercore hooks. Each value has two
+// sources, each taken one way: the data, through the one fused sweep
+// (sparse.CSC.ResidualGrad, or ResidualLoss for an objective alone)
+// and one collective routed through the tier policy; or the resident
+// least-squares triple, a Triple without a step (triple.go) that a
+// solve the path is on for fills before round 0 and reads with no
+// collective.
 
 import (
 	"math"
 
 	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/mat"
-	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/solvercore"
-	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
 // start readies the solve before round 0: the resident triple filled
 // when its path is on, then under variance reduction the first
 // snapshot.
 func (e *engine) start() {
-	if e.gram.on {
+	if e.fillsTri {
 		e.fillGram()
 	}
 	if e.opts.VarianceReduced {
@@ -49,17 +50,21 @@ func (e *engine) refreshSnapshot() {
 }
 
 // exactState is the exact state of the iterate at one version: ∇f, the
-// proximal gradient-map norm, and — when it came from the data — the
-// local residual Xᵀw − y left in engine.scratch.
+// proximal gradient-map norm, and — when it came from the data — this
+// rank's squared residual sum.
 type exactState struct {
-	// ver is the iterate version grad and norm describe; resid the
-	// version whose residual scratch holds. -1: none yet.
-	ver, resid int
-	grad       []float64
+	// ver is the iterate version the state describes, -1 before the
+	// first take.
+	ver  int
+	grad []float64
 	// norm is ‖w − prox_γg(w − γ∇f)‖/γ, O(d) flops: the GradMapTol stop,
 	// Result.GradMap and the auto tier policy's tightening signal, +Inf
 	// before the first take (no signal yet: the policy stays loose).
 	norm float64
+	// loss is Σ(x_jᵀw − y_j)² over this rank's block, the sum the data
+	// take's sweep returns, NaN when the take read the triple. A
+	// data-pass objective at ver reads it instead of sweeping again.
+	loss float64
 }
 
 // exact returns ∇f at wCurr, with its gradient-map norm in ex.norm,
@@ -73,7 +78,7 @@ type exactState struct {
 // nearStop names re-taken through the data.
 func (e *engine) exact(ef *solvercore.EFStream, stop bool) []float64 {
 	if e.ex.ver != e.wVer {
-		gram := e.gram.h != nil
+		gram := e.tri != nil
 		e.takeExact(gram, ef, stop)
 		if gram && stop && e.nearStop(math.NaN(), e.ex.norm) {
 			e.takeExact(false, ef, stop)
@@ -85,17 +90,16 @@ func (e *engine) exact(ef *solvercore.EFStream, stop bool) []float64 {
 
 // takeExact computes the exact state of wCurr from one source: the
 // resident triple, ∇f = Gw − r at 2d² + d flops; or the data, ∇f =
-// X(Xᵀw − y)/m reduced on ef.
+// X(Xᵀw − y)/m from one sweep over the local block (ResidualGrad, which
+// leaves the local loss in ex.loss), reduced on ef.
 func (e *engine) takeExact(gram bool, ef *solvercore.EFStream, stop bool) {
 	cost, g := e.c.Cost(), e.ex.grad
 	if gram {
-		rg := &e.gram
-		rg.h.MulVec(g, e.wCurr, cost)
-		mat.Axpy(-1, rg.r, g, cost)
+		e.tri.grad(g, e.wCurr, cost)
+		e.ex.loss = math.NaN()
 	} else {
-		e.residual(cost)
 		mat.Zero(g)
-		e.local.X.MulVec(g, e.scratch, cost)
+		e.ex.loss = e.local.X.ResidualGrad(g, e.wCurr, e.local.Y, 0, e.local.X.Cols, cost)
 		mat.Scal(1/float64(e.m), g, cost)
 		ef.Reduce(e.c, g, e.tierAt(len(g)))
 	}
@@ -103,15 +107,6 @@ func (e *engine) takeExact(gram bool, ef *solvercore.EFStream, stop bool) {
 		cost = nil
 	}
 	e.ex.norm = gradMapNorm(e.tmp, e.wCurr, g, e.gamma, e.reg, cost)
-}
-
-// residual leaves this rank's Xᵀw − y at wCurr in scratch. It is local
-// and exact under every tier, so a data-pass objective at the same
-// iterate version reads it instead of taking its own pass.
-func (e *engine) residual(cost *perf.Cost) {
-	e.local.X.MulVecT(e.scratch, e.wCurr, cost)
-	mat.Axpy(-1, e.local.Y, e.scratch, cost)
-	e.ex.resid = e.wVer
 }
 
 // gramSlack is the relative band, in units of c + |F|, inside which a
@@ -132,65 +127,6 @@ const gramSlack = 1e-10
 // norm inside the band is re-taken, so no stop is ever the Gram's.
 const gramMapSlack = 1e-6
 
-// residentGram is the replicated least-squares triple. For least squares
-// F(w) = ½wᵀGw − rᵀw + c + g(w) and ∇f(w) = Gw − r, with G = XXᵀ/m,
-// r = Xy/m and c = ‖y‖²/2m — the paper's H_n and R_n at b = 1 (Eq. 18)
-// plus one scalar. Once every rank holds the same triple, an objective
-// or an exact gradient costs O(d²) flops, allocates nothing and sends
-// nothing, where a data pass costs ≥ 2·nnz_local flops and an
-// allreduce.
-//
-// The fill is FullGramPacked over the local block, ≤ (d+3)·nnz_local
-// flops, then one f64 AllreduceShared of PackedLen(d)+d+1 words. Every
-// solve the path is on for fills the triple before round 0 (start).
-// The fill is billed when the algorithm reads the triple — under
-// variance reduction, whose snapshots take ∇f from it — and otherwise
-// rolled back like any instrumentation, so W, Cost and Rounds do not
-// depend on the trace cadence. FillTriple fills the same triple with no
-// world (triple.go).
-type residentGram struct {
-	// on gates the path (holdsTriple).
-	on bool
-	// h, r, c are the replicated triple, nil h until filled. They view
-	// the fill's shared allreduce result (or a Triple's values), which
-	// nothing writes.
-	h *mat.SymPacked
-	r []float64
-	c float64
-}
-
-// view points the d-dimensional triple at tri: the packed G, then r,
-// then c.
-func (g *residentGram) view(tri []float64, d int) {
-	pl := mat.PackedLen(d)
-	g.h = &mat.SymPacked{N: d, Data: tri[:pl]}
-	g.r, g.c = tri[pl:pl+d], tri[pl+d]
-}
-
-// loss returns ½wᵀGw − rᵀw + c. Row i of the packed triangle carries
-// the pairs (i, j ≥ i), so a zero w_i contributes nothing to the
-// quadratic term and its row is skipped: on a sparse iterate the cost
-// is nnz(w)·d, not d².
-func (g *residentGram) loss(w []float64) float64 {
-	n := g.h.N
-	var quad, lin float64
-	base := 0
-	for i, wi := range w {
-		tail := g.h.Data[base : base+n-i]
-		base += n - i
-		lin += g.r[i] * wi
-		if wi == 0 {
-			continue
-		}
-		var off float64
-		for jj := 1; jj < len(tail); jj++ {
-			off += tail[jj] * w[i+jj]
-		}
-		quad += wi * (tail[0]*wi + 2*off)
-	}
-	return quad/2 - lin + g.c
-}
-
 // holdsTriple is the one rule for which world solves fill the
 // least-squares triple before round 0: none under ActiveSet (G may
 // outgrow its |A|-sized slots) or a CompressTier (the snapshot gradient
@@ -201,32 +137,16 @@ func holdsTriple(o *Options, p int) bool {
 	return err == nil && !o.ActiveSet && (!t.on || t.auto && p == 1)
 }
 
-// triplePartial returns one block's share of the least-squares triple:
-// its packed G, r and c summands at scale 1/m, the fill's allreduce
-// payload. Summed over the blocks in ascending rank order, the shares
-// are the triple.
-func triplePartial(local LocalData, cost *perf.Cost) []float64 {
-	d := local.X.Rows
-	pl := mat.PackedLen(d)
-	scale := 1 / float64(local.MGlobal)
-	part := make([]float64, pl+d+1)
-	sparse.FullGramPacked(local.X, &mat.SymPacked{N: d, Data: part[:pl]}, part[pl:pl+d], local.Y, scale, cost)
-	var yy float64
-	for _, v := range local.Y {
-		yy += v * v
-	}
-	part[pl+d] = yy * scale / 2
-	return part
-}
-
-// fillGram builds the replicated triple from this rank's block and one
-// allreduce, billed under variance reduction and rolled back otherwise
-// (see residentGram).
+// fillGram builds the replicated triple from this rank's block
+// (triplePartial) and one f64 AllreduceShared of PackedLen(d)+d+1
+// words, and takes no step. The fill is billed when the algorithm reads
+// the triple — under variance reduction, whose snapshots take ∇f from
+// it — and otherwise rolled back like any instrumentation, so W, Cost
+// and Rounds do not depend on the trace cadence.
 func (e *engine) fillGram() {
 	cost := e.c.Cost()
 	saved := *cost
-	g := &e.gram
-	g.view(e.c.AllreduceShared(triplePartial(e.local, cost)), e.d)
+	e.tri = newTriple(e.c.AllreduceShared(triplePartial(e.local, cost)), e.d, e.m, e.c.Size())
 	if !e.opts.VarianceReduced {
 		*cost = saved
 	}
@@ -238,12 +158,18 @@ func (e *engine) fillGram() {
 // decide the stop, so its reader re-takes it through the data. Pass NaN
 // for the value a reader does not hold.
 func (e *engine) nearStop(f, norm float64) bool {
-	if tol := e.opts.GradMapTol; tol > 0 && norm <= tol*(1+gramMapSlack) {
+	if tol := e.opts.GradMapTol; tol > 0 && nearMapStop(norm, tol) {
 		return true
 	}
 	tol, fs := e.rec.Tol, e.rec.FStar
-	return tol > 0 && math.Abs(f-fs) <= tol*math.Abs(fs)+gramSlack*(e.gram.c+math.Abs(f))
+	return tol > 0 && math.Abs(f-fs) <= tol*math.Abs(fs)+gramSlack*(e.tri.c+math.Abs(f))
 }
+
+// nearMapStop reports whether a Gram-sourced gradient-map norm lies
+// within gramMapSlack of the GradMapTol stop tol > 0, where only a data
+// pass may decide the stop: the engine's snapshot and SolveTriple's
+// certificate both ask it.
+func nearMapStop(norm, tol float64) bool { return norm <= tol*(1+gramMapSlack) }
 
 // evaluate computes the global objective F(wCurr) as instrumentation:
 // the communication and flops are rolled back so cost accounting
@@ -252,23 +178,19 @@ func (e *engine) nearStop(f, norm float64) bool {
 // reads it. A final checkpoint — one after which the solve ends —
 // always takes the data pass, and so does a Gram value at the Tol
 // threshold, so Result.FinalObj and every stop are the data pass's
-// exactly. The data pass reads the residual an exact take
-// left at this iterate, if one did.
+// exactly. The data pass reads the local loss an exact take left at
+// this iterate, if one did.
 func (e *engine) evaluate(final bool) float64 {
-	g := &e.gram
-	if !final && g.h != nil {
-		if f := g.loss(e.wCurr) + e.reg.Value(e.wCurr, nil); !e.nearStop(f, math.NaN()) {
+	if !final && e.tri != nil {
+		if f := e.tri.loss(e.wCurr) + e.reg.Value(e.wCurr, nil); !e.nearStop(f, math.NaN()) {
 			return f
 		}
 	}
 	cost := e.c.Cost()
 	saved := *cost
-	if e.ex.resid != e.wVer {
-		e.residual(nil)
-	}
-	var loss float64
-	for _, res := range e.scratch {
-		loss += res * res
+	loss := e.ex.loss
+	if e.ex.ver != e.wVer || math.IsNaN(loss) {
+		loss = e.local.X.ResidualLoss(e.wCurr, e.local.Y, 0, e.local.X.Cols, nil)
 	}
 	loss = dist.AllreduceScalarSumTier(e.c, loss, e.tierAt(1))
 	*cost = saved

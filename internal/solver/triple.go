@@ -1,12 +1,15 @@
 package solver
 
-// A least-squares solve answered from the triple (G, r, c) with no
-// world: at b = 1 the paper's sampled pair (H_n, R_n) of Eq. 18 is
+// The least-squares triple (G, r, c) — the one type that lays it out
+// and computes Gw − r and ½wᵀGw − rᵀw + c from it, for the engine's
+// resident copy and for solves with no world — and the solve answered
+// from it: at b = 1 the paper's sampled pair (H_n, R_n) of Eq. 18 is
 // (G, r), so the whole solve is Algorithm 2's deterministic FISTA on
 // ½wᵀGw − rᵀw + c + g(w) at the step 1/λmax(G) — CA-BCD's resident Gram
 // (arXiv 1612.04003), the b → 1 end of the subsampled-Newton trade-off
-// (arXiv 1708.08552) — and one data pass over the P column blocks
-// certifies the answer with the bits a P-rank world's data pass takes.
+// (arXiv 1708.08552) — and one data pass over the P column blocks,
+// the engine's fused sweep folded in rank order, certifies the answer
+// with the bits a P-rank world's data pass takes.
 
 import (
 	"context"
@@ -30,15 +33,34 @@ const tripleCheckEvery = 10
 
 // Triple is the least-squares triple of one (data, P): the packed
 // G = XXᵀ/m, then r = Xy/m, then c = ‖y‖²/2m, with the bits a P-rank
-// world fill's shared allreduce sums, and the one step size every solve
-// on it takes. It depends on neither λ, the regularizer, w nor a
+// world fill's shared allreduce sums. For least squares
+// F(w) = ½wᵀGw − rᵀw + c + g(w) and ∇f(w) = Gw − r — the paper's H_n
+// and R_n at b = 1 (Eq. 18) plus one scalar — so once the triple is
+// held an objective or an exact gradient costs O(d²) flops, allocates
+// nothing and sends nothing, where a data pass costs ≥ 2·nnz flops and
+// an allreduce. It depends on neither λ, the regularizer, w nor a
 // tolerance, so one Triple answers every least-squares solve of its
-// data on P ranks. FillTriple makes it and nothing writes it after, so
-// concurrent solves read it without copies.
+// data on P ranks. FillTriple makes one with its step, a world solve
+// fills its own before round 0 without one (engine.fillGram), and
+// nothing writes either after, so concurrent solves read it without
+// copies.
 type Triple struct {
-	d, m, p int
-	vals    []float64
-	step    float64
+	m, p int
+	// g, r and c view vals, the fill's allreduce payload.
+	g    mat.SymPacked
+	r    []float64
+	c    float64
+	vals []float64
+	// step is FISTA's 1/L, L ≥ λmax(G) (lipschitzBound); 0 on a world's
+	// triple, which no FISTA runs on.
+	step float64
+}
+
+// newTriple views the d-dimensional triple of m samples on p ranks in
+// vals: the packed G, then r, then c.
+func newTriple(vals []float64, d, m, p int) *Triple {
+	pl := mat.PackedLen(d)
+	return &Triple{m: m, p: p, g: mat.SymPacked{N: d, Data: vals[:pl]}, r: vals[pl : pl+d], c: vals[pl+d], vals: vals}
 }
 
 // Step reports the triple's FISTA step 1/L, where L bounds λmax(G)
@@ -48,32 +70,67 @@ func (t *Triple) Step() float64 { return t.step }
 // Bytes reports the memory the triple's values hold.
 func (t *Triple) Bytes() int64 { return 8 * int64(len(t.vals)) }
 
+// grad writes ∇f(w) = Gw − r into dst, 2d² + d flops.
+func (t *Triple) grad(dst, w []float64, cost *perf.Cost) {
+	t.g.MulVec(dst, w, cost)
+	mat.Axpy(-1, t.r, dst, cost)
+}
+
+// loss returns f(w) = ½wᵀGw − rᵀw + c. Row i of the packed triangle
+// carries the pairs (i, j ≥ i), so a zero w_i contributes nothing to
+// the quadratic term and its row is skipped: on a sparse iterate the
+// cost is nnz(w)·d, not d².
+func (t *Triple) loss(w []float64) float64 {
+	n := t.g.N
+	var quad, lin float64
+	base := 0
+	for i, wi := range w {
+		tail := t.g.Data[base : base+n-i]
+		base += n - i
+		lin += t.r[i] * wi
+		if wi == 0 {
+			continue
+		}
+		var off float64
+		for jj := 1; jj < len(tail); jj++ {
+			off += tail[jj] * w[i+jj]
+		}
+		quad += wi * (tail[0]*wi + 2*off)
+	}
+	return quad/2 - lin + t.c
+}
+
+// triplePartial returns one block's share of the least-squares triple:
+// its G, r and c summands at scale 1/m, the fill's allreduce payload.
+// Summed over the blocks in ascending rank order, the shares are the
+// triple. The fill is FullGramPacked over the block, ≤ (d+3)·nnz
+// flops.
+func triplePartial(local LocalData, cost *perf.Cost) []float64 {
+	d := local.X.Rows
+	scale := 1 / float64(local.MGlobal)
+	part := newTriple(make([]float64, mat.PackedLen(d)+d+1), d, 0, 0) // a share, laid out as a triple
+	sparse.FullGramPacked(local.X, &part.g, part.r, local.Y, scale, cost)
+	var yy float64
+	for _, v := range local.Y {
+		yy += v * v
+	}
+	part.vals[len(part.vals)-1] = yy * scale / 2
+	return part.vals
+}
+
 // FillTriple fills the triple of (x, y) on p ranks in-process: the
-// triplePartial of each block Partition deals, concurrently, summed in
-// ascending rank order as the fill's shared allreduce sums them; then
-// its step from lipschitzBound. The fill's flops, block costs merged in
-// rank order, and the bound's go to cost.
+// triplePartial of each block Partition deals, folded in rank order
+// (foldBlocks) as the fill's shared allreduce sums them; then its step
+// from lipschitzBound. The fill's flops and the bound's go to cost.
 func FillTriple(x *sparse.CSC, y []float64, p int, cost *perf.Cost) *Triple {
 	if p < 1 || x.Cols != len(y) {
 		panic(fmt.Sprintf("solver: triple of %d samples, %d labels on %d ranks", x.Cols, len(y), p))
 	}
-	parts := make([][]float64, p)
-	costs := make([]perf.Cost, p)
-	eachBlock(p, func(q int) { parts[q] = triplePartial(Partition(x, y, p, q), &costs[q]) })
-	vals := parts[0]
-	for _, part := range parts[1:] {
-		for i, v := range part {
-			vals[i] += v
-		}
-	}
-	for _, c := range costs {
-		cost.Add(c)
-	}
-	t := &Triple{d: x.Rows, m: x.Cols, p: p, vals: vals, step: 1}
-	var g residentGram
-	g.view(vals, t.d)
+	vals := foldBlocks(p, cost, func(q int, c *perf.Cost) []float64 { return triplePartial(Partition(x, y, p, q), c) })
+	t := newTriple(vals, x.Rows, x.Cols, p)
+	t.step = 1
 	// A zero G (all-zero data) takes any step; 1 stands in.
-	if l := lipschitzBound(g.h, cost); l > 0 {
+	if l := lipschitzBound(&t.g, cost); l > 0 {
 		t.step = 1 / l
 	}
 	return t
@@ -144,8 +201,8 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, tri *Triple, m
 	o := opts.withDefaults()
 	d, m, p := x.Rows, x.Cols, tri.p
 	switch {
-	case d != tri.d || m != tri.m || m != len(y):
-		return nil, fmt.Errorf("solver: triple of %d features, %d samples answers a solve of %d, %d (%d labels)", tri.d, tri.m, d, m, len(y))
+	case d != tri.g.N || m != tri.m || m != len(y):
+		return nil, fmt.Errorf("solver: triple of %d features, %d samples answers a solve of %d, %d (%d labels)", tri.g.N, tri.m, d, m, len(y))
 	case o.W0 != nil && len(o.W0) != d:
 		return nil, fmt.Errorf("solver: W0 has %d coords, want %d", len(o.W0), d)
 	case o.Lambda < 0:
@@ -170,10 +227,10 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, tri *Triple, m
 			if err = ctx.Err(); err != nil {
 				break
 			}
-			// The world's rule (nearStop): a Gram norm within gramMapSlack
-			// of the stop is the data pass's to decide, so an answer whose
-			// data norm meets tol certifies again from its own W.
-			if tol > 0 && s.gramNorm() <= tol*(1+gramMapSlack) {
+			// The world's rule (nearMapStop): a Gram norm near the stop is
+			// the data pass's to decide, so an answer whose data norm
+			// meets tol certifies again from its own W.
+			if tol > 0 && nearMapStop(s.gramNorm(), tol) {
 				if obj, norm := dataPass(x, y, p, s.w, s.lr, o.Reg, s.grad, s.tmp, &res.Cost); norm <= tol {
 					res.FinalObj, res.GradMap, res.Converged = obj, norm, true
 					break
@@ -203,7 +260,7 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, tri *Triple, m
 
 // tripleSolve is the local FISTA state of SolveTriple.
 type tripleSolve struct {
-	g                      residentGram
+	tri                    *Triple
 	reg                    prox.Operator
 	lr, t                  float64
 	w, wPrev, v, grad, tmp []float64
@@ -212,11 +269,10 @@ type tripleSolve struct {
 
 // newTripleSolve starts FISTA on tri at o.W0, with tri's step.
 func newTripleSolve(tri *Triple, o Options, cost *perf.Cost) *tripleSolve {
-	d := tri.d
-	s := &tripleSolve{reg: o.Reg, lr: tri.step, t: 1, cost: cost,
+	d := tri.g.N
+	s := &tripleSolve{tri: tri, reg: o.Reg, lr: tri.step, t: 1, cost: cost,
 		w: make([]float64, d), wPrev: make([]float64, d), v: make([]float64, d),
 		grad: make([]float64, d), tmp: make([]float64, d)}
-	s.g.view(tri.vals, d)
 	if o.W0 != nil {
 		copy(s.w, o.W0)
 		copy(s.wPrev, o.W0)
@@ -232,8 +288,7 @@ func (s *tripleSolve) step() {
 	s.t = tNext
 	mat.Sub(s.v, s.w, s.wPrev, s.cost)
 	mat.AddScaled(s.v, s.w, mu, s.v, s.cost)
-	s.g.h.MulVec(s.grad, s.v, s.cost)
-	mat.Axpy(-1, s.g.r, s.grad, s.cost)
+	s.tri.grad(s.grad, s.v, s.cost)
 	s.w, s.wPrev = s.wPrev, s.w
 	mat.AddScaled(s.w, s.v, -s.lr, s.grad, s.cost)
 	s.reg.Apply(s.w, s.w, s.lr, s.cost)
@@ -253,8 +308,7 @@ func (s *tripleSolve) step() {
 
 // gramNorm is the gradient-map norm at w and the step from ∇f = Gw − r.
 func (s *tripleSolve) gramNorm() float64 {
-	s.g.h.MulVec(s.grad, s.w, s.cost)
-	mat.Axpy(-1, s.g.r, s.grad, s.cost)
+	s.tri.grad(s.grad, s.w, s.cost)
 	return gradMapNorm(s.tmp, s.w, s.grad, s.lr, s.reg, s.cost)
 }
 
@@ -266,51 +320,52 @@ func gradMapNorm(tmp, w, grad []float64, gamma float64, reg prox.Operator, cost 
 	return mat.Nrm2(tmp, cost) / gamma
 }
 
-// eachBlock runs f(q) for every block q of p, q ≥ 1 on goroutines of
-// their own and q = 0 on the caller, and returns when all are done.
-func eachBlock(p int, f func(q int)) {
+// foldBlocks runs part(q, cost_q) for every block q of p — q ≥ 1 on
+// goroutines of their own, q = 0 on the caller — and sums the parts in
+// ascending rank order into the first, as a p-rank world's allreduce
+// sums them; the block costs merge into cost. It returns the sum.
+func foldBlocks(p int, cost *perf.Cost, part func(q int, c *perf.Cost) []float64) []float64 {
+	parts := make([][]float64, p)
+	costs := make([]perf.Cost, p)
 	var wg sync.WaitGroup
 	for q := 1; q < p; q++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f(q)
+			parts[q] = part(q, &costs[q])
 		}()
 	}
-	f(0)
+	parts[0] = part(0, &costs[0])
 	wg.Wait()
-}
-
-// dataPass takes the exact state of w from the p column blocks of
-// (x, y) as a world of p ranks takes it: each block's gradient
-// X(Xᵀw − y)/m and squared residual sum (sparse.ResidualGrad, the bits
-// of the engine's residual and data-source gradient), concurrently, with
-// grad and the loss summed in ascending rank order like the world's
-// allreduces. It returns the engine's data-pass objective loss/2m + g(w)
-// and its gradient-map norm at gamma, leaving ∇f in grad.
-func dataPass(x *sparse.CSC, y []float64, p int, w []float64, gamma float64, reg prox.Operator, grad, tmp []float64, cost *perf.Cost) (obj, norm float64) {
-	m := x.Cols
-	grads := make([][]float64, p)
-	losses := make([]float64, p)
-	costs := make([]perf.Cost, p)
-	eachBlock(p, func(q int) {
-		lo, hi := dist.BlockRange(m, p, q)
-		g := make([]float64, len(w))
-		losses[q] = x.ResidualGrad(g, w, y, lo, hi, &costs[q])
-		mat.Scal(1/float64(m), g, &costs[q])
-		grads[q] = g
-	})
-	copy(grad, grads[0])
-	loss := losses[0]
+	sum := parts[0]
 	for q := 1; q < p; q++ {
-		for i, v := range grads[q] {
-			grad[i] += v
+		for i, v := range parts[q] {
+			sum[i] += v
 		}
-		loss += losses[q]
 	}
 	for _, c := range costs {
 		cost.Add(c)
 	}
-	obj = loss/(2*float64(m)) + reg.Value(w, nil)
+	return sum
+}
+
+// dataPass takes the exact state of w from the p column blocks of
+// (x, y) as a world of p ranks takes it: each block's gradient
+// X(Xᵀw − y)/m and squared residual sum in one sweep
+// (sparse.ResidualGrad, the engine's data take), the loss riding at the
+// end of the gradient, folded in rank order like the world's
+// allreduces. It returns the engine's data-pass objective loss/2m + g(w)
+// and its gradient-map norm at gamma, leaving ∇f in grad.
+func dataPass(x *sparse.CSC, y []float64, p int, w []float64, gamma float64, reg prox.Operator, grad, tmp []float64, cost *perf.Cost) (obj, norm float64) {
+	m, d := x.Cols, len(w)
+	sum := foldBlocks(p, cost, func(q int, c *perf.Cost) []float64 {
+		lo, hi := dist.BlockRange(m, p, q)
+		part := make([]float64, d+1)
+		part[d] = x.ResidualGrad(part[:d], w, y, lo, hi, c)
+		mat.Scal(1/float64(m), part[:d], c)
+		return part
+	})
+	copy(grad, sum[:d])
+	obj = sum[d]/(2*float64(m)) + reg.Value(w, nil)
 	return obj, gradMapNorm(tmp, w, grad, gamma, reg, cost)
 }

@@ -75,12 +75,6 @@ func sameAnswer(a, b *Result) bool {
 		sameFloats([]float64{a.FinalObj, a.GradMap}, []float64{b.FinalObj, b.GradMap})
 }
 
-// worldTriple reads the triple a world solve's engine holds: its packed
-// G, then r, then c, as the fill's shared allreduce summed them.
-func worldTriple(e *engine) []float64 {
-	return append(append(slices.Clone(e.gram.h.Data), e.gram.r...), e.gram.c)
-}
-
 // TestTripleMatchesWorldFill: the triple FillTriple fills in-process is,
 // bit for bit, the one a p-rank world solve fills before round 0 (read
 // off rank 0's engine), at P ∈ {1, 2, 4} on chan and tcp, on the sparse
@@ -98,13 +92,11 @@ func TestTripleMatchesWorldFill(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if engines[0].gram.h == nil {
+			if engines[0].tri == nil {
 				t.Fatalf("%s: the world solve did not fill the triple", label)
 			}
-			world := &Triple{d: local.d, m: local.m, p: local.p, vals: worldTriple(engines[0])}
-			var g residentGram
-			g.view(world.vals, world.d)
-			world.step = 1 / lipschitzBound(g.h, nil)
+			world := newTriple(slices.Clone(engines[0].tri.vals), local.g.N, local.m, local.p)
+			world.step = 1 / lipschitzBound(&world.g, nil)
 			if !sameFloats(local.vals, world.vals) || local.Step() != world.Step() {
 				t.Fatalf("%s: the in-process triple differs from the world fill's (step %g, world's %g)", label, local.Step(), world.Step())
 			}
@@ -139,9 +131,7 @@ func TestTripleStepIsSafe(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 4} {
 			tri := FillTriple(p.X, p.Y, procs, nil)
-			var g residentGram
-			g.view(tri.vals, tri.d)
-			lam := EstimateQuadLipschitz(g.h, 1000, nil)
+			lam := EstimateQuadLipschitz(&tri.g, 1000, nil)
 			if r := tri.Step() * lam; !(r <= 1+1e-9 && r >= 1-1e-3) {
 				t.Fatalf("%s %d×%d P=%d: step·λmax = %.12f, want ≤ 1 and within 0.1 %% of it", s.name, s.m, s.d, procs, r)
 			}

@@ -118,10 +118,33 @@ func (a *CSC) MulVec(y, t []float64, c *perf.Cost) {
 // and it returns Σ s_j². y is indexed like the columns. Its bits are
 // those of the three-pass form over ColSlice(lo, hi) — MulVecT, Axpy of
 // −y, MulVec into g — and of the squared residuals summed in column
-// order, and so is its charge; g is accumulated, not overwritten.
+// order, and so is its charge; g is accumulated, not overwritten, and a
+// zero residual adds nothing to it, as MulVec skips a zero t_j.
 func (a *CSC) ResidualGrad(g, w, y []float64, lo, hi int, c *perf.Cost) float64 {
-	if len(g) != a.Rows || len(w) != a.Rows || len(y) != a.Cols || lo < 0 || hi > a.Cols || lo > hi {
+	if len(g) != a.Rows {
 		panic("sparse: ResidualGrad dimension mismatch")
+	}
+	loss := a.residualSweep(g, w, y, lo, hi)
+	c.AddFlops(4*int64(a.ColPtr[hi]-a.ColPtr[lo]) + 2*int64(hi-lo))
+	return loss
+}
+
+// ResidualLoss is the loss half of ResidualGrad: Σ (x_jᵀw − y_j)² over
+// columns [lo, hi), with its bits. It charges 2·nnz + 3·(hi − lo): the
+// predictions, then a subtract, a square and an add per column.
+func (a *CSC) ResidualLoss(w, y []float64, lo, hi int, c *perf.Cost) float64 {
+	loss := a.residualSweep(nil, w, y, lo, hi)
+	c.AddFlops(2*int64(a.ColPtr[hi]-a.ColPtr[lo]) + 3*int64(hi-lo))
+	return loss
+}
+
+// residualSweep is the one least-squares sweep: each column's
+// prediction x_jᵀw summed in entry order as MulVecT sums it, the
+// residual s_j, Σ s_j² in column order, and s_j·x_j added to g unless g
+// is nil or s_j is zero.
+func (a *CSC) residualSweep(g, w, y []float64, lo, hi int) float64 {
+	if len(w) != a.Rows || len(y) != a.Cols || lo < 0 || hi > a.Cols || lo > hi {
+		panic("sparse: residual sweep dimension mismatch")
 	}
 	var loss float64
 	for j := lo; j < hi; j++ {
@@ -132,15 +155,13 @@ func (a *CSC) ResidualGrad(g, w, y []float64, lo, hi int, c *perf.Cost) float64 
 		}
 		s += -1 * y[j]
 		loss += s * s
-		if s == 0 {
+		if s == 0 || g == nil {
 			continue
 		}
 		for k, r := range rows {
 			g[r] += vals[k] * s
 		}
 	}
-	nnz := int64(a.ColPtr[hi] - a.ColPtr[lo])
-	c.AddFlops(4*nnz + 2*int64(hi-lo))
 	return loss
 }
 

@@ -174,3 +174,32 @@ func gramViewSweep(a *CSC, view *ActiveView, h *mat.SymPacked, r []float64, y []
 	}
 	c.AddFlops(flops)
 }
+
+// residualPasses is the three-pass form of the least-squares data pass
+// over a block blk with labels y, the form ResidualGrad fuses: MulVecT
+// into resid, Axpy of −y, MulVec into g, then the squared residuals
+// summed in column order. resid has length blk.Cols.
+func residualPasses(blk *CSC, g, w, y, resid []float64, c *perf.Cost) float64 {
+	blk.MulVecT(resid, w, c)
+	mat.Axpy(-1, y, resid, c)
+	blk.MulVec(g, resid, c)
+	var loss float64
+	for _, v := range resid {
+		loss += v * v
+	}
+	return loss
+}
+
+// lossPasses is the two-pass form of ResidualLoss over a block with
+// labels y: MulVecT into pred, then a subtract, a square and an add per
+// column, charged 3 flops each. pred has length blk.Cols.
+func lossPasses(blk *CSC, w, y, pred []float64, c *perf.Cost) float64 {
+	blk.MulVecT(pred, w, c)
+	var loss float64
+	for i, t := range pred {
+		r := t - y[i]
+		loss += r * r
+	}
+	c.AddFlops(int64(3 * len(pred)))
+	return loss
+}

@@ -331,48 +331,3 @@ func almostEq(a, b float64) bool {
 	d := math.Abs(a - b)
 	return d <= 1e-10 || d <= 1e-10*math.Max(math.Abs(a), math.Abs(b))
 }
-
-// TestResidualGradMatchesThreePasses: the one-sweep data pass equals,
-// bit for bit and in its charge, the three passes a rank's data pass
-// runs over its ColSlice block — MulVecT, Axpy of −y, MulVec — with the
-// squared residuals summed in column order. Some labels equal their
-// prediction, so some residuals are exactly zero and skipped.
-func TestResidualGradMatchesThreePasses(t *testing.T) {
-	a := randomCSC(9, 40, 0.4, 11)
-	g := rng.New(12)
-	w := make([]float64, a.Rows)
-	for i := range w {
-		w[i] = g.NormFloat64()
-	}
-	y := make([]float64, a.Cols)
-	a.MulVecT(y, w, nil)
-	for j := range y {
-		if j%3 != 0 {
-			y[j] += g.NormFloat64()
-		}
-	}
-	for _, r := range [][2]int{{0, 40}, {0, 13}, {13, 27}, {27, 40}, {5, 5}} {
-		lo, hi := r[0], r[1]
-		blk := a.ColSlice(lo, hi)
-		var wantCost, gotCost perf.Cost
-		resid := make([]float64, blk.Cols)
-		blk.MulVecT(resid, w, &wantCost)
-		mat.Axpy(-1, y[lo:hi], resid, &wantCost)
-		want := make([]float64, a.Rows)
-		blk.MulVec(want, resid, &wantCost)
-		var wantLoss float64
-		for _, v := range resid {
-			wantLoss += v * v
-		}
-		got := make([]float64, a.Rows)
-		gotLoss := a.ResidualGrad(got, w, y, lo, hi, &gotCost)
-		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) || gotCost != wantCost {
-			t.Fatalf("[%d,%d): loss %.17g cost %+v, three passes %.17g cost %+v", lo, hi, gotLoss, gotCost, wantLoss, wantCost)
-		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("[%d,%d): g[%d] = %.17g, three passes %.17g", lo, hi, i, got[i], want[i])
-			}
-		}
-	}
-}
