@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzSampledGramPacked$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -run NONE -fuzz '^FuzzSampledGramPackedActive$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -run NONE -fuzz '^FuzzResidualPass$$' -fuzztime $(FUZZTIME) ./internal/sparse
+	$(GO) test -run NONE -fuzz '^FuzzTripleBound$$' -fuzztime $(FUZZTIME) ./internal/solver
 	$(GO) test -run NONE -fuzz '^FuzzSampledHessianPacked$$' -fuzztime $(FUZZTIME) ./internal/erm
 	$(GO) test -run NONE -fuzz '^FuzzReadLIBSVM$$' -fuzztime $(FUZZTIME) ./internal/data
 	$(GO) test -run NONE -fuzz '^FuzzLIBSVMIndices$$' -fuzztime $(FUZZTIME) ./internal/data

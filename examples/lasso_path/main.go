@@ -4,8 +4,9 @@
 // path is computed by warm-started solves over a log-spaced grid of
 // penalties, on a covtype-shaped instance, each answered from the
 // least-squares triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m) with no
-// world: solver.SolveTriple, the paper's b = 1 corner, certified by one
-// data pass. The triple is filled once (solver.FillTriple), with its
+// world: solver.SolveTriple, the paper's b = 1 corner, certified by the
+// triple's own rounding-error bound, so no point reads the data after
+// the fill. The triple is filled once (solver.FillTriple), with its
 // step 1/λmax(G), and every path point reads it.
 //
 // Run with:
@@ -60,7 +61,7 @@ func main() {
 		opts.MaxIter = 4000
 		opts.W0 = warm
 
-		res, err := solver.SolveTriple(context.Background(), prob.X, prob.Y, tri, perf.Comet(), opts)
+		res, err := solver.SolveTriple(context.Background(), tri, perf.Comet(), opts)
 		if err != nil {
 			log.Fatal(err)
 		}

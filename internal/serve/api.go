@@ -9,11 +9,12 @@
 //     triple (G = XXᵀ/m, r = Xy/m, c = ‖y‖²/2m) and its one step size
 //     1/λmax(G), which depend on neither lambda, the regularizer nor
 //     the iterate. Every least-squares fit is answered from the triple
-//     with no world (solver.SolveTriple): Algorithm 2's deterministic
-//     FISTA on (G, r) — the paper's b = 1 corner — of at most max_iter
-//     iterations, and one data pass over the procs column blocks that
-//     certifies it or, when it does not certify within max_iter,
-//     prices its unconverged answer. The first fit fills the triple
+//     with no world and without reading the data (solver.SolveTriple):
+//     Algorithm 2's deterministic FISTA on (G, r) — the paper's b = 1
+//     corner — of at most max_iter iterations, certified when its
+//     gradient-map norm plus the triple's rounding-error bound meets
+//     gradmap_tol, and priced by the triple's objective whether or not
+//     it certifies within max_iter. The first fit fills the triple
 //     in-process (solver.FillTriple) and bills the fill; the reply is
 //     otherwise the same whether the triple was kept or filled for
 //     this fit. The triples hold at most the bytes of the dataset's X
@@ -24,8 +25,9 @@
 //     at a neighboring lambda warm-starts from the cached solution, in
 //     fewer iterations.
 //
-// Each path entry also keeps the certificate its solve stopped on — the
-// gradient-mapping norm at w (solver.Result.GradMap) — and the world
+// Each path entry also keeps the certificate its solve stopped on — an
+// upper bound on the gradient-mapping norm at w (solver.Result.GradMap),
+// which the reply carries as gradmap — and the world
 // size it was measured on. A repeat at the entry's exact lambda, on the
 // same world size, whose GradMapTol the stored norm meets is a certified
 // hit: it is answered from the entry without a solve or reading the
@@ -123,7 +125,7 @@ type FitRequest struct {
 	B float64 `json:"b,omitempty"`
 	// Procs is the world size the fit is answered on — the ranks of a
 	// proximal newton world, the column blocks a least-squares fit's
-	// triple and data pass sum over; zero selects the server default.
+	// triple sums over; zero selects the server default.
 	// The answer depends on Procs only in its last bits — the sums group
 	// by partition — which is why warm starts ignore it: an entry
 	// published at any P warm-starts a fit at any other. A certified
@@ -192,13 +194,18 @@ type FitResponse struct {
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	ModelSeconds float64 `json:"model_seconds"`
 	// AnsweredBy names the path that answered: "triple" (a local solve
-	// on the dataset's triple at its step, certified by one data pass,
-	// unconverged when it did not certify within MaxIter, or cut short
-	// by the deadline; Rounds is 0 and Iters counts local iterations;
-	// every least-squares fit a solve answers), "world" (a proximal
-	// newton fit on a world, for a loss other than ls) or "cache" (a
-	// certified hit).
+	// on the dataset's triple at its step, certified by the triple's
+	// rounding-error bound without a data pass, unconverged when it did
+	// not certify within MaxIter, or cut short by the deadline; Rounds
+	// is 0 and Iters counts local iterations; every least-squares fit a
+	// solve answers), "world" (a proximal newton fit on a world, for a
+	// loss other than ls) or "cache" (a certified hit).
 	AnsweredBy string `json:"answered_by"`
+	// GradMap is the certificate the fit stopped on: an upper bound on
+	// the exact gradient-mapping norm at w, at most GradMapTol — on a
+	// certified hit the cache entry's stored bound, which its publisher
+	// reported. It is absent from every reply that certified nothing.
+	GradMap float64 `json:"gradmap,omitempty"`
 
 	// W is the coefficient vector, present only with ReturnW.
 	W []float64 `json:"w,omitempty"`

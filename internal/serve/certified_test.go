@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/data"
-	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/serve"
 	"github.com/hpcgo/rcsfista/internal/solver"
@@ -50,12 +49,12 @@ func certifiedReq() *serve.FitRequest {
 	return &serve.FitRequest{Dataset: smallRef(), LambdaRatio: 0.2, ReturnW: true}
 }
 
-// directZeroRound runs, outside the server, a world solve of smallRef
-// at lambda warm-started at w on procs ranks (SolveDistributedContext,
-// at the step of the procs-rank triple and the server's tolerance): at
-// a certified triple answer it stops before round 0 with the answer's
-// bits, since the triple's certificate is the world's data pass.
-func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solver.Result {
+// tripleAt answers, outside the server, a smallRef fit at lambda with
+// the server's options from SolveTriple warm-started at w on a fresh
+// procs-rank triple: at a certified triple answer it certifies before
+// its first iteration with the answer's bits, since the certificate is
+// a pure function of the triple and w.
+func tripleAt(t *testing.T, lambda float64, w []float64, procs int) *solver.Result {
 	t.Helper()
 	ref := smallRef()
 	p, err := data.LoadWith(ref.Name, ref.Samples, ref.Features, ref.Seed)
@@ -66,13 +65,7 @@ func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solv
 	o := solver.Defaults()
 	o.Lambda, o.W0 = lambda, w
 	o.MaxIter, o.GradMapTol = cfg.MaxIter, cfg.GradMapTol
-	// The step of the triple the fit was answered from.
-	o.Gamma = solver.FillTriple(p.X, p.Y, procs, nil).Step()
-	world, err := dist.NewWorldOn("chan", procs, perf.Comet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := solver.SolveDistributedContext(context.Background(), world, p.X, p.Y, o)
+	res, err := solver.SolveTriple(context.Background(), solver.FillTriple(p.X, p.Y, procs, nil), perf.Comet(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +74,10 @@ func directZeroRound(t *testing.T, lambda float64, w []float64, procs int) *solv
 
 // TestCertifiedHitNeedsNoWorld: repeating a converged fit is answered
 // from the lambda-path cache — zero rounds, zero elapsed and modeled
-// time, one more certified hit — with the w and objective bits of the
-// publishing fit, which are also the bits the zero-round solve returns.
-// Every request the stored certificate does not cover runs a solve.
+// time, one more certified hit — with the w, objective and gradmap bits
+// of the publishing fit, which are also the bits SolveTriple
+// warm-started at w returns after 0 iterations. Every request the
+// stored certificate does not cover runs a solve.
 func TestCertifiedHitNeedsNoWorld(t *testing.T) {
 	_, ts := newTestServer(t, fastConfig())
 	client := ts.Client()
@@ -110,12 +104,14 @@ func TestCertifiedHitNeedsNoWorld(t *testing.T) {
 			sn.CertifiedHits, sn.WarmFits, sn.WarmIters, sn.ColdFits, sn.ColdIters, first.Iters)
 	}
 
-	direct := directZeroRound(t, first.Lambda, first.W, fastConfig().Procs)
-	if direct.Rounds != 0 || !direct.Converged {
-		t.Fatalf("direct warm start at w: %d rounds, converged=%t", direct.Rounds, direct.Converged)
+	direct := tripleAt(t, first.Lambda, first.W, fastConfig().Procs)
+	if direct.Iters != 0 || direct.Rounds != 0 || !direct.Converged {
+		t.Fatalf("triple warm-started at w: %d iters, %d rounds, converged=%t", direct.Iters, direct.Rounds, direct.Converged)
 	}
-	if !sameBits(direct.W, first.W) || !sameBits([]float64{direct.FinalObj}, []float64{first.Objective}) {
-		t.Fatalf("zero-round solve objective %.17g, cached %.17g (or w differs)", direct.FinalObj, first.Objective)
+	if !sameBits(direct.W, first.W) || !sameBits([]float64{direct.FinalObj, direct.GradMap}, []float64{first.Objective, first.GradMap}) ||
+		!sameBits([]float64{again.GradMap}, []float64{first.GradMap}) {
+		t.Fatalf("warm-started triple objective %.17g gradmap %.17g; publisher %.17g, %.17g; hit gradmap %.17g (or w differs)",
+			direct.FinalObj, direct.GradMap, first.Objective, first.GradMap, again.GradMap)
 	}
 
 	// A hit's model predicts like the publisher's.
@@ -141,9 +137,9 @@ func TestCertifiedHitNeedsNoWorld(t *testing.T) {
 	}{
 		{"neighbouring lambda", nil, func(r *serve.FitRequest) { r.LambdaRatio = 0.18 }},
 		{"tighter gradmap_tol", nil, func(r *serve.FitRequest) { r.GradMapTol = direct.GradMap / 2 }},
-		// Above lambda_max the optimum is w = 0 and its stored norm is 0,
-		// which no tolerance can undercut: a request that disables the
-		// stop must still run its budget.
+		// Above lambda_max the optimum is w = 0 and its stored bound is
+		// tiny: a request that disables the stop must still run its
+		// budget.
 		{"gradmap_tol disabled", func(r *serve.FitRequest) { r.LambdaRatio = 1.5 },
 			func(r *serve.FitRequest) { r.GradMapTol, r.MaxIter = -1, 50 }},
 		{"other procs", nil, func(r *serve.FitRequest) { r.Procs = 1 }},
@@ -174,6 +170,54 @@ func TestCertifiedHitNeedsNoWorld(t *testing.T) {
 				t.Fatalf("certified hits = %d", sn.CertifiedHits)
 			}
 		})
+	}
+}
+
+// TestReplyCarriesCertificate: every converged triple reply carries
+// its certificate, 0 < gradmap ≤ gradmap_tol (the server's or the
+// request's), and a certified hit carries its publisher's bits; a reply
+// that certified nothing — a short budget, a proximal Newton fit —
+// carries no gradmap field.
+func TestReplyCarriesCertificate(t *testing.T) {
+	_, ts := newTestServer(t, fastConfig())
+	client := ts.Client()
+	serverTol := serve.New(fastConfig()).Config().GradMapTol
+	first := doFit(t, client, ts.URL, certifiedReq())
+	if hit := doFit(t, client, ts.URL, certifiedReq()); hit.AnsweredBy != "cache" || !sameBits([]float64{hit.GradMap}, []float64{first.GradMap}) {
+		t.Fatalf("repeat answered by %s with gradmap %.17g; publisher %.17g", hit.AnsweredBy, hit.GradMap, first.GradMap)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(r *serve.FitRequest)
+		// certified: the reply must converge and carry gradmap.
+		certified bool
+	}{
+		{"hit again", func(r *serve.FitRequest) {}, true},
+		{"warm neighbour", func(r *serve.FitRequest) { r.LambdaRatio = 0.18 }, true},
+		{"en", func(r *serve.FitRequest) { r.Reg, r.L2 = "en", 0.01 }, true},
+		{"ridge", func(r *serve.FitRequest) { r.Reg, r.L2 = "ridge", 0.05 }, true},
+		{"group", func(r *serve.FitRequest) { r.Reg, r.Groups = "group", "size:2" }, true},
+		{"tighter tol", func(r *serve.FitRequest) { r.LambdaRatio, r.GradMapTol = 0.3, 1e-8 }, true},
+		{"short budget", func(r *serve.FitRequest) { r.LambdaRatio, r.MaxIter = 0.05, 3 }, false},
+		{"huber", func(r *serve.FitRequest) { r.Loss, r.LambdaRatio, r.MaxIter = "huber", 0.5, 1000 }, false},
+	} {
+		req := certifiedReq()
+		tc.edit(req)
+		raw := fitRaw(t, client, ts.URL, req)
+		var fr serve.FitResponse
+		if err := json.Unmarshal(raw, &fr); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		tol := serverTol
+		if req.GradMapTol > 0 {
+			tol = req.GradMapTol
+		}
+		if tc.certified && !(fr.Converged && fr.GradMap > 0 && fr.GradMap <= tol) {
+			t.Fatalf("%s: answered by %s, converged %t, gradmap %g (tolerance %g)", tc.name, fr.AnsweredBy, fr.Converged, fr.GradMap, tol)
+		}
+		if !tc.certified && bytes.Contains(raw, []byte(`"gradmap"`)) {
+			t.Fatalf("%s: a reply that certified nothing carries a gradmap: %s", tc.name, raw)
+		}
 	}
 }
 

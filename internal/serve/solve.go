@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -162,7 +163,8 @@ const (
 // or, when the lookup's entry certifies the request, the cached answer
 // with no solve at all. A least-squares fit is answered from the
 // dataset's triple of its procs, filled in-process on first use, within
-// max_iter iterations and certified by one data pass when it converges;
+// max_iter iterations, and certified by the triple's rounding-error
+// bound when it converges, without reading the data;
 // any other loss runs proximal Newton on a world. It never returns a
 // nil response without an error.
 func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, error) {
@@ -233,6 +235,9 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	resp.Iters = res.Iters
 	resp.Rounds = res.Rounds
 	resp.Converged = res.Converged
+	if !math.IsNaN(res.GradMap) {
+		resp.GradMap = res.GradMap
+	}
 	resp.ModelSeconds = res.ModelSeconds
 	for _, v := range res.W {
 		if v != 0 {
@@ -259,8 +264,8 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 	if req.ReturnW {
 		resp.W = mat.Clone(res.W)
 	}
-	// A triple-answered fit converges only on its data-pass
-	// certificate, so only certified triple answers are published.
+	// A triple-answered fit converges only on its certificate, so only
+	// certified triple answers are published.
 	if !req.NoStore && !resp.Partial && res.Converged {
 		s.paths.put(fp, &pathEntry{
 			lambda:    lambda,
@@ -276,7 +281,8 @@ func (s *Server) runFit(ctx context.Context, req *FitRequest) (*FitResponse, err
 
 // solve runs a fit the path cache did not answer and sets
 // resp.AnsweredBy. A least-squares fit is answered from the dataset's
-// triple: certified by its data pass, or unconverged when it does not
+// triple without reading the data after the fill: certified by the
+// triple's rounding-error bound, or unconverged when it does not
 // certify within MaxIter, or partial when its deadline expires first.
 // Any other loss runs proximal Newton on a world.
 func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, ds *dataset, loss erm.Loss, eng scenario.Engine, opts solver.Options, lambda float64, procs int) (*solver.Result, error) {
@@ -286,7 +292,7 @@ func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, 
 		if filled {
 			s.stats.gramFills.Add(1)
 		}
-		res, err := solver.SolveTriple(ctx, ds.prob.X, ds.prob.Y, tri, s.cfg.Machine, opts)
+		res, err := solver.SolveTriple(ctx, tri, s.cfg.Machine, opts)
 		if res != nil {
 			resp.AnsweredBy = answeredTriple
 			s.stats.tripleFits.Add(1)
@@ -311,7 +317,7 @@ func (s *Server) solve(ctx context.Context, resp *FitResponse, req *FitRequest, 
 // so ElapsedMS and ModelSeconds are 0. The model aliases the entry's
 // immutable w, and nothing is re-published.
 func (s *Server) certifiedHit(resp *FitResponse, e *pathEntry, returnW bool, algo, datasetKey string) *FitResponse {
-	resp.Objective, resp.Nnz, resp.Converged = e.objective, e.nnz, true
+	resp.Objective, resp.Nnz, resp.Converged, resp.GradMap = e.objective, e.nnz, true, e.gradMap
 	resp.Warm, resp.PathCacheHit, resp.WarmFromLambda = true, true, e.lambda
 	resp.AnsweredBy = answeredCache
 	s.stats.warmFits.Add(1)

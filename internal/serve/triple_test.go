@@ -97,7 +97,7 @@ func serverOpts(t *testing.T, lambda float64, maxIter int) (*data.Problem, solve
 // ranks: a fit on a server with no kept triple.
 func soloTriple(t *testing.T, p *data.Problem, procs int, o solver.Options) *solver.Result {
 	t.Helper()
-	res, err := solver.SolveTriple(context.Background(), p.X, p.Y, solver.FillTriple(p.X, p.Y, procs, nil), perf.Comet(), o)
+	res, err := solver.SolveTriple(context.Background(), solver.FillTriple(p.X, p.Y, procs, nil), perf.Comet(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

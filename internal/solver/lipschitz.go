@@ -2,6 +2,7 @@ package solver
 
 import (
 	"github.com/hpcgo/rcsfista/internal/mat"
+	"github.com/hpcgo/rcsfista/internal/prox"
 	"github.com/hpcgo/rcsfista/internal/rng"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
@@ -26,8 +27,9 @@ func SampledLipschitz(x *sparse.CSC, y []float64, b float64, trials int, seed ui
 		mbar = 1
 	}
 	if mbar >= m {
-		l := powerIterGram(x, nil)
-		return 1.05 * l
+		ones := make([]float64, d)
+		mat.Fill(ones, 1)
+		return 1.05 * prox.EstimateLipschitz(x, 30, ones, nil)
 	}
 	if trials < 1 {
 		trials = 8
@@ -49,31 +51,4 @@ func SampledLipschitz(x *sparse.CSC, y []float64, b float64, trials int, seed ui
 	// spectrum over a long run; a 20% margin covers the excess with
 	// high probability (the concentration width is O(sqrt(d/mbar))).
 	return 1.2 * lmax
-}
-
-// powerIterGram estimates lambda_max((1/m) X X^T) matrix-free.
-func powerIterGram(x *sparse.CSC, y []float64) float64 {
-	d := x.Rows
-	m := float64(x.Cols)
-	v := make([]float64, d)
-	for i := range v {
-		v[i] = 1
-	}
-	gv := make([]float64, d)
-	scratch := make([]float64, x.Cols)
-	var lam float64
-	for it := 0; it < 30; it++ {
-		x.MulVecT(scratch, v, nil)
-		mat.Zero(gv)
-		x.MulVec(gv, scratch, nil)
-		mat.Scal(1/m, gv, nil)
-		lam = mat.Nrm2(gv, nil)
-		if lam == 0 {
-			return 0
-		}
-		for i := range v {
-			v[i] = gv[i] / lam
-		}
-	}
-	return lam
 }

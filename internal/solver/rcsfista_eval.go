@@ -167,8 +167,8 @@ func (e *engine) nearStop(f, norm float64) bool {
 
 // nearMapStop reports whether a Gram-sourced gradient-map norm lies
 // within gramMapSlack of the GradMapTol stop tol > 0, where only a data
-// pass may decide the stop: the engine's snapshot and SolveTriple's
-// certificate both ask it.
+// pass may decide the stop; the engine's snapshot asks it (SolveTriple
+// certifies with the triple's rounding bound instead, mapErr).
 func nearMapStop(norm, tol float64) bool { return norm <= tol*(1+gramMapSlack) }
 
 // evaluate computes the global objective F(wCurr) as instrumentation:

@@ -13,8 +13,8 @@ import (
 )
 
 // residentSolve answers o from tri.
-func residentSolve(p *data.Problem, o Options, tri *Triple) (*Result, error) {
-	return SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), o)
+func residentSolve(o Options, tri *Triple) (*Result, error) {
+	return SolveTriple(context.Background(), tri, perf.Comet(), o)
 }
 
 // requireResidentAnswer fails unless a triple solve on a kept triple
@@ -38,7 +38,7 @@ func TestResidentRacingFirstSolves(t *testing.T) {
 	}
 	o := tripleOpts(p)
 	tri := FillTriple(p.X, p.Y, 2, nil)
-	want, err := residentSolve(p, o, FillTriple(p.X, p.Y, 2, nil))
+	want, err := residentSolve(o, FillTriple(p.X, p.Y, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestResidentRacingFirstSolves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = residentSolve(p, o, tri)
+			got[i], errs[i] = residentSolve(o, tri)
 		}(i)
 	}
 	wg.Wait()
@@ -61,10 +61,9 @@ func TestResidentRacingFirstSolves(t *testing.T) {
 	}
 }
 
-// TestResidentIdentity: a triple answers only solves of its own
-// (d, m) — a solve of another feature count, sample count or label
-// count errors before it runs, and so does one whose W0, Lambda or
-// MaxIter it cannot take — and is the same bits after.
+// TestResidentIdentity: a triple answers only solves it can take — one
+// whose W0 has another feature count, or whose Lambda or MaxIter is out
+// of range, errors before it runs — and is the same bits after.
 func TestResidentIdentity(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -73,35 +72,19 @@ func TestResidentIdentity(t *testing.T) {
 	o := tripleOpts(p)
 	tri := FillTriple(p.X, p.Y, 2, nil)
 	kept := slices.Clone(tri.vals)
-	if _, err := residentSolve(p, o, tri); err != nil {
+	if _, err := residentSolve(o, tri); err != nil {
 		t.Fatal(err)
-	}
-	otherD, err := data.LoadWith("covtype", 240, 20, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherM, err := data.LoadWith("covtype", 200, 24, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := &data.Problem{X: p.X, Y: p.Y[:len(p.Y)-1]}
-	for _, c := range []struct {
-		name string
-		prob *data.Problem
-	}{{"d", otherD}, {"m", otherM}, {"labels", short}} {
-		if res, err := residentSolve(c.prob, o, tri); err == nil || res != nil || !sameFloats(tri.vals, kept) {
-			t.Fatalf("%s: a mismatching solve ran: res %v err %v, or changed the triple", c.name, res, err)
-		}
 	}
 	for name, edit := range map[string]func(o *Options){
-		"w0":      func(o *Options) { o.W0 = make([]float64, p.X.Rows-1) },
-		"lambda":  func(o *Options) { o.Lambda = -1 },
-		"maxiter": func(o *Options) { o.MaxIter = -1 },
+		"w0 short": func(o *Options) { o.W0 = make([]float64, p.X.Rows-1) },
+		"w0 long":  func(o *Options) { o.W0 = make([]float64, p.X.Rows+1) },
+		"lambda":   func(o *Options) { o.Lambda = -1 },
+		"maxiter":  func(o *Options) { o.MaxIter = -1 },
 	} {
 		oc := o
 		edit(&oc)
-		if res, err := residentSolve(p, oc, tri); err == nil || res != nil {
-			t.Fatalf("%s: a solve with bad options ran: res %v", name, res)
+		if res, err := residentSolve(oc, tri); err == nil || res != nil || !sameFloats(tri.vals, kept) {
+			t.Fatalf("%s: a solve with bad options ran: res %v, or changed the triple", name, res)
 		}
 	}
 }
@@ -118,7 +101,7 @@ func TestResidentShared(t *testing.T) {
 	o := tripleOpts(p)
 	tri := FillTriple(p.X, p.Y, 2, nil)
 	kept := slices.Clone(tri.vals)
-	if _, err := residentSolve(p, o, tri); err != nil {
+	if _, err := residentSolve(o, tri); err != nil {
 		t.Fatal(err)
 	}
 	for name, edit := range map[string]func(o *Options){
@@ -130,11 +113,11 @@ func TestResidentShared(t *testing.T) {
 	} {
 		oc := o
 		edit(&oc)
-		want, err := residentSolve(p, oc, FillTriple(p.X, p.Y, 2, nil))
+		want, err := residentSolve(oc, FillTriple(p.X, p.Y, 2, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := residentSolve(p, oc, tri)
+		got, err := residentSolve(oc, tri)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -7,9 +7,12 @@ package solver
 // (G, r), so the whole solve is Algorithm 2's deterministic FISTA on
 // ½wᵀGw − rᵀw + c + g(w) at the step 1/λmax(G) — CA-BCD's resident Gram
 // (arXiv 1612.04003), the b → 1 end of the subsampled-Newton trade-off
-// (arXiv 1708.08552) — and one data pass over the P column blocks,
-// the engine's fused sweep folded in rank order, certifies the answer
-// with the bits a P-rank world's data pass takes.
+// (arXiv 1708.08552). The triple certifies the answer too: an a-priori
+// rounding-error bound (Higham, "Accuracy and Stability of Numerical
+// Algorithms", ch. 3), derived from the real operation order of the
+// fill and of Gw − r, caps how far the computed gradient-map norm can
+// sit from the exact one, so after the fill the solve never reads the
+// data.
 
 import (
 	"context"
@@ -19,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/prox"
@@ -40,10 +42,10 @@ const tripleCheckEvery = 10
 // nothing and sends nothing, where a data pass costs ≥ 2·nnz flops and
 // an allreduce. It depends on neither λ, the regularizer, w nor a
 // tolerance, so one Triple answers every least-squares solve of its
-// data on P ranks. FillTriple makes one with its step, a world solve
-// fills its own before round 0 without one (engine.fillGram), and
-// nothing writes either after, so concurrent solves read it without
-// copies.
+// data on P ranks. FillTriple makes one with its step and the inputs
+// of its rounding bound (prepare), a world solve fills its own before
+// round 0 without them (engine.fillGram), and nothing writes either
+// after, so concurrent solves read it without copies.
 type Triple struct {
 	m, p int
 	// g, r and c view vals, the fill's allreduce payload.
@@ -51,9 +53,12 @@ type Triple struct {
 	r    []float64
 	c    float64
 	vals []float64
-	// step is FISTA's 1/L, L ≥ λmax(G) (lipschitzBound); 0 on a world's
-	// triple, which no FISTA runs on.
-	step float64
+	// step is FISTA's 1/L, L ≥ λmax(G) (lipschitzBound); s holds √G_ii
+	// and sNorm ‖s‖, the inputs of the rounding bound. prepare sets all
+	// three; a world's triple, which no FISTA runs on, has none.
+	step  float64
+	s     []float64
+	sNorm float64
 }
 
 // newTriple views the d-dimensional triple of m samples on p ranks in
@@ -120,20 +125,31 @@ func triplePartial(local LocalData, cost *perf.Cost) []float64 {
 
 // FillTriple fills the triple of (x, y) on p ranks in-process: the
 // triplePartial of each block Partition deals, folded in rank order
-// (foldBlocks) as the fill's shared allreduce sums them; then its step
-// from lipschitzBound. The fill's flops and the bound's go to cost.
+// (foldBlocks) as the fill's shared allreduce sums them; then prepare.
+// The fill's flops and prepare's go to cost.
 func FillTriple(x *sparse.CSC, y []float64, p int, cost *perf.Cost) *Triple {
 	if p < 1 || x.Cols != len(y) {
 		panic(fmt.Sprintf("solver: triple of %d samples, %d labels on %d ranks", x.Cols, len(y), p))
 	}
 	vals := foldBlocks(p, cost, func(q int, c *perf.Cost) []float64 { return triplePartial(Partition(x, y, p, q), c) })
 	t := newTriple(vals, x.Rows, x.Cols, p)
+	t.prepare(cost)
+	return t
+}
+
+// prepare takes, once, the triple's step from lipschitzBound and the
+// inputs of its rounding bound: s_i = √G_ii and ‖s‖.
+func (t *Triple) prepare(cost *perf.Cost) {
 	t.step = 1
 	// A zero G (all-zero data) takes any step; 1 stands in.
 	if l := lipschitzBound(&t.g, cost); l > 0 {
 		t.step = 1 / l
 	}
-	return t
+	t.s = make([]float64, t.g.N)
+	for i := range t.s {
+		t.s[i] = math.Sqrt(t.g.RowTail(i)[0])
+	}
+	t.sNorm = mat.Nrm2(t.s, cost)
 }
 
 // The power iteration of lipschitzBound stops once its residual is
@@ -175,34 +191,29 @@ func lipschitzBound(g *mat.SymPacked, cost *perf.Cost) float64 {
 	}
 }
 
-// SolveTriple answers the least-squares solve of (x, y) at opts from
-// tri, the triple FillTriple filled for them, without a world:
+// SolveTriple answers the least-squares solve at opts from tri, the
+// triple FillTriple filled for its data, without a world and without
+// reading the data:
 //
 //   - FISTA runs on ½wᵀGw − rᵀw + c + g(w) from opts.W0 (zero when nil)
 //     at tri's step. Every tripleCheckEvery iterations it takes the
 //     Gram-sourced gradient-map norm at that step and checks ctx.
-//   - A W whose Gram norm meets GradMapTol, up to the engine's
-//     gramMapSlack, is decided by one data pass over tri's P blocks,
-//     run concurrently and folded in rank order: FinalObj and GradMap
-//     are, bit for bit, what a P-rank world's data pass gives at W and
-//     at tri's step, and Converged reports that GradMap meets
-//     GradMapTol.
+//   - A W whose Gram norm plus tri's rounding bound at W (mapErr) meets
+//     GradMapTol certifies: the exact gradient-map norm at W is at most
+//     that sum, which GradMap reports, and Converged is set.
 //
 // A solve that does not certify within MaxIter iterations — one
 // without a positive GradMapTol never does — returns its W after
 // MaxIter iterations unconverged; a done ctx returns the iterate so far
-// as a partial result with ctx's error. Both carry W's data-pass
-// FinalObj and a NaN GradMap. Rounds is 0; Cost is the local flops of
-// the iterations and data passes, with no words and no messages: tri's
-// fill is its filler's to bill. Of opts only Lambda or Reg, MaxIter,
-// GradMapTol, W0, FStar and TraceName are read. An x whose (d, m)
-// differs from tri's errors.
-func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, tri *Triple, machine perf.Machine, opts Options) (*Result, error) {
+// as a partial result with ctx's error. Both carry a NaN GradMap. Every
+// exit's FinalObj is tri's loss at W plus g(W). Rounds is 0; Cost is
+// the local flops of the iterations and the bound, with no words and no
+// messages: tri's fill is its filler's to bill. Of opts only Lambda or
+// Reg, MaxIter, GradMapTol, W0, FStar and TraceName are read.
+func SolveTriple(ctx context.Context, tri *Triple, machine perf.Machine, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	d, m, p := x.Rows, x.Cols, tri.p
+	d := tri.g.N
 	switch {
-	case d != tri.g.N || m != tri.m || m != len(y):
-		return nil, fmt.Errorf("solver: triple of %d features, %d samples answers a solve of %d, %d (%d labels)", tri.g.N, tri.m, d, m, len(y))
 	case o.W0 != nil && len(o.W0) != d:
 		return nil, fmt.Errorf("solver: W0 has %d coords, want %d", len(o.W0), d)
 	case o.Lambda < 0:
@@ -227,13 +238,12 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, tri *Triple, m
 			if err = ctx.Err(); err != nil {
 				break
 			}
-			// The world's rule (nearMapStop): a Gram norm near the stop is
-			// the data pass's to decide, so an answer whose data norm
-			// meets tol certifies again from its own W.
-			if tol > 0 && nearMapStop(s.gramNorm(), tol) {
-				if obj, norm := dataPass(x, y, p, s.w, s.lr, o.Reg, s.grad, s.tmp, &res.Cost); norm <= tol {
-					res.FinalObj, res.GradMap, res.Converged = obj, norm, true
-					break
+			if tol > 0 {
+				if norm := s.gramNorm(); norm <= tol {
+					if cert := norm + tri.mapErr(s.w, s.grad, norm, o.Reg, s.cost); cert <= tol {
+						res.GradMap, res.Converged = cert, true
+						break
+					}
 				}
 			}
 		}
@@ -242,9 +252,7 @@ func SolveTriple(ctx context.Context, x *sparse.CSC, y []float64, tri *Triple, m
 		}
 		s.step()
 	}
-	if !res.Converged {
-		res.FinalObj, _ = dataPass(x, y, p, s.w, s.lr, o.Reg, s.grad, s.tmp, &res.Cost)
-	}
+	res.FinalObj = tri.loss(s.w) + o.Reg.Value(s.w, &res.Cost)
 	res.W, res.Iters = s.w, n
 	res.FinalRelErr = relErr(res.FinalObj, o.FStar)
 	res.ModelSeconds = machine.Seconds(res.Cost)
@@ -347,25 +355,4 @@ func foldBlocks(p int, cost *perf.Cost, part func(q int, c *perf.Cost) []float64
 		cost.Add(c)
 	}
 	return sum
-}
-
-// dataPass takes the exact state of w from the p column blocks of
-// (x, y) as a world of p ranks takes it: each block's gradient
-// X(Xᵀw − y)/m and squared residual sum in one sweep
-// (sparse.ResidualGrad, the engine's data take), the loss riding at the
-// end of the gradient, folded in rank order like the world's
-// allreduces. It returns the engine's data-pass objective loss/2m + g(w)
-// and its gradient-map norm at gamma, leaving ∇f in grad.
-func dataPass(x *sparse.CSC, y []float64, p int, w []float64, gamma float64, reg prox.Operator, grad, tmp []float64, cost *perf.Cost) (obj, norm float64) {
-	m, d := x.Cols, len(w)
-	sum := foldBlocks(p, cost, func(q int, c *perf.Cost) []float64 {
-		lo, hi := dist.BlockRange(m, p, q)
-		part := make([]float64, d+1)
-		part[d] = x.ResidualGrad(part[:d], w, y, lo, hi, c)
-		mat.Scal(1/float64(m), part[:d], c)
-		return part
-	})
-	copy(grad, sum[:d])
-	obj = sum[d]/(2*float64(m)) + reg.Value(w, nil)
-	return obj, gradMapNorm(tmp, w, grad, gamma, reg, cost)
 }

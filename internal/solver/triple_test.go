@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/data"
-	"github.com/hpcgo/rcsfista/internal/dist"
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/prox"
@@ -96,15 +95,15 @@ func TestTripleMatchesWorldFill(t *testing.T) {
 				t.Fatalf("%s: the world solve did not fill the triple", label)
 			}
 			world := newTriple(slices.Clone(engines[0].tri.vals), local.g.N, local.m, local.p)
-			world.step = 1 / lipschitzBound(&world.g, nil)
+			world.prepare(nil)
 			if !sameFloats(local.vals, world.vals) || local.Step() != world.Step() {
 				t.Fatalf("%s: the in-process triple differs from the world fill's (step %g, world's %g)", label, local.Step(), world.Step())
 			}
-			mine, err := SolveTriple(context.Background(), p.X, p.Y, local, perf.Comet(), o)
+			mine, err := SolveTriple(context.Background(), local, perf.Comet(), o)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			theirs, err := SolveTriple(context.Background(), p.X, p.Y, world, perf.Comet(), o)
+			theirs, err := SolveTriple(context.Background(), world, perf.Comet(), o)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -140,12 +139,16 @@ func TestTripleStepIsSafe(t *testing.T) {
 }
 
 // TestTripleCertificateIsTheWorldDataPass: a triple answer certifies
-// (GradMap ≤ tol) with the FinalObj and GradMap bits a p-rank world's
-// data pass takes at its W and the triple's step — the world solve
-// warm-started there at Gamma = the triple's step stops before round 0
-// and hands back W, FinalObj and GradMap unchanged — at P ∈ {1, 2, 4}
-// on chan and tcp, for l1, elastic net, ridge and group lasso. The
-// answer costs local flops only: no round, no word, no message.
+// (GradMap ≤ tol) and publishes the Gram-side gradient-map norm plus the
+// triple's rounding bound at W as GradMap, and the triple's loss at W
+// plus g(W) as FinalObj. A p-rank world's zero-round data pass at W —
+// the world solve warm-started there at Gamma = the triple's step stops
+// before round 0 with W unchanged — lies inside the published bounds:
+// its ∇f within gradErr of Gw − r, its objective within lossErr of
+// FinalObj, its norm within the bound of the Gram norm (so at most
+// GradMap). At P ∈ {1, 2, 4} on chan and tcp, for l1, elastic net,
+// ridge and group lasso. The answer costs local flops only: no round,
+// no word, no message.
 func TestTripleCertificateIsTheWorldDataPass(t *testing.T) {
 	p := tripleShapes(t)["covtype"]
 	d := p.X.Rows
@@ -159,13 +162,14 @@ func TestTripleCertificateIsTheWorldDataPass(t *testing.T) {
 		"ridge": prox.L2Squared{Lambda: 0.05},
 		"group": prox.GroupL2{Lambda: 0.2 * p.Lambda, Groups: groups},
 	}
+	var worstGrad, worstObj, worstNorm float64
 	for _, leg := range tripleLegs {
 		tri := FillTriple(p.X, p.Y, leg.procs, nil)
 		for rname, reg := range regs {
 			o := tripleOpts(p)
 			o.Reg = reg
 			label := fmt.Sprintf("%s/%s/p%d", rname, leg.backend, leg.procs)
-			res, err := SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), o)
+			res, err := SolveTriple(context.Background(), tri, perf.Comet(), o)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -173,43 +177,65 @@ func TestTripleCertificateIsTheWorldDataPass(t *testing.T) {
 				res.Cost.Messages != 0 || res.Cost.Words != 0 || res.Cost.Flops == 0 {
 				t.Fatalf("%s: converged %t, gradmap %g, %d rounds, cost %+v", label, res.Converged, res.GradMap, res.Rounds, res.Cost)
 			}
-			w, err := dist.NewWorldOn(leg.backend, leg.procs, perf.Comet())
-			if err != nil {
-				t.Fatal(err)
+			g := o.withDefaults().Reg
+			grad := make([]float64, d)
+			tri.grad(grad, res.W, nil)
+			norm := gradMapNorm(make([]float64, d), res.W, grad, tri.Step(), g, nil)
+			bound := tri.mapErr(res.W, grad, norm, g, nil)
+			if res.GradMap != norm+bound || res.FinalObj != tri.loss(res.W)+g.Value(res.W, nil) {
+				t.Fatalf("%s: gradmap %.17g, objective %.17g; Gram norm + bound %.17g, triple objective %.17g",
+					label, res.GradMap, res.FinalObj, norm+bound, tri.loss(res.W)+g.Value(res.W, nil))
 			}
+
 			wo := worldOpts(o, tri)
 			wo.W0 = res.W
-			direct, err := SolveDistributedContext(context.Background(), w, p.X, p.Y, wo)
+			direct, engines, err := runEngines(context.Background(), t, leg.backend, leg.procs, p, wo, true)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if direct.Rounds != 0 || !direct.Converged || !sameFloats(direct.W, res.W) ||
-				!sameFloats([]float64{direct.FinalObj, direct.GradMap}, []float64{res.FinalObj, res.GradMap}) {
-				t.Fatalf("%s: world warm-started at the answer: %d rounds, objective %.17g, gradmap %.17g; triple %.17g, %.17g",
-					label, direct.Rounds, direct.FinalObj, direct.GradMap, res.FinalObj, res.GradMap)
+			ex := engines[0].ex
+			if direct.Rounds != 0 || !direct.Converged || !sameFloats(direct.W, res.W) || math.IsNaN(ex.loss) {
+				t.Fatalf("%s: world warm-started at the answer: %d rounds, converged %t, data take %t (or W moved)",
+					label, direct.Rounds, direct.Converged, !math.IsNaN(ex.loss))
 			}
+			var dg float64
+			for i, v := range ex.grad {
+				dg += (v - grad[i]) * (v - grad[i])
+			}
+			dg = math.Sqrt(dg)
+			dObj, dNorm := math.Abs(direct.FinalObj-res.FinalObj), math.Abs(direct.GradMap-norm)
+			if gb, lb := tri.gradErr(res.W), tri.lossErr(res.W); !(dg <= gb && dObj <= lb && dNorm <= bound) {
+				t.Fatalf("%s: data pass off the triple by ‖Δ∇f‖ %.3g (bound %.3g), |Δobj| %.3g (bound %.3g), |Δnorm| %.3g (bound %.3g)",
+					label, dg, gb, dObj, lb, dNorm, bound)
+			}
+			worstGrad = max(worstGrad, dg/tri.gradErr(res.W))
+			worstObj = max(worstObj, dObj/tri.lossErr(res.W))
+			worstNorm = max(worstNorm, dNorm/bound)
 		}
 	}
+	t.Logf("worst share of the bound taken by the data pass: ∇f %.2g, objective %.2g, norm %.2g", worstGrad, worstObj, worstNorm)
 }
 
 // TestTripleExits pins the exits that do not certify: a budget too
-// small to certify returns the refined W unconverged with its data-pass
-// objective and a NaN GradMap; a done context returns the iterate so
-// far with the context's error; a solve without a positive GradMapTol
-// runs its budget and returns the short budget's answer bit for bit,
-// unconverged.
+// small to certify returns the refined W unconverged with its triple
+// objective (F(W) of the data within 1e-12) and a NaN GradMap; a done
+// context returns the iterate so far with the context's error; a solve
+// without a positive GradMapTol runs its budget and returns the short
+// budget's answer bit for bit, unconverged; so does a solve whose
+// regularizer the rounding bound does not know, past the iteration l1
+// certifies at.
 func TestTripleExits(t *testing.T) {
 	p := tripleShapes(t)["covtype"]
 	o := tripleOpts(p)
 	tri := FillTriple(p.X, p.Y, 2, nil)
-	full, err := SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), o)
+	full, err := SolveTriple(context.Background(), tri, perf.Comet(), o)
 	if err != nil || !full.Converged || full.Iters < 2*tripleCheckEvery {
 		t.Fatalf("reference: %v, %+v", err, full)
 	}
 
 	short := o
 	short.MaxIter = tripleCheckEvery + 3
-	res, err := SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), short)
+	res, err := SolveTriple(context.Background(), tri, perf.Comet(), short)
 	if err != nil || res.Converged || !math.IsNaN(res.GradMap) || res.Iters != short.MaxIter || sameFloats(res.W, make([]float64, len(res.W))) {
 		t.Fatalf("short budget: err %v, converged %t, gradmap %g, %d iters", err, res.Converged, res.GradMap, res.Iters)
 	}
@@ -220,20 +246,31 @@ func TestTripleExits(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = SolveTriple(ctx, p.X, p.Y, tri, perf.Comet(), o)
+	res, err = SolveTriple(ctx, tri, perf.Comet(), o)
 	if !errors.Is(err, context.Canceled) || res == nil || res.Converged || res.Iters != 0 || math.IsNaN(res.FinalObj) {
 		t.Fatalf("cancelled: err %v, result %+v", err, res)
 	}
 
 	off := short
 	off.GradMapTol = 0
-	noStop, err := SolveTriple(context.Background(), p.X, p.Y, tri, perf.Comet(), off)
+	noStop, err := SolveTriple(context.Background(), tri, perf.Comet(), off)
 	if err != nil || noStop.Converged || noStop.Iters != off.MaxIter || !sameFloats(noStop.W, shortW) ||
 		math.Float64bits(noStop.FinalObj) != math.Float64bits(shortObj) {
 		t.Fatalf("without GradMapTol: err %v, converged %t, %d iters, objective %.17g (short budget %.17g, or W differs)",
 			err, noStop.Converged, noStop.Iters, noStop.FinalObj, shortObj)
 	}
+
+	unknown := o
+	unknown.MaxIter = full.Iters + tripleCheckEvery
+	unknown.Reg = unknownOperator{prox.L1{Lambda: o.Lambda}}
+	res, err = SolveTriple(context.Background(), tri, perf.Comet(), unknown)
+	if err != nil || res.Converged || res.Iters != unknown.MaxIter || !math.IsNaN(res.GradMap) {
+		t.Fatalf("unknown operator: err %v, converged %t, %d iters, gradmap %g; l1 certifies after %d", err, res.Converged, res.Iters, res.GradMap, full.Iters)
+	}
 }
+
+// unknownOperator is l1 under a type the rounding bound does not know.
+type unknownOperator struct{ prox.L1 }
 
 // TestTripleRacingFirstSolves: first fills racing on one dataset — a
 // server's first fits — each fill the same triple bit for bit, step
@@ -242,7 +279,7 @@ func TestTripleRacingFirstSolves(t *testing.T) {
 	p := tripleShapes(t)["covtype"]
 	o := tripleOpts(p)
 	lone := FillTriple(p.X, p.Y, 2, nil)
-	want, err := SolveTriple(context.Background(), p.X, p.Y, lone, perf.Comet(), o)
+	want, err := SolveTriple(context.Background(), lone, perf.Comet(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +292,7 @@ func TestTripleRacingFirstSolves(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			tris[i] = FillTriple(p.X, p.Y, 2, nil)
-			got[i], errs[i] = SolveTriple(context.Background(), p.X, p.Y, tris[i], perf.Comet(), o)
+			got[i], errs[i] = SolveTriple(context.Background(), tris[i], perf.Comet(), o)
 		}(i)
 	}
 	wg.Wait()
