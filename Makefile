@@ -98,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run NONE -fuzz '^FuzzI8Codec$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run NONE -fuzz '^FuzzPackedCholesky$$' -fuzztime $(FUZZTIME) ./internal/mat
+	$(GO) test -run NONE -fuzz '^FuzzMulVecSparse$$' -fuzztime $(FUZZTIME) ./internal/mat
 	$(GO) test -run NONE -fuzz '^FuzzSampledGramPacked$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -run NONE -fuzz '^FuzzSampledGramPackedActive$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -run NONE -fuzz '^FuzzResidualPass$$' -fuzztime $(FUZZTIME) ./internal/sparse

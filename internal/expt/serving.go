@@ -36,18 +36,7 @@ import (
 //     each fit bit-equal to its fresh-server twin, on one triple filled
 //     once.
 func Serving(cfg Config) *Report {
-	requests, procs, maxIter := 64, 2, 4000
-	dsRef := serve.DatasetRef{Name: "covtype", Samples: 2000, Features: 54, Seed: 42}
-	if cfg.Scale == Full {
-		// Larger instances need a larger iteration budget to converge at
-		// the small end of the path (unconverged solves are never cached).
-		requests, procs, maxIter = 128, 4, 40000
-		dsRef.Samples = 8000
-	}
-	transport := cfg.Transport
-	if transport == "" {
-		transport = "chan"
-	}
+	requests, procs, maxIter, dsRef, transport := servingScale(cfg)
 
 	// Phase 1: the load harness against a live server. The experiment
 	// measures rounds and cache behaviour, not latency SLOs, so the
@@ -97,18 +86,23 @@ func Serving(cfg Config) *Report {
 		panic(fmt.Sprintf("expt: serving: lambda-path hit rate %.2f below the 0.5 acceptance bar", rep.PathHitRate))
 	}
 
+	// Four requests race: which one publishes a path point first decides
+	// the later ones' warm starts, so the hit counts, the iterations and
+	// the answers' bits of this table vary from run to run on one commit
+	// (the rows say so); the two tables after it are sequential and
+	// repeat byte for byte.
 	loadTbl := &trace.Table{
 		Title: fmt.Sprintf("Serving: closed-loop lambda-path sweep (%d requests, conc 4, P=%d, %s transport, %s)",
 			requests, procs, transport, dsRef.Key()),
 		Headers: []string{"metric", "value"},
 	}
-	loadTbl.AddRow("throughput", fmt.Sprintf("%.1f req/s", rep.ThroughputRPS))
-	loadTbl.AddRow("latency p50/p95/p99/max", fmt.Sprintf("%.1f / %.1f / %.1f / %.1f ms",
+	loadTbl.AddRow("throughput (timing)", fmt.Sprintf("%.1f req/s", rep.ThroughputRPS))
+	loadTbl.AddRow("latency p50/p95/p99/max (timing)", fmt.Sprintf("%.1f / %.1f / %.1f / %.1f ms",
 		rep.Latency.P50MS, rep.Latency.P95MS, rep.Latency.P99MS, rep.Latency.MaxMS))
-	loadTbl.AddRow("lambda-path cache", fmt.Sprintf("%d hits / %d lookups (%.0f%%)",
+	loadTbl.AddRow("lambda-path cache (order-dependent)", fmt.Sprintf("%d hits / %d lookups (%.0f%%)",
 		rep.PathHits, rep.PathHits+rep.PathMisses, 100*rep.PathHitRate))
-	loadTbl.AddRow("iters of solved fits at the same lambda", rep.WarmVsCold())
-	loadTbl.AddRow("answered from the triple / cache", fmt.Sprintf("%d / %d of %d fits",
+	loadTbl.AddRow("iters of solved fits at the same lambda (order-dependent)", rep.WarmVsCold())
+	loadTbl.AddRow("answered from the triple / cache (order-dependent)", fmt.Sprintf("%d / %d of %d fits",
 		rep.AnsweredBy["triple"], rep.AnsweredBy["cache"], rep.OK))
 
 	// Phase 2: warm-vs-cold iterations on a fresh server (clean caches).
@@ -127,11 +121,31 @@ func Serving(cfg Config) *Report {
 		Text: bld.String(), Tables: []*trace.Table{loadTbl, warmTbl, gridTbl}}
 }
 
+// servingScale returns the serving experiment's sweep length, world
+// size, iteration budget, dataset and transport at cfg's scale.
+func servingScale(cfg Config) (requests, procs, maxIter int, dsRef serve.DatasetRef, transport string) {
+	requests, procs, maxIter = 64, 2, 4000
+	dsRef = serve.DatasetRef{Name: "covtype", Samples: 2000, Features: 54, Seed: 42}
+	if cfg.Scale == Full {
+		// Larger instances need a larger iteration budget to converge at
+		// the small end of the path (unconverged solves are never cached).
+		requests, procs, maxIter = 128, 4, 40000
+		dsRef.Samples = 8000
+	}
+	transport = cfg.Transport
+	if transport == "" {
+		transport = "chan"
+	}
+	return requests, procs, maxIter, dsRef, transport
+}
+
 // servingWarmVsCold solves one descending regularization path twice
 // against a fresh server — cold (lookup disabled, nothing stored) and
 // warm (the serving default) — every fit answered from the dataset's
 // triple, and asserts the iteration saving. The triple checks its stop
-// every 10 iterations, so that is the resolution of each count.
+// every 10 iterations, so that is the resolution of each count. Each
+// fit's digest (fitDigest) makes the table a bit check: two runs, on
+// one commit or two, render it alike iff every fit kept its bits.
 func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, transport string) *trace.Table {
 	sv := serve.New(serve.Config{
 		Workers: 1, QueueCap: 8, Transport: transport,
@@ -154,7 +168,7 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 	off := false
 	cold := make([]*serve.FitResponse, points)
 	for i, r := range ratios {
-		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, Warm: &off, NoStore: true}
+		req := &serve.FitRequest{Dataset: &dsRef, LambdaRatio: r, Procs: procs, Warm: &off, NoStore: true, ReturnW: true}
 		cold[i] = servingFit(ts.URL, req)
 		if !cold[i].Converged || cold[i].Warm || cold[i].AnsweredBy != "triple" {
 			panic(fmt.Sprintf("expt: serving: cold fit at ratio %.3g: converged=%v warm=%v answered by %s",
@@ -164,7 +178,7 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 
 	tbl := &trace.Table{
 		Title:   fmt.Sprintf("Serving: warm-start iteration savings along one lambda path (P=%d, %d points, triple)", procs, points),
-		Headers: []string{"lambda/lambda_max", "cold iters", "warm iters", "saved", "warm from"},
+		Headers: []string{"lambda/lambda_max", "cold iters", "warm iters", "saved", "warm from", "cold digest", "warm digest"},
 	}
 	var totalCold, totalWarm, strict int
 	warmFits := make([]*serve.FitResponse, points)
@@ -199,14 +213,14 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 		}
 		saved := 100 * (1 - float64(warm.Iters)/float64(cold[i].Iters))
 		tbl.AddRow(fmt.Sprintf("%.3g", r), fmt.Sprintf("%d", cold[i].Iters),
-			fmt.Sprintf("%d", warm.Iters), fmt.Sprintf("%.0f%%", saved), from)
+			fmt.Sprintf("%d", warm.Iters), fmt.Sprintf("%.0f%%", saved), from, fitDigest(cold[i]), fitDigest(warm))
 	}
 	if totalWarm >= totalCold {
 		panic(fmt.Sprintf("expt: serving: warm path took %d iterations, cold %d — no aggregate saving", totalWarm, totalCold))
 	}
 	tbl.AddRow("total (warm-started)", fmt.Sprintf("%d", totalCold), fmt.Sprintf("%d", totalWarm),
 		fmt.Sprintf("%.0f%%", 100*(1-float64(totalWarm)/float64(totalCold))),
-		fmt.Sprintf("strict at %d/%d", strict, points-1))
+		fmt.Sprintf("strict at %d/%d", strict, points-1), "", "")
 
 	// Every point the sweep published is now certified in the cache: a
 	// repeat must be answered without a solve — no iteration, no elapsed
@@ -224,7 +238,7 @@ func servingWarmVsCold(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, t
 		}
 	}
 	tbl.AddRow("re-request (certified, no solve)", "-", "0", "100%",
-		fmt.Sprintf("%d/%d bit-equal", points, points))
+		fmt.Sprintf("%d/%d bit-equal", points, points), "", "")
 	return tbl
 }
 

@@ -1,7 +1,9 @@
 package expt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http/httptest"
 	"time"
@@ -36,7 +38,7 @@ func servingColdGrid(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, tra
 	off := false
 	tbl := &trace.Table{
 		Title:   fmt.Sprintf("Serving: cold lambda grid on one resident triple (P=%d, %d points, warm=false)", procs, points),
-		Headers: []string{"lambda/lambda_max", "path", "iters", "gram", "vs fresh server"},
+		Headers: []string{"lambda/lambda_max", "path", "iters", "gram", "vs fresh server", "digest"},
 	}
 	var iters int
 	for _, i := range order {
@@ -58,9 +60,9 @@ func servingColdGrid(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, tra
 				want.AnsweredBy, want.Objective, want.Iters))
 		}
 		iters += got.Iters
-		tbl.AddRow(fmt.Sprintf("%.3g", r), got.AnsweredBy, fmt.Sprintf("%d", got.Iters), gram, "bit-equal")
+		tbl.AddRow(fmt.Sprintf("%.3g", r), got.AnsweredBy, fmt.Sprintf("%d", got.Iters), gram, "bit-equal", fitDigest(got))
 	}
-	tbl.AddRow("total", "", fmt.Sprintf("%d", iters), "", fmt.Sprintf("%d/%d", points, points))
+	tbl.AddRow("total", "", fmt.Sprintf("%d", iters), "", fmt.Sprintf("%d/%d", points, points), "")
 	sn := sv.Stats().Snapshot()
 	if sn.GramFills != 1 {
 		panic(fmt.Sprintf("expt: serving: the cold grid filled the triple %d times, want once", sn.GramFills))
@@ -68,8 +70,26 @@ func servingColdGrid(cfg Config, dsRef serve.DatasetRef, procs, maxIter int, tra
 	if sn.TripleFits != points {
 		panic(fmt.Sprintf("expt: serving: %d triple-answered fits, want %d", sn.TripleFits, points))
 	}
-	tbl.AddRow("resident", "", "", fmt.Sprintf("1 fill, %.1f kB", float64(sn.GramBytes)/1e3), "")
+	tbl.AddRow("resident", "", "", fmt.Sprintf("1 fill, %.1f kB", float64(sn.GramBytes)/1e3), "", "")
 	return tbl
+}
+
+// fitDigest is FNV-1a (64-bit) over the bits of a fit's w, then its
+// iteration count, in hex: a fit that returned its w keeps its digest
+// exactly when it keeps both.
+func fitDigest(fr *serve.FitResponse) string {
+	if fr.W == nil {
+		panic("expt: serving: digest of a fit that returned no w")
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range fr.W {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	binary.LittleEndian.PutUint64(b[:], uint64(fr.Iters))
+	h.Write(b[:])
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // servingFreshFit answers req on a server of its own, whose dataset has

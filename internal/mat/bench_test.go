@@ -2,9 +2,11 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/hpcgo/rcsfista/internal/perf"
+	"github.com/hpcgo/rcsfista/internal/rng"
 )
 
 // BenchmarkSymPackedMulVec times the packed symmetric matvec at the
@@ -33,6 +35,51 @@ func BenchmarkSymPackedMulVec(b *testing.B) {
 				h.MulVec(y, x, nil)
 			}
 		})
+	}
+}
+
+// BenchmarkSymPackedMulVecSparse times the support-aware product
+// against MulVec at d = 54 (covtype), 192, 392 and 784 (mnist's full
+// width) for an x with nnz = share·d nonzeros at random places: "dense"
+// is MulVec, "columns" the column sweep alone (what MulVecSparse runs
+// below its crossover), "product" MulVecSparse as it chooses. The share
+// where "columns" meets "dense" is the crossover sparseMulShare cites.
+func BenchmarkSymPackedMulVecSparse(b *testing.B) {
+	for _, d := range []int{54, 192, 392, 784} {
+		h := NewSymPacked(d)
+		for i := range h.Data {
+			h.Data[i] = 1 / float64(i%97+1)
+		}
+		for _, share := range []float64{0.05, 0.1, 0.25, 0.5, 1} {
+			nnz := max(1, int(math.Round(share*float64(d))))
+			x := make([]float64, d)
+			for _, j := range rng.New(uint64(d)).SampleWithoutReplacement(d, nnz) {
+				x[j] = float64(j%5) - 2.5
+			}
+			y := make([]float64, d)
+			for _, k := range []struct {
+				name string
+				mul  func()
+			}{
+				{"dense", func() { h.MulVec(y, x, nil) }},
+				{"columns", func() {
+					Zero(y)
+					for j, xj := range x {
+						if xj != 0 {
+							h.AddScaledCol(j, xj, y, nil)
+						}
+					}
+				}},
+				{"product", func() { h.MulVecSparse(y, x, nil) }},
+			} {
+				b.Run(fmt.Sprintf("d%d/nnz%.2f/%s", d, share, k.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						k.mul()
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -181,6 +181,44 @@ func (a *SymPacked) MulVec(y, x []float64, c *perf.Cost) {
 	c.AddFlops(int64(2 * n * n))
 }
 
+// sparseMulShare is the support-aware product's crossover: MulVecSparse
+// takes the column sweep while nnz(x)·sparseMulShare ≤ n and MulVec
+// above. BenchmarkSymPackedMulVecSparse (DESIGN §14) puts the sweep's
+// break-even with MulVec near nnz/n = 0.4 at n = 54, 0.35 at 192, 0.3
+// at 392 and 0.2 at 784, where its strided half leaves the cache; one
+// fifth is at or below all four.
+const sparseMulShare = 5
+
+// MulVecSparse computes y = A*x like MulVec, overwriting y (x and y
+// must not alias), reading only the columns of A where x is nonzero: y
+// is Σ x_j·A[:, j] over those j, in ascending j. On a sparse x —
+// a soft-thresholded iterate — that is nnz(x)·n multiply-adds instead
+// of n². Above the crossover (sparseMulShare) it runs MulVec.
+//
+// For a finite A the result is MulVec's bit for bit: each y_i is the
+// same left-to-right, ascending-j sum from +0, minus the terms
+// A_ij·x_j with x_j = ±0. Such a term is ±0, and adding ±0 to a
+// partial sum that is never −0 changes nothing. (An infinite or NaN
+// A_ij times a zero x_j is NaN in MulVec and absent here.) It bills
+// MulVec's 2n² flops, the count of the paper's cost model.
+func (a *SymPacked) MulVecSparse(y, x []float64, c *perf.Cost) {
+	n := a.N
+	if len(x) != n || len(y) != n {
+		panic("mat: SymPacked MulVecSparse dimension mismatch")
+	}
+	if CountNonzeros(x, 0)*sparseMulShare > n {
+		a.MulVec(y, x, c)
+		return
+	}
+	Zero(y)
+	for j, xj := range x {
+		if xj != 0 {
+			a.AddScaledCol(j, xj, y, nil)
+		}
+	}
+	c.AddFlops(int64(2 * n * n))
+}
+
 // AddScaledCol computes y += s * A[:, j], the symmetric-column axpy the
 // coordinate-descent inner solver needs.
 func (a *SymPacked) AddScaledCol(j int, s float64, y []float64, c *perf.Cost) {
@@ -188,12 +226,17 @@ func (a *SymPacked) AddScaledCol(j int, s float64, y []float64, c *perf.Cost) {
 	if j < 0 || j >= n || len(y) != n {
 		panic("mat: SymPacked AddScaledCol dimension mismatch")
 	}
-	for i := 0; i < j; i++ {
-		y[i] += s * a.Data[a.rowStart(i)+j-i]
+	// A(i, j), i < j, sits at k in row i's tail, and row i + 1's entry
+	// n − i − 1 further on; from row j on, column j is row j's tail.
+	k := j
+	for i := range y[:j] {
+		y[i] += s * a.Data[k]
+		k += n - 1 - i
 	}
-	tail := a.Data[a.rowStart(j) : a.rowStart(j)+n-j]
+	tail := a.Data[k : k+n-j]
+	ys := y[j:][:len(tail)]
 	for ii, v := range tail {
-		y[j+ii] += s * v
+		ys[ii] += s * v
 	}
 	c.AddFlops(int64(2 * n))
 }

@@ -20,7 +20,10 @@ package solver
 //	|ΔG_ij| ≤ γ_kF·s_i·s_j,   |Δr_i| ≤ γ_kF·s_i·√(2c),   |Δc| ≤ γ_kF·c.
 //
 // Gradient. MulVec sums d products per row from zero and Axpy adds
-// −r_i: d + 1 roundings on every term, so with S_w = Σ_j s_j|w_j|
+// −r_i: d + 1 roundings on every term. Triple.grad's support-aware
+// product (mat.SymPacked.MulVecSparse) performs MulVec's operations
+// minus the exact additions of ±0 terms, so the same d + 1 bound it.
+// With S_w = Σ_j s_j|w_j|
 //
 //	|fl(Gw − r)_i − (Gw − r)_i| ≤ s_i·(γ_{kF+d+1}·S_w + γ_{kF+1}·√(2c)),
 //
