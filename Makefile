@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 94.0
 COVER_PKGS = ./internal/dist ./internal/solver
-BENCH_PKGS = ./internal/dist ./internal/solver ./internal/mat ./internal/sparse ./internal/rng
+BENCH_PKGS = . ./internal/dist ./internal/solver ./internal/mat ./internal/sparse ./internal/rng
 
 .PHONY: check vet build test race bench bench-smoke bench-exact golden-fence cover fuzz-smoke staticcheck loc-guard loc reach serving-smoke
 
@@ -121,9 +121,10 @@ serving-smoke:
 bench:
 	$(GO) test -run NONE -bench . -benchtime=1x .
 
-# One iteration of every per-package benchmark (dist, solver, the mat
-# kernels, the sparse Gram fill on both sides of its dense/sparse
-# selection, and the shared sample draw): a cheap end-to-end smoke of
+# One iteration of every per-package benchmark (the root package's
+# epoch-length ablation, dist, solver, the mat kernels, the sparse Gram
+# fill on both sides of its dense/sparse selection, and the shared
+# sample draw): a cheap end-to-end smoke of
 # both round loops (the solver benchmarks pick each one through the
 # engine's loop argument, since no option selects it) and the
 # nonblocking collectives. Nothing gates on the timings — the benchmarks are tools

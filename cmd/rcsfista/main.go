@@ -59,7 +59,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		libsvm       = flag.String("libsvm", "", "LIBSVM file to load instead of a synthetic dataset")
 		features     = flag.Int("features", 0, "feature count for -libsvm (0: infer)")
 		samples      = flag.Int("samples", 0, "sample count override for synthetic data (0: registry default)")
-		algo         = flag.String("algo", "rcsfista", "algorithm: rcsfista|sfista|fista|ista|pn|cocoa|cd|prox-svrg")
+		algo         = flag.String("algo", "rcsfista", "algorithm: rcsfista|sfista|fista|ista|pn|cocoa")
 		procs        = flag.Int("procs", 1, "number of simulated processors")
 		k            = flag.Int("k", 8, "iteration-overlapping parameter (0: auto-tune from Eq. 25-28)")
 		s            = flag.Int("s", 1, "Hessian-reuse inner loop parameter")
@@ -290,11 +290,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		res, err = runRanks(func(c dist.Comm) (*solver.Result, error) {
 			return cocoa.SolveContext(ctx, c, cocoa.Partition(xRows, prob.Y, c.Size(), c.Rank()), opts)
 		})
-	case scenario.CD:
-		res, err = solver.CoordinateDescent(prob.X, prob.Y, opts)
-	case scenario.ProxSVRG:
-		opts.Gamma, opts.B, opts.Seed = gamma(*b, 8), *b, *seed
-		res, err = solver.ProxSVRGContext(ctx, prob.X, prob.Y, opts)
 	case scenario.DataFISTA:
 		opts.Gamma, opts.EvalEvery = gamma(1, 1), 10
 		solve := solver.ISTA

@@ -57,7 +57,7 @@ func TestCLIRCSFISTA(t *testing.T) {
 }
 
 func TestCLIAlgorithms(t *testing.T) {
-	for _, algo := range []string{"sfista", "fista", "ista", "pn", "cocoa", "cd", "prox-svrg"} {
+	for _, algo := range []string{"sfista", "fista", "ista", "pn", "cocoa"} {
 		out := runCLI(t, fastArgs("-algo", algo, "-procs", "2")...)
 		if !strings.Contains(out, "algorithm "+algo) {
 			t.Fatalf("%s: missing summary:\n%s", algo, out)
@@ -153,9 +153,14 @@ func TestCLIErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-algo", "nope", "-tol", "0"}, &out); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	// Logistic regression is spelled -loss logistic only.
-	if err := run(context.Background(), []string{"-algo", "logistic", "-dataset", "nosuch"}, &out); err == nil || err.Error() != `unknown algorithm "logistic"` {
-		t.Fatalf("-algo logistic: got %v, want it refused as an unknown algorithm", err)
+	// Logistic regression is spelled -loss logistic only, and cd and
+	// prox-svrg name no engine: each is refused before any data loads
+	// (the dataset named here does not exist).
+	for _, algo := range []string{"logistic", "cd", "prox-svrg"} {
+		err := run(context.Background(), []string{"-algo", algo, "-dataset", "nosuch"}, &out)
+		if want := fmt.Sprintf("unknown algorithm %q", algo); err == nil || err.Error() != want {
+			t.Fatalf("-algo %s -dataset nosuch: got %v, want %s", algo, err, want)
+		}
 	}
 	if err := run(context.Background(), []string{"-dataset", "nope", "-tol", "0"}, &out); err == nil {
 		t.Fatal("unknown dataset accepted")

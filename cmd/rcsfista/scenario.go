@@ -13,14 +13,12 @@ import (
 // engines maps each -algo name to its engine. rcsfista, the flag's
 // default, names none, so a -loss other than ls picks proximal Newton.
 var engines = map[string]scenario.Engine{
-	"rcsfista":  scenario.Default,
-	"sfista":    scenario.RCSFISTA,
-	"fista":     scenario.DataFISTA,
-	"ista":      scenario.DataFISTA,
-	"cd":        scenario.CD,
-	"prox-svrg": scenario.ProxSVRG,
-	"pn":        scenario.PN,
-	"cocoa":     scenario.CoCoA,
+	"rcsfista": scenario.Default,
+	"sfista":   scenario.RCSFISTA,
+	"fista":    scenario.DataFISTA,
+	"ista":     scenario.DataFISTA,
+	"pn":       scenario.PN,
+	"cocoa":    scenario.CoCoA,
 }
 
 // checkFeatures asks the feature table which engine -algo selects for

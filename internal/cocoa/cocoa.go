@@ -84,15 +84,10 @@ type LocalData = solvercore.FeatureBlock
 // x.ToCSR() and share across ranks.
 var Partition = solvercore.FeaturePartition
 
-// Solve runs ProxCoCoA on communicator c with this rank's feature
-// block. All ranks must pass identical opts. Rank 0's result carries
-// the trace and the assembled global w.
-func Solve(c dist.Comm, local LocalData, opts Options) (*solver.Result, error) {
-	return SolveContext(context.Background(), c, local, opts)
-}
-
-// SolveContext is Solve under a context (see solver.RCSFISTAContext
-// for the cancellation contract).
+// SolveContext runs ProxCoCoA on communicator c with this rank's
+// feature block under a context (see solver.RCSFISTAContext for the
+// cancellation contract). All ranks must pass identical opts. Rank 0's
+// result carries the trace and the assembled global w.
 func SolveContext(ctx context.Context, c dist.Comm, local LocalData, opts Options) (*solver.Result, error) {
 	opts = opts.withDefaults()
 	if opts.Lambda < 0 {

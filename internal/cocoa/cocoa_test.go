@@ -1,6 +1,7 @@
 package cocoa
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestProxCoCoASingleWorkerMatchesCD(t *testing.T) {
 	c := dist.NewSelfComm(perf.Comet())
 	xRows := p.X.ToCSR()
 	local := Partition(xRows, p.Y, 1, 0)
-	res, err := Solve(c, local, opts)
+	res, err := SolveContext(context.Background(), c, local, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +106,10 @@ func TestRejectsNegativeLambda(t *testing.T) {
 	p, _ := testSetup(t)
 	c := dist.NewSelfComm(perf.Comet())
 	local := Partition(p.X.ToCSR(), p.Y, 1, 0)
-	if _, err := Solve(c, local, Options{Lambda: -1}); err == nil {
+	if _, err := SolveContext(context.Background(), c, local, Options{Lambda: -1}); err == nil {
 		t.Fatal("expected error for negative lambda")
 	}
-	if _, err := Solve(c, LocalData{}, Options{Lambda: 0.1}); err == nil {
+	if _, err := SolveContext(context.Background(), c, LocalData{}, Options{Lambda: 0.1}); err == nil {
 		t.Fatal("expected error for nil local data")
 	}
 	_ = math.NaN()

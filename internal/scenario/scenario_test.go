@@ -121,8 +121,6 @@ func TestCheckTable(t *testing.T) {
 		Triple:    NonL1Reg,
 		LossPN:    NonL1Reg | ProcessWorld | SampleRate | SampleSeed,
 		DataFISTA: NonL1Reg,
-		CD:        NonL1Reg,
-		ProxSVRG:  NonL1Reg | SampleRate | SampleSeed,
 		PN:        ProcessWorld | SampleRate | SampleSeed,
 		CoCoA:     ProcessWorld,
 	}

@@ -17,15 +17,14 @@ const (
 	// RCSFISTA has SFISTA (k = S = 1) as a corner.
 	RCSFISTA
 	// Triple is FISTA on the least-squares triple (G, r), the paper's
-	// b = 1 corner, certified by one data pass: /fit's least squares.
+	// b = 1 corner: /fit's least squares. It reads no data; a rounding
+	// bound on (G, r, c) certifies its answer.
 	Triple
 	// LossPN is proximal Newton for any loss other than ls (CLI -loss).
 	LossPN
-	// The CLI-only least-squares baselines (-algo fista and ista, cd,
-	// prox-svrg, pn, cocoa).
+	// The CLI-only least-squares baselines (-algo fista and ista, pn,
+	// cocoa).
 	DataFISTA
-	CD
-	ProxSVRG
 	PN
 	CoCoA
 )
@@ -52,8 +51,6 @@ var table = [...]Feature{
 	Triple:    NonL1Reg,
 	LossPN:    NonL1Reg | ProcessWorld | SampleRate | SampleSeed,
 	DataFISTA: NonL1Reg,
-	CD:        NonL1Reg,
-	ProxSVRG:  NonL1Reg | SampleRate | SampleSeed,
 	PN:        ProcessWorld | SampleRate | SampleSeed,
 	CoCoA:     ProcessWorld,
 }

@@ -307,20 +307,13 @@ func TestCancelDuringBlackout(t *testing.T) {
 	dist.VerifyNoGoroutineLeaks(t, baseline)
 }
 
-// TestCancelSequentialSolvers: the sequential entry points accept the
-// same contract (no communicator, so no consensus — just the local
-// check at each round boundary).
+// TestCancelSequentialSolvers: the sequential entry point, ProxNewton,
+// accepts the same contract (no communicator, so no consensus — just
+// the local check at each round boundary).
 func TestCancelSequentialSolvers(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 8, M: 150, Density: 1, Lambda: 0.1, Seed: 54})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-
-	opts := cancelOpts(p)
-	res, err := ProxSVRGContext(ctx, p.X, p.Y, opts)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ProxSVRG: err = %v", err)
-	}
-	requireWellFormedPartial(t, res, p.X.Rows)
 
 	pn, err := ProxNewtonContext(ctx, p.X, p.Y, PNOptions{Lambda: p.Lambda})
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/hpcgo/rcsfista/internal/cabcd"
 	"github.com/hpcgo/rcsfista/internal/cocoa"
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
@@ -17,12 +16,12 @@ import (
 )
 
 // TestRoundVoteRidesTheBatch: for every other solver on the round loop
-// (ProxCoCoA's m-word segment, CA-BCD's fused Gram + gradient block,
-// the distributed Proximal Newton's gradient and Hessian segments), the
-// vote rides the round's last collective. Against the same solve with a
-// standalone consensus before every batch, a solve issues exactly
-// Rounds fewer collectives — and no OpMax one at all — while its
-// iterate and Cost are bit-identical: the trailer is billed to no one.
+// (ProxCoCoA's m-word segment, the distributed Proximal Newton's
+// gradient and Hessian segments), the vote rides the round's last
+// collective. Against the same solve with a standalone consensus before
+// every batch, a solve issues exactly Rounds fewer collectives — and no
+// OpMax one at all — while its iterate and Cost are bit-identical: the
+// trailer is billed to no one.
 func TestRoundVoteRidesTheBatch(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 16, M: 240, Density: 0.6, Lambda: 0.05, Seed: 61})
 	d, m := p.X.Rows, p.X.Cols
@@ -38,10 +37,6 @@ func TestRoundVoteRidesTheBatch(t *testing.T) {
 		{"cocoa", m + 1, func(ctx context.Context, c dist.Comm) (*solver.Result, error) {
 			return cocoa.SolveContext(ctx, c, cocoa.Partition(xRows, p.Y, c.Size(), c.Rank()),
 				cocoa.Options{Lambda: p.Lambda, Rounds: 12, Seed: 3})
-		}},
-		{"cabcd", 8*8 + 8 + 1, func(ctx context.Context, c dist.Comm) (*solver.Result, error) {
-			return cabcd.SolveContext(ctx, c, solver.Partition(p.X, p.Y, c.Size(), c.Rank()),
-				cabcd.Options{Lambda2: 0.1, BlockSize: 4, S: 2, MaxRounds: 15, Seed: 3})
 		}},
 		{"erm", mat.PackedLen(d) + 1, func(ctx context.Context, c dist.Comm) (*solver.Result, error) {
 			return erm.DistProxNewtonContext(ctx, c, erm.Partition(p.X, p.Y, c.Size(), c.Rank()),

@@ -17,7 +17,7 @@ import (
 // rolled back — before every collective of that payload length: the
 // stage-C batch's, so the counted run pays one extra collective per
 // round, as a loop that polls cancellation with its own allreduce
-// does. Exported for the cocoa/cabcd/erm cases of the external test
+// does. Exported for the cocoa and erm cases of the external test
 // package.
 type CallCounter struct {
 	dist.Comm

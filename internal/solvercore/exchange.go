@@ -126,24 +126,10 @@ func flagVote(cancel bool) Vote {
 	return VoteContinue
 }
 
-// AllreduceExchanger is the reliable stage-C path: a plain f64
-// AllreduceShared on communicator C.
-type AllreduceExchanger struct {
-	C dist.Comm
-}
-
-// Exchange sums local and the vote trailer across ranks.
-func (e AllreduceExchanger) Exchange(local []float64, cancel bool) ([]float64, Vote) {
-	wire := appendVote(local, cancel, dist.TierF64)
-	shared := e.C.AllreduceShared(wire)
-	refundVote(e.C, len(local), len(wire), dist.TierF64)
-	return readVote(shared, len(local), dist.TierF64)
-}
-
 // IdentityExchanger is the degenerate single-process path: the local
 // batch already is the global batch, and the rank's own flag the vote.
-// Used by the sequential solvers (ProxSVRG, sequential ProxNewton) so
-// they run the same Loop without a communicator.
+// Used by the sequential ProxNewton so it runs the same Loop without a
+// communicator.
 type IdentityExchanger struct{}
 
 // Exchange returns local unchanged and the rank's own vote.

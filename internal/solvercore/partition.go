@@ -8,7 +8,7 @@ import (
 // LocalData is one rank's column (sample) block of the global problem,
 // the Figure 1 data distribution: X is partitioned column-wise, y
 // row-wise. It is the shared local-data shape of every sample-split
-// solver (RC-SFISTA, the ProxNewtons, CA-BCD); feature-split solvers
+// solver (RC-SFISTA, the ProxNewtons); feature-split solvers
 // (CoCoA) use FeatureBlock instead.
 type LocalData struct {
 	// X is the d x mLocal local block of the global d x m matrix.
@@ -23,7 +23,7 @@ type LocalData struct {
 
 // Partition returns rank's contiguous column block of (x, y) for a
 // world of the given size. This is the single authoritative partition
-// function; the solver, erm and cabcd packages re-export it.
+// function; the solver and erm packages re-export it.
 func Partition(x *sparse.CSC, y []float64, size, rank int) LocalData {
 	lo, hi := dist.BlockRange(x.Cols, size, rank)
 	return LocalData{

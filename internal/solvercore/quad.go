@@ -11,8 +11,8 @@ import (
 // Hessian is the symmetric-operator interface the subproblem machinery
 // and the engine consume. Every production Hessian is a *mat.SymPacked
 // (upper-triangle packed, half the footprint, the engine's one wire
-// format); *mat.Dense (full storage) satisfies it too, and the tests'
-// dense references run the same inner solvers through it.
+// format); *mat.Dense, the tests' full-storage dense reference,
+// satisfies it too, so they run the same inner solvers through it.
 type Hessian interface {
 	// Dim returns the operator dimension d.
 	Dim() int
