@@ -4,10 +4,13 @@
 // FinalObj, the cost counters and the full trace as exact float64 bit
 // patterns. Any port that changes a single rounding, a sample draw, a
 // message count or a trace point fails loudly. The matrix covers
-// RC-SFISTA across P ∈ {1,4,8} × {fault-free,FaultPlan}, both
-// ProxNewtons (sequential and distributed, all loss functions) and
-// CoCoA; the 5 ProxSVRG and CA-BCD records retired with those engines,
-// which no experiment ran. The grid's names keep their
+// RC-SFISTA across P ∈ {1,4,8} × {fault-free,FaultPlan}, the
+// distributed Proximal Newton drivers, the general-loss Proximal Newton
+// (sequential and distributed, all loss functions) and CoCoA; the 5
+// ProxSVRG and CA-BCD records retired with those engines, which no
+// experiment ran, and the 6 `pn/seq*` records with the least-squares
+// sequential Proximal Newton front end and its inner-solver menu
+// (`erm/seq/squared` is Algorithm 1 on least squares). The grid's names keep their
 // `packed=true` segment from when the dense slot was an option (its 12
 // `packed=false` twins and the 2 delta-form records retired with the
 // options; internal/solver holds both as test references), and their
@@ -334,44 +337,6 @@ func goldenConfigs() []goldenConfig {
 			o := e.vrOpts()
 			return solver.SFISTA(c, local, o)
 		})
-	})
-
-	// Sequential Proximal Newton (least squares specialization).
-	pnBase := func(e *goldenEnv) solver.PNOptions {
-		return solver.PNOptions{Lambda: e.prob.Lambda, OuterIter: 8, InnerIter: 12, B: 0.5, Seed: 5}
-	}
-	add("pn/seq", func(e *goldenEnv) (*solver.Result, error) {
-		return solver.ProxNewton(e.prob.X, e.prob.Y, pnBase(e))
-	})
-	add("pn/seq/linesearch", func(e *goldenEnv) (*solver.Result, error) {
-		o := pnBase(e)
-		o.LineSearch = true
-		return solver.ProxNewton(e.prob.X, e.prob.Y, o)
-	})
-	add("pn/seq/b1", func(e *goldenEnv) (*solver.Result, error) {
-		o := pnBase(e)
-		o.B = 1
-		o.OuterIter = 6
-		return solver.ProxNewton(e.prob.X, e.prob.Y, o)
-	})
-	add("pn/seq/cholinner", func(e *goldenEnv) (*solver.Result, error) {
-		o := pnBase(e)
-		o.Inner = solver.CholInner{Ridge: 1e-8}
-		o.OuterIter = 6
-		return solver.ProxNewton(e.prob.X, e.prob.Y, o)
-	})
-	add("pn/seq/cdinner", func(e *goldenEnv) (*solver.Result, error) {
-		o := pnBase(e)
-		o.Inner = solver.CDInner{Lambda: e.prob.Lambda}
-		o.OuterIter = 6
-		return solver.ProxNewton(e.prob.X, e.prob.Y, o)
-	})
-	add("pn/seq/tol", func(e *goldenEnv) (*solver.Result, error) {
-		o := pnBase(e)
-		o.LineSearch = true
-		o.Tol = 0.2
-		o.FStar = e.fstar
-		return solver.ProxNewton(e.prob.X, e.prob.Y, o)
 	})
 
 	// Distributed PN (delegates to the RC-SFISTA engine).

@@ -13,6 +13,7 @@ import (
 	"github.com/hpcgo/rcsfista/internal/cocoa"
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
+	"github.com/hpcgo/rcsfista/internal/erm"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/solver"
 )
@@ -116,7 +117,7 @@ func TestEndToEndAllSolversAgree(t *testing.T) {
 	check("fista", fr.FinalObj)
 
 	// Proximal Newton (classic sequential).
-	pn, err := solver.ProxNewton(env.prob.X, env.prob.Y, solver.PNOptions{
+	pn, err := erm.ProxNewton(env.prob.X, env.prob.Y, erm.Options{
 		Lambda: env.prob.Lambda, OuterIter: 60, InnerIter: 25, B: 1,
 		LineSearch: true, Tol: 1e-2, FStar: env.fstar, Seed: 99,
 	})

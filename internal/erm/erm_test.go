@@ -166,6 +166,7 @@ func TestProxNewtonLogisticConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireMonotone(t, "logistic", res)
 	o := NewObjective(p.X, p.Y, Logistic{})
 	// Good classification accuracy on the training data.
 	if acc := o.Accuracy(res.W); acc < 0.9 {
@@ -256,20 +257,81 @@ func TestDistProxNewtonChargesHessianBandwidth(t *testing.T) {
 	}
 }
 
+// TestSquaredERMPNMatchesSolverPN: with the squared loss the
+// general solver is Algorithm 1 on the LASSO. It must reach the
+// least-squares reference optimum from the exact Hessian and from a
+// 30 % Hessian sample, under the line search, whose objective trace
+// never rises.
 func TestSquaredERMPNMatchesSolverPN(t *testing.T) {
-	// With the squared loss and B = 1 the general solver must reach the
-	// same optimum as the least-squares reference.
-	prob := data.Generate(data.GenSpec{D: 12, M: 200, Density: 0.8, Lambda: 0.05, Seed: 11})
-	_, fstar := solver.Reference(prob.X, prob.Y, prob.Lambda, 8000)
-	res, err := ProxNewton(prob.X, prob.Y, Options{
-		Lambda: prob.Lambda, OuterIter: 40, InnerIter: 40, B: 1,
-		LineSearch: true, Tol: 1e-5, FStar: fstar, Seed: 11,
-	})
+	for _, tc := range []struct {
+		name string
+		spec data.GenSpec
+		opts Options
+	}{
+		{"b=1", data.GenSpec{D: 12, M: 200, Density: 0.8, Lambda: 0.05, Seed: 11},
+			Options{OuterIter: 40, InnerIter: 40, B: 1, Tol: 1e-5, Seed: 11}},
+		{"b=0.3", data.GenSpec{D: 16, M: 400, Density: 0.6, Lambda: 0.1, Seed: 7, NoiseStd: 0.01},
+			Options{OuterIter: 60, InnerIter: 15, B: 0.3, Tol: 1e-3, Seed: 2}},
+	} {
+		prob := data.Generate(tc.spec)
+		_, fstar := solver.Reference(prob.X, prob.Y, prob.Lambda, 8000)
+		o := tc.opts
+		o.Lambda, o.LineSearch, o.FStar = prob.Lambda, true, fstar
+		res, err := ProxNewton(prob.X, prob.Y, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("%s: squared-loss PN stalled at relerr %g", tc.name, res.FinalRelErr)
+		}
+		requireMonotone(t, tc.name, res)
+	}
+}
+
+// requireMonotone fails unless res's objective trace never rises, as a
+// line-searched solve guarantees: it applies only steps that do not
+// increase F, and keeps w when none does.
+func requireMonotone(t *testing.T, name string, res *solver.Result) {
+	t.Helper()
+	pts := res.Trace.Points
+	for i := 1; i < len(pts); i++ {
+		if pts[i].Obj > pts[i-1].Obj {
+			t.Fatalf("%s: objective rose at outer %d: %g -> %g", name, pts[i].Iter, pts[i-1].Obj, pts[i].Obj)
+		}
+	}
+}
+
+// TestFailedLineSearchKeepsW: when no tested damping decreases F — here
+// the payload's gradient half is negated, so dw points uphill — the
+// round keeps w and the cached F(w), and the solve goes on to draw a
+// fresh Hessian instead of stopping on the step norm.
+func TestFailedLineSearchKeepsW(t *testing.T) {
+	p := data.Generate(data.GenSpec{D: 8, M: 120, Density: 0.8, Lambda: 0.01, Seed: 21})
+	e, err := newPNEngine(dist.NewSelfComm(perf.Comet()), Partition(p.X, p.Y, 1, 0),
+		Options{Lambda: p.Lambda, LineSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
-		t.Fatalf("squared-loss ERM PN stalled at relerr %g", res.FinalRelErr)
+	e.fw = e.value(e.w)
+	buf := make([]float64, e.BatchLen())
+	e.Fill(buf)
+	e.rec.Rounds++
+	mat.Scal(-1, buf[:e.d], nil)
+	w0, f0 := mat.Clone(e.w), e.fw
+
+	if e.Process(buf) {
+		t.Fatal("a failed line search stopped the solve")
+	}
+	if mat.NrmInf(e.dw) == 0 {
+		t.Fatal("the negated gradient gave no direction to search")
+	}
+	for i := range w0 {
+		if math.Float64bits(e.w[i]) != math.Float64bits(w0[i]) {
+			t.Fatalf("w[%d] moved from %g to %g", i, w0[i], e.w[i])
+		}
+	}
+	if e.fw != f0 || e.fw != e.value(e.w) {
+		t.Fatalf("cached F = %g, want F(w) = %g (before the round %g)", e.fw, e.value(e.w), f0)
 	}
 }
 

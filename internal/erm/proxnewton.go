@@ -16,6 +16,20 @@ import (
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
+const (
+	// hessianRidge is added to the diagonal of every combined sampled
+	// Hessian (Levenberg-style damping): a subsample can leave H
+	// singular, and the ridge keeps each subproblem strongly convex and
+	// its power-iteration step finite.
+	hessianRidge = 1e-8
+	// stepTol stops the solve once an applied step moves no coordinate
+	// by more than it: ||gamma_n dw||_inf <= stepTol.
+	stepTol = 1e-10
+	// lineSearchTrials bounds the halvings of gamma_n the line search
+	// tests before it gives up on the round's direction.
+	lineSearchTrials = 30
+)
+
 // Options configures the general-loss Proximal Newton solver
 // (Algorithm 1 for the Eq. 1-2 problem class).
 type Options struct {
@@ -30,18 +44,12 @@ type Options struct {
 	OuterIter, InnerIter int
 	// B is the Hessian sampling rate in (0, 1].
 	B float64
-	// Ridge adds Ridge*I to the sampled Hessian (Levenberg-style
-	// damping); useful when subsampling can make H singular. Zero
-	// selects a small default of 1e-8.
-	Ridge float64
 	// LineSearch enables backtracking on the damping factor gamma_n.
 	LineSearch bool
-	// Tol stops when |F - FStar|/|FStar| <= Tol (needs FStar), or when
-	// the step norm falls below StepTol (always checked).
+	// Tol stops when |F - FStar|/|FStar| <= Tol (needs FStar). The
+	// solve also stops once an applied step falls below stepTol in the
+	// infinity norm (always checked).
 	Tol, FStar float64
-	// StepTol is the minimum step infinity-norm before declaring
-	// convergence; zero selects 1e-10.
-	StepTol float64
 	// Seed drives Hessian sampling.
 	Seed uint64
 	// W0 optionally warm-starts the outer loop; nil starts from zero.
@@ -69,12 +77,6 @@ func (o Options) withDefaults() Options {
 	if o.B == 0 {
 		o.B = 1
 	}
-	if o.Ridge == 0 {
-		o.Ridge = 1e-8
-	}
-	if o.StepTol == 0 {
-		o.StepTol = 1e-10
-	}
 	if o.FStar == 0 {
 		o.FStar = math.NaN()
 	}
@@ -96,7 +98,8 @@ func (o Options) validate() error {
 
 // ProxNewton solves min (1/m) sum loss(x_i^T w, y_i) + g(w)
 // sequentially with sampled-Hessian Proximal Newton and FISTA
-// subproblem solves.
+// subproblem solves. With the default Squared loss and l1 term it is
+// the paper's Algorithm 1 on the LASSO.
 func ProxNewton(x *sparse.CSC, y []float64, opts Options) (*solver.Result, error) {
 	return DistProxNewton(dist.NewSelfComm(perf.Comet()), Partition(x, y, 1, 0), opts)
 }
@@ -115,8 +118,7 @@ var Partition = solvercore.Partition
 // iteration-overlapping of RC-SFISTA does NOT apply here because
 // H(w_n) depends on the current iterate (see the package comment);
 // this solver is the baseline the least-squares specialization
-// improves on. It runs on the unified solvercore Proximal Newton
-// engine, parameterized by Loss.
+// improves on.
 func DistProxNewton(c dist.Comm, local LocalData, opts Options) (*solver.Result, error) {
 	return DistProxNewtonContext(context.Background(), c, local, opts)
 }
@@ -124,6 +126,53 @@ func DistProxNewton(c dist.Comm, local LocalData, opts Options) (*solver.Result,
 // DistProxNewtonContext is DistProxNewton under a context (see
 // solver.RCSFISTAContext for the cancellation contract).
 func DistProxNewtonContext(ctx context.Context, c dist.Comm, local LocalData, opts Options) (*solver.Result, error) {
+	e, err := newPNEngine(c, local, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.fw = e.value(e.w)
+	e.rec.CheckpointAt(0, 0, e.fw)
+	err = solvercore.Loop(solvercore.Spec{
+		Ctx:      ctx,
+		Comm:     c,
+		Rec:      e.rec,
+		Fill:     e,
+		Exchange: solvercore.SegmentedExchanger{C: c, Segs: []int{e.d, mat.PackedLen(e.d)}},
+		Pass:     e,
+		Stop:     e,
+	})
+	return e.rec.Finish(e.w), err
+}
+
+// pnEngine is one rank's Proximal Newton solve on the shared round
+// loop, its BatchFiller, InnerPass and StopPolicy: one round is one
+// outer iteration — fill the [d gradient | d(d+1)/2 packed Hessian]
+// payload, allreduce it, solve the Eq. 19 subproblem with FISTA, damp
+// the step, checkpoint.
+type pnEngine struct {
+	c     dist.Comm
+	opts  Options
+	local LocalData
+	obj   *Objective
+	rec   *solvercore.Recorder
+	d     int
+	mbar  int
+
+	sampler solvercore.StreamSampler
+	// draw is the outer iteration's global sample and localCols the
+	// rank's columns of it, kept across iterations.
+	draw, localCols []int
+
+	w, dw, cand []float64
+	// fw is F(w), the value the line search compares against and the
+	// checkpoints record.
+	fw    float64
+	fista solvercore.FISTAInner
+}
+
+// newPNEngine validates opts and sets up a solve from opts.W0 (zero
+// when nil).
+func newPNEngine(c dist.Comm, local LocalData, opts Options) (*pnEngine, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -131,75 +180,133 @@ func DistProxNewtonContext(ctx context.Context, c dist.Comm, local LocalData, op
 	if local.X == nil || local.X.Cols != len(local.Y) {
 		return nil, errors.New("erm: inconsistent local data")
 	}
-	d := local.X.Rows
-	m := local.MGlobal
-	mbar := int(opts.B * float64(m))
-	if mbar < 1 {
-		mbar = 1
-	}
-	w0 := make([]float64, d)
+	d, m := local.X.Rows, local.MGlobal
+	mbar := max(int(opts.B*float64(m)), 1)
+	w := make([]float64, d)
 	if opts.W0 != nil {
 		if len(opts.W0) != d {
 			return nil, fmt.Errorf("erm: W0 length %d != d = %d", len(opts.W0), d)
 		}
-		copy(w0, opts.W0)
+		copy(w, opts.W0)
 	}
-	cost := c.Cost()
-	localObj := NewObjective(local.X, local.Y, opts.Loss)
-	sampler := solvercore.StreamSampler{
-		Src: rng.NewSource(opts.Seed), Epoch: 4, N: m, Draw: mbar,
-	}
-	rec := solvercore.NewRecorder(opts.TraceName, c.Rank(), cost, c.Machine())
+	rec := solvercore.NewRecorder(opts.TraceName, c.Rank(), c.Cost(), c.Machine())
 	rec.Tol, rec.FStar = opts.Tol, opts.FStar
-
-	// globalValue evaluates F(w) with one scalar allreduce
-	// (instrumentation: cost rolled back).
-	globalValue := func(w []float64) float64 {
-		saved := *cost
-		f := localObj.Value(w, nil) * float64(local.X.Cols)
-		f = dist.AllreduceScalar(c, f, dist.OpSum) / float64(m)
-		*cost = saved
-		return f + opts.Reg.Value(w, nil)
-	}
-	// The outer iteration's global sample and its owned columns, kept
-	// across iterations.
-	var draw, localCols []int
-
-	return solvercore.RunProxNewton(ctx, solvercore.PNSpec{
-		Comm:       c,
-		Rec:        rec,
-		D:          d,
-		W:          w0,
-		OuterIter:  opts.OuterIter,
-		InnerIter:  opts.InnerIter,
-		Reg:        opts.Reg,
-		LineSearch: opts.LineSearch,
-		StepTol:    opts.StepTol,
-		Exchange:   solvercore.SegmentedExchanger{C: c, Segs: []int{d, mat.PackedLen(d)}},
-		// Sampled Hessian at w: shared global sample set, local
-		// contribution over owned columns. SampledHessian scales by
-		// 1/len(cols); rescale so the global sum is (1/mbar) * sum over
-		// the whole sample set.
-		FillHessian: func(h *mat.SymPacked, w []float64, outer int, c *perf.Cost) {
-			draw = sampler.AppendSample(draw[:0], outer)
-			localCols = local.AppendLocalCols(localCols[:0], draw)
-			if len(localCols) > 0 {
-				localObj.SampledHessianPacked(h, w, localCols, c)
-				mat.Scal(float64(len(localCols))/float64(mbar), h.Data, c)
-			}
-		},
-		// Exact gradient: local partial, scaled by the local share.
-		FillGradient: func(grad, w []float64, c *perf.Cost) {
-			localObj.Gradient(grad, w, c)
-			mat.Scal(float64(local.X.Cols)/float64(m), grad, c)
-		},
-		// Ridge damping on the combined Hessian.
-		PostExchange: func(h *mat.SymPacked, c *perf.Cost) {
-			for i := 0; i < d; i++ {
-				h.Set(i, i, h.At(i, i)+opts.Ridge)
-			}
-		},
-		Eval:     globalValue,
-		StepEval: func(w []float64, _ *perf.Cost) float64 { return globalValue(w) },
-	})
+	return &pnEngine{
+		c:       c,
+		opts:    opts,
+		local:   local,
+		obj:     NewObjective(local.X, local.Y, opts.Loss),
+		rec:     rec,
+		d:       d,
+		mbar:    mbar,
+		sampler: solvercore.StreamSampler{Src: rng.NewSource(opts.Seed), Epoch: 4, N: m, Draw: mbar},
+		w:       w,
+		dw:      make([]float64, d),
+		cand:    make([]float64, d),
+	}, nil
 }
+
+// value returns F(w) on every rank with one scalar allreduce. It is
+// instrumentation and step control, not algorithm: its cost is rolled
+// back.
+func (e *pnEngine) value(w []float64) float64 {
+	cost := e.c.Cost()
+	saved := *cost
+	f := e.obj.Value(w, nil) * float64(e.local.X.Cols)
+	f = dist.AllreduceScalar(e.c, f, dist.OpSum) / float64(e.local.MGlobal)
+	*cost = saved
+	return f + e.opts.Reg.Value(w, nil)
+}
+
+// BatchLen is the payload length: d gradient words then the packed
+// Hessian.
+func (e *pnEngine) BatchLen() int { return e.d + mat.PackedLen(e.d) }
+
+// Fill computes the round's local payload at the current iterate and
+// returns its cost.
+func (e *pnEngine) Fill(buf []float64) perf.Cost {
+	var cost perf.Cost
+	// Line 3: the sampled Hessian over the rank's columns of the
+	// iteration's global sample. SampledHessianPacked scales by
+	// 1/len(cols); rescale so the global sum is (1/mbar) times the sum
+	// over the whole sample.
+	h := mat.SymPackedOf(e.d, buf[e.d:])
+	h.Zero()
+	e.draw = e.sampler.AppendSample(e.draw[:0], e.rec.Rounds+1)
+	e.localCols = e.local.AppendLocalCols(e.localCols[:0], e.draw)
+	if len(e.localCols) > 0 {
+		e.obj.SampledHessianPacked(h, e.w, e.localCols, &cost)
+		mat.Scal(float64(len(e.localCols))/float64(e.mbar), h.Data, &cost)
+	}
+	// The subproblem's anchor: the rank's partial of the exact
+	// gradient, scaled by its share of the samples.
+	grad := buf[:e.d]
+	e.obj.Gradient(grad, e.w, &cost)
+	mat.Scal(float64(e.local.X.Cols)/float64(e.local.MGlobal), grad, &cost)
+	return cost
+}
+
+// Process consumes the combined payload: subproblem solve, damped
+// (optionally line-searched) step, checkpoint, stop checks.
+func (e *pnEngine) Process(shared []float64) bool {
+	cost, outer := e.rec.Cost, e.rec.Rounds
+	grad := shared[:e.d]
+	h := mat.SymPackedOf(e.d, shared[e.d:])
+	for i := 0; i < e.d; i++ {
+		h.Set(i, i, h.At(i, i)+hessianRidge)
+	}
+
+	// Line 4: the Eq. 19 subproblem anchored at the exact gradient,
+	// solved by FISTA warm-started at w.
+	quad := solvercore.NewSubproblem(h, e.w, grad, cost)
+	e.fista.Gamma = 1 / solvercore.EstimateQuadLipschitz(h, 20, cost)
+	z := e.fista.Solve(quad, e.opts.Reg, e.w, e.opts.InnerIter, cost)
+
+	// Lines 5-6: the damped update.
+	mat.Sub(e.dw, z, e.w, cost)
+	step := 1.0
+	if e.opts.LineSearch {
+		step = e.lineSearch(cost)
+	}
+	mat.Axpy(step, e.dw, e.w, cost)
+	if !e.opts.LineSearch {
+		e.fw = e.value(e.w)
+	}
+
+	e.rec.Iter = outer
+	if e.rec.CheckpointAt(outer, outer, e.fw) {
+		e.rec.Converged = true
+		return true
+	}
+	if step > 0 && mat.NrmInf(e.dw)*step <= stepTol {
+		e.rec.Converged = e.rec.FinalRelErr <= e.rec.Tol || math.IsNaN(e.rec.FinalRelErr)
+		return true
+	}
+	return false
+}
+
+// lineSearch halves gamma_n from 1 until F(w + gamma_n dw) <= F(w),
+// testing at most lineSearchTrials steps, and returns the accepted
+// step with its F cached in fw. When no tested step decreases F — a
+// badly subsampled Hessian can make dw an ascent direction — it
+// returns 0: w and fw stay, and the next iteration draws a fresh
+// Hessian.
+func (e *pnEngine) lineSearch(cost *perf.Cost) float64 {
+	step := 1.0
+	for trial := 0; trial < lineSearchTrials; trial++ {
+		mat.AddScaled(e.cand, e.w, step, e.dw, cost)
+		if f := e.value(e.cand); f <= e.fw {
+			e.fw = f
+			return step
+		}
+		step /= 2
+	}
+	return 0
+}
+
+// OnSkip stops the solve: the segmented exchange never loses a round,
+// so a nil payload means the configuration is broken, not transient.
+func (e *pnEngine) OnSkip() bool { return true }
+
+// Done gates round starts on the outer iteration budget.
+func (e *pnEngine) Done() bool { return e.rec.Rounds >= e.opts.OuterIter }

@@ -83,28 +83,6 @@ func BenchmarkSymPackedMulVecSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkCholeskyPacked times the left-looking packed factorization
-// at the engine's default Hessian size. One factor allocation per op is
-// the contract (the factor is the result); the sweep itself is
-// unit-stride with no temporaries.
-func BenchmarkCholeskyPacked(b *testing.B) {
-	const d = 96
-	h := NewSymPacked(d)
-	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			h.Set(i, j, 1/float64(i+j+1))
-		}
-		h.Set(i, i, h.At(i, i)+2)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CholeskyPacked(h, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSymPackedPanelUpdate times the register-tiled packed SYRK at
 // the two dense Gram shapes of the repo benchmark (d = 192 and 392, one
 // 200-column panel — a stage-B slot at b = 0.1) and reports the rate

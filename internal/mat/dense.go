@@ -8,7 +8,7 @@ import (
 
 // Dense is a row-major dense matrix. No production code uses it: it
 // is the tests' dense reference, against which the packed kernels
-// (SymPacked and its Cholesky) are held.
+// (SymPacked) are held.
 type Dense struct {
 	Rows, Cols int
 	// Data holds the entries in row-major order: element (i, j) lives at

@@ -6,8 +6,8 @@ package mat
 // the sorted working set of coordinates the l1 KKT conditions cannot
 // rule out. Gather/Scatter move vectors between the full and reduced
 // coordinate spaces; the reduced Hessian is filled directly by
-// sparse.SampledGramPackedRows, so the inner FISTA/CD/Cholesky solvers
-// run unchanged on the reduced Quad.
+// sparse.SampledGramPackedRows, so the FISTA recurrence runs unchanged
+// on the reduced Hessian.
 
 // Gather writes dst[i] = src[idx[i]]. dst and idx must have equal
 // length; idx entries index into src.

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/hpcgo/rcsfista/internal/perf"
 )
@@ -239,89 +238,4 @@ func (a *SymPacked) AddScaledCol(j int, s float64, y []float64, c *perf.Cost) {
 		ys[ii] += s * v
 	}
 	c.AddFlops(int64(2 * n))
-}
-
-// CholeskyPacked computes the packed upper-triangular factor U with
-// A = U^T U for a symmetric positive definite packed matrix. The factor
-// is returned in packed storage (the strict lower triangle of U is zero
-// by construction and not stored). Flops charged: n^3/3, as for the
-// dense factorization.
-//
-// The sweep is left-looking by row: row i of U starts as row i of A and
-// subtracts rank-1 contributions of the finished rows k < i in one
-// unit-stride pass each, then scales by the pivot — no strided At/Set
-// walks. Every element still receives its k = 0..i-1 subtractions in
-// ascending order and the same sqrt/divide, so the factor is bit
-// identical to the textbook column-major form, including which diagonal
-// trips ErrNotSPD first (diagonals are checked in ascending index order
-// either way).
-func CholeskyPacked(a *SymPacked, c *perf.Cost) (*SymPacked, error) {
-	n := a.N
-	u := NewSymPacked(n)
-	for i := 0; i < n; i++ {
-		rs := u.rowStart(i)
-		ui := u.Data[rs : rs+n-i]
-		copy(ui, a.Data[rs:rs+n-i])
-		for k := 0; k < i; k++ {
-			// Row k's entries for columns i..n-1 sit at offset i-k of its
-			// tail, contiguous; uki = U(k, i) multiplies all of them.
-			ks := u.rowStart(k)
-			rk := u.Data[ks+i-k : ks+n-k]
-			uki := rk[0]
-			for jj := range ui {
-				ui[jj] -= uki * rk[jj]
-			}
-		}
-		s := ui[0]
-		if s <= 0 || math.IsNaN(s) {
-			return nil, ErrNotSPD
-		}
-		d := math.Sqrt(s)
-		ui[0] = d
-		for jj := 1; jj < len(ui); jj++ {
-			ui[jj] /= d
-		}
-	}
-	c.AddFlops(int64(n) * int64(n) * int64(n) / 3)
-	return u, nil
-}
-
-// CholeskySolvePacked solves A x = b given the packed Cholesky factor U
-// of A = U^T U, returning a fresh x (b is not modified).
-func CholeskySolvePacked(u *SymPacked, b []float64, c *perf.Cost) []float64 {
-	n := u.N
-	if len(b) != n {
-		panic("mat: CholeskySolvePacked dimension mismatch")
-	}
-	x := make([]float64, n)
-	copy(x, b)
-	// Forward: U^T z = b (U^T is lower triangular).
-	for i := 0; i < n; i++ {
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= u.At(k, i) * x[k]
-		}
-		x[i] = s / u.At(i, i)
-	}
-	// Backward: U x = z, sweeping each row's contiguous tail.
-	for i := n - 1; i >= 0; i-- {
-		tail := u.RowTail(i)
-		s := x[i]
-		for kk := 1; kk < len(tail); kk++ {
-			s -= tail[kk] * x[i+kk]
-		}
-		x[i] = s / tail[0]
-	}
-	c.AddFlops(int64(2 * n * n))
-	return x
-}
-
-// SolveSPDPacked solves A x = b for a symmetric positive definite
-// packed matrix.
-func SolveSPDPacked(a *SymPacked, b []float64, c *perf.Cost) ([]float64, error) {
-	u, err := CholeskyPacked(a, c)
-	if err != nil {
-		return nil, err
-	}
-	return CholeskySolvePacked(u, b, c), nil
 }

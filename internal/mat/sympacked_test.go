@@ -8,8 +8,7 @@ import (
 )
 
 // symTestMatrix builds a deterministic symmetric n x n matrix with
-// distinct off-diagonal entries and a dominant diagonal (so it is also
-// SPD for the Cholesky tests).
+// distinct off-diagonal entries and a dominant diagonal.
 func symTestMatrix(n int) *Dense {
 	a := NewDense(n, n)
 	for i := 0; i < n; i++ {
@@ -161,77 +160,6 @@ func TestSymPackedFlopCharges(t *testing.T) {
 	a.AddScaledCol(2, 1, y, &c)
 	if c.Flops != 2*n {
 		t.Fatalf("AddScaledCol flops = %d, want %d", c.Flops, 2*n)
-	}
-	c = perf.Cost{}
-	if _, err := CholeskyPacked(a, &c); err != nil {
-		t.Fatal(err)
-	}
-	if c.Flops != int64(n*n*n/3) {
-		t.Fatalf("CholeskyPacked flops = %d, want %d", c.Flops, n*n*n/3)
-	}
-}
-
-func TestCholeskyPackedSolvesSPD(t *testing.T) {
-	for _, n := range []int{1, 3, 10} {
-		dense := symTestMatrix(n)
-		packed := packDense(dense)
-		b := testVector(n)
-
-		xp, err := SolveSPDPacked(packed, b, nil)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		xd, err := SolveSPD(dense, b, nil)
-		if err != nil {
-			t.Fatalf("n=%d dense: %v", n, err)
-		}
-		for i := range xp {
-			if math.Abs(xp[i]-xd[i]) > 1e-12 {
-				t.Fatalf("n=%d: packed/dense solutions differ at %d: %g vs %g", n, i, xp[i], xd[i])
-			}
-		}
-		// Residual check: A x = b.
-		ax := make([]float64, n)
-		packed.MulVec(ax, xp, nil)
-		for i := range ax {
-			if math.Abs(ax[i]-b[i]) > 1e-10 {
-				t.Fatalf("n=%d: residual at %d: %g", n, i, ax[i]-b[i])
-			}
-		}
-	}
-}
-
-func TestCholeskyPackedFactorIsUpperTriangular(t *testing.T) {
-	const n = 5
-	a := packDense(symTestMatrix(n))
-	u, err := CholeskyPacked(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reconstruct U^T U and compare to A.
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			var s float64
-			for k := 0; k <= i; k++ {
-				s += u.At(k, i) * u.At(k, j)
-			}
-			if math.Abs(s-a.At(i, j)) > 1e-12 {
-				t.Fatalf("(U^T U)[%d,%d] = %g, want %g", i, j, s, a.At(i, j))
-			}
-		}
-	}
-}
-
-func TestCholeskyPackedRejectsIndefinite(t *testing.T) {
-	a := NewSymPacked(2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 1, 1) // eigenvalues 3, -1: indefinite
-	if _, err := CholeskyPacked(a, nil); err != ErrNotSPD {
-		t.Fatalf("err = %v, want ErrNotSPD", err)
-	}
-	if _, err := SolveSPDPacked(a, []float64{1, 1}, nil); err != ErrNotSPD {
-		t.Fatalf("SolveSPDPacked err = %v, want ErrNotSPD", err)
 	}
 }
 

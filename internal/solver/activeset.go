@@ -280,7 +280,7 @@ func (e *engine) reducedReg(layout []int) prox.Operator {
 // layout by construction, so the gathered recurrence equals the dense
 // one restricted to A whenever the dense step would keep the screened
 // coordinates at zero — exactly what the KKT check certifies).
-func (e *engine) updateActive(h Hessian, r []float64, layout []int) {
+func (e *engine) updateActive(h solvercore.Hessian, r []float64, layout []int) {
 	as, cost := e.as, e.c.Cost()
 	reg := e.reducedReg(layout)
 	a := len(layout)

@@ -307,17 +307,18 @@ func TestCancelDuringBlackout(t *testing.T) {
 	dist.VerifyNoGoroutineLeaks(t, baseline)
 }
 
-// TestCancelSequentialSolvers: the sequential entry point, ProxNewton,
+// TestCancelSequentialSolvers: the sequential entry point, SolveTriple,
 // accepts the same contract (no communicator, so no consensus — just
-// the local check at each round boundary).
+// the local check before its first iteration).
 func TestCancelSequentialSolvers(t *testing.T) {
 	p := data.Generate(data.GenSpec{D: 8, M: 150, Density: 1, Lambda: 0.1, Seed: 54})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
-	pn, err := ProxNewtonContext(ctx, p.X, p.Y, PNOptions{Lambda: p.Lambda})
+	tri := FillTriple(p.X, p.Y, 1, nil)
+	res, err := SolveTriple(ctx, tri, perf.Comet(), Options{Lambda: p.Lambda, MaxIter: 100})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ProxNewton: err = %v", err)
+		t.Fatalf("SolveTriple: err = %v", err)
 	}
-	requireWellFormedPartial(t, pn, p.X.Rows)
+	requireWellFormedPartial(t, res, p.X.Rows)
 }

@@ -8,34 +8,21 @@ import (
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/prox"
+	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
 // Hot-loop allocation regressions: the subproblem machinery and the
-// full-Gram kernels must run allocation-free once warm, and the inner
-// CD sweep must charge flops only for the coordinates it actually
-// computes. Companion benchmarks (with -benchmem) quantify the wins.
-
-func TestQuadValueWithAllocationFree(t *testing.T) {
-	q := smallQuad(16, 9)
-	z := make([]float64, 16)
-	hz := make([]float64, 16)
-	z[3], z[7] = 0.5, -0.25
-	if got, want := q.ValueWith(z, hz, nil), q.Value(z, nil); got != want {
-		t.Fatalf("ValueWith = %g, Value = %g", got, want)
-	}
-	if n := testing.AllocsPerRun(100, func() { q.ValueWith(z, hz, nil) }); n != 0 {
-		t.Fatalf("ValueWith allocated %g times per call", n)
-	}
-}
+// full-Gram kernels must run allocation-free once warm. Companion
+// benchmarks (with -benchmem) quantify the wins.
 
 func TestFISTAInnerSolveAllocationFreeWhenWarm(t *testing.T) {
 	q := smallQuad(16, 9)
 	// Hoist the interface conversion: boxing prox.L1 at the call site
 	// would be charged to the solver otherwise.
 	var g prox.Operator = prox.L1{Lambda: 0.05}
-	l := EstimateQuadLipschitz(q.H, 30, nil)
-	inner := &FISTAInner{Gamma: 1 / l}
+	l := solvercore.EstimateQuadLipschitz(q.H, 30, nil)
+	inner := &solvercore.FISTAInner{Gamma: 1 / l}
 	z0 := make([]float64, 16)
 	inner.Solve(q, g, z0, 5, nil) // warm the scratch
 	if n := testing.AllocsPerRun(50, func() { inner.Solve(q, g, z0, 5, nil) }); n != 0 {
@@ -101,36 +88,6 @@ func TestEngineFillAllocationFreeWhenWarm(t *testing.T) {
 	}
 }
 
-// TestCDInnerFlopAccountingRankDeficient pins the fast-path accounting:
-// a coordinate whose diagonal is non-positive is skipped for free; the
-// 6-flop closed-form charge lands only on computed coordinates, and
-// AddScaledCol's 2d lands only on coordinates that actually moved.
-func TestCDInnerFlopAccountingRankDeficient(t *testing.T) {
-	const d = 4
-	h := mat.NewSymPacked(d)
-	h.Set(0, 0, 2)
-	h.Set(2, 2, 3) // diagonals 1 and 3 stay zero: rank-deficient
-	r := []float64{10, 10, 10, 10}
-	q := Quad{H: h, R: r}
-	var c perf.Cost
-	z := CDInner{Lambda: 0.1}.Solve(q, nil, make([]float64, d), 2, &c)
-
-	if z[1] != 0 || z[3] != 0 {
-		t.Fatalf("zero-diagonal coordinates moved: %v", z)
-	}
-	if z[0] == 0 || z[2] == 0 {
-		t.Fatalf("positive-diagonal coordinates did not move: %v", z)
-	}
-	// Sweep 1 updates both positive-diagonal coordinates; sweep 2
-	// recomputes them (6 flops each) but finds delta = 0, so no
-	// AddScaledCol. Zero-diagonal coordinates charge nothing, ever:
-	//   2d^2 (initial H z) + 2 sweeps * 2 coords * 6 + 2 updates * 2d.
-	want := int64(2*d*d + 2*2*6 + 2*2*d)
-	if c.Flops != want {
-		t.Fatalf("CDInner charged %d flops, want %d", c.Flops, want)
-	}
-}
-
 // gramProblem builds a small fixed sparse instance for the kernel
 // allocation tests.
 func gramProblem() struct {
@@ -158,23 +115,11 @@ func gramProblem() struct {
 	}{X: &sparse.CSC{Rows: d, Cols: m, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, Y: y}
 }
 
-func BenchmarkQuadValueWith(b *testing.B) {
-	q := smallQuad(32, 9)
-	z := make([]float64, 32)
-	hz := make([]float64, 32)
-	z[3], z[17] = 0.5, -0.25
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.ValueWith(z, hz, nil)
-	}
-}
-
 func BenchmarkFISTAInnerSolve(b *testing.B) {
 	q := smallQuad(32, 9)
 	var g prox.Operator = prox.L1{Lambda: 0.05}
-	l := EstimateQuadLipschitz(q.H, 30, nil)
-	inner := &FISTAInner{Gamma: 1 / l}
+	l := solvercore.EstimateQuadLipschitz(q.H, 30, nil)
+	inner := &solvercore.FISTAInner{Gamma: 1 / l}
 	z0 := make([]float64, 32)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,6 +4,7 @@ import (
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/prox"
 	"github.com/hpcgo/rcsfista/internal/rng"
+	"github.com/hpcgo/rcsfista/internal/solvercore"
 	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
@@ -43,7 +44,7 @@ func SampledLipschitz(x *sparse.CSC, y []float64, b float64, trials int, seed ui
 		h.Zero()
 		mat.Zero(r)
 		sparse.SampledGramPacked(x, h, r, y, cols, 1/float64(mbar), nil)
-		if l := EstimateQuadLipschitz(h, 30, nil); l > lmax {
+		if l := solvercore.EstimateQuadLipschitz(h, 30, nil); l > lmax {
 			lmax = l
 		}
 	}

@@ -9,7 +9,9 @@
 //     that batches k Hessian instances per allreduce
 //     (iteration-overlapping) and reuses each instance for S
 //     consecutive updates (Hessian-reuse);
-//   - Proximal Newton (Algorithm 1) with pluggable inner solvers.
+//   - the distributed Proximal Newton drivers of Section 3.3 / Figure 7,
+//     with FISTA (k = 1) or RC-SFISTA as the inner solver. Algorithm 1
+//     itself, for any smooth loss, is package erm's.
 //
 // All solvers run against the dist.Comm interface; a SelfComm gives the
 // sequential algorithm and a World gives the P-rank simulation. One

@@ -6,10 +6,7 @@ import (
 
 	"github.com/hpcgo/rcsfista/internal/data"
 	"github.com/hpcgo/rcsfista/internal/dist"
-	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
-	"github.com/hpcgo/rcsfista/internal/prox"
-	"github.com/hpcgo/rcsfista/internal/sparse"
 )
 
 // requireBitIdentical fails unless two results agree to the last bit on
@@ -225,107 +222,6 @@ func TestFullSampleWithOverlapAndReuse(t *testing.T) {
 	for i := range seq.W {
 		if math.Abs(par.W[i]-seq.W[i]) > 1e-10 {
 			t.Fatalf("W[%d] = %g (P=5) vs %g (seq)", i, par.W[i], seq.W[i])
-		}
-	}
-}
-
-func TestCholInnerSolvesQuadExactly(t *testing.T) {
-	// Minimize (1/2) z^T H z - R^T z with SPD H: CholInner must hit the
-	// linear-system solution regardless of the iteration budget.
-	const d = 7
-	hd := mat.NewDense(d, d)
-	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			v := math.Sin(float64(i*d+j)) / 8
-			hd.Set(i, j, v)
-			hd.Set(j, i, v)
-		}
-		hd.Set(i, i, 3+float64(i))
-	}
-	r := make([]float64, d)
-	for i := range r {
-		r[i] = float64(i) - 2.5
-	}
-	want, err := mat.SolveSPD(hd, r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	z0 := make([]float64, d)
-	for _, h := range []Hessian{hd, packUpper(hd)} {
-		q := Quad{H: h, R: r}
-		z := CholInner{}.Solve(q, prox.Zero{}, z0, 0, nil)
-		for i := range z {
-			if math.Abs(z[i]-want[i]) > 1e-12 {
-				t.Fatalf("z[%d] = %g, want %g", i, z[i], want[i])
-			}
-		}
-		g := make([]float64, d)
-		q.Grad(g, z, nil)
-		if mat.NrmInf(g) > 1e-10 {
-			t.Fatalf("gradient at CholInner solution: %g", mat.NrmInf(g))
-		}
-	}
-}
-
-func TestCholInnerRidgeAndFallback(t *testing.T) {
-	const d = 4
-	h := mat.NewSymPacked(d)
-	for i := 0; i < d; i++ {
-		h.Set(i, i, 2)
-	}
-	r := []float64{1, 2, 3, 4}
-	const ridge = 0.5
-	// (2 + 0.5) z = r -> z = r / 2.5; H must not be mutated by the
-	// ridge shift.
-	z := CholInner{Ridge: ridge}.Solve(Quad{H: h, R: r}, prox.Zero{}, make([]float64, d), 0, nil)
-	for i := range z {
-		if math.Abs(z[i]-r[i]/2.5) > 1e-14 {
-			t.Fatalf("z[%d] = %g, want %g", i, z[i], r[i]/2.5)
-		}
-	}
-	if h.At(0, 0) != 2 {
-		t.Fatalf("CholInner mutated H: H(0,0) = %g", h.At(0, 0))
-	}
-
-	// Indefinite H without ridge: fall back to the starting point.
-	bad := mat.NewSymPacked(2)
-	bad.Set(0, 0, 1)
-	bad.Set(0, 1, 2)
-	bad.Set(1, 1, 1)
-	z0 := []float64{0.25, -0.75}
-	out := CholInner{}.Solve(Quad{H: bad, R: []float64{1, 1}}, prox.Zero{}, z0, 0, nil)
-	if out[0] != z0[0] || out[1] != z0[1] {
-		t.Fatalf("fallback returned %v, want z0 %v", out, z0)
-	}
-	out[0] = 99
-	if z0[0] == 99 {
-		t.Fatal("fallback aliased z0")
-	}
-	if _, ok := interface{}(CholInner{}).(QuadInner); !ok {
-		t.Fatal("CholInner does not satisfy QuadInner")
-	}
-	if (CholInner{}).Name() != "chol" {
-		t.Fatal("CholInner name")
-	}
-}
-
-func TestCDInnerPackedMatchesDense(t *testing.T) {
-	// The coordinate-descent inner solver consumes the Hessian through
-	// At/AddScaledCol; packed and dense operators must agree bitwise.
-	p, _, _ := testProblem(t, 10, 120, 0.7)
-	hp := mat.NewSymPacked(10)
-	r := make([]float64, 10)
-	sparse.FullGramPacked(p.X, hp, r, p.Y, 1/float64(p.X.Cols), nil)
-	hd := expand(hp)
-
-	cd := CDInner{Lambda: 0.05}
-	z0 := make([]float64, 10)
-	zd := cd.Solve(Quad{H: hd, R: r}, prox.L1{Lambda: 0.05}, z0, 30, nil)
-	zp := cd.Solve(Quad{H: hp, R: r}, prox.L1{Lambda: 0.05}, z0, 30, nil)
-	for i := range zd {
-		if zd[i] != zp[i] {
-			t.Fatalf("CD iterate differs at %d: %v vs %v", i, zd[i], zp[i])
 		}
 	}
 }

@@ -9,77 +9,8 @@ import (
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/prox"
+	"github.com/hpcgo/rcsfista/internal/solvercore"
 )
-
-func TestProxNewtonConverges(t *testing.T) {
-	p, _, fstar := testProblem(t, 20, 300, 0.6)
-	res, err := ProxNewton(p.X, p.Y, PNOptions{
-		Lambda: p.Lambda, OuterIter: 40, InnerIter: 20, B: 1,
-		Tol: 1e-4, FStar: fstar, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("PN did not converge: relerr=%g after %d outers", res.FinalRelErr, res.Iters)
-	}
-}
-
-func TestProxNewtonSampledHessian(t *testing.T) {
-	p, _, fstar := testProblem(t, 16, 400, 0.6)
-	res, err := ProxNewton(p.X, p.Y, PNOptions{
-		Lambda: p.Lambda, OuterIter: 60, InnerIter: 15, B: 0.3,
-		LineSearch: true, Tol: 1e-3, FStar: fstar, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("sampled-Hessian PN stalled: relerr=%g", res.FinalRelErr)
-	}
-}
-
-func TestProxNewtonLineSearchMonotone(t *testing.T) {
-	p, _, fstar := testProblem(t, 12, 200, 1.0)
-	res, err := ProxNewton(p.X, p.Y, PNOptions{
-		Lambda: p.Lambda, OuterIter: 15, InnerIter: 10, B: 1,
-		LineSearch: true, FStar: fstar, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := res.Trace.Points
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Obj > pts[i-1].Obj*(1+1e-9) {
-			t.Fatalf("objective increased at outer %d: %g -> %g", i, pts[i-1].Obj, pts[i].Obj)
-		}
-	}
-}
-
-func TestProxNewtonCDInner(t *testing.T) {
-	p, _, fstar := testProblem(t, 15, 250, 0.7)
-	res, err := ProxNewton(p.X, p.Y, PNOptions{
-		Lambda: p.Lambda, OuterIter: 30, InnerIter: 5, B: 1,
-		Inner: CDInner{Lambda: p.Lambda},
-		Tol:   1e-4, FStar: fstar, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("PN+CD stalled: relerr=%g", res.FinalRelErr)
-	}
-}
-
-func TestProxNewtonRejectsBadOptions(t *testing.T) {
-	p, _, _ := testProblem(t, 5, 20, 1.0)
-	if _, err := ProxNewton(p.X, p.Y, PNOptions{Lambda: 0.1, B: 2}); err == nil {
-		t.Fatal("B > 1 accepted")
-	}
-	if _, err := ProxNewton(p.X, p.Y, PNOptions{Lambda: -1}); err == nil {
-		t.Fatal("negative lambda accepted")
-	}
-}
 
 func TestDistProxNewtonConvergesAndScales(t *testing.T) {
 	p, gamma, fstar := testProblem(t, 24, 500, 0.5)
@@ -113,7 +44,7 @@ func TestDistProxNewtonConvergesAndScales(t *testing.T) {
 // --- Quad subproblem tests ---
 
 // smallQuad builds a well-conditioned random PSD quadratic.
-func smallQuad(d int, seed uint64) Quad {
+func smallQuad(d int, seed uint64) solvercore.Quad {
 	p := data.Generate(data.GenSpec{D: d, M: 4 * d, Density: 1, Seed: seed})
 	h := mat.NewDense(d, d)
 	r := make([]float64, d)
@@ -126,7 +57,7 @@ func smallQuad(d int, seed uint64) Quad {
 	for i := 0; i < d; i++ {
 		h.Set(i, i, h.At(i, i)+0.1)
 	}
-	return Quad{H: h, R: r}
+	return solvercore.Quad{H: h, R: r}
 }
 
 func sampled(p *data.Problem, h *mat.Dense, r []float64, cols []int) {
@@ -142,13 +73,15 @@ func sampled(p *data.Problem, h *mat.Dense, r []float64, cols []int) {
 	}
 }
 
+// TestFISTAInnerAndCDInnerAgree holds the FISTA inner solver to exact
+// cyclic coordinate descent (cdSolve) on an l1 subproblem.
 func TestFISTAInnerAndCDInnerAgree(t *testing.T) {
 	q := smallQuad(10, 7)
 	g := prox.L1{Lambda: 0.05}
-	l := EstimateQuadLipschitz(q.H, 50, nil)
+	l := solvercore.EstimateQuadLipschitz(q.H, 50, nil)
 	z0 := make([]float64, 10)
-	zf := (&FISTAInner{Gamma: 1 / l}).Solve(q, g, z0, 2000, nil)
-	zc := CDInner{Lambda: 0.05}.Solve(q, g, z0, 500, nil)
+	zf := (&solvercore.FISTAInner{Gamma: 1 / l}).Solve(q, g, z0, 2000, nil)
+	zc := cdSolve(q.H.(*mat.Dense), q.R, 0.05, 500)
 	var diff float64
 	for i := range zf {
 		diff = math.Max(diff, math.Abs(zf[i]-zc[i]))
@@ -175,6 +108,28 @@ func TestFISTAInnerAndCDInnerAgree(t *testing.T) {
 	}
 }
 
+// cdSolve minimizes (1/2) z^T H z - r^T z + lambda ||z||_1 from zero by
+// iters sweeps of exact cyclic coordinate descent, each coordinate's
+// closed-form lasso update (Wu & Lange 2008) in turn. H must have a
+// positive diagonal.
+func cdSolve(h *mat.Dense, r []float64, lambda float64, iters int) []float64 {
+	d := h.Rows
+	z, hz := make([]float64, d), make([]float64, d)
+	for sweep := 0; sweep < iters; sweep++ {
+		for i := 0; i < d; i++ {
+			hii := h.At(i, i)
+			zi := prox.SoftThreshold(r[i]-(hz[i]-hii*z[i]), lambda) / hii
+			if delta := zi - z[i]; delta != 0 {
+				z[i] = zi
+				for k := range hz {
+					hz[k] += delta * h.At(k, i)
+				}
+			}
+		}
+	}
+	return z
+}
+
 func sign(x float64) float64 {
 	if x > 0 {
 		return 1
@@ -185,20 +140,29 @@ func sign(x float64) float64 {
 	return 0
 }
 
+// TestQuadValueAndGrad: Phi(z) = z1^2 + 2 z2^2 - 2 z1 - 4 z2 has
+// gradient (2 z1 - 2, 4 z2 - 4), zero at its minimizer (1, 1). Quad
+// keeps no value method; since grad Phi(z) = H z - r, the value is
+// Phi(z) = (1/2) z^T (grad Phi(z) - r), read here through Grad.
 func TestQuadValueAndGrad(t *testing.T) {
-	h := mat.DenseOf(2, 2, []float64{2, 0, 0, 4})
-	q := Quad{H: h, R: []float64{2, 4}}
-	// Phi(z) = z1^2 + 2 z2^2 - 2 z1 - 4 z2; minimum at (1, 1/2)... wait:
-	// grad = (2 z1 - 2, 4 z2 - 4) -> minimizer (1, 1).
+	q := solvercore.Quad{H: mat.DenseOf(2, 2, []float64{2, 0, 0, 4}), R: []float64{2, 4}}
 	g := make([]float64, 2)
 	q.Grad(g, []float64{1, 1}, nil)
 	if g[0] != 0 || g[1] != 0 {
 		t.Fatalf("grad at minimizer = %v", g)
 	}
-	if v := q.Value([]float64{0, 0}, nil); v != 0 {
+	value := func(z []float64) float64 {
+		q.Grad(g, z, nil)
+		var v float64
+		for i := range z {
+			v += z[i] * (g[i] - q.R[i])
+		}
+		return v / 2
+	}
+	if v := value([]float64{0, 0}); v != 0 {
 		t.Fatalf("Phi(0) = %g", v)
 	}
-	if v := q.Value([]float64{1, 1}, nil); v != -3 {
+	if v := value([]float64{1, 1}); v != -3 {
 		t.Fatalf("Phi(min) = %g, want -3", v)
 	}
 }
@@ -209,7 +173,7 @@ func TestNewSubproblemAnchoring(t *testing.T) {
 	q := smallQuad(6, 8)
 	w := []float64{1, -1, 0.5, 0, 2, -0.3}
 	grad := []float64{0.1, -0.2, 0.3, 0, -0.1, 0.5}
-	sub := NewSubproblem(q.H, w, grad, nil)
+	sub := solvercore.NewSubproblem(q.H, w, grad, nil)
 	got := make([]float64, 6)
 	sub.Grad(got, w, nil)
 	for i := range got {
@@ -224,12 +188,12 @@ func TestEstimateQuadLipschitzDiagonal(t *testing.T) {
 	h.Set(0, 0, 1)
 	h.Set(1, 1, 5)
 	h.Set(2, 2, 2)
-	l := EstimateQuadLipschitz(h, 100, nil)
+	l := solvercore.EstimateQuadLipschitz(h, 100, nil)
 	if math.Abs(l-5) > 1e-6 {
 		t.Fatalf("lambda_max = %g, want 5", l)
 	}
 	zero := mat.NewDense(3, 3)
-	if EstimateQuadLipschitz(zero, 10, nil) != 0 {
+	if solvercore.EstimateQuadLipschitz(zero, 10, nil) != 0 {
 		t.Fatal("zero matrix should give 0")
 	}
 }

@@ -356,7 +356,7 @@ func (e *engine) slotView(batch []float64, j, a int) (*mat.SymPacked, []float64)
 
 // update performs one solution update (Algorithm 5 lines 9-15 for a
 // single s) with Hessian slot (h, r).
-func (e *engine) update(h Hessian, r []float64) {
+func (e *engine) update(h solvercore.Hessian, r []float64) {
 	cost := e.c.Cost()
 	tNext := (1 + math.Sqrt(1+4*e.t*e.t)) / 2
 	mu := (e.t - 1) / tNext

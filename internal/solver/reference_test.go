@@ -53,9 +53,8 @@ func (r denseRef) Fill(buf []float64) perf.Cost {
 	return fill
 }
 
-// expand writes a packed symmetric matrix out in full storage, and
-// packUpper packs a dense matrix's upper triangle: the exact
-// conversions the packed-versus-dense tests compare through.
+// expand writes a packed symmetric matrix out in full storage: the
+// exact conversion the packed-versus-dense tests compare through.
 func expand(a *mat.SymPacked) *mat.Dense {
 	out := mat.NewDense(a.N, a.N)
 	for i := 0; i < a.N; i++ {
@@ -63,14 +62,6 @@ func expand(a *mat.SymPacked) *mat.Dense {
 			out.Set(i, i+jj, v)
 			out.Set(i+jj, i, v)
 		}
-	}
-	return out
-}
-
-func packUpper(a *mat.Dense) *mat.SymPacked {
-	out := mat.NewSymPacked(a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.RowTail(i), a.Row(i)[i:])
 	}
 	return out
 }

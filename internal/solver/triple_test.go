@@ -13,6 +13,7 @@ import (
 	"github.com/hpcgo/rcsfista/internal/mat"
 	"github.com/hpcgo/rcsfista/internal/perf"
 	"github.com/hpcgo/rcsfista/internal/prox"
+	"github.com/hpcgo/rcsfista/internal/solvercore"
 )
 
 // tripleLegs are the worlds the triple path is held to.
@@ -130,7 +131,7 @@ func TestTripleStepIsSafe(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 4} {
 			tri := FillTriple(p.X, p.Y, procs, nil)
-			lam := EstimateQuadLipschitz(&tri.g, 1000, nil)
+			lam := solvercore.EstimateQuadLipschitz(&tri.g, 1000, nil)
 			if r := tri.Step() * lam; !(r <= 1+1e-9 && r >= 1-1e-3) {
 				t.Fatalf("%s %d×%d P=%d: step·λmax = %.12f, want ≤ 1 and within 0.1 %% of it", s.name, s.m, s.d, procs, r)
 			}

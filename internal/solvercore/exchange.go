@@ -118,25 +118,6 @@ func refundVote(c dist.Comm, n, wire int, t dist.Tier) {
 	*c.Cost() = c.Cost().Sub(extra)
 }
 
-// flagVote is the vote of a lone rank: its own flag.
-func flagVote(cancel bool) Vote {
-	if cancel {
-		return VoteCancel
-	}
-	return VoteContinue
-}
-
-// IdentityExchanger is the degenerate single-process path: the local
-// batch already is the global batch, and the rank's own flag the vote.
-// Used by the sequential ProxNewton so it runs the same Loop without a
-// communicator.
-type IdentityExchanger struct{}
-
-// Exchange returns local unchanged and the rank's own vote.
-func (IdentityExchanger) Exchange(local []float64, cancel bool) ([]float64, Vote) {
-	return local, flagVote(cancel)
-}
-
 // SegmentedExchanger allreduces local in place as consecutive segments
 // of the given lengths — the distributed erm ProxNewton's historical
 // wire format (one Allreduce per segment rather than one fused

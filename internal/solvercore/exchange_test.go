@@ -51,7 +51,11 @@ func TestVoteTrailerMovesNoPayloadBit(t *testing.T) {
 								return fmt.Errorf("rank %d: value %d = %g, without the trailer %g", c.Rank(), i, got[i], want[i])
 							}
 						}
-						if wantVote := flagVote(voter >= 0); vote != wantVote {
+						wantVote := VoteContinue
+						if voter >= 0 {
+							wantVote = VoteCancel
+						}
+						if vote != wantVote {
 							return fmt.Errorf("rank %d: vote %d, want %d", c.Rank(), vote, wantVote)
 						}
 						return nil
