@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"github.com/hpcgo/rcsfista/internal/perf"
@@ -20,8 +19,6 @@ import (
 type World interface {
 	// Size returns the number of ranks.
 	Size() int
-	// Machine returns the machine model costs are evaluated against.
-	Machine() perf.Machine
 	// Run executes fn on every rank concurrently and waits for
 	// completion. The first non-nil error (or recovered panic) aborts
 	// the world; ranks blocked in collectives are released and Run
@@ -33,8 +30,6 @@ type World interface {
 	// MaxCost returns the component-wise maximum cost over ranks — the
 	// bulk-synchronous critical path.
 	MaxCost() perf.Cost
-	// TotalCost returns the sum of all rank costs.
-	TotalCost() perf.Cost
 	// ModeledSeconds evaluates the alpha-beta-gamma model on the
 	// critical path (max over ranks).
 	ModeledSeconds() float64
@@ -63,9 +58,6 @@ func newWorldBase(p int, machine perf.Machine) worldBase {
 // Size returns the number of ranks.
 func (w *worldBase) Size() int { return w.size }
 
-// Machine returns the world's machine model.
-func (w *worldBase) Machine() perf.Machine { return w.machine }
-
 // RankCost returns the accumulated cost of rank r.
 func (w *worldBase) RankCost(r int) perf.Cost { return w.costs[r] }
 
@@ -77,15 +69,6 @@ func (w *worldBase) MaxCost() perf.Cost {
 		m = m.Max(c)
 	}
 	return m
-}
-
-// TotalCost returns the sum of all rank costs.
-func (w *worldBase) TotalCost() perf.Cost {
-	var t perf.Cost
-	for _, c := range w.costs {
-		t.Add(c)
-	}
-	return t
 }
 
 // ModeledSeconds evaluates the alpha-beta-gamma model on the critical
@@ -137,99 +120,19 @@ func (w *worldBase) runRanks(fn func(rank int) error, abort func()) error {
 	return nil
 }
 
-// Backend constructs Worlds over one transport. Backends register at
-// package init and are selected by name or "auto" (first supported in
-// registration order), the way fakemachine's backend registry probes
-// kvm/uml/qemu.
-type Backend interface {
-	// Name is the selector string ("chan", "tcp").
-	Name() string
-	// Supported probes whether the backend can run in this
-	// environment, returning nil when it can and a reason when not.
-	Supported() error
-	// NewWorld creates a p-rank world charging costs against machine.
-	NewWorld(p int, machine perf.Machine) (World, error)
-}
-
-// backendRegistry holds the registered backends in preference order
-// (the order "auto" probes them).
-var backendRegistry []Backend
-
-// RegisterBackend appends a backend to the registry. Registration
-// order is the "auto" preference order. Registering a duplicate name
-// panics: backend names are CLI-facing selectors.
-func RegisterBackend(b Backend) {
-	for _, have := range backendRegistry {
-		if have.Name() == b.Name() {
-			panic(fmt.Sprintf("dist: backend %q registered twice", b.Name()))
-		}
-	}
-	backendRegistry = append(backendRegistry, b)
-}
-
-// Backends lists the registered backend names in preference order.
-func Backends() []string {
-	out := make([]string, len(backendRegistry))
-	for i, b := range backendRegistry {
-		out[i] = b.Name()
-	}
-	return out
-}
-
-// LookupBackend resolves a backend by name. The name "auto" (or "")
-// selects the first registered backend whose Supported probe passes.
-func LookupBackend(name string) (Backend, error) {
-	if name == "auto" || name == "" {
-		for _, b := range backendRegistry {
-			if b.Supported() == nil {
-				return b, nil
-			}
-		}
-		return nil, fmt.Errorf("dist: no supported backend (registered: %s)",
-			strings.Join(Backends(), ", "))
-	}
-	for _, b := range backendRegistry {
-		if b.Name() == name {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("dist: unknown backend %q (registered: %s)",
-		name, strings.Join(Backends(), ", "))
-}
-
-// NewWorldOn creates a p-rank world on the named backend ("auto"
-// probes the registry in preference order). It is the transport-
-// selecting counterpart of NewWorld.
+// NewWorldOn creates a p-rank world on the named transport: "chan"
+// (or "auto", or "") is the in-process goroutines+channels runtime,
+// "tcp" the loopback-socket one. It is the transport-selecting
+// counterpart of NewWorld.
 func NewWorldOn(name string, p int, machine perf.Machine) (World, error) {
-	b, err := LookupBackend(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Supported(); err != nil {
-		return nil, fmt.Errorf("dist: backend %q not supported: %w", b.Name(), err)
-	}
-	return b.NewWorld(p, machine)
-}
-
-func init() {
-	// Preference order: the in-process channels runtime always works
-	// and is the fastest, so "auto" lands there; the TCP runtime is
-	// the opt-in real-network transport.
-	RegisterBackend(chanBackend{})
-	RegisterBackend(tcpBackend{})
-}
-
-// chanBackend is the original in-process goroutines+channels runtime.
-type chanBackend struct{}
-
-func (chanBackend) Name() string { return "chan" }
-
-// Supported always passes: shared memory needs no environment probe.
-func (chanBackend) Supported() error { return nil }
-
-func (chanBackend) NewWorld(p int, machine perf.Machine) (World, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("dist: world size must be >= 1 (got %d)", p)
 	}
-	return newChanWorld(p, machine), nil
+	switch name {
+	case "chan", "auto", "":
+		return newChanWorld(p, machine), nil
+	case "tcp":
+		return &tcpWorld{worldBase: newWorldBase(p, machine)}, nil
+	}
+	return nil, fmt.Errorf("dist: unknown transport %q (want chan, tcp or auto)", name)
 }

@@ -25,18 +25,11 @@ func benchWords(words int) []float64 {
 // 4.9 MB batch of ls_bw_tcp. MB/s is payload bytes per rank per second;
 // B/op and allocs/op cover all P ranks of the process.
 func BenchmarkAllreduceShared(b *testing.B) {
-	for _, name := range Backends() {
-		be, err := LookupBackend(name)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range transports {
 		for _, p := range []int{2, 4, 8} {
 			for _, n := range []int{1, 1539, 12312, 149760, 619464} {
 				b.Run(fmt.Sprintf("%s/P=%d/n=%d", name, p, n), func(b *testing.B) {
-					if err := be.Supported(); err != nil {
-						b.Skip(err)
-					}
-					w, err := be.NewWorld(p, unitMachine())
+					w, err := NewWorldOn(name, p, unitMachine())
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -12,28 +12,29 @@ import (
 
 // Calibration replaces an assumed machine profile with parameters
 // measured on the live transport, the way the paper calibrates its
-// model against MPI benchmarks on Comet (Section 5.3):
+// model against MPI benchmarks on Comet (Section 5.3). The model bills
+// allreduces and nothing else (Table 1, Eq. 24), so the allreduce is
+// what is timed:
 //
-//   - alpha (latency) and beta (inverse bandwidth) come from a
-//     rank 0 <-> rank 1 ping-pong sweep: half round-trip time over a
-//     range of message sizes, min over repetitions to shed scheduler
-//     noise, then a least-squares fit of t = alpha + beta*n.
+//   - one sweep per tier the transport supports times the shared
+//     allreduce (AllreduceSharedTier), barrier-aligned, keeping the
+//     minimum over repetitions to shed scheduler noise; each tier is
+//     fitted in the form chargeAllreduceTier bills and TierSeconds
+//     prices it, t / log2(P) = alpha_t + beta_t * words_t(n). The f64
+//     fit gives Alpha and Beta, the f32 and i8 fits BetaF32 and BetaI8.
 //   - gamma (seconds per flop) comes from a timed axpy loop.
-//   - an allreduce sweep over the same sizes is recorded alongside, the
-//     collective-level cross-check of the fitted point-to-point model
-//     (tree model predicts ~log2(P)*(alpha + beta*n) per allreduce).
 //
-// Rank 0 fits and broadcasts the parameters, so every rank ends up
-// with the same Machine bit for bit — calibration must never be a
-// source of cross-rank divergence. The communicator's cost counters
-// are snapshotted and restored: measuring the machine is free in the
-// model's own accounting.
+// Rank 0's gamma and samples reach every rank in one Bcast and every
+// rank fits them, so every rank ends up with the same Machine bit for
+// bit — calibration must never be a source of cross-rank divergence.
+// The communicator's cost counters are snapshotted and restored:
+// measuring the machine is free in the model's own accounting.
 
 // CalibrationOptions tunes the measurement sweep. Zero values select
 // the defaults.
 type CalibrationOptions struct {
-	// Sizes are the payload sizes (words) of the ping-pong and
-	// allreduce sweeps. Default {1, 64, 512, 4096, 32768}.
+	// Sizes are the payload sizes (values) of the allreduce sweeps.
+	// Default {1, 64, 512, 4096, 32768}.
 	Sizes []int
 	// Reps is the number of repetitions per size; the minimum is kept.
 	// Default 20.
@@ -58,10 +59,12 @@ func (o CalibrationOptions) withDefaults() CalibrationOptions {
 
 // CalibrationPoint is one measured (payload size, seconds) sample.
 type CalibrationPoint struct {
-	// Words is the payload size in 8-byte words.
+	// Words is the tier's modeled wire words of the payload (the value
+	// count for f64, perf.F32Words / perf.I8Words of it for the
+	// compressed tiers), so a fitted slope is directly the per-word
+	// inverse bandwidth of that tier's frames.
 	Words int
-	// Seconds is the measured time: half round-trip for ping-pong
-	// points, full collective time for allreduce points.
+	// Seconds is the full collective time, minimum over repetitions.
 	Seconds float64
 }
 
@@ -72,21 +75,11 @@ type Calibration struct {
 	Machine perf.Machine
 	// P is the world size the measurement ran on.
 	P int
-	// PingPong are the per-size half-round-trip samples (rank 0's
-	// minima) the alpha/beta fit consumed.
-	PingPong []CalibrationPoint
-	// Allreduce are the per-size full-collective samples, the
-	// cross-check that the fitted point-to-point parameters are
-	// consistent with collective behavior.
-	Allreduce []CalibrationPoint
-	// AllreduceF32 and AllreduceI8 are the compressed-collective
-	// sweeps behind the per-tier beta fits. Words holds the MODELED
-	// wire words of the payload (perf.F32Words / perf.I8Words of the
-	// value count), so the fitted slope is directly the per-word
-	// inverse bandwidth of that tier's frames. Empty when the
-	// transport lacks the tier's capability.
-	AllreduceF32 []CalibrationPoint
-	AllreduceI8  []CalibrationPoint
+	// Sweeps holds, indexed by Tier, rank 0's per-size samples of the
+	// shared allreduce the fits consumed; every rank holds the same
+	// ones. A tier's sweep is empty when the transport lacks the tier,
+	// and every sweep is empty on a single rank.
+	Sweeps [len(tiers)][]CalibrationPoint
 }
 
 // String renders the calibration as a small report.
@@ -98,26 +91,35 @@ func (cal Calibration) String() string {
 		fmt.Fprintf(&b, "per-tier beta: f32=%.3g s/word, i8=%.3g s/word\n",
 			cal.Machine.F32Beta(), cal.Machine.I8Beta())
 	}
-	fmt.Fprintf(&b, "%10s %16s %16s\n", "words", "pingpong(s)", "allreduce(s)")
-	for i, pt := range cal.PingPong {
-		ar := ""
-		if i < len(cal.Allreduce) {
-			ar = fmt.Sprintf("%16.3g", cal.Allreduce[i].Seconds)
+	fmt.Fprintf(&b, "%10s", "values")
+	for t, pts := range cal.Sweeps {
+		if len(pts) > 0 {
+			fmt.Fprintf(&b, " %16s", Tier(t).String()+" allreduce(s)")
 		}
-		fmt.Fprintf(&b, "%10d %16.3g %s\n", pt.Words, pt.Seconds, ar)
+	}
+	b.WriteByte('\n')
+	for i, pt := range cal.Sweeps[TierF64] {
+		fmt.Fprintf(&b, "%10d", pt.Words)
+		for _, pts := range cal.Sweeps {
+			if len(pts) > 0 {
+				fmt.Fprintf(&b, " %16.3g", pts[i].Seconds)
+			}
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// fitAlphaBeta least-squares fits t = alpha + beta*n over the sample
-// points, clamping both parameters positive (a noisy loopback sweep
-// can produce a slightly negative intercept; the model requires
-// positive parameters).
-func fitAlphaBeta(pts []CalibrationPoint) (alpha, beta float64) {
+// fitTier least-squares fits a tier's sweep on p ranks in the form the
+// model bills it, seconds / log2(P) = alpha + beta*words, clamping both
+// parameters positive (a noisy loopback sweep can produce a slightly
+// negative intercept; the model requires positive parameters).
+func fitTier(pts []CalibrationPoint, p int) (alpha, beta float64) {
+	lg := float64(perf.Log2Ceil(p))
 	n := float64(len(pts))
 	var sx, sy, sxx, sxy float64
-	for _, p := range pts {
-		x, y := float64(p.Words), p.Seconds
+	for _, pt := range pts {
+		x, y := float64(pt.Words), pt.Seconds/lg
 		sx += x
 		sy += y
 		sxx += x * x
@@ -171,12 +173,29 @@ func measureGamma(flops int) float64 {
 	return g
 }
 
+// sweep returns, per size, this rank's fastest of reps barrier-aligned
+// shared allreduces at tier t, in seconds.
+func sweep(c Comm, t Tier, opts CalibrationOptions) []float64 {
+	secs := make([]float64, len(opts.Sizes))
+	for i, n := range opts.Sizes {
+		buf := make([]float64, n)
+		secs[i] = math.Inf(1)
+		for rep := 0; rep < opts.Reps; rep++ {
+			c.Barrier()
+			start := time.Now()
+			AllreduceSharedTier(c, buf, t)
+			secs[i] = math.Min(secs[i], time.Since(start).Seconds())
+		}
+	}
+	return secs
+}
+
 // Calibrate measures the live transport under c and returns the
 // fitted machine. All ranks must call it collectively (it uses
-// Send/Recv, Barrier, Allreduce and Bcast internally); every rank
-// receives the identical fitted Machine. On a single rank there is no
-// transport to measure: alpha/beta keep the communicator's current
-// machine values and only gamma is measured.
+// Barrier, the shared allreduce at every supported tier and one
+// Bcast); every rank receives the identical fitted Machine. On a
+// single rank there is no transport to measure: alpha/beta keep the
+// communicator's current machine values and only gamma is measured.
 func Calibrate(c Comm, opts CalibrationOptions) Calibration {
 	opts = opts.withDefaults()
 	snapshot := *c.Cost()
@@ -184,160 +203,41 @@ func Calibrate(c Comm, opts CalibrationOptions) Calibration {
 
 	base := c.Machine()
 	cal := Calibration{P: c.Size()}
-	gamma := measureGamma(opts.GammaFlops)
-
+	cal.Machine = perf.Machine{Name: "calibrated(" + base.Name + ")", Gamma: measureGamma(opts.GammaFlops)}
 	if c.Size() == 1 {
-		cal.Machine = perf.Machine{
-			Name:  "calibrated(" + base.Name + ")",
-			Alpha: base.Alpha, Beta: base.Beta, Gamma: gamma,
-		}
+		cal.Machine.Alpha, cal.Machine.Beta = base.Alpha, base.Beta
 		return cal
 	}
 
-	// Ping-pong sweep between ranks 0 and 1; other ranks sit out the
-	// point-to-point phase and rejoin at the barrier.
-	for _, words := range opts.Sizes {
-		buf := make([]float64, words)
-		best := 0.0
-		for rep := 0; rep < opts.Reps; rep++ {
-			switch c.Rank() {
-			case 0:
-				start := time.Now()
-				c.Send(1, buf)
-				c.Recv(1)
-				half := time.Since(start).Seconds() / 2
-				if rep == 0 || half < best {
-					best = half
-				}
-			case 1:
-				c.Recv(0)
-				c.Send(0, buf)
-			}
-		}
-		if c.Rank() == 0 {
-			cal.PingPong = append(cal.PingPong, CalibrationPoint{Words: words, Seconds: best})
-		}
-		c.Barrier()
-	}
-
-	// Allreduce sweep: full-collective wall time, min over reps.
-	for _, words := range opts.Sizes {
-		buf := make([]float64, words)
-		best := 0.0
-		for rep := 0; rep < opts.Reps; rep++ {
-			c.Barrier()
-			start := time.Now()
-			c.Allreduce(buf, OpSum)
-			dt := time.Since(start).Seconds()
-			if rep == 0 || dt < best {
-				best = dt
-			}
-		}
-		if c.Rank() == 0 {
-			cal.Allreduce = append(cal.Allreduce, CalibrationPoint{Words: words, Seconds: best})
-		}
-		c.Barrier()
-	}
-
-	// Compressed-collective sweeps on the tiers the transport supports,
-	// timed like the f64 allreduce sweep. Points carry the tier's
-	// modeled wire words so the fit slope reads as seconds per word of
-	// that tier's frames. All ranks agree on whether a tier runs — the
-	// capability is a property of the shared transport type.
-	sweepTier := func(t Tier) []CalibrationPoint {
-		if SupportsTier(c, t) != nil {
-			return nil
-		}
-		var pts []CalibrationPoint
-		for _, words := range opts.Sizes {
-			buf := make([]float64, words)
-			best := 0.0
-			for rep := 0; rep < opts.Reps; rep++ {
-				c.Barrier()
-				start := time.Now()
-				AllreduceSharedTier(c, buf, t)
-				dt := time.Since(start).Seconds()
-				if rep == 0 || dt < best {
-					best = dt
-				}
-			}
-			if c.Rank() == 0 {
-				pts = append(pts, CalibrationPoint{Words: int(tiers[t].words(words)), Seconds: best})
-			}
-			c.Barrier()
-		}
-		return pts
-	}
-	cal.AllreduceF32 = sweepTier(TierF32)
-	cal.AllreduceI8 = sweepTier(TierI8)
-	f32Ran := SupportsTier(c, TierF32) == nil
-	i8Ran := SupportsTier(c, TierI8) == nil
-
-	// Rank 0 fits; everyone receives the same parameters, so the
-	// machines cannot diverge across ranks. The per-tier betas come
-	// from the collective sweeps: the tree model prices an allreduce at
-	// ~log2(P)*(alpha + beta*words), so the fitted slope divides by
-	// log2(P) to yield the per-word inverse bandwidth of the tier.
-	params := make([]float64, 5)
-	if c.Rank() == 0 {
-		alpha, beta := fitAlphaBeta(cal.PingPong)
-		params[0], params[1], params[2] = alpha, beta, gamma
-		lg := float64(perf.Log2Ceil(c.Size()))
-		if len(cal.AllreduceF32) > 0 {
-			_, slope := fitAlphaBeta(cal.AllreduceF32)
-			params[3] = slope / lg
-		}
-		if len(cal.AllreduceI8) > 0 {
-			_, slope := fitAlphaBeta(cal.AllreduceI8)
-			params[4] = slope / lg
+	// params is [gamma | one block of per-size seconds per supported
+	// tier]. Every rank agrees on which tiers run — the capability is a
+	// property of the shared transport type — so every rank lays the
+	// blocks out alike and reads rank 0's back in the same order.
+	var run []Tier
+	params := []float64{cal.Machine.Gamma}
+	for t := range tiers {
+		if SupportsTier(c, Tier(t)) == nil {
+			run = append(run, Tier(t))
+			params = append(params, sweep(c, Tier(t), opts)...)
 		}
 	}
 	c.Bcast(params, 0)
-	cal.Machine = perf.Machine{
-		Name:  "calibrated(" + base.Name + ")",
-		Alpha: params[0], Beta: params[1], Gamma: params[2],
-		BetaF32: params[3], BetaI8: params[4],
-	}
-
-	// The sweep samples only live on rank 0; share them so any rank can
-	// render the report (the multi-process CLI prints from rank 0, the
-	// in-process experiment gathers from the world).
-	pp := make([]float64, len(opts.Sizes))
-	ar := make([]float64, len(opts.Sizes))
-	arf32 := make([]float64, 2*len(opts.Sizes))
-	ari8 := make([]float64, 2*len(opts.Sizes))
-	if c.Rank() == 0 {
-		for i := range cal.PingPong {
-			pp[i] = cal.PingPong[i].Seconds
-			ar[i] = cal.Allreduce[i].Seconds
+	cal.Machine.Gamma = params[0]
+	for i, t := range run {
+		secs := params[1+i*len(opts.Sizes):]
+		pts := make([]CalibrationPoint, len(opts.Sizes))
+		for j, n := range opts.Sizes {
+			pts[j] = CalibrationPoint{Words: int(tiers[t].words(n)), Seconds: secs[j]}
 		}
-		for i, pt := range cal.AllreduceF32 {
-			arf32[2*i], arf32[2*i+1] = float64(pt.Words), pt.Seconds
-		}
-		for i, pt := range cal.AllreduceI8 {
-			ari8[2*i], ari8[2*i+1] = float64(pt.Words), pt.Seconds
-		}
-	}
-	c.Bcast(pp, 0)
-	c.Bcast(ar, 0)
-	c.Bcast(arf32, 0)
-	c.Bcast(ari8, 0)
-	if c.Rank() != 0 {
-		for i, words := range opts.Sizes {
-			cal.PingPong = append(cal.PingPong, CalibrationPoint{Words: words, Seconds: pp[i]})
-			cal.Allreduce = append(cal.Allreduce, CalibrationPoint{Words: words, Seconds: ar[i]})
-		}
-		if f32Ran {
-			for i := range opts.Sizes {
-				cal.AllreduceF32 = append(cal.AllreduceF32,
-					CalibrationPoint{Words: int(arf32[2*i]), Seconds: arf32[2*i+1]})
-			}
-		}
-		if i8Ran {
-			for i := range opts.Sizes {
-				cal.AllreduceI8 = append(cal.AllreduceI8,
-					CalibrationPoint{Words: int(ari8[2*i]), Seconds: ari8[2*i+1]})
-			}
+		cal.Sweeps[t] = pts
+		alpha, beta := fitTier(pts, c.Size())
+		switch t {
+		case TierF64:
+			cal.Machine.Alpha, cal.Machine.Beta = alpha, beta
+		case TierF32:
+			cal.Machine.BetaF32 = beta
+		case TierI8:
+			cal.Machine.BetaI8 = beta
 		}
 	}
 	return cal

@@ -6,7 +6,10 @@
 // Send/Recv have the data-movement semantics of their MPI
 // counterparts, and every operation charges the alpha-beta model costs
 // of the tree/ring algorithm it stands for into the calling rank's
-// perf.Cost.
+// perf.Cost. Outside this package the solvers issue allreduces and
+// cocoa one Allgather; Send, Recv and Reduce have no production caller
+// and stay on Comm only because the benchmark harness's tracing
+// decorator forwards them; they leave with that forwarding.
 //
 // This substitutes for the paper's MPI 2.1 deployment on XSEDE Comet
 // (DESIGN.md Section 2): algorithms written against the Comm interface
@@ -97,13 +100,15 @@ type Comm interface {
 	// Bcast copies root's buf into every rank's buf.
 	Bcast(buf []float64, root int)
 	// Reduce combines buf across ranks with op; the result lands in
-	// root's buf, other ranks' buffers are unchanged.
+	// root's buf, other ranks' buffers are unchanged. No solver calls
+	// it (see the package comment).
 	Reduce(buf []float64, op Op, root int)
 	// Allgather concatenates every rank's local slice in rank order
 	// and returns the concatenation to all ranks. Local lengths may
 	// differ across ranks.
 	Allgather(local []float64) []float64
-	// Send transmits a copy of msg to rank to.
+	// Send transmits a copy of msg to rank to. Send and Recv have no
+	// production caller (see the package comment).
 	Send(to int, msg []float64)
 	// Recv receives the next message from rank from.
 	Recv(from int) []float64

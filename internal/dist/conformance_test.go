@@ -11,65 +11,62 @@ import (
 	"github.com/hpcgo/rcsfista/internal/perf"
 )
 
-// Backend conformance suite: every registered transport must present
-// the identical Comm contract — same collective results bit for bit,
-// same cost counters, same abort behavior, no goroutine leaks. New
-// backends get the whole battery for free by registering.
+// Transport conformance suite: both transports must present the
+// identical Comm contract — same collective results bit for bit, same
+// cost counters, same abort behavior, no goroutine leaks.
 
-// forEachBackend runs f once per registered backend that supports this
-// environment.
-func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
+// transports names the worlds NewWorldOn builds, the suite's axis.
+var transports = []string{"chan", "tcp"}
+
+// forEachBackend runs f once per transport, as a subtest named after it.
+func forEachBackend(t *testing.T, f func(t *testing.T, backend string)) {
 	t.Helper()
-	for _, name := range Backends() {
-		b, err := LookupBackend(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
-			if err := b.Supported(); err != nil {
-				t.Skipf("backend %s unsupported here: %v", name, err)
-			}
-			f(t, b)
-		})
+	for _, name := range transports {
+		t.Run(name, func(t *testing.T) { f(t, name) })
 	}
 }
 
-func mustWorld(t *testing.T, b Backend, p int) World {
+func mustWorld(t *testing.T, backend string, p int) World {
 	t.Helper()
-	w, err := b.NewWorld(p, unitMachine())
+	w, err := NewWorldOn(backend, p, unitMachine())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return w
 }
 
-// TestConformanceRegistry: both shipped backends are registered and
-// resolvable, and "auto" resolves to a supported one.
+// TestConformanceRegistry: NewWorldOn's names — chan, tcp, "auto" and
+// "" — resolve to a working world of the asked size, "auto" and "" to
+// the chan world; an unknown name or a world of fewer than one rank is
+// refused.
 func TestConformanceRegistry(t *testing.T) {
-	names := Backends()
-	want := map[string]bool{"chan": false, "tcp": false}
-	for _, n := range names {
-		if _, seen := want[n]; seen {
-			want[n] = true
+	for _, name := range []string{"chan", "tcp", "auto", ""} {
+		w, err := NewWorldOn(name, 2, unitMachine())
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		_, isChan := w.(*chanWorld)
+		if wantChan := name != "tcp"; isChan != wantChan {
+			t.Fatalf("%q built a %T", name, w)
+		}
+		if err := w.Run(func(c Comm) error {
+			if got := AllreduceScalar(c, 1, OpSum); got != 2 {
+				return fmt.Errorf("rank %d summed %g", c.Rank(), got)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%q: %v", name, err)
 		}
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("backend %q not registered (have %v)", n, names)
+	if _, err := NewWorldOn("smoke-signals", 2, unitMachine()); err == nil {
+		t.Fatal("unknown transport name resolved")
+	}
+	for _, name := range transports {
+		for _, p := range []int{0, -1} {
+			if _, err := NewWorldOn(name, p, unitMachine()); err == nil {
+				t.Fatalf("%s: %d-rank world created", name, p)
+			}
 		}
-	}
-	b, err := LookupBackend("auto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Supported(); err != nil {
-		t.Fatalf("auto selected unsupported backend %s: %v", b.Name(), err)
-	}
-	if _, err := LookupBackend("smoke-signals"); err == nil {
-		t.Fatal("unknown backend name resolved")
-	}
-	if _, err := b.NewWorld(0, unitMachine()); err == nil {
-		t.Fatal("0-rank world created")
 	}
 }
 
@@ -77,10 +74,10 @@ func TestConformanceRegistry(t *testing.T) {
 // correct values on every backend, at P values covering the golden
 // grid and an odd world, with every rank taking its turn as root.
 func TestConformanceCollectives(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		for _, p := range []int{1, 2, 3, 4, 8} {
 			t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-				w := mustWorld(t, b, p)
+				w := mustWorld(t, backend, p)
 				err := w.Run(func(c Comm) error {
 					r := float64(c.Rank())
 					// Allreduce sum and max.
@@ -233,9 +230,9 @@ func TestConformanceCrossBackendBitIdentity(t *testing.T) {
 	}
 	for _, p := range []int{3, 4, 8} {
 		var results []result
-		forEachBackend(t, func(t *testing.T, b Backend) {
-			out, costs := program(mustWorld(t, b, p))
-			results = append(results, result{b.Name(), out, costs})
+		forEachBackend(t, func(t *testing.T, backend string) {
+			out, costs := program(mustWorld(t, backend, p))
+			results = append(results, result{backend, out, costs})
 		})
 		if len(results) < 2 {
 			t.Skip("fewer than two supported backends")
@@ -308,9 +305,9 @@ func TestConformanceCompressedAllreduce(t *testing.T) {
 		costs []perf.Cost
 	}
 	var results []result
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		out, costs := program(mustWorld(t, b, p))
-		results = append(results, result{b.Name(), out, costs})
+	forEachBackend(t, func(t *testing.T, backend string) {
+		out, costs := program(mustWorld(t, backend, p))
+		results = append(results, result{backend, out, costs})
 	})
 	if len(results) == 0 {
 		t.Skip("no supported backends")
@@ -356,9 +353,9 @@ func TestConformanceCompressedAllreduce(t *testing.T) {
 // backend — ranks parked in collectives are released, the error
 // surfaces from Run, and no goroutine survives.
 func TestConformanceAbort(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		baseline := runtime.NumGoroutine()
-		w := mustWorld(t, b, 4)
+		w := mustWorld(t, backend, 4)
 		bang := errors.New("bang")
 		err := w.Run(func(c Comm) error {
 			if c.Rank() == 2 {
@@ -378,9 +375,9 @@ func TestConformanceAbort(t *testing.T) {
 // TestConformancePanicRecovery: a panicking rank is reported as an
 // error, not a process crash, on every backend.
 func TestConformancePanicRecovery(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		baseline := runtime.NumGoroutine()
-		w := mustWorld(t, b, 3)
+		w := mustWorld(t, backend, 3)
 		err := w.Run(func(c Comm) error {
 			if c.Rank() == 1 {
 				panic("kaboom")
@@ -398,9 +395,9 @@ func TestConformancePanicRecovery(t *testing.T) {
 // TestConformanceLeakFree: a clean multi-Run lifecycle releases every
 // goroutine and keeps accumulating costs until ResetCosts.
 func TestConformanceLeakFree(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		baseline := runtime.NumGoroutine()
-		w := mustWorld(t, b, 4)
+		w := mustWorld(t, backend, 4)
 		for i := 0; i < 3; i++ {
 			if err := w.Run(func(c Comm) error {
 				c.Allreduce(make([]float64, 16), OpSum)
@@ -497,10 +494,10 @@ func TestConformanceTieredAllreduce(t *testing.T) {
 			}
 		}
 	}
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		for _, p := range []int{1, 2, 3, 4} {
 			check(t, p, func() target {
-				w := mustWorld(t, b, p)
+				w := mustWorld(t, backend, p)
 				return target{w.Run, w.RankCost}
 			})
 		}
@@ -522,11 +519,11 @@ func TestConformanceTieredAllreduce(t *testing.T) {
 // nonblocking, whichever tier the owner (rank 0, for this one-granule
 // payload) runs — not return a sum that quietly mixes roundings.
 func TestConformanceMixedTierRejected(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		for _, owner := range []Tier{TierF64, TierI8} {
 			for _, nonblocking := range []bool{false, true} {
 				baseline := runtime.NumGoroutine()
-				w := mustWorld(t, b, 3)
+				w := mustWorld(t, backend, 3)
 				err := w.Run(func(c Comm) error {
 					tier := owner
 					if c.Rank() == 2 {

@@ -122,9 +122,9 @@ func pinnedAfterRun(w *chanWorld) error {
 // collectives to be matched up with — each Run starts from a clean
 // world on every backend.
 func TestUnwaitedPostDoesNotLeakIntoNextRun(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		const p = 2
-		w := mustWorld(t, b, p)
+		w := mustWorld(t, backend, p)
 		if err := w.Run(func(c Comm) error {
 			c.IAllreduceShared([]float64{1})
 			return nil

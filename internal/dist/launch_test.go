@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +42,9 @@ func launchWorkerMain(rank int, peers []string) int {
 	}
 	defer c.Close()
 
+	if os.Getenv("DIST_TEST_CALIBRATE") != "" {
+		return calibrateWorkerMain(c)
+	}
 	if os.Getenv("DIST_TEST_FAIL_RANK") == fmt.Sprint(rank) {
 		// Die mid-program: the surviving ranks must unwind through
 		// their broken connections rather than hang.
@@ -71,6 +76,24 @@ func launchWorkerMain(rank int, peers []string) int {
 		}
 	}()
 	return status
+}
+
+// calibrateWorkerMain is one rank of a multi-process calibration: rank
+// 0 reports whether every process fitted the same machine bits.
+func calibrateWorkerMain(c *TCPComm) int {
+	m := Calibrate(c, calOpts).Machine
+	hi := []float64{m.Alpha, m.Beta, m.Gamma, m.BetaF32, m.BetaI8}
+	lo := slices.Clone(hi)
+	c.Allreduce(hi, OpMax)
+	c.Allreduce(lo, OpMin)
+	if c.Rank() == 0 {
+		same := true
+		for i := range hi {
+			same = same && math.Float64bits(hi[i]) == math.Float64bits(lo[i])
+		}
+		fmt.Printf("identical=%v\n", same)
+	}
+	return 0
 }
 
 // interruptWorkerMain is one rank that runs until its own context is
@@ -193,6 +216,33 @@ func TestLaunchMultiProcess(t *testing.T) {
 	want := "sum=10 gathlen=4 shared0=4 msgs=9\n"
 	if out.String() != want {
 		t.Fatalf("worker output %q, want %q", out.String(), want)
+	}
+}
+
+// TestCalibrateAcrossProcesses: four OS processes calibrating over
+// real sockets end up with the same machine bits on every rank.
+func TestCalibrateAcrossProcesses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skipf("cannot resolve test binary: %v", err)
+	}
+	var out bytes.Buffer
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := Launch(ctx, LaunchSpec{
+		P:      4,
+		Bin:    exe,
+		Env:    []string{"DIST_TEST_CALIBRATE=1"},
+		Stdout: &out,
+		Stderr: os.Stderr,
+	}); err != nil {
+		t.Fatalf("launch: %v\noutput: %s", err, out.String())
+	}
+	if out.String() != "identical=true\n" {
+		t.Fatalf("worker output %q, want every rank's machine identical", out.String())
 	}
 }
 

@@ -93,7 +93,7 @@ func TestSegmentedAllreduceMatchesCombine(t *testing.T) {
 		}
 		return nil
 	}
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		for _, p := range []int{2, 3, 4, 8} {
 			refs := map[[2]int][]float64{}
 			for tier := range tiers {
@@ -101,7 +101,7 @@ func TestSegmentedAllreduceMatchesCombine(t *testing.T) {
 					refs[[2]int{tier, n}] = want(p, n, Tier(tier))
 				}
 			}
-			err := mustWorld(t, b, p).Run(func(c Comm) error {
+			err := mustWorld(t, backend, p).Run(func(c Comm) error {
 				for tier := range tiers {
 					tier := Tier(tier)
 					for i, n := range segGrid {
@@ -137,9 +137,9 @@ func TestSegmentedAllreduceMatchesCombine(t *testing.T) {
 
 // runBounded runs fn on a fresh 3-rank world of backend b and fails the
 // test if the world has not unwound within the bound.
-func runBounded(t *testing.T, b Backend, what string, fn func(c Comm) error) error {
+func runBounded(t *testing.T, backend string, what string, fn func(c Comm) error) error {
 	t.Helper()
-	w := mustWorld(t, b, 3)
+	w := mustWorld(t, backend, 3)
 	done := make(chan error, 1)
 	go func() { done <- w.Run(fn) }()
 	select {
@@ -163,7 +163,7 @@ func TestSegmentedMismatchUnwinds(t *testing.T) {
 	forEachBackend(t, testSegmentedMismatchUnwinds)
 }
 
-func testSegmentedMismatchUnwinds(t *testing.T, b Backend) {
+func testSegmentedMismatchUnwinds(t *testing.T, backend string) {
 	lengths := [][2]int{ // {the two agreeing ranks, the dissenter}
 		{40, 41}, {4095, 4096}, {4096, 4097}, {4097, 4096}, {8192, 8193}, {8193, 8192},
 		{4096, 8192}, {8192, 4096}, {4096, 12289}, {12289, 40}, {50001, 50000},
@@ -180,7 +180,7 @@ func testSegmentedMismatchUnwinds(t *testing.T, b Backend) {
 			for _, ln := range lengths {
 				what := fmt.Sprintf("posted=%v dissenter=%d lengths=%v", posted, dissenter, ln)
 				baseline := runtime.NumGoroutine()
-				err := runBounded(t, b, what, func(c Comm) error {
+				err := runBounded(t, backend, what, func(c Comm) error {
 					n := ln[0]
 					if c.Rank() == dissenter {
 						n = ln[1]
@@ -197,7 +197,7 @@ func testSegmentedMismatchUnwinds(t *testing.T, b Backend) {
 			for _, n := range []int{40, 4097, 12289} {
 				what := fmt.Sprintf("posted=%v dissenter=%d n=%d tiers", posted, dissenter, n)
 				baseline := runtime.NumGoroutine()
-				err := runBounded(t, b, what, func(c Comm) error {
+				err := runBounded(t, backend, what, func(c Comm) error {
 					tier := TierF32
 					if c.Rank() == dissenter {
 						tier = TierI8
@@ -358,16 +358,16 @@ func TestSharedAllreduceSteadyStateAllocs(t *testing.T) {
 	// TotalAlloc counts a large slice at the allocator's 8 KiB page
 	// granularity.
 	result := (8*n + 8191) / 8192 * 8192
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, backend string) {
 		results := p // one physical copy per rank
-		if b.Name() == "chan" {
+		if backend == "chan" {
 			results = 1
 		}
 		for tier := range tiers {
 			tier := Tier(tier)
 			local := benchWords(n)
 			var perCall float64
-			err := mustWorld(t, b, p).Run(func(c Comm) error {
+			err := mustWorld(t, backend, p).Run(func(c Comm) error {
 				for i := 0; i < 5; i++ {
 					AllreduceSharedTier(c, local, tier)
 				}
@@ -414,7 +414,7 @@ func TestSmallAllreduceSteadyStateAllocs(t *testing.T) {
 	)
 	for _, n := range []int{1, 64} {
 		var perCall float64
-		err := mustWorld(t, mustBackend(t, "tcp"), p).Run(func(c Comm) error {
+		err := mustWorld(t, "tcp", p).Run(func(c Comm) error {
 			buf := make([]float64, n)
 			for i := 0; i < 5; i++ {
 				c.Allreduce(buf, OpMax)

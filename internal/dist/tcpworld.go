@@ -5,40 +5,7 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"github.com/hpcgo/rcsfista/internal/perf"
 )
-
-// tcpBackend runs worlds over real TCP sockets on loopback: P rank
-// goroutines in this process, connected by a full mesh of localhost
-// connections moving wire frames. Collectives run the schedules of
-// collective.go, combining in rank order (at every receiving rank, or
-// at each segment's owner), so results — and,
-// through the shared accounting helpers, cost counters — are
-// bit-identical to the chan backend. It is the same communicator
-// multi-process runs use (Connect/Launch); the in-process world exists
-// so the whole test and golden suite can exercise the real wire path in
-// one process.
-type tcpBackend struct{}
-
-func (tcpBackend) Name() string { return "tcp" }
-
-// Supported probes whether loopback TCP listeners can be created in
-// this environment (sandboxes occasionally forbid them).
-func (tcpBackend) Supported() error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fmt.Errorf("cannot listen on loopback: %w", err)
-	}
-	return ln.Close()
-}
-
-func (tcpBackend) NewWorld(p int, machine perf.Machine) (World, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("dist: world size must be >= 1 (got %d)", p)
-	}
-	return &tcpWorld{worldBase: newWorldBase(p, machine)}, nil
-}
 
 // helloDeadline bounds the rank-identification handshake on a freshly
 // accepted mesh connection.
@@ -130,11 +97,16 @@ func tcpMesh(rank, size int, ln net.Listener, addrs []string, opts TCPOptions) (
 	return conns, nil
 }
 
-// tcpWorld is the in-process TCP world: each Run builds a fresh
-// loopback mesh, executes the ranks as goroutines over it, then tears
-// every socket and reader goroutine down, so runs are self-contained
-// and leak-free. Costs accumulate across runs until ResetCosts,
-// matching the chan world.
+// tcpWorld is the in-process TCP world (NewWorldOn "tcp"): each Run
+// builds a fresh loopback mesh, executes the ranks as goroutines over
+// it, then tears every socket and reader goroutine down, so runs are
+// self-contained and leak-free. Collectives run the schedules of
+// collective.go, combining in rank order, so results — and, through
+// the shared accounting helpers, cost counters — are bit-identical to
+// the chan world. It is the same communicator multi-process runs use
+// (Connect/Launch); the in-process world exists so the whole test and
+// golden suite can exercise the real wire path in one process. Costs
+// accumulate across runs until ResetCosts, matching the chan world.
 type tcpWorld struct {
 	worldBase
 	opts TCPOptions

@@ -154,9 +154,9 @@ func TestConformanceI8Allreduce(t *testing.T) {
 		costs []perf.Cost
 	}
 	var results []result
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		out, costs := program(mustWorld(t, b, p))
-		results = append(results, result{b.Name(), out, costs})
+	forEachBackend(t, func(t *testing.T, backend string) {
+		out, costs := program(mustWorld(t, backend, p))
+		results = append(results, result{backend, out, costs})
 	})
 	if len(results) == 0 {
 		t.Skip("no supported backends")
@@ -195,8 +195,8 @@ func TestSelfCommI8MatchesP1World(t *testing.T) {
 			t.Fatalf("self blocking/nonblocking diverge at %d", i)
 		}
 	}
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		w := mustWorld(t, b, 1)
+	forEachBackend(t, func(t *testing.T, backend string) {
+		w := mustWorld(t, backend, 1)
 		if err := w.Run(func(c Comm) error {
 			got := AllreduceSharedTier(c, local, TierI8)
 			for i := range got {
@@ -210,16 +210,4 @@ func TestSelfCommI8MatchesP1World(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-func mustBackend(t *testing.T, name string) Backend {
-	t.Helper()
-	b, err := LookupBackend(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Supported(); err != nil {
-		t.Skipf("backend %s unsupported: %v", name, err)
-	}
-	return b
 }

@@ -9,7 +9,7 @@ import (
 // chanWorld owns the shared state of a P-rank run on the in-process
 // goroutines+channels transport: P ranks execute as P goroutines and
 // collectives move data through shared memory. Create with NewWorld
-// (or the "chan" backend), execute with Run, then inspect per-rank
+// (or NewWorldOn "chan"), execute with Run, then inspect per-rank
 // costs.
 type chanWorld struct {
 	worldBase

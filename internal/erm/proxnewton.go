@@ -168,6 +168,12 @@ type pnEngine struct {
 	// checkpoints record.
 	fw    float64
 	fista solvercore.FISTAInner
+	// Round scratch, so a warm round allocates nothing: the packed
+	// Hessian view over the payload, the subproblem's R, the power
+	// iteration's two vectors and value's one-word allreduce buffer.
+	h          mat.SymPacked
+	r, pv, phv []float64
+	sum        [1]float64
 }
 
 // newPNEngine validates opts and sets up a solve from opts.W0 (zero
@@ -203,6 +209,10 @@ func newPNEngine(c dist.Comm, local LocalData, opts Options) (*pnEngine, error) 
 		w:       w,
 		dw:      make([]float64, d),
 		cand:    make([]float64, d),
+		h:       mat.SymPacked{N: d},
+		r:       make([]float64, d),
+		pv:      make([]float64, d),
+		phv:     make([]float64, d),
 	}, nil
 }
 
@@ -212,15 +222,21 @@ func newPNEngine(c dist.Comm, local LocalData, opts Options) (*pnEngine, error) 
 func (e *pnEngine) value(w []float64) float64 {
 	cost := e.c.Cost()
 	saved := *cost
-	f := e.obj.Value(w, nil) * float64(e.local.X.Cols)
-	f = dist.AllreduceScalar(e.c, f, dist.OpSum) / float64(e.local.MGlobal)
+	e.sum[0] = e.obj.Value(w, nil) * float64(e.local.X.Cols)
+	e.c.Allreduce(e.sum[:], dist.OpSum)
 	*cost = saved
-	return f + e.opts.Reg.Value(w, nil)
+	return e.sum[0]/float64(e.local.MGlobal) + e.opts.Reg.Value(w, nil)
 }
 
 // BatchLen is the payload length: d gradient words then the packed
 // Hessian.
 func (e *pnEngine) BatchLen() int { return e.d + mat.PackedLen(e.d) }
+
+// packed points the engine's Hessian view at payload's packed tail.
+func (e *pnEngine) packed(payload []float64) *mat.SymPacked {
+	e.h.Data = payload[e.d:]
+	return &e.h
+}
 
 // Fill computes the round's local payload at the current iterate and
 // returns its cost.
@@ -230,7 +246,7 @@ func (e *pnEngine) Fill(buf []float64) perf.Cost {
 	// iteration's global sample. SampledHessianPacked scales by
 	// 1/len(cols); rescale so the global sum is (1/mbar) times the sum
 	// over the whole sample.
-	h := mat.SymPackedOf(e.d, buf[e.d:])
+	h := e.packed(buf)
 	h.Zero()
 	e.draw = e.sampler.AppendSample(e.draw[:0], e.rec.Rounds+1)
 	e.localCols = e.local.AppendLocalCols(e.localCols[:0], e.draw)
@@ -251,15 +267,15 @@ func (e *pnEngine) Fill(buf []float64) perf.Cost {
 func (e *pnEngine) Process(shared []float64) bool {
 	cost, outer := e.rec.Cost, e.rec.Rounds
 	grad := shared[:e.d]
-	h := mat.SymPackedOf(e.d, shared[e.d:])
+	h := e.packed(shared)
 	for i := 0; i < e.d; i++ {
 		h.Set(i, i, h.At(i, i)+hessianRidge)
 	}
 
 	// Line 4: the Eq. 19 subproblem anchored at the exact gradient,
 	// solved by FISTA warm-started at w.
-	quad := solvercore.NewSubproblem(h, e.w, grad, cost)
-	e.fista.Gamma = 1 / solvercore.EstimateQuadLipschitz(h, 20, cost)
+	quad := solvercore.NewSubproblem(e.r, h, e.w, grad, cost)
+	e.fista.Gamma = 1 / solvercore.PowerIterate(h, 20, e.pv, e.phv, cost)
 	z := e.fista.Solve(quad, e.opts.Reg, e.w, e.opts.InnerIter, cost)
 
 	// Lines 5-6: the damped update.

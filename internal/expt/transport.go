@@ -11,12 +11,12 @@ import (
 	"github.com/hpcgo/rcsfista/internal/trace"
 )
 
-// Transport exercises the pluggable dist backends: the same RC-SFISTA
-// solve runs once per registered backend and the report proves the
+// Transport exercises the two dist transports: the same RC-SFISTA
+// solve runs once on chan and once on tcp and the report proves the
 // results are bit-identical — same W bits, same objective bits, same
 // cost counters — so transport choice is purely an execution-substrate
 // decision. The second half calibrates alpha/beta/gamma on each
-// backend from ping-pong and allreduce sweeps (Section 5.1's
+// transport from per-tier shared-allreduce sweeps (Section 5.1's
 // machine-characterization step, measured instead of assumed) and
 // tabulates the fitted parameters next to the assumed model; the third
 // table holds the calibrated model to account, timing the shared
@@ -47,7 +47,7 @@ func Transport(cfg Config) *Report {
 		return res
 	}
 
-	backends := supportedBackends()
+	backends := []string{"chan", "tcp"}
 	results := make(map[string]*solver.Result, len(backends))
 	for _, b := range backends {
 		results[b] = run(b)
@@ -76,7 +76,8 @@ func Transport(cfg Config) *Report {
 
 	// Calibration: measure the machine each backend actually provides.
 	// The chan backend times shared memory, the tcp backend times real
-	// loopback sockets; both feed the same alpha + beta*n fit.
+	// loopback sockets; both feed the same per-tier
+	// t/log2(P) = alpha + beta*words fit of the shared allreduce.
 	calTbl := &trace.Table{
 		Title:   fmt.Sprintf("Calibrated machine parameters (P=%d, measured on this host)", p),
 		Headers: []string{"backend", "alpha (s)", "beta (s/word)", "beta f32 (s/word)", "beta i8 (s/word)", "gamma (s/flop)", "assumed alpha", "assumed beta"},
@@ -167,25 +168,6 @@ func timeSharedAllreduce(c dist.Comm, local []float64, tier dist.Tier) float64 {
 		best = math.Min(best, time.Since(start).Seconds())
 	}
 	return best
-}
-
-// supportedBackends lists the registered backends usable on this host,
-// the experiment's sweep axis.
-func supportedBackends() []string {
-	var names []string
-	for _, name := range dist.Backends() {
-		b, err := dist.LookupBackend(name)
-		if err != nil {
-			continue
-		}
-		if b.Supported() == nil {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		panic("expt: transport: no supported dist backends")
-	}
-	return names
 }
 
 func bits(v float64) uint64 { return math.Float64bits(v) }

@@ -1,8 +1,6 @@
 package mat
 
 import (
-	"fmt"
-
 	"github.com/hpcgo/rcsfista/internal/perf"
 )
 
@@ -34,15 +32,6 @@ func NewSymPacked(n int) *SymPacked {
 		panic("mat: negative dimension")
 	}
 	return &SymPacked{N: n, Data: make([]float64, PackedLen(n))}
-}
-
-// SymPackedOf wraps data (not copied) as an n x n packed symmetric
-// matrix.
-func SymPackedOf(n int, data []float64) *SymPacked {
-	if len(data) != PackedLen(n) {
-		panic(fmt.Sprintf("mat: SymPackedOf got %d values for n=%d (want %d)", len(data), n, PackedLen(n)))
-	}
-	return &SymPacked{N: n, Data: data}
 }
 
 // rowStart returns the index of the diagonal element (i, i).

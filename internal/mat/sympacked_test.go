@@ -102,12 +102,6 @@ func TestSymPackedLayoutAndAccessors(t *testing.T) {
 			t.Fatal("unpack/packDense round-trip changed values")
 		}
 	}
-	// SymPackedOf wraps without copying.
-	c := SymPackedOf(a.N, a.Data)
-	c.Set(0, 0, 42)
-	if a.At(0, 0) != 42 {
-		t.Fatal("SymPackedOf copied instead of wrapping")
-	}
 }
 
 func TestSymPackedMulVecBitIdenticalToDense(t *testing.T) {

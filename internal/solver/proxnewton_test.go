@@ -173,7 +173,7 @@ func TestNewSubproblemAnchoring(t *testing.T) {
 	q := smallQuad(6, 8)
 	w := []float64{1, -1, 0.5, 0, 2, -0.3}
 	grad := []float64{0.1, -0.2, 0.3, 0, -0.1, 0.5}
-	sub := solvercore.NewSubproblem(q.H, w, grad, nil)
+	sub := solvercore.NewSubproblem(make([]float64, len(w)), q.H, w, grad, nil)
 	got := make([]float64, 6)
 	sub.Grad(got, w, nil)
 	for i := range got {

@@ -345,9 +345,8 @@ func (e *engine) Fill(buf []float64) perf.Cost {
 // slotView interprets slot j of a batch buffer laid out on an
 // a-coordinate working set (a = d without screening) as the packed
 // a x a Hessian instance and the full-length R vector that follows it.
-// The view is built in place, not by mat.SymPackedOf, so slotView
-// inlines and a stage-B fill's view, which its kernel does not retain,
-// stays off the heap.
+// The view is built in place, so slotView inlines and a stage-B fill's
+// view, which its kernel does not retain, stays off the heap.
 func (e *engine) slotView(batch []float64, j, a int) (*mat.SymPacked, []float64) {
 	pl := mat.PackedLen(a)
 	slot := batch[j*(pl+e.d) : (j+1)*(pl+e.d)]

@@ -35,9 +35,9 @@ type Quad struct {
 // NewSubproblem builds the Eq. 19 subproblem at anchor w: with
 // grad = grad f(w), the smooth part (1/2)(z-w)^T H (z-w) + grad^T (z-w)
 // equals (1/2) z^T H z - (H w - grad)^T z up to a constant, so
-// R = H w - grad.
-func NewSubproblem(h Hessian, w, grad []float64, c *perf.Cost) Quad {
-	r := make([]float64, len(w))
+// R = H w - grad, written into r (len(w) values), which the Quad
+// keeps.
+func NewSubproblem(r []float64, h Hessian, w, grad []float64, c *perf.Cost) Quad {
 	h.MulVec(r, w, c)
 	mat.Axpy(-1, grad, r, c)
 	return Quad{H: h, R: r}
@@ -94,11 +94,17 @@ func (f *FISTAInner) Solve(q Quad, g prox.Operator, z0 []float64, iters int, c *
 // EstimateQuadLipschitz estimates lambda_max(H) by power iteration.
 func EstimateQuadLipschitz(h Hessian, iters int, c *perf.Cost) float64 {
 	d := h.Dim()
-	v := make([]float64, d)
+	return PowerIterate(h, iters, make([]float64, d), make([]float64, d), c)
+}
+
+// PowerIterate is EstimateQuadLipschitz in the caller's work vectors v
+// and hv, each of length h.Dim(); a solver that re-estimates every
+// round keeps them.
+func PowerIterate(h Hessian, iters int, v, hv []float64, c *perf.Cost) float64 {
+	d := h.Dim()
 	for i := range v {
 		v[i] = 1 / math.Sqrt(float64(d))
 	}
-	hv := make([]float64, d)
 	var lam float64
 	for it := 0; it < iters; it++ {
 		h.MulVec(hv, v, c)
