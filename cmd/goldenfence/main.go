@@ -11,8 +11,10 @@
 // path defaults to testdata/golden.json. The base copy is read with
 // `git show <base-ref>:<path>`. Under each CHANGED record the fence
 // names what moved: every JSON path whose value differs, as
-// `Points[11].Obj: 3fc256facb4075d1 → 3fc256facb4075d3`, at most
-// maxMovedPerRecord of them, and a last line sums the regeneration up:
+// `Points[11].Obj: 3fc256facb4075d1 → 3fc256facb4075d3 (rel 3.9e-16)`
+// — a float's bit pattern carries its relative move — at most
+// maxMovedPerRecord of them, then the record's largest relative move
+// over all its floats, and a last line sums the regeneration up:
 // how many records changed, how many of them only under Points[] (trace
 // objectives, which no result reads), and which moved a result field —
 // so a deliberate regeneration can be audited from the output alone.
@@ -22,9 +24,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -80,6 +84,9 @@ func main() {
 				}
 				fmt.Fprintf(os.Stderr, "      %s\n", m)
 			}
+			if lg := d.largest[k]; lg.path != "" {
+				fmt.Fprintf(os.Stderr, "      largest relative move: %.2g at %s\n", lg.rel, lg.path)
+			}
 		}
 		fmt.Fprintf(os.Stderr, "golden-fence: %d surviving records differ from %s\n", len(d.changed), ref)
 		fmt.Fprintln(os.Stderr, d.summary())
@@ -89,11 +96,21 @@ func main() {
 }
 
 // fenceDiff is the key-level difference of two fixture files, each key
-// list sorted, and for each changed key the paths that moved.
+// list sorted, and for each changed key the paths that moved and the
+// largest relative move of a float among them.
 type fenceDiff struct {
 	base, head              int
 	retired, added, changed []string
 	moved                   map[string][]string
+	largest                 map[string]relMove
+}
+
+// relMove is one float's relative move |a − b| / max(|a|, |b|) at path:
+// +Inf to or from a non-finite value, 0 between zeros of either sign.
+// The zero relMove (no path) stands for "no float moved".
+type relMove struct {
+	path string
+	rel  float64
 }
 
 // compare splits the two fixture files into their top-level records and
@@ -113,14 +130,14 @@ func compare(base, head []byte) (fenceDiff, error) {
 			d.retired = append(d.retired, k)
 		case !bytes.Equal(rec, now):
 			d.changed = append(d.changed, k)
-			moved, err := movedPaths(rec, now)
+			moved, largest, err := movedPaths(rec, now)
 			if err != nil {
 				return fenceDiff{}, fmt.Errorf("record %s: %w", k, err)
 			}
 			if d.moved == nil {
-				d.moved = map[string][]string{}
+				d.moved, d.largest = map[string][]string{}, map[string]relMove{}
 			}
-			d.moved[k] = moved
+			d.moved[k], d.largest[k] = moved, largest
 		}
 	}
 	for k := range h {
@@ -165,23 +182,55 @@ func (d fenceDiff) summary() string {
 }
 
 // movedPaths lists every JSON path at which two encodings of one record
-// hold different values, each as "path: base → head". Object keys are
-// walked in sorted order and array elements by index; a key present on
-// one side only reads "(absent)" on the other, and arrays of different
-// lengths report the length after their common prefix. Numbers compare
-// by their literal text, so nothing is lost to float64 decoding.
-func movedPaths(base, head []byte) ([]string, error) {
+// hold different values, each as "path: base → head", and returns the
+// largest relative move among them. Object keys are walked in sorted
+// order and array elements by index; a key present on one side only
+// reads "(absent)" on the other, and arrays of different lengths report
+// the length after their common prefix. Numbers compare by their
+// literal text, so nothing is lost to float64 decoding. A float — a
+// string of 16 hex digits, the fixtures' float64 bit pattern — that
+// moved carries its relative move, "(rel 2.1e-16)".
+func movedPaths(base, head []byte) ([]string, relMove, error) {
 	b, err := decodeNumbers(base)
 	if err != nil {
-		return nil, err
+		return nil, relMove{}, err
 	}
 	h, err := decodeNumbers(head)
 	if err != nil {
-		return nil, err
+		return nil, relMove{}, err
 	}
-	var out []string
-	walkMoved("", b, h, &out)
-	return out, nil
+	var w mover
+	w.walk("", b, h)
+	return w.out, w.largest, nil
+}
+
+// mover collects the moved paths of one record and its largest
+// relative move.
+type mover struct {
+	out     []string
+	largest relMove
+}
+
+// floatBits decodes v when it is a float64 bit pattern, 16 hex digits.
+func floatBits(v any) (float64, bool) {
+	s, ok := v.(string)
+	if !ok || len(s) != 16 {
+		return 0, false
+	}
+	u, err := strconv.ParseUint(s, 16, 64)
+	return math.Float64frombits(u), err == nil
+}
+
+// relative returns |a − b| / max(|a|, |b|), +Inf when either is not
+// finite and 0 when both are zero.
+func relative(a, b float64) float64 {
+	switch {
+	case math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0):
+		return math.Inf(1)
+	case a == b:
+		return 0
+	}
+	return math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
 }
 
 func decodeNumbers(raw []byte) (any, error) {
@@ -192,7 +241,7 @@ func decodeNumbers(raw []byte) (any, error) {
 	return v, err
 }
 
-func walkMoved(path string, b, h any, out *[]string) {
+func (w *mover) walk(path string, b, h any) {
 	switch bv := b.(type) {
 	case map[string]any:
 		hv, ok := h.(map[string]any)
@@ -218,11 +267,11 @@ func walkMoved(path string, b, h any, out *[]string) {
 			hx, inH := hv[k]
 			switch {
 			case !inB:
-				*out = append(*out, fmt.Sprintf("%s: (absent) → %s", p, show(hx)))
+				w.out = append(w.out, fmt.Sprintf("%s: (absent) → %s", p, show(hx)))
 			case !inH:
-				*out = append(*out, fmt.Sprintf("%s: %s → (absent)", p, show(bx)))
+				w.out = append(w.out, fmt.Sprintf("%s: %s → (absent)", p, show(bx)))
 			default:
-				walkMoved(p, bx, hx, out)
+				w.walk(p, bx, hx)
 			}
 		}
 		return
@@ -233,10 +282,10 @@ func walkMoved(path string, b, h any, out *[]string) {
 		}
 		n := min(len(bv), len(hv))
 		for i := 0; i < n; i++ {
-			walkMoved(fmt.Sprintf("%s[%d]", path, i), bv[i], hv[i], out)
+			w.walk(fmt.Sprintf("%s[%d]", path, i), bv[i], hv[i])
 		}
 		if len(bv) != len(hv) {
-			*out = append(*out, fmt.Sprintf("%s: length %d → %d", path, len(bv), len(hv)))
+			w.out = append(w.out, fmt.Sprintf("%s: length %d → %d", path, len(bv), len(hv)))
 		}
 		return
 	default:
@@ -245,8 +294,18 @@ func walkMoved(path string, b, h any, out *[]string) {
 		if b == h {
 			return
 		}
+		bf, okB := floatBits(b)
+		hf, okH := floatBits(h)
+		if okB && okH {
+			rel := relative(bf, hf)
+			if w.largest.path == "" || rel > w.largest.rel {
+				w.largest = relMove{path, rel}
+			}
+			w.out = append(w.out, fmt.Sprintf("%s: %s → %s (rel %.2g)", path, show(b), show(h), rel))
+			return
+		}
 	}
-	*out = append(*out, fmt.Sprintf("%s: %s → %s", path, show(b), show(h)))
+	w.out = append(w.out, fmt.Sprintf("%s: %s → %s", path, show(b), show(h)))
 }
 
 // show renders one decoded value: strings and numbers bare, the rest

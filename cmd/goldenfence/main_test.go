@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fenceDiff{base: 3, head: 3, retired: []string{"c"}, added: []string{"d"}, changed: []string{"b"},
-		moved: map[string][]string{"b": {"W[0]: 4000 → 4001"}}}
+		moved: map[string][]string{"b": {"W[0]: 4000 → 4001"}}, largest: map[string]relMove{"b": {}}}
 	if !reflect.DeepEqual(d, want) {
 		t.Fatalf("compare = %+v, want %+v", d, want)
 	}
@@ -57,13 +58,41 @@ func TestMovedPathsTraceObj(t *testing.T) {
 	head := []byte(`{"W": ["3ff0", "4000"], "Iters": 48, "FinalObj": "3fc1",
  "Points": [{"Iter": 0, "Obj": "3fd0", "RelErr": "7ff8000000000001"},
             {"Iter": 2, "Obj": "3fc256facb4075d3", "RelErr": "7ff8000000000001"}]}`)
-	got, err := movedPaths(base, head)
+	got, largest, err := movedPaths(base, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"Points[1].Obj: 3fc256facb4075d1 → 3fc256facb4075d3"}
+	want := []string{"Points[1].Obj: 3fc256facb4075d1 → 3fc256facb4075d3 (rel 3.9e-16)"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("movedPaths = %q, want %q", got, want)
+	}
+	if largest.path != "Points[1].Obj" || !(largest.rel > 3.8e-16 && largest.rel < 4e-16) {
+		t.Fatalf("largest move = %+v", largest)
+	}
+}
+
+// Every moved float carries its relative move and the record reports
+// the largest: a move to NaN is infinite, one between zeros is none.
+func TestMovedPathsRelative(t *testing.T) {
+	base := []byte(`{"FinalObj": "3ff0000000000000", "FinalRelErr": "0000000000000000", "ModelSeconds": "8000000000000000",
+ "Points": [{"Obj": "4000000000000000"}]}`)
+	head := []byte(`{"FinalObj": "3ff0000000000001", "FinalRelErr": "7ff8000000000001", "ModelSeconds": "0000000000000000",
+ "Points": [{"Obj": "4008000000000000"}]}`)
+	got, largest, err := movedPaths(base, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"FinalObj: 3ff0000000000000 → 3ff0000000000001 (rel 2.2e-16)",
+		"FinalRelErr: 0000000000000000 → 7ff8000000000001 (rel +Inf)",
+		"ModelSeconds: 8000000000000000 → 0000000000000000 (rel 0)",
+		"Points[0].Obj: 4000000000000000 → 4008000000000000 (rel 0.33)",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("movedPaths = %q, want %q", got, want)
+	}
+	if largest.path != "FinalRelErr" || !math.IsInf(largest.rel, 1) {
+		t.Fatalf("largest move = %+v, want FinalRelErr at +Inf", largest)
 	}
 }
 
@@ -104,7 +133,7 @@ func TestMovedPathsIterate(t *testing.T) {
  "Cost": {"Flops": 100, "Words": 7}, "Events": [{"Kind": "drop"}], "Gone": true}`)
 	head := []byte(`{"W": ["3ff0", "4001", "4009"], "Iters": 49,
  "Cost": {"Flops": 100, "Words": 8}, "Events": [], "New": null}`)
-	got, err := movedPaths(base, head)
+	got, _, err := movedPaths(base, head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +151,7 @@ func TestMovedPathsIterate(t *testing.T) {
 	}
 
 	// A value that changes shape is reported whole.
-	got, _ = movedPaths([]byte(`{"W": null}`), []byte(`{"W": ["3ff0"]}`))
+	got, _, _ = movedPaths([]byte(`{"W": null}`), []byte(`{"W": ["3ff0"]}`))
 	if want := []string{`W: null → ["3ff0"]`}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("shape change = %q, want %q", got, want)
 	}

@@ -171,6 +171,7 @@ type cocoaEngine struct {
 	gradV []float64 // grad f(v) = (v - y)/m, per round
 	delta []float64 // local subproblem variable
 	rng   *rng.Rng
+	sum   [1]float64 // evaluate's one-word allreduce buffer
 }
 
 // BatchLen is the m-word prediction-delta payload.
@@ -242,7 +243,8 @@ func (e *cocoaEngine) Process(shared []float64) bool {
 
 // evaluate computes the global objective as instrumentation (cost
 // rolled back): the local loss over the replicated predictions plus
-// the allreduced l1 norm of the distributed w.
+// the l1 norm of the distributed w, allreduced on the engine's
+// one-word buffer so the evaluation allocates nothing.
 func (e *cocoaEngine) evaluate() float64 {
 	cost := e.rec.Cost
 	saved := *cost
@@ -251,8 +253,9 @@ func (e *cocoaEngine) evaluate() float64 {
 		d := vi - e.local.Y[i]
 		loss += d * d
 	}
-	l1 := mat.Nrm1(e.wLoc, nil)
-	l1 = dist.AllreduceScalar(e.c, l1, dist.OpSum)
+	e.sum[0] = mat.Nrm1(e.wLoc, nil)
+	e.c.Allreduce(e.sum[:], dist.OpSum)
+	l1 := e.sum[0]
 	*cost = saved
 	return loss/(2*float64(e.m)) + e.opts.Lambda*l1
 }

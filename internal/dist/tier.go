@@ -290,19 +290,20 @@ func IAllreduceSharedTier(c Comm, local []float64, t Tier) *Request {
 	return tiers[t].post(c, local)
 }
 
-// AllreduceScalarSumTier sum-reduces one scalar at (the effective
-// floor of) tier t. A 1-value payload always floors below i8
-// (EffectiveTier), so the worst case is the ~1e-7 relative error of a
-// float32 rounding — the objective/eval reductions tolerate that, a
+// AllreduceScalarSumTier sum-reduces the one scalar in buf at (the
+// effective floor of) tier t and returns the sum. buf is the caller's,
+// kept across calls, so the f64 reduction allocates nothing; it holds
+// the sum afterwards only at f64. A 1-value payload always floors below
+// i8 (EffectiveTier), so the worst case is the ~1e-7 relative error of
+// a float32 rounding — the objective/eval reductions tolerate that, a
 // 0.4%% int8 step they would not.
-func AllreduceScalarSumTier(c Comm, x float64, t Tier) float64 {
+func AllreduceScalarSumTier(c Comm, buf []float64, t Tier) float64 {
 	t = EffectiveTier(t, 1)
 	if t == TierF64 {
-		return AllreduceScalar(c, x, OpSum)
+		c.Allreduce(buf, OpSum)
+		return buf[0]
 	}
-	buf := [1]float64{x}
-	out := AllreduceSharedTier(c, buf[:], t)
-	return out[0]
+	return AllreduceSharedTier(c, buf, t)[0]
 }
 
 // chargeAllreduceTier charges one rank's share of a recursive-doubling

@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -157,17 +158,32 @@ func Transport(cfg Config) *Report {
 	}
 }
 
-// timeSharedAllreduce returns the fastest of a few barrier-aligned
-// shared allreduces of local at the given tier, in seconds.
+// timeBatches batches of timeReps barrier-aligned allreduces time one
+// cell of the model check: one batch's minimum swings several-fold from
+// run to run on small tcp payloads of a shared box, the median of the
+// batches' minima far less.
+const (
+	timeBatches = 5
+	timeReps    = 10
+)
+
+// timeSharedAllreduce returns the median over timeBatches batches of
+// the fastest of timeReps barrier-aligned shared allreduces of local at
+// the given tier, in seconds.
 func timeSharedAllreduce(c dist.Comm, local []float64, tier dist.Tier) float64 {
-	best := math.Inf(1)
-	for rep := 0; rep < 10; rep++ {
-		c.Barrier()
-		start := time.Now()
-		dist.AllreduceSharedTier(c, local, tier)
-		best = math.Min(best, time.Since(start).Seconds())
+	var minima [timeBatches]float64
+	for b := range minima {
+		best := math.Inf(1)
+		for rep := 0; rep < timeReps; rep++ {
+			c.Barrier()
+			start := time.Now()
+			dist.AllreduceSharedTier(c, local, tier)
+			best = math.Min(best, time.Since(start).Seconds())
+		}
+		minima[b] = best
 	}
-	return best
+	slices.Sort(minima[:])
+	return minima[timeBatches/2]
 }
 
 func bits(v float64) uint64 { return math.Float64bits(v) }

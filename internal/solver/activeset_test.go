@@ -286,20 +286,20 @@ func TestActiveSetRewindRetakesExactState(t *testing.T) {
 	e.initActiveSet()
 	mark := e.markActive()
 	g0 := mat.Clone(e.exact(&e.kktEF, false))
-	f0 := e.evaluate(true)
+	f0 := e.evaluate()
 	buf := make([]float64, e.BatchLen())
 	e.Fill(buf)
 	fr := e.as.filled
 	h, r := e.slotView(buf, 0, len(fr.act))
 	e.updateActive(h, r, fr.act)
-	if g1 := e.exact(&e.kktEF, false); sameBits(g1, g0) || e.evaluate(true) == f0 {
+	if g1 := e.exact(&e.kktEF, false); sameBits(g1, g0) || e.evaluate() == f0 {
 		t.Fatal("the update moved neither ∇f nor F")
 	}
 	e.rewindActive(mark)
 	if g := e.exact(&e.kktEF, false); !sameBits(g, g0) {
 		t.Errorf("∇f after the rewind %v, want %v, the state at the restored iterate", g, g0)
 	}
-	if f := e.evaluate(true); math.Float64bits(f) != math.Float64bits(f0) {
+	if f := e.evaluate(); math.Float64bits(f) != math.Float64bits(f0) {
 		t.Errorf("F after the rewind %.17g, want %.17g", f, f0)
 	}
 }

@@ -103,7 +103,7 @@ func (p *deltaPass) Process(shared []float64) bool {
 		if opts.VarianceReduced && e.sinceSnap >= opts.EpochLen {
 			e.refreshSnapshot() // resets e.t; delta state below
 			if e.gradMapStop {
-				e.checkpoint(true)
+				e.checkpoint()
 				e.rec.Converged = true
 				return true
 			}
@@ -114,7 +114,7 @@ func (p *deltaPass) Process(shared []float64) bool {
 		}
 		if e.sinceEval >= opts.EvalEvery {
 			e.sinceEval = 0
-			if e.checkpoint(e.rec.Iter >= opts.MaxIter) {
+			if e.checkpoint() {
 				e.rec.Converged = true
 				return true
 			}

@@ -44,12 +44,16 @@ func worldSolve(t *testing.T, backend string, procs int, p *data.Problem, o Opti
 }
 
 // TestGradMapMatchesOutside: when the GradMapTol stop ends a solve, the
-// reported norm is the stop's own (≤ GradMapTol) and the data's, within
-// 1e-12 relative — on the dense-slot, full-batch and screened paths of
-// the golden shape. A warm start at W on the same P then takes the
-// zero-round path and hands back W, FinalObj and GradMap bit for bit,
-// on chan and over tcp: the verdict the serving layer's certified hits
-// stand on.
+// reported value is the stop's own (≤ GradMapTol) and covers the data's
+// norm — on the dense-slot, full-batch and screened paths of the golden
+// shape. A screened solve reads the data, and reports its norm within
+// 1e-12 relative of the outside one; the others hold the triple and
+// report the certificate, the Gram norm plus the rounding bound of the
+// triple the world filled (bit for bit FillTriple's), with the outside
+// norm within 1e-12 of that Gram norm. A warm start at W on the same P
+// then takes the zero-round path and hands back W, FinalObj and GradMap
+// bit for bit, on chan and over tcp: the verdict the serving layer's
+// certified hits stand on.
 func TestGradMapMatchesOutside(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -71,9 +75,20 @@ func TestGradMapMatchesOutside(t *testing.T) {
 		if !res.Converged || !(res.GradMap <= o.GradMapTol) {
 			t.Fatalf("%s: converged=%t GradMap=%g, want the GradMapTol %g stop", tc.name, res.Converged, res.GradMap, o.GradMapTol)
 		}
-		want := outsideGradMap(p, prox.L1{Lambda: o.Lambda}, res.W, o.Gamma)
-		if rel := math.Abs(res.GradMap-want) / want; rel > 1e-12 {
-			t.Errorf("%s: GradMap %.17g, outside %.17g (rel %.2g)", tc.name, res.GradMap, want, rel)
+		reg := prox.L1{Lambda: o.Lambda}
+		want := outsideGradMap(p, reg, res.W, o.Gamma)
+		norm := res.GradMap
+		if !o.ActiveSet {
+			tri := FillTriple(p.X, p.Y, 4, nil)
+			grad := make([]float64, p.X.Rows)
+			tri.grad(grad, res.W, nil)
+			norm = gradMapNorm(make([]float64, p.X.Rows), res.W, grad, o.Gamma, reg, nil)
+			if cert := norm + tri.mapErr(res.W, grad, norm, o.Gamma, reg, nil); math.Float64bits(res.GradMap) != math.Float64bits(cert) {
+				t.Errorf("%s: GradMap %.17g, certificate %.17g", tc.name, res.GradMap, cert)
+			}
+		}
+		if rel := math.Abs(norm-want) / want; rel > 1e-12 {
+			t.Errorf("%s: norm %.17g, outside %.17g (rel %.2g)", tc.name, norm, want, rel)
 		}
 		o.W0 = res.W
 		for _, backend := range []string{"chan", "tcp"} {

@@ -60,8 +60,9 @@ type Options struct {
 	// GradMapTol is a reference-free stop: at every variance-reduction
 	// snapshot the exact full gradient is available, so the proximal
 	// gradient mapping norm ||w - Prox_gamma(w - gamma grad f(w))||/gamma
-	// (zero exactly at optima) is checked against this threshold.
-	// Requires VarianceReduced; <= 0 disables.
+	// (zero exactly at optima) is checked against this threshold — from
+	// the least-squares triple, plus its rounding bound, when the solve
+	// holds one. Requires VarianceReduced; <= 0 disables.
 	GradMapTol float64
 	// FStar is the reference optimal objective value F(w*). NaN means
 	// unknown: relative errors are not recorded and Tol is ignored.

@@ -79,7 +79,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 		// starts in the serving layer nearly free. Cold starts (W0 ==
 		// nil) never take this path; the gradient mapping is a shared
 		// pure function of allreduced state, so all ranks exit together.
-		e.checkpoint(true)
+		e.checkpoint()
 		e.rec.Converged = true
 		return e.finish(), nil
 	}
@@ -90,7 +90,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 	if opts.ActiveSet {
 		e.initActiveSet()
 	}
-	e.checkpoint(false)
+	e.checkpoint()
 	loop := solvercore.Loop
 	if pipelined {
 		loop = solvercore.PipelinedLoop
@@ -105,7 +105,7 @@ func (e *engine) run(ctx context.Context, fill solvercore.BatchFiller, pass solv
 		Stop:     e,
 	})
 	if err == nil && !e.rec.Converged && e.sinceEval != 0 {
-		e.rec.Converged = e.checkpoint(true)
+		e.rec.Converged = e.checkpoint()
 	}
 	return e.finish(), err
 }
@@ -168,7 +168,9 @@ type engine struct {
 	wSnap    []float64
 	fullGrad []float64
 
+	// gradMapStop: a snapshot met GradMapTol; gradMap is what it reports.
 	gradMapStop bool
+	gradMap     float64
 
 	// Tiered compression state (Options.CompressTier, see tiering.go).
 	// gradEF/kktEF are the per-site error-feedback residual streams of
@@ -184,6 +186,9 @@ type engine struct {
 	tierBestObj float64
 	tierStall   int
 	tierCap     dist.Tier
+	// sum is a data-pass objective's one-word allreduce buffer, kept so
+	// the reduction allocates nothing.
+	sum [1]float64
 	// fillsTri says the solve fills the resident least-squares triple
 	// before round 0 (holdsTriple); tri is that triple once filled, nil
 	// before, which the objective and the snapshot read
@@ -448,14 +453,14 @@ func (e *engine) afterUpdate() (stop bool) {
 		e.refreshSnapshot()
 		e.sinceSnap = 0
 		if e.gradMapStop {
-			e.checkpoint(true)
+			e.checkpoint()
 			e.rec.Converged = true
 			return true
 		}
 	}
 	if e.sinceEval >= opts.EvalEvery {
 		e.sinceEval = 0
-		if e.checkpoint(e.rec.Iter >= opts.MaxIter) {
+		if e.checkpoint() {
 			e.rec.Converged = true
 			return true
 		}
@@ -463,14 +468,14 @@ func (e *engine) afterUpdate() (stop bool) {
 	return e.rec.Iter >= opts.MaxIter
 }
 
-// finish packages the result. GradMap is the norm the GradMapTol stop
-// read at W: set only when that stop ended the solve — gradMapStop
-// survives an active-set redo only if the redo stopped again — and the
-// snapshot gradient behind it crossed the wire unquantized.
+// finish packages the result. GradMap is the value the GradMapTol stop
+// certified at W (refreshSnapshot): set only when that stop ended the
+// solve — gradMapStop survives an active-set redo only if the redo
+// stopped again — and no wire tier is on.
 func (e *engine) finish() *Result {
 	res := e.rec.Finish(mat.Clone(e.wCurr))
 	if e.gradMapStop && !e.tiers.on {
-		res.GradMap = e.ex.norm
+		res.GradMap = e.gradMap
 	}
 	return res
 }

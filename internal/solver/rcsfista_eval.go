@@ -2,16 +2,18 @@ package solver
 
 // The engine's exact state — ∇f, the gradient-map norm and the local
 // loss at the current iterate, memoised per iterate version — and two
-// of its readers: the stage-A snapshot refresh and the
-// instrumentation-side objective evaluation (the KKT scan reads it in
-// activeset_window.go). Split from rcsfista.go, which keeps the round
-// loop, the update kernel and the solvercore hooks. Each value has two
-// sources, each taken one way: the data, through the one fused sweep
-// (sparse.CSC.ResidualGrad, or ResidualLoss for an objective alone)
-// and one collective routed through the tier policy; or the resident
-// least-squares triple, a Triple without a step (triple.go) that a
-// solve the path is on for fills before round 0 and reads with no
-// collective.
+// of its readers: the stage-A snapshot refresh with its GradMapTol stop
+// and the instrumentation-side objective evaluation (the KKT scan reads
+// it in activeset_window.go). Split from rcsfista.go, which keeps the
+// round loop, the update kernel and the solvercore hooks. A solve takes
+// every value from one source. One that holds the least-squares triple
+// (holdsTriple) fills it before round 0 — a Triple with the rounding
+// bound's inputs and no step (triple.go) — and then reads only it, with
+// no collective: ∇f = Gw − r, every objective, and a GradMapTol stop
+// certified as SolveTriple certifies one (Triple.certify). Every other
+// solve reads the data, through the one fused sweep
+// (sparse.CSC.ResidualGrad, or ResidualLoss for an objective alone) and
+// one collective routed through the tier policy.
 
 import (
 	"math"
@@ -36,13 +38,22 @@ func (e *engine) start() {
 // refreshSnapshot re-centers the variance-reduction estimator at the
 // current iterate: w-hat = w, full gradient (Eq. 9 last term), momentum
 // restart (Algorithm 3 epoch boundary). The gradient is the exact
-// state's; its gradient-map norm decides the GradMapTol stop, so it is
-// charged when that tolerance is set.
+// state's; its gradient-map norm, charged when GradMapTol is set,
+// decides that stop. From the data the norm is the verdict and the
+// reported GradMap. Holding the triple, the solve certifies as
+// SolveTriple does, at its own step (Triple.certify): the Gram norm
+// plus the rounding bound, whose O(d) flops are bookkeeping like the
+// objective's and billed nothing.
 func (e *engine) refreshSnapshot() {
 	copy(e.wSnap, e.wCurr)
 	copy(e.fullGrad, e.exact(&e.gradEF, true))
-	if tol := e.opts.GradMapTol; tol > 0 && e.ex.norm <= tol {
-		e.gradMapStop = true
+	tol, cert := e.opts.GradMapTol, e.ex.norm
+	ok := tol > 0 && cert <= tol
+	if e.tri != nil {
+		cert, ok = e.tri.certify(e.wCurr, e.fullGrad, cert, e.gamma, tol, e.reg, nil)
+	}
+	if ok {
+		e.gradMapStop, e.gradMap = true, cert
 	}
 	// Momentum restart.
 	e.t = 1
@@ -69,20 +80,15 @@ type exactState struct {
 
 // exact returns ∇f at wCurr, with its gradient-map norm in ex.norm,
 // memoised per iterate version (wVer): a VR snapshot, a KKT scan and the
-// initial screen at one iterate share one take. A take reads the
-// resident Gram when the solve holds it (no collective), else one data
-// pass and one d-word allreduce on the caller's error-feedback stream ef
-// at the tier policy's pick, both charged. stop says the caller decides the
+// initial screen at one iterate share one take. A take reads the triple
+// when the solve holds it (no collective), else one data pass and one
+// d-word allreduce on the caller's error-feedback stream ef at the tier
+// policy's pick, both charged. stop says the caller decides the
 // GradMapTol stop on the norm: only then is the norm charged (elsewhere
-// it is uncharged bookkeeping), and only then is a Gram norm in the band
-// nearStop names re-taken through the data.
+// it is uncharged bookkeeping).
 func (e *engine) exact(ef *solvercore.EFStream, stop bool) []float64 {
 	if e.ex.ver != e.wVer {
-		gram := e.tri != nil
-		e.takeExact(gram, ef, stop)
-		if gram && stop && e.nearStop(math.NaN(), e.ex.norm) {
-			e.takeExact(false, ef, stop)
-		}
+		e.takeExact(e.tri != nil, ef, stop)
 		e.ex.ver = e.wVer
 	}
 	return e.ex.grad
@@ -109,24 +115,6 @@ func (e *engine) takeExact(gram bool, ef *solvercore.EFStream, stop bool) {
 	e.ex.norm = gradMapNorm(e.tmp, e.wCurr, g, e.gamma, e.reg, cost)
 }
 
-// gramSlack is the relative band, in units of c + |F|, inside which a
-// Gram objective counts as "at" the Tol threshold and is re-taken
-// through the data. The two values agree within 1e-12 of that scale
-// (TestGramObjectiveMatchesDataPass; ≤ 5e-15 measured), so the band
-// cannot miss a stop the data pass would take.
-const gramSlack = 1e-10
-
-// gramMapSlack is the band, in units of GradMapTol, inside which a
-// Gram-sourced gradient-map norm counts as "at" the stop and is re-taken
-// through the data. On the golden and ls_* shapes, over chan and tcp at
-// P ≤ 4, the two norms agree within 3.3e-12 of the norm itself (and the
-// gradients within 8.4e-14·‖∇f‖∞; TestGramSnapshotMatchesDataPass), so
-// at a tolerance equal to the norm the band is 3·10⁵ times the largest
-// disagreement and a Gram norm above it cannot hide a stop the data pass
-// would take. A miss would only delay the stop by an epoch: any Gram
-// norm inside the band is re-taken, so no stop is ever the Gram's.
-const gramMapSlack = 1e-6
-
 // holdsTriple is the one rule for which world solves fill the
 // least-squares triple before round 0: none under ActiveSet (G may
 // outgrow its |A|-sized slots) or a CompressTier (the snapshot gradient
@@ -139,10 +127,13 @@ func holdsTriple(o *Options, p int) bool {
 
 // fillGram builds the replicated triple from this rank's block
 // (triplePartial) and one f64 AllreduceShared of PackedLen(d)+d+1
-// words, and takes no step. The fill is billed when the algorithm reads
-// the triple — under variance reduction, whose snapshots take ∇f from
-// it — and otherwise rolled back like any instrumentation, so W, Cost
-// and Rounds do not depend on the trace cadence.
+// words, then its rounding bound's O(d) inputs (boundInputs, unbilled
+// like the certificate they feed). It takes no step: the solve steps at
+// Options.Gamma, and lipschitzBound's power iteration would add d² work
+// per iteration. The fill is billed when the algorithm reads the triple
+// — under variance reduction, whose snapshots take ∇f from it — and
+// otherwise rolled back like any instrumentation, so W, Cost and Rounds
+// do not depend on the trace cadence.
 func (e *engine) fillGram() {
 	cost := e.c.Cost()
 	saved := *cost
@@ -150,59 +141,39 @@ func (e *engine) fillGram() {
 	if !e.opts.VarianceReduced {
 		*cost = saved
 	}
+	e.tri.boundInputs(nil)
 }
-
-// nearStop is the one source rule: a Gram-sourced objective f within
-// gramSlack of the relative-error stop, or a Gram-sourced gradient-map
-// norm within gramMapSlack of GradMapTol, sits where only a data pass may
-// decide the stop, so its reader re-takes it through the data. Pass NaN
-// for the value a reader does not hold.
-func (e *engine) nearStop(f, norm float64) bool {
-	if tol := e.opts.GradMapTol; tol > 0 && nearMapStop(norm, tol) {
-		return true
-	}
-	tol, fs := e.rec.Tol, e.rec.FStar
-	return tol > 0 && math.Abs(f-fs) <= tol*math.Abs(fs)+gramSlack*(e.tri.c+math.Abs(f))
-}
-
-// nearMapStop reports whether a Gram-sourced gradient-map norm lies
-// within gramMapSlack of the GradMapTol stop tol > 0, where only a data
-// pass may decide the stop; the engine's snapshot asks it (SolveTriple
-// certifies with the triple's rounding bound instead, mapErr).
-func nearMapStop(norm, tol float64) bool { return norm <= tol*(1+gramMapSlack) }
 
 // evaluate computes the global objective F(wCurr) as instrumentation:
 // the communication and flops are rolled back so cost accounting
 // reflects only the algorithm (Section 5.1 measures error offline).
-// When the solve holds the resident Gram every interior evaluation
-// reads it. A final checkpoint — one after which the solve ends —
-// always takes the data pass, and so does a Gram value at the Tol
-// threshold, so Result.FinalObj and every stop are the data pass's
-// exactly. The data pass reads the local loss an exact take left at
-// this iterate, if one did.
-func (e *engine) evaluate(final bool) float64 {
-	if !final && e.tri != nil {
-		if f := e.tri.loss(e.wCurr) + e.reg.Value(e.wCurr, nil); !e.nearStop(f, math.NaN()) {
-			return f
-		}
+// A solve that holds the triple reads every objective from it, the Tol
+// stop's and Result.FinalObj included, with no collective and no band:
+// F* is itself a reference solve's estimate, so the Tol stop was never
+// a certificate a data pass could make exact. Any other solve takes a
+// data pass, which reads the local loss an exact take left at this
+// iterate, if one did, and sums it on the engine's one-word buffer.
+func (e *engine) evaluate() float64 {
+	if e.tri != nil {
+		return e.tri.loss(e.wCurr) + e.reg.Value(e.wCurr, nil)
 	}
 	cost := e.c.Cost()
 	saved := *cost
 	loss := e.ex.loss
-	if e.ex.ver != e.wVer || math.IsNaN(loss) {
+	if e.ex.ver != e.wVer {
 		loss = e.local.X.ResidualLoss(e.wCurr, e.local.Y, 0, e.local.X.Cols, nil)
 	}
-	loss = dist.AllreduceScalarSumTier(e.c, loss, e.tierAt(1))
+	e.sum[0] = loss
+	loss = dist.AllreduceScalarSumTier(e.c, e.sum[:], e.tierAt(1))
 	*cost = saved
 	return loss/(2*float64(e.m)) + e.reg.Value(e.wCurr, nil)
 }
 
 // checkpoint records a trace point and returns true when the stopping
-// criterion fires; final marks a checkpoint the solve ends after
-// whatever it returns (see evaluate). The evaluated objective doubles
-// as the auto tier policy's stagnation signal.
-func (e *engine) checkpoint(final bool) bool {
-	obj := e.evaluate(final)
+// criterion fires. The evaluated objective doubles as the auto tier
+// policy's stagnation signal.
+func (e *engine) checkpoint() bool {
+	obj := e.evaluate()
 	e.tierProgress(obj)
 	return e.rec.Checkpoint(obj)
 }

@@ -107,8 +107,9 @@ func (c *CallCounter) Allgather(local []float64) []float64 {
 // first collective is the resident Gram's fill, the only one beside the
 // batches, before round 0; every round then issues its stage-C batch
 // (payload plus vote trailer) and nothing else, its objective read from
-// the Gram, up to the last round, whose final checkpoint takes its data
-// pass. No round polls cancellation with a collective of its own.
+// the Gram, up to the last round, after which nothing is sent: the
+// final checkpoint reads the Gram too. No round polls cancellation with
+// a collective of its own.
 func TestOneCollectivePerRound(t *testing.T) {
 	p, err := data.LoadWith("covtype", 240, 24, 7)
 	if err != nil {
@@ -157,9 +158,12 @@ func TestOneCollectivePerRound(t *testing.T) {
 				perRound[call.Round]++
 			}
 			for r, n := range perRound {
-				want := 1 // the next batch; after the last round, the final data pass
-				if r == 0 {
+				want := 1 // the next batch
+				switch r {
+				case 0:
 					want = 2 // the fill and the first batch
+				case res.Rounds:
+					want = 0
 				}
 				if n != want {
 					t.Errorf("%s: %d collectives after round %d, want %d", name, n, r, want)

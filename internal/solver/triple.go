@@ -11,8 +11,8 @@ package solver
 // rounding-error bound (Higham, "Accuracy and Stability of Numerical
 // Algorithms", ch. 3), derived from the real operation order of the
 // fill and of Gw − r, caps how far the computed gradient-map norm can
-// sit from the exact one, so after the fill the solve never reads the
-// data.
+// sit from the exact one, so after the fill the solve — served, or a
+// world's — never reads the data.
 
 import (
 	"context"
@@ -42,10 +42,11 @@ const tripleCheckEvery = 10
 // nothing and sends nothing, where a data pass costs ≥ 2·nnz flops and
 // an allreduce. It depends on neither λ, the regularizer, w nor a
 // tolerance, so one Triple answers every least-squares solve of its
-// data on P ranks. FillTriple makes one with its step and the inputs
-// of its rounding bound (prepare), a world solve fills its own before
-// round 0 without them (engine.fillGram), and nothing writes either
-// after, so concurrent solves read it without copies.
+// data on P ranks. Both fills give it the inputs of its rounding bound
+// (boundInputs): FillTriple adds its step (prepare), a world solve,
+// which runs at its own Options.Gamma, fills its own before round 0
+// without one (engine.fillGram). Nothing writes either after, so
+// concurrent solves read it without copies.
 type Triple struct {
 	m, p int
 	// g, r and c view vals, the fill's allreduce payload.
@@ -53,9 +54,10 @@ type Triple struct {
 	r    []float64
 	c    float64
 	vals []float64
-	// step is FISTA's 1/L, L ≥ λmax(G) (lipschitzBound); s holds √G_ii
-	// and sNorm ‖s‖, the inputs of the rounding bound. prepare sets all
-	// three; a world's triple, which no FISTA runs on, has none.
+	// step is FISTA's 1/L, L ≥ λmax(G) (lipschitzBound), which prepare
+	// sets and a world's triple, stepping at Options.Gamma, lacks; s
+	// holds √G_ii and sNorm ‖s‖, the inputs of the rounding bound, which
+	// every triple has.
 	step  float64
 	s     []float64
 	sNorm float64
@@ -144,13 +146,19 @@ func FillTriple(x *sparse.CSC, y []float64, p int, cost *perf.Cost) *Triple {
 }
 
 // prepare takes, once, the triple's step from lipschitzBound and the
-// inputs of its rounding bound: s_i = √G_ii and ‖s‖.
+// inputs of its rounding bound.
 func (t *Triple) prepare(cost *perf.Cost) {
 	t.step = 1
 	// A zero G (all-zero data) takes any step; 1 stands in.
 	if l := lipschitzBound(&t.g, cost); l > 0 {
 		t.step = 1 / l
 	}
+	t.boundInputs(cost)
+}
+
+// boundInputs takes, once, the O(d) inputs of the rounding bound:
+// s_i = √G_ii and ‖s‖.
+func (t *Triple) boundInputs(cost *perf.Cost) {
 	t.s = make([]float64, t.g.N)
 	for i := range t.s {
 		t.s[i] = math.Sqrt(t.g.RowTail(i)[0])
@@ -204,9 +212,10 @@ func lipschitzBound(g *mat.SymPacked, cost *perf.Cost) float64 {
 //   - FISTA runs on ½wᵀGw − rᵀw + c + g(w) from opts.W0 (zero when nil)
 //     at tri's step. Every tripleCheckEvery iterations it takes the
 //     Gram-sourced gradient-map norm at that step and checks ctx.
-//   - A W whose Gram norm plus tri's rounding bound at W (mapErr) meets
-//     GradMapTol certifies: the exact gradient-map norm at W is at most
-//     that sum, which GradMap reports, and Converged is set.
+//   - A W whose Gram norm plus tri's rounding bound at W meets
+//     GradMapTol certifies (Triple.certify, the world engine's stop
+//     too): the exact gradient-map norm at W is at most that sum, which
+//     GradMap reports, and Converged is set.
 //
 // A solve that does not certify within MaxIter iterations — one
 // without a positive GradMapTol never does — returns its W after
@@ -249,11 +258,10 @@ func SolveTriple(ctx context.Context, tri *Triple, machine perf.Machine, opts Op
 				break
 			}
 			if tol > 0 {
-				if norm := s.gramNorm(); norm <= tol {
-					if cert := norm + tri.mapErr(s.w, s.grad, norm, o.Reg, s.cost); cert <= tol {
-						res.GradMap, res.Converged = cert, true
-						break
-					}
+				norm := s.gramNorm()
+				if cert, ok := tri.certify(s.w, s.grad, norm, s.lr, tol, o.Reg, s.cost); ok {
+					res.GradMap, res.Converged = cert, true
+					break
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 package solver
 
 // The triple's rounding-error bound: how far the gradient Gw − r, the
-// loss ½wᵀGw − rᵀw + c and the gradient-map norm that SolveTriple
-// computes from the stored triple can sit from the exact values of the
+// loss ½wᵀGw − rᵀw + c and the gradient-map norm that a solve holding
+// it computes from the stored triple can sit from the exact values of the
 // data, derived from the real operation order of the fill
 // (triplePartial, foldBlocks) and of the arithmetic (Triple.grad,
 // Triple.loss, gradMapNorm) with Higham's γ_n = nu/(1 − nu), u = 2⁻⁵³
@@ -98,23 +98,36 @@ func (t *Triple) lossErr(w []float64) float64 {
 	return t.slack() * (gam(kF+2*d+2)*sw*sw/2 + gam(kF+d+2)*math.Sqrt(2*t.c)*sw + gam(kF+1)*t.c)
 }
 
-// mapErr bounds the distance from norm — gradMapNorm at w and the
-// triple's step, from grad = grad(w) — to the exact gradient-map norm
+// mapErr bounds the distance from norm — gradMapNorm at w and any step
+// gamma, from grad = grad(w) — to the exact gradient-map norm
 // ‖w − prox_γg(w − γ∇f(w))‖/γ. It is +Inf for an operator proxRounds
 // does not know. It charges its O(d) flops to cost.
-func (t *Triple) mapErr(w, grad []float64, norm float64, reg prox.Operator, cost *perf.Cost) float64 {
+func (t *Triple) mapErr(w, grad []float64, norm, gamma float64, reg prox.Operator, cost *perf.Cost) float64 {
 	k, ok := proxRounds(reg)
 	if !ok {
 		return math.Inf(1)
 	}
 	var q float64
 	for i, wi := range w {
-		a := math.Abs(wi) + t.step*math.Abs(grad[i])
+		a := math.Abs(wi) + gamma*math.Abs(grad[i])
 		q += a * a
 	}
 	cost.AddFlops(int64(7 * len(w)))
 	d := t.g.N
-	return t.slack()*(gam(d+3)*norm+gam(k+2)*math.Sqrt(q)/t.step) + t.gradErr(w)
+	return t.slack()*(gam(d+3)*norm+gam(k+2)*math.Sqrt(q)/gamma) + t.gradErr(w)
+}
+
+// certify is the GradMapTol stop of every solve that holds the triple,
+// SolveTriple's and the engine's: norm, as mapErr takes it at the
+// solve's step gamma, certifies tol > 0 when it and norm + mapErr both
+// meet tol. It returns that sum, the GradMap a stop reports; the bound
+// is taken, and its flops charged, only when norm meets tol.
+func (t *Triple) certify(w, grad []float64, norm, gamma, tol float64, reg prox.Operator, cost *perf.Cost) (cert float64, ok bool) {
+	if !(tol > 0 && norm <= tol) {
+		return math.NaN(), false
+	}
+	cert = norm + t.mapErr(w, grad, norm, gamma, reg, cost)
+	return cert, cert <= tol
 }
 
 // proxRounds returns K with |fl(prox)(a)_i − prox(a)_i| ≤ γ_K·|a_i| for

@@ -114,22 +114,27 @@ func absDiff(a, b *big.Float) float64 {
 }
 
 // FuzzTripleBound: on small problems built to cancel — large ± feature
-// pairs and near-interpolating labels, P ∈ {1, …, 4}, sparse or dense —
-// the triple's rounding bounds cover the exact values computed in
-// math/big: ‖∇f − grad‖ ≤ gradErr, |f − loss| ≤ lossErr and, for l1,
-// |N − N̂| ≤ mapErr for the gradient-map norm, at w*, next to it, at
-// zero and at a random w.
+// pairs and near-interpolating labels, filled on P ∈ {1, …, 8} ranks,
+// sparse or dense — the triple's rounding bounds cover the exact values
+// computed in math/big: ‖∇f − grad‖ ≤ gradErr, |f − loss| ≤ lossErr
+// and, for l1, |N − N̂| ≤ mapErr for the gradient-map norm at a fuzzed
+// step γ — the engine certifies at its own Options.Gamma, not at the
+// triple's 1/L — at w*, next to it, at zero and at a random w. The
+// step byte scales 1/L by (1 + hi/16)·2^(lo − 8) for its high and low
+// nibbles: 8 is 1/L itself.
 func FuzzTripleBound(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(20), uint8(1), uint8(20), uint8(255))
-	f.Add(uint64(2), uint8(5), uint8(47), uint8(3), uint8(30), uint8(120))
-	f.Add(uint64(3), uint8(2), uint8(3), uint8(4), uint8(0), uint8(255))
-	f.Add(uint64(4), uint8(6), uint8(33), uint8(2), uint8(39), uint8(40))
-	f.Add(uint64(5), uint8(1), uint8(1), uint8(3), uint8(10), uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, dIn, mIn, pIn, bExp, density uint8) {
-		d, m, p := int(dIn)%7+1, int(mIn)%48+1, int(pIn)%4+1
+	f.Add(uint64(1), uint8(4), uint8(20), uint8(1), uint8(20), uint8(255), uint8(8))
+	f.Add(uint64(2), uint8(5), uint8(47), uint8(3), uint8(30), uint8(120), uint8(0))
+	f.Add(uint64(3), uint8(2), uint8(3), uint8(4), uint8(0), uint8(255), uint8(15))
+	f.Add(uint64(4), uint8(6), uint8(33), uint8(2), uint8(39), uint8(40), uint8(0xa7))
+	f.Add(uint64(5), uint8(1), uint8(1), uint8(3), uint8(10), uint8(0), uint8(0xf9))
+	f.Add(uint64(6), uint8(3), uint8(5), uint8(7), uint8(25), uint8(200), uint8(0x48))
+	f.Fuzz(func(t *testing.T, seed uint64, dIn, mIn, pIn, bExp, density, stepIn uint8) {
+		d, m, p := int(dIn)%7+1, int(mIn)%48+1, int(pIn)%8+1
 		b := math.Ldexp(1, int(bExp)%40)
 		x, y, wStar := cancellingProblem(seed, d, m, b, 1e-9, float64(density)/255)
 		tri := FillTriple(x, y, p, nil)
+		gamma := math.Ldexp(tri.Step()*(1+float64(stepIn>>4)/16), int(stepIn&15)-8)
 		g := rng.New(seed ^ 0xb0)
 		near, random := make([]float64, d), make([]float64, d)
 		for i := range near {
@@ -153,9 +158,9 @@ func FuzzTripleBound(f *testing.F) {
 			if dl := absDiff(refLoss, bf(tri.loss(w))); !(dl <= tri.lossErr(w)) {
 				t.Fatalf("%s (d=%d m=%d P=%d B=%g): |f − loss| = %.3g over lossErr %.3g", name, d, m, p, b, dl, tri.lossErr(w))
 			}
-			norm := gradMapNorm(tmp, w, grad, tri.Step(), reg, nil)
-			if dn, bound := absDiff(exactMapNorm(w, refGrad, tri.Step(), lambda), bf(norm)), tri.mapErr(w, grad, norm, reg, nil); !(dn <= bound) {
-				t.Fatalf("%s (d=%d m=%d P=%d B=%g): |N − N̂| = %.3g over mapErr %.3g", name, d, m, p, b, dn, bound)
+			norm := gradMapNorm(tmp, w, grad, gamma, reg, nil)
+			if dn, bound := absDiff(exactMapNorm(w, refGrad, gamma, lambda), bf(norm)), tri.mapErr(w, grad, norm, gamma, reg, nil); !(dn <= bound) {
+				t.Fatalf("%s (d=%d m=%d P=%d B=%g γ=%g): |N − N̂| = %.3g over mapErr %.3g", name, d, m, p, b, gamma, dn, bound)
 			}
 		}
 	})

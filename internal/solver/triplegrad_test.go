@@ -55,7 +55,7 @@ func denseSolveTriple(tri *Triple, opts Options) *Result {
 		if (n%tripleCheckEvery == 0 || n == o.MaxIter) && tol > 0 {
 			denseGrad(tri, s.grad, s.w, s.cost)
 			if norm := gradMapNorm(s.tmp, s.w, s.grad, s.lr, s.reg, s.cost); norm <= tol {
-				if cert := norm + tri.mapErr(s.w, s.grad, norm, o.Reg, s.cost); cert <= tol {
+				if cert := norm + tri.mapErr(s.w, s.grad, norm, s.lr, o.Reg, s.cost); cert <= tol {
 					res.GradMap, res.Converged = cert, true
 					break
 				}

@@ -23,13 +23,17 @@ type Result struct {
 	// FinalObj is F(W); FinalRelErr is |F(W)-F*|/|F*| (NaN when F* is
 	// unknown).
 	FinalObj, FinalRelErr float64
-	// GradMap is the proximal gradient-mapping norm
-	// ||W - prox_gamma(W - gamma grad f(W))|| / gamma at W, taken from the
-	// exact full gradient the solve computed there. It is the certificate
-	// behind the GradMapTol stop, so RC-SFISTA sets it only when that stop
-	// ended the solve on full-precision collectives; it is NaN whenever
-	// the solve did not measure it at W (MaxIter or Tol exits, partial
-	// results, any CompressTier, and every other engine).
+	// GradMap is the certificate behind the GradMapTol stop: the
+	// proximal gradient-mapping norm
+	// ||W - prox_gamma(W - gamma grad f(W))|| / gamma at W, from the exact
+	// full gradient the solve computed there. A solve that holds the
+	// least-squares triple — SolveTriple, and RC-SFISTA on f64 dense
+	// slots — reports the Gram norm plus the triple's rounding bound at
+	// W, an upper bound on the exact norm; one that reads the data (under
+	// ActiveSet) reports the data-pass norm. RC-SFISTA sets it only when
+	// that stop ended the solve with no wire tier on; it is NaN whenever
+	// the solve did not certify W (MaxIter or Tol exits, partial results,
+	// any CompressTier, and every other engine).
 	GradMap float64
 	// Cost is the per-rank critical-path cost (max over ranks for
 	// distributed runs) of the algorithm, excluding instrumentation.
